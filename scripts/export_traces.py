@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from timeguard.config import apply_env, config_sha256, load_config, load_scenario
-from timeguard.orchestrator import transition_to_json
-from timeguard.pipeline import run_named_scenario, write_verdicts_csv
+from timeguard.pipeline import run_named_scenario, write_transitions_jsonl, write_verdicts_csv
 
 
 def main() -> int:
@@ -40,8 +39,7 @@ def main() -> int:
     with open(out / "verdicts.csv", "w") as fh:
         write_verdicts_csv(fh, result.verdicts)
     with open(out / "transitions.jsonl", "w") as fh:
-        for record in result.transitions:
-            fh.write(transition_to_json(record) + "\n")
+        write_transitions_jsonl(fh, result.transitions)
 
     report = result.report
     print(f"{spec.name}: {len(outputs.epochs)} epochs -> {out}")

@@ -35,24 +35,16 @@ from .config import (
     load_config,
     load_scenario,
 )
-from .detector import Hypothesis, calibrate_ll, nts_test, roughtime_test, verdict_to_json
-from .orchestrator import (
-    RESET_FILTER,
-    Event,
-    EventKind,
-    TransitionRecord,
-    initial_state,
-    step,
-    transition_to_json,
-)
+from .detector import Hypothesis, Verdict, calibrate_ll, verdict_to_json
+from .orchestrator import Event, TransitionRecord, transition_to_json
 from .pipeline import (
     VERDICT_CSV_HEADER,
-    FilterChain,
-    local_bias_s,
+    Monitor,
     report_to_json,
-    resolve_ll,
     run_named_scenario,
     training_residuals,
+    verdict_csv_row,
+    write_transitions_jsonl,
     write_verdicts_csv,
     write_verdicts_jsonl,
 )
@@ -162,8 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             with open(out / "verdicts.jsonl", "w") as fh:
                 write_verdicts_jsonl(fh, result.verdicts)
         with open(out / "transitions.jsonl", "w") as fh:
-            for record in result.transitions:
-                fh.write(transition_to_json(record) + "\n")
+            write_transitions_jsonl(fh, result.transitions)
         with open(out / "report.json", "w") as fh:
             fh.write(report_to_json(report) + "\n")
 
@@ -229,135 +220,56 @@ def _scripted_nts(obj: dict) -> NtsMeasurement:
 
 
 class _LiveSession:
-    """Single consumer of the feed queue; owns all mutable run state."""
+    """Single consumer of the feed queue: line parsing, polling and writers."""
 
     def __init__(self, config: AppConfig, verdict_out: TextIO,
                  transition_out: Optional[TextIO], fmt: str) -> None:
-        self.config = config
-        self.det = config.detector
-        self.chain = FilterChain(ensemble=config.ensemble, ll_params=resolve_ll(config))
-        self.state = initial_state()
         self.verdict_out = verdict_out
         self.transition_out = transition_out
         self.fmt = fmt
-        self.rt_poll = _rt_poller(config)
-        self.nts_poll = _nts_poller(config)
+        orc = config.orchestrator
+        self.pollers = [
+            (which, poller, int(cadence_s * 1e9))
+            for which, poller, cadence_s in (("rt", _rt_poller(config), orc.rt_poll_s),
+                                             ("nts", _nts_poller(config), orc.nts_poll_s))
+            if poller is not None
+        ]
+        self.next_poll_ns: dict = {}
         self.h1_seen = False
         self.verdict_count = 0
-        self.have_fix = False
-        self.anchor: Optional[tuple[Timestamp, MonotonicInstant]] = None
-        self.last_epoch = None
-        self.last_t = MonotonicInstant(0)
-        self.net_up = True
-        self.next_rt: Optional[MonotonicInstant] = None
-        self.next_nts: Optional[MonotonicInstant] = None
+        self.monitor = Monitor(
+            config,
+            on_verdict=self.emit,
+            on_transition=self.record if transition_out is not None else None,
+        )
 
-    def feed(self, event: Event) -> None:
-        before = self.state.phase
-        self.state, actions = step(self.state, event, self.config.orchestrator)
-        if self.transition_out is not None:
-            record = TransitionRecord(
-                t_mono=event.t_mono,
-                event=event.kind.value,
-                from_phase=before,
-                to_phase=self.state.phase,
-                active_source=self.state.active_time_source,
-                actions=tuple(actions),
-            )
-            self.transition_out.write(transition_to_json(record) + "\n")
-            self.transition_out.flush()
-        if RESET_FILTER in actions:
-            self.chain.reset(event.t_mono)
+    def record(self, event: Event, transition: TransitionRecord) -> None:
+        self.transition_out.write(transition_to_json(transition) + "\n")
+        self.transition_out.flush()
 
-    def emit(self, verdict) -> None:
+    def emit(self, verdict: Verdict) -> None:
         self.verdict_count += 1
         if verdict.hypothesis is Hypothesis.H1:
             self.h1_seen = True
-        if self.fmt == "csv":
-            self.verdict_out.write(
-                f"{verdict.t_mono.nanoseconds},{verdict.test},{verdict.statistic!r},"
-                f"{verdict.threshold!r},{verdict.hypothesis.value},{verdict.source_id}\n"
-            )
-        else:
-            self.verdict_out.write(verdict_to_json(verdict) + "\n")
+        line = verdict_csv_row(verdict) if self.fmt == "csv" else verdict_to_json(verdict)
+        self.verdict_out.write(line + "\n")
         self.verdict_out.flush()
 
-    def _network(self, up: bool, t: MonotonicInstant) -> None:
-        if up != self.net_up:
-            self.net_up = up
-            kind = EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN
-            self.feed(Event(kind, t))
-
-    def _poll_provider(self, which: str, t: MonotonicInstant) -> None:
-        poller = self.rt_poll if which == "rt" else self.nts_poll
-        try:
-            measurement = poller()
-        except Exception as e:
-            print(f"timeguard: {which} poll failed: {e}", file=sys.stderr)
-            # repeated NETWORK_DOWN is idempotent; a failure after the
-            # machine reaches FINE must still drive it into HOLDOVER
-            self.net_up = False
-            self.feed(Event(EventKind.NETWORK_DOWN, t))
-            return
-        self._network(True, t)
-        now = MonotonicInstant.now()
-        t_ref = self.last_epoch.t_gnss
-        if which == "rt":
-            v = roughtime_test(t_ref, measurement, self.det, t_mono_now=now)
-            kind = EventKind.RT_VERDICT
-        else:
-            v = nts_test(t_ref, measurement, self.det.nts_lambda, self.det, now)
-            kind = EventKind.NTS_VERDICT
-        self.emit(v)
-        self.feed(Event(kind, t, v))
-
-    def _epoch(self, obj_line: str) -> None:
-        rec = epoch_from_json(obj_line)
-        t = rec.t_mono
-        if t.nanoseconds < self.last_t.nanoseconds:
-            print("timeguard: dropping out-of-order epoch", file=sys.stderr)
-            return
-        self.last_t = t
-        if rec.fix_valid and not self.have_fix:
-            self.have_fix = True
-            if self.anchor is None:
-                self.anchor = (rec.t_gnss, rec.t_mono)
-            self.feed(Event(EventKind.FIX_ACQUIRED, t))
-        elif not rec.fix_valid and self.have_fix:
-            self.have_fix = False
-            self.feed(Event(EventKind.FIX_LOST, t))
-        if rec.fix_valid and self.anchor is not None:
-            self.last_epoch = rec
-            utc0, mono0 = self.anchor
-            _, ll_verdict = self.chain.step(local_bias_s(rec, utc0, mono0), t)
-            if ll_verdict is not None:
-                self.emit(ll_verdict)
-                self.feed(Event(EventKind.LL_VERDICT, t, ll_verdict))
-            orc = self.config.orchestrator
-            if self.rt_poll is not None:
-                if self.next_rt is None or t.nanoseconds >= self.next_rt.nanoseconds:
-                    self._poll_provider("rt", t)
-                    self.next_rt = MonotonicInstant(t.nanoseconds + int(orc.rt_poll_s * 1e9))
-            if self.nts_poll is not None:
-                if self.next_nts is None or t.nanoseconds >= self.next_nts.nanoseconds:
-                    self._poll_provider("nts", t)
-                    self.next_nts = MonotonicInstant(t.nanoseconds + int(orc.nts_poll_s * 1e9))
-        self.feed(Event(EventKind.TICK, t))
-
-    def _scripted(self, obj: dict) -> None:
-        t = MonotonicInstant(int(obj["t_mono_ns"]))
-        if self.last_epoch is None:
-            print("timeguard: measurement before first epoch, skipped", file=sys.stderr)
-            return
-        t_ref = self.last_epoch.t_gnss
-        if obj["type"] == "rt":
-            v = roughtime_test(t_ref, _scripted_rt(obj), self.det, t_mono_now=t)
-            kind = EventKind.RT_VERDICT
-        else:
-            v = nts_test(t_ref, _scripted_nts(obj), self.det.nts_lambda, self.det, t)
-            kind = EventKind.NTS_VERDICT
-        self.emit(v)
-        self.feed(Event(kind, t, v))
+    def _poll(self, t: MonotonicInstant) -> None:
+        """Poll each configured provider that is due at t."""
+        for which, poller, cadence_ns in self.pollers:
+            if t.nanoseconds < self.next_poll_ns.get(which, t.nanoseconds):
+                continue
+            try:
+                measurement = poller()
+            except Exception as e:
+                print(f"timeguard: {which} poll failed: {e}", file=sys.stderr)
+                self.monitor.network(False, t, repeat=True)
+            else:
+                self.monitor.network(True, t)
+                apply = self.monitor.roughtime if which == "rt" else self.monitor.nts
+                apply(measurement, t, MonotonicInstant.now())
+            self.next_poll_ns[which] = t.nanoseconds + cadence_ns
 
     def consume(self, line: str) -> None:
         line = line.strip()
@@ -371,20 +283,22 @@ class _LiveSession:
         kind = obj.get("type")
         try:
             if kind is None:
-                self._epoch(line)
-            elif kind in ("rt", "nts"):
-                self._scripted(obj)
+                rec = epoch_from_json(line)
+                self.monitor.epoch(rec)
+                if rec.fix_valid:
+                    self._poll(rec.t_mono)
+                self.monitor.tick(rec.t_mono)
+            elif kind == "rt":
+                self.monitor.roughtime(_scripted_rt(obj), MonotonicInstant(int(obj["t_mono_ns"])))
+            elif kind == "nts":
+                self.monitor.nts(_scripted_nts(obj), MonotonicInstant(int(obj["t_mono_ns"])))
             elif kind == "network":
-                self._network(bool(obj["up"]), MonotonicInstant(int(obj["t_mono_ns"])))
+                self.monitor.network(bool(obj["up"]), MonotonicInstant(int(obj["t_mono_ns"])))
             else:
                 print(f"timeguard: unknown feed line type {kind!r}, skipped",
                       file=sys.stderr)
         except Exception as e:
             print(f"timeguard: feed line rejected: {e}", file=sys.stderr)
-
-    def finish(self) -> None:
-        if self.have_fix:
-            self.feed(Event(EventKind.FIX_LOST, self.last_t))
 
 
 def cmd_live(args: argparse.Namespace) -> int:
@@ -420,7 +334,7 @@ def cmd_live(args: argparse.Namespace) -> int:
             if line is None:
                 break
             session.consume(line)
-        session.finish()
+        session.monitor.finish()
     finally:
         reader.join(timeout=5.0)
         if transition_out is not None:
@@ -429,8 +343,8 @@ def cmd_live(args: argparse.Namespace) -> int:
             verdict_out.close()
 
     print(
-        f"live: {session.verdict_count} verdicts, final phase {session.state.phase.value},"
-        f" active source {session.state.active_time_source}",
+        f"live: {session.verdict_count} verdicts, final phase {session.monitor.state.phase.value},"
+        f" active source {session.monitor.state.active_time_source}",
         file=sys.stderr,
     )
     return EXIT_ATTACK if session.h1_seen else EXIT_CLEAN

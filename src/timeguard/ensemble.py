@@ -4,9 +4,8 @@ Tracks the offset between the GNSS-disciplined timescale and one or more
 local precision oscillators.  The state is [bias (s), drift (s/s)] driven
 by white-FM and random-walk-FM process noise; innovation gating rejects
 measurements outside the predicted confidence band so a pulled GNSS
-solution cannot quietly steer the local estimate.  Also provides the
-inverse-variance ensemble combination and an overlapping Allan deviation
-for calibrating the noise densities.
+solution cannot quietly steer the local estimate.  Also provides an
+overlapping Allan deviation for calibrating the noise densities.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ class FilterDomainError(EnsembleError):
 
 class MeasurementError(EnsembleError):
     """Non-finite or wrongly shaped measurement input."""
-
-
-class CombineError(EnsembleError):
-    """Ensemble combination called with no readings."""
 
 
 class CalibrationError(EnsembleError):
@@ -204,42 +199,6 @@ def kf_update(
     P = A @ state.P @ A.T + K @ R @ K.T
     P = 0.5 * (P + P.T)
     return KfUpdate(ClockKfState(x, P, state.q_b, state.q_d, state.last_update), True, innovation, S)
-
-
-@dataclass(frozen=True)
-class EnsembleReading:
-    """Per-oscillator bias measurements plus their combined estimate."""
-
-    readings: tuple[tuple[float, float], ...]  # (bias s, variance s²)
-    bias: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        min_var = min(v for _, v in self.readings)
-        if self.variance > min_var * (1 + 1e-12):
-            raise CombineError("combined variance exceeds best individual reading")
-
-
-def ensemble_combine(readings: Sequence[tuple[float, float]]) -> EnsembleReading:
-    """Inverse-variance weighted combination of per-oscillator biases.
-
-    A zero-variance reading dominates: the combination collapses to the
-    mean of the zero-variance biases with zero variance.
-    """
-    if len(readings) == 0:
-        raise CombineError("need at least one reading")
-    clean = []
-    for b, v in readings:
-        if not (math.isfinite(b) and math.isfinite(v) and v >= 0):
-            raise CombineError(f"bad reading ({b}, {v})")
-        clean.append((float(b), float(v)))
-    exact = [b for b, v in clean if v == 0.0]
-    if exact:
-        return EnsembleReading(tuple(clean), sum(exact) / len(exact), 0.0)
-    weights = [1.0 / v for _, v in clean]
-    variance = 1.0 / sum(weights)
-    bias = variance * sum(w * b for (b, _), w in zip(clean, weights))
-    return EnsembleReading(tuple(clean), bias, variance)
 
 
 def allan_deviation(

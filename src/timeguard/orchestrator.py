@@ -14,7 +14,7 @@ events; a single logical consumer applies them in monotonic order.
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .detector import Hypothesis, Verdict
 from .timebase import MonotonicInstant
@@ -295,27 +295,36 @@ class TransitionRecord:
     actions: tuple
 
 
+def advance(
+    state: OrchestratorState,
+    event: Event,
+    config: Optional[OrchestratorConfig] = None,
+    on_record: Optional[Callable[[Event, TransitionRecord], None]] = None,
+) -> tuple[OrchestratorState, list[str]]:
+    """step() one event; its transition record is built only for an on_record."""
+    new_state, actions = step(state, event, config)
+    if on_record is not None:
+        on_record(event, TransitionRecord(
+            t_mono=event.t_mono,
+            event=event.kind.value,
+            from_phase=state.phase,
+            to_phase=new_state.phase,
+            active_source=new_state.active_time_source,
+            actions=tuple(actions),
+        ))
+    return new_state, actions
+
+
 def replay(
     events: Sequence[Event],
     config: Optional[OrchestratorConfig] = None,
     state: Optional[OrchestratorState] = None,
 ) -> tuple[OrchestratorState, list[TransitionRecord]]:
-    """Run an event log through step(), collecting the transition trail."""
+    """Run an event log through advance(), collecting the transition trail."""
     state = state if state is not None else initial_state()
-    records = []
+    records: list[TransitionRecord] = []
     for event in events:
-        before = state.phase
-        state, actions = step(state, event, config)
-        records.append(
-            TransitionRecord(
-                t_mono=event.t_mono,
-                event=event.kind.value,
-                from_phase=before,
-                to_phase=state.phase,
-                active_source=state.active_time_source,
-                actions=tuple(actions),
-            )
-        )
+        state, _ = advance(state, event, config, lambda _, record: records.append(record))
     return state, records
 
 

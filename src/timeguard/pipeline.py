@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -34,13 +34,18 @@ from .detector import (
 from .ensemble import ClockKfState, kf_init, kf_predict, kf_update
 from .orchestrator import (
     RESET_FILTER,
+    Connectivity,
     Event,
     EventKind,
     OrchestratorState,
+    OrderingError,
     TransitionRecord,
+    advance,
     initial_state,
-    step,
+    transition_to_json,
 )
+from .provider_nts import NtsMeasurement
+from .provider_roughtime import RoughtimeMeasurement
 from .receiver_feed import EpochRecord
 from .timebase import MonotonicInstant, Timestamp, ts_diff
 
@@ -88,11 +93,6 @@ class FilterChain:
         self.kf = update.state
         return self.kf.bias, float(update.innovation[0])
 
-    def step(self, bias_s: float, t_mono: MonotonicInstant) -> tuple[float, Optional[Verdict]]:
-        """One epoch: returns the filtered bias and the ll verdict, if warmed."""
-        xhat, innovation = self.track(bias_s, t_mono)
-        return xhat, ll_step(self.ll_state, innovation, t_mono)
-
 
 def local_bias_s(
     rec: EpochRecord, utc0: Timestamp, mono0: MonotonicInstant, osc_bias_s: float = 0.0
@@ -108,6 +108,104 @@ def local_bias_s(
     # exact to the 2^-64 s unit: floor once on the full product
     elapsed_units = ((rec.t_mono.nanoseconds - mono0.nanoseconds) << 64) // 10**9
     return (diff_units - elapsed_units) / 2.0**64 - osc_bias_s
+
+
+# -- the per-epoch engine ----------------------------------------------------
+
+
+class Monitor:
+    """The per-epoch engine that simulate and live share.
+
+    Owns the filter chain, the orchestrator state and the fix, anchor
+    and connectivity bookkeeping.  Every input is applied to the state
+    machine first, and only what it applied is handed on:
+    `on_verdict(verdict)` and `on_transition(event, record)`.
+    """
+
+    def __init__(
+        self,
+        config: AppConfig,
+        ll_params: Optional[LlConfig] = None,
+        sigma_meas_s: Optional[float] = None,
+        on_verdict: Optional[Callable[[Verdict], None]] = None,
+        on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
+    ) -> None:
+        self.config = config
+        self.chain = FilterChain(
+            ensemble=config.ensemble,
+            ll_params=ll_params if ll_params is not None else resolve_ll(config),
+            sigma_meas_s=sigma_meas_s,
+        )
+        self.state = initial_state()
+        self.on_verdict = on_verdict
+        self.on_transition = on_transition
+        self.have_fix = False
+        self.anchor: Optional[tuple[Timestamp, MonotonicInstant]] = None
+        self.last_fix: Optional[EpochRecord] = None
+
+    def _apply(self, event: Event) -> None:
+        self.state, actions = advance(self.state, event, self.config.orchestrator,
+                                      self.on_transition)
+        if RESET_FILTER in actions:
+            self.chain.reset(event.t_mono)
+        if event.verdict is not None and self.on_verdict is not None:
+            self.on_verdict(event.verdict)
+
+    def _reference(self) -> Timestamp:
+        if self.last_fix is None:
+            raise OrderingError("measurement before the first GNSS fix")
+        return self.last_fix.t_gnss
+
+    def epoch(self, rec: EpochRecord, osc_bias_s: float = 0.0) -> Optional[tuple[float, float]]:
+        """One receiver epoch; returns (filtered bias, innovation) for a valid fix.
+
+        osc_bias_s is oscillator wander the simulator models outside t_mono.
+        """
+        t = rec.t_mono
+        last = self.state.last_t_mono
+        if last is not None and t < last:
+            raise OrderingError(f"epoch at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
+        if rec.fix_valid != self.have_fix:
+            self.have_fix = rec.fix_valid
+            if self.anchor is None:  # the first change is an acquisition
+                self.anchor = (rec.t_gnss, t)
+            self._apply(Event(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t))
+        if not rec.fix_valid:
+            return None
+        self.last_fix = rec
+        xhat, innovation = self.chain.track(local_bias_s(rec, *self.anchor, osc_bias_s), t)
+        verdict = ll_step(self.chain.ll_state, innovation, t)
+        if verdict is not None:
+            self._apply(Event(EventKind.LL_VERDICT, t, verdict))
+        return xhat, innovation
+
+    def roughtime(self, meas: RoughtimeMeasurement, t: MonotonicInstant,
+                  now: Optional[MonotonicInstant] = None) -> None:
+        """A Roughtime reply at t; `now`, default t, dates it for the staleness check."""
+        verdict = roughtime_test(self._reference(), meas, self.config.detector,
+                                 t if now is None else now)
+        self._apply(Event(EventKind.RT_VERDICT, t, verdict))
+
+    def nts(self, meas: NtsMeasurement, t: MonotonicInstant,
+            now: Optional[MonotonicInstant] = None) -> None:
+        """An NTS reply at t; `now`, default t, dates it for the staleness check."""
+        det = self.config.detector
+        verdict = nts_test(self._reference(), meas, det.nts_lambda, det, t if now is None else now)
+        self._apply(Event(EventKind.NTS_VERDICT, t, verdict))
+
+    def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:
+        """Connectivity at t, applied when it changes.  A failed poll repeats
+        NETWORK_DOWN: the machine may have reached FINE_MONITORING since."""
+        if repeat or up != (self.state.connectivity is Connectivity.ONLINE):
+            self._apply(Event(EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN, t))
+
+    def tick(self, t: MonotonicInstant) -> None:
+        self._apply(Event(EventKind.TICK, t))
+
+    def finish(self) -> None:
+        """End of input: a fix still held counts as lost."""
+        if self.have_fix:
+            self._apply(Event(EventKind.FIX_LOST, self.state.last_t_mono))
 
 
 # -- ll threshold calibration ------------------------------------------------
@@ -263,71 +361,31 @@ def run_scenario(
 ) -> PipelineResult:
     """Replay simulator output through the full detection stack."""
     spec = outputs.spec
-    ll = ll_params if ll_params is not None else resolve_ll(config)
-    chain = FilterChain(
-        ensemble=config.ensemble,
-        ll_params=ll,
-        sigma_meas_s=max(spec.benign_jitter_sigma_s, 1e-12),
-    )
-    det_cfg = config.detector
-    state = initial_state()
-    verdicts: list = []
-    transitions: list = []
-    events: list = []
+    verdicts, transitions, events = [], [], []
+
+    def record(event: Event, transition: TransitionRecord) -> None:
+        events.append(event)
+        transitions.append(transition)
+
+    monitor = Monitor(config, ll_params, max(spec.benign_jitter_sigma_s, 1e-12),
+                      on_verdict=verdicts.append, on_transition=record)
     xhat = np.empty(len(outputs.epochs))
     innovations = np.empty(len(outputs.epochs))
-    utc0, mono0 = outputs.epochs[0].t_gnss, outputs.epochs[0].t_mono
-    online = True
-    seen_fix = False
-
-    def feed(event: Event) -> None:
-        nonlocal state
-        before = state.phase
-        state, actions = step(state, event, config.orchestrator)
-        events.append(event)
-        transitions.append(
-            TransitionRecord(
-                t_mono=event.t_mono,
-                event=event.kind.value,
-                from_phase=before,
-                to_phase=state.phase,
-                active_source=state.active_time_source,
-                actions=tuple(actions),
-            )
-        )
-        if RESET_FILTER in actions:
-            chain.reset(event.t_mono)
-
     for e, rec in enumerate(outputs.epochs):
         t = rec.t_mono
-        if rec.fix_valid and not seen_fix:
-            seen_fix = True
-            feed(Event(EventKind.FIX_ACQUIRED, t))
-        now_online = network_available(spec, e)
-        if now_online != online:
-            online = now_online
-            feed(Event(EventKind.NETWORK_UP if online else EventKind.NETWORK_DOWN, t))
-        z = local_bias_s(rec, utc0, mono0, outputs.osc_bias_s[e])
-        xhat[e], innovations[e] = chain.track(z, t)
-        ll_verdict = ll_step(chain.ll_state, innovations[e], t)
-        if ll_verdict is not None:
-            verdicts.append(ll_verdict)
-            feed(Event(EventKind.LL_VERDICT, t, ll_verdict))
+        monitor.network(network_available(spec, e), t)
+        xhat[e], innovations[e] = monitor.epoch(rec, outputs.osc_bias_s[e])
         if e in outputs.rt_responses:
-            v = roughtime_test(rec.t_gnss, outputs.rt_responses[e], det_cfg, t_mono_now=t)
-            verdicts.append(v)
-            feed(Event(EventKind.RT_VERDICT, t, v))
+            monitor.roughtime(outputs.rt_responses[e], t)
         if e in outputs.nts_responses:
-            v = nts_test(rec.t_gnss, outputs.nts_responses[e], det_cfg.nts_lambda, det_cfg, t)
-            verdicts.append(v)
-            feed(Event(EventKind.NTS_VERDICT, t, v))
-        feed(Event(EventKind.TICK, t))
+            monitor.nts(outputs.nts_responses[e], t)
+        monitor.tick(t)
 
     return PipelineResult(
         verdicts=verdicts,
         transitions=transitions,
         events=events,
-        state=state,
+        state=monitor.state,
         xhat_bias_s=xhat,
         innovation_s=innovations,
     )
@@ -378,13 +436,22 @@ def write_verdicts_jsonl(fh, verdicts: Iterable[Verdict]) -> None:
         fh.write(verdict_to_json(v) + "\n")
 
 
+def write_transitions_jsonl(fh, records: Iterable[TransitionRecord]) -> None:
+    for record in records:
+        fh.write(transition_to_json(record) + "\n")
+
+
 VERDICT_CSV_HEADER = "t_mono_ns,test,statistic,threshold,hypothesis,source_id"
+
+
+def verdict_csv_row(v: Verdict) -> str:
+    return (
+        f"{v.t_mono.nanoseconds},{v.test},{v.statistic!r},{v.threshold!r},"
+        f"{v.hypothesis.value},{v.source_id}"
+    )
 
 
 def write_verdicts_csv(fh, verdicts: Iterable[Verdict]) -> None:
     fh.write(VERDICT_CSV_HEADER + "\n")
     for v in verdicts:
-        fh.write(
-            f"{v.t_mono.nanoseconds},{v.test},{v.statistic!r},{v.threshold!r},"
-            f"{v.hypothesis.value},{v.source_id}\n"
-        )
+        fh.write(verdict_csv_row(v) + "\n")

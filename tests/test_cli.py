@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+import timeguard.cli
+from timeguard.attack_sim import builtin_scenarios, gen_scenario
 from timeguard.bench import bench_from_json
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, main
 from timeguard.config import default_config, load_config
+from timeguard.receiver_feed import epoch_to_json
 from timeguard.timebase import SignedDuration, Timestamp, ts_add
 
 PY = sys.executable
@@ -325,3 +329,60 @@ def test_live_skips_garbage_lines(pin_cfg, tmp_path):
     assert proc.returncode == EXIT_CLEAN
     assert "unparseable" in proc.stderr
     assert "unknown feed line type" in proc.stderr
+
+
+def test_live_writes_no_verdict_the_state_machine_rejects(pin_cfg, tmp_path, capsys):
+    # the rt line is stamped before the last epoch: the state machine
+    # refuses it, so neither its H1 verdict nor exit code 2 may surface
+    feed = tmp_path / "feed.jsonl"
+    lines = [epoch_line(0), epoch_line(1), epoch_line(2), rt_line(1, offset_s=-4.0)]
+    feed.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    rc = main(["live", "--feed", str(feed), "--config", pin_cfg, "--out-dir", str(out)])
+    assert rc == EXIT_CLEAN
+    assert (out / "verdicts.jsonl").read_text() == ""
+    err = capsys.readouterr().err
+    assert "rejected" in err
+    assert "final phase COLD_START, active source gnss" in err
+
+
+# -- simulate and live agree -------------------------------------------------
+
+
+def scenario_feed(outputs):
+    """A simulated run as a live feed: each epoch, then its scripted replies."""
+    lines = []
+    for e, rec in enumerate(outputs.epochs):
+        t = rec.t_mono.nanoseconds
+        lines.append(epoch_to_json(rec))
+        rt = outputs.rt_responses.get(e)
+        if rt is not None:
+            lines.append(json.dumps({
+                "type": "rt", "t_mono_ns": t, "midpoint_unix_ns": rt.midpoint.to_ns(),
+                "radius_s": rt.radius.to_s(), "source_id": rt.server_id,
+            }))
+        nts = outputs.nts_responses.get(e)
+        if nts is not None:
+            lines.append(json.dumps({
+                "type": "nts", "t_mono_ns": t, "offset_s": nts.offset.to_s(),
+                "delay_s": nts.delay.to_s(), "source_id": nts.server_id,
+            }))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("name", ["step4s", "incr2us", "pull2us"])
+def test_live_replay_of_a_simulated_run_matches_simulate(name, pin_cfg, tmp_path, monkeypatch):
+    # without oscillator wander the epoch lines carry everything simulate
+    # sees, so both commands must write the same verdicts
+    spec = builtin_scenarios()[name]
+    spec = replace(spec, oscillator=replace(spec.oscillator, q_b=0.0, q_d=0.0))
+    monkeypatch.setattr(timeguard.cli, "load_scenario", lambda _: spec)
+    sim, live = tmp_path / "sim", tmp_path / "live"
+    rc = main(["simulate", "--scenario", name, "--config", pin_cfg, "--out-dir", str(sim)])
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(scenario_feed(gen_scenario(spec)))
+    assert main(["live", "--feed", str(feed), "--config", pin_cfg,
+                 "--out-dir", str(live)]) == rc
+    simulated = (sim / "verdicts.jsonl").read_bytes()
+    assert simulated
+    assert (live / "verdicts.jsonl").read_bytes() == simulated

@@ -11,13 +11,11 @@ from scipy import integrate, stats
 from timeguard.ensemble import (
     CalibrationError,
     ClockKfState,
-    CombineError,
     FilterDomainError,
     MeasurementError,
     OscillatorSpec,
     allan_deviation,
     analytic_adev,
-    ensemble_combine,
     kf_init,
     kf_predict,
     kf_update,
@@ -209,56 +207,6 @@ def test_variance_approaches_r_over_n():
         assert s.P[0, 0] <= last * (1 + 1e-12)
         last = s.P[0, 0]
     assert s.P[0, 0] == pytest.approx(r / n, rel=1e-5)
-
-
-# -- ensemble combination ---------------------------------------------------
-
-
-def test_combine_single_reading_identity():
-    out = ensemble_combine([(3e-9, 1e-16)])
-    assert out.bias == 3e-9 and out.variance == 1e-16
-
-
-def test_combine_two_equal_variances():
-    out = ensemble_combine([(0.0, 1.0), (2.0, 1.0)])
-    assert out.bias == pytest.approx(1.0)
-    assert out.variance == pytest.approx(0.5)
-
-
-def test_combine_three_random_matches_formula():
-    rng = np.random.default_rng(3)
-    biases = rng.normal(0, 1e-9, 3)
-    variances = rng.uniform(1e-18, 1e-15, 3)
-    out = ensemble_combine(list(zip(biases, variances)))
-    w = 1.0 / variances
-    assert out.variance == pytest.approx(1.0 / w.sum(), rel=1e-12)
-    assert out.bias == pytest.approx(float((w * biases).sum() / w.sum()), rel=1e-12)
-
-
-def test_combine_zero_variance_dominates():
-    out = ensemble_combine([(5e-9, 0.0), (100e-9, 1e-16)])
-    assert out.bias == 5e-9 and out.variance == 0.0
-
-
-def test_combine_empty_rejected():
-    with pytest.raises(CombineError):
-        ensemble_combine([])
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=-1e-6, max_value=1e-6),
-            st.floats(min_value=1e-20, max_value=1e-10),
-        ),
-        min_size=1,
-        max_size=6,
-    )
-)
-@settings(max_examples=100)
-def test_combine_never_worse_than_best(readings):
-    out = ensemble_combine(readings)
-    assert out.variance <= min(v for _, v in readings) * (1 + 1e-12)
 
 
 # -- Allan deviation --------------------------------------------------------

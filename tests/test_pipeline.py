@@ -8,13 +8,14 @@ import pytest
 
 from timeguard.attack_sim import NetworkSpec, ScenarioSpec, builtin_scenarios, gen_scenario
 from timeguard.config import default_config
-from timeguard.detector import Hypothesis, LlConfig, Verdict, calibrate_ll
+from timeguard.detector import Hypothesis, LlConfig, Verdict, calibrate_ll, ll_step
 from timeguard.ensemble import OscillatorSpec
-from timeguard.orchestrator import Phase, replay
+from timeguard.orchestrator import OrderingError, Phase, replay
 from timeguard.pipeline import (
     VERDICT_CSV_HEADER,
     DetectorOutcome,
     FilterChain,
+    Monitor,
     PipelineResult,
     RunReport,
     build_report,
@@ -107,13 +108,19 @@ def test_gate_freezes_filter_on_step():
     assert innovation == pytest.approx(1.0, abs=1e-5)
 
 
+def ll_epoch(c, bias_s, t):
+    """One epoch through the filter and the ll window: the ll verdict, if warmed."""
+    _, innovation = c.track(bias_s, t)
+    return ll_step(c.ll_state, innovation, t)
+
+
 def test_ll_fires_on_sustained_offset():
     # converge first: a fresh filter would swallow the step into its
     # initial bias estimate instead of rejecting it at the gate
     c = chain()
     for i in range(300):
-        c.step(0.0, mono(float(i)))
-    verdicts = [c.step(1e-6, mono(float(300 + i)))[1] for i in range(60)]
+        ll_epoch(c, 0.0, mono(float(i)))
+    verdicts = [ll_epoch(c, 1e-6, mono(float(300 + i))) for i in range(60)]
     hits = [i for i, v in enumerate(verdicts) if v is not None
             and v.hypothesis is Hypothesis.H1]
     assert hits
@@ -124,11 +131,11 @@ def test_ll_fires_on_sustained_offset():
 def test_reset_clears_history():
     c = chain()
     for i in range(50):
-        c.step(1e-6, mono(float(i)))
+        ll_epoch(c, 1e-6, mono(float(i)))
     c.reset(mono(50.0))
     assert c.kf.bias == 0.0
     assert not c.ll_state.warmed
-    assert c.step(0.0, mono(51.0))[1] is None
+    assert ll_epoch(c, 0.0, mono(51.0)) is None
 
 
 # -- calibration -------------------------------------------------------------
@@ -242,6 +249,26 @@ def test_outage_drives_holdover_and_recovery():
     down_at = phases.index(Phase.HOLDOVER)
     assert Phase.FINE_MONITORING in phases[down_at:]
     assert result.state.phase is Phase.FINE_MONITORING
+
+
+def test_monitor_refuses_out_of_order_input_and_applies_nothing():
+    outputs = gen_scenario(builtin_scenarios()["step4s"])
+    seen = []
+    monitor = Monitor(CFG, RESOLVED_LL, on_verdict=seen.append,
+                      on_transition=lambda event, record: seen.append(record))
+    for rec in outputs.epochs[:40]:
+        monitor.epoch(rec)
+        monitor.tick(rec.t_mono)
+    state, kf, window = monitor.state, monitor.chain.kf, list(monitor.chain.ll_state.window)
+    count = len(seen)
+    with pytest.raises(OrderingError):
+        monitor.epoch(outputs.epochs[20])
+    with pytest.raises(OrderingError):
+        monitor.roughtime(outputs.rt_responses[20], outputs.epochs[20].t_mono)
+    assert monitor.state is state
+    assert monitor.chain.kf is kf
+    assert list(monitor.chain.ll_state.window) == window
+    assert len(seen) == count
 
 
 def test_verdict_cadence():
