@@ -10,7 +10,7 @@ outputs; the algorithm identifier travels in the output headers.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -179,7 +179,6 @@ class SimOutputs:
     osc_bias_s: np.ndarray
     rt_responses: dict
     nts_responses: dict
-    network_down: Optional[tuple]
 
 
 def network_available(spec: ScenarioSpec, epoch: int) -> bool:
@@ -234,9 +233,6 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
                 t_mono_rx=t_mono,
                 server_id="nts-sim",
             )
-    down = None
-    if spec.network.mode == "down":
-        down = (spec.network.down_from_epoch, spec.network.down_to_epoch)
     return SimOutputs(
         spec=spec,
         epochs=epochs,
@@ -244,7 +240,6 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
         osc_bias_s=osc_bias,
         rt_responses=rt_responses,
         nts_responses=nts_responses,
-        network_down=down,
     )
 
 

@@ -17,9 +17,8 @@ import argparse
 import base64
 import json
 import os
-import queue
 import sys
-import threading
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, TextIO
@@ -220,7 +219,7 @@ def _scripted_nts(obj: dict) -> NtsMeasurement:
 
 
 class _LiveSession:
-    """Single consumer of the feed queue: line parsing, polling and writers."""
+    """Feed line parsing, provider polling and the verdict and transition writers."""
 
     def __init__(self, config: AppConfig, verdict_out: TextIO,
                  transition_out: Optional[TextIO], fmt: str) -> None:
@@ -278,12 +277,14 @@ class _LiveSession:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
+            obj = None
+        if not isinstance(obj, dict):
             print("timeguard: unparseable feed line, skipped", file=sys.stderr)
             return
         kind = obj.get("type")
         try:
             if kind is None:
-                rec = epoch_from_json(line)
+                rec = epoch_from_json(obj)
                 self.monitor.epoch(rec)
                 if rec.fix_valid:
                     self._poll(rec.t_mono)
@@ -311,32 +312,13 @@ def cmd_live(args: argparse.Namespace) -> int:
     if args.format == "csv":
         verdict_out.write(VERDICT_CSV_HEADER + "\n")
 
-    lines: queue.Queue = queue.Queue()
-
-    def read_feed() -> None:
-        try:
-            if args.feed == "-":
-                for line in sys.stdin:
-                    lines.put(line)
-            else:
-                with open(args.feed) as fh:
-                    for line in fh:
-                        lines.put(line)
-        finally:
-            lines.put(None)
-
     session = _LiveSession(config, verdict_out, transition_out, args.format)
-    reader = threading.Thread(target=read_feed, daemon=True)
-    reader.start()
     try:
-        while True:
-            line = lines.get()
-            if line is None:
-                break
-            session.consume(line)
+        with nullcontext(sys.stdin) if args.feed == "-" else open(args.feed) as feed:
+            for line in feed:
+                session.consume(line)
         session.monitor.finish()
     finally:
-        reader.join(timeout=5.0)
         if transition_out is not None:
             transition_out.close()
         if verdict_out is not sys.stdout:

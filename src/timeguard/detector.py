@@ -47,10 +47,6 @@ class WarmupSignal(DetectorError):
     """Window not yet full; the detector has no output for this epoch."""
 
 
-class LikelihoodDomainError(DetectorError):
-    """Log-likelihood update received a non-positive density."""
-
-
 class Hypothesis(Enum):
     H0 = "H0"
     H1 = "H1"
@@ -178,13 +174,6 @@ def roughtime_test(
     )
 
 
-def nts_lambda_from_sigma(sigma_s: float, k: float = 3.0) -> SignedDuration:
-    """Threshold from server quality: lambda_T = k standard deviations."""
-    if not sigma_s >= 0.0 or not k > 0.0:
-        raise ConfigError("sigma and k must be non-negative and positive")
-    return SignedDuration.from_s(k * sigma_s)
-
-
 def nts_test(
     t_gnss: Timestamp,
     meas,
@@ -220,12 +209,9 @@ def nts_test(
 # -- windowed smoothed log-likelihood ---------------------------------------
 
 
-def _window_moments(
-    window: Sequence[float], sigma2_floor: float, m: Optional[int]
-) -> tuple[float, float]:
-    need = max(m if m is not None else 2, 2)
-    if len(window) < need:
-        raise WarmupSignal(f"window has {len(window)} of {need} samples")
+def _window_moments(window: Sequence[float], sigma2_floor: float) -> tuple[float, float]:
+    if len(window) < 2:
+        raise WarmupSignal(f"window has {len(window)} of 2 samples")
     arr = np.asarray(window, dtype=np.float64)
     mean = float(arr.mean())
     var = float(arr.var(ddof=1))
@@ -237,11 +223,18 @@ def window_log_stat(
     mu0: float,
     sigma2_floor: float,
     mode: str = "gaussian",
-    m: Optional[int] = None,
     sigma0_sq: Optional[float] = None,
 ) -> float:
-    """ln of the window density; immune to exp underflow under attack."""
-    mean, s2 = _window_moments(window, sigma2_floor, m)
+    """ln p, the log density of the window mean.
+
+    literal mode: p = (2 pi s2)^(-1/2) exp(-mean / s2), sign-sensitive
+    and divergent for negative means.  gaussian mode (default):
+    p = (2 pi s2)^(-1/2) exp(-(mean - mu0)^2 / (2 s2)).  s2 is the
+    sample variance floored at sigma2_floor, or sigma0_sq when given.
+    Working in the log domain keeps ln p finite where p itself would
+    underflow to 0 or overflow under attack.
+    """
+    mean, s2 = _window_moments(window, sigma2_floor)
     if sigma0_sq is not None:
         s2 = max(sigma0_sq, sigma2_floor)
     coeff = -0.5 * math.log(2.0 * math.pi * s2)
@@ -250,37 +243,6 @@ def window_log_stat(
     if mode == "gaussian":
         return coeff - (mean - mu0) ** 2 / (2.0 * s2)
     raise ConfigError(f"unknown density mode {mode!r}")
-
-
-def window_stat(
-    window: Sequence[float],
-    mu0: float,
-    sigma2_floor: float,
-    mode: str = "gaussian",
-    m: Optional[int] = None,
-    sigma0_sq: Optional[float] = None,
-) -> float:
-    """Density of the window mean.
-
-    literal mode: p = (2 pi s2)^(-1/2) exp(-mean / s2), sign-sensitive
-    and divergent for negative means.  gaussian mode (default):
-    p = (2 pi s2)^(-1/2) exp(-(mean - mu0)^2 / (2 s2)).  s2 is the
-    sample variance floored at sigma2_floor, or sigma0_sq when given.
-    """
-    log_p = window_log_stat(window, mu0, sigma2_floor, mode, m, sigma0_sq)
-    try:
-        return math.exp(log_p)
-    except OverflowError:
-        return math.inf
-
-
-def smooth_ll_update(z_prev: float, p: float, alpha: float) -> float:
-    """Z = alpha * Z_prev + (1 - alpha) * ln p."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"smoothing factor {alpha} outside [0, 1]")
-    if not p > 0.0:
-        raise LikelihoodDomainError(f"density {p} is not positive")
-    return alpha * z_prev + (1.0 - alpha) * math.log(p)
 
 
 def ll_test(
@@ -335,7 +297,10 @@ class LlDetectorState:
 
 
 def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
-    """Push one bias estimate; returns updated Z, or None while warming."""
+    """Push one bias estimate; returns updated Z, or None while warming.
+
+    Z = alpha * Z_prev + (1 - alpha) * ln p, with ln p from window_log_stat.
+    """
     state.window.append(float(bias_s))
     if len(state.window) < state.params.m:
         return None

@@ -153,41 +153,38 @@ class KfUpdate(NamedTuple):
     S: np.ndarray
 
 
-def _measurement_model(z, r_meas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_H = np.array([[1.0, 0.0]])  # the filter observes the bias
+
+
+def _measurement_model(z, r_meas) -> tuple[np.ndarray, np.ndarray]:
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if z_arr.shape not in ((1,), (2,)):
-        raise MeasurementError(f"measurement must be bias or (bias, drift), got shape {z_arr.shape}")
-    if not np.all(np.isfinite(z_arr)):
+    R = np.atleast_1d(np.asarray(r_meas, dtype=float))
+    if z_arr.shape != (1,) or R.shape != (1,):
+        raise MeasurementError(f"need one bias and its variance, got {z!r} and {r_meas!r}")
+    if not np.isfinite(z_arr[0]):
         raise MeasurementError(f"non-finite measurement {z_arr}")
-    n = z_arr.shape[0]
-    H = np.array([[1.0, 0.0]]) if n == 1 else np.eye(2)
-    R = np.asarray(r_meas, dtype=float)
-    if R.ndim == 0:
-        R = R.reshape(1, 1) if n == 1 else np.eye(2) * float(R)
-    elif R.ndim == 1:
-        R = np.diag(R)
-    if R.shape != (n, n) or not np.all(np.isfinite(R)) or np.any(np.diag(R) < 0):
-        raise MeasurementError(f"bad measurement covariance {r_meas!r} for {n}-component z")
-    return z_arr, H, R
+    if not (np.isfinite(R[0]) and R[0] >= 0):
+        raise MeasurementError(f"bad measurement variance {r_meas!r}")
+    return z_arr, R.reshape(1, 1)
 
 
 def kf_update(
     state: ClockKfState,
-    z,
-    r_meas,
+    z: float,
+    r_meas: float,
     gate_k: float = DEFAULT_GATE_K,
 ) -> KfUpdate:
     """Gated measurement update.
 
-    z is a measured bias (s) or a (bias, drift) pair; r_meas the matching
-    variance, diagonal, or full covariance.  The update is applied only if
-    every innovation component lies within gate_k standard deviations of
-    its predicted spread; otherwise the state is returned unchanged with
-    accepted=False.  Joseph-form covariance update keeps P symmetric.
+    z is a measured bias (s) and r_meas its variance.  The update is
+    applied only if the innovation lies within gate_k standard deviations
+    of its predicted spread; otherwise the state is returned unchanged
+    with accepted=False.  Joseph-form covariance update keeps P symmetric.
     """
     if not (math.isfinite(gate_k) and gate_k >= 0):
         raise MeasurementError(f"gate_k must be finite and >= 0, got {gate_k}")
-    z_arr, H, R = _measurement_model(z, r_meas)
+    z_arr, R = _measurement_model(z, r_meas)
+    H = _H
     innovation = z_arr - H @ state.x
     S = H @ state.P @ H.T + R
     band = gate_k * np.sqrt(np.maximum(np.diag(S), 0.0))

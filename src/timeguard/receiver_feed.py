@@ -1,52 +1,22 @@
-"""Ingest GNSS receiver time-solution epochs from replay files or live NMEA.
+"""GNSS receiver time-solution epochs and their JSONL feed record.
 
-Two input paths produce the same normalized EpochRecord stream: a JSONL
-replay format carrying full-resolution timestamps (the canonical form for
-detector experiments) and a minimal live NMEA subset (ZDA, RMC) at the
-millisecond resolution those sentences provide.  GPS-time to UTC conversion
-happens here and nowhere else.
+An EpochRecord is the object every detector tests: the receiver's UTC
+solution at full 2^-64 s resolution, stamped with the local monotonic
+instant it arrived at.  simulate writes one JSON object per epoch and
+live reads the same record back, one feed line at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Optional
 
-from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
-
-GPS_EPOCH_UNIX = 315964800  # 1980-01-06T00:00:00Z
-SECONDS_PER_WEEK = 604800
+from .timebase import MonotonicInstant, Timestamp
 
 
 class FeedError(Exception):
-    """Base class for feed-layer failures."""
-
-
-class ChecksumError(FeedError):
-    """NMEA checksum mismatch; the sentence is dropped and counted."""
-
-
-class SentenceSkip(FeedError):
-    """Sentence type not carrying time; caller should skip it."""
-
-
-class SentenceParseError(FeedError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
-class StreamOrderError(FeedError):
-    def __init__(self, index: int, message: str):
-        super().__init__(f"record {index}: {message}")
-        self.index = index
-
-
-class TowRangeError(FeedError):
-    """Time-of-week outside [0, 604800)."""
+    """A feed record that cannot be turned into an epoch."""
 
 
 @dataclass(frozen=True)
@@ -59,148 +29,6 @@ class EpochRecord:
     leap_applied: bool = True
     clock_bias_ns: Optional[int] = None
     source_id: str = "gnss"
-
-
-@dataclass
-class StreamStats:
-    """Counters for non-fatal ingest errors."""
-
-    checksum_errors: int = 0
-    skipped: int = 0
-
-
-def nmea_checksum(payload: bytes) -> int:
-    """XOR of all bytes between '$' and '*'."""
-    cs = 0
-    for b in payload:
-        cs ^= b
-    return cs
-
-
-@dataclass(frozen=True)
-class NmeaSentence:
-    talker: str  # e.g. "GP"
-    kind: str  # e.g. "ZDA"
-    fields: tuple[str, ...]
-    checksum: int
-
-
-def split_nmea(line: bytes) -> NmeaSentence:
-    """Validate framing and checksum, split fields.  Raises on any defect."""
-    line = line.rstrip(b"\r\n")
-    if not line.startswith(b"$"):
-        raise SentenceParseError("sentence must start with '$'", 0)
-    star = line.rfind(b"*")
-    if star < 0 or len(line) - star != 3:
-        raise SentenceParseError("missing or short checksum field", max(star, 0))
-    payload = line[1:star]
-    try:
-        declared = int(line[star + 1 :], 16)
-    except ValueError:
-        raise SentenceParseError("checksum is not hex", star + 1) from None
-    actual = nmea_checksum(payload)
-    if actual != declared:
-        raise ChecksumError(
-            f"checksum mismatch: declared {declared:02X}, computed {actual:02X}"
-        )
-    try:
-        text = payload.decode("ascii")
-    except UnicodeDecodeError as e:
-        raise SentenceParseError("non-ASCII byte in payload", 1 + e.start) from None
-    parts = text.split(",")
-    head = parts[0]
-    if len(head) < 5:
-        raise SentenceParseError(f"address field too short: {head!r}", 1)
-    return NmeaSentence(head[:-3], head[-3:], tuple(parts[1:]), declared)
-
-
-def _parse_hms(field: str, base_offset: int) -> tuple[int, Fraction]:
-    """hhmmss[.sss] -> (seconds of day, sub-second fraction)."""
-    if len(field) < 6 or not field[:6].isdigit():
-        raise SentenceParseError(f"bad time field {field!r}", base_offset)
-    h, m, s = int(field[0:2]), int(field[2:4]), int(field[4:6])
-    if h > 23 or m > 59 or s > 60:  # 60 tolerated for leap-second displays
-        raise SentenceParseError(f"time field out of range {field!r}", base_offset)
-    frac = Fraction(0)
-    if len(field) > 6:
-        if field[6] != "." or not field[7:].isdigit():
-            raise SentenceParseError(f"bad sub-second part {field!r}", base_offset)
-        frac = Fraction(int(field[7:]), 10 ** len(field[7:]))
-    return h * 3600 + m * 60 + s, frac
-
-
-def calendar_to_unix(year: int, month: int, day: int) -> int:
-    """Midnight UTC of a Gregorian date as Unix seconds."""
-    return int(datetime(year, month, day, tzinfo=timezone.utc).timestamp())
-
-
-def _utc_timestamp(year: int, month: int, day: int, sod: int, frac: Fraction) -> Timestamp:
-    base = calendar_to_unix(year, month, day) + sod
-    return ts_add(Timestamp.from_unix_s(base), SignedDuration.from_s(frac))
-
-
-def parse_nmea(
-    line: bytes | str,
-    t_mono: Optional[MonotonicInstant] = None,
-    source_id: str = "nmea",
-) -> EpochRecord:
-    """Parse one ZDA or RMC sentence into an EpochRecord.
-
-    t_mono defaults to the ingestion instant.  Unsupported sentence types
-    raise SentenceSkip; checksum defects raise ChecksumError; malformed
-    fields raise SentenceParseError carrying a byte offset.
-    """
-    if isinstance(line, str):
-        line = line.encode("ascii", errors="surrogateescape")
-    if t_mono is None:
-        t_mono = MonotonicInstant.now()
-    sentence = split_nmea(line)
-    if sentence.kind == "ZDA":
-        return _parse_zda(sentence, t_mono, source_id)
-    if sentence.kind == "RMC":
-        return _parse_rmc(sentence, t_mono, source_id)
-    raise SentenceSkip(f"unsupported sentence type {sentence.kind}")
-
-
-def _parse_zda(s: NmeaSentence, t_mono: MonotonicInstant, source_id: str) -> EpochRecord:
-    # $--ZDA,hhmmss.ss,dd,mm,yyyy,zh,zm
-    if len(s.fields) < 4:
-        raise SentenceParseError("ZDA needs time, day, month, year", 7)
-    time_f, day_f, month_f, year_f = s.fields[:4]
-    if not time_f or not day_f or not month_f or not year_f:
-        # receivers emit empty ZDA fields before a fix; time is unusable
-        return EpochRecord(t_mono, Timestamp(0), fix_valid=False, source_id=source_id)
-    sod, frac = _parse_hms(time_f, 7)
-    try:
-        t = _utc_timestamp(int(year_f), int(month_f), int(day_f), sod, frac)
-    except ValueError:
-        raise SentenceParseError(
-            f"bad date {day_f}/{month_f}/{year_f}", 7 + len(time_f) + 1
-        ) from None
-    return EpochRecord(t_mono, t, fix_valid=True, source_id=source_id)
-
-
-def _parse_rmc(s: NmeaSentence, t_mono: MonotonicInstant, source_id: str) -> EpochRecord:
-    # $--RMC,hhmmss.ss,A,lat,N,lon,E,spd,cog,ddmmyy,...
-    if len(s.fields) < 9:
-        raise SentenceParseError("RMC needs at least 9 fields", 7)
-    time_f, status, date_f = s.fields[0], s.fields[1], s.fields[8]
-    fix_valid = status == "A"
-    if not fix_valid or not time_f or not date_f:
-        return EpochRecord(t_mono, Timestamp(0), fix_valid=False, source_id=source_id)
-    sod, frac = _parse_hms(time_f, 7)
-    if len(date_f) != 6 or not date_f.isdigit():
-        raise SentenceParseError(f"bad RMC date {date_f!r}", 7)
-    day, month, yy = int(date_f[0:2]), int(date_f[2:4]), int(date_f[4:6])
-    year = 2000 + yy if yy < 80 else 1900 + yy  # two-digit-year pivot
-    try:
-        t = _utc_timestamp(year, month, day, sod, frac)
-    except ValueError:
-        raise SentenceParseError(f"bad RMC date {date_f!r}", 7) from None
-    return EpochRecord(t_mono, t, fix_valid=True, source_id=source_id)
-
-
-# -- JSONL replay format ----------------------------------------------------
 
 
 def epoch_to_json(rec: EpochRecord) -> str:
@@ -217,9 +45,9 @@ def epoch_to_json(rec: EpochRecord) -> str:
     )
 
 
-def epoch_from_json(line: str, index: int = 0) -> EpochRecord:
+def epoch_from_json(obj: dict) -> EpochRecord:
+    """The EpochRecord of one decoded feed line; FeedError if it is malformed."""
     try:
-        obj = json.loads(line)
         return EpochRecord(
             t_mono=MonotonicInstant(int(obj["t_mono_ns"])),
             t_gnss=Timestamp(int(obj["t_gnss"]["sec"]), int(obj["t_gnss"]["frac"])),
@@ -229,61 +57,4 @@ def epoch_from_json(line: str, index: int = 0) -> EpochRecord:
             source_id=str(obj.get("source_id", "gnss")),
         )
     except (KeyError, TypeError, ValueError) as e:
-        raise StreamOrderError(index, f"malformed JSONL record: {e}") from None
-
-
-def read_epoch_stream(
-    lines: Iterable[bytes | str],
-    fmt: str = "jsonl",
-    stats: Optional[StreamStats] = None,
-    clock: Optional[Callable[[], MonotonicInstant]] = None,
-    source_id: str = "gnss",
-) -> Iterator[EpochRecord]:
-    """Yield EpochRecords in input order, enforcing t_mono monotonicity.
-
-    A t_mono regression raises StreamOrderError naming the record index.
-    With fmt="nmea", checksum failures and unsupported sentences are counted
-    in stats and skipped rather than aborting the stream.
-    """
-    if fmt not in ("jsonl", "nmea"):
-        raise ValueError(f"unknown feed format {fmt!r}")
-    if stats is None:
-        stats = StreamStats()
-    last: Optional[MonotonicInstant] = None
-    index = 0
-    for raw in lines:
-        if isinstance(raw, bytes):
-            stripped = raw.strip()
-        else:
-            stripped = raw.strip().encode("ascii", errors="surrogateescape")
-        if not stripped:
-            continue
-        if fmt == "jsonl":
-            rec = epoch_from_json(stripped.decode("utf-8", errors="replace"), index)
-        else:
-            t_mono = clock() if clock is not None else MonotonicInstant.now()
-            try:
-                rec = parse_nmea(stripped, t_mono, source_id)
-            except ChecksumError:
-                stats.checksum_errors += 1
-                continue
-            except SentenceSkip:
-                stats.skipped += 1
-                continue
-        if last is not None and rec.t_mono < last:
-            raise StreamOrderError(index, "t_mono regression")
-        last = rec.t_mono
-        yield rec
-        index += 1
-
-
-def gps_tow_to_utc(week: int, tow_s: float | int | Fraction, leap_s: int) -> Timestamp:
-    """GPS week number + time of week to a UTC-scale Timestamp.
-
-    UTC = GPS epoch + week*604800 + tow - leap_s, exact in 64.64 fixed point.
-    """
-    tow = Fraction(tow_s)
-    if not (0 <= tow < SECONDS_PER_WEEK):
-        raise TowRangeError(f"time of week {float(tow)} outside [0, {SECONDS_PER_WEEK})")
-    base = Timestamp.from_unix_s(GPS_EPOCH_UNIX + int(week) * SECONDS_PER_WEEK - int(leap_s))
-    return ts_add(base, SignedDuration.from_s(tow))
+        raise FeedError(f"malformed epoch record: {e}") from None

@@ -171,53 +171,6 @@ def ts_add(t: Timestamp, d: SignedDuration) -> Timestamp:
     return Timestamp(seconds, fraction)
 
 
-# -- canonical text form: decimal seconds, 9 digits (ns truncation) --------
-
-
-def format_ts(t: Timestamp) -> str:
-    units = t.to_units()
-    sign = "-" if units < 0 else ""
-    mag = abs(units)
-    secs, frac = divmod(mag, FRAC_UNIT)
-    ns = frac * NS_PER_S >> FRAC_BITS  # truncation toward zero
-    return f"{sign}{secs}.{ns:09d}"
-
-
-def parse_ts(text: str) -> Timestamp:
-    text = text.strip()
-    neg = text.startswith("-")
-    if neg or text.startswith("+"):
-        text = text[1:]
-    whole, _, frac = text.partition(".")
-    frac = (frac + "000000000")[:9] if frac else "000000000"
-    ns = int(whole) * NS_PER_S + int(frac)
-    return Timestamp.from_ns(-ns if neg else ns)
-
-
-def format_duration(d: SignedDuration) -> str:
-    sign = "-" if d.units < 0 else ""
-    mag = abs(d.units)
-    secs, frac = divmod(mag, FRAC_UNIT)
-    ns = frac * NS_PER_S >> FRAC_BITS
-    return f"{sign}{secs}.{ns:09d}"
-
-
-# -- binary form: 16-byte big-endian (seconds, fraction) --------------------
-
-
-def ts_to_bytes(t: Timestamp) -> bytes:
-    return t.seconds.to_bytes(8, "big", signed=True) + t.fraction.to_bytes(8, "big")
-
-
-def ts_from_bytes(data: bytes) -> Timestamp:
-    if len(data) != 16:
-        raise TimeRangeError(f"expected 16 bytes, got {len(data)}")
-    return Timestamp(
-        int.from_bytes(data[:8], "big", signed=True),
-        int.from_bytes(data[8:], "big"),
-    )
-
-
 # -- local free-running monotonic scale ------------------------------------
 
 

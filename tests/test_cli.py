@@ -331,6 +331,12 @@ def test_live_skips_garbage_lines(pin_cfg, tmp_path):
     assert "unknown feed line type" in proc.stderr
 
 
+def test_live_unreadable_feed_exits_1(pin_cfg, tmp_path, capsys):
+    rc = main(["live", "--feed", str(tmp_path / "missing.jsonl"), "--config", pin_cfg])
+    assert rc == EXIT_ERROR
+    assert "No such file" in capsys.readouterr().err
+
+
 def test_live_writes_no_verdict_the_state_machine_rejects(pin_cfg, tmp_path, capsys):
     # the rt line is stamped before the last epoch: the state machine
     # refuses it, so neither its H1 verdict nor exit code 2 may surface
@@ -344,6 +350,41 @@ def test_live_writes_no_verdict_the_state_machine_rejects(pin_cfg, tmp_path, cap
     err = capsys.readouterr().err
     assert "rejected" in err
     assert "final phase COLD_START, active source gnss" in err
+
+
+def test_live_parses_an_epoch_line_once(pin_cfg, tmp_path, monkeypatch):
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(epoch_line(0) + "\n")
+    decoded = []
+    real_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        decoded.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    assert main(["live", "--feed", str(feed), "--config", pin_cfg]) == EXIT_CLEAN
+    assert decoded == [epoch_line(0)]
+
+
+def test_live_rejects_a_malformed_epoch_line_and_continues(pin_cfg, tmp_path, capsys):
+    good = [epoch_line(0), rt_line(0), epoch_line(1), rt_line(1, offset_s=-4.0), epoch_line(2)]
+    runs = {}
+    for name, lines in (("good", good),
+                        ("bad", good[:2] + ['{"t_mono_ns": 500000000}', "[1, 2]"] + good[2:])):
+        feed = tmp_path / f"{name}.jsonl"
+        feed.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / name
+        rc = main(["live", "--feed", str(feed), "--config", pin_cfg, "--out-dir", str(out)])
+        runs[name] = (rc, capsys.readouterr().err, (out / "verdicts.jsonl").read_text(),
+                      (out / "transitions.jsonl").read_text())
+    rc, err, verdicts, transitions = runs["bad"]
+    assert "feed line rejected: malformed epoch record" in err
+    assert "unparseable feed line" in err
+    assert "record 0" not in err
+    # the bad lines applied nothing: the run goes on to the alarm exactly as without them
+    assert rc == EXIT_ATTACK
+    assert (rc, verdicts, transitions) == runs["good"][:1] + runs["good"][2:]
 
 
 # -- simulate and live agree -------------------------------------------------

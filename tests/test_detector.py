@@ -3,6 +3,7 @@
 import json
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from timeguard.detector import (
     ConfigError,
     DetectorConfig,
     Hypothesis,
-    LikelihoodDomainError,
     LlConfig,
     LlDetectorState,
     PairingError,
@@ -25,15 +25,12 @@ from timeguard.detector import (
     ll_advance,
     ll_step,
     ll_test,
-    nts_lambda_from_sigma,
     nts_test,
     pair_epoch,
     roughtime_test,
-    smooth_ll_update,
     verdict_from_json,
     verdict_to_json,
     window_log_stat,
-    window_stat,
 )
 from timeguard.provider_nts import NtsMeasurement
 from timeguard.provider_roughtime import RoughtimeMeasurement
@@ -126,7 +123,7 @@ def test_rt_pure():
 
 # -- NTS threshold test -----------------------------------------------------
 
-LAMBDA_150US = nts_lambda_from_sigma(50e-6, k=3.0)
+LAMBDA_150US = SignedDuration.from_s(3.0 * 50e-6)  # 3 sigma of a 50 us server
 
 
 def test_nts_zero_offset():
@@ -180,7 +177,11 @@ def test_nts_monotone_in_offset(ns_a, ns_b):
 
 # -- window density ---------------------------------------------------------
 
-INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LOG_INV_SQRT_2PI = -0.5 * math.log(2.0 * math.pi)
+# ln of the largest finite float and of the smallest positive one: exp()
+# of a log density outside this range overflows to inf or underflows to 0
+LOG_MAX = math.log(sys.float_info.max)
+LOG_MIN = math.log(math.ulp(0.0))
 
 
 def oracle_log_p(window, mu0, floor, mode):
@@ -194,21 +195,26 @@ def oracle_log_p(window, mu0, floor, mode):
 
 def test_window_stat_gaussian_zero_exponent():
     # mean 0, sample variance exactly 1
-    p = window_stat([-1.0, 0.0, 1.0], mu0=0.0, sigma2_floor=1e-18)
-    assert p == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    log_p = window_log_stat([-1.0, 0.0, 1.0], mu0=0.0, sigma2_floor=1e-18)
+    assert log_p == pytest.approx(LOG_INV_SQRT_2PI, rel=1e-12)
 
 
 def test_window_stat_literal_zero_mean():
-    p = window_stat([-1.0, 0.0, 1.0], mu0=0.0, sigma2_floor=1e-18, mode="literal")
-    assert p == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    log_p = window_log_stat([-1.0, 0.0, 1.0], mu0=0.0, sigma2_floor=1e-18, mode="literal")
+    assert log_p == pytest.approx(LOG_INV_SQRT_2PI, rel=1e-12)
 
 
 def test_window_stat_literal_sign_sensitive():
-    # negative mean inflates p without bound; positive mean underflows
+    # the paper-literal exponent -mean/s2: a negative mean inflates p past
+    # any float, a positive one drives it below the smallest; the
+    # gaussian density treats both windows alike
     down = [-1e-3, -1e-3 + 1e-9, -1e-3 - 1e-9]
     up = [1e-3, 1e-3 + 1e-9, 1e-3 - 1e-9]
-    assert window_stat(down, 0.0, 1e-18, mode="literal") == math.inf
-    assert window_stat(up, 0.0, 1e-18, mode="literal") == 0.0
+    assert window_log_stat(down, 0.0, 1e-18, mode="literal") > LOG_MAX
+    assert window_log_stat(up, 0.0, 1e-18, mode="literal") < LOG_MIN
+    assert window_log_stat(down, 0.0, 1e-18) == pytest.approx(
+        window_log_stat(up, 0.0, 1e-18), rel=1e-9
+    )
 
 
 def test_window_stat_matches_scalar_oracle():
@@ -230,8 +236,10 @@ def test_window_shift_ratio_matches_oracle():
         shifted, 0.0, 1e-18, "gaussian"
     )
     assert got_ratio == pytest.approx(want_ratio, rel=1e-9)
-    assert window_stat(benign, 0.0, 1e-18) > 0.0
-    assert window_stat(shifted, 0.0, 1e-18) == 0.0  # underflow under attack
+    # the density itself would underflow under attack; its log stays finite
+    assert LOG_MIN < window_log_stat(benign, 0.0, 1e-18) < LOG_MAX
+    assert window_log_stat(shifted, 0.0, 1e-18) < LOG_MIN
+    assert math.isfinite(window_log_stat(shifted, 0.0, 1e-18))
 
 
 @given(
@@ -250,55 +258,61 @@ def test_window_gaussian_shift_invariant(window, shift, mu0):
 
 def test_window_warmup_signals():
     with pytest.raises(WarmupSignal):
-        window_stat([1.0, 2.0, 3.0], 0.0, 1e-18, m=5)
-    with pytest.raises(WarmupSignal):
-        window_stat([1.0], 0.0, 1e-18)
+        window_log_stat([1.0], 0.0, 1e-18)
+    state = LlDetectorState(params=LlConfig(m=5))
+    assert [ll_advance(state, x) for x in (1.0, 2.0, 3.0, 4.0)] == [None] * 4
 
 
 def test_window_variance_floor():
     # constant window: sample variance 0 floored to (1 ns)^2
-    p = window_stat([5e-9] * 10, mu0=5e-9, sigma2_floor=1e-18)
-    assert p == pytest.approx(INV_SQRT_2PI / 1e-9, rel=1e-12)
+    log_p = window_log_stat([5e-9] * 10, mu0=5e-9, sigma2_floor=1e-18)
+    assert log_p == pytest.approx(LOG_INV_SQRT_2PI - math.log(1e-9), rel=1e-12)
 
 
 # -- smoothing and threshold ------------------------------------------------
 
 
+def advance_once(z_prev, window, alpha):
+    """Z after the ll_advance whose sample completes window, from Z = z_prev."""
+    state = LlDetectorState(params=LlConfig(alpha=alpha, m=len(window), sigma2_floor=1.0))
+    state.window.extend(window[:-1])
+    state.z = z_prev
+    return ll_advance(state, window[-1])
+
+
+WINDOW = [-1.0, 0.0, 1.0]
+
+
 def test_smooth_alpha_one_keeps_z():
-    assert smooth_ll_update(-3.7, 0.5, 1.0) == -3.7
+    assert advance_once(-3.7, WINDOW, 1.0) == -3.7
 
 
 def test_smooth_alpha_zero_is_ln_p():
-    assert smooth_ll_update(123.0, 0.5, 0.0) == math.log(0.5)
+    assert advance_once(123.0, WINDOW, 0.0) == window_log_stat(WINDOW, 0.0, 1.0)
 
 
 def test_smooth_example():
-    assert smooth_ll_update(-1.0, math.exp(-2.0), 0.9) == pytest.approx(-1.1, rel=1e-12)
-
-
-def test_smooth_domain_errors():
-    with pytest.raises(LikelihoodDomainError):
-        smooth_ll_update(0.0, 0.0, 0.5)
-    with pytest.raises(LikelihoodDomainError):
-        smooth_ll_update(0.0, -1.0, 0.5)
-    with pytest.raises(ConfigError):
-        smooth_ll_update(0.0, 1.0, 1.2)
+    want = 0.9 * -1.0 + 0.1 * LOG_INV_SQRT_2PI
+    assert advance_once(-1.0, WINDOW, 0.9) == pytest.approx(want, rel=1e-12)
 
 
 @given(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-    st.floats(min_value=-50.0, max_value=20.0, allow_nan=False),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
     st.floats(min_value=0.0, max_value=0.999, allow_nan=False),
     st.integers(min_value=1, max_value=60),
 )
 @settings(max_examples=200)
-def test_smooth_contraction(z0, log_p, alpha, n):
-    p = math.exp(log_p)
-    z = z0
+def test_smooth_contraction(z0, sample, alpha, n):
+    # a constant sample keeps ln p constant, so Z contracts onto it
+    state = LlDetectorState(params=LlConfig(alpha=alpha, m=2, sigma2_floor=1.0))
+    state.window.append(sample)
+    state.z = z0
     for _ in range(n):
-        z = smooth_ll_update(z, p, alpha)
-    bound = alpha**n * abs(z0 - math.log(p)) + 1e-8 * (1.0 + abs(z0) + abs(log_p))
-    assert abs(z - math.log(p)) <= bound
+        z = ll_advance(state, sample)
+    log_p = window_log_stat([sample, sample], 0.0, 1.0)
+    bound = alpha**n * abs(z0 - log_p) + 1e-8 * (1.0 + abs(z0) + abs(log_p))
+    assert abs(z - log_p) <= bound
 
 
 def test_ll_test_as_printed():
@@ -323,10 +337,9 @@ def test_ll_test_neg_ll_default():
 )
 @settings(max_examples=150)
 def test_smooth_consistent_with_log_domain(window, z_prev, alpha):
-    # floor 1.0 keeps the density representable, so both routes agree
-    via_p = smooth_ll_update(z_prev, window_stat(window, 0.0, 1.0), alpha)
+    via_state = advance_once(z_prev, window, alpha)
     via_log = alpha * z_prev + (1.0 - alpha) * window_log_stat(window, 0.0, 1.0)
-    assert via_p == pytest.approx(via_log, rel=1e-9, abs=1e-12)
+    assert via_state == pytest.approx(via_log, rel=1e-9, abs=1e-12)
 
 
 # -- detector state driver --------------------------------------------------

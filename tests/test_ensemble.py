@@ -96,12 +96,12 @@ def test_update_rejects_nonfinite():
         kf_update(make_state(), 0.0, float("inf"))
 
 
-def test_update_two_component_measurement():
-    s = make_state(0.0, 0.0, p=(1e-12, 1e-16))
-    res = kf_update(s, np.array([1e-9, 1e-10]), np.array([1e-16, 1e-18]))
-    assert res.accepted
-    assert res.S.shape == (2, 2)
-    assert res.state.P[1, 1] < s.P[1, 1]
+def test_update_takes_one_bias_only():
+    # the filter observes the bias; a (bias, drift) pair is refused, not guessed at
+    with pytest.raises(MeasurementError):
+        kf_update(make_state(), np.array([1e-9, 1e-10]), 1e-16)
+    with pytest.raises(MeasurementError):
+        kf_update(make_state(), 1e-9, np.array([1e-16, 1e-18]))
 
 
 def test_reference_filter_agreement():

@@ -1,152 +1,15 @@
-"""Tests for receiver feed parsing and GPS time conversion."""
+"""Tests for the receiver feed's JSONL epoch record."""
 
 import json
-from datetime import datetime, timezone
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from timeguard.receiver_feed import (
-    GPS_EPOCH_UNIX,
-    SECONDS_PER_WEEK,
-    ChecksumError,
-    EpochRecord,
-    FeedError,
-    SentenceParseError,
-    SentenceSkip,
-    StreamOrderError,
-    StreamStats,
-    TowRangeError,
-    calendar_to_unix,
-    epoch_from_json,
-    epoch_to_json,
-    gps_tow_to_utc,
-    nmea_checksum,
-    parse_nmea,
-    read_epoch_stream,
-    split_nmea,
-)
-from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_diff
-
-
-def with_checksum(payload: str) -> str:
-    return f"${payload}*{nmea_checksum(payload.encode()):02X}"
-
-
-# -- independent oracles ----------------------------------------------------
-
-
-def days_from_civil(y: int, m: int, d: int) -> int:
-    """Day count since 1970-01-01 by literal year/month walking (y >= 1970)."""
-
-    def leap(year):
-        return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-
-    mdays = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
-    days = sum(366 if leap(year) else 365 for year in range(1970, y))
-    for month in range(1, m):
-        days += mdays[month - 1] + (1 if month == 2 and leap(y) else 0)
-    return days + (d - 1)
-
-
-def unix_oracle(y, m, d, h, mi, s):
-    return days_from_civil(y, m, d) * 86400 + h * 3600 + mi * 60 + s
-
-
-def test_calendar_oracle_agreement():
-    for (y, m, d) in [(1970, 1, 1), (1980, 1, 6), (2000, 2, 29), (2023, 7, 12), (2100, 3, 1)]:
-        assert calendar_to_unix(y, m, d) == unix_oracle(y, m, d, 0, 0, 0)
-
-
-def test_gps_epoch_constant():
-    assert GPS_EPOCH_UNIX == unix_oracle(1980, 1, 6, 0, 0, 0)
-
-
-# -- NMEA framing -----------------------------------------------------------
-
-
-def test_zda_known_sentence():
-    line = with_checksum("GPZDA,172809.456,12,07,2023,00,00")
-    rec = parse_nmea(line, t_mono=MonotonicInstant(0))
-    assert rec.fix_valid
-    expect_s = unix_oracle(2023, 7, 12, 17, 28, 9)
-    assert rec.t_gnss.seconds == expect_s
-    frac_ns = rec.t_gnss.to_ns() - expect_s * 10**9
-    assert frac_ns == 456_000_000
-
-
-def test_rmc_known_sentence():
-    line = with_checksum("GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W")
-    rec = parse_nmea(line, t_mono=MonotonicInstant(0))
-    assert rec.fix_valid
-    assert rec.t_gnss.seconds == unix_oracle(1994, 3, 23, 12, 35, 19)
-    assert rec.t_gnss.fraction == 0
-
-
-def test_rmc_void_status_invalid_fix():
-    line = with_checksum("GPRMC,123519,V,,,,,,,230394,,")
-    rec = parse_nmea(line, t_mono=MonotonicInstant(0))
-    assert not rec.fix_valid
-
-
-def test_zda_empty_fields_invalid_fix():
-    line = with_checksum("GPZDA,,,,,,")
-    rec = parse_nmea(line, t_mono=MonotonicInstant(0))
-    assert not rec.fix_valid
-
-
-def test_checksum_rejected():
-    line = "$GPZDA,172809.456,12,07,2023,00,00*00"
-    with pytest.raises(ChecksumError):
-        parse_nmea(line)
-
-
-def test_unsupported_sentence_skips():
-    line = with_checksum("GPGSV,3,1,11,03,03,111,00")
-    with pytest.raises(SentenceSkip):
-        parse_nmea(line)
-
-
-def test_parse_error_carries_offset():
-    line = with_checksum("GPZDA,999999,12,07,2023,00,00")
-    with pytest.raises(SentenceParseError) as ei:
-        parse_nmea(line)
-    assert ei.value.offset == 7
-
-
-def test_missing_dollar_offset_zero():
-    with pytest.raises(SentenceParseError) as ei:
-        split_nmea(b"GPZDA,1,2*00")
-    assert ei.value.offset == 0
-
-
-@given(st.binary(max_size=96))
-@settings(max_examples=300)
-def test_parser_raises_only_feed_errors(blob):
-    try:
-        parse_nmea(blob, t_mono=MonotonicInstant(0))
-    except FeedError:
-        pass
-
-
-@given(
-    st.integers(min_value=0, max_value=23),
-    st.integers(min_value=0, max_value=59),
-    st.integers(min_value=0, max_value=59),
-    st.integers(min_value=0, max_value=999),
-)
-@settings(max_examples=60)
-def test_zda_time_round_trip(h, m, s, ms):
-    payload = f"GPZDA,{h:02d}{m:02d}{s:02d}.{ms:03d},12,07,2023,00,00"
-    rec = parse_nmea(with_checksum(payload), t_mono=MonotonicInstant(0))
-    total_ns = rec.t_gnss.to_ns()
-    day_ns = unix_oracle(2023, 7, 12, h, m, s) * 10**9 + ms * 10**6
-    assert total_ns == day_ns
-
-
-# -- JSONL replay format ----------------------------------------------------
+from timeguard.config import default_config
+from timeguard.detector import LlConfig
+from timeguard.orchestrator import OrderingError
+from timeguard.pipeline import Monitor
+from timeguard.receiver_feed import EpochRecord, FeedError, epoch_from_json, epoch_to_json
+from timeguard.timebase import MonotonicInstant, Timestamp
 
 
 def test_json_round_trip_exact():
@@ -158,7 +21,7 @@ def test_json_round_trip_exact():
         clock_bias_ns=-42,
         source_id="sim",
     )
-    assert epoch_from_json(epoch_to_json(rec)) == rec
+    assert epoch_from_json(json.loads(epoch_to_json(rec))) == rec
 
 
 def test_json_fraction_is_string():
@@ -167,102 +30,58 @@ def test_json_fraction_is_string():
     assert obj["t_gnss"]["frac"] == str(2**64 - 1)
 
 
-def test_json_malformed_names_index():
-    with pytest.raises(StreamOrderError) as ei:
-        epoch_from_json('{"nope": 1}', index=7)
-    assert ei.value.index == 7
+MALFORMED = [
+    {"nope": 1},
+    {"t_mono_ns": 5},
+    {"t_mono_ns": -1, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": 3, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": "x", "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+]
+
+
+def test_json_malformed_raises_feed_error():
+    for obj in MALFORMED:
+        with pytest.raises(FeedError, match="malformed epoch record"):
+            epoch_from_json(obj)
+
+
+# -- a feed stream as live applies it ----------------------------------------
+
+
+def feed_epochs(*t_mono_s):
+    """Epoch records one second of GNSS time apart, read back from their feed lines."""
+    return [
+        epoch_from_json(json.loads(epoch_to_json(
+            EpochRecord(MonotonicInstant(t * 10**9), Timestamp(1_689_120_000 + i), True)
+        )))
+        for i, t in enumerate(t_mono_s)
+    ]
+
+
+def feed_monitor():
+    return Monitor(default_config(), ll_params=LlConfig(lambda_T=100.0))
+
+
+def apply(monitor, rec):
+    """An epoch line as live applies it: the epoch, then a tick at its instant."""
+    monitor.epoch(rec)
+    monitor.tick(rec.t_mono)
 
 
 def test_stream_monotonicity_enforced():
-    recs = [
-        EpochRecord(MonotonicInstant(10), Timestamp(0), True),
-        EpochRecord(MonotonicInstant(20), Timestamp(1), True),
-        EpochRecord(MonotonicInstant(15), Timestamp(2), True),
-    ]
-    lines = [epoch_to_json(r) for r in recs]
-    it = read_epoch_stream(lines)
-    assert next(it).t_mono.nanoseconds == 10
-    assert next(it).t_mono.nanoseconds == 20
-    with pytest.raises(StreamOrderError) as ei:
-        next(it)
-    assert ei.value.index == 2
+    monitor = feed_monitor()
+    first, second, regressed = feed_epochs(10, 20, 15)
+    apply(monitor, first)
+    apply(monitor, second)
+    with pytest.raises(OrderingError):
+        apply(monitor, regressed)
+    assert monitor.last_fix == second
+    assert monitor.state.last_t_mono == second.t_mono
 
 
 def test_stream_equal_t_mono_allowed():
-    recs = [
-        EpochRecord(MonotonicInstant(10), Timestamp(0), True),
-        EpochRecord(MonotonicInstant(10), Timestamp(1), True),
-    ]
-    out = list(read_epoch_stream([epoch_to_json(r) for r in recs]))
-    assert len(out) == 2
-
-
-def test_nmea_stream_counts_checksum_errors():
-    clock_state = {"t": 0}
-
-    def clock():
-        clock_state["t"] += 1000
-        return MonotonicInstant(clock_state["t"])
-
-    lines = [
-        with_checksum("GPZDA,000001,01,01,2023,00,00"),
-        "$GPZDA,000002,01,01,2023,00,00*00",  # bad checksum
-        with_checksum("GPGSV,3,1,11,03,03,111,00"),  # skipped type
-        with_checksum("GPZDA,000003,01,01,2023,00,00"),
-    ]
-    stats = StreamStats()
-    out = list(read_epoch_stream(lines, fmt="nmea", stats=stats, clock=clock))
-    assert len(out) == 2
-    assert stats.checksum_errors == 1
-    assert stats.skipped == 1
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(ValueError):
-        list(read_epoch_stream([], fmt="xml"))
-
-
-# -- GPS week / time-of-week ------------------------------------------------
-
-
-def test_gps_tow_zero():
-    t = gps_tow_to_utc(0, 0, 0)
-    assert t.seconds == GPS_EPOCH_UNIX
-    assert t.fraction == 0
-
-
-def test_gps_week_2297_oracle():
-    t = gps_tow_to_utc(2297, 0, 18)
-    expect = unix_oracle(1980, 1, 6, 0, 0, 0) + 2297 * SECONDS_PER_WEEK - 18
-    assert t.seconds == expect
-    # cross-check through an independent calendar path
-    dt = datetime.fromtimestamp(expect, tz=timezone.utc)
-    assert (dt.year, dt.month, dt.day) == (2024, 1, 13)
-    assert (dt.hour, dt.minute, dt.second) == (23, 59, 42)
-
-
-def test_gps_tow_fractional_exact():
-    t = gps_tow_to_utc(2270, Fraction(3601, 2), 18)
-    base = GPS_EPOCH_UNIX + 2270 * SECONDS_PER_WEEK - 18
-    assert t.seconds == base + 1800
-    assert t.fraction == 1 << 63
-
-
-def test_gps_tow_range_checked():
-    with pytest.raises(TowRangeError):
-        gps_tow_to_utc(2297, SECONDS_PER_WEEK, 18)
-    with pytest.raises(TowRangeError):
-        gps_tow_to_utc(2297, -1, 18)
-
-
-@given(
-    st.integers(min_value=0, max_value=4000),
-    st.integers(min_value=0, max_value=SECONDS_PER_WEEK - 1),
-    st.integers(min_value=0, max_value=40),
-)
-@settings(max_examples=120)
-def test_leap_linearity(week, tow, leap):
-    with_leap = gps_tow_to_utc(week, tow, leap)
-    without = gps_tow_to_utc(week, tow, 0)
-    d = ts_diff(without, with_leap)
-    assert d == SignedDuration.from_s(leap)
+    monitor = feed_monitor()
+    first, second = feed_epochs(10, 10)
+    apply(monitor, first)
+    apply(monitor, second)
+    assert monitor.last_fix == second

@@ -1,0 +1,95 @@
+"""Every public top-level name in timeguard has a caller outside the tests.
+
+A function or class that only its own tests reach is dead weight: it has
+to be read, kept in step and tested, and nothing the monitor does depends
+on it.  This test parses ``src/timeguard/*.py`` and requires each public
+top-level ``def`` and ``class`` to be named somewhere in the package, in
+``scripts/`` or in ``perfbench/`` outside its own definition.  A name
+counts as named when it appears as an identifier, an attribute, an
+imported name, or a string constant that is exactly that name or a dotted
+path ending in it (the benchmark looks its spans up by string).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "timeguard"
+CALLER_FILES = sorted(
+    [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+)
+
+# Public names that stay without a runtime caller, each for a reason.
+KEEP = {
+    # GNSS time at a remote measurement's arrival instant; the live path
+    # needs it to compare Roughtime and NTS against GNSS, not the host clock
+    "pair_epoch",
+    # the oracle the tests check the simulator's oscillator against
+    "allan_deviation",
+    "analytic_adev",
+    # readers that pin the format of each runtime writer
+    "bench_from_json",
+    "report_from_json",
+    "transition_from_json",
+    "decode_ke_records",
+    # the event log: its JSON pair, for an events.jsonl replay artifact, and
+    # replay(), which acceptance criterion 7 runs a recorded log through
+    "event_to_json",
+    "event_from_json",
+    "replay",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _names(node: ast.AST, skip: ast.AST = None) -> set:
+    """Every name node mentions, leaving out the subtree `skip`."""
+    out = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if _DOTTED.fullmatch(n.value):
+                out.add(n.value.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path, tree, node
+
+
+def _uncalled() -> set:
+    used = {path: _names(ast.parse(path.read_text(), filename=str(path))) for path in CALLER_FILES}
+    missing = set()
+    for path, tree, node in _public_definitions():
+        if any(node.name in names for p, names in used.items() if p != path):
+            continue
+        if node.name not in _names(tree, skip=node):
+            missing.add(node.name)
+    return missing
+
+
+def test_every_public_name_has_a_runtime_caller():
+    unexplained = sorted(_uncalled() - KEEP)
+    assert not unexplained, f"public names only tests reach: {unexplained}"
+
+
+def test_keep_set_lists_only_names_that_need_it():
+    defined = {node.name for _, _, node in _public_definitions()}
+    assert KEEP <= defined, f"kept names that no longer exist: {sorted(KEEP - defined)}"
+    called = KEEP - _uncalled()
+    assert not called, f"kept names that now have a caller: {sorted(called)}"

@@ -8,13 +8,8 @@ from timeguard.timebase import (
     SignedDuration,
     TimeRangeError,
     Timestamp,
-    format_duration,
-    format_ts,
-    parse_ts,
     ts_add,
     ts_diff,
-    ts_from_bytes,
-    ts_to_bytes,
 )
 
 # keep |seconds| well inside int64 so additions cannot overflow in properties
@@ -109,48 +104,6 @@ def test_negative_quarter_second_representation():
     assert t.seconds == -1
     assert t.fraction == 3 * FRAC_UNIT // 4
     assert t.to_float_s() == -0.25
-
-
-def test_format_positive():
-    t = ts_add(Timestamp(7, 0), SignedDuration.from_s(0.5))
-    assert format_ts(t) == "7.500000000"
-
-
-def test_format_negative_fraction():
-    t = Timestamp.from_units(-(FRAC_UNIT // 4))
-    assert format_ts(t) == "-0.250000000"
-
-
-def test_format_truncates_to_ns():
-    # half a ns becomes 0 in the 9-digit text form
-    t = Timestamp.from_units(FRAC_UNIT // (2 * 10**9))
-    assert format_ts(t) == "0.000000000"
-
-
-@given(ns=st.integers(min_value=-(2**62), max_value=2**62))
-def test_text_round_trip_under_1ns(ns):
-    # text form truncates to whole ns, so the round trip is lossy below 1 ns
-    t = Timestamp.from_ns(ns)
-    err = abs(ts_diff(parse_ts(format_ts(t)), t))
-    # one truncated ns plus one unit of parse rounding
-    assert err.units <= SignedDuration.from_ns(1).units + 1
-
-
-def test_format_duration_sign():
-    assert format_duration(SignedDuration.from_s(-1.5)) == "-1.500000000"
-    assert format_duration(SignedDuration.from_s(2)) == "2.000000000"
-
-
-@given(a=ts_strategy)
-def test_binary_round_trip(a):
-    raw = ts_to_bytes(a)
-    assert len(raw) == 16
-    assert ts_from_bytes(raw) == a
-
-
-def test_binary_is_big_endian():
-    raw = ts_to_bytes(Timestamp(1, 2))
-    assert raw == b"\x00" * 7 + b"\x01" + b"\x00" * 7 + b"\x02"
 
 
 def test_monotonic_elapsed():
