@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import io
 import json
 import os
 import sys
@@ -313,8 +314,12 @@ def cmd_live(args: argparse.Namespace) -> int:
         verdict_out.write(VERDICT_CSV_HEADER + "\n")
 
     session = _LiveSession(config, verdict_out, transition_out, args.format)
+    # a byte that is not UTF-8 spoils its line only, which is then skipped as unparseable
+    if args.feed == "-" and isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(errors="replace")
     try:
-        with nullcontext(sys.stdin) if args.feed == "-" else open(args.feed) as feed:
+        with (nullcontext(sys.stdin) if args.feed == "-"
+              else open(args.feed, errors="replace")) as feed:
             for line in feed:
                 session.consume(line)
         session.monitor.finish()

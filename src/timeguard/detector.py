@@ -209,13 +209,17 @@ def nts_test(
 # -- windowed smoothed log-likelihood ---------------------------------------
 
 
-def _window_moments(window: Sequence[float], sigma2_floor: float) -> tuple[float, float]:
-    if len(window) < 2:
-        raise WarmupSignal(f"window has {len(window)} of 2 samples")
+def _window_moments(
+    window: Sequence[float], sigma2_floor: float, sigma0_sq: Optional[float]
+) -> tuple[float, float]:
+    """(mean, s2) of the window; only the mean is computed when sigma0_sq fixes s2."""
+    n = len(window)
+    if n < 2:
+        raise WarmupSignal(f"window has {n} of 2 samples")
+    if sigma0_sq is not None:
+        return sum(window) / n, max(sigma0_sq, sigma2_floor)
     arr = np.asarray(window, dtype=np.float64)
-    mean = float(arr.mean())
-    var = float(arr.var(ddof=1))
-    return mean, max(var, sigma2_floor)
+    return float(arr.mean()), max(float(arr.var(ddof=1)), sigma2_floor)
 
 
 def window_log_stat(
@@ -234,9 +238,7 @@ def window_log_stat(
     Working in the log domain keeps ln p finite where p itself would
     underflow to 0 or overflow under attack.
     """
-    mean, s2 = _window_moments(window, sigma2_floor)
-    if sigma0_sq is not None:
-        s2 = max(sigma0_sq, sigma2_floor)
+    mean, s2 = _window_moments(window, sigma2_floor, sigma0_sq)
     coeff = -0.5 * math.log(2.0 * math.pi * s2)
     if mode == "literal":
         return coeff - mean / s2

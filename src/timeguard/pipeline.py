@@ -91,7 +91,7 @@ class FilterChain:
         r = max(self.sigma_meas_s, 1e-12) ** 2
         update = kf_update(self.kf, bias_s, r, self.ensemble.gate_k)
         self.kf = update.state
-        return self.kf.bias, float(update.innovation[0])
+        return self.kf.bias, update.innovation
 
 
 def local_bias_s(
@@ -162,7 +162,10 @@ class Monitor:
         osc_bias_s is oscillator wander the simulator models outside t_mono.
         """
         t = rec.t_mono
+        # an epoch that applied no event moved only last_fix, not the state machine
         last = self.state.last_t_mono
+        if self.last_fix is not None and (last is None or self.last_fix.t_mono > last):
+            last = self.last_fix.t_mono
         if last is not None and t < last:
             raise OrderingError(f"epoch at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
         if rec.fix_valid != self.have_fix:

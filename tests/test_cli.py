@@ -387,6 +387,33 @@ def test_live_rejects_a_malformed_epoch_line_and_continues(pin_cfg, tmp_path, ca
     assert (rc, verdicts, transitions) == runs["good"][:1] + runs["good"][2:]
 
 
+def test_live_skips_a_line_that_is_not_utf8(pin_cfg, tmp_path, capsys):
+    good = [epoch_line(0), rt_line(0), epoch_line(1), rt_line(1, offset_s=-4.0), epoch_line(2)]
+    good_bytes = "".join(line + "\n" for line in good).encode()
+    bad_bytes = b"".join(line.encode() + b"\n" for line in good[:1]) + b"\xff\xfe bad\n" + \
+        b"".join(line.encode() + b"\n" for line in good[1:])
+    runs = {}
+    for name, data in (("good", good_bytes), ("bad", bad_bytes)):
+        feed = tmp_path / f"{name}.jsonl"
+        feed.write_bytes(data)
+        out = tmp_path / name
+        rc = main(["live", "--feed", str(feed), "--config", pin_cfg, "--out-dir", str(out)])
+        runs[name] = (rc, capsys.readouterr().err, (out / "verdicts.jsonl").read_text())
+    assert "unparseable feed line, skipped" in runs["bad"][1]
+    assert runs["bad"][0] == runs["good"][0] == EXIT_ATTACK
+    assert runs["bad"][2] == runs["good"][2]
+    # the same through standard input
+    piped = {
+        name: subprocess.run([PY, "-m", "timeguard", "live", "--feed", "-", "--config", pin_cfg],
+                             input=data, capture_output=True, timeout=120)
+        for name, data in (("good", good_bytes), ("bad", bad_bytes))
+    }
+    assert b"unparseable feed line, skipped" in piped["bad"].stderr
+    assert piped["bad"].returncode == piped["good"].returncode == EXIT_ATTACK
+    assert piped["bad"].stdout == piped["good"].stdout
+    assert piped["good"].stdout.decode() == runs["good"][2]
+
+
 # -- simulate and live agree -------------------------------------------------
 
 

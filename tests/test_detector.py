@@ -184,9 +184,9 @@ LOG_MAX = math.log(sys.float_info.max)
 LOG_MIN = math.log(math.ulp(0.0))
 
 
-def oracle_log_p(window, mu0, floor, mode):
+def oracle_log_p(window, mu0, floor, mode, sigma0_sq=None):
     mean = statistics.fmean(window)
-    s2 = max(statistics.variance(window), floor)
+    s2 = max(statistics.variance(window) if sigma0_sq is None else sigma0_sq, floor)
     coeff = -0.5 * math.log(2.0 * math.pi * s2)
     if mode == "literal":
         return coeff - mean / s2
@@ -223,8 +223,10 @@ def test_window_stat_matches_scalar_oracle():
     shifted = [x + 2e-6 for x in benign]
     for window in (benign, shifted):
         for mode in ("gaussian", "literal"):
-            got = window_log_stat(window, 0.0, 1e-18, mode)
-            assert got == pytest.approx(oracle_log_p(window, 0.0, 1e-18, mode), rel=1e-9)
+            for sigma0_sq in (None, 1e-16):
+                got = window_log_stat(window, 0.0, 1e-18, mode, sigma0_sq)
+                want = oracle_log_p(window, 0.0, 1e-18, mode, sigma0_sq)
+                assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_window_shift_ratio_matches_oracle():

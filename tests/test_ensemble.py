@@ -19,13 +19,38 @@ from timeguard.ensemble import (
     kf_init,
     kf_predict,
     kf_update,
+    min_eigenvalue,
     process_noise_cov,
 )
 from timeguard.timebase import MonotonicInstant
 
 
 def make_state(b=0.0, d=0.0, p=(1e-12, 1e-18), q_b=1e-21, q_d=1e-24):
-    return ClockKfState(np.array([b, d]), np.diag(p), q_b, q_d)
+    return ClockKfState.from_arrays(np.array([b, d]), np.diag(p), q_b, q_d)
+
+
+# -- matrix oracle: the textbook filter in numpy 2x2 algebra ------------------
+
+H = np.array([[1.0, 0.0]])
+
+
+def oracle_predict(x, P, q_b, q_d, tau):
+    F = np.array([[1.0, tau], [0.0, 1.0]])
+    P = F @ P @ F.T + process_noise_cov(q_b, q_d, tau)
+    return F @ x, 0.5 * (P + P.T)
+
+
+def oracle_update(x, P, z, r, gate_k):
+    """(x, P, accepted): gated update with the Joseph-form covariance."""
+    R = np.array([[r]])
+    innovation = np.array([z]) - H @ x
+    S = H @ P @ H.T + R
+    if not abs(innovation[0]) <= gate_k * math.sqrt(max(S[0, 0], 0.0)):
+        return x, P, False
+    K = np.linalg.solve(S.T, (P @ H.T).T).T
+    A = np.eye(2) - K @ H
+    P = A @ P @ A.T + K @ R @ K.T
+    return x + K @ innovation, 0.5 * (P + P.T), True
 
 
 # -- predict ----------------------------------------------------------------
@@ -50,7 +75,8 @@ def test_predict_rejects_negative_tau():
 
 
 def test_predict_advances_last_update():
-    s = ClockKfState(np.zeros(2), np.eye(2) * 1e-12, last_update=MonotonicInstant(5))
+    s = ClockKfState.from_arrays(np.zeros(2), np.eye(2) * 1e-12,
+                                 last_update=MonotonicInstant(5))
     assert kf_predict(s, 2.5).last_update.nanoseconds == 5 + 2_500_000_000
 
 
@@ -77,7 +103,7 @@ def test_update_at_prediction_accepts():
     s = make_state(5e-9, 0.0)
     res = kf_update(s, 5e-9, 1e-16)
     assert res.accepted
-    assert res.innovation[0] == 0.0
+    assert res.innovation == 0.0
     assert res.state.P[0, 0] < s.P[0, 0]
 
 
@@ -96,6 +122,14 @@ def test_update_rejects_nonfinite():
         kf_update(make_state(), 0.0, float("inf"))
 
 
+def test_update_with_no_variance_at_all_is_refused():
+    # p00 = 0 and r = 0 leave the gain undefined; the gate lets only z == bias through
+    s = ClockKfState(1e-9, 0.0, 0.0, 0.0, 1e-18)
+    assert not kf_update(s, 2e-9, 0.0).accepted
+    with pytest.raises(FilterDomainError):
+        kf_update(s, 1e-9, 0.0)
+
+
 def test_update_takes_one_bias_only():
     # the filter observes the bias; a (bias, drift) pair is refused, not guessed at
     with pytest.raises(MeasurementError):
@@ -110,7 +144,7 @@ def test_reference_filter_agreement():
     rng = np.random.default_rng(42)
     zs = 1e-9 * rng.standard_normal(100)
 
-    s = ClockKfState(np.zeros(2), np.diag([1e-12, 1e-18]), q_b, q_d)
+    s = ClockKfState.from_arrays(np.zeros(2), np.diag([1e-12, 1e-18]), q_b, q_d)
     for z in zs:
         s = kf_predict(s, 1.0)
         s = kf_update(s, z, r, gate_k=1e6).state
@@ -142,7 +176,7 @@ def test_nees_within_chi_square_band():
     rng = np.random.default_rng(7)
     P0 = np.diag([1e-16, 1e-22])
     x_true = np.linalg.cholesky(P0) @ rng.standard_normal(2)
-    s = ClockKfState(np.zeros(2), P0, q_b, q_d)
+    s = ClockKfState.from_arrays(np.zeros(2), P0, q_b, q_d)
     F = np.array([[1.0, tau], [0.0, 1.0]])
     Lq = np.linalg.cholesky(process_noise_cov(q_b, q_d, tau))
     nees = []
@@ -162,17 +196,19 @@ def test_nees_within_chi_square_band():
 # -- invariants -------------------------------------------------------------
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=100.0),
-            st.floats(min_value=-1e-6, max_value=1e-6),
-            st.floats(min_value=1e-20, max_value=1e-12),
-        ),
-        min_size=1,
-        max_size=20,
-    )
+# random (tau, z, r) step sequences
+OPS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=-1e-6, max_value=1e-6),
+        st.floats(min_value=1e-20, max_value=1e-12),
+    ),
+    min_size=1,
+    max_size=20,
 )
+
+
+@given(OPS)
 @settings(max_examples=100, deadline=None)
 def test_psd_preserved_by_random_sequences(ops):
     s = make_state(p=(1e-12, 1e-16), q_b=1e-21, q_d=1e-23)
@@ -182,6 +218,70 @@ def test_psd_preserved_by_random_sequences(ops):
     P = s.P
     assert abs(P[0, 1] - P[1, 0]) <= 1e-12 * max(1.0, float(np.max(np.abs(P))))
     assert np.min(np.linalg.eigvalsh(P)) >= -1e-12 * max(1.0, float(np.max(np.abs(P))))
+
+
+def close(a, b, scale):
+    return abs(a - b) <= 1e-12 * scale
+
+
+@given(OPS)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_matches_matrix_oracle(ops):
+    # every step of the closed form against the matrix form, from the same state.
+    # Joseph's p01 cancels to p01 r / S, so both forms round at the scale of the
+    # entries they combine: that scale, not the result's, bounds the agreement.
+    q_b, q_d = 1e-21, 1e-23
+    s = make_state(p=(1e-12, 1e-16), q_b=q_b, q_d=q_d)
+    for tau, z, r in ops:
+        x, P = oracle_predict(s.x, s.P, q_b, q_d, tau)
+        s = kf_predict(s, tau)
+        assert s.bias == pytest.approx(x[0], rel=1e-12, abs=0.0)
+        assert s.drift == x[1]
+        np.testing.assert_allclose(s.P, P, rtol=1e-12, atol=0.0)
+
+        x_prior, p_prior = s.x, s.P
+        p_scale = float(np.max(np.abs(p_prior)))
+        x, P, accepted = oracle_update(x_prior, p_prior, z, r, 3.0)
+        update = kf_update(s, z, r, gate_k=3.0)
+        s = update.state
+        assert update.accepted == accepted
+        assert update.innovation == z - x_prior[0]
+        assert update.S == p_prior[0, 0] + r
+        step = np.abs(x - x_prior)
+        assert close(s.bias, x[0], abs(x_prior[0]) + step[0])
+        assert close(s.drift, x[1], abs(x_prior[1]) + step[1])
+        for i in range(2):
+            for j in range(2):
+                assert close(s.P[i, j], P[i, j], p_scale)
+
+
+@given(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.integers(min_value=-30, max_value=6),
+)
+@settings(max_examples=300)
+def test_min_eigenvalue_matches_eigvalsh(a, b, c, exponent):
+    scale = 10.0**exponent
+    p00, p01, p11 = a * scale, b * scale, c * scale
+    expected = np.linalg.eigvalsh(np.array([[p00, p01], [p01, p11]]))[0]
+    assert abs(min_eigenvalue(p00, p01, p11) - expected) <= 1e-15 * scale
+
+
+def test_state_rejects_nonfinite_covariance():
+    with pytest.raises(FilterDomainError):
+        ClockKfState(0.0, 0.0, float("nan"), 0.0, 1.0)
+    with pytest.raises(FilterDomainError):
+        ClockKfState.from_arrays(np.zeros(2), np.array([[1.0, 0.0], [0.0, np.inf]]))
+
+
+def test_state_arrays_round_trip():
+    x, P = np.array([1e-9, 2e-12]), np.array([[4e-16, 1e-19], [1e-19, 9e-22]])
+    s = ClockKfState.from_arrays(x, P, last_update=MonotonicInstant(7))
+    assert (s.bias, s.drift, s.p00, s.p01, s.p11) == (1e-9, 2e-12, 4e-16, 1e-19, 9e-22)
+    assert np.array_equal(s.x, x) and np.array_equal(s.P, P)
+    assert not s.x.flags.writeable and not s.P.flags.writeable
 
 
 @given(
@@ -199,7 +299,7 @@ def test_gate_monotone_in_k(z, k_small, extra):
 
 
 def test_variance_approaches_r_over_n():
-    s = ClockKfState(np.zeros(2), np.diag([1e6, 1e-6]), q_b=0.0, q_d=0.0)
+    s = ClockKfState.from_arrays(np.zeros(2), np.diag([1e6, 1e-6]), q_b=0.0, q_d=0.0)
     r, n = 1.0, 200
     last = s.P[0, 0]
     for _ in range(n):
@@ -253,12 +353,12 @@ def test_adev_non_multiple_tau_rejected():
 
 def test_state_rejects_asymmetric_covariance():
     with pytest.raises(FilterDomainError):
-        ClockKfState(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        ClockKfState.from_arrays(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_state_rejects_negative_eigenvalue():
     with pytest.raises(FilterDomainError):
-        ClockKfState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        ClockKfState.from_arrays(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_spec_rejects_negative_noise():

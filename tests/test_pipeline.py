@@ -271,6 +271,28 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     assert len(seen) == count
 
 
+def test_monitor_orders_epochs_against_the_last_tracked_one():
+    # an epoch that applies no event leaves the state machine's clock behind
+    utc0 = Timestamp.from_unix_s(1_689_120_000)
+
+    def at(s):
+        return EpochRecord(t_mono=mono(s), t_gnss=ts_add(utc0, SignedDuration.from_s(s)),
+                           fix_valid=True)
+
+    monitor = Monitor(CFG, RESOLVED_LL)
+    monitor.epoch(at(10.0))
+    monitor.epoch(at(20.0))
+    assert monitor.state.last_t_mono == mono(10.0)
+    state, kf, last_fix = monitor.state, monitor.chain.kf, monitor.last_fix
+    window = list(monitor.chain.ll_state.window)
+    with pytest.raises(OrderingError):
+        monitor.epoch(at(15.0))
+    assert monitor.last_fix is last_fix and last_fix.t_mono == mono(20.0)
+    assert monitor.state is state
+    assert monitor.chain.kf is kf
+    assert list(monitor.chain.ll_state.window) == window
+
+
 def test_verdict_cadence():
     spec = builtin_scenarios()["step4s"]
     result = run_scenario(gen_scenario(spec), CFG, RESOLVED_LL)
