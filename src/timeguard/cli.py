@@ -56,7 +56,7 @@ from .provider_nts import (
     nts_query,
 )
 from .provider_roughtime import RoughtimeMeasurement, RoughtimeServerKey, poll
-from .receiver_feed import epoch_from_json
+from .receiver_feed import epoch_from_json, json_flag, json_float, json_int
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
 EXIT_CLEAN = 0
@@ -203,18 +203,18 @@ def _nts_poller(config: AppConfig):
 
 def _scripted_rt(obj: dict) -> RoughtimeMeasurement:
     return RoughtimeMeasurement(
-        midpoint=Timestamp.from_ns(int(obj["midpoint_unix_ns"])),
-        radius=SignedDuration.from_s(float(obj["radius_s"])),
+        midpoint=Timestamp.from_ns(json_int(obj, "midpoint_unix_ns")),
+        radius=SignedDuration.from_s(json_float(obj, "radius_s")),
         server_id=str(obj.get("source_id", "rt-feed")),
-        t_mono_rx=MonotonicInstant(int(obj["t_mono_ns"])),
+        t_mono_rx=MonotonicInstant(json_int(obj, "t_mono_ns")),
     )
 
 
 def _scripted_nts(obj: dict) -> NtsMeasurement:
     return NtsMeasurement(
-        offset=SignedDuration.from_s(float(obj["offset_s"])),
-        delay=SignedDuration.from_s(float(obj["delay_s"])),
-        t_mono_rx=MonotonicInstant(int(obj["t_mono_ns"])),
+        offset=SignedDuration.from_s(json_float(obj, "offset_s")),
+        delay=SignedDuration.from_s(json_float(obj, "delay_s")),
+        t_mono_rx=MonotonicInstant(json_int(obj, "t_mono_ns")),
         server_id=str(obj.get("source_id", "nts-feed")),
     )
 
@@ -291,11 +291,14 @@ class _LiveSession:
                     self._poll(rec.t_mono)
                 self.monitor.tick(rec.t_mono)
             elif kind == "rt":
-                self.monitor.roughtime(_scripted_rt(obj), MonotonicInstant(int(obj["t_mono_ns"])))
+                rt = _scripted_rt(obj)
+                self.monitor.roughtime(rt, rt.t_mono_rx)
             elif kind == "nts":
-                self.monitor.nts(_scripted_nts(obj), MonotonicInstant(int(obj["t_mono_ns"])))
+                nts = _scripted_nts(obj)
+                self.monitor.nts(nts, nts.t_mono_rx)
             elif kind == "network":
-                self.monitor.network(bool(obj["up"]), MonotonicInstant(int(obj["t_mono_ns"])))
+                self.monitor.network(json_flag(obj, "up"),
+                                     MonotonicInstant(json_int(obj, "t_mono_ns")))
             else:
                 print(f"timeguard: unknown feed line type {kind!r}, skipped",
                       file=sys.stderr)

@@ -4,7 +4,10 @@ Implements the tag-value wire codec, request building, and the full
 response verification chain: delegation certificate signature, signed
 response signature, Merkle inclusion of the request nonce, and the
 delegation validity window.  A measurement object exists only after all
-four checks pass.  The codec is table-driven so another draft revision
+four checks pass.  A delegation certificate is verified once per
+long-term key and reused while later responses repeat its bytes; the
+response signature, Merkle path and validity window are checked on every
+poll.  The codec is table-driven so another draft revision
 can be profiled in without touching the logic; one profile is pinned.
 """
 
@@ -15,6 +18,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import sha512
 from typing import Callable, Optional
 
@@ -316,6 +320,34 @@ _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
 
+@lru_cache(maxsize=16)
+def _verify_certificate(
+    public_key: bytes, delegation_context: bytes, cert_raw: bytes
+) -> tuple[bytes, int, int]:
+    """(PUBK, MINT, MAXT) of a delegation certificate signed by public_key.
+
+    A server keeps one certificate for hours, so its verdict is cached on
+    the exact (key, context, certificate bytes).  Ed25519 verification is
+    a deterministic function of those inputs, so a hit returns what a
+    fresh verify would.  Failures raise and are not cached.
+    """
+    cert = decode_message(cert_raw)
+    cert_sig = require_tag(cert, TAG_SIG, 64)
+    dele_raw = require_tag(cert, TAG_DELE)
+    dele = decode_message(dele_raw)
+    pubk = require_tag(dele, TAG_PUBK, 32)
+    mint = _U64.unpack(require_tag(dele, TAG_MINT, 8))[0]
+    maxt = _U64.unpack(require_tag(dele, TAG_MAXT, 8))[0]
+
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(
+            cert_sig, delegation_context + dele_raw
+        )
+    except InvalidSignature:
+        raise CertSignatureError("delegation certificate signature invalid") from None
+    return pubk, mint, maxt
+
+
 def verify_response(
     resp: bytes,
     nonce: bytes,
@@ -327,7 +359,10 @@ def verify_response(
     Order: delegation certificate signature by the long-term key, signed
     response signature by the delegated key, Merkle inclusion of the
     nonce, midpoint inside [MINT, MAXT].  Each failure raises its own
-    error type and no measurement is produced.
+    error type and no measurement is produced.  A certificate is verified
+    once per long-term key and reused while later responses carry the
+    same bytes; the response signature, the Merkle path and the validity
+    window are checked on every call.
     """
     profile = key.profile
     msg = decode_message(unframe_packet(resp))
@@ -337,20 +372,7 @@ def verify_response(
     cert_raw = require_tag(msg, TAG_CERT)
     index = _U32.unpack(require_tag(msg, TAG_INDX, 4))[0]
 
-    cert = decode_message(cert_raw)
-    cert_sig = require_tag(cert, TAG_SIG, 64)
-    dele_raw = require_tag(cert, TAG_DELE)
-    dele = decode_message(dele_raw)
-    pubk = require_tag(dele, TAG_PUBK, 32)
-    mint = _U64.unpack(require_tag(dele, TAG_MINT, 8))[0]
-    maxt = _U64.unpack(require_tag(dele, TAG_MAXT, 8))[0]
-
-    try:
-        Ed25519PublicKey.from_public_bytes(key.public_key).verify(
-            cert_sig, profile.delegation_context + dele_raw
-        )
-    except InvalidSignature:
-        raise CertSignatureError("delegation certificate signature invalid") from None
+    pubk, mint, maxt = _verify_certificate(key.public_key, profile.delegation_context, cert_raw)
 
     try:
         Ed25519PublicKey.from_public_bytes(pubk).verify(sig, profile.response_context + srep_raw)

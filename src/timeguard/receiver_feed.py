@@ -45,15 +45,47 @@ def epoch_to_json(rec: EpochRecord) -> str:
     )
 
 
+def json_flag(obj: dict, key: str) -> bool:
+    """obj[key] if it is a JSON boolean; TypeError for "false", 0 or null."""
+    value = obj[key]
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def json_int(obj: dict, key: str, *, text: bool = False) -> int:
+    """obj[key] if it is a JSON integer, or with text=True a string of one.
+
+    TypeError for a boolean, which int() reads as 1 or 0, and for a float
+    such as 1.5 or 1e400, which int() truncates or cannot convert.
+    """
+    value = obj[key]
+    if text and isinstance(value, str):
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_float(obj: dict, key: str) -> float:
+    """obj[key] as a float if it is a JSON number; TypeError for a string or a boolean."""
+    value = obj[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def epoch_from_json(obj: dict) -> EpochRecord:
     """The EpochRecord of one decoded feed line; FeedError if it is malformed."""
     try:
+        t_gnss = obj["t_gnss"]
         return EpochRecord(
-            t_mono=MonotonicInstant(int(obj["t_mono_ns"])),
-            t_gnss=Timestamp(int(obj["t_gnss"]["sec"]), int(obj["t_gnss"]["frac"])),
-            fix_valid=bool(obj["fix_valid"]),
-            leap_applied=bool(obj["leap_applied"]),
-            clock_bias_ns=None if obj.get("clock_bias_ns") is None else int(obj["clock_bias_ns"]),
+            t_mono=MonotonicInstant(json_int(obj, "t_mono_ns")),
+            t_gnss=Timestamp(json_int(t_gnss, "sec"), json_int(t_gnss, "frac", text=True)),
+            fix_valid=json_flag(obj, "fix_valid"),
+            leap_applied=json_flag(obj, "leap_applied"),
+            clock_bias_ns=(None if obj.get("clock_bias_ns") is None
+                           else json_int(obj, "clock_bias_ns")),
             source_id=str(obj.get("source_id", "gnss")),
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -1,13 +1,17 @@
 """Tests for the command-line front end."""
 
 import base64
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import timeguard.cli
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
@@ -412,6 +416,121 @@ def test_live_skips_a_line_that_is_not_utf8(pin_cfg, tmp_path, capsys):
     assert piped["bad"].returncode == piped["good"].returncode == EXIT_ATTACK
     assert piped["bad"].stdout == piped["good"].stdout
     assert piped["good"].stdout.decode() == runs["good"][2]
+
+
+# -- hostile feed lines ------------------------------------------------------
+
+# starts at 5 s, so an rt line at 0 s is stale wherever it is inserted
+CLEAN_FEED = [epoch_line(5), rt_line(5), nts_line(5), epoch_line(6),
+              rt_line(6, offset_s=-4.0), epoch_line(7)]
+NETWORK_LINE = json.dumps({"type": "network", "t_mono_ns": 6 * 10**9, "up": True})
+MISSING = object()
+AS_TEXT = object()  # the field's own value written as a JSON string
+PLUS_HALF = object()  # the field's own value plus 0.5, which int() would truncate back
+BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), 2**200, -(2**200),
+               "x", AS_TEXT, None, True, False, [1], {}, MISSING]
+BAD_INTEGERS = BAD_NUMBERS + [PLUS_HALF]
+BAD_INSTANTS = BAD_INTEGERS + [-1, 2**64]
+BAD_FLAGS = ["false", "true", 0, 1, None, "x", [], MISSING]
+# every field of every line kind, with values that must get the line refused
+CORRUPTIONS = [
+    (epoch_line(6), ("t_mono_ns",), BAD_INSTANTS),
+    (epoch_line(6), ("t_gnss",), [3, "x", None, [], {}, MISSING]),
+    (epoch_line(6), ("t_gnss", "sec"), BAD_INTEGERS),
+    # frac is written as a string, so only a number or a string that is no integer is bad
+    (epoch_line(6), ("t_gnss", "frac"),
+     [v for v in BAD_INTEGERS if v is not AS_TEXT and v is not PLUS_HALF]
+     + [0.5, "0.5", str(2**64), "-1"]),
+    (epoch_line(6), ("fix_valid",), BAD_FLAGS),
+    (epoch_line(6), ("leap_applied",), BAD_FLAGS),
+    (rt_line(6), ("t_mono_ns",), BAD_INSTANTS),
+    (rt_line(6), ("midpoint_unix_ns",), BAD_INTEGERS),
+    (rt_line(6), ("radius_s",), BAD_NUMBERS + [-1]),
+    (nts_line(6), ("t_mono_ns",), BAD_INSTANTS),
+    (nts_line(6), ("offset_s",), BAD_NUMBERS),
+    (nts_line(6), ("delay_s",), BAD_NUMBERS + [-1]),
+    (NETWORK_LINE, ("t_mono_ns",), BAD_INSTANTS),
+    (NETWORK_LINE, ("up",), BAD_FLAGS),
+]
+
+
+def corrupt(line, path, value):
+    obj = json.loads(line)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[path[-1]]
+    elif value is AS_TEXT:
+        target[path[-1]] = str(target[path[-1]])
+    elif value is PLUS_HALF:
+        target[path[-1]] += 0.5
+    else:
+        target[path[-1]] = value
+    return json.dumps(obj)
+
+
+@st.composite
+def bad_lines(draw):
+    kind = draw(st.sampled_from(["field", "truncated", "not an object", "unknown type",
+                                 "stale rt"]))
+    if kind == "field":
+        line, path, values = draw(st.sampled_from(CORRUPTIONS))
+        return corrupt(line, path, draw(st.sampled_from(values)))
+    if kind == "truncated":
+        line = draw(st.sampled_from(CLEAN_FEED))
+        return line[: draw(st.integers(1, len(line) - 1))]
+    if kind == "not an object":
+        scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+        return json.dumps(draw(scalar | st.lists(scalar, max_size=3)))
+    if kind == "unknown type":
+        name = draw(st.text(max_size=6).filter(lambda k: k not in ("rt", "nts", "network")))
+        return json.dumps({"type": name, "t_mono_ns": 6 * 10**9})
+    return rt_line(0)  # stale: before every epoch of CLEAN_FEED
+
+
+def live_outputs(tmp, lines):
+    """Exit code, verdicts.jsonl, transitions.jsonl and stderr of live over lines."""
+    cfg, feed, out = tmp / "pin.ini", tmp / "feed.jsonl", tmp / "out"
+    cfg.write_text(PINNED_CFG)
+    feed.write_text("".join(line + "\n" for line in lines))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+    return (rc, (out / "verdicts.jsonl").read_text(), (out / "transitions.jsonl").read_text(),
+            err.getvalue())
+
+
+def refusals(stderr):
+    return [line for line in stderr.splitlines() if "rejected" in line or "skipped" in line]
+
+
+@pytest.fixture(scope="module")
+def clean_live(tmp_path_factory):
+    return live_outputs(tmp_path_factory.mktemp("clean"), CLEAN_FEED)
+
+
+@given(inserts=st.lists(st.tuples(st.integers(0, len(CLEAN_FEED)), bad_lines()),
+                        min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_live_refuses_hostile_lines_and_applies_nothing(inserts, clean_live, tmp_path_factory):
+    lines = list(CLEAN_FEED)
+    for pos, bad in sorted(inserts, key=lambda insert: insert[0], reverse=True):
+        lines.insert(pos, bad)
+    rc, verdicts, transitions, err = live_outputs(tmp_path_factory.mktemp("hostile"), lines)
+    clean_rc, clean_verdicts, clean_transitions, clean_err = clean_live
+    assert clean_rc == EXIT_ATTACK and clean_verdicts and not refusals(clean_err)
+    assert (rc, verdicts, transitions) == (clean_rc, clean_verdicts, clean_transitions)
+    # one refusal on stderr per bad line
+    assert len(refusals(err)) == len(inserts), err
+
+
+def test_live_refuses_every_corrupted_field(clean_live, tmp_path):
+    bad = [corrupt(line, path, value) for line, path, values in CORRUPTIONS for value in values]
+    lines = CLEAN_FEED[:3] + bad + CLEAN_FEED[3:]
+    rc, verdicts, transitions, err = live_outputs(tmp_path, lines)
+    assert (rc, verdicts, transitions) == clean_live[:3]
+    assert len(refusals(err)) == len(bad), err
 
 
 # -- simulate and live agree -------------------------------------------------

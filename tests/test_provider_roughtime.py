@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timeguard import provider_roughtime
 from timeguard.provider_roughtime import (
     DEFAULT_PROFILE,
     TAG_CERT,
+    TAG_DELE,
+    TAG_MIDP,
     TAG_NONC,
     TAG_PATH,
     TAG_ROOT,
@@ -206,6 +209,8 @@ def test_bit_flip_in_signed_regions_fails(data):
     lo, hi = data.draw(st.sampled_from(spans))
     pos = data.draw(st.integers(min_value=lo, max_value=hi - 1))
     bit = data.draw(st.integers(min_value=0, max_value=7))
+    # the intact response first, so flips outside CERT meet a cached certificate
+    verify_response(resp, nonce, server.server_key, MonotonicInstant(0))
     flipped = bytearray(resp)
     flipped[pos] ^= 1 << bit
     with pytest.raises(RoughtimeError):
@@ -214,6 +219,101 @@ def test_bit_flip_in_signed_regions_fails(data):
 
 _FLIP_SERVER = RoughtimeTestServer(batch_nonces=2)
 _FLIP_EXCHANGE = run_exchange(_FLIP_SERVER)
+
+
+# -- the delegation certificate cache --------------------------------------
+
+
+def rebuild(server, resp, cert=None, midp=None):
+    """resp with its CERT replaced, or its SREP re-signed with another MIDP."""
+    msg = decode_message(unframe_packet(resp))
+    if cert is not None:
+        msg[TAG_CERT] = cert
+    if midp is not None:
+        srep = decode_message(msg[TAG_SREP])
+        srep[TAG_MIDP] = struct.pack("<Q", midp)
+        msg[TAG_SREP] = encode_message(srep)
+        msg[TAG_SIG] = server.delegated_key.sign(server.profile.response_context + msg[TAG_SREP])
+    return frame_packet(encode_message(msg))
+
+
+def warm_exchange(server):
+    """One exchange verified once, so its certificate is cached."""
+    nonce, resp = run_exchange(server)
+    verify_response(resp, nonce, server.server_key, MonotonicInstant(0))
+    return nonce, resp
+
+
+def count_key_loads(monkeypatch):
+    """Each public key verify_response loads, i.e. each Ed25519 verify it runs."""
+    loads = []
+    real = provider_roughtime.Ed25519PublicKey.from_public_bytes
+
+    def counting(data):
+        loads.append(bytes(data))
+        return real(data)
+
+    monkeypatch.setattr(provider_roughtime.Ed25519PublicKey, "from_public_bytes", counting)
+    return loads
+
+
+def test_cached_delegation_with_a_forged_certificate_signature_fails():
+    server, forger = RoughtimeTestServer(), RoughtimeTestServer()
+    nonce, resp = warm_exchange(server)
+    dele = decode_message(decode_message(unframe_packet(resp))[TAG_CERT])[TAG_DELE]
+    forged = encode_message(
+        {TAG_SIG: forger.root_key.sign(server.profile.delegation_context + dele), TAG_DELE: dele}
+    )
+    with pytest.raises(CertSignatureError):
+        verify_response(rebuild(server, resp, cert=forged), nonce, server.server_key,
+                        MonotonicInstant(0))
+
+
+def test_cached_certificate_under_another_longterm_key_fails():
+    server, other = RoughtimeTestServer(), RoughtimeTestServer()
+    nonce, resp = warm_exchange(server)
+    with pytest.raises(CertSignatureError):
+        verify_response(resp, nonce, other.server_key, MonotonicInstant(0))
+
+
+def test_a_failed_certificate_is_checked_again(monkeypatch):
+    server, other = RoughtimeTestServer(), RoughtimeTestServer()
+    warm_exchange(server)
+    nonce, resp = run_exchange(server)
+    verifies = count_key_loads(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(CertSignatureError):
+            verify_response(resp, nonce, other.server_key, MonotonicInstant(0))
+    # each failure ran the long-term verify anew: the failure was not cached
+    assert verifies == [other.server_key.public_key] * 2
+    m = verify_response(resp, nonce, server.server_key, MonotonicInstant(0))
+    assert m.midpoint == Timestamp.from_unix_s(1_689_120_000)
+
+
+def test_cached_window_still_refuses_a_later_midpoint_outside_it(monkeypatch):
+    server = RoughtimeTestServer(window_s=100)
+    nonce, resp = warm_exchange(server)
+    loads = count_key_loads(monkeypatch)
+    for midp in (1_689_120_000 - 101, 1_689_120_000 + 101):
+        with pytest.raises(DelegationWindowError):
+            verify_response(rebuild(server, resp, midp=midp), nonce, server.server_key,
+                            MonotonicInstant(0))
+    # the window came from the cache: only the delegated key was loaded
+    assert loads == [server.delegated_key.public_key().public_bytes_raw()] * 2
+    m = verify_response(rebuild(server, resp, midp=1_689_120_000 + 100), nonce,
+                        server.server_key, MonotonicInstant(0))
+    assert m.midpoint == Timestamp.from_unix_s(1_689_120_000 + 100)
+
+
+def test_polls_repeating_a_certificate_verify_it_once(monkeypatch):
+    server = RoughtimeTestServer()
+    loads = count_key_loads(monkeypatch)
+    n = 5
+    for _ in range(n):
+        poll(server.server_key, transport=server.transport)
+    root = server.server_key.public_key
+    delegated = server.delegated_key.public_key().public_bytes_raw()
+    assert loads == [root] + [delegated] * n
 
 
 def test_measurement_rejects_negative_radius():

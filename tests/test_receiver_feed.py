@@ -36,6 +36,19 @@ MALFORMED = [
     {"t_mono_ns": -1, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
     {"t_mono_ns": 0, "t_gnss": 3, "fix_valid": True, "leap_applied": True},
     {"t_mono_ns": "x", "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    # integers must be JSON integers: 1e400 decodes to inf, which int() cannot
+    # convert, and int() would truncate 0.5 s of GNSS time or read a string
+    {"t_mono_ns": 1e400, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 1689120000.5, "frac": "0"}, "fix_valid": True,
+     "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": 0.5}, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": "5000000000", "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True,
+     "leap_applied": True},
+    # flags must be JSON booleans: bool("false") would be True
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": "false", "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": 1},
+    # nor is a boolean a number: int(True) would be 1
+    {"t_mono_ns": True, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
 ]
 
 
