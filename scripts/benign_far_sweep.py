@@ -34,12 +34,13 @@ def main() -> int:
     fitted = calibrate_ll(config.detector.ll, residuals, far=far)
     operational = replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)
     print(f"fitted quantile {fitted.lambda_T!r}, operational {operational.lambda_T!r}")
+    pinned = replace(config, detector=replace(config.detector, ll=operational))
 
     base = table["benign10k"]
     worst = float("-inf")
     for seed in args.seeds:
         spec = replace(base, name=f"benign10k-s{seed}", seed=seed)
-        _, result = run_named_scenario(spec, config, ll_params=operational)
+        _, result = run_named_scenario(spec, pinned)
         stats = [v.statistic for v in result.verdicts if v.test == "ll"]
         exceed = sum(s >= fitted.lambda_T for s in stats)
         bound = int(binom.ppf(0.95, len(stats), far))

@@ -176,7 +176,6 @@ class SimOutputs:
     spec: ScenarioSpec
     epochs: list
     truth_offset_s: np.ndarray
-    osc_bias_s: np.ndarray
     rt_responses: dict
     nts_responses: dict
 
@@ -197,9 +196,10 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
     jitter = _stream(spec.seed, _STREAM_JITTER).normal(0.0, spec.benign_jitter_sigma_s, n)
     if spec.benign_jitter_sigma_s == 0.0:
         jitter = np.zeros(n)
+    # plain floats: rounding a numpy scalar costs ten times as much
     osc_bias = simulate_oscillator(
         spec.oscillator, n, period, _stream(spec.seed, _STREAM_OSCILLATOR)
-    )
+    ).tolist()
     net_rng = _stream(spec.seed, _STREAM_NETWORK)
 
     truth = np.array([attack_offset(spec.attack, e) for e in range(n)])
@@ -208,7 +208,8 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
     nts_responses = {}
     for e in range(n):
         t_true = ts_add(start, SignedDuration.from_s(e * period))
-        t_mono = MonotonicInstant(int(round(e * period * 1e9)))
+        # the local monotonic clock runs on the simulated oscillator
+        t_mono = MonotonicInstant(round(e * period * 1e9) + round(osc_bias[e] * 1e9))
         t_gnss = ts_add(t_true, SignedDuration.from_s(truth[e] + jitter[e]))
         epochs.append(
             EpochRecord(t_mono=t_mono, t_gnss=t_gnss, fix_valid=True, source_id="gnss-sim")
@@ -237,7 +238,6 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
         spec=spec,
         epochs=epochs,
         truth_offset_s=truth,
-        osc_bias_s=osc_bias,
         rt_responses=rt_responses,
         nts_responses=nts_responses,
     )

@@ -91,13 +91,12 @@ class Event:
 
 @dataclass(frozen=True)
 class TrustPolicy:
-    """Trust descends ensemble, NTS, Roughtime once GNSS is suspect;
-    accuracy descends GNSS, ensemble, NTS, Roughtime.
+    """GNSS, the most accurate source, serves while every test passes;
+    once it is suspect, trust descends ensemble, NTS, Roughtime.
     """
 
     configured: tuple = SOURCE_LABELS
     trust_order: tuple = ("ensemble", "nts", "roughtime")
-    accuracy_order: tuple = SOURCE_LABELS
 
     def __post_init__(self) -> None:
         if not self.configured:

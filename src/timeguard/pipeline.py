@@ -68,14 +68,11 @@ class FilterChain:
 
     ensemble: EnsembleConfig
     ll_params: LlConfig
-    sigma_meas_s: Optional[float] = None
     kf: ClockKfState = field(init=False)
     ll_state: LlDetectorState = field(init=False)
     _last: Optional[MonotonicInstant] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.sigma_meas_s is None:
-            self.sigma_meas_s = self.ensemble.sigma_meas_s
         self.reset(MonotonicInstant(0))
 
     def reset(self, at: MonotonicInstant) -> None:
@@ -88,26 +85,23 @@ class FilterChain:
         if self._last is not None:
             self.kf = kf_predict(self.kf, t_mono.elapsed_s(self._last))
         self._last = t_mono
-        r = max(self.sigma_meas_s, 1e-12) ** 2
+        r = max(self.ensemble.sigma_meas_s, 1e-12) ** 2
         update = kf_update(self.kf, bias_s, r, self.ensemble.gate_k)
         self.kf = update.state
         return self.kf.bias, update.innovation
 
 
-def local_bias_s(
-    rec: EpochRecord, utc0: Timestamp, mono0: MonotonicInstant, osc_bias_s: float = 0.0
-) -> float:
+def local_bias_s(rec: EpochRecord, utc0: Timestamp, mono0: MonotonicInstant) -> float:
     """Observed GNSS-minus-local-clock offset for one epoch.
 
     The local clock is anchored at the first fix (utc0, mono0) and
-    advances with the monotonic counter plus any separately modelled
-    oscillator wander.  Integer arithmetic first, so the float rounding
-    applies only to the small residual.
+    advances with the monotonic counter.  Integer arithmetic first, so
+    the float rounding applies only to the small residual.
     """
     diff_units = ts_diff(rec.t_gnss, utc0).units
     # exact to the 2^-64 s unit: floor once on the full product
     elapsed_units = ((rec.t_mono.nanoseconds - mono0.nanoseconds) << 64) // 10**9
-    return (diff_units - elapsed_units) / 2.0**64 - osc_bias_s
+    return (diff_units - elapsed_units) / 2.0**64
 
 
 # -- the per-epoch engine ----------------------------------------------------
@@ -117,25 +111,21 @@ class Monitor:
     """The per-epoch engine that simulate and live share.
 
     Owns the filter chain, the orchestrator state and the fix, anchor
-    and connectivity bookkeeping.  Every input is applied to the state
-    machine first, and only what it applied is handed on:
-    `on_verdict(verdict)` and `on_transition(event, record)`.
+    and connectivity bookkeeping.  It reads nothing but the config and
+    its inputs, so a run written out as a feed replays to the same
+    output.  Every input is applied to the state machine first, and only
+    what it applied is handed on: `on_verdict(verdict)` and
+    `on_transition(event, record)`.
     """
 
     def __init__(
         self,
         config: AppConfig,
-        ll_params: Optional[LlConfig] = None,
-        sigma_meas_s: Optional[float] = None,
         on_verdict: Optional[Callable[[Verdict], None]] = None,
         on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
     ) -> None:
         self.config = config
-        self.chain = FilterChain(
-            ensemble=config.ensemble,
-            ll_params=ll_params if ll_params is not None else resolve_ll(config),
-            sigma_meas_s=sigma_meas_s,
-        )
+        self.chain = FilterChain(ensemble=config.ensemble, ll_params=resolve_ll(config))
         self.state = initial_state()
         self.on_verdict = on_verdict
         self.on_transition = on_transition
@@ -156,18 +146,19 @@ class Monitor:
             raise OrderingError("measurement before the first GNSS fix")
         return self.last_fix.t_gnss
 
-    def epoch(self, rec: EpochRecord, osc_bias_s: float = 0.0) -> Optional[tuple[float, float]]:
-        """One receiver epoch; returns (filtered bias, innovation) for a valid fix.
-
-        osc_bias_s is oscillator wander the simulator models outside t_mono.
-        """
-        t = rec.t_mono
+    def _check_order(self, t: MonotonicInstant) -> None:
+        """Refuse an input stamped before the last one applied."""
         # an epoch that applied no event moved only last_fix, not the state machine
         last = self.state.last_t_mono
         if self.last_fix is not None and (last is None or self.last_fix.t_mono > last):
             last = self.last_fix.t_mono
         if last is not None and t < last:
-            raise OrderingError(f"epoch at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
+            raise OrderingError(f"input at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
+
+    def epoch(self, rec: EpochRecord) -> Optional[tuple[float, float]]:
+        """One receiver epoch; returns (filtered bias, innovation) for a valid fix."""
+        t = rec.t_mono
+        self._check_order(t)
         if rec.fix_valid != self.have_fix:
             self.have_fix = rec.fix_valid
             if self.anchor is None:  # the first change is an acquisition
@@ -176,7 +167,7 @@ class Monitor:
         if not rec.fix_valid:
             return None
         self.last_fix = rec
-        xhat, innovation = self.chain.track(local_bias_s(rec, *self.anchor, osc_bias_s), t)
+        xhat, innovation = self.chain.track(local_bias_s(rec, *self.anchor), t)
         verdict = ll_step(self.chain.ll_state, innovation, t)
         if verdict is not None:
             self._apply(Event(EventKind.LL_VERDICT, t, verdict))
@@ -199,6 +190,7 @@ class Monitor:
     def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:
         """Connectivity at t, applied when it changes.  A failed poll repeats
         NETWORK_DOWN: the machine may have reached FINE_MONITORING since."""
+        self._check_order(t)
         if repeat or up != (self.state.connectivity is Connectivity.ONLINE):
             self._apply(Event(EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN, t))
 
@@ -217,16 +209,12 @@ class Monitor:
 def training_residuals(scenario: ScenarioSpec, config: AppConfig) -> np.ndarray:
     """Filter innovations from a benign run, for threshold fitting."""
     outputs = gen_scenario(scenario)
-    chain = FilterChain(
-        ensemble=config.ensemble,
-        ll_params=replace(config.detector.ll, lambda_T=None),
-        sigma_meas_s=max(scenario.benign_jitter_sigma_s, 1e-12),
-    )
+    chain = FilterChain(ensemble=config.ensemble,
+                        ll_params=replace(config.detector.ll, lambda_T=None))
     utc0, mono0 = outputs.epochs[0].t_gnss, outputs.epochs[0].t_mono
     residuals = np.empty(len(outputs.epochs))
     for e, rec in enumerate(outputs.epochs):
-        z = local_bias_s(rec, utc0, mono0, outputs.osc_bias_s[e])
-        _, residuals[e] = chain.track(z, rec.t_mono)
+        _, residuals[e] = chain.track(local_bias_s(rec, utc0, mono0), rec.t_mono)
     return residuals
 
 
@@ -357,11 +345,7 @@ def build_report(outputs: SimOutputs, result: PipelineResult, config_hash: str) 
     )
 
 
-def run_scenario(
-    outputs: SimOutputs,
-    config: AppConfig,
-    ll_params: Optional[LlConfig] = None,
-) -> PipelineResult:
+def run_scenario(outputs: SimOutputs, config: AppConfig) -> PipelineResult:
     """Replay simulator output through the full detection stack."""
     spec = outputs.spec
     verdicts, transitions, events = [], [], []
@@ -370,14 +354,13 @@ def run_scenario(
         events.append(event)
         transitions.append(transition)
 
-    monitor = Monitor(config, ll_params, max(spec.benign_jitter_sigma_s, 1e-12),
-                      on_verdict=verdicts.append, on_transition=record)
+    monitor = Monitor(config, on_verdict=verdicts.append, on_transition=record)
     xhat = np.empty(len(outputs.epochs))
     innovations = np.empty(len(outputs.epochs))
     for e, rec in enumerate(outputs.epochs):
         t = rec.t_mono
         monitor.network(network_available(spec, e), t)
-        xhat[e], innovations[e] = monitor.epoch(rec, outputs.osc_bias_s[e])
+        xhat[e], innovations[e] = monitor.epoch(rec)
         if e in outputs.rt_responses:
             monitor.roughtime(outputs.rt_responses[e], t)
         if e in outputs.nts_responses:
@@ -398,7 +381,6 @@ def run_named_scenario(
     name_or_spec,
     config: AppConfig,
     config_hash: str = "",
-    ll_params: Optional[LlConfig] = None,
 ) -> tuple[SimOutputs, PipelineResult]:
     """Generate and replay in one call; attaches the scored report."""
     spec = (
@@ -407,7 +389,7 @@ def run_named_scenario(
         else builtin_scenarios()[name_or_spec]
     )
     outputs = gen_scenario(spec)
-    result = run_scenario(outputs, config, ll_params)
+    result = run_scenario(outputs, config)
     result.report = build_report(outputs, result, config_hash)
     return outputs, result
 

@@ -7,8 +7,7 @@ delegation validity window.  A measurement object exists only after all
 four checks pass.  A delegation certificate is verified once per
 long-term key and reused while later responses repeat its bytes; the
 response signature, Merkle path and validity window are checked on every
-poll.  The codec is table-driven so another draft revision
-can be profiled in without touching the logic; one profile is pinned.
+poll.  The wire constants are those of IETF draft 07.
 """
 
 from __future__ import annotations
@@ -86,36 +85,18 @@ class UnreachableError(RoughtimeError):
     """No response within the configured retries."""
 
 
-@dataclass(frozen=True)
-class RoughtimeProfile:
-    """Wire constants for one protocol draft revision."""
-
-    name: str
-    version: int
-    min_request_size: int
-    hash_trunc: int
-    leaf_prefix: bytes
-    node_prefix: bytes
-    delegation_context: bytes
-    response_context: bytes
-
-    def digest(self, data: bytes) -> bytes:
-        return sha512(data).digest()[: self.hash_trunc]
+# wire constants of IETF draft 07
+VERSION = 0x80000007
+MIN_REQUEST_SIZE = 1024
+HASH_TRUNC = 32
+LEAF_PREFIX = b"\x00"
+NODE_PREFIX = b"\x01"
+DELEGATION_CONTEXT = b"RoughTime v1 delegation signature--\x00"
+RESPONSE_CONTEXT = b"RoughTime v1 response signature\x00"
 
 
-PROFILES = {
-    "ietf-draft-07": RoughtimeProfile(
-        name="ietf-draft-07",
-        version=0x80000007,
-        min_request_size=1024,
-        hash_trunc=32,
-        leaf_prefix=b"\x00",
-        node_prefix=b"\x01",
-        delegation_context=b"RoughTime v1 delegation signature--\x00",
-        response_context=b"RoughTime v1 response signature\x00",
-    )
-}
-DEFAULT_PROFILE = PROFILES["ietf-draft-07"]
+def _digest(data: bytes) -> bytes:
+    return sha512(data).digest()[:HASH_TRUNC]
 
 
 @dataclass(frozen=True)
@@ -125,17 +106,10 @@ class RoughtimeServerKey:
     public_key: bytes
     host: str = "127.0.0.1"
     port: int = 2002
-    version: str = DEFAULT_PROFILE.name
 
     def __post_init__(self) -> None:
         if len(self.public_key) != 32:
             raise ValueError(f"Ed25519 public key must be 32 bytes, got {len(self.public_key)}")
-        if self.version not in PROFILES:
-            raise ValueError(f"unknown protocol profile {self.version!r}")
-
-    @property
-    def profile(self) -> RoughtimeProfile:
-        return PROFILES[self.version]
 
     @property
     def fingerprint(self) -> str:
@@ -246,13 +220,13 @@ def make_nonce() -> bytes:
     return secrets.token_bytes(32)
 
 
-def build_request(nonce: bytes, profile: RoughtimeProfile = DEFAULT_PROFILE) -> bytes:
-    """Tag-value request padded up to the profile's minimum size."""
+def build_request(nonce: bytes) -> bytes:
+    """Tag-value request padded up to the minimum request size."""
     if len(nonce) != 32:
         raise CodecError(f"nonce must be 32 bytes, got {len(nonce)}")
-    base = {TAG_VER: struct.pack("<I", profile.version), TAG_NONC: nonce, TAG_ZZZZ: b""}
+    base = {TAG_VER: struct.pack("<I", VERSION), TAG_NONC: nonce, TAG_ZZZZ: b""}
     unpadded = len(frame_packet(encode_message(base)))
-    pad = max(0, profile.min_request_size - unpadded)
+    pad = max(0, MIN_REQUEST_SIZE - unpadded)
     pad += (-pad) % 4
     base[TAG_ZZZZ] = b"\x00" * pad
     return frame_packet(encode_message(base))
@@ -267,41 +241,39 @@ def decode_request(packet: bytes) -> dict[int, bytes]:
 # -- Merkle tree ------------------------------------------------------------
 
 
-def merkle_leaf(nonce: bytes, profile: RoughtimeProfile = DEFAULT_PROFILE) -> bytes:
-    return profile.digest(profile.leaf_prefix + nonce)
+def merkle_leaf(nonce: bytes) -> bytes:
+    return _digest(LEAF_PREFIX + nonce)
 
 
-def merkle_node(left: bytes, right: bytes, profile: RoughtimeProfile = DEFAULT_PROFILE) -> bytes:
-    return profile.digest(profile.node_prefix + left + right)
+def merkle_node(left: bytes, right: bytes) -> bytes:
+    return _digest(NODE_PREFIX + left + right)
 
 
-def merkle_root_from_path(
-    nonce: bytes, index: int, path: bytes, profile: RoughtimeProfile = DEFAULT_PROFILE
-) -> bytes:
+def merkle_root_from_path(nonce: bytes, index: int, path: bytes) -> bytes:
     """Recompute the root from a leaf nonce and its sibling path."""
-    if len(path) % profile.hash_trunc != 0:
-        raise CodecError(f"PATH length {len(path)} not a multiple of {profile.hash_trunc}")
-    node = merkle_leaf(nonce, profile)
-    for i in range(0, len(path), profile.hash_trunc):
-        sibling = path[i : i + profile.hash_trunc]
+    if len(path) % HASH_TRUNC != 0:
+        raise CodecError(f"PATH length {len(path)} not a multiple of {HASH_TRUNC}")
+    node = merkle_leaf(nonce)
+    for i in range(0, len(path), HASH_TRUNC):
+        sibling = path[i : i + HASH_TRUNC]
         if index & 1:
-            node = merkle_node(sibling, node, profile)
+            node = merkle_node(sibling, node)
         else:
-            node = merkle_node(node, sibling, profile)
+            node = merkle_node(node, sibling)
         index >>= 1
     return node
 
 
-def merkle_build(leaves: list[bytes], profile: RoughtimeProfile = DEFAULT_PROFILE) -> list[list[bytes]]:
+def merkle_build(leaves: list[bytes]) -> list[list[bytes]]:
     """All tree levels for a batch of leaf hashes, padded to a power of two."""
     if not leaves:
         raise CodecError("empty Merkle batch")
     level = list(leaves)
     while len(level) & (len(level) - 1):
-        level.append(b"\x00" * profile.hash_trunc)
+        level.append(b"\x00" * HASH_TRUNC)
     levels = [level]
     while len(level) > 1:
-        level = [merkle_node(level[i], level[i + 1], profile) for i in range(0, len(level), 2)]
+        level = [merkle_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
         levels.append(level)
     return levels
 
@@ -321,13 +293,11 @@ _U32 = struct.Struct("<I")
 
 
 @lru_cache(maxsize=16)
-def _verify_certificate(
-    public_key: bytes, delegation_context: bytes, cert_raw: bytes
-) -> tuple[bytes, int, int]:
+def _verify_certificate(public_key: bytes, cert_raw: bytes) -> tuple[bytes, int, int]:
     """(PUBK, MINT, MAXT) of a delegation certificate signed by public_key.
 
     A server keeps one certificate for hours, so its verdict is cached on
-    the exact (key, context, certificate bytes).  Ed25519 verification is
+    the exact (key, certificate bytes).  Ed25519 verification is
     a deterministic function of those inputs, so a hit returns what a
     fresh verify would.  Failures raise and are not cached.
     """
@@ -341,7 +311,7 @@ def _verify_certificate(
 
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(
-            cert_sig, delegation_context + dele_raw
+            cert_sig, DELEGATION_CONTEXT + dele_raw
         )
     except InvalidSignature:
         raise CertSignatureError("delegation certificate signature invalid") from None
@@ -364,7 +334,6 @@ def verify_response(
     same bytes; the response signature, the Merkle path and the validity
     window are checked on every call.
     """
-    profile = key.profile
     msg = decode_message(unframe_packet(resp))
     sig = require_tag(msg, TAG_SIG, 64)
     path = require_tag(msg, TAG_PATH)
@@ -372,19 +341,19 @@ def verify_response(
     cert_raw = require_tag(msg, TAG_CERT)
     index = _U32.unpack(require_tag(msg, TAG_INDX, 4))[0]
 
-    pubk, mint, maxt = _verify_certificate(key.public_key, profile.delegation_context, cert_raw)
+    pubk, mint, maxt = _verify_certificate(key.public_key, cert_raw)
 
     try:
-        Ed25519PublicKey.from_public_bytes(pubk).verify(sig, profile.response_context + srep_raw)
+        Ed25519PublicKey.from_public_bytes(pubk).verify(sig, RESPONSE_CONTEXT + srep_raw)
     except InvalidSignature:
         raise ResponseSignatureError("signed response signature invalid") from None
 
     srep = decode_message(srep_raw)
-    root = require_tag(srep, TAG_ROOT, profile.hash_trunc)
+    root = require_tag(srep, TAG_ROOT, HASH_TRUNC)
     midp = _U64.unpack(require_tag(srep, TAG_MIDP, 8))[0]
     radi = _U32.unpack(require_tag(srep, TAG_RADI, 4))[0]
 
-    if merkle_root_from_path(nonce, index, path, profile) != root:
+    if merkle_root_from_path(nonce, index, path) != root:
         raise MerkleError("request nonce not under response Merkle root")
 
     if not (mint <= midp <= maxt):
@@ -426,7 +395,7 @@ def poll(
     last_timeout: Optional[Exception] = None
     for _ in range(max(1, retries)):
         nonce = make_nonce()
-        request = build_request(nonce, server.profile)
+        request = build_request(nonce)
         try:
             resp = transport(request)
         except (socket.timeout, TimeoutError) as e:
@@ -448,7 +417,6 @@ class RoughtimeTestServer:
     multi-leaf Merkle tree so PATH is non-trivial.
     """
 
-    profile: RoughtimeProfile = DEFAULT_PROFILE
     now_unix_s: Callable[[], int] = lambda: 1_689_120_000
     radius_s: int = 1
     window_s: int = 86400
@@ -467,7 +435,7 @@ class RoughtimeTestServer:
     def server_key(self) -> RoughtimeServerKey:
         pub = self.root_key.public_key().public_bytes_raw()
         port = self._sock.getsockname()[1] if self._sock else 0
-        return RoughtimeServerKey(pub, "127.0.0.1", port, self.profile.name)
+        return RoughtimeServerKey(pub, "127.0.0.1", port)
 
     def make_cert(self, mint: int, maxt: int) -> bytes:
         dele = encode_message(
@@ -477,14 +445,14 @@ class RoughtimeTestServer:
                 TAG_MAXT: _U64.pack(maxt),
             }
         )
-        sig = self.root_key.sign(self.profile.delegation_context + dele)
+        sig = self.root_key.sign(DELEGATION_CONTEXT + dele)
         return encode_message({TAG_SIG: sig, TAG_DELE: dele})
 
     def respond(self, request: bytes, midpoint_override: Optional[int] = None) -> bytes:
         """Signed response for one request, per the server's current clock."""
         nonce = require_tag(decode_request(request), TAG_NONC, 32)
         nonces = [nonce] + [make_nonce() for _ in range(self.batch_nonces - 1)]
-        levels = merkle_build([merkle_leaf(n, self.profile) for n in nonces], self.profile)
+        levels = merkle_build([merkle_leaf(n) for n in nonces])
         root = levels[-1][0]
         midp = midpoint_override if midpoint_override is not None else int(self.now_unix_s())
         srep = encode_message(
@@ -496,7 +464,7 @@ class RoughtimeTestServer:
         )
         response = encode_message(
             {
-                TAG_SIG: self.delegated_key.sign(self.profile.response_context + srep),
+                TAG_SIG: self.delegated_key.sign(RESPONSE_CONTEXT + srep),
                 TAG_PATH: merkle_path(levels, 0),
                 TAG_SREP: srep,
                 TAG_CERT: self.make_cert(midp - self.window_s, midp + self.window_s),

@@ -60,8 +60,8 @@ from timeguard.provider_roughtime import (
 )
 from timeguard.timebase import MonotonicInstant, Timestamp
 
-CFG = default_config()
-RESOLVED_LL = resolve_ll(CFG)
+DEFAULT = default_config()
+CFG = replace(DEFAULT, detector=replace(DEFAULT.detector, ll=resolve_ll(DEFAULT)))
 
 
 @contextmanager
@@ -84,7 +84,7 @@ def test_criterion_1_step_attack_caught_at_first_rt_poll():
     """4 s step: RT H1 on the first poll after onset; zero benign RT alarms."""
     with budget(10.0):
         spec = builtin_scenarios()["step4s"]
-        outputs, result = run_named_scenario(spec, CFG, ll_params=RESOLVED_LL)
+        outputs, result = run_named_scenario(spec, CFG)
         polls = range(0, spec.duration_epochs, spec.rt_poll_epochs)
         first_attacked_poll = next(
             e for e in polls if outputs.truth_offset_s[e] != 0.0
@@ -95,7 +95,7 @@ def test_criterion_1_step_attack_caught_at_first_rt_poll():
         assert hits[0] == first_attacked_poll  # exact
         assert result.report.outcomes["rt"].detected
 
-        _, benign = run_named_scenario("benign10k", CFG, ll_params=RESOLVED_LL)
+        _, benign = run_named_scenario("benign10k", CFG)
         assert h1_epochs(benign, "rt") == []  # exact: zero false alarms
 
 
@@ -110,7 +110,7 @@ def test_criterion_2_incremental_attack_caught_by_nts():
         # noise-free crossing lies within the advertised 76-period budget
         assert crossing <= spec.attack.onset_epoch + 76 * spec.nts_poll_epochs
 
-        outputs, result = run_named_scenario(spec, CFG, ll_params=RESOLVED_LL)
+        outputs, result = run_named_scenario(spec, CFG)
         hits = h1_epochs(result, "nts")
         assert hits, "incremental attack produced no NTS alarm"
         assert hits[0] <= crossing + spec.nts_poll_epochs  # +- 1 poll interval
@@ -130,14 +130,15 @@ def test_criterion_3_smooth_pull_caught_with_calibrated_far():
         operational = replace(
             fitted, lambda_T=fitted.lambda_T + CFG.calibration.margin
         )
+        pinned = replace(CFG, detector=replace(CFG.detector, ll=operational))
 
         spec = builtin_scenarios()["pull2us"]
-        _, result = run_named_scenario(spec, CFG, ll_params=operational)
+        _, result = run_named_scenario(spec, pinned)
         outcome = result.report.outcomes["ll"]
         assert outcome.detected
         assert outcome.latency_epochs < spec.attack.span_epochs  # before completion
 
-        _, benign = run_named_scenario("benign10k", CFG, ll_params=operational)
+        _, benign = run_named_scenario("benign10k", pinned)
         stats_ll = [v.statistic for v in benign.verdicts if v.test == "ll"]
         n = len(stats_ll)
         assert n > 9000
@@ -330,7 +331,7 @@ def test_criterion_7_orchestrator_replay_and_randomized_safety():
     byte-identically; 10^5 random event sequences never reach fine
     monitoring without coarse validation and never leave the receiver
     trusted after an unresolved alarm."""
-    _, result = run_named_scenario("step4s", CFG, ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("step4s", CFG)
     original = "\n".join(transition_to_json(r) for r in result.transitions)
     final, records = replay(result.events, CFG.orchestrator)
     assert "\n".join(transition_to_json(r) for r in records) == original

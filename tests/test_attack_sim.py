@@ -128,6 +128,22 @@ def test_zero_noise_benign_equals_truth():
     assert np.array_equal(out.truth_offset_s, np.zeros(50))
 
 
+def test_local_clock_runs_on_the_simulated_oscillator():
+    spec = builtin_scenarios()["incr2us"]
+    out = gen_scenario(spec)
+    wander = simulate_oscillator(spec.oscillator, spec.duration_epochs, spec.epoch_period_s,
+                                 seed=spec.seed)
+    t_mono = [rec.t_mono.nanoseconds for rec in out.epochs]
+    ahead = [t - round(e * spec.epoch_period_s * 1e9) for e, t in enumerate(t_mono)]
+    assert ahead == [round(w * 1e9) for w in wander]
+    assert any(ahead)
+    assert all(a < b for a, b in zip(t_mono, t_mono[1:]))
+    for replies in (out.rt_responses, out.nts_responses):
+        assert replies
+        for e, reply in replies.items():
+            assert reply.t_mono_rx == out.epochs[e].t_mono
+
+
 def test_ground_truth_equals_injected_profile():
     out = gen_scenario(builtin_scenarios()["step4s"])
     want = np.array([0.0] * 100 + [4.0] * 100)

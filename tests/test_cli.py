@@ -7,13 +7,11 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr
-from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import timeguard.cli
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
 from timeguard.bench import bench_from_json
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, main
@@ -424,6 +422,8 @@ def test_live_skips_a_line_that_is_not_utf8(pin_cfg, tmp_path, capsys):
 CLEAN_FEED = [epoch_line(5), rt_line(5), nts_line(5), epoch_line(6),
               rt_line(6, offset_s=-4.0), epoch_line(7)]
 NETWORK_LINE = json.dumps({"type": "network", "t_mono_ns": 6 * 10**9, "up": True})
+# stale once an epoch is applied; its up matches the connectivity, so it changes nothing
+STALE_NETWORK_LINE = json.dumps({"type": "network", "t_mono_ns": 0, "up": True})
 MISSING = object()
 AS_TEXT = object()  # the field's own value written as a JSON string
 PLUS_HALF = object()  # the field's own value plus 0.5, which int() would truncate back
@@ -471,9 +471,12 @@ def corrupt(line, path, value):
 
 
 @st.composite
-def bad_lines(draw):
-    kind = draw(st.sampled_from(["field", "truncated", "not an object", "unknown type",
-                                 "stale rt"]))
+def bad_lines(draw, pos):
+    """A line that live must refuse when inserted before CLEAN_FEED[pos]."""
+    kinds = ["field", "truncated", "not an object", "unknown type", "stale rt"]
+    if pos > 0:
+        kinds.append("stale network")
+    kind = draw(st.sampled_from(kinds))
     if kind == "field":
         line, path, values = draw(st.sampled_from(CORRUPTIONS))
         return corrupt(line, path, draw(st.sampled_from(values)))
@@ -486,6 +489,8 @@ def bad_lines(draw):
     if kind == "unknown type":
         name = draw(st.text(max_size=6).filter(lambda k: k not in ("rt", "nts", "network")))
         return json.dumps({"type": name, "t_mono_ns": 6 * 10**9})
+    if kind == "stale network":
+        return STALE_NETWORK_LINE
     return rt_line(0)  # stale: before every epoch of CLEAN_FEED
 
 
@@ -510,8 +515,10 @@ def clean_live(tmp_path_factory):
     return live_outputs(tmp_path_factory.mktemp("clean"), CLEAN_FEED)
 
 
-@given(inserts=st.lists(st.tuples(st.integers(0, len(CLEAN_FEED)), bad_lines()),
-                        min_size=1, max_size=4))
+@given(inserts=st.lists(
+    st.integers(0, len(CLEAN_FEED)).flatmap(lambda pos: st.tuples(st.just(pos), bad_lines(pos))),
+    min_size=1, max_size=4))
+@example(inserts=[(1, STALE_NETWORK_LINE)])
 @settings(max_examples=30, deadline=None)
 def test_live_refuses_hostile_lines_and_applies_nothing(inserts, clean_live, tmp_path_factory):
     lines = list(CLEAN_FEED)
@@ -558,16 +565,13 @@ def scenario_feed(outputs):
 
 
 @pytest.mark.parametrize("name", ["step4s", "incr2us", "pull2us"])
-def test_live_replay_of_a_simulated_run_matches_simulate(name, pin_cfg, tmp_path, monkeypatch):
-    # without oscillator wander the epoch lines carry everything simulate
-    # sees, so both commands must write the same verdicts
-    spec = builtin_scenarios()[name]
-    spec = replace(spec, oscillator=replace(spec.oscillator, q_b=0.0, q_d=0.0))
-    monkeypatch.setattr(timeguard.cli, "load_scenario", lambda _: spec)
+def test_live_replay_of_a_simulated_run_matches_simulate(name, pin_cfg, tmp_path):
+    # the feed lines carry everything simulate hands the engine, oscillator
+    # wander included, so both commands must write the same verdicts
     sim, live = tmp_path / "sim", tmp_path / "live"
     rc = main(["simulate", "--scenario", name, "--config", pin_cfg, "--out-dir", str(sim)])
     feed = tmp_path / "feed.jsonl"
-    feed.write_text(scenario_feed(gen_scenario(spec)))
+    feed.write_text(scenario_feed(gen_scenario(builtin_scenarios()[name])))
     assert main(["live", "--feed", str(feed), "--config", pin_cfg,
                  "--out-dir", str(live)]) == rc
     simulated = (sim / "verdicts.jsonl").read_bytes()

@@ -34,8 +34,9 @@ from timeguard.pipeline import (
 from timeguard.receiver_feed import EpochRecord
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
 
-CFG = default_config()
-RESOLVED_LL = resolve_ll(CFG)
+DEFAULT = default_config()
+# ll pinned to its calibration, so no run calibrates again
+CFG = replace(DEFAULT, detector=replace(DEFAULT.detector, ll=resolve_ll(DEFAULT)))
 
 QUIET = OscillatorSpec(label="ideal", q_b=0.0, q_d=0.0, sigma_meas=1e-9)
 
@@ -67,10 +68,11 @@ def test_local_bias_no_drift_over_long_spans():
 
 
 def test_local_bias_subtracts_oscillator():
+    # the local clock runs 30 ns ahead of GNSS time
     utc0 = Timestamp.from_unix_s(0)
-    rec = EpochRecord(t_mono=mono(1.0), t_gnss=ts_add(utc0, SignedDuration.from_s(1.0)),
-                      fix_valid=True)
-    assert local_bias_s(rec, utc0, mono(0.0), osc_bias_s=3e-8) == pytest.approx(-3e-8)
+    rec = EpochRecord(t_mono=MonotonicInstant(10**9 + 30),
+                      t_gnss=ts_add(utc0, SignedDuration.from_s(1.0)), fix_valid=True)
+    assert local_bias_s(rec, utc0, mono(0.0)) == pytest.approx(-3e-8)
 
 
 # -- filter chain ------------------------------------------------------------
@@ -78,7 +80,7 @@ def test_local_bias_subtracts_oscillator():
 
 def chain(ll_lambda=0.0, sigma0_sq=1e-16):
     params = LlConfig(lambda_T=ll_lambda, sigma0_sq=sigma0_sq)
-    return FilterChain(ensemble=CFG.ensemble, ll_params=params, sigma_meas_s=10e-9)
+    return FilterChain(ensemble=CFG.ensemble, ll_params=params)
 
 
 def test_first_innovation_is_the_measurement():
@@ -154,11 +156,12 @@ def test_resolve_ll_passthrough_when_pinned():
 
 
 def test_resolve_ll_is_quantile_plus_margin():
-    residuals = training_residuals(builtin_scenarios()[CFG.calibration.scenario], CFG)
-    fitted = calibrate_ll(CFG.detector.ll, residuals, far=CFG.calibration.far)
-    assert RESOLVED_LL.lambda_T == fitted.lambda_T + CFG.calibration.margin
-    assert RESOLVED_LL.mu0 == fitted.mu0
-    assert RESOLVED_LL.sigma0_sq == fitted.sigma0_sq
+    residuals = training_residuals(builtin_scenarios()[DEFAULT.calibration.scenario], DEFAULT)
+    fitted = calibrate_ll(DEFAULT.detector.ll, residuals, far=DEFAULT.calibration.far)
+    resolved = CFG.detector.ll
+    assert resolved.lambda_T == fitted.lambda_T + DEFAULT.calibration.margin
+    assert resolved.mu0 == fitted.mu0
+    assert resolved.sigma0_sq == fitted.sigma0_sq
 
 
 # -- scenario replay ---------------------------------------------------------
@@ -169,7 +172,7 @@ def test_zero_noise_run_is_silent():
         name="silent", duration_epochs=80, benign_jitter_sigma_s=0.0,
         oscillator=QUIET, seed=3,
     )
-    result = run_scenario(gen_scenario(spec), CFG, RESOLVED_LL)
+    result = run_scenario(gen_scenario(spec), CFG)
     assert np.array_equal(result.xhat_bias_s, np.zeros(80))
     assert np.array_equal(result.innovation_s, np.zeros(80))
     assert all(v.hypothesis is Hypothesis.H0 for v in result.verdicts)
@@ -179,8 +182,8 @@ def test_zero_noise_run_is_silent():
 
 def test_run_is_deterministic():
     outputs = gen_scenario(builtin_scenarios()["step4s"])
-    a = run_scenario(outputs, CFG, RESOLVED_LL)
-    b = run_scenario(outputs, CFG, RESOLVED_LL)
+    a = run_scenario(outputs, CFG)
+    b = run_scenario(outputs, CFG)
     assert a.verdicts == b.verdicts
     assert a.transitions == b.transitions
     assert np.array_equal(a.xhat_bias_s, b.xhat_bias_s)
@@ -188,14 +191,14 @@ def test_run_is_deterministic():
 
 
 def test_recorded_events_replay_to_same_transitions():
-    _, result = run_named_scenario("step4s", CFG, ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("step4s", CFG)
     final, records = replay(result.events, CFG.orchestrator)
     assert records == result.transitions
     assert final.phase == result.state.phase
 
 
 def test_step4s_report():
-    _, result = run_named_scenario("step4s", CFG, config_hash="cafe", ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("step4s", CFG, config_hash="cafe")
     report = result.report
     assert report.scenario == "step4s"
     assert report.outcomes["rt"].detected
@@ -207,7 +210,7 @@ def test_step4s_report():
 
 
 def test_step4s_alarm_is_latched_and_gnss_distrusted():
-    _, result = run_named_scenario("step4s", CFG, ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("step4s", CFG)
     alarm_seen = False
     for record in result.transitions:
         if record.to_phase is Phase.ALARM:
@@ -220,7 +223,7 @@ def test_step4s_alarm_is_latched_and_gnss_distrusted():
 
 
 def test_pull2us_detected_by_ll_only():
-    _, result = run_named_scenario("pull2us", CFG, ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("pull2us", CFG)
     report = result.report
     assert report.outcomes["ll"].detected
     assert not report.outcomes["rt"].detected
@@ -232,7 +235,7 @@ def test_pull2us_detected_by_ll_only():
 
 
 def test_benign10k_fully_clean():
-    _, result = run_named_scenario("benign10k", CFG, ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("benign10k", CFG)
     assert not result.report.any_h1
     assert result.report.final_phase == "FINE_MONITORING"
 
@@ -243,7 +246,7 @@ def test_outage_drives_holdover_and_recovery():
         network=NetworkSpec(mode="down", down_from_epoch=100, down_to_epoch=200),
         seed=21,
     )
-    result = run_scenario(gen_scenario(spec), CFG, RESOLVED_LL)
+    result = run_scenario(gen_scenario(spec), CFG)
     phases = [r.to_phase for r in result.transitions]
     assert Phase.HOLDOVER in phases
     down_at = phases.index(Phase.HOLDOVER)
@@ -254,7 +257,7 @@ def test_outage_drives_holdover_and_recovery():
 def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     outputs = gen_scenario(builtin_scenarios()["step4s"])
     seen = []
-    monitor = Monitor(CFG, RESOLVED_LL, on_verdict=seen.append,
+    monitor = Monitor(CFG, on_verdict=seen.append,
                       on_transition=lambda event, record: seen.append(record))
     for rec in outputs.epochs[:40]:
         monitor.epoch(rec)
@@ -279,7 +282,7 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
         return EpochRecord(t_mono=mono(s), t_gnss=ts_add(utc0, SignedDuration.from_s(s)),
                            fix_valid=True)
 
-    monitor = Monitor(CFG, RESOLVED_LL)
+    monitor = Monitor(CFG)
     monitor.epoch(at(10.0))
     monitor.epoch(at(20.0))
     assert monitor.state.last_t_mono == mono(10.0)
@@ -295,7 +298,7 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
 
 def test_verdict_cadence():
     spec = builtin_scenarios()["step4s"]
-    result = run_scenario(gen_scenario(spec), CFG, RESOLVED_LL)
+    result = run_scenario(gen_scenario(spec), CFG)
     assert sum(v.test == "rt" for v in result.verdicts) == 20
     assert sum(v.test == "nts" for v in result.verdicts) == 7
     # epoch 0 anchors the local reference, then the window warms for m epochs
@@ -342,13 +345,13 @@ def test_build_report_counts_false_alarms():
 
 
 def test_event_json_round_trip():
-    _, result = run_named_scenario("step4s", CFG, ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("step4s", CFG)
     for event in result.events[:50]:
         assert event_from_json(event_to_json(event)) == event
 
 
 def test_verdict_writers():
-    _, result = run_named_scenario("step4s", CFG, ll_params=RESOLVED_LL)
+    _, result = run_named_scenario("step4s", CFG)
     jsonl, csv = io.StringIO(), io.StringIO()
     write_verdicts_jsonl(jsonl, result.verdicts)
     write_verdicts_csv(csv, result.verdicts)

@@ -1,6 +1,7 @@
 """Tests for the receiver feed's JSONL epoch record."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -72,7 +73,8 @@ def feed_epochs(*t_mono_s):
 
 
 def feed_monitor():
-    return Monitor(default_config(), ll_params=LlConfig(lambda_T=100.0))
+    config = default_config()
+    return Monitor(replace(config, detector=replace(config.detector, ll=LlConfig(lambda_T=100.0))))
 
 
 def apply(monitor, rec):

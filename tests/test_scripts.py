@@ -1,0 +1,33 @@
+"""The analysis scripts under scripts/ run to completion.
+
+Both call the pipeline's public functions; a changed signature shows up
+here rather than the next time someone plots a figure.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
+def test_export_traces_runs(tmp_path):
+    done = run_script("export_traces.py", "--scenario", "step4s", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "traces.csv").read_text().count("\n") == 201
+
+
+def test_benign_far_sweep_runs():
+    done = run_script("benign_far_sweep.py", "--seeds", "1")
+    assert done.returncode == 0, done.stderr
+    assert "seed     1:" in done.stdout
