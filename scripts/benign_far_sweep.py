@@ -17,8 +17,8 @@ from scipy.stats import binom
 
 from timeguard.attack_sim import builtin_scenarios
 from timeguard.config import apply_env, load_config
-from timeguard.detector import Hypothesis, calibrate_ll
-from timeguard.pipeline import run_named_scenario, training_residuals
+from timeguard.detector import Hypothesis
+from timeguard.pipeline import fit_ll, run_named_scenario
 
 
 def main() -> int:
@@ -30,9 +30,7 @@ def main() -> int:
     config = apply_env(load_config(args.config), os.environ)
     far = config.calibration.far
     table = builtin_scenarios()
-    residuals = training_residuals(table[config.calibration.scenario], config)
-    fitted = calibrate_ll(config.detector.ll, residuals, far=far)
-    operational = replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)
+    fitted, operational = fit_ll(table[config.calibration.scenario], config)
     print(f"fitted quantile {fitted.lambda_T!r}, operational {operational.lambda_T!r}")
     pinned = replace(config, detector=replace(config.detector, ll=operational))
 

@@ -35,14 +35,14 @@ from .config import (
     load_config,
     load_scenario,
 )
-from .detector import Hypothesis, Verdict, calibrate_ll, verdict_to_json
+from .detector import Hypothesis, Verdict, verdict_to_json
 from .orchestrator import Event, TransitionRecord, transition_to_json
 from .pipeline import (
     VERDICT_CSV_HEADER,
     Monitor,
+    fit_ll,
     report_to_json,
     run_named_scenario,
-    training_residuals,
     verdict_csv_row,
     write_transitions_jsonl,
     write_verdicts_csv,
@@ -348,9 +348,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     name = args.scenario if args.scenario is not None else config.calibration.scenario
     spec = load_scenario(name)
 
-    residuals = training_residuals(spec, config)
-    fitted = calibrate_ll(config.detector.ll, residuals, far=config.calibration.far)
-    operational = fitted.lambda_T + config.calibration.margin
+    fitted, operational = fit_ll(spec, config)
 
     nts_poller = _nts_poller(config)
     if nts_poller is not None:
@@ -365,13 +363,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     snippet = "\n".join(
         [
-            f"# fitted from {len(residuals)} benign epochs of scenario {spec.name!r}",
+            f"# fitted from {spec.duration_epochs} benign epochs of scenario {spec.name!r}",
             f"# benign quantile at far={config.calibration.far!r}: {fitted.lambda_T!r}",
             f"# operational threshold adds margin {config.calibration.margin!r}",
             "[ll]",
             f"mu0 = {fitted.mu0!r}",
             f"sigma0_sq = {fitted.sigma0_sq!r}",
-            f"lambda_t = {operational!r}",
+            f"lambda_t = {operational.lambda_T!r}",
             "",
             f"# sigma {sigma!r} s from {sigma_source}",
             "[detector]",

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Mapping, Optional, get_args, get_type_hints
 
 from .attack_sim import AttackSpec, NetworkSpec, ScenarioSpec, builtin_scenarios
-from .detector import DetectorConfig, LlConfig
+from .detector import DetectorConfig
 from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec
-from .orchestrator import OrchestratorConfig, TrustPolicy
+from .orchestrator import OrchestratorConfig
 from .timebase import SignedDuration
 
 ENV_ROUGHTIME_ADDR = "TIMEGUARD_ROUGHTIME_ADDR"
@@ -92,213 +91,115 @@ def default_config() -> AppConfig:
     return AppConfig(detector=det)
 
 
-# -- INI schema --------------------------------------------------------------
-
-_F = "float"
-_OF = "optfloat"
-_I = "int"
-_S = "str"
-
-_SCHEMA: dict[str, dict[str, str]] = {
-    "detector": {
-        "rt_radius_max_s": _F,
-        "max_age_s": _F,
-        "nts_lambda_s": _OF,
-        "nts_sigma_k": _F,
-    },
-    "ll": {
-        "alpha": _F,
-        "m": _I,
-        "lambda_t": _OF,
-        "mode": _S,
-        "polarity": _S,
-        "mu0": _F,
-        "sigma0_sq": _OF,
-        "sigma2_floor": _F,
-    },
-    "ensemble": {
-        "q_b": _F,
-        "q_d": _F,
-        "sigma_meas_s": _F,
-        "gate_k": _F,
-    },
-    "orchestrator": {
-        "ephemeris_validity_s": _F,
-        "auto_clear_k": _I,
-        "rt_poll_s": _F,
-        "nts_poll_s": _F,
-    },
-    "calibration": {
-        "scenario": _S,
-        "far": _F,
-        "margin": _F,
-    },
-    "providers": {
-        "roughtime_host": _S,
-        "roughtime_port": _I,
-        "roughtime_pubkey_b64": _S,
-        "nts_ke_host": _S,
-        "nts_ke_port": _I,
-        "nts_ca_file": _S,
-        "timeout_s": _F,
-    },
-}
+# -- INI schema: the config dataclasses' own fields -------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _value_type(hint):
+    """The type a field holds, Optional stripped."""
+    args = get_args(hint)
+    if type(None) in args:
+        return next(a for a in args if a is not type(None))
+    return hint
+
+
+def _schema(cls) -> tuple[dict[str, tuple[str, object]], dict[str, type]]:
+    """The INI keys of cls as key -> (field, hint), and its nested configs.
+
+    A nested dataclass field is a section of its own, named after the
+    field.  SignedDuration is a dataclass too, but a scalar: it is written
+    in seconds under the field name plus "_s".  Keys are lower case, as
+    configparser reads them.
+    """
+    keys, nested = {}, {}
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind = _value_type(hints[f.name])
+        if kind is SignedDuration:
+            keys[f.name.lower() + "_s"] = (f.name, hints[f.name])
+        elif is_dataclass(kind):
+            nested[f.name] = kind
+        else:
+            keys[f.name.lower()] = (f.name, hints[f.name])
+    return keys, nested
+
+
+def _parse(hint, text: str, where: str):
+    """A key's text as its field's value; blank is None for an Optional."""
+    kind = _value_type(hint)
+    text = text.strip()
+    if kind is not hint and not text:
+        return None
+    try:
+        return SignedDuration.from_s(float(text)) if kind is SignedDuration else kind(text)
+    except ValueError:
+        raise ConfigFileError(f"{where}: cannot parse {text!r} as {kind.__name__}") from None
+
+
+def _format(value) -> str:
+    if isinstance(value, SignedDuration):
+        value = value.to_s()
+    return "" if value is None else str(value)
+
+
+def _sections(config):
+    """(section, config) of each config nested in `config`, depth first."""
+    for name in _schema(type(config))[1]:
+        value = getattr(config, name)
+        yield name, value
+        yield from _sections(value)
+
+
+def _build(cls, texts: Mapping[str, Mapping[str, Optional[str]]], section: Optional[str] = None):
+    """cls from the texts of its section, each nested config from its own.
+
+    A key whose text is None is left at its default, and so is a nested
+    config whose section is absent.
+    """
+    keys, nested = _schema(cls)
+    own = texts.get(section, {})
+    kwargs = {
+        attr: _parse(hint, own[key], f"{section}.{key}")
+        for key, (attr, hint) in keys.items()
+        if own.get(key) is not None
+    }
+    kwargs.update((name, _build(sub, texts, name)) for name, sub in nested.items() if name in texts)
+    return cls(**kwargs)
 
 
 def config_to_mapping(config: AppConfig) -> dict[str, dict[str, str]]:
     """Flatten to the INI key space with canonical value text."""
-    det, ll = config.detector, config.detector.ll
-    ens, orc = config.ensemble, config.orchestrator
-    cal, prov = config.calibration, config.providers
-    nts_lambda = det.nts_lambda.to_s() if det.nts_lambda is not None else None
     return {
-        "detector": {
-            "rt_radius_max_s": _fmt(det.rt_radius_max.to_s()),
-            "max_age_s": _fmt(det.max_age_s),
-            "nts_lambda_s": _fmt(nts_lambda),
-            "nts_sigma_k": _fmt(det.nts_sigma_k),
-        },
-        "ll": {
-            "alpha": _fmt(ll.alpha),
-            "m": _fmt(ll.m),
-            "lambda_t": _fmt(ll.lambda_T),
-            "mode": ll.mode,
-            "polarity": ll.polarity,
-            "mu0": _fmt(ll.mu0),
-            "sigma0_sq": _fmt(ll.sigma0_sq),
-            "sigma2_floor": _fmt(ll.sigma2_floor),
-        },
-        "ensemble": {
-            "q_b": _fmt(ens.q_b),
-            "q_d": _fmt(ens.q_d),
-            "sigma_meas_s": _fmt(ens.sigma_meas_s),
-            "gate_k": _fmt(ens.gate_k),
-        },
-        "orchestrator": {
-            "ephemeris_validity_s": _fmt(orc.ephemeris_validity_s),
-            "auto_clear_k": _fmt(orc.auto_clear_k),
-            "rt_poll_s": _fmt(orc.rt_poll_s),
-            "nts_poll_s": _fmt(orc.nts_poll_s),
-        },
-        "calibration": {
-            "scenario": cal.scenario,
-            "far": _fmt(cal.far),
-            "margin": _fmt(cal.margin),
-        },
-        "providers": {
-            "roughtime_host": prov.roughtime_host,
-            "roughtime_port": _fmt(prov.roughtime_port),
-            "roughtime_pubkey_b64": prov.roughtime_pubkey_b64,
-            "nts_ke_host": prov.nts_ke_host,
-            "nts_ke_port": _fmt(prov.nts_ke_port),
-            "nts_ca_file": prov.nts_ca_file,
-            "timeout_s": _fmt(prov.timeout_s),
-        },
+        section: {
+            key: _format(getattr(sub, attr)) for key, (attr, _) in _schema(type(sub))[0].items()
+        }
+        for section, sub in _sections(config)
     }
-
-
-def _parse_value(section: str, key: str, text: str):
-    kind = _SCHEMA[section][key]
-    text = text.strip()
-    try:
-        if kind == _F:
-            return float(text)
-        if kind == _OF:
-            return float(text) if text else None
-        if kind == _I:
-            return int(text)
-    except ValueError:
-        raise ConfigFileError(f"{section}.{key}: cannot parse {text!r} as {kind}") from None
-    return text
 
 
 def mapping_to_config(mapping: Mapping[str, Mapping[str, str]]) -> AppConfig:
     """Build the typed config; raises ConfigFileError on bad values."""
-    val = {
-        section: {key: _parse_value(section, key, text) for key, text in entries.items()}
-        for section, entries in mapping.items()
-    }
-    det, ll = val["detector"], val["ll"]
-    ens, orc = val["ensemble"], val["orchestrator"]
-    cal, prov = val["calibration"], val["providers"]
     try:
-        ll_cfg = LlConfig(
-            alpha=ll["alpha"],
-            m=ll["m"],
-            lambda_T=ll["lambda_t"],
-            mode=ll["mode"],
-            polarity=ll["polarity"],
-            mu0=ll["mu0"],
-            sigma0_sq=ll["sigma0_sq"],
-            sigma2_floor=ll["sigma2_floor"],
-        )
-        nts_lambda = det["nts_lambda_s"]
-        det_cfg = DetectorConfig(
-            rt_radius_max=SignedDuration.from_s(det["rt_radius_max_s"]),
-            max_age_s=det["max_age_s"],
-            nts_lambda=SignedDuration.from_s(nts_lambda) if nts_lambda is not None else None,
-            nts_sigma_k=det["nts_sigma_k"],
-            ll=ll_cfg,
-        )
-        orc_cfg = OrchestratorConfig(
-            ephemeris_validity_s=orc["ephemeris_validity_s"],
-            auto_clear_k=orc["auto_clear_k"],
-            rt_poll_s=orc["rt_poll_s"],
-            nts_poll_s=orc["nts_poll_s"],
-            policy=TrustPolicy(),
-        )
+        return _build(AppConfig, mapping)
+    except ConfigFileError:
+        raise
     except Exception as e:
         raise ConfigFileError(f"invalid configuration: {e}") from e
-    return AppConfig(
-        detector=det_cfg,
-        ensemble=EnsembleConfig(
-            q_b=ens["q_b"],
-            q_d=ens["q_d"],
-            sigma_meas_s=ens["sigma_meas_s"],
-            gate_k=ens["gate_k"],
-        ),
-        orchestrator=orc_cfg,
-        calibration=CalibrationConfig(
-            scenario=cal["scenario"], far=cal["far"], margin=cal["margin"]
-        ),
-        providers=ProviderConfig(
-            roughtime_host=prov["roughtime_host"],
-            roughtime_port=prov["roughtime_port"],
-            roughtime_pubkey_b64=prov["roughtime_pubkey_b64"],
-            nts_ke_host=prov["nts_ke_host"],
-            nts_ke_port=prov["nts_ke_port"],
-            nts_ca_file=prov["nts_ca_file"],
-            timeout_s=prov["timeout_s"],
-        ),
-    )
 
 
 def dump_config(config: AppConfig) -> str:
-    """Canonical INI text: schema order, `key = value`, blank for unset."""
-    out = io.StringIO()
-    mapping = config_to_mapping(config)
-    for si, section in enumerate(_SCHEMA):
-        if si:
-            out.write("\n")
-        out.write(f"[{section}]\n")
-        for key in _SCHEMA[section]:
-            out.write(f"{key} = {mapping[section][key]}\n")
-    return out.getvalue()
+    """Canonical INI text: field order, `key = value`, blank for unset."""
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {text}\n" for key, text in entries.items())
+        for section, entries in config_to_mapping(config).items()
+    )
 
 
 def config_sha256(config: AppConfig) -> str:
     return hashlib.sha256(dump_config(config).encode()).hexdigest()
 
 
-def _read_ini(path: str) -> configparser.ConfigParser:
+def _overlay(texts: dict[str, dict], path: str, where: str = "") -> None:
+    """Set texts[section][key] from the INI file at `path`; both must be known."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -307,23 +208,21 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         raise ConfigFileError(f"cannot read {path}: {e}") from e
     except configparser.Error as e:
         raise ConfigFileError(f"malformed INI in {path}: {e}") from e
-    return parser
+    for section in parser.sections():
+        if section not in texts:
+            raise ConfigFileError(f"unknown section [{section}]{where}")
+        for key, text in parser.items(section):
+            if key not in texts[section]:
+                raise ConfigFileError(f"unknown key {section}.{key}{where}")
+            texts[section][key] = text
 
 
 def load_config(path: Optional[str] = None) -> AppConfig:
     """Defaults overlaid with the INI file at `path`, if given."""
-    base = config_to_mapping(default_config())
-    if path is None:
-        return mapping_to_config(base)
-    parser = _read_ini(path)
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigFileError(f"unknown section [{section}]")
-        for key, text in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigFileError(f"unknown key {section}.{key}")
-            base[section][key] = text
-    return mapping_to_config(base)
+    texts = config_to_mapping(default_config())
+    if path is not None:
+        _overlay(texts, path)
+    return mapping_to_config(texts)
 
 
 def apply_env(config: AppConfig, env: Mapping[str, str]) -> AppConfig:
@@ -350,67 +249,20 @@ def apply_env(config: AppConfig, env: Mapping[str, str]) -> AppConfig:
 
 # -- scenario files ----------------------------------------------------------
 
-_SCENARIO_SCHEMA = {
-    "scenario": {
-        "name": _S,
-        "duration_epochs": _I,
-        "epoch_period_s": _F,
-        "benign_jitter_sigma_s": _F,
-        "start_unix_s": _I,
-        "rt_radius_s": _F,
-        "rt_poll_epochs": _I,
-        "nts_poll_epochs": _I,
-        "seed": _I,
-    },
-    "attack": {
-        "kind": _S,
-        "offset_s": _F,
-        "onset_epoch": _I,
-        "every_k": _I,
-        "span_epochs": _I,
-    },
-    "network": {
-        "mode": _S,
-        "down_from_epoch": _I,
-        "down_to_epoch": _I,
-        "provider_bias_s": _F,
-        "nts_sigma_s": _F,
-        "rtt_min_s": _F,
-        "rtt_max_s": _F,
-    },
-}
+_SCENARIO_SECTIONS = {"scenario": ScenarioSpec, "attack": AttackSpec, "network": NetworkSpec}
 
 
 def load_scenario(name_or_path: str) -> ScenarioSpec:
-    """A bundled scenario by name, or an INI description by path."""
+    """A bundled scenario by name, or an INI description by path.
+
+    The file's sections and keys follow the same rule as the config's.
+    """
     table = builtin_scenarios()
     if name_or_path in table:
         return table[name_or_path]
-    parser = _read_ini(name_or_path)
-    if not parser.has_section("scenario"):
-        raise ConfigFileError(f"{name_or_path}: scenario file needs a [scenario] section")
-    values: dict[str, dict] = {"scenario": {}, "attack": {}, "network": {}}
-    for section in parser.sections():
-        if section not in _SCENARIO_SCHEMA:
-            raise ConfigFileError(f"unknown section [{section}] in scenario file")
-        for key, text in parser.items(section):
-            if key not in _SCENARIO_SCHEMA[section]:
-                raise ConfigFileError(f"unknown key {section}.{key} in scenario file")
-            kind = _SCENARIO_SCHEMA[section][key]
-            try:
-                values[section][key] = (
-                    int(text) if kind == _I else float(text) if kind == _F else text.strip()
-                )
-            except ValueError:
-                raise ConfigFileError(f"{section}.{key}: cannot parse {text!r}") from None
-    sc = values["scenario"]
-    if "name" not in sc or "duration_epochs" not in sc:
-        raise ConfigFileError("scenario file must set scenario.name and scenario.duration_epochs")
+    texts = {name: dict.fromkeys(_schema(cls)[0]) for name, cls in _SCENARIO_SECTIONS.items()}
+    _overlay(texts, name_or_path, " in scenario file")
     try:
-        return ScenarioSpec(
-            attack=AttackSpec(**values["attack"]),
-            network=NetworkSpec(**values["network"]),
-            **sc,
-        )
+        return _build(ScenarioSpec, texts, "scenario")
     except (TypeError, ValueError) as e:
         raise ConfigFileError(f"invalid scenario: {e}") from e

@@ -293,10 +293,6 @@ class LlDetectorState:
     def __post_init__(self) -> None:
         self.window = deque(maxlen=self.params.m)
 
-    @property
-    def warmed(self) -> bool:
-        return self.z is not None
-
 
 def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
     """Push one bias estimate; returns updated Z, or None while warming.

@@ -65,8 +65,6 @@ class EventKind(Enum):
 
 _VERDICT_KINDS = (EventKind.RT_VERDICT, EventKind.NTS_VERDICT, EventKind.LL_VERDICT)
 
-SOURCE_LABELS = ("gnss", "ensemble", "nts", "roughtime")
-
 SCHEDULE_RT = "schedule_poll:roughtime"
 SCHEDULE_NTS = "schedule_poll:nts"
 RESET_FILTER = "reset_filter:ensemble"
@@ -90,29 +88,11 @@ class Event:
 
 
 @dataclass(frozen=True)
-class TrustPolicy:
-    """GNSS, the most accurate source, serves while every test passes;
-    once it is suspect, trust descends ensemble, NTS, Roughtime.
-    """
-
-    configured: tuple = SOURCE_LABELS
-    trust_order: tuple = ("ensemble", "nts", "roughtime")
-
-    def __post_init__(self) -> None:
-        if not self.configured:
-            raise PolicyError("at least one source must be configured")
-        unknown = set(self.configured) - set(SOURCE_LABELS)
-        if unknown:
-            raise PolicyError(f"unknown source labels {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
 class OrchestratorConfig:
     ephemeris_validity_s: float = 4 * 3600.0
     auto_clear_k: int = 10
     rt_poll_s: float = 10.0
     nts_poll_s: float = 30.0
-    policy: TrustPolicy = field(default_factory=TrustPolicy)
 
     def __post_init__(self) -> None:
         if self.ephemeris_validity_s <= 0 or self.auto_clear_k < 1:
@@ -157,25 +137,13 @@ def outage_classify(duration_s: float, ephemeris_validity_s: float) -> OutageCla
     return OutageClass.SHORT if duration_s <= ephemeris_validity_s else OutageClass.LONG
 
 
-def trust_select(
-    summary: SourceSummary,
-    connectivity: Connectivity = Connectivity.ONLINE,
-    policy: TrustPolicy = TrustPolicy(),
-    force_suspect: bool = False,
-) -> str:
-    """Most accurate source when all tests pass, else most trusted clean one.
+def trust_select(summary: SourceSummary, force_suspect: bool = False) -> str:
+    """GNSS, the most accurate source, while every test passes; else the ensemble.
 
-    The ensemble sits inside the hardware boundary and stays eligible
-    offline; network sources need connectivity.  "none" means fail-safe.
+    The ensemble sits inside the hardware boundary, so it stays clean
+    whether or not the network is reachable.
     """
-    if not force_suspect and not summary.any_h1 and "gnss" in policy.configured:
-        return "gnss"
-    online = connectivity is Connectivity.ONLINE
-    clean = {"ensemble": True, "nts": online, "roughtime": online}
-    for label in policy.trust_order:
-        if label in policy.configured and clean.get(label, False):
-            return label
-    return "none"
+    return "ensemble" if force_suspect or summary.any_h1 else "gnss"
 
 
 def _update_summary(summary: SourceSummary, kind: EventKind, h: Hypothesis) -> SourceSummary:
@@ -267,15 +235,12 @@ def step(
             phase, summary, streak = _cleared(coarse)
 
     suspect = phase in (Phase.ALARM, Phase.RESET_PENDING)
-    active = trust_select(summary, connectivity, config.policy, force_suspect=suspect)
-    if active == "none":
-        actions.append(alert("no_clean_time_source"))
     new_state = replace(
         state,
         phase=phase,
         connectivity=connectivity,
         outage_started=outage,
-        active_time_source=active,
+        active_time_source=trust_select(summary, force_suspect=suspect),
         summary=summary,
         coarse_validated=coarse,
         clean_streak=streak,

@@ -218,13 +218,21 @@ def training_residuals(scenario: ScenarioSpec, config: AppConfig) -> np.ndarray:
     return residuals
 
 
-def resolve_ll(config: AppConfig) -> LlConfig:
-    """The ll parameters to run with; calibrates lambda_T if unset.
+def fit_ll(scenario: ScenarioSpec, config: AppConfig) -> tuple[LlConfig, LlConfig]:
+    """Fit the ll parameters on a benign scenario.
 
-    The fitted threshold is the benign quantile at the configured
-    false-alarm rate plus a safety margin, so routine operation stays
+    Returns the fit, whose threshold is the benign quantile at the
+    configured false-alarm rate, and the operational parameters, whose
+    threshold adds the safety margin so that routine operation stays
     quiet while the quantile itself remains available for analysis.
     """
+    residuals = training_residuals(scenario, config)
+    fitted = calibrate_ll(config.detector.ll, residuals, far=config.calibration.far)
+    return fitted, replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)
+
+
+def resolve_ll(config: AppConfig) -> LlConfig:
+    """The ll parameters to run with; calibrates lambda_T if unset."""
     ll = config.detector.ll
     if ll.lambda_T is not None:
         return ll
@@ -233,9 +241,7 @@ def resolve_ll(config: AppConfig) -> LlConfig:
         raise CalibrationNeeded(
             f"calibration scenario {config.calibration.scenario!r} is not bundled"
         )
-    residuals = training_residuals(table[config.calibration.scenario], config)
-    fitted = calibrate_ll(ll, residuals, far=config.calibration.far)
-    return replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)
+    return fit_ll(table[config.calibration.scenario], config)[1]
 
 
 # -- reports -----------------------------------------------------------------

@@ -142,17 +142,11 @@ def tls13_exporter(
     return hkdf_expand_label(derived, b"exporter", context_hash, length, hash_name)
 
 
-def nts_export_keys(
-    exporter_secret: bytes,
-    hash_name: str,
-    aead_id: int = AEAD_AES_SIV_CMAC_256,
-    protocol_id: int = NTPV4_PROTOCOL_ID,
-    key_len: int = 32,
-) -> tuple[bytes, bytes]:
-    """C2S and S2C keys per the RFC 8915 exporter context layout."""
-    base = struct.pack(">HH", protocol_id, aead_id)
-    c2s = tls13_exporter(exporter_secret, EXPORTER_LABEL, base + b"\x00", key_len, hash_name)
-    s2c = tls13_exporter(exporter_secret, EXPORTER_LABEL, base + b"\x01", key_len, hash_name)
+def nts_export_keys(exporter_secret: bytes, hash_name: str) -> tuple[bytes, bytes]:
+    """C2S and S2C AES-SIV-CMAC-256 keys per the RFC 8915 exporter context layout."""
+    base = struct.pack(">HH", NTPV4_PROTOCOL_ID, AEAD_AES_SIV_CMAC_256)
+    c2s = tls13_exporter(exporter_secret, EXPORTER_LABEL, base + b"\x00", 32, hash_name)
+    s2c = tls13_exporter(exporter_secret, EXPORTER_LABEL, base + b"\x01", 32, hash_name)
     return c2s, s2c
 
 
@@ -201,10 +195,10 @@ def decode_ke_records(data: bytes) -> list[KeRecord]:
     return records
 
 
-def build_ke_request(aead_id: int = AEAD_AES_SIV_CMAC_256) -> bytes:
+def build_ke_request() -> bytes:
     return (
         encode_ke_record(KE_NEXT_PROTO, struct.pack(">H", NTPV4_PROTOCOL_ID), True)
-        + encode_ke_record(KE_AEAD, struct.pack(">H", aead_id), True)
+        + encode_ke_record(KE_AEAD, struct.pack(">H", AEAD_AES_SIV_CMAC_256), True)
         + encode_ke_record(KE_END, b"", True)
     )
 
@@ -364,7 +358,6 @@ class NtsSession:
     cookies: list[bytes]
     host: str
     port: int = DEFAULT_NTP_PORT
-    aead_id: int = AEAD_AES_SIV_CMAC_256
     server_id: str = "nts"
 
     def cookie_count(self) -> int:
@@ -427,7 +420,7 @@ def build_nts_request(
 
 
 def parse_nts_response(
-    session: NtsSession, request: NtsRequest, data: bytes, era: int = 0
+    session: NtsSession, request: NtsRequest, data: bytes
 ) -> tuple[Timestamp, Timestamp, list[bytes]]:
     """Authenticate a reply; returns (T2, T3, new cookies)."""
     version, mode, _origin, recv64, tx64 = parse_ntp_header(data)
@@ -452,7 +445,7 @@ def parse_nts_response(
     new_cookies = [
         ef_body for ef_type, ef_body, _s, _e in iter_efs(plaintext, 0) if ef_type == EF_COOKIE
     ]
-    return unpack_ntp64(recv64, era), unpack_ntp64(tx64, era), new_cookies
+    return unpack_ntp64(recv64), unpack_ntp64(tx64), new_cookies
 
 
 Transport = Callable[[bytes], bytes]
@@ -476,7 +469,6 @@ def nts_query(
     mono: Callable[[], MonotonicInstant] = MonotonicInstant.now,
     target_cookies: int = 8,
     timeout_s: float = 1.0,
-    era: int = 0,
 ) -> NtsMeasurement:
     """One authenticated time transfer; restocks the cookie queue."""
     if transport is None:
@@ -490,7 +482,7 @@ def nts_query(
         raise UnreachableError(f"no reply from {session.host}:{session.port}") from e
     t4 = clock_utc()
     t_mono_rx = mono()
-    t2, t3, new_cookies = parse_nts_response(session, request, reply, era)
+    t2, t3, new_cookies = parse_nts_response(session, request, reply)
     session.cookies.extend(new_cookies)
     theta, delta = offset_delay(request.t1, t2, t3, t4)
     return NtsMeasurement(theta, delta, t_mono_rx, session.server_id)
@@ -511,7 +503,6 @@ class NtsKeConfig:
     ca_file: Optional[str] = None
     server_name: Optional[str] = None
     timeout_s: float = 5.0
-    aead_id: int = AEAD_AES_SIV_CMAC_256
 
 
 def nts_ke_handshake(
@@ -531,7 +522,7 @@ def nts_ke_handshake(
                 ) as tls:
                     if tls.selected_alpn_protocol() != NTS_KE_ALPN:
                         raise HandshakeError("server did not select the NTS-KE ALPN")
-                    tls.sendall(build_ke_request(config.aead_id))
+                    tls.sendall(build_ke_request())
                     records = read_ke_records(tls)
                     cipher_name = tls.cipher()[0]
         except ssl.SSLError as e:
@@ -539,15 +530,14 @@ def nts_ke_handshake(
         except (ConnectionError, socket.timeout, TimeoutError, OSError) as e:
             raise UnreachableError(f"cannot reach {host}:{port}: {e}") from e
         secret = exporter_secret_from_keylog(ctx.keylog_filename)
-    aead_id, cookies, ntp_host, ntp_port = parse_ke_response(records, config.aead_id)
-    c2s, s2c = nts_export_keys(secret, hash_for_cipher(cipher_name), aead_id)
+    _, cookies, ntp_host, ntp_port = parse_ke_response(records, AEAD_AES_SIV_CMAC_256)
+    c2s, s2c = nts_export_keys(secret, hash_for_cipher(cipher_name))
     return NtsSession(
         c2s=c2s,
         s2c=s2c,
         cookies=cookies,
         host=ntp_host or host,
         port=ntp_port or DEFAULT_NTP_PORT,
-        aead_id=aead_id,
         server_id=f"{host}:{port}",
     )
 
@@ -789,9 +779,7 @@ class NtsTestServer:
             with ctx.wrap_socket(conn, server_side=True) as tls:
                 read_ke_records(tls)
                 secret = exporter_secret_from_keylog(keylog)
-                c2s, s2c = nts_export_keys(
-                    secret, hash_for_cipher(tls.cipher()[0]), self.offer_aead_id
-                )
+                c2s, s2c = nts_export_keys(secret, hash_for_cipher(tls.cipher()[0]))
                 out = encode_ke_record(KE_NEXT_PROTO, struct.pack(">H", NTPV4_PROTOCOL_ID), True)
                 out += encode_ke_record(KE_AEAD, struct.pack(">H", self.offer_aead_id), True)
                 out += encode_ke_record(KE_PORT, struct.pack(">H", self.ntp_port), False)

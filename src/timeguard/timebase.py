@@ -84,9 +84,6 @@ class SignedDuration:
         return self.units >= other.units
 
 
-ZERO_DURATION = SignedDuration(0)
-
-
 @dataclass(frozen=True)
 class Timestamp:
     """UTC-scale instant: signed seconds since the Unix epoch + 2^-64 s fraction.
@@ -136,9 +133,6 @@ class Timestamp:
         Exact round trip with from_ns for |ns| up to 2^62.
         """
         return _round_fraction(Fraction(self.to_units() * NS_PER_S, FRAC_UNIT))
-
-    def to_float_s(self) -> float:
-        return self.to_units() / FRAC_UNIT
 
     # -- ordering ----------------------------------------------------------
 
@@ -200,9 +194,6 @@ class MonotonicInstant:
 
     def __ge__(self, other: "MonotonicInstant") -> bool:
         return self.nanoseconds >= other.nanoseconds
-
-    def elapsed_since(self, earlier: "MonotonicInstant") -> SignedDuration:
-        return SignedDuration.from_ns(self.nanoseconds - earlier.nanoseconds)
 
     def elapsed_s(self, earlier: "MonotonicInstant") -> float:
         return (self.nanoseconds - earlier.nanoseconds) / NS_PER_S

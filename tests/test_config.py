@@ -1,6 +1,7 @@
 """Tests for layered configuration and scenario files."""
 
 import configparser
+import dataclasses
 
 import pytest
 
@@ -25,6 +26,60 @@ def write(tmp_path, text, name="tg.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# The dump's sha256 is embedded in every report.json, so its key order and
+# value spelling are part of the output format.
+DEFAULT_DUMP = """\
+[detector]
+rt_radius_max_s = 10.0
+max_age_s = 60.0
+nts_lambda_s = 0.00014999999999999996
+nts_sigma_k = 3.0
+
+[ll]
+alpha = 0.9
+m = 30
+lambda_t = 
+mode = gaussian
+polarity = neg-ll
+mu0 = 0.0
+sigma0_sq = 
+sigma2_floor = 1e-18
+
+[ensemble]
+q_b = 1e-21
+q_d = 1e-24
+sigma_meas_s = 1e-08
+gate_k = 3.0
+
+[orchestrator]
+ephemeris_validity_s = 14400.0
+auto_clear_k = 10
+rt_poll_s = 10.0
+nts_poll_s = 30.0
+
+[calibration]
+scenario = benign_cal
+far = 0.001
+margin = 5.0
+
+[providers]
+roughtime_host = 
+roughtime_port = 2002
+roughtime_pubkey_b64 = 
+nts_ke_host = 
+nts_ke_port = 4460
+nts_ca_file = 
+timeout_s = 1.0
+"""
+
+
+def test_default_dump_pinned():
+    assert dump_config(default_config()) == DEFAULT_DUMP
+    assert config_sha256(default_config()) == (
+        "dc898467a49dd92782678ac53094d67f78e4effec39eec626467894e31295ddd"
+    )
 
 
 def test_defaults_round_trip(tmp_path):
@@ -162,6 +217,47 @@ def test_load_scenario_file(tmp_path):
     assert spec.attack.kind == "step"
     assert spec.attack.offset_s == 2.0
     assert spec.network.mode == "always_on"
+
+
+def scenario_ini(spec):
+    """Every scalar field of spec and its attack and network, by the file rule."""
+    lines = []
+    for section, obj in (("scenario", spec), ("attack", spec.attack), ("network", spec.network)):
+        lines.append(f"[{section}]")
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if not dataclasses.is_dataclass(value):
+                lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def shifted(obj):
+    """obj with every number moved and its name, if it has one, suffixed."""
+    changes = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, int):
+            changes[f.name] = value + 1
+        elif isinstance(value, float):
+            changes[f.name] = value * 2 + 1e-3
+    if hasattr(obj, "name"):
+        changes["name"] = obj.name + "-shifted"
+    return dataclasses.replace(obj, **changes)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_scenario_file_round_trip(tmp_path, name):
+    spec = builtin_scenarios()[name]
+    moved = shifted(dataclasses.replace(
+        spec, attack=shifted(spec.attack), network=shifted(spec.network)))
+    for want in (spec, moved):
+        assert load_scenario(write(tmp_path, scenario_ini(want), "scn.ini")) == want
+    # every key was read: each scalar of the moved copy differs from the bundled one
+    for new, old in ((moved, spec), (moved.attack, spec.attack), (moved.network, spec.network)):
+        for f in dataclasses.fields(old):
+            if f.name in ("kind", "mode") or dataclasses.is_dataclass(getattr(old, f.name)):
+                continue
+            assert getattr(new, f.name) != getattr(old, f.name), f.name
 
 
 def test_load_scenario_missing_section(tmp_path):

@@ -353,7 +353,7 @@ def test_ll_step_warmup_then_verdicts():
     assert outs[:4] == [None] * 4
     assert isinstance(outs[4], Verdict)
     assert outs[4].test == "ll"
-    assert state.warmed
+    assert state.z is not None
 
 
 def test_ll_state_seeds_from_first_window():

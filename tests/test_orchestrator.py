@@ -20,7 +20,6 @@ from timeguard.orchestrator import (
     Phase,
     PolicyError,
     SourceSummary,
-    TrustPolicy,
     initial_state,
     outage_classify,
     replay,
@@ -240,38 +239,11 @@ def test_trust_all_clean_is_gnss():
 
 
 def test_trust_flagged_prefers_ensemble():
-    summary = SourceSummary(last_nts=Hypothesis.H1)
-    assert trust_select(summary, Connectivity.ONLINE) == "ensemble"
-    assert trust_select(summary, Connectivity.OFFLINE) == "ensemble"
-
-
-def test_trust_without_ensemble_falls_to_network():
-    policy = TrustPolicy(configured=("gnss", "nts", "roughtime"))
-    summary = SourceSummary(last_rt=Hypothesis.H1)
-    assert trust_select(summary, Connectivity.ONLINE, policy) == "nts"
-    assert trust_select(summary, Connectivity.OFFLINE, policy) == "none"
-
-
-def test_trust_roughtime_last_resort():
-    policy = TrustPolicy(configured=("gnss", "roughtime"))
-    summary = SourceSummary(last_rt=Hypothesis.H1)
-    assert trust_select(summary, Connectivity.ONLINE, policy) == "roughtime"
-
-
-def test_no_clean_source_alerts():
-    policy = TrustPolicy(configured=("gnss", "nts"))
-    config = OrchestratorConfig(policy=policy)
-    state, _ = run([ev(EventKind.NETWORK_DOWN, 0)], config)
-    state, actions = step(state, ev(EventKind.RT_VERDICT, 1, "rt", Hypothesis.H1), config)
-    assert state.active_time_source == "none"
-    assert "alert:no_clean_time_source" in actions
+    assert trust_select(SourceSummary(last_nts=Hypothesis.H1)) == "ensemble"
+    assert trust_select(SourceSummary(), force_suspect=True) == "ensemble"
 
 
 def test_policy_validation():
-    with pytest.raises(PolicyError):
-        TrustPolicy(configured=())
-    with pytest.raises(PolicyError):
-        TrustPolicy(configured=("gnss", "sundial"))
     with pytest.raises(PolicyError):
         OrchestratorConfig(auto_clear_k=0)
     with pytest.raises(PolicyError):

@@ -136,7 +136,7 @@ def test_reset_clears_history():
         ll_epoch(c, 1e-6, mono(float(i)))
     c.reset(mono(50.0))
     assert c.kf.bias == 0.0
-    assert not c.ll_state.warmed
+    assert c.ll_state.z is None
     assert ll_epoch(c, 0.0, mono(51.0)) is None
 
 

@@ -1,13 +1,15 @@
-"""Every public top-level name in timeguard has a caller outside the tests.
+"""Every public name in timeguard has a caller outside the tests.
 
-A function or class that only its own tests reach is dead weight: it has
-to be read, kept in step and tested, and nothing the monitor does depends
-on it.  This test parses ``src/timeguard/*.py`` and requires each public
-top-level ``def`` and ``class`` to be named somewhere in the package, in
-``scripts/`` or in ``perfbench/`` outside its own definition.  A name
-counts as named when it appears as an identifier, an attribute, an
-imported name, or a string constant that is exactly that name or a dotted
-path ending in it (the benchmark looks its spans up by string).
+A function, class or method that only its own tests reach is dead weight:
+it has to be read, kept in step and tested, and nothing the monitor does
+depends on it.  This test parses ``src/timeguard/*.py`` and requires each
+public top-level ``def`` and ``class``, and each public method or property
+of those classes, to be named somewhere in the package, in ``scripts/`` or
+in ``perfbench/`` outside its own definition.  A name counts as named when
+it appears as an identifier, an attribute, an imported name, or a string
+constant that is exactly that name or a dotted path ending in it (the
+benchmark looks its spans up by string).  Methods are matched by bare
+name, so a method shares its callers with every same-named one.
 """
 
 import ast
@@ -38,6 +40,16 @@ KEEP = {
     "event_to_json",
     "event_from_json",
     "replay",
+    # the socket side of the in-process test servers, kept for a test of
+    # the live path against loopback Roughtime and NTS servers
+    "NtsTestServer.start_ke",
+    "NtsTestServer.stop",
+    "RoughtimeTestServer.start_udp",
+    "RoughtimeTestServer.stop",
+    # the filter state from a full 2x2 covariance, with the symmetry check
+    # a matrix needs; the tests compare the closed-form filter to the
+    # matrix form with it
+    "ClockKfState.from_arrays",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -64,22 +76,30 @@ def _names(node: ast.AST, skip: ast.AST = None) -> set:
     return out
 
 
+def _public(nodes):
+    return [n for n in nodes
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")]
+
+
 def _public_definitions():
+    """(path, tree, node, qualified name) of each public def, class and method."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield path, tree, node
+        for node in _public(tree.body):
+            yield path, tree, node, node.name
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    yield path, tree, method, f"{node.name}.{method.name}"
 
 
 def _uncalled() -> set:
     used = {path: _names(ast.parse(path.read_text(), filename=str(path))) for path in CALLER_FILES}
     missing = set()
-    for path, tree, node in _public_definitions():
+    for path, tree, node, qualname in _public_definitions():
         if any(node.name in names for p, names in used.items() if p != path):
             continue
         if node.name not in _names(tree, skip=node):
-            missing.add(node.name)
+            missing.add(qualname)
     return missing
 
 
@@ -89,7 +109,7 @@ def test_every_public_name_has_a_runtime_caller():
 
 
 def test_keep_set_lists_only_names_that_need_it():
-    defined = {node.name for _, _, node in _public_definitions()}
+    defined = {qualname for *_, qualname in _public_definitions()}
     assert KEEP <= defined, f"kept names that no longer exist: {sorted(KEEP - defined)}"
     called = KEEP - _uncalled()
     assert not called, f"kept names that now have a caller: {sorted(called)}"

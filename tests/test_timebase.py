@@ -103,13 +103,12 @@ def test_negative_quarter_second_representation():
     t = Timestamp.from_units(-(FRAC_UNIT // 4))
     assert t.seconds == -1
     assert t.fraction == 3 * FRAC_UNIT // 4
-    assert t.to_float_s() == -0.25
+    assert t.to_units() / FRAC_UNIT == -0.25
 
 
 def test_monotonic_elapsed():
     a = MonotonicInstant(1_000)
     b = MonotonicInstant(3_500)
-    assert b.elapsed_since(a).to_ns() == 2500
     assert b.elapsed_s(a) == 2.5e-6
     assert a < b
 
