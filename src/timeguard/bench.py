@@ -13,7 +13,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 

@@ -19,7 +19,6 @@ import numpy as np
 from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
 from .config import AppConfig, EnsembleConfig
 from .detector import (
-    DetectorConfig,
     Hypothesis,
     LlConfig,
     LlDetectorState,

@@ -233,9 +233,9 @@ def _uint16_list(body: bytes) -> list[int]:
 
 
 def parse_ke_response(
-    records: Sequence[KeRecord], wanted_aead: int
-) -> tuple[int, list[bytes], Optional[str], Optional[int]]:
-    """Validate the negotiation result; returns (aead, cookies, host, port)."""
+    records: Sequence[KeRecord],
+) -> tuple[list[bytes], Optional[str], Optional[int]]:
+    """Validate the negotiation result; returns (cookies, host, port)."""
     next_proto: Optional[list[int]] = None
     aead: Optional[list[int]] = None
     cookies: list[bytes] = []
@@ -263,11 +263,11 @@ def parse_ke_response(
             raise HandshakeError(f"unknown critical record type {rec.rec_type}")
     if next_proto != [NTPV4_PROTOCOL_ID]:
         raise NegotiationError(f"next protocol {next_proto} is not NTPv4")
-    if aead != [wanted_aead]:
-        raise NegotiationError(f"server offered AEAD {aead}, wanted [{wanted_aead}]")
+    if aead != [AEAD_AES_SIV_CMAC_256]:
+        raise NegotiationError(f"server offered AEAD {aead}, wanted [{AEAD_AES_SIV_CMAC_256}]")
     if not cookies:
         raise HandshakeError("handshake yielded zero cookies")
-    return wanted_aead, cookies, host, port
+    return cookies, host, port
 
 
 # -- NTP packet layer -------------------------------------------------------
@@ -280,7 +280,7 @@ def pack_ntp64(ts: Timestamp) -> int:
 
 def unpack_ntp64(word: int, era: int = 0) -> Timestamp:
     sec = (word >> 32) - NTP_UNIX_DELTA + era * (1 << 32)
-    return Timestamp(sec, (word & 0xFFFFFFFF) << 32)
+    return Timestamp.from_parts(sec, (word & 0xFFFFFFFF) << 32)
 
 
 _HEADER = struct.Struct(">BBBb3I4Q")
@@ -530,7 +530,7 @@ def nts_ke_handshake(
         except (ConnectionError, socket.timeout, TimeoutError, OSError) as e:
             raise UnreachableError(f"cannot reach {host}:{port}: {e}") from e
         secret = exporter_secret_from_keylog(ctx.keylog_filename)
-    _, cookies, ntp_host, ntp_port = parse_ke_response(records, AEAD_AES_SIV_CMAC_256)
+    cookies, ntp_host, ntp_port = parse_ke_response(records)
     c2s, s2c = nts_export_keys(secret, hash_for_cipher(cipher_name))
     return NtsSession(
         c2s=c2s,

@@ -78,10 +78,10 @@ def json_float(obj: dict, key: str) -> float:
 def epoch_from_json(obj: dict) -> EpochRecord:
     """The EpochRecord of one decoded feed line; FeedError if it is malformed."""
     try:
-        t_gnss = obj["t_gnss"]
+        gnss = obj["t_gnss"]
         return EpochRecord(
             t_mono=MonotonicInstant(json_int(obj, "t_mono_ns")),
-            t_gnss=Timestamp(json_int(t_gnss, "sec"), json_int(t_gnss, "frac", text=True)),
+            t_gnss=Timestamp.from_parts(json_int(gnss, "sec"), json_int(gnss, "frac", text=True)),
             fix_valid=json_flag(obj, "fix_valid"),
             leap_applied=json_flag(obj, "leap_applied"),
             clock_bias_ns=(None if obj.get("clock_bias_ns") is None

@@ -281,8 +281,8 @@ def test_criterion_6_nts_round_trip_tamper_cookies_and_offset_math():
         remaining = list(values)
         return lambda: remaining.pop(0)
 
-    t1, t4 = Timestamp(100, 0), Timestamp(100, 3 << 61)
-    t2, t3 = Timestamp(101, 1 << 62), Timestamp(101, 1 << 63)
+    t1, t4 = Timestamp.from_unix_s(100), Timestamp.from_parts(100, 3 << 61)
+    t2, t3 = Timestamp.from_parts(101, 1 << 62), Timestamp.from_parts(101, 1 << 63)
     server = NtsTestServer(clock=fixed([t2, t3]))
     session = server.mint_session()
     m = nts_query(
@@ -319,7 +319,7 @@ def test_criterion_6_nts_round_trip_tamper_cookies_and_offset_math():
     ]
     def ts(x):
         seconds = int(x)
-        return Timestamp(seconds, round((x - seconds) * 2**64))
+        return Timestamp.from_parts(seconds, round((x - seconds) * 2**64))
     for stamps, (theta_want, delta_want) in quadruples:
         theta, delta = offset_delay(*(ts(x) for x in stamps))
         assert theta.to_s() == theta_want  # exact

@@ -9,7 +9,6 @@ from timeguard.attack_sim import builtin_scenarios
 from timeguard.config import (
     ENV_NTS_ADDR,
     ENV_ROUGHTIME_ADDR,
-    AppConfig,
     CalibrationConfig,
     ConfigFileError,
     EnsembleConfig,

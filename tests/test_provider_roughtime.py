@@ -25,7 +25,6 @@ from timeguard.provider_roughtime import (
     CodecError,
     DelegationWindowError,
     MerkleError,
-    ResponseSignatureError,
     RoughtimeError,
     RoughtimeMeasurement,
     RoughtimeServerKey,
@@ -321,7 +320,7 @@ def test_polls_repeating_a_certificate_verify_it_once(monkeypatch):
 def test_measurement_rejects_negative_radius():
     with pytest.raises(ValueError):
         RoughtimeMeasurement(
-            Timestamp(0), SignedDuration(-1), "x", MonotonicInstant(0)
+            Timestamp.from_unix_s(0), SignedDuration(-1), "x", MonotonicInstant(0)
         )
 
 

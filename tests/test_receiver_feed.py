@@ -16,7 +16,7 @@ from timeguard.timebase import MonotonicInstant, Timestamp
 def test_json_round_trip_exact():
     rec = EpochRecord(
         t_mono=MonotonicInstant(123456789),
-        t_gnss=Timestamp(1689182889, (1 << 63) + 12345),
+        t_gnss=Timestamp.from_parts(1689182889, (1 << 63) + 12345),
         fix_valid=True,
         leap_applied=False,
         clock_bias_ns=-42,
@@ -26,7 +26,7 @@ def test_json_round_trip_exact():
 
 
 def test_json_fraction_is_string():
-    rec = EpochRecord(MonotonicInstant(1), Timestamp(0, 2**64 - 1), True)
+    rec = EpochRecord(MonotonicInstant(1), Timestamp.from_parts(0, 2**64 - 1), True)
     obj = json.loads(epoch_to_json(rec))
     assert obj["t_gnss"]["frac"] == str(2**64 - 1)
 
@@ -50,6 +50,12 @@ MALFORMED = [
     {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": 1},
     # nor is a boolean a number: int(True) would be 1
     {"t_mono_ns": True, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    # the fraction must lie in [0, 2^64): out of range it would carry into sec
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "18446744073709551616"}, "fix_valid": True,
+     "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": 18446744073709551616}, "fix_valid": True,
+     "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "-1"}, "fix_valid": True, "leap_applied": True},
 ]
 
 
@@ -66,7 +72,7 @@ def feed_epochs(*t_mono_s):
     """Epoch records one second of GNSS time apart, read back from their feed lines."""
     return [
         epoch_from_json(json.loads(epoch_to_json(
-            EpochRecord(MonotonicInstant(t * 10**9), Timestamp(1_689_120_000 + i), True)
+            EpochRecord(MonotonicInstant(t * 10**9), Timestamp.from_unix_s(1_689_120_000 + i), True)
         )))
         for i, t in enumerate(t_mono_s)
     ]
