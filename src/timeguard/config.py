@@ -43,9 +43,7 @@ class EnsembleConfig:
 
     @property
     def oscillator(self) -> OscillatorSpec:
-        return OscillatorSpec(
-            label="configured", q_b=self.q_b, q_d=self.q_d, sigma_meas=self.sigma_meas_s
-        )
+        return OscillatorSpec(q_b=self.q_b, q_d=self.q_d, sigma_meas=self.sigma_meas_s)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .receiver_feed import EpochRecord
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
 
@@ -33,10 +32,6 @@ class DetectorError(Exception):
 
 class StalenessError(DetectorError):
     """Measurement is older than the configured maximum age."""
-
-
-class PairingError(DetectorError):
-    """No GNSS epoch close enough to pair with a remote measurement."""
 
 
 class ConfigError(DetectorError):
@@ -55,7 +50,6 @@ class Hypothesis(Enum):
 DEFAULT_RT_RADIUS_MAX = SignedDuration.from_s(10)
 DEFAULT_MAX_AGE_S = 60.0
 DEFAULT_SIGMA2_FLOOR = 1e-18  # (1 ns)^2, below the benign noise floor
-DEFAULT_PAIRING_GAP_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -365,37 +359,6 @@ def calibrate_ll(
     zs = [z for b in arr if (z := ll_advance(state, float(b))) is not None]
     lam = calibrate_ll_threshold(zs, fitted.polarity, far)
     return replace(fitted, lambda_T=lam)
-
-
-# -- pairing ----------------------------------------------------------------
-
-
-def pair_epoch(
-    epochs: Sequence[EpochRecord],
-    target: MonotonicInstant,
-    drift: float = 0.0,
-    max_gap_s: float = DEFAULT_PAIRING_GAP_S,
-) -> Timestamp:
-    """GNSS time at a remote measurement's arrival instant.
-
-    Picks the valid-fix epoch nearest in monotonic time (ties to the
-    earlier one) and extrapolates its UTC linearly across the gap at
-    rate 1 + drift.
-    """
-    best: Optional[EpochRecord] = None
-    best_gap = 0
-    for epoch in epochs:
-        if not epoch.fix_valid:
-            continue
-        gap = abs(target.nanoseconds - epoch.t_mono.nanoseconds)
-        if best is None or gap < best_gap:
-            best, best_gap = epoch, gap
-    if best is None:
-        raise PairingError("no valid-fix epoch available")
-    if best_gap > max_gap_s * 1e9:
-        raise PairingError(f"nearest epoch {best_gap / 1e9:.3f} s away exceeds {max_gap_s} s")
-    dt_s = (target.nanoseconds - best.t_mono.nanoseconds) / 1e9
-    return ts_add(best.t_gnss, SignedDuration.from_s(dt_s * (1.0 + drift)))
 
 
 # -- serialization ----------------------------------------------------------

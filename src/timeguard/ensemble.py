@@ -4,8 +4,7 @@ Tracks the offset between the GNSS-disciplined timescale and one or more
 local precision oscillators.  The state is [bias (s), drift (s/s)] driven
 by white-FM and random-walk-FM process noise; innovation gating rejects
 measurements outside the predicted confidence band so a pulled GNSS
-solution cannot quietly steer the local estimate.  Also provides an
-overlapping Allan deviation for calibrating the noise densities.
+solution cannot quietly steer the local estimate.
 
 The filter observes the bias only (H = [1, 0]), so prediction and the
 Joseph-form update are written out in closed form on the three distinct
@@ -17,12 +16,10 @@ through the closed-form smallest eigenvalue of the 2x2 matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .timebase import MonotonicInstant
 
 DEFAULT_GATE_K = 3.0
 # relative tolerance for the symmetric-PSD state invariant
@@ -30,7 +27,7 @@ PSD_RTOL = 1e-12
 
 
 class EnsembleError(Exception):
-    """Base class for filter and calibration failures."""
+    """Base class for filter failures."""
 
 
 class FilterDomainError(EnsembleError):
@@ -38,11 +35,7 @@ class FilterDomainError(EnsembleError):
 
 
 class MeasurementError(EnsembleError):
-    """Non-finite or wrongly shaped measurement input."""
-
-
-class CalibrationError(EnsembleError):
-    """Not enough data for the requested Allan deviation points."""
+    """A measurement that is not one finite number, or a negative variance."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,6 @@ class OscillatorSpec:
     Defaults describe an OCXO-class reference.
     """
 
-    label: str = "ocxo"
     q_b: float = 1e-21
     q_d: float = 1e-24
     sigma_meas: float = 10e-9
@@ -95,11 +87,7 @@ def _check_psd(p00: float, p01: float, p11: float) -> None:
 
 @dataclass(frozen=True, slots=True)
 class ClockKfState:
-    """Filter state: x = [bias (s), drift (s/s)], P = [[p00, p01], [p01, p11]].
-
-    Built with scalars by the filter; `from_arrays` builds one from an
-    x vector and a full P matrix.
-    """
+    """Filter state: x = [bias (s), drift (s/s)], P = [[p00, p01], [p01, p11]]."""
 
     bias: float
     drift: float
@@ -108,35 +96,11 @@ class ClockKfState:
     p11: float
     q_b: float = DEFAULT_OSCILLATOR.q_b
     q_d: float = DEFAULT_OSCILLATOR.q_d
-    last_update: MonotonicInstant = field(default_factory=lambda: MonotonicInstant(0))
 
     def __post_init__(self) -> None:
         if not (self.q_b >= 0 and self.q_d >= 0):
             raise FilterDomainError("process noise densities must be >= 0")
         _check_psd(self.p00, self.p01, self.p11)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        x,
-        P,
-        q_b: float = DEFAULT_OSCILLATOR.q_b,
-        q_d: float = DEFAULT_OSCILLATOR.q_d,
-        last_update: MonotonicInstant | None = None,
-    ) -> ClockKfState:
-        """State from x = [bias, drift] and a symmetric 2x2 covariance P."""
-        x = np.array(x, dtype=float).reshape(2)
-        P = np.array(P, dtype=float).reshape(2, 2)
-        if not np.all(np.isfinite(P)):
-            raise FilterDomainError("covariance has non-finite entries")
-        if abs(P[0, 1] - P[1, 0]) > PSD_RTOL * max(1.0, float(np.max(np.abs(P)))):
-            raise FilterDomainError("covariance not symmetric")
-        return cls(
-            float(x[0]), float(x[1]),
-            float(P[0, 0]), float(0.5 * (P[0, 1] + P[1, 0])), float(P[1, 1]),
-            q_b, q_d,
-            last_update if last_update is not None else MonotonicInstant(0),
-        )
 
     @property
     def x(self) -> np.ndarray:
@@ -159,13 +123,11 @@ def kf_init(
     drift: float = 0.0,
     bias_sigma: float = 1e-6,
     drift_sigma: float = 1e-9,
-    at: MonotonicInstant | None = None,
 ) -> ClockKfState:
     """Fresh state with a diagonal prior; used after coarse validation."""
     return ClockKfState(
         float(bias), float(drift), float(bias_sigma**2), 0.0, float(drift_sigma**2),
         spec.q_b, spec.q_d,
-        at if at is not None else MonotonicInstant(0),
     )
 
 
@@ -179,11 +141,10 @@ def kf_predict(state: ClockKfState, tau: float) -> ClockKfState:
     # F = [[1, tau], [0, 1]]; a and b are the first row of F P
     a = state.p00 + tau * state.p01
     b = state.p01 + tau * state.p11
-    advanced = MonotonicInstant(state.last_update.nanoseconds + round(tau * 1e9))
     return ClockKfState(
         state.bias + tau * state.drift, state.drift,
         a + b * tau + q00, b + q01, state.p11 + q11,
-        state.q_b, state.q_d, advanced,
+        state.q_b, state.q_d,
     )
 
 
@@ -194,24 +155,6 @@ class KfUpdate(NamedTuple):
     S: float
 
 
-def _one_number(v) -> float | None:
-    if isinstance(v, (float, int)):
-        return float(v)
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    return float(arr[0]) if arr.shape == (1,) else None
-
-
-def _measurement_model(z, r_meas) -> tuple[float, float]:
-    z_f, r_f = _one_number(z), _one_number(r_meas)
-    if z_f is None or r_f is None:
-        raise MeasurementError(f"need one bias and its variance, got {z!r} and {r_meas!r}")
-    if not math.isfinite(z_f):
-        raise MeasurementError(f"non-finite measurement {z!r}")
-    if not (math.isfinite(r_f) and r_f >= 0):
-        raise MeasurementError(f"bad measurement variance {r_meas!r}")
-    return z_f, r_f
-
-
 def kf_update(
     state: ClockKfState,
     z: float,
@@ -220,8 +163,10 @@ def kf_update(
 ) -> KfUpdate:
     """Gated measurement update.
 
-    z is a measured bias (s) and r_meas its variance.  The update is
-    applied only if the innovation z - bias lies within gate_k standard
+    z is a measured bias (s) and r_meas its variance, each an int or a
+    float (numpy.float64 is one); anything else, a non-finite value or a
+    negative variance raises MeasurementError.  The update is applied
+    only if the innovation z - bias lies within gate_k standard
     deviations of its predicted spread, sqrt(S) with S = p00 + r_meas;
     otherwise the state is returned unchanged with accepted=False.
 
@@ -232,7 +177,11 @@ def kf_update(
     """
     if not (math.isfinite(gate_k) and gate_k >= 0):
         raise MeasurementError(f"gate_k must be finite and >= 0, got {gate_k}")
-    z, r = _measurement_model(z, r_meas)
+    if not (isinstance(z, (int, float)) and math.isfinite(z)):
+        raise MeasurementError(f"need one finite bias, got {z!r}")
+    if not (isinstance(r_meas, (int, float)) and math.isfinite(r_meas) and r_meas >= 0):
+        raise MeasurementError(f"need one finite variance >= 0, got {r_meas!r}")
+    z, r = float(z), float(r_meas)
     p00, p01 = state.p00, state.p01
     innovation = z - state.bias
     S = p00 + r
@@ -250,40 +199,7 @@ def kf_update(
             a * p00 * a + k0 * r * k0,
             c * a + k1 * r * k0,
             state.p11 - k1 * p01 - c * k1 + k1 * r * k1,
-            state.q_b, state.q_d, state.last_update,
+            state.q_b, state.q_d,
         ),
         True, innovation, S,
     )
-
-
-def allan_deviation(
-    bias_series: Sequence[float],
-    sample_period: float,
-    taus: Sequence[float],
-) -> np.ndarray:
-    """Overlapping Allan deviation of a phase (bias) series at given taus.
-
-    Each tau must be a whole multiple of sample_period and small enough
-    that at least one second difference exists.
-    """
-    x = np.asarray(bias_series, dtype=float)
-    tau0 = float(sample_period)
-    if tau0 <= 0:
-        raise CalibrationError(f"sample period must be > 0, got {tau0}")
-    n = x.shape[0]
-    out = np.empty(len(taus))
-    for i, tau in enumerate(taus):
-        m = int(round(tau / tau0))
-        if m < 1 or abs(m * tau0 - tau) > 1e-9 * max(tau, tau0):
-            raise CalibrationError(f"tau {tau} is not a positive multiple of {tau0}")
-        if n - 2 * m < 1:
-            raise CalibrationError(f"series of {n} samples too short for tau {tau}")
-        d2 = x[2 * m :] - 2.0 * x[m : n - m] + x[: n - 2 * m]
-        out[i] = math.sqrt(float(np.sum(d2 * d2)) / (2.0 * m * m * tau0 * tau0 * (n - 2 * m)))
-    return out
-
-
-def analytic_adev(q_b: float, q_d: float, taus) -> np.ndarray:
-    """Model Allan deviation for the white-FM + RW-FM pair used by the filter."""
-    t = np.asarray(taus, dtype=float)
-    return np.sqrt(q_b / t + q_d * t / 3.0)

@@ -203,12 +203,9 @@ def step(
             if streak >= config.auto_clear_k:
                 phase, summary, streak = _cleared(coarse)
                 actions.append(alert("auto_clear"))
-        elif kind is EventKind.RT_VERDICT and phase is Phase.COLD_START:
-            phase = Phase.COARSE_VALIDATED
-            coarse = True
-            actions += [RESET_FILTER, SCHEDULE_NTS]
-        elif kind is EventKind.NTS_VERDICT and phase is Phase.COLD_START:
-            # Roughtime unreachable: the tighter NTS bound covers coarse too
+        elif kind is not EventKind.LL_VERDICT and phase is Phase.COLD_START:
+            # the first network H0; from NTS when Roughtime is unreachable,
+            # since the tighter NTS bound covers coarse too
             phase = Phase.COARSE_VALIDATED
             coarse = True
             actions += [RESET_FILTER, SCHEDULE_NTS]

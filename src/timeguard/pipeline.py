@@ -72,10 +72,10 @@ class FilterChain:
     _last: Optional[MonotonicInstant] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        self.reset(MonotonicInstant(0))
+        self.reset()
 
-    def reset(self, at: MonotonicInstant) -> None:
-        self.kf = kf_init(self.ensemble.oscillator, at=at)
+    def reset(self) -> None:
+        self.kf = kf_init(self.ensemble.oscillator)
         self.ll_state = LlDetectorState(params=self.ll_params)
         self._last = None
 
@@ -136,7 +136,7 @@ class Monitor:
         self.state, actions = advance(self.state, event, self.config.orchestrator,
                                       self.on_transition)
         if RESET_FILTER in actions:
-            self.chain.reset(event.t_mono)
+            self.chain.reset()
         if event.verdict is not None and self.on_verdict is not None:
             self.on_verdict(event.verdict)
 

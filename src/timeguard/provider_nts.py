@@ -180,8 +180,8 @@ def encode_ke_record(rec_type: int, body: bytes, critical: bool) -> bytes:
     return struct.pack(">HH", word, len(body)) + body
 
 
-def decode_ke_records(data: bytes) -> list[KeRecord]:
-    records = []
+def decode_ke_records(data: bytes) -> Iterator[KeRecord]:
+    """The records in data, in order; HandshakeError where data ends inside one."""
     pos = 0
     while pos < len(data):
         if len(data) - pos < 4:
@@ -190,9 +190,8 @@ def decode_ke_records(data: bytes) -> list[KeRecord]:
         pos += 4
         if len(data) - pos < blen:
             raise HandshakeError("truncated NTS-KE record body")
-        records.append(KeRecord(word & 0x7FFF, bool(word & KE_CRITICAL), data[pos : pos + blen]))
+        yield KeRecord(word & 0x7FFF, bool(word & KE_CRITICAL), data[pos : pos + blen])
         pos += blen
-    return records
 
 
 def build_ke_request() -> bytes:
@@ -204,26 +203,21 @@ def build_ke_request() -> bytes:
 
 
 def read_ke_records(sock) -> list[KeRecord]:
-    """Read records from a stream until End of Message."""
+    """Read records from a stream through End of Message; bytes after it are ignored."""
     buf = b""
-    records = []
     while True:
-        while len(buf) < 4:
-            chunk = sock.recv(4096)
-            if not chunk:
-                raise HandshakeError("connection closed before End of Message")
-            buf += chunk
-        word, blen = struct.unpack(">HH", buf[:4])
-        while len(buf) < 4 + blen:
-            chunk = sock.recv(4096)
-            if not chunk:
-                raise HandshakeError("connection closed mid-record")
-            buf += chunk
-        rec = KeRecord(word & 0x7FFF, bool(word & KE_CRITICAL), buf[4 : 4 + blen])
-        buf = buf[4 + blen :]
-        records.append(rec)
-        if rec.rec_type == KE_END:
-            return records
+        chunk = sock.recv(4096)
+        if not chunk:
+            raise HandshakeError("connection closed before End of Message")
+        buf += chunk
+        records = []
+        try:
+            for rec in decode_ke_records(buf):
+                records.append(rec)
+                if rec.rec_type == KE_END:
+                    return records
+        except HandshakeError:
+            pass  # buf ends inside a record: read on
 
 
 def _uint16_list(body: bytes) -> list[int]:

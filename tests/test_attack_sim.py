@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from adev import allan_deviation, analytic_adev
 from timeguard.attack_sim import (
     PRNG_ID,
     AttackSpec,
@@ -24,12 +25,7 @@ from timeguard.attack_sim import (
     write_epochs_jsonl,
     write_truth_csv,
 )
-from timeguard.ensemble import (
-    DEFAULT_OSCILLATOR,
-    OscillatorSpec,
-    allan_deviation,
-    analytic_adev,
-)
+from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec
 from timeguard.receiver_feed import epoch_from_json
 from timeguard.timebase import SignedDuration, Timestamp, ts_add, ts_diff
 
@@ -94,7 +90,7 @@ def test_meacon_delay_negative_offset():
 
 
 def test_oscillator_noiseless_integration():
-    quiet = OscillatorSpec(label="ideal", q_b=0.0, q_d=0.0, sigma_meas=1e-9)
+    quiet = OscillatorSpec(q_b=0.0, q_d=0.0, sigma_meas=1e-9)
     bias = simulate_oscillator(quiet, 10, 1.0, seed=5, bias0=1.0, drift0=0.5)
     assert np.array_equal(bias, 1.0 + 0.5 * np.arange(10))
 

@@ -16,7 +16,6 @@ from timeguard.detector import (
     Hypothesis,
     LlConfig,
     LlDetectorState,
-    PairingError,
     StalenessError,
     Verdict,
     WarmupSignal,
@@ -26,7 +25,6 @@ from timeguard.detector import (
     ll_step,
     ll_test,
     nts_test,
-    pair_epoch,
     roughtime_test,
     verdict_from_json,
     verdict_to_json,
@@ -34,14 +32,7 @@ from timeguard.detector import (
 )
 from timeguard.provider_nts import NtsMeasurement
 from timeguard.provider_roughtime import RoughtimeMeasurement
-from timeguard.receiver_feed import EpochRecord
-from timeguard.timebase import (
-    MonotonicInstant,
-    SignedDuration,
-    Timestamp,
-    ts_add,
-    ts_diff,
-)
+from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
 
 T_GNSS = Timestamp.from_unix_s(1_689_120_000)
 MONO0 = MonotonicInstant(0)
@@ -441,51 +432,6 @@ def test_ll_config_validation():
         DetectorConfig(rt_radius_max=SignedDuration(0))
     with pytest.raises(ConfigError):
         DetectorConfig(nts_sigma_k=0.0)
-
-
-# -- pairing ----------------------------------------------------------------
-
-
-def epoch(t_mono_s, unix_s, fix_valid=True):
-    return EpochRecord(
-        MonotonicInstant(int(t_mono_s * 1e9)), Timestamp.from_unix_s(unix_s), fix_valid
-    )
-
-
-def test_pair_nearest_and_extrapolate():
-    epochs = [epoch(i, 1_000_000_000 + i) for i in range(5)]
-    t = pair_epoch(epochs, MonotonicInstant(int(1.4e9)))
-    assert ts_diff(t, epochs[1].t_gnss).to_s() == pytest.approx(0.4, abs=1e-12)
-
-
-def test_pair_drift_scales_gap():
-    epochs = [epoch(i, 1_000_000_000 + i) for i in range(5)]
-    t = pair_epoch(epochs, MonotonicInstant(int(1.4e9)), drift=1e-6)
-    assert ts_diff(t, epochs[1].t_gnss).to_s() == pytest.approx(0.4 * (1 + 1e-6), abs=1e-12)
-
-
-def test_pair_tie_prefers_earlier():
-    epochs = [epoch(1, 1_000_000_001), epoch(2, 1_000_000_012)]  # later epoch inconsistent
-    t = pair_epoch(epochs, MonotonicInstant(int(1.5e9)))
-    assert ts_diff(t, epochs[0].t_gnss).to_s() == pytest.approx(0.5, abs=1e-12)
-
-
-def test_pair_skips_invalid_fixes():
-    epochs = [epoch(0, 1_000_000_000), epoch(1, 1_000_000_001, fix_valid=False)]
-    t = pair_epoch(epochs, MonotonicInstant(int(1.1e9)))
-    assert ts_diff(t, epochs[0].t_gnss).to_s() == pytest.approx(1.1, abs=1e-12)
-
-
-def test_pair_gap_too_large():
-    with pytest.raises(PairingError):
-        pair_epoch([epoch(0, 1_000_000_000)], MonotonicInstant(int(10e9)))
-
-
-def test_pair_no_valid_epochs():
-    with pytest.raises(PairingError):
-        pair_epoch([], MonotonicInstant(0))
-    with pytest.raises(PairingError):
-        pair_epoch([epoch(0, 1_000_000_000, fix_valid=False)], MonotonicInstant(0))
 
 
 # -- serialization ----------------------------------------------------------

@@ -38,7 +38,7 @@ DEFAULT = default_config()
 # ll pinned to its calibration, so no run calibrates again
 CFG = replace(DEFAULT, detector=replace(DEFAULT.detector, ll=resolve_ll(DEFAULT)))
 
-QUIET = OscillatorSpec(label="ideal", q_b=0.0, q_d=0.0, sigma_meas=1e-9)
+QUIET = OscillatorSpec(q_b=0.0, q_d=0.0, sigma_meas=1e-9)
 
 
 def mono(s):
@@ -134,7 +134,7 @@ def test_reset_clears_history():
     c = chain()
     for i in range(50):
         ll_epoch(c, 1e-6, mono(float(i)))
-    c.reset(mono(50.0))
+    c.reset()
     assert c.kf.bias == 0.0
     assert c.ll_state.z is None
     assert ll_epoch(c, 0.0, mono(51.0)) is None

@@ -41,6 +41,7 @@ from timeguard.provider_nts import (
     offset_delay,
     pack_ntp64,
     parse_ke_response,
+    read_ke_records,
     siv_open,
     siv_seal,
     tls13_exporter,
@@ -140,7 +141,7 @@ def test_nts_export_keys_distinct_and_sized():
 @settings(max_examples=150)
 def test_ke_record_roundtrip(records):
     blob = b"".join(encode_ke_record(t, b, c) for t, b, c in records)
-    assert decode_ke_records(blob) == [KeRecord(t, c, b) for t, b, c in records]
+    assert list(decode_ke_records(blob)) == [KeRecord(t, c, b) for t, b, c in records]
 
 
 def make_response(aead=AEAD_AES_SIV_CMAC_256, cookies=3, extra=()):
@@ -184,9 +185,59 @@ def test_parse_ke_response_unknown_critical():
 
 
 def test_build_ke_request_parses_back():
-    recs = decode_ke_records(build_ke_request())
+    recs = list(decode_ke_records(build_ke_request()))
     assert [r.rec_type for r in recs] == [1, 4, 0]
     assert all(r.critical for r in recs)
+
+
+class FakeStream:
+    """A socket whose recv hands out `data` `step` bytes at a time, then b""."""
+
+    def __init__(self, data, step=4096):
+        self.data, self.step, self.reads = data, step, 0
+
+    def recv(self, bufsize):
+        chunk = self.data[: min(self.step, bufsize)]
+        self.data = self.data[len(chunk) :]
+        self.reads += 1
+        return chunk
+
+
+RESPONSE = b"".join(encode_ke_record(r.rec_type, r.body, r.critical) for r in make_response())
+
+
+def test_read_ke_records_one_byte_per_recv():
+    stream = FakeStream(RESPONSE, step=1)
+    assert read_ke_records(stream) == make_response()
+    assert stream.reads == len(RESPONSE)
+
+
+@pytest.mark.parametrize("trailer", [
+    b"\x00",  # inside a header
+    encode_ke_record(5, b"cookie", False)[:7],  # inside a body
+    encode_ke_record(5, b"cookie", False),  # a whole record
+])
+def test_read_ke_records_ignores_bytes_after_end_of_message(trailer):
+    assert read_ke_records(FakeStream(RESPONSE + trailer)) == make_response()
+    assert read_ke_records(FakeStream(RESPONSE + trailer, step=5)) == make_response()
+
+
+@pytest.mark.parametrize("cut", [1, 3, 4, 6, len(RESPONSE) - 2])
+def test_read_ke_records_close_inside_a_record_is_refused(cut):
+    # 1 and 3 end inside the first header, 4 and 6 inside its body, the last inside END's header
+    with pytest.raises(HandshakeError):
+        read_ke_records(FakeStream(RESPONSE[:cut]))
+    with pytest.raises(HandshakeError):
+        read_ke_records(FakeStream(RESPONSE[:cut], step=1))
+
+
+def test_read_ke_records_close_before_end_of_message_is_refused():
+    without_end = RESPONSE[:-4]
+    assert list(decode_ke_records(without_end)) == make_response()[:-1]
+    with pytest.raises(HandshakeError):
+        read_ke_records(FakeStream(without_end))
+    with pytest.raises(HandshakeError):
+        read_ke_records(FakeStream(b""))
 
 
 # -- NTP timestamps and thetas ----------------------------------------------

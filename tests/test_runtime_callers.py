@@ -5,11 +5,16 @@ it has to be read, kept in step and tested, and nothing the monitor does
 depends on it.  This test parses ``src/timeguard/*.py`` and requires each
 public top-level ``def`` and ``class``, and each public method or property
 of those classes, to be named somewhere in the package, in ``scripts/`` or
-in ``perfbench/`` outside its own definition.  A name counts as named when
-it appears as an identifier, an attribute, an imported name, or a string
-constant that is exactly that name or a dotted path ending in it (the
-benchmark looks its spans up by string).  Methods are matched by bare
-name, so a method shares its callers with every same-named one.
+in ``perfbench/`` outside its own definition.  A function or class counts
+as named when it appears as an identifier, an attribute, an imported name,
+or a string constant that is exactly that name or a dotted path ending in
+it (the benchmark looks its spans up by string).  A method or property
+counts only when it is accessed as an attribute (``obj.name``) or named in
+such a string: a local variable or an import of the same name is not a
+call.  Two blind spots remain.  The receiver's type is unknown to the
+syntax tree, so a method shares its callers with every same-named method
+of another class; and dunder methods, which the interpreter calls, are
+not checked at all.
 """
 
 import ast
@@ -24,17 +29,10 @@ CALLER_FILES = sorted(
 
 # Public names that stay without a runtime caller, each for a reason.
 KEEP = {
-    # GNSS time at a remote measurement's arrival instant; the live path
-    # needs it to compare Roughtime and NTS against GNSS, not the host clock
-    "pair_epoch",
-    # the oracle the tests check the simulator's oscillator against
-    "allan_deviation",
-    "analytic_adev",
     # readers that pin the format of each runtime writer
     "bench_from_json",
     "report_from_json",
     "transition_from_json",
-    "decode_ke_records",
     # the event log: its JSON pair, for an events.jsonl replay artifact, and
     # replay(), which acceptance criterion 7 runs a recorded log through
     "event_to_json",
@@ -46,34 +44,34 @@ KEEP = {
     "NtsTestServer.stop",
     "RoughtimeTestServer.start_udp",
     "RoughtimeTestServer.stop",
-    # the filter state from a full 2x2 covariance, with the symmetry check
-    # a matrix needs; the tests compare the closed-form filter to the
-    # matrix form with it
-    "ClockKfState.from_arrays",
+    # criterion 4 reads the matrix views
+    "ClockKfState.x",
+    "ClockKfState.P",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
-def _names(node: ast.AST, skip: ast.AST = None) -> set:
-    """Every name node mentions, leaving out the subtree `skip`."""
-    out = set()
+def _names(node: ast.AST, skip: ast.AST = None) -> tuple:
+    """(every name node mentions, those it names as an attribute or a string),
+    leaving out the subtree `skip`."""
+    bare, reached = set(), set()
     stack = [node]
     while stack:
         n = stack.pop()
         if n is skip:
             continue
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            bare.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            reached.add(n.attr)
         elif isinstance(n, ast.alias):
-            out.add(n.name.rsplit(".", 1)[-1])
+            bare.add(n.name.rsplit(".", 1)[-1])
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             if _DOTTED.fullmatch(n.value):
-                out.add(n.value.rsplit(".", 1)[-1])
+                reached.add(n.value.rsplit(".", 1)[-1])
         stack.extend(ast.iter_child_nodes(n))
-    return out
+    return bare | reached, reached
 
 
 def _public(nodes):
@@ -96,9 +94,10 @@ def _uncalled() -> set:
     used = {path: _names(ast.parse(path.read_text(), filename=str(path))) for path in CALLER_FILES}
     missing = set()
     for path, tree, node, qualname in _public_definitions():
-        if any(node.name in names for p, names in used.items() if p != path):
+        kind = 0 if qualname == node.name else 1  # a method needs obj.name or a string
+        if any(node.name in names[kind] for p, names in used.items() if p != path):
             continue
-        if node.name not in _names(tree, skip=node):
+        if node.name not in _names(tree, skip=node)[kind]:
             missing.add(qualname)
     return missing
 
