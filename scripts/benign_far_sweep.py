@@ -18,7 +18,7 @@ from scipy.stats import binom
 from timeguard.attack_sim import builtin_scenarios
 from timeguard.config import apply_env, load_config
 from timeguard.detector import Hypothesis
-from timeguard.pipeline import fit_ll, run_named_scenario
+from timeguard.pipeline import fit_ll, run_scenario
 
 
 def main() -> int:
@@ -38,7 +38,7 @@ def main() -> int:
     worst = float("-inf")
     for seed in args.seeds:
         spec = replace(base, name=f"benign10k-s{seed}", seed=seed)
-        _, result = run_named_scenario(spec, pinned)
+        _, result = run_scenario(spec, pinned)
         stats = [v.statistic for v in result.verdicts if v.test == "ll"]
         exceed = sum(s >= fitted.lambda_T for s in stats)
         bound = int(binom.ppf(0.95, len(stats), far))

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from timeguard.config import apply_env, config_sha256, load_config, load_scenario
-from timeguard.pipeline import run_named_scenario, write_transitions_jsonl, write_verdicts_csv
+from timeguard.pipeline import run_scenario, write_transitions_jsonl, write_verdicts_csv
 
 
 def main() -> int:
@@ -25,7 +25,7 @@ def main() -> int:
 
     config = apply_env(load_config(args.config), os.environ)
     spec = load_scenario(args.scenario)
-    outputs, result = run_named_scenario(spec, config, config_hash=config_sha256(config))
+    outputs, result = run_scenario(spec, config, config_hash=config_sha256(config))
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,20 +5,22 @@ remote-provider measurements, and additive attack profiles (step,
 incremental, smooth pull, meaconing delay) with exact ground truth.
 Every stream derives from a counter-based PRNG keyed by the scenario
 seed plus a per-component index, so identical specs yield byte-identical
-outputs; the algorithm identifier travels in the output headers.
+outputs; the algorithm identifier travels in the output headers.  The
+specs import no numpy; generation loads it.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, TextIO
 
 from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise_cov
-from .provider_nts import NtsMeasurement
-from .provider_roughtime import RoughtimeMeasurement
-from .receiver_feed import EpochRecord, epoch_to_json
+from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement, epoch_to_json
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRNG_ID = "numpy-philox4x64-10"
 
@@ -129,6 +131,8 @@ def attack_offset(attack: AttackSpec, epoch: int) -> float:
 
 def _chol2(q: np.ndarray) -> np.ndarray:
     """Lower-triangular square root of a 2x2 PSD matrix, zeros allowed."""
+    import numpy as np
+
     a, b, c = q[0, 0], q[0, 1], q[1, 1]
     if a <= 0.0:
         return np.array([[0.0, 0.0], [0.0, math.sqrt(max(c, 0.0))]])
@@ -150,6 +154,8 @@ def simulate_oscillator(
     Uses the same discrete Q(tau) as the tracking filter, so simulated
     truth and filter assumptions agree exactly.
     """
+    import numpy as np
+
     if n < 1:
         raise SpecValidationError("need at least one epoch")
     rng = seed if isinstance(seed, np.random.Generator) else _stream(seed, _STREAM_OSCILLATOR)
@@ -166,6 +172,8 @@ def simulate_oscillator(
 
 
 def _stream(seed: int, component: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=[seed, component]))
 
 
@@ -189,6 +197,8 @@ def network_available(spec: ScenarioSpec, epoch: int) -> bool:
 
 def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
     """Expand a spec into epoch records and scripted provider responses."""
+    import numpy as np
+
     n = spec.duration_epochs
     period = spec.epoch_period_s
     start = Timestamp.from_unix_s(spec.start_unix_s)

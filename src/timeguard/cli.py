@@ -6,6 +6,11 @@ real network providers (`live`), fitting detection thresholds
 (`calibrate`), timing the crypto hot paths (`bench-crypto`), and
 printing the effective configuration (`config dump`).
 
+The provider clients and the crypto benchmark, which load cryptography
+and ssl, are imported only by the commands that run them, so `live` with
+scripted replies and a fitted [ll] section starts without them, and
+without numpy, which only scenario generation and calibration load.
+
 Exit codes are a stable contract: 0 means the run completed with no
 attack indication, 2 means at least one detector raised H1, and 1 means
 the tool itself failed (bad usage, unreadable files, broken feed).
@@ -25,7 +30,6 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from .attack_sim import gen_scenario, write_epochs_jsonl, write_truth_csv
-from .bench import BenchUsageError, bench_to_json, format_table, run_bench
 from .config import (
     AppConfig,
     ConfigFileError,
@@ -42,21 +46,21 @@ from .pipeline import (
     Monitor,
     fit_ll,
     report_to_json,
-    run_named_scenario,
+    run_scenario,
     verdict_csv_row,
     write_transitions_jsonl,
     write_verdicts_csv,
     write_verdicts_jsonl,
 )
-from .provider_nts import (
-    NtsKeConfig,
+from .receiver_feed import (
     NtsMeasurement,
-    estimate_server_sigma,
-    nts_ke_handshake,
-    nts_query,
+    RoughtimeMeasurement,
+    epoch_from_json,
+    json_flag,
+    json_float,
+    json_int,
+    json_text,
 )
-from .provider_roughtime import RoughtimeMeasurement, RoughtimeServerKey, poll
-from .receiver_feed import epoch_from_json, json_flag, json_float, json_int
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
 EXIT_CLEAN = 0
@@ -138,7 +142,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_scenario(args.scenario)
     if args.seed_override is not None:
         spec = replace(spec, seed=args.seed_override)
-    outputs, result = run_named_scenario(spec, config, config_hash=config_sha256(config))
+    outputs, result = run_scenario(spec, config, config_hash=config_sha256(config))
     report = result.report
 
     out = _out_dir(args)
@@ -178,6 +182,8 @@ def _rt_poller(config: AppConfig):
     prov = config.providers
     if not prov.roughtime_host:
         return None
+    from .provider_roughtime import RoughtimeServerKey, poll
+
     key = RoughtimeServerKey(
         public_key=base64.b64decode(prov.roughtime_pubkey_b64),
         host=prov.roughtime_host,
@@ -190,6 +196,8 @@ def _nts_poller(config: AppConfig):
     prov = config.providers
     if not prov.nts_ke_host:
         return None
+    from .provider_nts import NtsKeConfig, nts_ke_handshake, nts_query
+
     sessions: dict = {}
 
     def query() -> NtsMeasurement:
@@ -205,7 +213,7 @@ def _scripted_rt(obj: dict) -> RoughtimeMeasurement:
     return RoughtimeMeasurement(
         midpoint=Timestamp.from_ns(json_int(obj, "midpoint_unix_ns")),
         radius=SignedDuration.from_s(json_float(obj, "radius_s")),
-        server_id=str(obj.get("source_id", "rt-feed")),
+        server_id=json_text(obj, "source_id", "rt-feed"),
         t_mono_rx=MonotonicInstant(json_int(obj, "t_mono_ns")),
     )
 
@@ -215,7 +223,7 @@ def _scripted_nts(obj: dict) -> NtsMeasurement:
         offset=SignedDuration.from_s(json_float(obj, "offset_s")),
         delay=SignedDuration.from_s(json_float(obj, "delay_s")),
         t_mono_rx=MonotonicInstant(json_int(obj, "t_mono_ns")),
-        server_id=str(obj.get("source_id", "nts-feed")),
+        server_id=json_text(obj, "source_id", "nts-feed"),
     )
 
 
@@ -344,6 +352,8 @@ def cmd_live(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from .provider_nts import estimate_server_sigma
+
     config = _effective_config(args)
     name = args.scenario if args.scenario is not None else config.calibration.scenario
     spec = load_scenario(name)
@@ -387,6 +397,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_crypto(args: argparse.Namespace) -> int:
+    from .bench import BenchUsageError, bench_to_json, format_table, run_bench
+
     try:
         report = run_bench(iterations=args.iterations)
     except BenchUsageError as e:

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
 
@@ -212,6 +210,8 @@ def _window_moments(
         raise WarmupSignal(f"window has {n} of 2 samples")
     if sigma0_sq is not None:
         return sum(window) / n, max(sigma0_sq, sigma2_floor)
+    import numpy as np
+
     arr = np.asarray(window, dtype=np.float64)
     return float(arr.mean()), max(float(arr.var(ddof=1)), sigma2_floor)
 
@@ -330,6 +330,8 @@ def calibrate_ll_threshold(
     z_values: Sequence[float], polarity: str = "neg-ll", far: float = 1e-3
 ) -> float:
     """Empirical (1 - far) quantile of the statistic over a benign run."""
+    import numpy as np
+
     if not 0.0 < far < 1.0:
         raise ConfigError(f"false-alarm rate {far} outside (0, 1)")
     if len(z_values) * far < 1.0:
@@ -351,6 +353,8 @@ def calibrate_ll(
     Two passes: reference moments first, then the statistic quantile
     under those moments.
     """
+    import numpy as np
+
     arr = np.asarray(benign_biases, dtype=np.float64)
     if arr.size < params.m:
         raise ConfigError(f"need at least m={params.m} benign samples")

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GATE_K = 3.0
 # relative tolerance for the symmetric-PSD state invariant
@@ -68,6 +69,8 @@ def _process_noise(q_b: float, q_d: float, tau: float) -> tuple[float, float, fl
 
 def process_noise_cov(q_b: float, q_d: float, tau: float) -> np.ndarray:
     """Exact discretization of the continuous white-FM + RW-FM model over tau."""
+    import numpy as np
+
     q00, q01, q11 = _process_noise(q_b, q_d, tau)
     return np.array([[q00, q01], [q01, q11]])
 
@@ -105,6 +108,8 @@ class ClockKfState:
     @property
     def x(self) -> np.ndarray:
         """[bias, drift], read-only."""
+        import numpy as np
+
         x = np.array([self.bias, self.drift])
         x.setflags(write=False)
         return x
@@ -112,6 +117,8 @@ class ClockKfState:
     @property
     def P(self) -> np.ndarray:
         """The 2x2 covariance, read-only."""
+        import numpy as np
+
         P = np.array([[self.p00, self.p01], [self.p01, self.p11]])
         P.setflags(write=False)
         return P
@@ -177,10 +184,15 @@ def kf_update(
     """
     if not (math.isfinite(gate_k) and gate_k >= 0):
         raise MeasurementError(f"gate_k must be finite and >= 0, got {gate_k}")
-    if not (isinstance(z, (int, float)) and math.isfinite(z)):
-        raise MeasurementError(f"need one finite bias, got {z!r}")
-    if not (isinstance(r_meas, (int, float)) and math.isfinite(r_meas) and r_meas >= 0):
-        raise MeasurementError(f"need one finite variance >= 0, got {r_meas!r}")
+    try:
+        ok = (isinstance(z, (int, float)) and math.isfinite(z)
+              and isinstance(r_meas, (int, float)) and math.isfinite(r_meas) and r_meas >= 0)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise MeasurementError(
+            f"need one finite bias and one finite variance >= 0, got {z!r} and {r_meas!r}"
+        )
     z, r = float(z), float(r_meas)
     p00, p01 = state.p00, state.p01
     innovation = z - state.bias

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
 from .config import AppConfig, EnsembleConfig
@@ -43,10 +41,12 @@ from .orchestrator import (
     initial_state,
     transition_to_json,
 )
-from .provider_nts import NtsMeasurement
-from .provider_roughtime import RoughtimeMeasurement
-from .receiver_feed import EpochRecord
+from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement
 from .timebase import MonotonicInstant, Timestamp, ts_diff
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class CalibrationNeeded(Exception):
     """The ll threshold is unset and no calibration source was given."""
@@ -207,6 +207,8 @@ class Monitor:
 
 def training_residuals(scenario: ScenarioSpec, config: AppConfig) -> np.ndarray:
     """Filter innovations from a benign run, for threshold fitting."""
+    import numpy as np
+
     outputs = gen_scenario(scenario)
     chain = FilterChain(ensemble=config.ensemble,
                         ll_params=replace(config.detector.ll, lambda_T=None))
@@ -350,9 +352,18 @@ def build_report(outputs: SimOutputs, result: PipelineResult, config_hash: str) 
     )
 
 
-def run_scenario(outputs: SimOutputs, config: AppConfig) -> PipelineResult:
-    """Replay simulator output through the full detection stack."""
-    spec = outputs.spec
+def run_scenario(
+    scenario: ScenarioSpec | str,
+    config: AppConfig,
+    config_hash: str = "",
+) -> tuple[SimOutputs, PipelineResult]:
+    """Generate a scenario, bundled by name or given as a spec, and replay
+    it through the full detection stack; attaches the scored report.
+
+    The Monitor, and with it any ll calibration, comes before generation,
+    so a run that calibrates loads numpy in set-up, not in the replay.
+    """
+    spec = scenario if isinstance(scenario, ScenarioSpec) else builtin_scenarios()[scenario]
     verdicts, transitions, events = [], [], []
 
     def record(event: Event, transition: TransitionRecord) -> None:
@@ -360,6 +371,9 @@ def run_scenario(outputs: SimOutputs, config: AppConfig) -> PipelineResult:
         transitions.append(transition)
 
     monitor = Monitor(config, on_verdict=verdicts.append, on_transition=record)
+    outputs = gen_scenario(spec)
+    import numpy as np
+
     xhat = np.empty(len(outputs.epochs))
     innovations = np.empty(len(outputs.epochs))
     for e, rec in enumerate(outputs.epochs):
@@ -372,7 +386,7 @@ def run_scenario(outputs: SimOutputs, config: AppConfig) -> PipelineResult:
             monitor.nts(outputs.nts_responses[e], t)
         monitor.tick(t)
 
-    return PipelineResult(
+    result = PipelineResult(
         verdicts=verdicts,
         transitions=transitions,
         events=events,
@@ -380,21 +394,6 @@ def run_scenario(outputs: SimOutputs, config: AppConfig) -> PipelineResult:
         xhat_bias_s=xhat,
         innovation_s=innovations,
     )
-
-
-def run_named_scenario(
-    name_or_spec,
-    config: AppConfig,
-    config_hash: str = "",
-) -> tuple[SimOutputs, PipelineResult]:
-    """Generate and replay in one call; attaches the scored report."""
-    spec = (
-        name_or_spec
-        if isinstance(name_or_spec, ScenarioSpec)
-        else builtin_scenarios()[name_or_spec]
-    )
-    outputs = gen_scenario(spec)
-    result = run_scenario(outputs, config)
     result.report = build_report(outputs, result, config_hash)
     return outputs, result
 

@@ -29,6 +29,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESSIV
 
+from .receiver_feed import NtsMeasurement
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_diff
 
 NTS_KE_ALPN = "ntske/1"
@@ -356,20 +357,6 @@ class NtsSession:
 
     def cookie_count(self) -> int:
         return len(self.cookies)
-
-
-@dataclass(frozen=True)
-class NtsMeasurement:
-    """Authenticated offset/delay sample; built only from verified replies."""
-
-    offset: SignedDuration
-    delay: SignedDuration
-    t_mono_rx: MonotonicInstant
-    server_id: str
-
-    def __post_init__(self) -> None:
-        if self.delay.units < 0:
-            raise ValueError("round-trip delay must be non-negative")
 
 
 def offset_delay(

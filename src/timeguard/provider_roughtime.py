@@ -3,8 +3,8 @@
 Implements the tag-value wire codec, request building, and the full
 response verification chain: delegation certificate signature, signed
 response signature, Merkle inclusion of the request nonce, and the
-delegation validity window.  A measurement object exists only after all
-four checks pass.  A delegation certificate is verified once per
+delegation validity window.  The client returns a measurement only
+after all four checks pass.  A delegation certificate is verified once per
 long-term key and reused while later responses repeat its bytes; the
 response signature, Merkle path and validity window are checked on every
 poll.  The wire constants are those of IETF draft 07.
@@ -27,6 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .receiver_feed import RoughtimeMeasurement
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
 MAGIC = b"ROUGHTIM"
@@ -114,23 +115,6 @@ class RoughtimeServerKey:
     @property
     def fingerprint(self) -> str:
         return sha512(self.public_key).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class RoughtimeMeasurement:
-    """Authenticated coarse time: true time lies in midpoint +/- radius.
-
-    Only verify_response constructs this, after the full check chain.
-    """
-
-    midpoint: Timestamp
-    radius: SignedDuration
-    server_id: str
-    t_mono_rx: MonotonicInstant
-
-    def __post_init__(self) -> None:
-        if self.radius.units < 0:
-            raise ValueError("radius must be non-negative")
 
 
 # -- tag-value codec --------------------------------------------------------

@@ -1,9 +1,13 @@
-"""GNSS receiver time-solution epochs and their JSONL feed record.
+"""The monitor's input records: receiver epochs and Roughtime and NTS replies.
 
 An EpochRecord is the object every detector tests: the receiver's UTC
 solution at full 2^-64 s resolution, stamped with the local monotonic
 instant it arrived at.  simulate writes one JSON object per epoch and
-live reads the same record back, one feed line at a time.
+live reads the same record back, one feed line at a time.  A
+RoughtimeMeasurement or NtsMeasurement is a reply from a network time
+provider, whether a client verified it, the simulator scripted it or a
+feed line carried it.  This module imports no crypto, so the engine
+can take these records without loading the provider clients.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .timebase import MonotonicInstant, Timestamp
+from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
 
 class FeedError(Exception):
@@ -29,6 +33,44 @@ class EpochRecord:
     leap_applied: bool = True
     clock_bias_ns: Optional[int] = None
     source_id: str = "gnss"
+
+
+@dataclass(frozen=True)
+class RoughtimeMeasurement:
+    """Coarse time from a Roughtime server: true time lies in midpoint +/- radius.
+
+    The Roughtime client builds one only after verify_response's full
+    check chain; the simulator and live's scripted rt lines build them
+    from their own inputs.
+    """
+
+    midpoint: Timestamp
+    radius: SignedDuration
+    server_id: str
+    t_mono_rx: MonotonicInstant
+
+    def __post_init__(self) -> None:
+        if self.radius.units < 0:
+            raise ValueError("radius must be non-negative")
+
+
+@dataclass(frozen=True)
+class NtsMeasurement:
+    """Offset/delay sample from an NTS server.
+
+    The NTS client builds one only from a reply whose authenticator
+    verified; the simulator and live's scripted nts lines build them
+    from their own inputs.
+    """
+
+    offset: SignedDuration
+    delay: SignedDuration
+    t_mono_rx: MonotonicInstant
+    server_id: str
+
+    def __post_init__(self) -> None:
+        if self.delay.units < 0:
+            raise ValueError("round-trip delay must be non-negative")
 
 
 def epoch_to_json(rec: EpochRecord) -> str:
@@ -75,6 +117,14 @@ def json_float(obj: dict, key: str) -> float:
     return float(value)
 
 
+def json_text(obj: dict, key: str, default: str) -> str:
+    """obj[key] if it is a JSON string, default if key is absent; TypeError otherwise."""
+    value = obj.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def epoch_from_json(obj: dict) -> EpochRecord:
     """The EpochRecord of one decoded feed line; FeedError if it is malformed."""
     try:
@@ -86,7 +136,7 @@ def epoch_from_json(obj: dict) -> EpochRecord:
             leap_applied=json_flag(obj, "leap_applied"),
             clock_bias_ns=(None if obj.get("clock_bias_ns") is None
                            else json_int(obj, "clock_bias_ns")),
-            source_id=str(obj.get("source_id", "gnss")),
+            source_id=json_text(obj, "source_id", "gnss"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FeedError(f"malformed epoch record: {e}") from None

@@ -34,7 +34,7 @@ from timeguard.orchestrator import (
     step,
     transition_to_json,
 )
-from timeguard.pipeline import resolve_ll, run_named_scenario, training_residuals
+from timeguard.pipeline import resolve_ll, run_scenario, training_residuals
 from timeguard.provider_nts import (
     EF_COOKIE,
     NtsTestServer,
@@ -84,7 +84,7 @@ def test_criterion_1_step_attack_caught_at_first_rt_poll():
     """4 s step: RT H1 on the first poll after onset; zero benign RT alarms."""
     with budget(10.0):
         spec = builtin_scenarios()["step4s"]
-        outputs, result = run_named_scenario(spec, CFG)
+        outputs, result = run_scenario(spec, CFG)
         polls = range(0, spec.duration_epochs, spec.rt_poll_epochs)
         first_attacked_poll = next(
             e for e in polls if outputs.truth_offset_s[e] != 0.0
@@ -95,7 +95,7 @@ def test_criterion_1_step_attack_caught_at_first_rt_poll():
         assert hits[0] == first_attacked_poll  # exact
         assert result.report.outcomes["rt"].detected
 
-        _, benign = run_named_scenario("benign10k", CFG)
+        _, benign = run_scenario("benign10k", CFG)
         assert h1_epochs(benign, "rt") == []  # exact: zero false alarms
 
 
@@ -110,7 +110,7 @@ def test_criterion_2_incremental_attack_caught_by_nts():
         # noise-free crossing lies within the advertised 76-period budget
         assert crossing <= spec.attack.onset_epoch + 76 * spec.nts_poll_epochs
 
-        outputs, result = run_named_scenario(spec, CFG)
+        outputs, result = run_scenario(spec, CFG)
         hits = h1_epochs(result, "nts")
         assert hits, "incremental attack produced no NTS alarm"
         assert hits[0] <= crossing + spec.nts_poll_epochs  # +- 1 poll interval
@@ -133,12 +133,12 @@ def test_criterion_3_smooth_pull_caught_with_calibrated_far():
         pinned = replace(CFG, detector=replace(CFG.detector, ll=operational))
 
         spec = builtin_scenarios()["pull2us"]
-        _, result = run_named_scenario(spec, pinned)
+        _, result = run_scenario(spec, pinned)
         outcome = result.report.outcomes["ll"]
         assert outcome.detected
         assert outcome.latency_epochs < spec.attack.span_epochs  # before completion
 
-        _, benign = run_named_scenario("benign10k", pinned)
+        _, benign = run_scenario("benign10k", pinned)
         stats_ll = [v.statistic for v in benign.verdicts if v.test == "ll"]
         n = len(stats_ll)
         assert n > 9000
@@ -331,7 +331,7 @@ def test_criterion_7_orchestrator_replay_and_randomized_safety():
     byte-identically; 10^5 random event sequences never reach fine
     monitoring without coarse validation and never leave the receiver
     trusted after an unresolved alarm."""
-    _, result = run_named_scenario("step4s", CFG)
+    _, result = run_scenario("step4s", CFG)
     original = "\n".join(transition_to_json(r) for r in result.transitions)
     final, records = replay(result.events, CFG.orchestrator)
     assert "\n".join(transition_to_json(r) for r in records) == original

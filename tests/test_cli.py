@@ -133,6 +133,46 @@ def test_bad_scenario_name_exits_1(capsys):
     assert main(["simulate", "--scenario", "/nonexistent.ini"]) == EXIT_ERROR
 
 
+# -- what each command imports ------------------------------------------------
+
+# runs the CLI, then lists on stderr which of the heavy modules it loaded
+REPORT_LOADED = """\
+import sys
+from timeguard.cli import main
+rc = main(sys.argv[1:])
+heavy = ("numpy", "cryptography", "ssl")
+print("loaded:", *[m for m in heavy if m in sys.modules], file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def loaded_modules(*argv):
+    proc = subprocess.run([PY, "-c", REPORT_LOADED, *argv], capture_output=True, text=True,
+                          timeout=120)
+    report = [line for line in proc.stderr.splitlines() if line.startswith("loaded:")]
+    assert len(report) == 1, proc.stderr
+    return proc, report[0].split()[1:]
+
+
+def test_live_with_a_fitted_config_loads_no_numpy_or_crypto(pin_cfg, tmp_path):
+    feed = tmp_path / "feed.jsonl"
+    lines = [epoch_line(0), rt_line(0), nts_line(0), epoch_line(1),
+             rt_line(1, offset_s=-4.0), epoch_line(2)]
+    feed.write_text("".join(line + "\n" for line in lines))
+    proc, loaded = loaded_modules("live", "--feed", str(feed), "--config", pin_cfg)
+    assert proc.returncode == EXIT_ATTACK
+    assert [json.loads(line)["test"] for line in proc.stdout.splitlines()] == ["rt", "nts", "rt"]
+    assert loaded == []
+
+
+def test_simulate_loads_no_crypto(tmp_path):
+    # the default config calibrates the ll threshold first, which loads numpy
+    proc, loaded = loaded_modules("simulate", "--scenario", "step4s",
+                                  "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_ATTACK
+    assert loaded == ["numpy"]
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -432,6 +472,8 @@ BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), 2**200, -(2**200),
 BAD_INTEGERS = BAD_NUMBERS + [PLUS_HALF]
 BAD_INSTANTS = BAD_INTEGERS + [-1, 2**64]
 BAD_FLAGS = ["false", "true", 0, 1, None, "x", [], MISSING]
+# an absent source_id takes the default; any value but a JSON string is bad
+BAD_TEXTS = [None, 0, 1.5, True, [], ["x"], {}, {"a": 1}]
 # every field of every line kind, with values that must get the line refused
 CORRUPTIONS = [
     (epoch_line(6), ("t_mono_ns",), BAD_INSTANTS),
@@ -443,12 +485,15 @@ CORRUPTIONS = [
      + [0.5, "0.5", str(2**64), "-1"]),
     (epoch_line(6), ("fix_valid",), BAD_FLAGS),
     (epoch_line(6), ("leap_applied",), BAD_FLAGS),
+    (epoch_line(6), ("source_id",), BAD_TEXTS),
     (rt_line(6), ("t_mono_ns",), BAD_INSTANTS),
     (rt_line(6), ("midpoint_unix_ns",), BAD_INTEGERS),
     (rt_line(6), ("radius_s",), BAD_NUMBERS + [-1]),
+    (rt_line(6), ("source_id",), BAD_TEXTS),
     (nts_line(6), ("t_mono_ns",), BAD_INSTANTS),
     (nts_line(6), ("offset_s",), BAD_NUMBERS),
     (nts_line(6), ("delay_s",), BAD_NUMBERS + [-1]),
+    (nts_line(6), ("source_id",), BAD_TEXTS),
     (NETWORK_LINE, ("t_mono_ns",), BAD_INSTANTS),
     (NETWORK_LINE, ("up",), BAD_FLAGS),
 ]

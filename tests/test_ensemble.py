@@ -162,6 +162,7 @@ def test_update_refuses_all_but_one_finite_number(z, r):
         (np.array([z, z]), r), (z, np.array([r, r])),
         (math.nan, r), (math.inf, r), (-math.inf, r), (np.float64(math.nan), r),
         (z, math.nan), (z, math.inf), (z, -math.inf), (z, -r - 1e-300),
+        (10**400, r), (z, 10**400),
     ]
     for bad_z, bad_r in bad:
         with pytest.raises(MeasurementError):

@@ -25,7 +25,6 @@ from timeguard.pipeline import (
     report_from_json,
     report_to_json,
     resolve_ll,
-    run_named_scenario,
     run_scenario,
     training_residuals,
     write_verdicts_csv,
@@ -172,7 +171,7 @@ def test_zero_noise_run_is_silent():
         name="silent", duration_epochs=80, benign_jitter_sigma_s=0.0,
         oscillator=QUIET, seed=3,
     )
-    result = run_scenario(gen_scenario(spec), CFG)
+    _, result = run_scenario(spec, CFG)
     assert np.array_equal(result.xhat_bias_s, np.zeros(80))
     assert np.array_equal(result.innovation_s, np.zeros(80))
     assert all(v.hypothesis is Hypothesis.H0 for v in result.verdicts)
@@ -181,9 +180,8 @@ def test_zero_noise_run_is_silent():
 
 
 def test_run_is_deterministic():
-    outputs = gen_scenario(builtin_scenarios()["step4s"])
-    a = run_scenario(outputs, CFG)
-    b = run_scenario(outputs, CFG)
+    _, a = run_scenario("step4s", CFG)
+    _, b = run_scenario("step4s", CFG)
     assert a.verdicts == b.verdicts
     assert a.transitions == b.transitions
     assert np.array_equal(a.xhat_bias_s, b.xhat_bias_s)
@@ -191,14 +189,14 @@ def test_run_is_deterministic():
 
 
 def test_recorded_events_replay_to_same_transitions():
-    _, result = run_named_scenario("step4s", CFG)
+    _, result = run_scenario("step4s", CFG)
     final, records = replay(result.events, CFG.orchestrator)
     assert records == result.transitions
     assert final.phase == result.state.phase
 
 
 def test_step4s_report():
-    _, result = run_named_scenario("step4s", CFG, config_hash="cafe")
+    _, result = run_scenario("step4s", CFG, config_hash="cafe")
     report = result.report
     assert report.scenario == "step4s"
     assert report.outcomes["rt"].detected
@@ -210,7 +208,7 @@ def test_step4s_report():
 
 
 def test_step4s_alarm_is_latched_and_gnss_distrusted():
-    _, result = run_named_scenario("step4s", CFG)
+    _, result = run_scenario("step4s", CFG)
     alarm_seen = False
     for record in result.transitions:
         if record.to_phase is Phase.ALARM:
@@ -223,7 +221,7 @@ def test_step4s_alarm_is_latched_and_gnss_distrusted():
 
 
 def test_pull2us_detected_by_ll_only():
-    _, result = run_named_scenario("pull2us", CFG)
+    _, result = run_scenario("pull2us", CFG)
     report = result.report
     assert report.outcomes["ll"].detected
     assert not report.outcomes["rt"].detected
@@ -235,7 +233,7 @@ def test_pull2us_detected_by_ll_only():
 
 
 def test_benign10k_fully_clean():
-    _, result = run_named_scenario("benign10k", CFG)
+    _, result = run_scenario("benign10k", CFG)
     assert not result.report.any_h1
     assert result.report.final_phase == "FINE_MONITORING"
 
@@ -246,7 +244,7 @@ def test_outage_drives_holdover_and_recovery():
         network=NetworkSpec(mode="down", down_from_epoch=100, down_to_epoch=200),
         seed=21,
     )
-    result = run_scenario(gen_scenario(spec), CFG)
+    _, result = run_scenario(spec, CFG)
     phases = [r.to_phase for r in result.transitions]
     assert Phase.HOLDOVER in phases
     down_at = phases.index(Phase.HOLDOVER)
@@ -298,7 +296,7 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
 
 def test_verdict_cadence():
     spec = builtin_scenarios()["step4s"]
-    result = run_scenario(gen_scenario(spec), CFG)
+    _, result = run_scenario(spec, CFG)
     assert sum(v.test == "rt" for v in result.verdicts) == 20
     assert sum(v.test == "nts" for v in result.verdicts) == 7
     # epoch 0 anchors the local reference, then the window warms for m epochs
@@ -345,13 +343,13 @@ def test_build_report_counts_false_alarms():
 
 
 def test_event_json_round_trip():
-    _, result = run_named_scenario("step4s", CFG)
+    _, result = run_scenario("step4s", CFG)
     for event in result.events[:50]:
         assert event_from_json(event_to_json(event)) == event
 
 
 def test_verdict_writers():
-    _, result = run_named_scenario("step4s", CFG)
+    _, result = run_scenario("step4s", CFG)
     jsonl, csv = io.StringIO(), io.StringIO()
     write_verdicts_jsonl(jsonl, result.verdicts)
     write_verdicts_csv(csv, result.verdicts)

@@ -56,6 +56,11 @@ MALFORMED = [
     {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": 18446744073709551616}, "fix_valid": True,
      "leap_applied": True},
     {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "-1"}, "fix_valid": True, "leap_applied": True},
+    # a source_id, when present, must be a JSON string: str() would write "None"
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True,
+     "source_id": None},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True,
+     "source_id": {"a": 1}},
 ]
 
 
