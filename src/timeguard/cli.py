@@ -39,7 +39,7 @@ from .config import (
     load_config,
     load_scenario,
 )
-from .detector import Hypothesis, Verdict, verdict_to_json
+from .detector import Hypothesis, Verdict, estimate_server_sigma, verdict_to_json
 from .orchestrator import Event, TransitionRecord, transition_to_json
 from .pipeline import (
     VERDICT_CSV_HEADER,
@@ -352,8 +352,6 @@ def cmd_live(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    from .provider_nts import estimate_server_sigma
-
     config = _effective_config(args)
     name = args.scenario if args.scenario is not None else config.calibration.scenario
     spec = load_scenario(name)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
+from .receiver_feed import NtsMeasurement
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
 
@@ -34,6 +35,10 @@ class StalenessError(DetectorError):
 
 class ConfigError(DetectorError):
     """Threshold missing or parameters out of range."""
+
+
+class CalibrationError(DetectorError):
+    """Not enough history to estimate the server noise."""
 
 
 class WarmupSignal(DetectorError):
@@ -196,6 +201,15 @@ def nts_test(
         source_id=meas.server_id,
         t_mono=meas.t_mono_rx,
     )
+
+
+def estimate_server_sigma(history: Sequence[NtsMeasurement], n_min: int = 30) -> float:
+    """Sample standard deviation of observed offsets, in seconds."""
+    import statistics  # only calibration runs this; live starts without it
+
+    if len(history) < n_min:
+        raise CalibrationError(f"need >= {n_min} measurements, have {len(history)}")
+    return statistics.stdev(m.offset.to_s() for m in history)
 
 
 # -- windowed smoothed log-likelihood ---------------------------------------

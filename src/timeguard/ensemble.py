@@ -182,7 +182,11 @@ def kf_update(
     it keeps P symmetric and PSD even when K is off its optimum by
     rounding.
     """
-    if not (math.isfinite(gate_k) and gate_k >= 0):
+    try:
+        ok = math.isfinite(gate_k) and gate_k >= 0
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise MeasurementError(f"gate_k must be finite and >= 0, got {gate_k}")
     try:
         ok = (isinstance(z, (int, float)) and math.isfinite(z)

@@ -9,6 +9,12 @@ outage outlives the broadcast ephemeris.
 step() is a pure function of (state, event, config); replaying an event
 log reproduces the state trajectory exactly.  Producers enqueue immutable
 events; a single logical consumer applies them in monotonic order.
+
+Almost every event only moves the clock: a TICK with no outage open, or a
+verdict that repeats its test's last hypothesis where that cannot move the
+phase or the clean streak.  step() recognises these with a predicate and
+returns a copy with only last_t_mono moved, skipping the full rule; the
+result is the one the full rule gives, so step() stays pure.
 """
 
 import json
@@ -146,28 +152,67 @@ def trust_select(summary: SourceSummary, force_suspect: bool = False) -> str:
     return "ensemble" if force_suspect or summary.any_h1 else "gnss"
 
 
-def _update_summary(summary: SourceSummary, kind: EventKind, h: Hypothesis) -> SourceSummary:
-    if kind is EventKind.RT_VERDICT:
-        return replace(summary, last_rt=h)
-    if kind is EventKind.NTS_VERDICT:
-        return replace(summary, last_nts=h)
-    return replace(summary, last_ll=h)
-
-
 def _cleared(coarse_validated: bool) -> tuple[Phase, SourceSummary, int]:
     phase = Phase.COARSE_VALIDATED if coarse_validated else Phase.COLD_START
     return phase, SourceSummary(), 0
+
+
+# the SourceSummary field each verdict kind writes
+_SLOT = {
+    EventKind.RT_VERDICT: "last_rt",
+    EventKind.NTS_VERDICT: "last_nts",
+    EventKind.LL_VERDICT: "last_ll",
+}
+
+
+def _only_time_moves(state: OrchestratorState, event: Event) -> bool:
+    """True when the full rule would change nothing but last_t_mono and
+    request no action.
+
+    A verdict qualifies only when its summary slot already holds its
+    hypothesis, so the summary stays put.  The active source is kept as
+    it is: in every state step() reaches from initial_state() it already
+    follows from the phase and the summary, neither of which moves here.
+    """
+    kind = event.kind
+    phase = state.phase
+    if kind is EventKind.TICK:
+        return state.outage_started is None or phase is Phase.RESET_PENDING
+    slot = _SLOT.get(kind)
+    if slot is None:
+        return False
+    h = event.verdict.hypothesis
+    if getattr(state.summary, slot) is not h:
+        return False
+    if h is Hypothesis.H1:
+        return phase is Phase.ALARM and state.clean_streak == 0
+    if phase is Phase.COLD_START:
+        return kind is EventKind.LL_VERDICT
+    if phase is Phase.COARSE_VALIDATED:
+        return kind is not EventKind.NTS_VERDICT
+    return phase is not Phase.ALARM
 
 
 def step(
     state: OrchestratorState, event: Event, config: Optional[OrchestratorConfig] = None
 ) -> tuple[OrchestratorState, list[str]]:
     """Apply one event; returns the new state and side-effect requests."""
-    config = config or OrchestratorConfig()
     if state.last_t_mono is not None and event.t_mono < state.last_t_mono:
         raise OrderingError(
             f"event at {event.t_mono.nanoseconds} ns precedes {state.last_t_mono.nanoseconds} ns"
         )
+    if _only_time_moves(state, event):
+        # a field-for-field copy: dataclasses.replace would cost 5x as much
+        moved = object.__new__(OrchestratorState)
+        moved.__dict__.update(state.__dict__, last_t_mono=event.t_mono)
+        return moved, []
+    return _apply(state, event, config or OrchestratorConfig())
+
+
+def _apply(
+    state: OrchestratorState, event: Event, config: OrchestratorConfig
+) -> tuple[OrchestratorState, list[str]]:
+    """The full transition rule, for any event in order."""
     actions: list[str] = []
     phase = state.phase
     connectivity = state.connectivity
@@ -192,7 +237,7 @@ def step(
             outage = event.t_mono
     elif kind in _VERDICT_KINDS:
         verdict = event.verdict
-        summary = _update_summary(summary, kind, verdict.hypothesis)
+        summary = replace(summary, **{_SLOT[kind]: verdict.hypothesis})
         if verdict.hypothesis is Hypothesis.H1:
             if phase is not Phase.ALARM:
                 actions.append(alert(f"h1:{verdict.test}:{verdict.source_id}"))

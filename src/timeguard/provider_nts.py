@@ -19,7 +19,6 @@ import os
 import secrets
 import socket
 import ssl
-import statistics
 import struct
 import tempfile
 import threading
@@ -88,10 +87,6 @@ class CookieError(NtsError):
 
 class UnreachableError(NtsError):
     """No response within the timeout."""
-
-
-class CalibrationError(NtsError):
-    """Not enough history to estimate the server noise."""
 
 
 # -- AEAD -------------------------------------------------------------------
@@ -467,13 +462,6 @@ def nts_query(
     session.cookies.extend(new_cookies)
     theta, delta = offset_delay(request.t1, t2, t3, t4)
     return NtsMeasurement(theta, delta, t_mono_rx, session.server_id)
-
-
-def estimate_server_sigma(history: Sequence[NtsMeasurement], n_min: int = 30) -> float:
-    """Sample standard deviation of observed offsets, in seconds."""
-    if len(history) < n_min:
-        raise CalibrationError(f"need >= {n_min} measurements, have {len(history)}")
-    return statistics.stdev(m.offset.to_s() for m in history)
 
 
 # -- NTS-KE client ----------------------------------------------------------

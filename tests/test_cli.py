@@ -173,6 +173,13 @@ def test_simulate_loads_no_crypto(tmp_path):
     assert loaded == ["numpy"]
 
 
+def test_calibrate_loads_no_crypto():
+    # no NTS server configured: the noise estimate comes from the simulator
+    proc, loaded = loaded_modules("calibrate")
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == ["numpy"]
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -349,6 +356,33 @@ def test_live_unreachable_providers_enter_holdover(tmp_path):
     assert "FINE_MONITORING" in phases
     assert "HOLDOVER" in phases
     assert phases.index("HOLDOVER") > phases.index("FINE_MONITORING")
+
+
+def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):
+    # an outage longer than the ephemeris validity forces RESET_PENDING; a
+    # tick inside it changes nothing, and the reacquired fix starts cold
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(PINNED_CFG + "\n[orchestrator]\nephemeris_validity_s = 5\n")
+    feed = tmp_path / "feed.jsonl"
+    lines = [epoch_line(0), rt_line(0), *(epoch_line(e, fix=False) for e in range(1, 9)),
+             epoch_line(9)]
+    feed.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == EXIT_CLEAN
+    transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
+    [(i, reset)] = [(i, t) for i, t in enumerate(transitions)
+                    if "alert:gnss_outage_exceeds_ephemeris_validity" in t["actions"]]
+    assert (reset["event"], reset["t_mono_ns"]) == ("Tick", 7 * 10**9)
+    assert (reset["to_phase"], reset["active_source"]) == ("RESET_PENDING", "ensemble")
+    held, restart = transitions[i + 1], transitions[i + 2]
+    assert (held["event"], held["from_phase"], held["to_phase"], held["actions"]) == (
+        "Tick", "RESET_PENDING", "RESET_PENDING", [])
+    assert (restart["event"], restart["from_phase"], restart["to_phase"]) == (
+        "FixAcquired", "RESET_PENDING", "COLD_START")
+    assert restart["actions"] == ["schedule_poll:roughtime"]
+    assert restart["active_source"] == "gnss"
+    assert "final phase COLD_START" in capsys.readouterr().err
 
 
 def test_live_csv_format(pin_cfg, tmp_path):

@@ -167,6 +167,9 @@ def test_update_refuses_all_but_one_finite_number(z, r):
     for bad_z, bad_r in bad:
         with pytest.raises(MeasurementError):
             kf_update(s, bad_z, bad_r)
+    for bad_k in (math.nan, math.inf, -1.0, 10**400):
+        with pytest.raises(MeasurementError):
+            kf_update(s, z, r, gate_k=bad_k)
     kf_update(s, z, r)
 
 

@@ -28,6 +28,7 @@ from timeguard.orchestrator import (
     transition_to_json,
     trust_select,
 )
+from timeguard.orchestrator import _apply
 from timeguard.timebase import MonotonicInstant
 
 
@@ -304,6 +305,25 @@ def test_safety_invariants_over_random_logs(choices):
             assert state.active_time_source != "gnss"
         if state.summary.any_h1:
             assert state.phase is Phase.ALARM
+
+
+# a short validity and streak, so that long outages, RESET_PENDING and
+# auto-clear all occur within a 60-event log
+ORACLE_CONFIG = OrchestratorConfig(ephemeris_validity_s=2.0, auto_clear_k=3)
+
+
+@given(st.lists(st.tuples(EVENT_POOL, st.integers(0, 2000)), max_size=60))
+@settings(max_examples=500)
+def test_fast_path_agrees_with_the_full_rule(log):
+    # states come only from replay: the fast path keeps active_time_source,
+    # which follows from phase and summary only in reachable states
+    state, t_ms = initial_state(), 0
+    for (kind, test, hyp), gap_ms in log:
+        t_ms += gap_ms
+        event = ev(kind, t_ms / 1000, test, hyp) if test else ev(kind, t_ms / 1000)
+        got = step(state, event, ORACLE_CONFIG)
+        assert got == _apply(state, event, ORACLE_CONFIG)
+        state = got[0]
 
 
 # -- transition log ---------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timeguard.detector import CalibrationError, estimate_server_sigma
 from timeguard.provider_nts import (
     AEAD_AES_SIV_CMAC_256,
     EF_AUTHENTICATOR,
@@ -15,7 +16,6 @@ from timeguard.provider_nts import (
     EF_COOKIE_PLACEHOLDER,
     EF_UNIQUE_ID,
     AuthenticationError,
-    CalibrationError,
     CookieError,
     HandshakeError,
     KeRecord,
@@ -33,7 +33,6 @@ from timeguard.provider_nts import (
     decode_ke_records,
     encode_ef,
     encode_ke_record,
-    estimate_server_sigma,
     iter_efs,
     nts_export_keys,
     nts_ke_handshake,
