@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from timeguard.config import apply_env, config_sha256, load_config, load_scenario
-from timeguard.pipeline import run_scenario, write_transitions_jsonl, write_verdicts_csv
+from timeguard.pipeline import run_scenario, transition_writer, verdict_writer
 
 
 def main() -> int:
@@ -25,10 +25,11 @@ def main() -> int:
 
     config = apply_env(load_config(args.config), os.environ)
     spec = load_scenario(args.scenario)
-    outputs, result = run_scenario(spec, config, config_hash=config_sha256(config))
-
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    with open(out / "transitions.jsonl", "w") as fh:
+        outputs, result = run_scenario(spec, config, config_hash=config_sha256(config),
+                                       on_transition=transition_writer(fh))
     with open(out / "traces.csv", "w") as fh:
         fh.write("epoch,truth_offset_ns,xhat_bias_ns,innovation_ns\n")
         for e in range(len(outputs.epochs)):
@@ -37,9 +38,9 @@ def main() -> int:
                 f"{result.xhat_bias_s[e] * 1e9:.6f},{result.innovation_s[e] * 1e9:.6f}\n"
             )
     with open(out / "verdicts.csv", "w") as fh:
-        write_verdicts_csv(fh, result.verdicts)
-    with open(out / "transitions.jsonl", "w") as fh:
-        write_transitions_jsonl(fh, result.transitions)
+        write_verdict = verdict_writer(fh, "csv")
+        for verdict in result.verdicts:
+            write_verdict(verdict)
 
     report = result.report
     print(f"{spec.name}: {len(outputs.epochs)} epochs -> {out}")

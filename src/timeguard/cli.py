@@ -24,10 +24,10 @@ import io
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Callable, Optional
 
 from .attack_sim import gen_scenario, write_epochs_jsonl, write_truth_csv
 from .config import (
@@ -39,18 +39,15 @@ from .config import (
     load_config,
     load_scenario,
 )
-from .detector import Hypothesis, Verdict, estimate_server_sigma, verdict_to_json
-from .orchestrator import Event, TransitionRecord, transition_to_json
+from .detector import Hypothesis, Verdict, estimate_server_sigma
+from .orchestrator import Event, TransitionRecord
 from .pipeline import (
-    VERDICT_CSV_HEADER,
     Monitor,
     fit_ll,
     report_to_json,
     run_scenario,
-    verdict_csv_row,
-    write_transitions_jsonl,
-    write_verdicts_csv,
-    write_verdicts_jsonl,
+    transition_writer,
+    verdict_writer,
 )
 from .receiver_feed import (
     NtsMeasurement,
@@ -142,23 +139,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_scenario(args.scenario)
     if args.seed_override is not None:
         spec = replace(spec, seed=args.seed_override)
-    outputs, result = run_scenario(spec, config, config_hash=config_sha256(config))
-    report = result.report
 
+    # the transitions stream out during the run, as live writes them; the
+    # other files follow one after another
     out = _out_dir(args)
+    with (open(out / "transitions.jsonl", "w") if out is not None else nullcontext()) as fh:
+        outputs, result = run_scenario(spec, config, config_sha256(config),
+                                       transition_writer(fh) if fh is not None else None)
+    report = result.report
     if out is not None:
         with open(out / "epochs.jsonl", "w") as fh:
             write_epochs_jsonl(fh, outputs)
         with open(out / "truth.csv", "w") as fh:
             write_truth_csv(fh, outputs)
-        if args.format == "csv":
-            with open(out / "verdicts.csv", "w") as fh:
-                write_verdicts_csv(fh, result.verdicts)
-        else:
-            with open(out / "verdicts.jsonl", "w") as fh:
-                write_verdicts_jsonl(fh, result.verdicts)
-        with open(out / "transitions.jsonl", "w") as fh:
-            write_transitions_jsonl(fh, result.transitions)
+        with open(out / f"verdicts.{args.format}", "w") as fh:
+            write_verdict = verdict_writer(fh, args.format)
+            for verdict in result.verdicts:
+                write_verdict(verdict)
         with open(out / "report.json", "w") as fh:
             fh.write(report_to_json(report) + "\n")
 
@@ -228,13 +225,12 @@ def _scripted_nts(obj: dict) -> NtsMeasurement:
 
 
 class _LiveSession:
-    """Feed line parsing, provider polling and the verdict and transition writers."""
+    """Feed line parsing and provider polling, with the verdict count and
+    exit status; each applied verdict and transition goes on to its writer."""
 
-    def __init__(self, config: AppConfig, verdict_out: TextIO,
-                 transition_out: Optional[TextIO], fmt: str) -> None:
-        self.verdict_out = verdict_out
-        self.transition_out = transition_out
-        self.fmt = fmt
+    def __init__(self, config: AppConfig, write_verdict: Callable[[Verdict], None],
+                 on_transition: Optional[Callable[[Event, TransitionRecord], None]]) -> None:
+        self.write_verdict = write_verdict
         orc = config.orchestrator
         self.pollers = [
             (which, poller, int(cadence_s * 1e9))
@@ -245,23 +241,13 @@ class _LiveSession:
         self.next_poll_ns: dict = {}
         self.h1_seen = False
         self.verdict_count = 0
-        self.monitor = Monitor(
-            config,
-            on_verdict=self.emit,
-            on_transition=self.record if transition_out is not None else None,
-        )
-
-    def record(self, event: Event, transition: TransitionRecord) -> None:
-        self.transition_out.write(transition_to_json(transition) + "\n")
-        self.transition_out.flush()
+        self.monitor = Monitor(config, on_verdict=self.emit, on_transition=on_transition)
 
     def emit(self, verdict: Verdict) -> None:
         self.verdict_count += 1
         if verdict.hypothesis is Hypothesis.H1:
             self.h1_seen = True
-        line = verdict_csv_row(verdict) if self.fmt == "csv" else verdict_to_json(verdict)
-        self.verdict_out.write(line + "\n")
-        self.verdict_out.flush()
+        self.write_verdict(verdict)
 
     def _poll(self, t: MonotonicInstant) -> None:
         """Poll each configured provider that is due at t."""
@@ -317,28 +303,28 @@ class _LiveSession:
 def cmd_live(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     out = _out_dir(args)
-    transition_out = open(out / "transitions.jsonl", "w") if out is not None else None
-    verdict_out = (
-        open(out / f"verdicts.{args.format}", "w") if out is not None else sys.stdout
-    )
-    if args.format == "csv":
-        verdict_out.write(VERDICT_CSV_HEADER + "\n")
-
-    session = _LiveSession(config, verdict_out, transition_out, args.format)
     # a byte that is not UTF-8 spoils its line only, which is then skipped as unparseable
     if args.feed == "-" and isinstance(sys.stdin, io.TextIOWrapper):
         sys.stdin.reconfigure(errors="replace")
-    try:
+    with ExitStack() as files:
+        # line-buffered, so that each verdict and transition reaches its reader
+        # as soon as it is written
+        if out is None:
+            on_transition = None
+            verdict_out = sys.stdout
+            if isinstance(sys.stdout, io.TextIOWrapper):
+                sys.stdout.reconfigure(line_buffering=True)
+        else:
+            on_transition = transition_writer(files.enter_context(
+                open(out / "transitions.jsonl", "w", buffering=1)))
+            verdict_out = files.enter_context(
+                open(out / f"verdicts.{args.format}", "w", buffering=1))
+        session = _LiveSession(config, verdict_writer(verdict_out, args.format), on_transition)
         with (nullcontext(sys.stdin) if args.feed == "-"
               else open(args.feed, errors="replace")) as feed:
             for line in feed:
                 session.consume(line)
         session.monitor.finish()
-    finally:
-        if transition_out is not None:
-            transition_out.close()
-        if verdict_out is not sys.stdout:
-            verdict_out.close()
 
     print(
         f"live: {session.verdict_count} verdicts, final phase {session.monitor.state.phase.value},"
@@ -355,8 +341,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     name = args.scenario if args.scenario is not None else config.calibration.scenario
     spec = load_scenario(name)
+    outputs = gen_scenario(spec)
 
-    fitted, operational = fit_ll(spec, config)
+    fitted, operational = fit_ll(outputs, config)
 
     nts_poller = _nts_poller(config)
     if nts_poller is not None:
@@ -364,7 +351,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         sigma = estimate_server_sigma(history)
         sigma_source = f"nts server {config.providers.nts_ke_host}"
     else:
-        responses = gen_scenario(spec).nts_responses
+        responses = outputs.nts_responses
         history = [responses[k] for k in sorted(responses)]
         sigma = estimate_server_sigma(history)
         sigma_source = f"simulated provider in scenario {spec.name!r}"

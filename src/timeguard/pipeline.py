@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
 from .config import AppConfig, EnsembleConfig
@@ -205,11 +205,10 @@ class Monitor:
 # -- ll threshold calibration ------------------------------------------------
 
 
-def training_residuals(scenario: ScenarioSpec, config: AppConfig) -> np.ndarray:
-    """Filter innovations from a benign run, for threshold fitting."""
+def training_residuals(outputs: SimOutputs, config: AppConfig) -> np.ndarray:
+    """Filter innovations from a generated benign run, for threshold fitting."""
     import numpy as np
 
-    outputs = gen_scenario(scenario)
     chain = FilterChain(ensemble=config.ensemble,
                         ll_params=replace(config.detector.ll, lambda_T=None))
     utc0, mono0 = outputs.epochs[0].t_gnss, outputs.epochs[0].t_mono
@@ -219,15 +218,15 @@ def training_residuals(scenario: ScenarioSpec, config: AppConfig) -> np.ndarray:
     return residuals
 
 
-def fit_ll(scenario: ScenarioSpec, config: AppConfig) -> tuple[LlConfig, LlConfig]:
-    """Fit the ll parameters on a benign scenario.
+def fit_ll(outputs: SimOutputs, config: AppConfig) -> tuple[LlConfig, LlConfig]:
+    """Fit the ll parameters on a generated benign scenario.
 
     Returns the fit, whose threshold is the benign quantile at the
     configured false-alarm rate, and the operational parameters, whose
     threshold adds the safety margin so that routine operation stays
     quiet while the quantile itself remains available for analysis.
     """
-    residuals = training_residuals(scenario, config)
+    residuals = training_residuals(outputs, config)
     fitted = calibrate_ll(config.detector.ll, residuals, far=config.calibration.far)
     return fitted, replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)
 
@@ -242,7 +241,7 @@ def resolve_ll(config: AppConfig) -> LlConfig:
         raise CalibrationNeeded(
             f"calibration scenario {config.calibration.scenario!r} is not bundled"
         )
-    return fit_ll(table[config.calibration.scenario], config)[1]
+    return fit_ll(gen_scenario(table[config.calibration.scenario]), config)[1]
 
 
 # -- reports -----------------------------------------------------------------
@@ -308,8 +307,6 @@ def report_from_json(text: str) -> RunReport:
 @dataclass
 class PipelineResult:
     verdicts: list
-    transitions: list
-    events: list
     state: OrchestratorState
     xhat_bias_s: np.ndarray
     innovation_s: np.ndarray = None
@@ -356,21 +353,19 @@ def run_scenario(
     scenario: ScenarioSpec | str,
     config: AppConfig,
     config_hash: str = "",
+    on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
 ) -> tuple[SimOutputs, PipelineResult]:
     """Generate a scenario, bundled by name or given as a spec, and replay
     it through the full detection stack; attaches the scored report.
 
-    The Monitor, and with it any ll calibration, comes before generation,
-    so a run that calibrates loads numpy in set-up, not in the replay.
+    Each applied event goes to `on_transition` as it happens; the result
+    keeps only the verdicts, which the report scores.  The Monitor, and
+    with it any ll calibration, comes before generation, so a run that
+    calibrates loads numpy in set-up, not in the replay.
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else builtin_scenarios()[scenario]
-    verdicts, transitions, events = [], [], []
-
-    def record(event: Event, transition: TransitionRecord) -> None:
-        events.append(event)
-        transitions.append(transition)
-
-    monitor = Monitor(config, on_verdict=verdicts.append, on_transition=record)
+    verdicts: list[Verdict] = []
+    monitor = Monitor(config, on_verdict=verdicts.append, on_transition=on_transition)
     outputs = gen_scenario(spec)
     import numpy as np
 
@@ -388,8 +383,6 @@ def run_scenario(
 
     result = PipelineResult(
         verdicts=verdicts,
-        transitions=transitions,
-        events=events,
         state=monitor.state,
         xhat_bias_s=xhat,
         innovation_s=innovations,
@@ -420,27 +413,31 @@ def event_from_json(line: str) -> Event:
     )
 
 
-def write_verdicts_jsonl(fh, verdicts: Iterable[Verdict]) -> None:
-    for v in verdicts:
-        fh.write(verdict_to_json(v) + "\n")
-
-
-def write_transitions_jsonl(fh, records: Iterable[TransitionRecord]) -> None:
-    for record in records:
-        fh.write(transition_to_json(record) + "\n")
+# -- trace writers: the one writer of each format, for simulate and live -----
 
 
 VERDICT_CSV_HEADER = "t_mono_ns,test,statistic,threshold,hypothesis,source_id"
 
 
-def verdict_csv_row(v: Verdict) -> str:
+def _verdict_csv_row(v: Verdict) -> str:
     return (
         f"{v.t_mono.nanoseconds},{v.test},{v.statistic!r},{v.threshold!r},"
         f"{v.hypothesis.value},{v.source_id}"
     )
 
 
-def write_verdicts_csv(fh, verdicts: Iterable[Verdict]) -> None:
-    fh.write(VERDICT_CSV_HEADER + "\n")
-    for v in verdicts:
-        fh.write(verdict_csv_row(v) + "\n")
+def verdict_writer(fh: TextIO, fmt: str) -> Callable[[Verdict], None]:
+    """An on_verdict that writes one jsonl or csv line per verdict to fh.
+
+    For csv it writes the header first.  It never flushes: a reader that
+    needs each line at once gets a line-buffered fh.
+    """
+    if fmt == "csv":
+        fh.write(VERDICT_CSV_HEADER + "\n")
+        return lambda verdict: fh.write(_verdict_csv_row(verdict) + "\n")
+    return lambda verdict: fh.write(verdict_to_json(verdict) + "\n")
+
+
+def transition_writer(fh: TextIO) -> Callable[[Event, TransitionRecord], None]:
+    """An on_transition that writes one transitions.jsonl line per record to fh."""
+    return lambda event, record: fh.write(transition_to_json(record) + "\n")

@@ -4,8 +4,10 @@ import base64
 import io
 import json
 import os
+import select
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 
 import pytest
@@ -313,6 +315,49 @@ def test_live_streams_verdicts_from_named_pipe(pin_cfg, tmp_path):
     assert [v["test"] for v in verdicts] == ["rt", "nts"]
     assert all(v["hypothesis"] == "H0" for v in verdicts)
     assert "final phase FINE_MONITORING" in err
+
+
+def read_line(fd, timeout_s):
+    """One line from fd, or None when none is complete within timeout_s."""
+    deadline = time.monotonic() + timeout_s
+    data = b""
+    while not data.endswith(b"\n"):
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            return None
+        chunk = os.read(fd, 1)
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def test_live_hands_over_each_verdict_before_the_next_line(pin_cfg):
+    # a closed loop over pipes: the next feed line is written only after the
+    # verdict for the last one has been read back, so a verdict left in an
+    # output buffer stalls the loop; PYTHONUNBUFFERED would hide such a buffer
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [PY, "-m", "timeguard", "live", "--feed", "-", "--config", pin_cfg],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, bufsize=0,
+        env=env,
+    )
+    try:
+        answers = []
+        for lines in ([epoch_line(0), rt_line(0)], [nts_line(0)], [epoch_line(1), rt_line(1)]):
+            os.write(proc.stdin.fileno(), "".join(line + "\n" for line in lines).encode())
+            raw = read_line(proc.stdout.fileno(), 10.0)
+            assert raw is not None, f"no verdict within 10 s after {lines[-1]}"
+            answers.append(json.loads(raw)["test"])
+        assert answers == ["rt", "nts", "rt"]
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == EXIT_CLEAN
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
 
 
 def test_live_scripted_h1_raises_alarm(pin_cfg, tmp_path):

@@ -10,7 +10,7 @@ from timeguard.attack_sim import NetworkSpec, ScenarioSpec, builtin_scenarios, g
 from timeguard.config import default_config
 from timeguard.detector import Hypothesis, LlConfig, Verdict, calibrate_ll, ll_step
 from timeguard.ensemble import OscillatorSpec
-from timeguard.orchestrator import OrderingError, Phase, replay
+from timeguard.orchestrator import OrderingError, Phase, replay, transition_to_json
 from timeguard.pipeline import (
     VERDICT_CSV_HEADER,
     DetectorOutcome,
@@ -27,8 +27,8 @@ from timeguard.pipeline import (
     resolve_ll,
     run_scenario,
     training_residuals,
-    write_verdicts_csv,
-    write_verdicts_jsonl,
+    transition_writer,
+    verdict_writer,
 )
 from timeguard.receiver_feed import EpochRecord
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
@@ -42,6 +42,18 @@ QUIET = OscillatorSpec(q_b=0.0, q_d=0.0, sigma_meas=1e-9)
 
 def mono(s):
     return MonotonicInstant(int(s * 1e9))
+
+
+def run_logged(scenario, config=CFG):
+    """run_scenario with the events it applied and their transition records."""
+    events, transitions = [], []
+
+    def record(event, transition):
+        events.append(event)
+        transitions.append(transition)
+
+    _, result = run_scenario(scenario, config, on_transition=record)
+    return result, events, transitions
 
 
 # -- local clock projection --------------------------------------------------
@@ -143,7 +155,7 @@ def test_reset_clears_history():
 
 
 def test_training_residuals_match_readout_noise():
-    residuals = training_residuals(builtin_scenarios()["benign_cal"], CFG)
+    residuals = training_residuals(gen_scenario(builtin_scenarios()["benign_cal"]), CFG)
     assert len(residuals) == 10_000
     assert abs(residuals.mean()) < 2e-9
     assert residuals.std() == pytest.approx(10e-9, rel=0.3)
@@ -155,7 +167,8 @@ def test_resolve_ll_passthrough_when_pinned():
 
 
 def test_resolve_ll_is_quantile_plus_margin():
-    residuals = training_residuals(builtin_scenarios()[DEFAULT.calibration.scenario], DEFAULT)
+    residuals = training_residuals(
+        gen_scenario(builtin_scenarios()[DEFAULT.calibration.scenario]), DEFAULT)
     fitted = calibrate_ll(DEFAULT.detector.ll, residuals, far=DEFAULT.calibration.far)
     resolved = CFG.detector.ll
     assert resolved.lambda_T == fitted.lambda_T + DEFAULT.calibration.margin
@@ -180,18 +193,18 @@ def test_zero_noise_run_is_silent():
 
 
 def test_run_is_deterministic():
-    _, a = run_scenario("step4s", CFG)
-    _, b = run_scenario("step4s", CFG)
+    a, _, a_transitions = run_logged("step4s")
+    b, _, b_transitions = run_logged("step4s")
     assert a.verdicts == b.verdicts
-    assert a.transitions == b.transitions
+    assert a_transitions == b_transitions
     assert np.array_equal(a.xhat_bias_s, b.xhat_bias_s)
     assert np.array_equal(a.innovation_s, b.innovation_s)
 
 
 def test_recorded_events_replay_to_same_transitions():
-    _, result = run_scenario("step4s", CFG)
-    final, records = replay(result.events, CFG.orchestrator)
-    assert records == result.transitions
+    result, events, transitions = run_logged("step4s")
+    final, records = replay(events, CFG.orchestrator)
+    assert records == transitions
     assert final.phase == result.state.phase
 
 
@@ -208,9 +221,9 @@ def test_step4s_report():
 
 
 def test_step4s_alarm_is_latched_and_gnss_distrusted():
-    _, result = run_scenario("step4s", CFG)
+    result, _, transitions = run_logged("step4s")
     alarm_seen = False
-    for record in result.transitions:
+    for record in transitions:
         if record.to_phase is Phase.ALARM:
             alarm_seen = True
         if alarm_seen:
@@ -244,8 +257,8 @@ def test_outage_drives_holdover_and_recovery():
         network=NetworkSpec(mode="down", down_from_epoch=100, down_to_epoch=200),
         seed=21,
     )
-    _, result = run_scenario(spec, CFG)
-    phases = [r.to_phase for r in result.transitions]
+    result, _, transitions = run_logged(spec)
+    phases = [r.to_phase for r in transitions]
     assert Phase.HOLDOVER in phases
     down_at = phases.index(Phase.HOLDOVER)
     assert Phase.FINE_MONITORING in phases[down_at:]
@@ -331,8 +344,7 @@ def test_build_report_counts_false_alarms():
                 source_id="nts-sim", t_mono=mono(4.0)),
     ]
     idle_state, _ = replay([], CFG.orchestrator)
-    result = PipelineResult(verdicts=verdicts, transitions=[], events=[],
-                            state=idle_state, xhat_bias_s=np.zeros(20))
+    result = PipelineResult(verdicts=verdicts, state=idle_state, xhat_bias_s=np.zeros(20))
     report = build_report(outputs, result, "aa")
     assert report.false_alarms == 1
     assert not report.outcomes["rt"].detected
@@ -343,17 +355,26 @@ def test_build_report_counts_false_alarms():
 
 
 def test_event_json_round_trip():
-    _, result = run_scenario("step4s", CFG)
-    for event in result.events[:50]:
+    _, events, _ = run_logged("step4s")
+    for event in events[:50]:
         assert event_from_json(event_to_json(event)) == event
 
 
 def test_verdict_writers():
     _, result = run_scenario("step4s", CFG)
     jsonl, csv = io.StringIO(), io.StringIO()
-    write_verdicts_jsonl(jsonl, result.verdicts)
-    write_verdicts_csv(csv, result.verdicts)
+    write_jsonl, write_csv = verdict_writer(jsonl, "jsonl"), verdict_writer(csv, "csv")
+    for verdict in result.verdicts:
+        write_jsonl(verdict)
+        write_csv(verdict)
     assert len(jsonl.getvalue().splitlines()) == len(result.verdicts)
     lines = csv.getvalue().splitlines()
     assert lines[0] == VERDICT_CSV_HEADER
     assert len(lines) == len(result.verdicts) + 1
+
+
+def test_transition_writer_streams_one_line_per_record():
+    fh = io.StringIO()
+    _, _, transitions = run_logged("step4s")
+    run_scenario("step4s", CFG, on_transition=transition_writer(fh))
+    assert fh.getvalue() == "".join(transition_to_json(r) + "\n" for r in transitions)

@@ -31,3 +31,12 @@ def test_benign_far_sweep_runs():
     done = run_script("benign_far_sweep.py", "--seeds", "1")
     assert done.returncode == 0, done.stderr
     assert "seed     1:" in done.stdout
+
+
+def test_benign_far_sweep_fails_when_an_operational_alarm_fires(tmp_path):
+    # no margin: the operational threshold is the quantile, which benign runs cross
+    config = tmp_path / "no-margin.ini"
+    config.write_text("[calibration]\nmargin = 0\n")
+    done = run_script("benign_far_sweep.py", "--config", str(config), "--seeds", "1")
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "VIOLATION" in done.stdout
