@@ -283,7 +283,6 @@ class _LiveSession:
                 self.monitor.epoch(rec)
                 if rec.fix_valid:
                     self._poll(rec.t_mono)
-                self.monitor.tick(rec.t_mono)
             elif kind == "rt":
                 rt = _scripted_rt(obj)
                 self.monitor.roughtime(rt, rt.t_mono_rx)

@@ -222,6 +222,14 @@ def _apply(
     streak = state.clean_streak
 
     kind = event.kind
+    if kind is EventKind.TICK or kind is EventKind.FIX_ACQUIRED:
+        # a fix reacquired after a long outage forces a cold start even when
+        # no TICK arrived during the outage to see it expire
+        if outage is not None and phase is not Phase.RESET_PENDING:
+            duration_s = event.t_mono.elapsed_s(outage)
+            if outage_classify(duration_s, config.ephemeris_validity_s) is OutageClass.LONG:
+                phase = Phase.RESET_PENDING
+                actions.append(alert("gnss_outage_exceeds_ephemeris_validity"))
     if kind is EventKind.FIX_ACQUIRED:
         outage = None
         if phase is Phase.COLD_START:
@@ -266,12 +274,6 @@ def _apply(
             # re-validate via NTS before resuming fine monitoring
             phase = Phase.COARSE_VALIDATED
             actions.append(SCHEDULE_NTS)
-    elif kind is EventKind.TICK:
-        if outage is not None and phase is not Phase.RESET_PENDING:
-            duration_s = event.t_mono.elapsed_s(outage)
-            if outage_classify(duration_s, config.ephemeris_validity_s) is OutageClass.LONG:
-                phase = Phase.RESET_PENDING
-                actions.append(alert("gnss_outage_exceeds_ephemeris_validity"))
     elif kind is EventKind.CLEAR:
         if phase is Phase.ALARM:
             phase, summary, streak = _cleared(coarse)

@@ -147,30 +147,29 @@ class Monitor:
 
     def _check_order(self, t: MonotonicInstant) -> None:
         """Refuse an input stamped before the last one applied."""
-        # an epoch that applied no event moved only last_fix, not the state machine
         last = self.state.last_t_mono
-        if self.last_fix is not None and (last is None or self.last_fix.t_mono > last):
-            last = self.last_fix.t_mono
         if last is not None and t < last:
             raise OrderingError(f"input at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
 
     def epoch(self, rec: EpochRecord) -> Optional[tuple[float, float]]:
-        """One receiver epoch; returns (filtered bias, innovation) for a valid fix."""
+        """One receiver epoch: the fix change, the ll verdict, then a TICK at
+        its instant.  Returns (filtered bias, innovation) for a valid fix."""
         t = rec.t_mono
         self._check_order(t)
+        tracked = None
         if rec.fix_valid != self.have_fix:
             self.have_fix = rec.fix_valid
             if self.anchor is None:  # the first change is an acquisition
                 self.anchor = (rec.t_gnss, t)
             self._apply(Event(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t))
-        if not rec.fix_valid:
-            return None
-        self.last_fix = rec
-        xhat, innovation = self.chain.track(local_bias_s(rec, *self.anchor), t)
-        verdict = ll_step(self.chain.ll_state, innovation, t)
-        if verdict is not None:
-            self._apply(Event(EventKind.LL_VERDICT, t, verdict))
-        return xhat, innovation
+        if rec.fix_valid:
+            self.last_fix = rec
+            tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
+            verdict = ll_step(self.chain.ll_state, tracked[1], t)
+            if verdict is not None:
+                self._apply(Event(EventKind.LL_VERDICT, t, verdict))
+        self._apply(Event(EventKind.TICK, t))
+        return tracked
 
     def roughtime(self, meas: RoughtimeMeasurement, t: MonotonicInstant,
                   now: Optional[MonotonicInstant] = None) -> None:
@@ -192,9 +191,6 @@ class Monitor:
         self._check_order(t)
         if repeat or up != (self.state.connectivity is Connectivity.ONLINE):
             self._apply(Event(EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN, t))
-
-    def tick(self, t: MonotonicInstant) -> None:
-        self._apply(Event(EventKind.TICK, t))
 
     def finish(self) -> None:
         """End of input: a fix still held counts as lost."""
@@ -379,7 +375,7 @@ def run_scenario(
             monitor.roughtime(outputs.rt_responses[e], t)
         if e in outputs.nts_responses:
             monitor.nts(outputs.nts_responses[e], t)
-        monitor.tick(t)
+    monitor.finish()
 
     result = PipelineResult(
         verdicts=verdicts,

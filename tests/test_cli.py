@@ -9,15 +9,16 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timeguard.attack_sim import builtin_scenarios, gen_scenario
+from timeguard.attack_sim import gen_scenario, network_available
 from timeguard.bench import bench_from_json
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, main
-from timeguard.config import default_config, load_config
+from timeguard.config import default_config, load_config, load_scenario
 from timeguard.receiver_feed import epoch_to_json
 from timeguard.timebase import SignedDuration, Timestamp, ts_add
 
@@ -430,6 +431,27 @@ def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):
     assert "final phase COLD_START" in capsys.readouterr().err
 
 
+def test_live_fix_reacquired_after_a_long_gap_starts_cold(tmp_path, capsys):
+    # no epoch arrives inside the outage, so no TICK sees it outlive the
+    # ephemeris; the reacquired fix classifies it and starts cold all the same
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(PINNED_CFG + "\n[orchestrator]\nephemeris_validity_s = 5\n")
+    feed = tmp_path / "feed.jsonl"
+    lines = [epoch_line(0), rt_line(0), epoch_line(1, fix=False), epoch_line(100)]
+    feed.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == EXIT_CLEAN
+    transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
+    [restart] = [t for t in transitions
+                 if "alert:gnss_outage_exceeds_ephemeris_validity" in t["actions"]]
+    assert (restart["event"], restart["t_mono_ns"]) == ("FixAcquired", 100 * 10**9)
+    assert (restart["from_phase"], restart["to_phase"]) == ("COARSE_VALIDATED", "COLD_START")
+    assert restart["actions"] == ["alert:gnss_outage_exceeds_ephemeris_validity",
+                                  "schedule_poll:roughtime"]
+    assert "final phase COLD_START" in capsys.readouterr().err
+
+
 def test_live_csv_format(pin_cfg, tmp_path):
     feed = tmp_path / "feed.jsonl"
     feed.write_text(epoch_line(0) + "\n" + rt_line(0) + "\n")
@@ -668,10 +690,18 @@ def test_live_refuses_every_corrupted_field(clean_live, tmp_path):
 
 
 def scenario_feed(outputs):
-    """A simulated run as a live feed: each epoch, then its scripted replies."""
+    """A simulated run as a live feed: each epoch, then its scripted replies.
+
+    Where the simulated network goes down or comes back, a `network` line
+    comes before the epoch, as simulate applies it.
+    """
     lines = []
+    up = True
     for e, rec in enumerate(outputs.epochs):
         t = rec.t_mono.nanoseconds
+        if network_available(outputs.spec, e) != up:
+            up = not up
+            lines.append(json.dumps({"type": "network", "t_mono_ns": t, "up": up}))
         lines.append(epoch_to_json(rec))
         rt = outputs.rt_responses.get(e)
         if rt is not None:
@@ -688,16 +718,36 @@ def scenario_feed(outputs):
     return "".join(line + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("name", ["step4s", "incr2us", "pull2us"])
+# a network outage; simulate reads a scenario that is not bundled from a file
+OUTAGE_INI = """\
+[scenario]
+name = outage
+duration_epochs = 400
+seed = 21
+
+[network]
+mode = down
+down_from_epoch = 100
+down_to_epoch = 200
+"""
+
+
+@pytest.mark.parametrize("name", ["step4s", "incr2us", "pull2us", "outage"])
 def test_live_replay_of_a_simulated_run_matches_simulate(name, pin_cfg, tmp_path):
     # the feed lines carry everything simulate hands the engine, oscillator
-    # wander included, so both commands must write the same verdicts
+    # wander and network changes included, so both commands must write the
+    # same verdicts and the same state-machine history
+    scenario = name
+    if name == "outage":
+        scenario = str(tmp_path / "outage.ini")
+        Path(scenario).write_text(OUTAGE_INI)
     sim, live = tmp_path / "sim", tmp_path / "live"
-    rc = main(["simulate", "--scenario", name, "--config", pin_cfg, "--out-dir", str(sim)])
+    rc = main(["simulate", "--scenario", scenario, "--config", pin_cfg, "--out-dir", str(sim)])
     feed = tmp_path / "feed.jsonl"
-    feed.write_text(scenario_feed(gen_scenario(builtin_scenarios()[name])))
+    feed.write_text(scenario_feed(gen_scenario(load_scenario(scenario))))
     assert main(["live", "--feed", str(feed), "--config", pin_cfg,
                  "--out-dir", str(live)]) == rc
-    simulated = (sim / "verdicts.jsonl").read_bytes()
-    assert simulated
-    assert (live / "verdicts.jsonl").read_bytes() == simulated
+    for trace in ("verdicts.jsonl", "transitions.jsonl"):
+        simulated = (sim / trace).read_bytes()
+        assert simulated
+        assert (live / trace).read_bytes() == simulated

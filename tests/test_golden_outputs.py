@@ -4,6 +4,12 @@ Each output is pinned by its sha256 under the default config, so a
 refactor of the writers or of the engine that changes a single byte of
 what an operator reads fails here.  A deliberate change to an output
 format updates the pinned digest in the same change.
+
+`live` replaying step4s as a feed is held to simulate's digests: both
+commands drive the same engine, which applies each epoch's fix change,
+ll verdict and TICK itself and closes a fix still held at the end of
+input with a FixLost, so they write the same verdicts and the same
+transitions.
 """
 
 import hashlib
@@ -19,26 +25,19 @@ SIMULATE_SHA256 = {
         "epochs.jsonl": "a6f1ada18435e5b4e097ead801597a7b33a00d7d89045d93905c7a30559b9304",
         "truth.csv": "8ac46263ff692d83827a7458ba59f43a50f86777c8c8769aeab5be4c7514f3fe",
         "verdicts.jsonl": "6f946c49d7bb9b2a91a1e63f2595b3b9c35b025db248f70f63629f79ff105ac8",
-        "transitions.jsonl": "ce9da7bf946e5217511cd3165d0240b67ba558226e861f125f627a502ab72617",
+        "transitions.jsonl": "715af06f26a37b8e6ffedb98a0aa8d5ede8de985cfac0ef6880a54124a4e2266",
         "report.json": "d616c07c32a6b418d0855720412465725008c4d68daae8bb90c051328bcbf157",
     },
     "pull2us": {
         "epochs.jsonl": "46a5d015d9a73a7ac1d2322ebdbfe416cd295c761a1fbeb297a52f1ce5065ac5",
         "truth.csv": "5357456e1ecab1c13c059bdfa686943875a2d97f4d6bf4fac128f7e00d923ee2",
         "verdicts.jsonl": "64ff48b9edb3b84d7f612ec0fd5e676cf5e3d068b58e6136d43e694a4591b3cd",
-        "transitions.jsonl": "81cfcc792e59d4fb8eab12e3cb2e0dd2e5acfdfe5814edcf811262c0f16ec6b7",
+        "transitions.jsonl": "2ba6c308162bdf73877ea0b1d6c2a238fe032207a54e52d09c914a5c01644faf",
         "report.json": "1255329eac79a19319bf222b847e89ef5949538f68704e380d6dd39f977ad939",
     },
 }
 
 CALIBRATE_STDOUT_SHA256 = "86a40289459768a5a8f9cffda40facf6fd632589399f8fd5550ae5738734960c"
-
-# the verdicts are simulate's; the transitions are live's own (its tick comes
-# before the replies of an epoch, and the end of input adds a FixLost)
-LIVE_STEP4S_SHA256 = {
-    "verdicts.jsonl": "6f946c49d7bb9b2a91a1e63f2595b3b9c35b025db248f70f63629f79ff105ac8",
-    "transitions.jsonl": "715af06f26a37b8e6ffedb98a0aa8d5ede8de985cfac0ef6880a54124a4e2266",
-}
 
 
 def sha256(data: bytes) -> str:
@@ -62,5 +61,7 @@ def test_live_step4s_feed(tmp_path):
     feed.write_text(scenario_feed(gen_scenario(builtin_scenarios()["step4s"])))
     out = tmp_path / "out"
     main(["live", "--feed", str(feed), "--out-dir", str(out)])
-    got = {f: sha256((out / f).read_bytes()) for f in LIVE_STEP4S_SHA256}
-    assert got == LIVE_STEP4S_SHA256
+    # live writes the same verdicts and transitions as simulate
+    traces = ("verdicts.jsonl", "transitions.jsonl")
+    got = {f: sha256((out / f).read_bytes()) for f in traces}
+    assert got == {f: SIMULATE_SHA256["step4s"][f] for f in traces}

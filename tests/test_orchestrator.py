@@ -20,6 +20,7 @@ from timeguard.orchestrator import (
     Phase,
     PolicyError,
     SourceSummary,
+    alert,
     initial_state,
     outage_classify,
     replay,
@@ -230,6 +231,22 @@ def test_reset_pending_restarts_cold():
     assert state.phase is Phase.COLD_START
     assert not state.coarse_validated
     assert SCHEDULE_RT in actions
+
+
+def test_fix_reacquired_after_a_long_outage_restarts_cold_without_a_tick():
+    # no TICK fell inside the outage, so the reacquired fix classifies it
+    state = fine_state()
+    state, _ = step(state, ev(EventKind.FIX_LOST, 10))
+    state, _ = step(state, ev(EventKind.FIX_ACQUIRED, 10 + 4 * 3600))  # boundary: still short
+    assert state.phase is Phase.FINE_MONITORING
+    state, _ = step(state, ev(EventKind.FIX_LOST, 20 + 4 * 3600))
+    state, actions = step(state, ev(EventKind.FIX_ACQUIRED, 20 + 9 * 3600))
+    assert state.phase is Phase.COLD_START
+    assert state.outage_started is None
+    assert not state.coarse_validated
+    assert state.summary == SourceSummary()
+    assert actions == [alert("gnss_outage_exceeds_ephemeris_validity"), SCHEDULE_RT]
+    assert state.active_time_source == "gnss"
 
 
 # -- trust selection --------------------------------------------------------

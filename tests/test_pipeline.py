@@ -272,7 +272,6 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
                       on_transition=lambda event, record: seen.append(record))
     for rec in outputs.epochs[:40]:
         monitor.epoch(rec)
-        monitor.tick(rec.t_mono)
     state, kf, window = monitor.state, monitor.chain.kf, list(monitor.chain.ll_state.window)
     count = len(seen)
     with pytest.raises(OrderingError):
@@ -286,7 +285,8 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
 
 
 def test_monitor_orders_epochs_against_the_last_tracked_one():
-    # an epoch that applies no event leaves the state machine's clock behind
+    # every epoch moves the state machine's clock with its TICK, an epoch
+    # that changes nothing else included
     utc0 = Timestamp.from_unix_s(1_689_120_000)
 
     def at(s):
@@ -296,7 +296,7 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
     monitor = Monitor(CFG)
     monitor.epoch(at(10.0))
     monitor.epoch(at(20.0))
-    assert monitor.state.last_t_mono == mono(10.0)
+    assert monitor.state.last_t_mono == mono(20.0)
     state, kf, last_fix = monitor.state, monitor.chain.kf, monitor.last_fix
     window = list(monitor.chain.ll_state.window)
     with pytest.raises(OrderingError):

@@ -88,19 +88,13 @@ def feed_monitor():
     return Monitor(replace(config, detector=replace(config.detector, ll=LlConfig(lambda_T=100.0))))
 
 
-def apply(monitor, rec):
-    """An epoch line as live applies it: the epoch, then a tick at its instant."""
-    monitor.epoch(rec)
-    monitor.tick(rec.t_mono)
-
-
 def test_stream_monotonicity_enforced():
     monitor = feed_monitor()
     first, second, regressed = feed_epochs(10, 20, 15)
-    apply(monitor, first)
-    apply(monitor, second)
+    monitor.epoch(first)
+    monitor.epoch(second)
     with pytest.raises(OrderingError):
-        apply(monitor, regressed)
+        monitor.epoch(regressed)
     assert monitor.last_fix == second
     assert monitor.state.last_t_mono == second.t_mono
 
@@ -108,6 +102,6 @@ def test_stream_monotonicity_enforced():
 def test_stream_equal_t_mono_allowed():
     monitor = feed_monitor()
     first, second = feed_epochs(10, 10)
-    apply(monitor, first)
-    apply(monitor, second)
+    monitor.epoch(first)
+    monitor.epoch(second)
     assert monitor.last_fix == second
