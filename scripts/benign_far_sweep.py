@@ -20,7 +20,7 @@ from dataclasses import replace
 from scipy.stats import binom
 
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
-from timeguard.config import apply_env, load_config
+from timeguard.config import apply_env, load_config, load_scenario
 from timeguard.detector import Hypothesis
 from timeguard.pipeline import fit_ll, run_scenario
 
@@ -39,12 +39,11 @@ def main() -> int:
     config = apply_env(load_config(args.config), os.environ)
     far = config.calibration.far
     m = config.detector.ll.m
-    table = builtin_scenarios()
-    fitted, operational = fit_ll(gen_scenario(table[config.calibration.scenario]), config)
+    fitted, operational = fit_ll(gen_scenario(load_scenario(config.calibration.scenario)), config)
     print(f"fitted quantile {fitted.lambda_T!r}, operational {operational.lambda_T!r}")
     pinned = replace(config, detector=replace(config.detector, ll=operational))
 
-    base = table["benign10k"]
+    base = builtin_scenarios()["benign10k"]
     worst = float("-inf")
     failed = False
     for seed in args.seeds:

@@ -124,17 +124,3 @@ def bench_to_json(report: BenchReport) -> str:
         ],
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
-
-
-def bench_from_json(text: str) -> BenchReport:
-    payload = json.loads(text)
-    rows = tuple(
-        BenchRow(
-            operation=r["operation"],
-            payload_bytes=r["payload_bytes"],
-            mean_latency_s=r["mean_latency_s"],
-            ops_per_s=r["ops_per_s"],
-        )
-        for r in payload["rows"]
-    )
-    return BenchReport(iterations=payload["iterations"], rows=rows)

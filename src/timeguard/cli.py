@@ -195,13 +195,15 @@ def _nts_poller(config: AppConfig):
         return None
     from .provider_nts import NtsKeConfig, nts_ke_handshake, nts_query
 
-    sessions: dict = {}
+    session = None
 
     def query() -> NtsMeasurement:
-        if "s" not in sessions:
+        # each query spends a cookie, a lost reply too: re-key once they run out
+        nonlocal session
+        if session is None or not session.cookies:
             ke = NtsKeConfig(ca_file=prov.nts_ca_file or None, timeout_s=prov.timeout_s)
-            sessions["s"] = nts_ke_handshake(prov.nts_ke_host, prov.nts_ke_port, ke)
-        return nts_query(sessions["s"], timeout_s=prov.timeout_s)
+            session = nts_ke_handshake(prov.nts_ke_host, prov.nts_ke_port, ke)
+        return nts_query(session, timeout_s=prov.timeout_s)
 
     return query
 

@@ -30,11 +30,11 @@ class ConfigFileError(Exception):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Oscillator model plus the filter gate."""
+    """Oscillator model, the 1-sigma bias readout noise (s) and the filter gate."""
 
     q_b: float = DEFAULT_OSCILLATOR.q_b
     q_d: float = DEFAULT_OSCILLATOR.q_d
-    sigma_meas_s: float = DEFAULT_OSCILLATOR.sigma_meas
+    sigma_meas_s: float = 10e-9
     gate_k: float = 3.0
 
     def __post_init__(self) -> None:
@@ -43,7 +43,7 @@ class EnsembleConfig:
 
     @property
     def oscillator(self) -> OscillatorSpec:
-        return OscillatorSpec(q_b=self.q_b, q_d=self.q_d, sigma_meas=self.sigma_meas_s)
+        return OscillatorSpec(q_b=self.q_b, q_d=self.q_d)
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ class AppConfig:
 
 
 def default_config() -> AppConfig:
-    # pinned NTS threshold: 3 sigma at the 50 us server class
-    det = DetectorConfig(nts_lambda=SignedDuration.from_s(150e-6))
-    return AppConfig(detector=det)
+    return AppConfig()
 
 
 # -- INI schema: the config dataclasses' own fields -------------------------

@@ -52,6 +52,7 @@ class Hypothesis(Enum):
 
 DEFAULT_RT_RADIUS_MAX = SignedDuration.from_s(10)
 DEFAULT_MAX_AGE_S = 60.0
+DEFAULT_NTS_LAMBDA = SignedDuration.from_s(150e-6)  # 3 sigma at the 50 us server class
 DEFAULT_SIGMA2_FLOOR = 1e-18  # (1 ns)^2, below the benign noise floor
 
 
@@ -121,7 +122,7 @@ class DetectorConfig:
 
     rt_radius_max: SignedDuration = DEFAULT_RT_RADIUS_MAX
     max_age_s: float = DEFAULT_MAX_AGE_S
-    nts_lambda: Optional[SignedDuration] = None
+    nts_lambda: SignedDuration = DEFAULT_NTS_LAMBDA
     nts_sigma_k: float = 3.0
     ll: LlConfig = field(default_factory=LlConfig)
 
@@ -130,8 +131,8 @@ class DetectorConfig:
             raise ConfigError("rt_radius_max must be positive")
         if not self.max_age_s > 0.0:
             raise ConfigError("max_age_s must be positive")
-        if self.nts_lambda is not None and self.nts_lambda.units <= 0:
-            raise ConfigError("nts_lambda must be positive")
+        if not isinstance(self.nts_lambda, SignedDuration) or self.nts_lambda.units <= 0:
+            raise ConfigError("nts_lambda must be a positive duration")
         if not self.nts_sigma_k > 0.0:
             raise ConfigError("nts_sigma_k must be positive")
 
@@ -174,21 +175,17 @@ def roughtime_test(
 def nts_test(
     t_gnss: Timestamp,
     meas,
-    lambda_T: Optional[SignedDuration],
     config: Optional[DetectorConfig] = None,
     t_mono_now: Optional[MonotonicInstant] = None,
 ) -> Verdict:
-    """Fine threshold test: H0 iff |t_gnss - t_nts| < lambda_T, strict.
+    """Fine threshold test: H0 iff |t_gnss - t_nts| < config.nts_lambda, strict.
 
     t_nts is the local receipt-time estimate corrected by the measured
     offset; with the GNSS-steered clock as the local estimate the
     statistic reduces to |offset|.
     """
     config = config or DetectorConfig()
-    if lambda_T is None:
-        raise ConfigError("nts lambda_T not calibrated; derive it from server sigma")
-    if lambda_T.units <= 0:
-        raise ConfigError("nts lambda_T must be positive")
+    lambda_T = config.nts_lambda
     _check_age(meas.t_mono_rx, t_mono_now, config.max_age_s)
     t_nts = ts_add(t_gnss, meas.offset)
     diff = ts_diff(t_gnss, t_nts)
@@ -203,12 +200,12 @@ def nts_test(
     )
 
 
-def estimate_server_sigma(history: Sequence[NtsMeasurement], n_min: int = 30) -> float:
-    """Sample standard deviation of observed offsets, in seconds."""
+def estimate_server_sigma(history: Sequence[NtsMeasurement]) -> float:
+    """Sample standard deviation of at least 30 observed offsets, in seconds."""
     import statistics  # only calibration runs this; live starts without it
 
-    if len(history) < n_min:
-        raise CalibrationError(f"need >= {n_min} measurements, have {len(history)}")
+    if len(history) < 30:
+        raise CalibrationError(f"need >= 30 measurements, have {len(history)}")
     return statistics.stdev(m.offset.to_s() for m in history)
 
 
@@ -325,19 +322,14 @@ def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
     return state.z
 
 
-def ll_step(
-    state: LlDetectorState,
-    bias_s: float,
-    t_mono: MonotonicInstant,
-    source_id: str = "ensemble",
-) -> Optional[Verdict]:
+def ll_step(state: LlDetectorState, bias_s: float, t_mono: MonotonicInstant) -> Optional[Verdict]:
     """One detector epoch; None during warm-up."""
     z = ll_advance(state, bias_s)
     if z is None:
         return None
     if state.params.lambda_T is None:
         raise ConfigError("ll lambda_T not calibrated")
-    return ll_test(z, state.params.lambda_T, state.params.polarity, source_id, t_mono)
+    return ll_test(z, state.params.lambda_T, state.params.polarity, "ensemble", t_mono)
 
 
 def calibrate_ll_threshold(

@@ -41,19 +41,17 @@ class MeasurementError(EnsembleError):
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """Noise model of one oscillator: process densities plus readout noise.
+    """Process noise model of one oscillator.
 
     q_b is the white-FM spectral density (s²/s), q_d the random-walk-FM
-    density ((s/s)²/s), sigma_meas the 1-sigma bias readout noise (s).
-    Defaults describe an OCXO-class reference.
+    density ((s/s)²/s).  Defaults describe an OCXO-class reference.
     """
 
     q_b: float = 1e-21
     q_d: float = 1e-24
-    sigma_meas: float = 10e-9
 
     def __post_init__(self) -> None:
-        for name in ("q_b", "q_d", "sigma_meas"):
+        for name in ("q_b", "q_d"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise FilterDomainError(f"{name} must be finite and >= 0, got {v}")
@@ -125,17 +123,11 @@ class ClockKfState:
 
 
 def kf_init(
-    spec: OscillatorSpec = DEFAULT_OSCILLATOR,
-    bias: float = 0.0,
-    drift: float = 0.0,
-    bias_sigma: float = 1e-6,
-    drift_sigma: float = 1e-9,
+    spec: OscillatorSpec = DEFAULT_OSCILLATOR, bias: float = 0.0, drift: float = 0.0
 ) -> ClockKfState:
-    """Fresh state with a diagonal prior; used after coarse validation."""
-    return ClockKfState(
-        float(bias), float(drift), float(bias_sigma**2), 0.0, float(drift_sigma**2),
-        spec.q_b, spec.q_d,
-    )
+    """Fresh state with a diagonal prior of 1 us in bias and 1 ns/s in drift;
+    used after coarse validation."""
+    return ClockKfState(float(bias), float(drift), 1e-6**2, 0.0, 1e-9**2, spec.q_b, spec.q_d)
 
 
 def kf_predict(state: ClockKfState, tau: float) -> ClockKfState:

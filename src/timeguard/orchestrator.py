@@ -324,12 +324,11 @@ def advance(
 
 
 def replay(
-    events: Sequence[Event],
-    config: Optional[OrchestratorConfig] = None,
-    state: Optional[OrchestratorState] = None,
+    events: Sequence[Event], config: Optional[OrchestratorConfig] = None
 ) -> tuple[OrchestratorState, list[TransitionRecord]]:
-    """Run an event log through advance(), collecting the transition trail."""
-    state = state if state is not None else initial_state()
+    """Run an event log from initial_state() through advance(), collecting
+    the transition trail."""
+    state = initial_state()
     records: list[TransitionRecord] = []
     for event in events:
         state, _ = advance(state, event, config, lambda _, record: records.append(record))
@@ -347,16 +346,4 @@ def transition_to_json(record: TransitionRecord) -> str:
             "actions": list(record.actions),
         },
         separators=(",", ":"),
-    )
-
-
-def transition_from_json(line: str) -> TransitionRecord:
-    obj = json.loads(line)
-    return TransitionRecord(
-        t_mono=MonotonicInstant(int(obj["t_mono_ns"])),
-        event=obj["event"],
-        from_phase=Phase(obj["from_phase"]),
-        to_phase=Phase(obj["to_phase"]),
-        active_source=obj["active_source"],
-        actions=tuple(obj["actions"]),
     )

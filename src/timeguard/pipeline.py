@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
-from .config import AppConfig, EnsembleConfig
+from .config import AppConfig, EnsembleConfig, load_scenario
 from .detector import (
     Hypothesis,
     LlConfig,
@@ -46,10 +46,6 @@ from .timebase import MonotonicInstant, Timestamp, ts_diff
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class CalibrationNeeded(Exception):
-    """The ll threshold is unset and no calibration source was given."""
 
 
 @dataclass
@@ -181,8 +177,8 @@ class Monitor:
     def nts(self, meas: NtsMeasurement, t: MonotonicInstant,
             now: Optional[MonotonicInstant] = None) -> None:
         """An NTS reply at t; `now`, default t, dates it for the staleness check."""
-        det = self.config.detector
-        verdict = nts_test(self._reference(), meas, det.nts_lambda, det, t if now is None else now)
+        verdict = nts_test(self._reference(), meas, self.config.detector,
+                           t if now is None else now)
         self._apply(Event(EventKind.NTS_VERDICT, t, verdict))
 
     def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:
@@ -228,16 +224,12 @@ def fit_ll(outputs: SimOutputs, config: AppConfig) -> tuple[LlConfig, LlConfig]:
 
 
 def resolve_ll(config: AppConfig) -> LlConfig:
-    """The ll parameters to run with; calibrates lambda_T if unset."""
+    """The ll parameters to run with; calibrates lambda_T if unset, on the
+    configured calibration scenario, a bundled name or a scenario INI path."""
     ll = config.detector.ll
     if ll.lambda_T is not None:
         return ll
-    table = builtin_scenarios()
-    if config.calibration.scenario not in table:
-        raise CalibrationNeeded(
-            f"calibration scenario {config.calibration.scenario!r} is not bundled"
-        )
-    return fit_ll(gen_scenario(table[config.calibration.scenario]), config)[1]
+    return fit_ll(gen_scenario(load_scenario(config.calibration.scenario)), config)[1]
 
 
 # -- reports -----------------------------------------------------------------
@@ -280,21 +272,6 @@ def report_to_json(report: RunReport) -> str:
         "config_sha256": report.config_sha256,
     }
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
-
-
-def report_from_json(text: str) -> RunReport:
-    obj = json.loads(text)
-    outcomes = {
-        test: DetectorOutcome(detected=o["detected"], latency_epochs=o["latency_epochs"])
-        for test, o in obj["outcomes"].items()
-    }
-    return RunReport(
-        scenario=obj["scenario"],
-        outcomes=outcomes,
-        false_alarms=obj["false_alarms"],
-        final_phase=obj["final_phase"],
-        config_sha256=obj["config_sha256"],
-    )
 
 
 # -- scenario replay ---------------------------------------------------------

@@ -277,15 +277,10 @@ _HEADER = struct.Struct(">BBBb3I4Q")
 
 
 def build_ntp_header(
-    mode: int,
-    tx: Timestamp,
-    origin: int = 0,
-    recv: int = 0,
-    stratum: int = 0,
-    version: int = 4,
+    mode: int, tx: Timestamp, origin: int = 0, recv: int = 0, stratum: int = 0
 ) -> bytes:
-    li_vn_mode = (version << 3) | mode
-    return _HEADER.pack(li_vn_mode, stratum, 0, 0, 0, 0, 0, 0, origin, recv, pack_ntp64(tx))
+    """An NTPv4 header with no leap indicator."""
+    return _HEADER.pack((4 << 3) | mode, stratum, 0, 0, 0, 0, 0, 0, origin, recv, pack_ntp64(tx))
 
 
 def parse_ntp_header(data: bytes) -> tuple[int, int, int, int, int]:
@@ -371,22 +366,17 @@ class NtsRequest(NamedTuple):
     t1: Timestamp
 
 
-def build_nts_request(
-    session: NtsSession,
-    t1: Timestamp,
-    unique_id: Optional[bytes] = None,
-    num_placeholders: int = 0,
-    nonce: Optional[bytes] = None,
-) -> NtsRequest:
+def build_nts_request(session: NtsSession, t1: Timestamp, num_placeholders: int = 0) -> NtsRequest:
     """Client packet: header, unique ID, cookie, placeholders, authenticator.
 
-    Consumes one cookie from the session queue.
+    Consumes one cookie from the session queue; the unique ID and the
+    authenticator's nonce are fresh random bytes.
     """
     if not session.cookies:
         raise CookieError("cookie queue empty; re-key via NTS-KE")
     cookie = session.cookies.pop(0)
-    unique_id = unique_id if unique_id is not None else secrets.token_bytes(32)
-    nonce = nonce if nonce is not None else secrets.token_bytes(16)
+    unique_id = secrets.token_bytes(32)
+    nonce = secrets.token_bytes(16)
     header = build_ntp_header(mode=3, tx=t1)
     efs = encode_ef(EF_UNIQUE_ID, unique_id) + encode_ef(EF_COOKIE, cookie)
     efs += encode_ef(EF_COOKIE_PLACEHOLDER, b"\x00" * len(cookie)) * num_placeholders
@@ -522,12 +512,12 @@ class NtsTestServer:
     """Self-contained NTS-KE + NTP server for tests and benchmarks.
 
     Cookies seal the per-session keys under a server master key, so the
-    NTP side is stateless.  Tamper knobs exercise each client-side error
-    path.  clock supplies the server's idea of UTC.
+    NTP side is stateless.  A handshake hands out eight cookies, as RFC
+    8915 recommends.  Tamper knobs exercise each client-side error path.
+    clock supplies the server's idea of UTC.
     """
 
     clock: Callable[[], Timestamp] = Timestamp.now_system
-    cookies_per_handshake: int = 8
     offer_aead_id: int = AEAD_AES_SIV_CMAC_256
     send_zero_cookies: bool = False
     flip_ct_bit: bool = False
@@ -558,7 +548,7 @@ class NtsTestServer:
             raise CookieError("cookie rejected") from None
         return payload[4:36], payload[36:68]
 
-    def mint_session(self, num_cookies: int = 8, server_id: str = "nts-test") -> NtsSession:
+    def mint_session(self, num_cookies: int = 8) -> NtsSession:
         """Pre-shared-key mode: a valid session without any TLS handshake."""
         c2s, s2c = secrets.token_bytes(32), secrets.token_bytes(32)
         return NtsSession(
@@ -567,7 +557,7 @@ class NtsTestServer:
             cookies=[self.mint_cookie(c2s, s2c) for _ in range(num_cookies)],
             host="127.0.0.1",
             port=self.ntp_port,
-            server_id=server_id,
+            server_id="nts-test",
         )
 
     # NTP side
@@ -753,7 +743,7 @@ class NtsTestServer:
                 out += encode_ke_record(KE_AEAD, struct.pack(">H", self.offer_aead_id), True)
                 out += encode_ke_record(KE_PORT, struct.pack(">H", self.ntp_port), False)
                 if not self.send_zero_cookies:
-                    for _ in range(self.cookies_per_handshake):
+                    for _ in range(8):
                         out += encode_ke_record(KE_COOKIE, self.mint_cookie(c2s, s2c), False)
                 out += encode_ke_record(KE_END, b"", True)
                 tls.sendall(out)

@@ -432,13 +432,13 @@ class RoughtimeTestServer:
         sig = self.root_key.sign(DELEGATION_CONTEXT + dele)
         return encode_message({TAG_SIG: sig, TAG_DELE: dele})
 
-    def respond(self, request: bytes, midpoint_override: Optional[int] = None) -> bytes:
+    def respond(self, request: bytes) -> bytes:
         """Signed response for one request, per the server's current clock."""
         nonce = require_tag(decode_request(request), TAG_NONC, 32)
         nonces = [nonce] + [make_nonce() for _ in range(self.batch_nonces - 1)]
         levels = merkle_build([merkle_leaf(n) for n in nonces])
         root = levels[-1][0]
-        midp = midpoint_override if midpoint_override is not None else int(self.now_unix_s())
+        midp = int(self.now_unix_s())
         srep = encode_message(
             {
                 TAG_RADI: _U32.pack(self.radius_s),

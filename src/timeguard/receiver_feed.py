@@ -96,13 +96,18 @@ def json_flag(obj: dict, key: str) -> bool:
 
 
 def json_int(obj: dict, key: str, *, text: bool = False) -> int:
-    """obj[key] if it is a JSON integer, or with text=True a string of one.
+    """obj[key] if it is a JSON integer, or with text=True a string of ASCII
+    decimal digits.
 
     TypeError for a boolean, which int() reads as 1 or 0, and for a float
     such as 1.5 or 1e400, which int() truncates or cannot convert.
+    ValueError for a string with a sign, a space, an underscore or a
+    non-ASCII digit, each of which int() would accept.
     """
     value = obj[key]
     if text and isinstance(value, str):
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"{key} must be decimal digits, got {value!r}")
         return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{key} must be an integer, got {value!r}")

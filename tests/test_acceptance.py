@@ -164,8 +164,9 @@ def test_criterion_4_kalman_filter_consistency():
     is the identity, the 3-sigma gate rejects 4-sigma outliers, and one
     filter step agrees with a scalar oracle to 1e-12 relative."""
     spec = DEFAULT_OSCILLATOR
+    sigma_meas = DEFAULT.ensemble.sigma_meas_s
     tau, steps, runs = 1.0, 200, 100
-    r = spec.sigma_meas**2
+    r = sigma_meas**2
     chol = np.linalg.cholesky(process_noise_cov(spec.q_b, spec.q_d, tau))
     nees = np.empty((runs, steps))
     for run in range(runs):
@@ -189,7 +190,7 @@ def test_criterion_4_kalman_filter_consistency():
         s = kf_init(spec)
         for k in range(1, steps + 1):
             s = kf_predict(s, tau)
-            z = bias[k] + spec.sigma_meas * rng.standard_normal()
+            z = bias[k] + sigma_meas * rng.standard_normal()
             s = kf_update(s, z, r, gate_k=1e6).state
             e = np.array([bias[k], drift[k]]) - s.x
             nees[run, k - 1] = float(e @ np.linalg.solve(s.P, e))

@@ -90,7 +90,7 @@ def test_meacon_delay_negative_offset():
 
 
 def test_oscillator_noiseless_integration():
-    quiet = OscillatorSpec(q_b=0.0, q_d=0.0, sigma_meas=1e-9)
+    quiet = OscillatorSpec(q_b=0.0, q_d=0.0)
     bias = simulate_oscillator(quiet, 10, 1.0, seed=5, bias0=1.0, drift0=0.5)
     assert np.array_equal(bias, 1.0 + 0.5 * np.arange(10))
 

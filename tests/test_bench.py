@@ -1,12 +1,15 @@
 """Tests for the crypto microbenchmarks."""
 
+import json
+
 import pytest
 
 from timeguard.bench import (
     OPERATIONS,
     PAYLOAD_SIZES,
+    BenchReport,
+    BenchRow,
     BenchUsageError,
-    bench_from_json,
     bench_to_json,
     format_table,
     run_bench,
@@ -60,4 +63,9 @@ def test_table_has_all_rows():
 
 
 def test_json_round_trip():
-    assert bench_from_json(bench_to_json(REPORT)) == REPORT
+    report = BenchReport(iterations=7, rows=(BenchRow("verify", 1024, 0.25, 4.0),))
+    assert json.loads(bench_to_json(report)) == {
+        "iterations": 7,
+        "rows": [{"operation": "verify", "payload_bytes": 1024, "mean_latency_s": 0.25,
+                  "ops_per_s": 4.0}],
+    }

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeguard.attack_sim import gen_scenario, network_available
-from timeguard.bench import bench_from_json
-from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, main
+from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main
 from timeguard.config import default_config, load_config, load_scenario
+from timeguard.provider_nts import NtsTestServer, UnreachableError
 from timeguard.receiver_feed import epoch_to_json
 from timeguard.timebase import SignedDuration, Timestamp, ts_add
 
@@ -264,9 +265,15 @@ def test_env_override_reaches_dump(monkeypatch, capsys):
 def test_bench_json_artifact(tmp_path, capsys):
     assert main(["bench-crypto", "--iterations", "5", "--out-dir", str(tmp_path)]) == 0
     assert "aead-encrypt" in capsys.readouterr().out
-    report = bench_from_json((tmp_path / "bench.json").read_text())
-    assert report.iterations == 5
-    assert len(report.rows) == 8
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert report["iterations"] == 5
+    assert [(r["operation"], r["payload_bytes"]) for r in report["rows"]] == [
+        (op, size) for size in (1024, 8192)
+        for op in ("sign", "verify", "aead-encrypt", "aead-decrypt")
+    ]
+    for r in report["rows"]:
+        assert set(r) == {"operation", "payload_bytes", "mean_latency_s", "ops_per_s"}
+        assert isinstance(r["mean_latency_s"], float) and isinstance(r["ops_per_s"], float)
 
 
 # -- calibrate ---------------------------------------------------------------
@@ -291,6 +298,27 @@ def test_calibrate_emits_loadable_overlay(tmp_path, capsys):
     assert overlay.detector.ll.lambda_T is not None
     assert overlay.detector.ll.sigma0_sq > 0
     assert overlay.detector.nts_lambda.to_s() > 0
+
+
+def test_calibration_scenario_takes_an_ini_path(tmp_path, capsys):
+    spec_path = tmp_path / "cal.ini"
+    spec_path.write_text(CAL_INI)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[calibration]\nscenario = {spec_path}\n")
+    assert main(["simulate", "--scenario", "step4s", "--config", str(cfg)]) == EXIT_ATTACK
+    cfg.write_text("[calibration]\nscenario = no-such-scenario\n")
+    assert main(["simulate", "--scenario", "step4s", "--config", str(cfg)]) == EXIT_ERROR
+    assert "config error: cannot read no-such-scenario" in capsys.readouterr().err
+
+
+def test_blank_nts_lambda_is_refused_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(PINNED_CFG + "\n[detector]\nnts_lambda_s =\n")
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", "step4s", "--config", str(cfg), "--out-dir", str(out)]
+    assert main(argv) == EXIT_ERROR
+    assert "config error: detector.nts_lambda_s" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- live --------------------------------------------------------------------
@@ -402,6 +430,26 @@ def test_live_unreachable_providers_enter_holdover(tmp_path):
     assert "FINE_MONITORING" in phases
     assert "HOLDOVER" in phases
     assert phases.index("HOLDOVER") > phases.index("FINE_MONITORING")
+
+
+def test_live_nts_poller_re_keys_once_its_cookies_run_out():
+    """Each lost reply spends a cookie; once the eight from the handshake are
+    gone, the next poll runs NTS-KE again instead of failing for good."""
+    server = NtsTestServer()
+    port = server.start_ke()
+    try:
+        base = default_config()
+        poll = _nts_poller(replace(base, providers=replace(
+            base.providers, nts_ke_host="127.0.0.1", nts_ke_port=port,
+            nts_ca_file=server.ca_file, timeout_s=0.05)))
+        server.drop_requests = True
+        for _ in range(9):
+            with pytest.raises(UnreachableError):
+                poll()
+        server.drop_requests = False
+        assert poll().delay.units >= 0
+    finally:
+        server.stop()
 
 
 def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):

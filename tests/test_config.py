@@ -126,9 +126,11 @@ def test_partial_override_keeps_other_defaults(tmp_path):
 
 
 def test_empty_lambda_means_uncalibrated(tmp_path):
-    cfg = load_config(write(tmp_path, "[ll]\nlambda_t =\n\n[detector]\nnts_lambda_s =\n"))
+    cfg = load_config(write(tmp_path, "[ll]\nlambda_t =\n"))
     assert cfg.detector.ll.lambda_T is None
-    assert cfg.detector.nts_lambda is None
+    # the NTS threshold has no uncalibrated state: a blank one is refused
+    with pytest.raises(ConfigFileError, match="nts_lambda_s"):
+        load_config(write(tmp_path, "[detector]\nnts_lambda_s =\n"))
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -179,7 +181,7 @@ def test_env_absent_is_noop():
 def test_ensemble_oscillator_property():
     ens = EnsembleConfig(q_b=1e-20, q_d=2e-24, sigma_meas_s=5e-9)
     osc = ens.oscillator
-    assert (osc.q_b, osc.q_d, osc.sigma_meas) == (1e-20, 2e-24, 5e-9)
+    assert (osc.q_b, osc.q_d, ens.sigma_meas_s) == (1e-20, 2e-24, 5e-9)
 
 
 def test_ensemble_gate_validation():

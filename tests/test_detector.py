@@ -114,17 +114,18 @@ def test_rt_pure():
 
 # -- NTS threshold test -----------------------------------------------------
 
-LAMBDA_150US = SignedDuration.from_s(3.0 * 50e-6)  # 3 sigma of a 50 us server
+# lambda_T at 3 sigma of a 50 us server
+NTS_150US = DetectorConfig(nts_lambda=SignedDuration.from_s(3.0 * 50e-6))
 
 
 def test_nts_zero_offset():
-    v = nts_test(T_GNSS, nts_meas(0.0), LAMBDA_150US)
+    v = nts_test(T_GNSS, nts_meas(0.0), NTS_150US)
     assert v.hypothesis is Hypothesis.H0
     assert v.statistic == 0.0
 
 
 def test_nts_offset_below_lambda():
-    v = nts_test(T_GNSS, nts_meas(100e-6), LAMBDA_150US)
+    v = nts_test(T_GNSS, nts_meas(100e-6), NTS_150US)
     assert v.hypothesis is Hypothesis.H0
     assert v.statistic == pytest.approx(100e-6)
     assert v.threshold == pytest.approx(150e-6)
@@ -132,12 +133,12 @@ def test_nts_offset_below_lambda():
 
 def test_nts_accumulated_offset_flagged():
     # 100 increments of 2 us each
-    v = nts_test(T_GNSS, nts_meas(200e-6), LAMBDA_150US)
+    v = nts_test(T_GNSS, nts_meas(200e-6), NTS_150US)
     assert v.hypothesis is Hypothesis.H1
 
 
 def test_nts_statistic_is_abs_offset():
-    v = nts_test(T_GNSS, nts_meas(-200e-6), LAMBDA_150US)
+    v = nts_test(T_GNSS, nts_meas(-200e-6), NTS_150US)
     assert v.statistic == pytest.approx(200e-6)
     assert v.hypothesis is Hypothesis.H1
 
@@ -145,23 +146,23 @@ def test_nts_statistic_is_abs_offset():
 def test_nts_boundary_is_h1():
     offset = SignedDuration.from_s(1e-4)
     meas = NtsMeasurement(offset, SignedDuration(0), MONO0, "nts")
-    v = nts_test(T_GNSS, meas, SignedDuration(offset.units))
+    v = nts_test(T_GNSS, meas, DetectorConfig(nts_lambda=SignedDuration(offset.units)))
     assert v.hypothesis is Hypothesis.H1
 
 
 def test_nts_uncalibrated_lambda():
     with pytest.raises(ConfigError):
-        nts_test(T_GNSS, nts_meas(0.0), None)
+        DetectorConfig(nts_lambda=None)
     with pytest.raises(ConfigError):
-        nts_test(T_GNSS, nts_meas(0.0), SignedDuration(-5))
+        DetectorConfig(nts_lambda=SignedDuration(-5))
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=0, max_value=10**12))
 @settings(max_examples=200)
 def test_nts_monotone_in_offset(ns_a, ns_b):
     small, large = sorted([ns_a, ns_b])
-    v_small = nts_test(T_GNSS, nts_meas(small * 1e-9), LAMBDA_150US)
-    v_large = nts_test(T_GNSS, nts_meas(large * 1e-9), LAMBDA_150US)
+    v_small = nts_test(T_GNSS, nts_meas(small * 1e-9), NTS_150US)
+    v_large = nts_test(T_GNSS, nts_meas(large * 1e-9), NTS_150US)
     if v_small.hypothesis is Hypothesis.H1:
         assert v_large.hypothesis is Hypothesis.H1
 

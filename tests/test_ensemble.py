@@ -397,5 +397,5 @@ def test_spec_rejects_negative_noise():
 
 
 def test_kf_init_uses_spec():
-    s = kf_init(OscillatorSpec(q_b=5e-21, q_d=2e-24, sigma_meas=1e-9))
+    s = kf_init(OscillatorSpec(q_b=5e-21, q_d=2e-24))
     assert s.q_b == 5e-21 and s.q_d == 2e-24

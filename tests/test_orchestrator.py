@@ -25,7 +25,6 @@ from timeguard.orchestrator import (
     outage_classify,
     replay,
     step,
-    transition_from_json,
     transition_to_json,
     trust_select,
 )
@@ -350,16 +349,11 @@ def test_transition_jsonl_roundtrip():
     _, records = run(
         [ev(EventKind.FIX_ACQUIRED, 0), ev(EventKind.RT_VERDICT, 1, "rt")]
     )
-    for record in records:
-        line = transition_to_json(record)
-        obj = json.loads(line)
-        assert set(obj) == {
-            "t_mono_ns",
-            "event",
-            "from_phase",
-            "to_phase",
-            "active_source",
-            "actions",
-        }
-        assert transition_from_json(line) == record
-    assert json.loads(transition_to_json(records[1]))["to_phase"] == "COARSE_VALIDATED"
+    assert [json.loads(transition_to_json(record)) for record in records] == [
+        {"t_mono_ns": 0, "event": "FixAcquired", "from_phase": "COLD_START",
+         "to_phase": "COLD_START", "active_source": "gnss",
+         "actions": ["schedule_poll:roughtime"]},
+        {"t_mono_ns": 1_000_000_000, "event": "RtVerdict", "from_phase": "COLD_START",
+         "to_phase": "COARSE_VALIDATED", "active_source": "gnss",
+         "actions": ["reset_filter:ensemble", "schedule_poll:nts"]},
+    ]

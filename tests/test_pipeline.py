@@ -1,6 +1,7 @@
 """Tests for the end-to-end validation pipeline."""
 
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from timeguard.pipeline import (
     event_from_json,
     event_to_json,
     local_bias_s,
-    report_from_json,
     report_to_json,
     resolve_ll,
     run_scenario,
@@ -37,7 +37,7 @@ DEFAULT = default_config()
 # ll pinned to its calibration, so no run calibrates again
 CFG = replace(DEFAULT, detector=replace(DEFAULT.detector, ll=resolve_ll(DEFAULT)))
 
-QUIET = OscillatorSpec(q_b=0.0, q_d=0.0, sigma_meas=1e-9)
+QUIET = OscillatorSpec(q_b=0.0, q_d=0.0)
 
 
 def mono(s):
@@ -332,7 +332,14 @@ def test_report_json_round_trip():
         final_phase="ALARM",
         config_sha256="00ff",
     )
-    assert report_from_json(report_to_json(report)) == report
+    assert json.loads(report_to_json(report)) == {
+        "scenario": "x",
+        "outcomes": {"rt": {"detected": True, "latency_epochs": 2},
+                     "nts": {"detected": False, "latency_epochs": None}},
+        "false_alarms": 1,
+        "final_phase": "ALARM",
+        "config_sha256": "00ff",
+    }
 
 
 def test_build_report_counts_false_alarms():

@@ -56,6 +56,9 @@ MALFORMED = [
     {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": 18446744073709551616}, "fix_valid": True,
      "leap_applied": True},
     {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "-1"}, "fix_valid": True, "leap_applied": True},
+    # the string form is ASCII digits only: int() also reads these as 1000, 7, 5 and 3
+    *({"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": frac}, "fix_valid": True,
+       "leap_applied": True} for frac in ("1_000", " 7 ", "+5", "\u0663")),
     # a source_id, when present, must be a JSON string: str() would write "None"
     {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True,
      "source_id": None},

@@ -15,6 +15,17 @@ call.  Two blind spots remain.  The receiver's type is unknown to the
 syntax tree, so a method shares its callers with every same-named method
 of another class; and dunder methods, which the interpreter calls, are
 not checked at all.
+
+A second check applies the same idea to settings: every defaulted
+parameter of a public function or method, and every defaulted ``init``
+field of a public dataclass, must be set somewhere outside its
+definition, tests included, since a test seam is a legitimate use.  A
+value counts as set by a keyword or a position at a call of that name,
+by an assignment ``obj.name = ...``, by a ``replace(...)`` keyword, or by
+a string constant naming it.  The dataclasses behind the INI and
+scenario-file keys are exempt: every one of their fields is a key a file
+can set.  The same blind spots apply, and a call through an alias, such
+as a bound method stored in a local, is not seen at all.
 """
 
 import ast
@@ -29,10 +40,6 @@ CALLER_FILES = sorted(
 
 # Public names that stay without a runtime caller, each for a reason.
 KEEP = {
-    # readers that pin the format of each runtime writer
-    "bench_from_json",
-    "report_from_json",
-    "transition_from_json",
     # the event log: its JSON pair, for an events.jsonl replay artifact, and
     # replay(), which acceptance criterion 7 runs a recorded log through
     "event_to_json",
@@ -47,6 +54,10 @@ KEEP = {
     # criterion 4 reads the matrix views
     "ClockKfState.x",
     "ClockKfState.P",
+    # defaulted parameters set only through cli._poll's alias `apply`, which
+    # passes the instant the poll's reply arrived
+    "Monitor.roughtime(now)",
+    "Monitor.nts(now)",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -109,6 +120,143 @@ def test_every_public_name_has_a_runtime_caller():
 
 def test_keep_set_lists_only_names_that_need_it():
     defined = {qualname for *_, qualname in _public_definitions()}
+    defined |= {label for _, _, _, label, _ in _defaulted_settings()}
     assert KEEP <= defined, f"kept names that no longer exist: {sorted(KEEP - defined)}"
-    called = KEEP - _uncalled()
+    called = KEEP - _uncalled() - _unset()
     assert not called, f"kept names that now have a caller: {sorted(called)}"
+
+
+# -- defaulted parameters and fields ------------------------------------------
+
+SETTER_FILES = sorted([*CALLER_FILES, *(ROOT / "tests").glob("*.py")])
+
+
+def _ini_dataclasses() -> set:
+    """Names of the config and scenario dataclasses whose fields are INI keys."""
+    from timeguard.config import _SCENARIO_SECTIONS, AppConfig, _schema
+
+    found = {cls.__name__ for cls in _SCENARIO_SECTIONS.values()}
+    stack = [AppConfig]
+    while stack:
+        cls = stack.pop()
+        found.add(cls.__name__)
+        stack.extend(_schema(cls)[1].values())
+    return found
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _setters(node: ast.AST, skip: ast.AST = None) -> set:
+    """What node sets, leaving out the subtree `skip`: (callee, keyword) and
+    (callee, position) of each call, ("=", attr) of each attribute
+    assignment, and ("str", text) of each identifier-like string constant."""
+    found = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Call) and (name := _callee(n)) is not None:
+            found.update((name, k.arg) for k in n.keywords if k.arg is not None)
+            for i, arg in enumerate(n.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                found.add((name, i))
+        elif isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in n.targets if isinstance(n, ast.Assign) else [n.target]:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute):
+                        found.add(("=", t.attr))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                found.add(("str", n.value))
+        stack.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _init_fields(node: ast.ClassDef):
+    """(position, name, has default) of each init field of a dataclass body."""
+    position = 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if (isinstance(value, ast.Call) and _callee(value) == "field"
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords)):
+            continue
+        yield position, stmt.target.id, value is not None
+        position += 1
+
+
+def _defaulted_params(func: ast.FunctionDef, method: bool):
+    """(name, how it is set) of each parameter of func that has a default: by
+    keyword, or by position unless keyword-only.  A method's positions leave
+    out self or cls."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+    first = 1 if method and not static else 0
+    for i, arg in enumerate(positional):
+        if i >= len(positional) - len(args.defaults):
+            yield arg.arg, [(func.name, arg.arg), (func.name, i - first)]
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, [(func.name, arg.arg)]
+
+
+def _defaulted_settings():
+    """(path, tree, owner node, label, how it is set) of each defaulted
+    parameter and field; `how` lists the setters any one of which counts."""
+    exempt = _ini_dataclasses()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _public(tree.body):
+            if isinstance(node, ast.FunctionDef):
+                for name, how in _defaulted_params(node, method=False):
+                    yield path, tree, node, f"{node.name}({name})", how
+                continue
+            for method in _public(node.body):
+                if isinstance(method, ast.FunctionDef):
+                    for name, how in _defaulted_params(method, method=True):
+                        yield path, tree, method, f"{node.name}.{method.name}({name})", how
+            if _is_dataclass(node) and node.name not in exempt:
+                for pos, name, has_default in _init_fields(node):
+                    if has_default:
+                        how = [(node.name, name), (node.name, pos), ("replace", name),
+                               ("=", name), ("str", name)]
+                        yield path, tree, node, f"{node.name}.{name}", how
+
+
+def _unset() -> set:
+    used = {path: _setters(ast.parse(path.read_text(), filename=str(path))) for path in SETTER_FILES}
+    missing = set()
+    for path, tree, node, label, how in _defaulted_settings():
+        if any(h in setters for p, setters in used.items() if p != path for h in how):
+            continue
+        own = _setters(tree, skip=node)
+        if not any(h in own for h in how):
+            missing.add(label)
+    return missing
+
+
+def test_every_defaulted_setting_is_set_somewhere():
+    unexplained = sorted(_unset() - KEEP)
+    assert not unexplained, f"defaulted parameters and fields nothing sets: {unexplained}"
