@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Optional, get_args, get_type_hints
 
@@ -120,15 +121,21 @@ def _schema(cls) -> tuple[dict[str, tuple[str, object]], dict[str, type]]:
 
 
 def _parse(hint, text: str, where: str):
-    """A key's text as its field's value; blank is None for an Optional."""
+    """A key's text as its field's value; blank is None for an Optional.
+
+    A float must be finite: a NaN passes every range check such as `x <= 0`.
+    """
     kind = _value_type(hint)
     text = text.strip()
     if kind is not hint and not text:
         return None
     try:
-        return SignedDuration.from_s(float(text)) if kind is SignedDuration else kind(text)
+        value = float(text) if kind in (float, SignedDuration) else kind(text)
     except ValueError:
         raise ConfigFileError(f"{where}: cannot parse {text!r} as {kind.__name__}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigFileError(f"{where}: {text!r} is not a finite number")
+    return SignedDuration.from_s(value) if kind is SignedDuration else value
 
 
 def _format(value) -> str:

@@ -7,8 +7,9 @@ scale is genuine; H1: it is not):
   * NTS threshold test: H0 iff |t_gnss - t_nts| < lambda_T, strict, where
     t_nts is the local receipt estimate shifted by the measured offset.
   * Windowed smoothed log-likelihood test on oscillator-ensemble bias
-    estimates: a density over the window mean is smoothed into Z and
-    compared against a calibrated threshold.
+    estimates: the Gaussian log density of the window mean at the
+    fitted benign moments is smoothed into Z, and H1 iff -Z >= lambda_T,
+    a calibrated threshold.
 
 All tests are pure functions of their inputs; only LlDetectorState
 carries mutable history and it is single-owner by construction.
@@ -41,10 +42,6 @@ class CalibrationError(DetectorError):
     """Not enough history to estimate the server noise."""
 
 
-class WarmupSignal(DetectorError):
-    """Window not yet full; the detector has no output for this epoch."""
-
-
 class Hypothesis(Enum):
     H0 = "H0"
     H1 = "H1"
@@ -53,7 +50,9 @@ class Hypothesis(Enum):
 DEFAULT_RT_RADIUS_MAX = SignedDuration.from_s(10)
 DEFAULT_MAX_AGE_S = 60.0
 DEFAULT_NTS_LAMBDA = SignedDuration.from_s(150e-6)  # 3 sigma at the 50 us server class
-DEFAULT_SIGMA2_FLOOR = 1e-18  # (1 ns)^2, below the benign noise floor
+# (1 ns)^2, below the benign noise floor: a noiseless calibration run fits
+# a variance near q_b * tau, about 1e-21, which would make ln p explode
+SIGMA2_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
@@ -76,40 +75,27 @@ class Verdict:
 class LlConfig:
     """Parameters of the windowed log-likelihood detector.
 
-    mode selects the density: "gaussian" (default) uses the squared,
-    centered exponent; "literal" keeps the sign-sensitive exponent
-    -mean/sigma^2, which diverges for negative window means.  polarity
-    "neg-ll" (default) alarms when -Z >= lambda_T; "as-printed" alarms
-    when Z >= lambda_T.  sigma0_sq, when set (calibrate_ll fits it),
-    fixes the density variance at the benign reference instead of the
-    per-window sample variance, whose quiet-stretch collapse makes the
-    statistic heavy-tailed.
+    The density is Gaussian at the benign reference moments mu0 and
+    sigma0_sq, and the test alarms when -Z >= lambda_T.  calibrate_ll
+    fits all three, so a pinned lambda_T needs the sigma0_sq it was
+    fitted with; a blank lambda_T means "calibrate".
     """
 
     alpha: float = 0.9
     m: int = 30
     lambda_T: Optional[float] = None
-    mode: str = "gaussian"
-    polarity: str = "neg-ll"
     mu0: float = 0.0
     sigma0_sq: Optional[float] = None
-    sigma2_floor: float = DEFAULT_SIGMA2_FLOOR
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"smoothing factor {self.alpha} outside [0, 1]")
         if self.m < 2:
             raise ConfigError(f"window length {self.m} below 2")
-        if self.mode not in ("literal", "gaussian"):
-            raise ConfigError(f"unknown density mode {self.mode!r}")
-        if self.polarity not in ("neg-ll", "as-printed"):
-            raise ConfigError(f"unknown polarity {self.polarity!r}")
-        if not self.sigma2_floor > 0.0:
-            raise ConfigError("variance floor must be positive")
         if self.sigma0_sq is not None and not self.sigma0_sq > 0.0:
             raise ConfigError("reference variance must be positive when set")
-        if self.lambda_T is not None and not math.isfinite(self.lambda_T):
-            raise ConfigError("lambda_T must be finite")
+        if self.lambda_T is not None and self.sigma0_sq is None:
+            raise ConfigError("a pinned lambda_T needs the sigma0_sq it was fitted with")
 
 
 @dataclass(frozen=True)
@@ -212,83 +198,29 @@ def estimate_server_sigma(history: Sequence[NtsMeasurement]) -> float:
 # -- windowed smoothed log-likelihood ---------------------------------------
 
 
-def _window_moments(
-    window: Sequence[float], sigma2_floor: float, sigma0_sq: Optional[float]
-) -> tuple[float, float]:
-    """(mean, s2) of the window; only the mean is computed when sigma0_sq fixes s2."""
-    n = len(window)
-    if n < 2:
-        raise WarmupSignal(f"window has {n} of 2 samples")
-    if sigma0_sq is not None:
-        return sum(window) / n, max(sigma0_sq, sigma2_floor)
-    import numpy as np
+def window_log_stat(window: Sequence[float], mu0: float, s2: float) -> float:
+    """ln p, p = (2 pi s2)^(-1/2) exp(-(mean - mu0)^2 / (2 s2)) for the window mean.
 
-    arr = np.asarray(window, dtype=np.float64)
-    return float(arr.mean()), max(float(arr.var(ddof=1)), sigma2_floor)
-
-
-def window_log_stat(
-    window: Sequence[float],
-    mu0: float,
-    sigma2_floor: float,
-    mode: str = "gaussian",
-    sigma0_sq: Optional[float] = None,
-) -> float:
-    """ln p, the log density of the window mean.
-
-    literal mode: p = (2 pi s2)^(-1/2) exp(-mean / s2), sign-sensitive
-    and divergent for negative means.  gaussian mode (default):
-    p = (2 pi s2)^(-1/2) exp(-(mean - mu0)^2 / (2 s2)).  s2 is the
-    sample variance floored at sigma2_floor, or sigma0_sq when given.
-    Working in the log domain keeps ln p finite where p itself would
-    underflow to 0 or overflow under attack.
+    The log domain keeps ln p finite where p would underflow to 0 under attack.
     """
-    mean, s2 = _window_moments(window, sigma2_floor, sigma0_sq)
-    coeff = -0.5 * math.log(2.0 * math.pi * s2)
-    if mode == "literal":
-        return coeff - mean / s2
-    if mode == "gaussian":
-        return coeff - (mean - mu0) ** 2 / (2.0 * s2)
-    raise ConfigError(f"unknown density mode {mode!r}")
+    mean = sum(window) / len(window)
+    return -0.5 * math.log(2.0 * math.pi * s2) - (mean - mu0) ** 2 / (2.0 * s2)
 
 
-def ll_test(
-    z: float,
-    lambda_T: float,
-    polarity: str = "neg-ll",
-    source_id: str = "ensemble",
-    t_mono: MonotonicInstant = MonotonicInstant(0),
-) -> Verdict:
-    """Threshold the smoothed statistic.
-
-    as-printed: H0 iff Z < lambda_T.  neg-ll (default): the statistic is
-    -Z and H1 iff -Z >= lambda_T.  Both alarm on statistic >= threshold.
-    """
-    if polarity == "neg-ll":
-        statistic = -z
-    elif polarity == "as-printed":
-        statistic = z
-    else:
-        raise ConfigError(f"unknown polarity {polarity!r}")
-    hypothesis = Hypothesis.H0 if statistic < lambda_T else Hypothesis.H1
-    return Verdict(
-        test="ll",
-        hypothesis=hypothesis,
-        statistic=statistic,
-        threshold=lambda_T,
-        source_id=source_id,
-        t_mono=t_mono,
-    )
+def ll_test(z: float, lambda_T: float, source_id: str = "ensemble",
+            t_mono: MonotonicInstant = MonotonicInstant(0)) -> Verdict:
+    """Threshold the smoothed statistic: the statistic is -Z, H1 iff -Z >= lambda_T."""
+    hypothesis = Hypothesis.H0 if -z < lambda_T else Hypothesis.H1
+    return Verdict(test="ll", hypothesis=hypothesis, statistic=-z, threshold=lambda_T,
+                   source_id=source_id, t_mono=t_mono)
 
 
 @dataclass
 class LlDetectorState:
     """Single-owner history of the log-likelihood detector.
 
-    With a calibrated reference variance, Z is seeded at the stationary
-    mean of ln p under the null, so a fresh start carries no transient
-    in either direction.  Without one, Z seeds from the first
-    full-window ln p, which is self-normalized and equally safe.
+    Z is seeded at the stationary mean of ln p under the fitted null, so
+    a fresh start carries no transient in either direction.
     """
 
     params: LlConfig = field(default_factory=LlConfig)
@@ -302,21 +234,19 @@ class LlDetectorState:
 def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
     """Push one bias estimate; returns updated Z, or None while warming.
 
-    Z = alpha * Z_prev + (1 - alpha) * ln p, with ln p from window_log_stat.
+    Z = alpha * Z_prev + (1 - alpha) * ln p, with ln p from window_log_stat
+    at the fitted mu0 and sigma0_sq, the latter floored at SIGMA2_FLOOR.
     """
     state.window.append(float(bias_s))
     if len(state.window) < state.params.m:
         return None
     p = state.params
-    log_p = window_log_stat(state.window, p.mu0, p.sigma2_floor, p.mode, sigma0_sq=p.sigma0_sq)
+    s2 = max(p.sigma0_sq, SIGMA2_FLOOR)
+    log_p = window_log_stat(state.window, p.mu0, s2)
     if state.z is None:
-        if p.sigma0_sq is not None:
-            # E[ln p] under the fitted null: coeff - E[(mean-mu0)^2]/(2 s2)
-            s2 = max(p.sigma0_sq, p.sigma2_floor)
-            seed = -0.5 * math.log(2.0 * math.pi * s2) - 1.0 / (2.0 * p.m)
-            state.z = p.alpha * seed + (1.0 - p.alpha) * log_p
-        else:
-            state.z = log_p
+        # E[ln p] under the fitted null: coeff - E[(mean-mu0)^2]/(2 s2)
+        seed = -0.5 * math.log(2.0 * math.pi * s2) - 1.0 / (2.0 * p.m)
+        state.z = p.alpha * seed + (1.0 - p.alpha) * log_p
     else:
         state.z = p.alpha * state.z + (1.0 - p.alpha) * log_p
     return state.z
@@ -324,36 +254,26 @@ def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
 
 def ll_step(state: LlDetectorState, bias_s: float, t_mono: MonotonicInstant) -> Optional[Verdict]:
     """One detector epoch; None during warm-up."""
+    if state.params.lambda_T is None:
+        raise ConfigError("ll lambda_T not calibrated")
     z = ll_advance(state, bias_s)
     if z is None:
         return None
-    if state.params.lambda_T is None:
-        raise ConfigError("ll lambda_T not calibrated")
-    return ll_test(z, state.params.lambda_T, state.params.polarity, "ensemble", t_mono)
+    return ll_test(z, state.params.lambda_T, "ensemble", t_mono)
 
 
-def calibrate_ll_threshold(
-    z_values: Sequence[float], polarity: str = "neg-ll", far: float = 1e-3
-) -> float:
-    """Empirical (1 - far) quantile of the statistic over a benign run."""
+def calibrate_ll_threshold(z_values: Sequence[float], far: float = 1e-3) -> float:
+    """Empirical (1 - far) quantile of the statistic -Z over a benign run."""
     import numpy as np
 
     if not 0.0 < far < 1.0:
         raise ConfigError(f"false-alarm rate {far} outside (0, 1)")
     if len(z_values) * far < 1.0:
         raise ConfigError(f"need at least {math.ceil(1 / far)} benign epochs")
-    if polarity == "neg-ll":
-        stats = [-z for z in z_values]
-    elif polarity == "as-printed":
-        stats = list(z_values)
-    else:
-        raise ConfigError(f"unknown polarity {polarity!r}")
-    return float(np.quantile(stats, 1.0 - far, method="higher"))
+    return float(np.quantile([-z for z in z_values], 1.0 - far, method="higher"))
 
 
-def calibrate_ll(
-    params: LlConfig, benign_biases: Sequence[float], far: float = 1e-3
-) -> LlConfig:
+def calibrate_ll(params: LlConfig, benign_biases: Sequence[float], far: float = 1e-3) -> LlConfig:
     """Fit mu0, sigma0^2, and lambda_T from a benign bias stream.
 
     Two passes: reference moments first, then the statistic quantile
@@ -367,7 +287,7 @@ def calibrate_ll(
     fitted = replace(params, mu0=float(arr.mean()), sigma0_sq=float(arr.var(ddof=1)))
     state = LlDetectorState(params=fitted)
     zs = [z for b in arr if (z := ll_advance(state, float(b))) is not None]
-    lam = calibrate_ll_threshold(zs, fitted.polarity, far)
+    lam = calibrate_ll_threshold(zs, far)
     return replace(fitted, lambda_T=lam)
 
 

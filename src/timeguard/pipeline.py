@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
-from .config import AppConfig, EnsembleConfig, load_scenario
+from .config import AppConfig, ConfigFileError, EnsembleConfig, load_scenario
 from .detector import (
     Hypothesis,
     LlConfig,
@@ -201,8 +201,7 @@ def training_residuals(outputs: SimOutputs, config: AppConfig) -> np.ndarray:
     """Filter innovations from a generated benign run, for threshold fitting."""
     import numpy as np
 
-    chain = FilterChain(ensemble=config.ensemble,
-                        ll_params=replace(config.detector.ll, lambda_T=None))
+    chain = FilterChain(ensemble=config.ensemble, ll_params=config.detector.ll)
     utc0, mono0 = outputs.epochs[0].t_gnss, outputs.epochs[0].t_mono
     residuals = np.empty(len(outputs.epochs))
     for e, rec in enumerate(outputs.epochs):
@@ -218,6 +217,9 @@ def fit_ll(outputs: SimOutputs, config: AppConfig) -> tuple[LlConfig, LlConfig]:
     threshold adds the safety margin so that routine operation stays
     quiet while the quantile itself remains available for analysis.
     """
+    if outputs.spec.attack.kind != "none":
+        raise ConfigFileError(f"calibration scenario {outputs.spec.name!r} carries a "
+                              f"{outputs.spec.attack.kind} attack; it must be benign")
     residuals = training_residuals(outputs, config)
     fitted = calibrate_ll(config.detector.ll, residuals, far=config.calibration.far)
     return fitted, replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)

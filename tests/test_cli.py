@@ -311,6 +311,21 @@ def test_calibration_scenario_takes_an_ini_path(tmp_path, capsys):
     assert "config error: cannot read no-such-scenario" in capsys.readouterr().err
 
 
+def test_calibration_on_an_attack_scenario_is_refused(tmp_path, capsys):
+    # a pull fitted as benign would widen the threshold past the attack itself
+    spec_path = tmp_path / "pull.ini"
+    spec_path.write_text(CAL_INI + "\n[attack]\nkind = smooth_pull\noffset_s = 2e-6\n"
+                         "onset_epoch = 300\n")
+    assert main(["calibrate", "--scenario", str(spec_path)]) == EXIT_ERROR
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[calibration]\nscenario = {spec_path}\n")
+    assert main(["simulate", "--scenario", "step4s", "--config", str(cfg)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    refusal = "config error: calibration scenario 'smoke-cal' carries a smooth_pull attack"
+    assert captured.err.count(refusal) == 2
+
+
 def test_blank_nts_lambda_is_refused_before_any_output(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(PINNED_CFG + "\n[detector]\nnts_lambda_s =\n")

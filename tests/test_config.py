@@ -2,6 +2,8 @@
 
 import configparser
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from timeguard.config import (
     EnsembleConfig,
     apply_env,
     config_sha256,
+    config_to_mapping,
     default_config,
     dump_config,
     load_config,
@@ -40,11 +43,8 @@ nts_sigma_k = 3.0
 alpha = 0.9
 m = 30
 lambda_t = 
-mode = gaussian
-polarity = neg-ll
 mu0 = 0.0
 sigma0_sq = 
-sigma2_floor = 1e-18
 
 [ensemble]
 q_b = 1e-21
@@ -77,8 +77,16 @@ timeout_s = 1.0
 def test_default_dump_pinned():
     assert dump_config(default_config()) == DEFAULT_DUMP
     assert config_sha256(default_config()) == (
-        "dc898467a49dd92782678ac53094d67f78e4effec39eec626467894e31295ddd"
+        "fc03c1e31146ad4447e26005b7fae9d4c7bfdbd1dab61dfe74b059fae1bf8eea"
     )
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([^`]+)`", section))
+    keys = {key for entries in config_to_mapping(default_config()).values() for key in entries}
+    assert sorted(keys - named) == []
 
 
 def test_defaults_round_trip(tmp_path):
@@ -128,6 +136,9 @@ def test_partial_override_keeps_other_defaults(tmp_path):
 def test_empty_lambda_means_uncalibrated(tmp_path):
     cfg = load_config(write(tmp_path, "[ll]\nlambda_t =\n"))
     assert cfg.detector.ll.lambda_T is None
+    # a pinned threshold without the variance it was fitted under is refused
+    with pytest.raises(ConfigFileError, match="sigma0_sq"):
+        load_config(write(tmp_path, "[ll]\nlambda_t = -12.3\nsigma0_sq =\n"))
     # the NTS threshold has no uncalibrated state: a blank one is refused
     with pytest.raises(ConfigFileError, match="nts_lambda_s"):
         load_config(write(tmp_path, "[detector]\nnts_lambda_s =\n"))
@@ -146,6 +157,32 @@ def test_unknown_key_rejected(tmp_path):
 def test_bad_value_names_the_key(tmp_path):
     with pytest.raises(ConfigFileError, match="ll.alpha"):
         load_config(write(tmp_path, "[ll]\nalpha = fast\n"))
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("ll", "mu0", "nan"),
+    ("ll", "sigma0_sq", "inf"),
+    ("ensemble", "gate_k", "nan"),
+    ("ensemble", "sigma_meas_s", "nan"),
+    ("calibration", "margin", "nan"),
+    ("orchestrator", "ephemeris_validity_s", "nan"),
+    ("detector", "nts_lambda_s", "-inf"),
+])
+def test_non_finite_float_rejected(tmp_path, section, key, text):
+    # a pinned threshold, so the run would use the ll moments as given
+    texts = {"ll": {"lambda_t": "-12.3", "sigma0_sq": "1e-16"}}
+    texts.setdefault(section, {})[key] = text
+    ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                  for name, keys in texts.items())
+    with pytest.raises(ConfigFileError, match=f"{section}.{key}"):
+        load_config(write(tmp_path, ini))
+
+
+def test_non_finite_scenario_float_rejected(tmp_path):
+    path = write(tmp_path, "[scenario]\nname = x\nduration_epochs = 50\nseed = 1\n\n"
+                 "[attack]\nkind = step\noffset_s = nan\n", "scn.ini")
+    with pytest.raises(ConfigFileError, match="attack.offset_s"):
+        load_scenario(path)
 
 
 def test_domain_validation_still_applies(tmp_path):

@@ -26,14 +26,14 @@ SIMULATE_SHA256 = {
         "truth.csv": "8ac46263ff692d83827a7458ba59f43a50f86777c8c8769aeab5be4c7514f3fe",
         "verdicts.jsonl": "6f946c49d7bb9b2a91a1e63f2595b3b9c35b025db248f70f63629f79ff105ac8",
         "transitions.jsonl": "715af06f26a37b8e6ffedb98a0aa8d5ede8de985cfac0ef6880a54124a4e2266",
-        "report.json": "d616c07c32a6b418d0855720412465725008c4d68daae8bb90c051328bcbf157",
+        "report.json": "27e70dc14d4721d3f361434c1a5d1da5446c0bde730051d563e531b71faa031a",
     },
     "pull2us": {
         "epochs.jsonl": "46a5d015d9a73a7ac1d2322ebdbfe416cd295c761a1fbeb297a52f1ce5065ac5",
         "truth.csv": "5357456e1ecab1c13c059bdfa686943875a2d97f4d6bf4fac128f7e00d923ee2",
         "verdicts.jsonl": "64ff48b9edb3b84d7f612ec0fd5e676cf5e3d068b58e6136d43e694a4591b3cd",
         "transitions.jsonl": "2ba6c308162bdf73877ea0b1d6c2a238fe032207a54e52d09c914a5c01644faf",
-        "report.json": "1255329eac79a19319bf222b847e89ef5949538f68704e380d6dd39f977ad939",
+        "report.json": "c9a14d45baed131ccf5bc467443e3323a846485bedc4fea9e5e7d38bca2c669f",
     },
 }
 

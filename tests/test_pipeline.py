@@ -162,7 +162,7 @@ def test_training_residuals_match_readout_noise():
 
 
 def test_resolve_ll_passthrough_when_pinned():
-    pinned = replace(CFG, detector=replace(CFG.detector, ll=LlConfig(lambda_T=4.5)))
+    pinned = replace(CFG, detector=replace(CFG.detector, ll=LlConfig(lambda_T=4.5, sigma0_sq=1e-16)))
     assert resolve_ll(pinned) is pinned.detector.ll
 
 
