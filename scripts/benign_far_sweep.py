@@ -20,9 +20,9 @@ from dataclasses import replace
 from scipy.stats import binom
 
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
-from timeguard.config import apply_env, load_config, load_scenario
+from timeguard.config import apply_env, load_config
 from timeguard.detector import Hypothesis
-from timeguard.pipeline import fit_ll, run_scenario
+from timeguard.pipeline import calibration_spec, fit_ll, run_scenario
 
 
 def over(stats: list, threshold: float, far: float) -> tuple[int, int]:
@@ -39,7 +39,8 @@ def main() -> int:
     config = apply_env(load_config(args.config), os.environ)
     far = config.calibration.far
     m = config.detector.ll.m
-    fitted, operational = fit_ll(gen_scenario(load_scenario(config.calibration.scenario)), config)
+    fitted, operational = fit_ll(
+        gen_scenario(calibration_spec(config.calibration.scenario)), config)
     print(f"fitted quantile {fitted.lambda_T!r}, operational {operational.lambda_T!r}")
     pinned = replace(config, detector=replace(config.detector, ll=operational))
 

@@ -43,6 +43,7 @@ from .detector import Hypothesis, Verdict, estimate_server_sigma
 from .orchestrator import Event, TransitionRecord
 from .pipeline import (
     Monitor,
+    calibration_spec,
     fit_ll,
     report_to_json,
     run_scenario,
@@ -341,7 +342,7 @@ def cmd_live(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     name = args.scenario if args.scenario is not None else config.calibration.scenario
-    spec = load_scenario(name)
+    spec = calibration_spec(name)
     outputs = gen_scenario(spec)
 
     fitted, operational = fit_ll(outputs, config)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .receiver_feed import NtsMeasurement
+from .receiver_feed import NtsMeasurement, json_string
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
 
@@ -295,16 +295,13 @@ def calibrate_ll(params: LlConfig, benign_biases: Sequence[float], far: float = 
 
 
 def verdict_to_json(verdict: Verdict) -> str:
-    return json.dumps(
-        {
-            "t_mono_ns": verdict.t_mono.nanoseconds,
-            "test": verdict.test,
-            "statistic": verdict.statistic,
-            "threshold": verdict.threshold,
-            "hypothesis": verdict.hypothesis.value,
-            "source_id": verdict.source_id,
-        },
-        separators=(",", ":"),
+    """One verdicts.jsonl line, encoded as receiver_feed.epoch_to_json is."""
+    return (
+        f'{{"t_mono_ns":{int.__repr__(verdict.t_mono.nanoseconds)},"test":"{verdict.test}",'
+        f'"statistic":{float.__repr__(verdict.statistic)},'
+        f'"threshold":{float.__repr__(verdict.threshold)},'
+        f'"hypothesis":"{verdict.hypothesis.value}",'
+        f'"source_id":{json_string(verdict.source_id)}}}'
     )
 
 

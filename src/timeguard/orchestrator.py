@@ -17,12 +17,12 @@ returns a copy with only last_t_mono moved, skipping the full rule; the
 result is the one the full rule gives, so step() stays pure.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .detector import Hypothesis, Verdict
+from .receiver_feed import json_string
 from .timebase import MonotonicInstant
 
 
@@ -336,14 +336,11 @@ def replay(
 
 
 def transition_to_json(record: TransitionRecord) -> str:
-    return json.dumps(
-        {
-            "t_mono_ns": record.t_mono.nanoseconds,
-            "event": record.event,
-            "from_phase": record.from_phase.value,
-            "to_phase": record.to_phase.value,
-            "active_source": record.active_source,
-            "actions": list(record.actions),
-        },
-        separators=(",", ":"),
+    """One transitions.jsonl line, encoded as receiver_feed.epoch_to_json is."""
+    actions = ",".join(map(json_string, record.actions))
+    return (
+        f'{{"t_mono_ns":{int.__repr__(record.t_mono.nanoseconds)},'
+        f'"event":{json_string(record.event)},'
+        f'"from_phase":"{record.from_phase.value}","to_phase":"{record.to_phase.value}",'
+        f'"active_source":{json_string(record.active_source)},"actions":[{actions}]}}'
     )

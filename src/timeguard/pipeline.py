@@ -66,8 +66,10 @@ class FilterChain:
     kf: ClockKfState = field(init=False)
     ll_state: LlDetectorState = field(init=False)
     _last: Optional[MonotonicInstant] = field(init=False, default=None)
+    _r: float = field(init=False)  # the readout variance, s^2
 
     def __post_init__(self) -> None:
+        self._r = max(self.ensemble.sigma_meas_s, 1e-12) ** 2
         self.reset()
 
     def reset(self) -> None:
@@ -80,8 +82,7 @@ class FilterChain:
         if self._last is not None:
             self.kf = kf_predict(self.kf, t_mono.elapsed_s(self._last))
         self._last = t_mono
-        r = max(self.ensemble.sigma_meas_s, 1e-12) ** 2
-        update = kf_update(self.kf, bias_s, r, self.ensemble.gate_k)
+        update = kf_update(self.kf, bias_s, self._r, self.ensemble.gate_k)
         self.kf = update.state
         return self.kf.bias, update.innovation
 
@@ -209,17 +210,28 @@ def training_residuals(outputs: SimOutputs, config: AppConfig) -> np.ndarray:
     return residuals
 
 
+def calibration_spec(name_or_path: str) -> ScenarioSpec:
+    """The calibration scenario, a bundled name or a scenario INI path.
+
+    ConfigFileError if it carries an attack, before any epoch is generated:
+    a pull fitted as benign would widen the threshold past the attack itself.
+    """
+    spec = load_scenario(name_or_path)
+    if spec.attack.kind != "none":
+        raise ConfigFileError(f"calibration scenario {spec.name!r} carries a "
+                              f"{spec.attack.kind} attack; it must be benign")
+    return spec
+
+
 def fit_ll(outputs: SimOutputs, config: AppConfig) -> tuple[LlConfig, LlConfig]:
-    """Fit the ll parameters on a generated benign scenario.
+    """Fit the ll parameters on a generated benign scenario, one that
+    calibration_spec accepted.
 
     Returns the fit, whose threshold is the benign quantile at the
     configured false-alarm rate, and the operational parameters, whose
     threshold adds the safety margin so that routine operation stays
     quiet while the quantile itself remains available for analysis.
     """
-    if outputs.spec.attack.kind != "none":
-        raise ConfigFileError(f"calibration scenario {outputs.spec.name!r} carries a "
-                              f"{outputs.spec.attack.kind} attack; it must be benign")
     residuals = training_residuals(outputs, config)
     fitted = calibrate_ll(config.detector.ll, residuals, far=config.calibration.far)
     return fitted, replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)
@@ -231,7 +243,7 @@ def resolve_ll(config: AppConfig) -> LlConfig:
     ll = config.detector.ll
     if ll.lambda_T is not None:
         return ll
-    return fit_ll(gen_scenario(load_scenario(config.calibration.scenario)), config)[1]
+    return fit_ll(gen_scenario(calibration_spec(config.calibration.scenario)), config)[1]
 
 
 # -- reports -----------------------------------------------------------------
@@ -370,10 +382,10 @@ def run_scenario(
 
 
 def event_to_json(event: Event) -> str:
-    obj: dict = {"t_mono_ns": event.t_mono.nanoseconds, "kind": event.kind.value}
-    if event.verdict is not None:
-        obj["verdict"] = json.loads(verdict_to_json(event.verdict))
-    return json.dumps(obj, separators=(",", ":"))
+    head = f'{{"t_mono_ns":{int.__repr__(event.t_mono.nanoseconds)},"kind":"{event.kind.value}"'
+    if event.verdict is None:
+        return head + "}"
+    return f'{head},"verdict":{verdict_to_json(event.verdict)}}}'
 
 
 def event_from_json(line: str) -> Event:

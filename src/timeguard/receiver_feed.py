@@ -19,6 +19,19 @@ from typing import Optional
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
 
+# The line encoders of the trace formats (epoch_to_json here,
+# detector.verdict_to_json, orchestrator.transition_to_json) each write
+# their line with one f-string, byte for byte what
+# json.dumps(..., separators=(",", ":")) writes under its default
+# ensure_ascii.  Free strings go through the C escaper json.dumps uses,
+# enum values and test names are ASCII words written as they are, ints go
+# through int.__repr__ and floats through float.__repr__.  Every float is
+# finite: statistics come from bounded 128-bit time differences, and
+# thresholds from the config, which refuses NaN and infinities.  So there
+# is no NaN or Infinity to spell.
+json_string = json.encoder.encode_basestring_ascii
+
+
 class FeedError(Exception):
     """A feed record that cannot be turned into an epoch."""
 
@@ -74,16 +87,16 @@ class NtsMeasurement:
 
 
 def epoch_to_json(rec: EpochRecord) -> str:
-    return json.dumps(
-        {
-            "t_mono_ns": rec.t_mono.nanoseconds,
-            "t_gnss": {"sec": rec.t_gnss.seconds, "frac": str(rec.t_gnss.fraction)},
-            "fix_valid": rec.fix_valid,
-            "leap_applied": rec.leap_applied,
-            "clock_bias_ns": rec.clock_bias_ns,
-            "source_id": rec.source_id,
-        },
-        separators=(",", ":"),
+    """One epochs.jsonl line: the bytes of json.dumps(..., separators=(",", ":"))."""
+    t = rec.t_gnss
+    bias = rec.clock_bias_ns
+    return (
+        f'{{"t_mono_ns":{int.__repr__(rec.t_mono.nanoseconds)},'
+        f'"t_gnss":{{"sec":{int.__repr__(t.seconds)},"frac":"{int.__repr__(t.fraction)}"}},'
+        f'"fix_valid":{"true" if rec.fix_valid else "false"},'
+        f'"leap_applied":{"true" if rec.leap_applied else "false"},'
+        f'"clock_bias_ns":{"null" if bias is None else int.__repr__(bias)},'
+        f'"source_id":{json_string(rec.source_id)}}}'
     )
 
 

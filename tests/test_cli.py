@@ -326,6 +326,20 @@ def test_calibration_on_an_attack_scenario_is_refused(tmp_path, capsys):
     assert captured.err.count(refusal) == 2
 
 
+def test_attack_calibration_scenario_is_refused_before_generation(monkeypatch, capsys):
+    # the refusal needs only the spec: generating incr2us first costs 2,700 epochs
+    def generate(spec):
+        raise AssertionError(f"generated {spec.name}")
+
+    for module in ("timeguard.attack_sim", "timeguard.cli", "timeguard.pipeline"):
+        monkeypatch.setattr(f"{module}.gen_scenario", generate)
+    assert main(["calibrate", "--scenario", "incr2us"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "generated" not in captured.err
+    assert "config error: calibration scenario 'incr2us' carries a" in captured.err
+
+
 def test_blank_nts_lambda_is_refused_before_any_output(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(PINNED_CFG + "\n[detector]\nnts_lambda_s =\n")

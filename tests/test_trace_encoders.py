@@ -1,0 +1,134 @@
+"""The hand-written line encoders against json.dumps.
+
+epoch_to_json, verdict_to_json, transition_to_json and event_to_json
+build their lines with f-strings.  Each must write the bytes that
+json.dumps(dict, separators=(",", ":")) writes for the same record; the
+references below are that dict, key for key.
+"""
+
+import json
+
+import pytest
+
+from timeguard.detector import Hypothesis, Verdict, verdict_to_json
+from timeguard.orchestrator import (
+    RESET_FILTER,
+    SCHEDULE_NTS,
+    Event,
+    EventKind,
+    Phase,
+    TransitionRecord,
+    alert,
+    transition_to_json,
+)
+from timeguard.pipeline import event_to_json
+from timeguard.receiver_feed import EpochRecord, epoch_to_json
+from timeguard.timebase import MonotonicInstant, Timestamp
+
+
+def dumps(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def epoch_ref(rec: EpochRecord) -> str:
+    return dumps({
+        "t_mono_ns": rec.t_mono.nanoseconds,
+        "t_gnss": {"sec": rec.t_gnss.seconds, "frac": str(rec.t_gnss.fraction)},
+        "fix_valid": rec.fix_valid,
+        "leap_applied": rec.leap_applied,
+        "clock_bias_ns": rec.clock_bias_ns,
+        "source_id": rec.source_id,
+    })
+
+
+def verdict_ref(v: Verdict) -> str:
+    return dumps({
+        "t_mono_ns": v.t_mono.nanoseconds,
+        "test": v.test,
+        "statistic": v.statistic,
+        "threshold": v.threshold,
+        "hypothesis": v.hypothesis.value,
+        "source_id": v.source_id,
+    })
+
+
+def transition_ref(r: TransitionRecord) -> str:
+    return dumps({
+        "t_mono_ns": r.t_mono.nanoseconds,
+        "event": r.event,
+        "from_phase": r.from_phase.value,
+        "to_phase": r.to_phase.value,
+        "active_source": r.active_source,
+        "actions": list(r.actions),
+    })
+
+
+def event_ref(e: Event) -> str:
+    obj: dict = {"t_mono_ns": e.t_mono.nanoseconds, "kind": e.kind.value}
+    if e.verdict is not None:
+        obj["verdict"] = json.loads(verdict_ref(e.verdict))
+    return dumps(obj)
+
+
+# feed lines accept any JSON string as a source id
+IDS = ["gnss", 'say "hi"', "back\\slash", "bell\x07tab\t", "line\u2028sep", "Z\u00fcrich", ""]
+T_MONO = [MonotonicInstant(0), MonotonicInstant(1_500_000_000), MonotonicInstant(2**64 - 1)]
+T_GNSS = [
+    Timestamp.from_parts(1_689_120_000, 2**63 + 12_345),
+    Timestamp.from_parts(-2, 2**64 - 1),
+    Timestamp(-1),
+    Timestamp(0),
+]
+FLOATS = [-0.0, 0.0, 5e-324, 1e300, -12.330742521827073, 1.5e-4, 2.0**-64]
+
+EPOCHS = (
+    [EpochRecord(t, T_GNSS[0], True) for t in T_MONO]
+    + [EpochRecord(T_MONO[1], ts, True) for ts in T_GNSS]
+    + [EpochRecord(T_MONO[1], T_GNSS[0], False, leap_applied=False)]
+    + [EpochRecord(T_MONO[1], T_GNSS[0], True, clock_bias_ns=b) for b in (None, 0, -987_654)]
+    + [EpochRecord(T_MONO[1], T_GNSS[1], False, clock_bias_ns=-1, source_id=s) for s in IDS]
+)
+
+VERDICTS = (
+    [Verdict("nts", Hypothesis.H1, x, 1.5e-4, "nts-a", T_MONO[1]) for x in FLOATS]
+    + [Verdict("ll", Hypothesis.H0, 3.0, x, "ensemble", T_MONO[0]) for x in FLOATS]
+    + [Verdict("rt", Hypothesis.H0, 0.25, 10.0, s, t) for s in IDS for t in (T_MONO[0], T_MONO[2])]
+)
+
+ACTIONS = [(), (SCHEDULE_NTS,), (RESET_FILTER, SCHEDULE_NTS)] + [
+    (alert(f"h1:nts:{s}"), SCHEDULE_NTS) for s in IDS
+]
+
+TRANSITIONS = [
+    TransitionRecord(t, kind.value, Phase.COLD_START, phase, source, actions)
+    for t, kind, phase, source, actions in [
+        (T_MONO[0], EventKind.TICK, Phase.COLD_START, "gnss", ACTIONS[0]),
+        (T_MONO[2], EventKind.FIX_ACQUIRED, Phase.COLD_START, "gnss", ACTIONS[1]),
+        (T_MONO[1], EventKind.RT_VERDICT, Phase.COARSE_VALIDATED, "gnss", ACTIONS[2]),
+    ]
+] + [
+    TransitionRecord(T_MONO[1], EventKind.NTS_VERDICT.value, Phase.FINE_MONITORING,
+                     Phase.ALARM, "ensemble", actions)
+    for actions in ACTIONS[3:]
+]
+
+EVENTS = [Event(EventKind.TICK, t) for t in T_MONO] + [
+    Event(EventKind.NTS_VERDICT, v.t_mono, v) for v in VERDICTS
+]
+
+CASES = (
+    [(epoch_to_json, epoch_ref, r) for r in EPOCHS]
+    + [(verdict_to_json, verdict_ref, v) for v in VERDICTS]
+    + [(transition_to_json, transition_ref, r) for r in TRANSITIONS]
+    + [(event_to_json, event_ref, e) for e in EVENTS]
+)
+
+
+@pytest.mark.parametrize(
+    "encode, reference, record", CASES,
+    ids=[f"{encode.__name__}-{i}" for i, (encode, _, _) in enumerate(CASES)],
+)
+def test_encoder_matches_json_dumps(encode, reference, record):
+    line = encode(record)
+    assert line == reference(record)
+    assert line.isascii()
