@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise_cov
 from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement, epoch_to_json
-from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
+from .timebase import FRAC_UNIT, MonotonicInstant, SignedDuration, Timestamp, units_from_s
 
 if TYPE_CHECKING:
     import numpy as np
@@ -201,7 +201,7 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
 
     n = spec.duration_epochs
     period = spec.epoch_period_s
-    start = Timestamp.from_unix_s(spec.start_unix_s)
+    start_units = int(spec.start_unix_s) * FRAC_UNIT
 
     jitter = _stream(spec.seed, _STREAM_JITTER).normal(0.0, spec.benign_jitter_sigma_s, n)
     if spec.benign_jitter_sigma_s == 0.0:
@@ -213,28 +213,35 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
     net_rng = _stream(spec.seed, _STREAM_NETWORK)
 
     truth = np.array([attack_offset(spec.attack, e) for e in range(n)])
+    # the GNSS solution's offset from true time, each sum the same double
+    # that truth[e] + jitter[e] gives
+    gnss_offset = (truth + jitter).tolist()
+    rt_radius = SignedDuration.from_s(spec.rt_radius_s)
     epochs = []
     rt_responses = {}
     nts_responses = {}
     for e in range(n):
-        t_true = ts_add(start, SignedDuration.from_s(e * period))
+        # true and GNSS instants as integer units: one Timestamp per epoch,
+        # plus the Roughtime midpoint at a poll
+        elapsed_s = e * period
+        true_units = start_units + units_from_s(elapsed_s)
         # the local monotonic clock runs on the simulated oscillator
-        t_mono = MonotonicInstant(round(e * period * 1e9) + round(osc_bias[e] * 1e9))
-        t_gnss = ts_add(t_true, SignedDuration.from_s(truth[e] + jitter[e]))
+        t_mono = MonotonicInstant(round(elapsed_s * 1e9) + round(osc_bias[e] * 1e9))
+        t_gnss = Timestamp(true_units + units_from_s(gnss_offset[e]))
         epochs.append(
             EpochRecord(t_mono=t_mono, t_gnss=t_gnss, fix_valid=True, source_id="gnss-sim")
         )
         online = network_available(spec, e)
         if e % spec.rt_poll_epochs == 0 and online:
             rt_responses[e] = RoughtimeMeasurement(
-                midpoint=t_true,
-                radius=SignedDuration.from_s(spec.rt_radius_s),
+                midpoint=Timestamp(true_units),
+                radius=rt_radius,
                 server_id="rt-sim",
                 t_mono_rx=t_mono,
             )
         if e % spec.nts_poll_epochs == 0 and online:
             # offset of true time vs the (possibly attacked) local scale
-            theta = -(truth[e] + jitter[e]) + net_rng.normal(0.0, spec.network.nts_sigma_s)
+            theta = -gnss_offset[e] + net_rng.normal(0.0, spec.network.nts_sigma_s)
             if spec.network.mode == "provider_compromise":
                 theta += spec.network.provider_bias_s
             delay = net_rng.uniform(spec.network.rtt_min_s, spec.network.rtt_max_s)

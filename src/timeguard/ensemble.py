@@ -101,7 +101,13 @@ class ClockKfState:
     def __post_init__(self) -> None:
         if not (self.q_b >= 0 and self.q_d >= 0):
             raise FilterDomainError("process noise densities must be >= 0")
-        _check_psd(self.p00, self.p01, self.p11)
+        p00, p01, p11 = self.p00, self.p01, self.p11
+        # min_eigenvalue written out, against the tightest tolerance
+        # _check_psd applies: what passes here passes there.  A NaN or
+        # infinite entry makes the eigenvalue NaN or -inf and falls through,
+        # so _check_psd rejects it, or judges entries past 1 by their size.
+        if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
+            _check_psd(p00, p01, p11)
 
     @property
     def x(self) -> np.ndarray:

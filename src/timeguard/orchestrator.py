@@ -19,7 +19,7 @@ result is the one the full rule gives, so step() stays pure.
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .detector import Hypothesis, Verdict
 from .receiver_feed import json_string
@@ -197,9 +197,10 @@ def step(
     state: OrchestratorState, event: Event, config: Optional[OrchestratorConfig] = None
 ) -> tuple[OrchestratorState, list[str]]:
     """Apply one event; returns the new state and side-effect requests."""
-    if state.last_t_mono is not None and event.t_mono < state.last_t_mono:
+    last = state.last_t_mono
+    if last is not None and event.t_mono.nanoseconds < last.nanoseconds:
         raise OrderingError(
-            f"event at {event.t_mono.nanoseconds} ns precedes {state.last_t_mono.nanoseconds} ns"
+            f"event at {event.t_mono.nanoseconds} ns precedes {last.nanoseconds} ns"
         )
     if _only_time_moves(state, event):
         # a field-for-field copy: dataclasses.replace would cost 5x as much
@@ -293,8 +294,7 @@ def _apply(
     return new_state, actions
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     t_mono: MonotonicInstant
     event: str
     from_phase: Phase
@@ -312,14 +312,11 @@ def advance(
     """step() one event; its transition record is built only for an on_record."""
     new_state, actions = step(state, event, config)
     if on_record is not None:
-        on_record(event, TransitionRecord(
-            t_mono=event.t_mono,
-            event=event.kind.value,
-            from_phase=state.phase,
-            to_phase=new_state.phase,
-            active_source=new_state.active_time_source,
-            actions=tuple(actions),
-        ))
+        # an enum member's text is its plain _value_ attribute; .value is a
+        # property that costs a Python-level call
+        on_record(event, TransitionRecord(event.t_mono, event.kind._value_, state.phase,
+                                          new_state.phase, new_state.active_time_source,
+                                          tuple(actions)))
     return new_state, actions
 
 
@@ -341,6 +338,6 @@ def transition_to_json(record: TransitionRecord) -> str:
     return (
         f'{{"t_mono_ns":{int.__repr__(record.t_mono.nanoseconds)},'
         f'"event":{json_string(record.event)},'
-        f'"from_phase":"{record.from_phase.value}","to_phase":"{record.to_phase.value}",'
+        f'"from_phase":"{record.from_phase._value_}","to_phase":"{record.to_phase._value_}",'
         f'"active_source":{json_string(record.active_source)},"actions":[{actions}]}}'
     )

@@ -145,7 +145,7 @@ class Monitor:
     def _check_order(self, t: MonotonicInstant) -> None:
         """Refuse an input stamped before the last one applied."""
         last = self.state.last_t_mono
-        if last is not None and t < last:
+        if last is not None and t.nanoseconds < last.nanoseconds:
             raise OrderingError(f"input at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
 
     def epoch(self, rec: EpochRecord) -> Optional[tuple[float, float]]:
@@ -239,10 +239,18 @@ def fit_ll(outputs: SimOutputs, config: AppConfig) -> tuple[LlConfig, LlConfig]:
 
 def resolve_ll(config: AppConfig) -> LlConfig:
     """The ll parameters to run with; calibrates lambda_T if unset, on the
-    configured calibration scenario, a bundled name or a scenario INI path."""
+    configured calibration scenario, a bundled name or a scenario INI path.
+
+    ConfigFileError for a pinned mu0 or sigma0_sq without lambda_T: the
+    fit would replace them without a word.
+    """
     ll = config.detector.ll
     if ll.lambda_T is not None:
         return ll
+    if ll.sigma0_sq is not None or ll.mu0 != 0.0:
+        raise ConfigFileError("[ll] mu0 or sigma0_sq is pinned but lambda_t is blank, and "
+                              "calibration would replace them; pin all three as "
+                              "`timeguard calibrate` prints them, or leave all three blank")
     return fit_ll(gen_scenario(calibration_spec(config.calibration.scenario)), config)[1]
 
 

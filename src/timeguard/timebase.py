@@ -43,11 +43,7 @@ class SignedDuration:
 
     @classmethod
     def from_s(cls, seconds: float | int) -> "SignedDuration":
-        # Floats are dyadic rationals, so values at 2^-64 granularity or
-        # coarser convert exactly; anything finer rounds half-even.  NaN
-        # raises ValueError and an infinity OverflowError.
-        num, den = seconds.as_integer_ratio()
-        return cls(_round_div(num * FRAC_UNIT, den))
+        return cls(units_from_s(seconds))
 
     def to_s(self) -> float:
         """Lossy float view, for statistics and reporting."""
@@ -104,6 +100,17 @@ class Timestamp:
         Exact round trip with from_ns for |ns| up to 2^62.
         """
         return _round_div(self.units * NS_PER_S, FRAC_UNIT)
+
+
+def units_from_s(seconds: float | int) -> int:
+    """seconds as a count of 2^-64 s units, unchecked for range.
+
+    Floats are dyadic rationals, so values at 2^-64 granularity or
+    coarser convert exactly; anything finer rounds half-even.  NaN
+    raises ValueError and an infinity OverflowError.
+    """
+    num, den = seconds.as_integer_ratio()
+    return _round_div(num * FRAC_UNIT, den)
 
 
 def ts_diff(a: Timestamp, b: Timestamp) -> SignedDuration:

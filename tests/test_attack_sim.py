@@ -12,11 +12,15 @@ from scipy import stats
 
 from adev import allan_deviation, analytic_adev
 from timeguard.attack_sim import (
+    _STREAM_JITTER,
+    _STREAM_NETWORK,
+    _STREAM_OSCILLATOR,
     PRNG_ID,
     AttackSpec,
     NetworkSpec,
     ScenarioSpec,
     SpecValidationError,
+    _stream,
     attack_offset,
     builtin_scenarios,
     gen_scenario,
@@ -26,8 +30,8 @@ from timeguard.attack_sim import (
     write_truth_csv,
 )
 from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec
-from timeguard.receiver_feed import epoch_from_json
-from timeguard.timebase import SignedDuration, Timestamp, ts_add, ts_diff
+from timeguard.receiver_feed import EpochRecord, epoch_from_json
+from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
 STEP = AttackSpec(kind="step", offset_s=4.0, onset_epoch=100)
 INCR = AttackSpec(kind="incremental", offset_s=2e-6, onset_epoch=100, every_k=30)
@@ -156,6 +160,71 @@ def test_generation_deterministic_byte_identical():
         write_truth_csv(truth, out)
         blobs.append((epochs.getvalue(), truth.getvalue()))
     assert blobs[0] == blobs[1]
+
+
+def reference_outputs(spec: ScenarioSpec) -> tuple[list, dict, dict]:
+    """Epochs, Roughtime midpoints and NTS offsets built the long way: each
+    instant through ts_add and SignedDuration.from_s, from numpy scalars."""
+    n, period = spec.duration_epochs, spec.epoch_period_s
+    start = Timestamp.from_unix_s(spec.start_unix_s)
+    jitter = _stream(spec.seed, _STREAM_JITTER).normal(0.0, spec.benign_jitter_sigma_s, n)
+    if spec.benign_jitter_sigma_s == 0.0:
+        jitter = np.zeros(n)
+    osc_bias = simulate_oscillator(spec.oscillator, n, period,
+                                   _stream(spec.seed, _STREAM_OSCILLATOR)).tolist()
+    net_rng = _stream(spec.seed, _STREAM_NETWORK)
+    truth = np.array([attack_offset(spec.attack, e) for e in range(n)])
+    epochs, midpoints, nts_offsets = [], {}, {}
+    for e in range(n):
+        t_true = ts_add(start, SignedDuration.from_s(e * period))
+        t_mono = MonotonicInstant(round(e * period * 1e9) + round(osc_bias[e] * 1e9))
+        t_gnss = ts_add(t_true, SignedDuration.from_s(truth[e] + jitter[e]))
+        epochs.append(EpochRecord(t_mono=t_mono, t_gnss=t_gnss, fix_valid=True,
+                                  source_id="gnss-sim"))
+        online = network_available(spec, e)
+        if e % spec.rt_poll_epochs == 0 and online:
+            midpoints[e] = t_true
+        if e % spec.nts_poll_epochs == 0 and online:
+            theta = -(truth[e] + jitter[e]) + net_rng.normal(0.0, spec.network.nts_sigma_s)
+            if spec.network.mode == "provider_compromise":
+                theta += spec.network.provider_bias_s
+            net_rng.uniform(spec.network.rtt_min_s, spec.network.rtt_max_s)
+            nts_offsets[e] = SignedDuration.from_s(theta)
+    return epochs, midpoints, nts_offsets
+
+
+ORACLE_ATTACKS = [
+    AttackSpec(),
+    AttackSpec(kind="step", offset_s=4.0, onset_epoch=40),
+    AttackSpec(kind="incremental", offset_s=3e-7, onset_epoch=17, every_k=7),
+    AttackSpec(kind="smooth_pull", offset_s=2e-6, onset_epoch=20, span_epochs=90),
+    AttackSpec(kind="meacon_delay", offset_s=1.1e-6, onset_epoch=33),
+]
+ORACLE_SPECS = [
+    ScenarioSpec(name=f"oracle-{attack.kind}-{period}", duration_epochs=150,
+                 epoch_period_s=period, attack=attack, seed=31 + i)
+    for i, attack in enumerate(ORACLE_ATTACKS) for period in (0.1, 0.3, 1.0)
+] + [
+    ScenarioSpec(name="oracle-quiet", duration_epochs=150, epoch_period_s=0.3,
+                 benign_jitter_sigma_s=0.0, seed=3,
+                 attack=AttackSpec(kind="incremental", offset_s=7e-9, onset_epoch=3, every_k=2)),
+    ScenarioSpec(name="oracle-quiet-none", duration_epochs=150, epoch_period_s=0.1,
+                 benign_jitter_sigma_s=0.0, seed=4),
+    ScenarioSpec(name="oracle-net", duration_epochs=150, epoch_period_s=0.3, seed=5,
+                 network=NetworkSpec(mode="provider_compromise", provider_bias_s=3e-4)),
+    ScenarioSpec(name="oracle-down", duration_epochs=150, epoch_period_s=0.1, seed=6,
+                 network=NetworkSpec(mode="down", down_from_epoch=25, down_to_epoch=95)),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[s.name for s in ORACLE_SPECS])
+def test_generation_matches_the_ts_add_reference(spec):
+    # generation adds integer units; the reference rounds through ts_add
+    epochs, midpoints, nts_offsets = reference_outputs(spec)
+    out = gen_scenario(spec)
+    assert out.epochs == epochs
+    assert {e: m.midpoint for e, m in out.rt_responses.items()} == midpoints
+    assert {e: m.offset for e, m in out.nts_responses.items()} == nts_offsets
 
 
 def test_residual_noise_is_gaussian():

@@ -350,6 +350,20 @@ def test_blank_nts_lambda_is_refused_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pinned", [
+    "mu0 = 0.001\nsigma0_sq = 1.0\n", "mu0 = 0.001\n", "sigma0_sq = 1.0\n",
+])
+def test_pinned_ll_moments_without_lambda_t_are_refused(pinned, tmp_path, capsys):
+    # calibration would replace them without a word
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[ll]\n" + pinned)
+    assert main(["simulate", "--scenario", "step4s", "--config", str(cfg)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: [ll] mu0 or sigma0_sq is pinned but lambda_t is blank" in captured.err
+    assert "timeguard calibrate" in captured.err
+
+
 # -- live --------------------------------------------------------------------
 
 

@@ -10,10 +10,12 @@ from scipy import integrate, stats
 
 from adev import allan_deviation, analytic_adev
 from timeguard.ensemble import (
+    PSD_RTOL,
     ClockKfState,
     FilterDomainError,
     MeasurementError,
     OscillatorSpec,
+    _check_psd,
     kf_init,
     kf_predict,
     kf_update,
@@ -309,6 +311,52 @@ def test_state_rejects_nonfinite_covariance():
         ClockKfState(0.0, 0.0, float("nan"), 0.0, 1.0)
     with pytest.raises(FilterDomainError):
         ClockKfState(0.0, 0.0, 1.0, 0.0, np.inf)
+
+
+def nudged(x: float, ulps: int) -> float:
+    """x moved by `ulps` representable floats, up for positive ulps."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def near_psd_tolerance(draw, top: float) -> tuple:
+    """[[a, b], [b, c]] with its smallest eigenvalue at or a few ulps from
+    _check_psd's tolerance, -PSD_RTOL * max(1, |a|, |b|, |c|)."""
+    a = draw(st.floats(min_value=0.0, max_value=top))
+    c = draw(st.floats(min_value=0.0, max_value=top))
+    if draw(st.booleans()):
+        # diagonal: the eigenvalue is an entry, so the tolerance is hit exactly
+        lam = nudged(-PSD_RTOL * max(1.0, c), draw(st.integers(-4, 4)))
+        return (lam, 0.0, c) if draw(st.booleans()) else (c, 0.0, lam)
+    lam = -PSD_RTOL * max(1.0, a, c)
+    # lam is an eigenvalue of the matrix when b^2 = (a - lam)(c - lam)
+    b = nudged(math.sqrt((a - lam) * (c - lam)), draw(st.integers(-4, 4)))
+    return a, draw(st.sampled_from([b, -b])), c
+
+
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                   math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), PSD_RTOL, -PSD_RTOL,
+                   nudged(-PSD_RTOL, 1), nudged(-PSD_RTOL, -1), 1e300, math.nan, math.inf,
+                   -math.inf]
+COVARIANCE_ENTRY = st.one_of(st.floats(), st.sampled_from(SPECIAL_ENTRIES),
+                             st.floats(min_value=-2.0, max_value=2.0))
+
+
+@given(st.one_of(st.tuples(COVARIANCE_ENTRY, COVARIANCE_ENTRY, COVARIANCE_ENTRY),
+                 near_psd_tolerance(0.99), near_psd_tolerance(1e6)))
+@settings(max_examples=1000)
+def test_state_check_rejects_what_check_psd_rejects(p):
+    # __post_init__ accepts the common case inline and defers the rest
+    def rejected(check) -> bool:
+        try:
+            check(*p)
+        except FilterDomainError:
+            return True
+        return False
+
+    assert rejected(lambda *p: ClockKfState(0.0, 0.0, *p)) == rejected(_check_psd)
 
 
 def test_state_arrays_round_trip():

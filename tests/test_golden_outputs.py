@@ -35,6 +35,14 @@ SIMULATE_SHA256 = {
         "transitions.jsonl": "2ba6c308162bdf73877ea0b1d6c2a238fe032207a54e52d09c914a5c01644faf",
         "report.json": "c9a14d45baed131ccf5bc467443e3323a846485bedc4fea9e5e7d38bca2c669f",
     },
+    # the attack behind the live-incr2us benchmark feed, with its ALARM transitions
+    "incr2us": {
+        "epochs.jsonl": "6dd92aa1dca6b5f8d541a2c13ac363192f676dd21491aca9df7eab53d6ac0387",
+        "truth.csv": "d757447dcd2503b9b491cf57317e877afbca7e10fdb65e877bb8e88a41db2633",
+        "verdicts.jsonl": "5dd03570755dbebac74f0fe26dad065384c6c478697d0e6b0e18958ec0902a9f",
+        "transitions.jsonl": "11730fe55a9d75ea19f937cbd52c89c4f06ea4f87956ee528ba8358b5ff90918",
+        "report.json": "5a1489f8825c9214bd448aff8b836c7954f5385ab9d8b81bee8de08d8ab5d6f5",
+    },
 }
 
 CALIBRATE_STDOUT_SHA256 = "86a40289459768a5a8f9cffda40facf6fd632589399f8fd5550ae5738734960c"
