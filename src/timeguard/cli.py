@@ -265,7 +265,7 @@ class _LiveSession:
             else:
                 self.monitor.network(True, t)
                 apply = self.monitor.roughtime if which == "rt" else self.monitor.nts
-                apply(measurement, t, MonotonicInstant.now())
+                apply(measurement, t)
             self.next_poll_ns[which] = t.nanoseconds + cadence_ns
 
     def consume(self, line: str) -> None:

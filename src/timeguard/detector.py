@@ -4,8 +4,8 @@ Three tests, each emitting a Verdict (null hypothesis H0: the GNSS time
 scale is genuine; H1: it is not):
 
   * Roughtime radius test: H0 iff |t_gnss - midpoint| < radius, strict.
-  * NTS threshold test: H0 iff |t_gnss - t_nts| < lambda_T, strict, where
-    t_nts is the local receipt estimate shifted by the measured offset.
+  * NTS threshold test: H0 iff |offset| < lambda_T, strict, where offset
+    is the server's time minus the clock that stamped the query.
   * Windowed smoothed log-likelihood test on oscillator-ensemble bias
     estimates: the Gaussian log density of the window mean at the
     fitted benign moments is smoothed into Z, and H1 iff -Z >= lambda_T,
@@ -23,15 +23,11 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .receiver_feed import NtsMeasurement, json_string
-from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
+from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_diff
 
 
 class DetectorError(Exception):
     """Base for detector failures."""
-
-
-class StalenessError(DetectorError):
-    """Measurement is older than the configured maximum age."""
 
 
 class ConfigError(DetectorError):
@@ -48,7 +44,6 @@ class Hypothesis(Enum):
 
 
 DEFAULT_RT_RADIUS_MAX = SignedDuration.from_s(10)
-DEFAULT_MAX_AGE_S = 60.0
 DEFAULT_NTS_LAMBDA = SignedDuration.from_s(150e-6)  # 3 sigma at the 50 us server class
 # (1 ns)^2, below the benign noise floor: a noiseless calibration run fits
 # a variance near q_b * tau, about 1e-21, which would make ln p explode
@@ -107,7 +102,6 @@ class DetectorConfig:
     """
 
     rt_radius_max: SignedDuration = DEFAULT_RT_RADIUS_MAX
-    max_age_s: float = DEFAULT_MAX_AGE_S
     nts_lambda: SignedDuration = DEFAULT_NTS_LAMBDA
     nts_sigma_k: float = 3.0
     ll: LlConfig = field(default_factory=LlConfig)
@@ -115,36 +109,19 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.rt_radius_max.units <= 0:
             raise ConfigError("rt_radius_max must be positive")
-        if not self.max_age_s > 0.0:
-            raise ConfigError("max_age_s must be positive")
         if not isinstance(self.nts_lambda, SignedDuration) or self.nts_lambda.units <= 0:
             raise ConfigError("nts_lambda must be a positive duration")
         if not self.nts_sigma_k > 0.0:
             raise ConfigError("nts_sigma_k must be positive")
 
 
-def _check_age(t_mono_rx: MonotonicInstant, now: Optional[MonotonicInstant], max_age_s: float) -> None:
-    if now is None:
-        return
-    age_s = now.elapsed_s(t_mono_rx)
-    if age_s > max_age_s:
-        raise StalenessError(f"measurement {age_s:.3f} s old exceeds {max_age_s} s")
-
-
-def roughtime_test(
-    t_gnss: Timestamp,
-    meas,
-    config: Optional[DetectorConfig] = None,
-    t_mono_now: Optional[MonotonicInstant] = None,
-) -> Verdict:
+def roughtime_test(t_gnss: Timestamp, meas, config: DetectorConfig) -> Verdict:
     """Coarse radius test: H0 iff |t_gnss - midpoint| < effective radius.
 
     The effective radius is the declared server radius capped at the
     configured maximum.  Comparison is strict and bit-exact in 2^-64 s
     units; equality at the boundary is H1.
     """
-    config = config or DetectorConfig()
-    _check_age(meas.t_mono_rx, t_mono_now, config.max_age_s)
     diff = ts_diff(t_gnss, meas.midpoint)
     radius_units = min(meas.radius.units, config.rt_radius_max.units)
     hypothesis = Hypothesis.H0 if abs(diff.units) < radius_units else Hypothesis.H1
@@ -158,28 +135,18 @@ def roughtime_test(
     )
 
 
-def nts_test(
-    t_gnss: Timestamp,
-    meas,
-    config: Optional[DetectorConfig] = None,
-    t_mono_now: Optional[MonotonicInstant] = None,
-) -> Verdict:
-    """Fine threshold test: H0 iff |t_gnss - t_nts| < config.nts_lambda, strict.
+def nts_test(meas, config: DetectorConfig) -> Verdict:
+    """Fine threshold test: H0 iff |offset| < config.nts_lambda, strict.
 
-    t_nts is the local receipt-time estimate corrected by the measured
-    offset; with the GNSS-steered clock as the local estimate the
-    statistic reduces to |offset|.
+    The offset is the server's time minus the clock that stamped the
+    query's T1 and T4; GNSS time enters the test only through that clock.
     """
-    config = config or DetectorConfig()
     lambda_T = config.nts_lambda
-    _check_age(meas.t_mono_rx, t_mono_now, config.max_age_s)
-    t_nts = ts_add(t_gnss, meas.offset)
-    diff = ts_diff(t_gnss, t_nts)
-    hypothesis = Hypothesis.H0 if abs(diff.units) < lambda_T.units else Hypothesis.H1
+    hypothesis = Hypothesis.H0 if abs(meas.offset.units) < lambda_T.units else Hypothesis.H1
     return Verdict(
         test="nts",
         hypothesis=hypothesis,
-        statistic=abs(diff.to_s()),
+        statistic=abs(meas.offset.to_s()),
         threshold=lambda_T.to_s(),
         source_id=meas.server_id,
         t_mono=meas.t_mono_rx,
@@ -207,8 +174,7 @@ def window_log_stat(window: Sequence[float], mu0: float, s2: float) -> float:
     return -0.5 * math.log(2.0 * math.pi * s2) - (mean - mu0) ** 2 / (2.0 * s2)
 
 
-def ll_test(z: float, lambda_T: float, source_id: str = "ensemble",
-            t_mono: MonotonicInstant = MonotonicInstant(0)) -> Verdict:
+def ll_test(z: float, lambda_T: float, source_id: str, t_mono: MonotonicInstant) -> Verdict:
     """Threshold the smoothed statistic: the statistic is -Z, H1 iff -Z >= lambda_T."""
     hypothesis = Hypothesis.H0 if -z < lambda_T else Hypothesis.H1
     return Verdict(test="ll", hypothesis=hypothesis, statistic=-z, threshold=lambda_T,
@@ -223,8 +189,8 @@ class LlDetectorState:
     a fresh start carries no transient in either direction.
     """
 
-    params: LlConfig = field(default_factory=LlConfig)
-    z: Optional[float] = None
+    params: LlConfig
+    z: Optional[float] = field(init=False, default=None)
     window: deque = field(init=False)
 
     def __post_init__(self) -> None:

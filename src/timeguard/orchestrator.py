@@ -52,11 +52,6 @@ class Connectivity(Enum):
     OFFLINE = "offline"
 
 
-class OutageClass(Enum):
-    SHORT = "Short"
-    LONG = "Long"
-
-
 class EventKind(Enum):
     FIX_ACQUIRED = "FixAcquired"
     FIX_LOST = "FixLost"
@@ -136,22 +131,6 @@ def initial_state() -> OrchestratorState:
     return OrchestratorState()
 
 
-def outage_classify(duration_s: float, ephemeris_validity_s: float) -> OutageClass:
-    """Short iff the outage fits inside the ephemeris validity, inclusive."""
-    if duration_s < 0:
-        raise PolicyError(f"negative outage duration {duration_s}")
-    return OutageClass.SHORT if duration_s <= ephemeris_validity_s else OutageClass.LONG
-
-
-def trust_select(summary: SourceSummary, force_suspect: bool = False) -> str:
-    """GNSS, the most accurate source, while every test passes; else the ensemble.
-
-    The ensemble sits inside the hardware boundary, so it stays clean
-    whether or not the network is reachable.
-    """
-    return "ensemble" if force_suspect or summary.any_h1 else "gnss"
-
-
 def _cleared(coarse_validated: bool) -> tuple[Phase, SourceSummary, int]:
     phase = Phase.COARSE_VALIDATED if coarse_validated else Phase.COLD_START
     return phase, SourceSummary(), 0
@@ -224,13 +203,13 @@ def _apply(
 
     kind = event.kind
     if kind is EventKind.TICK or kind is EventKind.FIX_ACQUIRED:
-        # a fix reacquired after a long outage forces a cold start even when
-        # no TICK arrived during the outage to see it expire
-        if outage is not None and phase is not Phase.RESET_PENDING:
-            duration_s = event.t_mono.elapsed_s(outage)
-            if outage_classify(duration_s, config.ephemeris_validity_s) is OutageClass.LONG:
-                phase = Phase.RESET_PENDING
-                actions.append(alert("gnss_outage_exceeds_ephemeris_validity"))
+        # an outage is short while it fits inside the ephemeris validity,
+        # inclusive; a fix reacquired after a long one forces a cold start
+        # even when no TICK arrived during the outage to see it expire
+        if (outage is not None and phase is not Phase.RESET_PENDING
+                and event.t_mono.elapsed_s(outage) > config.ephemeris_validity_s):
+            phase = Phase.RESET_PENDING
+            actions.append(alert("gnss_outage_exceeds_ephemeris_validity"))
     if kind is EventKind.FIX_ACQUIRED:
         outage = None
         if phase is Phase.COLD_START:
@@ -279,13 +258,16 @@ def _apply(
         if phase is Phase.ALARM:
             phase, summary, streak = _cleared(coarse)
 
-    suspect = phase in (Phase.ALARM, Phase.RESET_PENDING)
+    # GNSS, the most accurate source, while every test passes; else the
+    # ensemble, which sits inside the hardware boundary and so stays clean
+    # whether or not the network is reachable
+    suspect = phase in (Phase.ALARM, Phase.RESET_PENDING) or summary.any_h1
     new_state = replace(
         state,
         phase=phase,
         connectivity=connectivity,
         outage_started=outage,
-        active_time_source=trust_select(summary, force_suspect=suspect),
+        active_time_source="ensemble" if suspect else "gnss",
         summary=summary,
         coarse_validated=coarse,
         clean_streak=streak,

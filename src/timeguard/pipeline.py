@@ -168,18 +168,22 @@ class Monitor:
         self._apply(Event(EventKind.TICK, t))
         return tracked
 
-    def roughtime(self, meas: RoughtimeMeasurement, t: MonotonicInstant,
-                  now: Optional[MonotonicInstant] = None) -> None:
-        """A Roughtime reply at t; `now`, default t, dates it for the staleness check."""
-        verdict = roughtime_test(self._reference(), meas, self.config.detector,
-                                 t if now is None else now)
+    def roughtime(self, meas: RoughtimeMeasurement, t: MonotonicInstant) -> None:
+        """A Roughtime reply at t, tested against the last fix's GNSS time.
+
+        OrderingError before the first fix: there is no GNSS time to test.
+        """
+        verdict = roughtime_test(self._reference(), meas, self.config.detector)
         self._apply(Event(EventKind.RT_VERDICT, t, verdict))
 
-    def nts(self, meas: NtsMeasurement, t: MonotonicInstant,
-            now: Optional[MonotonicInstant] = None) -> None:
-        """An NTS reply at t; `now`, default t, dates it for the staleness check."""
-        verdict = nts_test(self._reference(), meas, self.config.detector,
-                           t if now is None else now)
+    def nts(self, meas: NtsMeasurement, t: MonotonicInstant) -> None:
+        """An NTS reply at t.  Its offset is the server's time minus the clock
+        that stamped the query, so the test reads the offset alone.
+
+        OrderingError before the first fix, as for Roughtime.
+        """
+        self._reference()  # refuses a reply that comes before any fix
+        verdict = nts_test(meas, self.config.detector)
         self._apply(Event(EventKind.NTS_VERDICT, t, verdict))
 
     def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:

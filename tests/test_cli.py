@@ -20,6 +20,7 @@ from timeguard.attack_sim import gen_scenario, network_available
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main
 from timeguard.config import default_config, load_config, load_scenario
 from timeguard.provider_nts import NtsTestServer, UnreachableError
+from timeguard.provider_roughtime import RoughtimeTestServer
 from timeguard.receiver_feed import epoch_to_json
 from timeguard.timebase import SignedDuration, Timestamp, ts_add
 
@@ -493,6 +494,42 @@ def test_live_nts_poller_re_keys_once_its_cookies_run_out():
         assert poll().delay.units >= 0
     finally:
         server.stop()
+
+
+def test_live_polls_reachable_loopback_providers(tmp_path, capsys):
+    # the Roughtime server's midpoint is START, the GNSS time of epoch 0; the
+    # NTS server answers with host time, as the client stamps T1 and T4, and
+    # loopback offsets run to about 130 us, so the threshold is set well above
+    rt_server, nts_server = RoughtimeTestServer(), NtsTestServer()
+    rt_key = rt_server.start_udp()
+    try:
+        nts_port = nts_server.start_ke()
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            PINNED_CFG
+            + "\n[detector]\nnts_lambda_s = 0.01\n"
+            + "\n[providers]\n"
+            + f"roughtime_host = {rt_key.host}\n"
+            + f"roughtime_port = {rt_key.port}\n"
+            + f"roughtime_pubkey_b64 = {base64.b64encode(rt_key.public_key).decode()}\n"
+            + f"nts_ke_host = 127.0.0.1\nnts_ke_port = {nts_port}\n"
+            + f"nts_ca_file = {nts_server.ca_file}\n"
+        )
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text("".join(epoch_line(e) + "\n" for e in range(10)))
+        out = tmp_path / "out"
+        rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+    finally:
+        rt_server.stop()
+        nts_server.stop()
+    err = capsys.readouterr().err
+    assert rc == EXIT_CLEAN, err
+    verdicts = [json.loads(l) for l in (out / "verdicts.jsonl").read_text().splitlines()]
+    assert [(v["test"], v["hypothesis"]) for v in verdicts] == [("rt", "H0"), ("nts", "H0")]
+    assert "poll failed" not in err
+    transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
+    assert transitions[-1]["to_phase"] == "FINE_MONITORING"
+    assert "final phase FINE_MONITORING" in err
 
 
 def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):

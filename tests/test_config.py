@@ -35,7 +35,6 @@ def write(tmp_path, text, name="tg.ini"):
 DEFAULT_DUMP = """\
 [detector]
 rt_radius_max_s = 10.0
-max_age_s = 60.0
 nts_lambda_s = 0.00014999999999999996
 nts_sigma_k = 3.0
 
@@ -77,16 +76,25 @@ timeout_s = 1.0
 def test_default_dump_pinned():
     assert dump_config(default_config()) == DEFAULT_DUMP
     assert config_sha256(default_config()) == (
-        "fc03c1e31146ad4447e26005b7fae9d4c7bfdbd1dab61dfe74b059fae1bf8eea"
+        "21119841f8f7babd72f3408a6d59d47a3e3e74f3d8940c599e62073487ce6b0e"
     )
 
 
 def test_readme_names_every_config_key():
+    """Both ways: the Configuration section names every key, and each
+    lower-case identifier in a ``- `[section]`:`` bullet is a key of that
+    section, so a deleted key cannot linger in the README."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    mapping = config_to_mapping(default_config())
     named = set(re.findall(r"`([^`]+)`", section))
-    keys = {key for entries in config_to_mapping(default_config()).values() for key in entries}
+    keys = {key for entries in mapping.values() for key in entries}
     assert sorted(keys - named) == []
+    bullets = re.findall(r"^- `\[(\w+)\]`:(.*(?:\n  .*)*)", section, re.MULTILINE)
+    assert sorted(name for name, _ in bullets) == sorted(mapping)
+    stale = [(name, token) for name, text in bullets
+             for token in re.findall(r"`([a-z][a-z0-9_]*)`", text) if token not in mapping[name]]
+    assert stale == []
 
 
 def test_defaults_round_trip(tmp_path):
@@ -130,7 +138,7 @@ def test_partial_override_keeps_other_defaults(tmp_path):
     cfg = load_config(write(tmp_path, "[ll]\nalpha = 0.8\n\n[orchestrator]\nauto_clear_k = 3\n"))
     assert cfg.detector.ll.alpha == 0.8
     assert cfg.orchestrator.auto_clear_k == 3
-    assert cfg.detector.max_age_s == default_config().detector.max_age_s
+    assert cfg.detector.nts_lambda == default_config().detector.nts_lambda
 
 
 def test_empty_lambda_means_uncalibrated(tmp_path):

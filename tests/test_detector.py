@@ -16,7 +16,6 @@ from timeguard.detector import (
     Hypothesis,
     LlConfig,
     LlDetectorState,
-    StalenessError,
     Verdict,
     calibrate_ll,
     calibrate_ll_threshold,
@@ -35,6 +34,7 @@ from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_a
 
 T_GNSS = Timestamp.from_unix_s(1_689_120_000)
 MONO0 = MonotonicInstant(0)
+DEFAULTS = DetectorConfig()
 
 
 def rt_meas(midpoint, radius_s, t_mono=MONO0):
@@ -51,7 +51,7 @@ def nts_meas(offset_s, t_mono=MONO0):
 
 
 def test_rt_within_radius():
-    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(0.5)), rt_meas(T_GNSS, 1.0))
+    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(0.5)), rt_meas(T_GNSS, 1.0), DEFAULTS)
     assert v.hypothesis is Hypothesis.H0
     assert v.statistic == pytest.approx(0.5)
     assert v.threshold == pytest.approx(1.0)
@@ -59,7 +59,7 @@ def test_rt_within_radius():
 
 
 def test_rt_large_offset_flagged():
-    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(4.0)), rt_meas(T_GNSS, 1.0))
+    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(4.0)), rt_meas(T_GNSS, 1.0), DEFAULTS)
     assert v.hypothesis is Hypothesis.H1
     assert v.statistic == pytest.approx(4.0)
 
@@ -68,28 +68,20 @@ def test_rt_boundary_is_h1():
     radius = SignedDuration.from_s(1.0)
     t = ts_add(T_GNSS, SignedDuration(radius.units))
     meas = RoughtimeMeasurement(T_GNSS, radius, "rt", MONO0)
-    assert roughtime_test(t, meas).hypothesis is Hypothesis.H1
+    assert roughtime_test(t, meas, DEFAULTS).hypothesis is Hypothesis.H1
 
 
 def test_rt_declared_radius_capped():
     # declared 30 s, default cap 10 s: a 20 s offset must alarm
-    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(20.0)), rt_meas(T_GNSS, 30.0))
+    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(20.0)), rt_meas(T_GNSS, 30.0), DEFAULTS)
     assert v.hypothesis is Hypothesis.H1
     assert v.threshold == pytest.approx(10.0)
 
 
 def test_rt_small_declared_radius_used():
-    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(0.7)), rt_meas(T_GNSS, 0.5))
+    v = roughtime_test(ts_add(T_GNSS, SignedDuration.from_s(0.7)), rt_meas(T_GNSS, 0.5), DEFAULTS)
     assert v.hypothesis is Hypothesis.H1
     assert v.threshold == pytest.approx(0.5)
-
-
-def test_rt_staleness():
-    meas = rt_meas(T_GNSS, 1.0, t_mono=MonotonicInstant(0))
-    with pytest.raises(StalenessError):
-        roughtime_test(T_GNSS, meas, t_mono_now=MonotonicInstant(61_000_000_000))
-    v = roughtime_test(T_GNSS, meas, t_mono_now=MonotonicInstant(59_000_000_000))
-    assert v.hypothesis is Hypothesis.H0
 
 
 @given(
@@ -100,15 +92,15 @@ def test_rt_staleness():
 def test_rt_monotone_in_offset(units_a, units_b):
     small, large = sorted([units_a, units_b])
     meas = rt_meas(T_GNSS, 1.5)
-    v_small = roughtime_test(ts_add(T_GNSS, SignedDuration(small)), meas)
-    v_large = roughtime_test(ts_add(T_GNSS, SignedDuration(large)), meas)
+    v_small = roughtime_test(ts_add(T_GNSS, SignedDuration(small)), meas, DEFAULTS)
+    v_large = roughtime_test(ts_add(T_GNSS, SignedDuration(large)), meas, DEFAULTS)
     if v_small.hypothesis is Hypothesis.H1:
         assert v_large.hypothesis is Hypothesis.H1
 
 
 def test_rt_pure():
     meas = rt_meas(T_GNSS, 1.0)
-    assert roughtime_test(T_GNSS, meas) == roughtime_test(T_GNSS, meas)
+    assert roughtime_test(T_GNSS, meas, DEFAULTS) == roughtime_test(T_GNSS, meas, DEFAULTS)
 
 
 # -- NTS threshold test -----------------------------------------------------
@@ -118,13 +110,13 @@ NTS_150US = DetectorConfig(nts_lambda=SignedDuration.from_s(3.0 * 50e-6))
 
 
 def test_nts_zero_offset():
-    v = nts_test(T_GNSS, nts_meas(0.0), NTS_150US)
+    v = nts_test(nts_meas(0.0), NTS_150US)
     assert v.hypothesis is Hypothesis.H0
     assert v.statistic == 0.0
 
 
 def test_nts_offset_below_lambda():
-    v = nts_test(T_GNSS, nts_meas(100e-6), NTS_150US)
+    v = nts_test(nts_meas(100e-6), NTS_150US)
     assert v.hypothesis is Hypothesis.H0
     assert v.statistic == pytest.approx(100e-6)
     assert v.threshold == pytest.approx(150e-6)
@@ -132,12 +124,12 @@ def test_nts_offset_below_lambda():
 
 def test_nts_accumulated_offset_flagged():
     # 100 increments of 2 us each
-    v = nts_test(T_GNSS, nts_meas(200e-6), NTS_150US)
+    v = nts_test(nts_meas(200e-6), NTS_150US)
     assert v.hypothesis is Hypothesis.H1
 
 
 def test_nts_statistic_is_abs_offset():
-    v = nts_test(T_GNSS, nts_meas(-200e-6), NTS_150US)
+    v = nts_test(nts_meas(-200e-6), NTS_150US)
     assert v.statistic == pytest.approx(200e-6)
     assert v.hypothesis is Hypothesis.H1
 
@@ -145,7 +137,7 @@ def test_nts_statistic_is_abs_offset():
 def test_nts_boundary_is_h1():
     offset = SignedDuration.from_s(1e-4)
     meas = NtsMeasurement(offset, SignedDuration(0), MONO0, "nts")
-    v = nts_test(T_GNSS, meas, DetectorConfig(nts_lambda=SignedDuration(offset.units)))
+    v = nts_test(meas, DetectorConfig(nts_lambda=SignedDuration(offset.units)))
     assert v.hypothesis is Hypothesis.H1
 
 
@@ -160,8 +152,8 @@ def test_nts_uncalibrated_lambda():
 @settings(max_examples=200)
 def test_nts_monotone_in_offset(ns_a, ns_b):
     small, large = sorted([ns_a, ns_b])
-    v_small = nts_test(T_GNSS, nts_meas(small * 1e-9), NTS_150US)
-    v_large = nts_test(T_GNSS, nts_meas(large * 1e-9), NTS_150US)
+    v_small = nts_test(nts_meas(small * 1e-9), NTS_150US)
+    v_large = nts_test(nts_meas(large * 1e-9), NTS_150US)
     if v_small.hypothesis is Hypothesis.H1:
         assert v_large.hypothesis is Hypothesis.H1
 
@@ -282,10 +274,10 @@ def test_smooth_contraction(z0, sample, alpha, n):
 
 
 def test_ll_test_neg_ll_default():
-    v = ll_test(-5.0, 3.0)
+    v = ll_test(-5.0, 3.0, "ensemble", MONO0)
     assert v.statistic == 5.0
     assert v.hypothesis is Hypothesis.H1
-    assert ll_test(-1.0, 3.0).hypothesis is Hypothesis.H0
+    assert ll_test(-1.0, 3.0, "ensemble", MONO0).hypothesis is Hypothesis.H0
 
 
 @given(

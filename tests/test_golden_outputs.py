@@ -26,14 +26,14 @@ SIMULATE_SHA256 = {
         "truth.csv": "8ac46263ff692d83827a7458ba59f43a50f86777c8c8769aeab5be4c7514f3fe",
         "verdicts.jsonl": "6f946c49d7bb9b2a91a1e63f2595b3b9c35b025db248f70f63629f79ff105ac8",
         "transitions.jsonl": "715af06f26a37b8e6ffedb98a0aa8d5ede8de985cfac0ef6880a54124a4e2266",
-        "report.json": "27e70dc14d4721d3f361434c1a5d1da5446c0bde730051d563e531b71faa031a",
+        "report.json": "76bffc5f3b91645d602ca07a02c31e61d7c6feeb6aeb617dffee7e4f6f0db677",
     },
     "pull2us": {
         "epochs.jsonl": "46a5d015d9a73a7ac1d2322ebdbfe416cd295c761a1fbeb297a52f1ce5065ac5",
         "truth.csv": "5357456e1ecab1c13c059bdfa686943875a2d97f4d6bf4fac128f7e00d923ee2",
         "verdicts.jsonl": "64ff48b9edb3b84d7f612ec0fd5e676cf5e3d068b58e6136d43e694a4591b3cd",
         "transitions.jsonl": "2ba6c308162bdf73877ea0b1d6c2a238fe032207a54e52d09c914a5c01644faf",
-        "report.json": "c9a14d45baed131ccf5bc467443e3323a846485bedc4fea9e5e7d38bca2c669f",
+        "report.json": "c21dbf98170ec4e887ea4ed88efc09e8200e9a436cc68b2d066a35dd64c1e772",
     },
     # the attack behind the live-incr2us benchmark feed, with its ALARM transitions
     "incr2us": {
@@ -41,7 +41,7 @@ SIMULATE_SHA256 = {
         "truth.csv": "d757447dcd2503b9b491cf57317e877afbca7e10fdb65e877bb8e88a41db2633",
         "verdicts.jsonl": "5dd03570755dbebac74f0fe26dad065384c6c478697d0e6b0e18958ec0902a9f",
         "transitions.jsonl": "11730fe55a9d75ea19f937cbd52c89c4f06ea4f87956ee528ba8358b5ff90918",
-        "report.json": "5a1489f8825c9214bd448aff8b836c7954f5385ab9d8b81bee8de08d8ab5d6f5",
+        "report.json": "37418ffa4aad8c4b46b44648b2b3ea4387ea99398bf539c1add24215245b39d4",
     },
 }
 

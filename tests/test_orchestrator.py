@@ -16,17 +16,14 @@ from timeguard.orchestrator import (
     EventKind,
     OrchestratorConfig,
     OrderingError,
-    OutageClass,
     Phase,
     PolicyError,
     SourceSummary,
     alert,
     initial_state,
-    outage_classify,
     replay,
     step,
     transition_to_json,
-    trust_select,
 )
 from timeguard.orchestrator import _apply
 from timeguard.timebase import MonotonicInstant
@@ -194,15 +191,6 @@ def test_cold_start_unaffected_by_network_down():
 # -- outage and reset -------------------------------------------------------
 
 
-def test_outage_classification():
-    four_hours = 4 * 3600.0
-    assert outage_classify(10.0, four_hours) is OutageClass.SHORT
-    assert outage_classify(5 * 3600.0, four_hours) is OutageClass.LONG
-    assert outage_classify(four_hours, four_hours) is OutageClass.SHORT
-    with pytest.raises(PolicyError):
-        outage_classify(-1.0, four_hours)
-
-
 def test_long_outage_forces_reset():
     state = fine_state()
     state, _ = step(state, ev(EventKind.FIX_LOST, 10))
@@ -246,18 +234,6 @@ def test_fix_reacquired_after_a_long_outage_restarts_cold_without_a_tick():
     assert state.summary == SourceSummary()
     assert actions == [alert("gnss_outage_exceeds_ephemeris_validity"), SCHEDULE_RT]
     assert state.active_time_source == "gnss"
-
-
-# -- trust selection --------------------------------------------------------
-
-
-def test_trust_all_clean_is_gnss():
-    assert trust_select(SourceSummary()) == "gnss"
-
-
-def test_trust_flagged_prefers_ensemble():
-    assert trust_select(SourceSummary(last_nts=Hypothesis.H1)) == "ensemble"
-    assert trust_select(SourceSummary(), force_suspect=True) == "ensemble"
 
 
 def test_policy_validation():

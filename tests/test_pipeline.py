@@ -284,6 +284,26 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     assert len(seen) == count
 
 
+@pytest.mark.parametrize("which", ["rt", "nts"])
+def test_monitor_refuses_a_reply_before_the_first_fix_and_applies_nothing(which):
+    # an invalid epoch moves the clock but brings no GNSS time to test against
+    outputs = gen_scenario(builtin_scenarios()["step4s"])
+    seen = []
+    monitor = Monitor(CFG, on_verdict=seen.append,
+                      on_transition=lambda event, record: seen.append(record))
+    monitor.epoch(replace(outputs.epochs[0], fix_valid=False))
+    state, count = monitor.state, len(seen)
+    t = outputs.epochs[0].t_mono
+    with pytest.raises(OrderingError, match="first GNSS fix"):
+        if which == "rt":
+            monitor.roughtime(outputs.rt_responses[0], t)
+        else:
+            monitor.nts(outputs.nts_responses[0], t)
+    assert monitor.state is state
+    assert len(seen) == count
+    assert monitor.last_fix is None
+
+
 def test_monitor_orders_epochs_against_the_last_tracked_one():
     # every epoch moves the state machine's clock with its TICK, an epoch
     # that changes nothing else included

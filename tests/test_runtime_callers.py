@@ -54,10 +54,6 @@ KEEP = {
     # criterion 4 reads the matrix views
     "ClockKfState.x",
     "ClockKfState.P",
-    # defaulted parameters set only through cli._poll's alias `apply`, which
-    # passes the instant the poll's reply arrived
-    "Monitor.roughtime(now)",
-    "Monitor.nts(now)",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
