@@ -23,13 +23,14 @@ import struct
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESSIV
 
 from .receiver_feed import NtsMeasurement
-from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_diff
+from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
 NTS_KE_ALPN = "ntske/1"
 DEFAULT_KE_PORT = 4460
@@ -92,14 +93,26 @@ class UnreachableError(NtsError):
 # -- AEAD -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _siv(key: bytes) -> AESSIV:
+    """The AES-SIV key schedule of key, built once while key stays in use.
+
+    A session queries under its two keys for hours and the test server
+    seals cookies under one master key, so eight entries hold every key
+    in use.  A bad key raises ValueError here and is not cached.
+    """
+    return AESSIV(key)
+
+
 def siv_seal(key: bytes, plaintext: bytes, components: Sequence[bytes]) -> bytes:
     """AES-SIV over a vector of associated-data components (nonce last)."""
-    return AESSIV(key).encrypt(plaintext, list(components))
+    # memoryview refuses an int, which bytes() would turn into a zero key
+    return _siv(bytes(memoryview(key))).encrypt(plaintext, list(components))
 
 
 def siv_open(key: bytes, ciphertext: bytes, components: Sequence[bytes]) -> bytes:
     try:
-        return AESSIV(key).decrypt(ciphertext, list(components))
+        return _siv(bytes(memoryview(key))).decrypt(ciphertext, list(components))
     except (InvalidTag, ValueError):
         # ValueError covers ciphertexts shorter than the SIV tag
         raise AuthenticationError("AEAD tag verification failed") from None
@@ -353,11 +366,8 @@ def offset_delay(
     t1: Timestamp, t2: Timestamp, t3: Timestamp, t4: Timestamp
 ) -> tuple[SignedDuration, SignedDuration]:
     """theta = ((T2-T1)+(T3-T4))/2, delta = (T4-T1)-(T3-T2)."""
-    forward = ts_diff(t2, t1)
-    backward = ts_diff(t3, t4)
-    theta = SignedDuration((forward.units + backward.units) // 2)
-    delta = ts_diff(t4, t1) - ts_diff(t3, t2)
-    return theta, delta
+    u1, u2, u3, u4 = t1.units, t2.units, t3.units, t4.units
+    return SignedDuration((u2 - u1 + u3 - u4) // 2), SignedDuration(u4 - u1 - u3 + u2)
 
 
 class NtsRequest(NamedTuple):
@@ -436,7 +446,11 @@ def nts_query(
     target_cookies: int = 8,
     timeout_s: float = 1.0,
 ) -> NtsMeasurement:
-    """One authenticated time transfer; restocks the cookie queue."""
+    """One authenticated time transfer; restocks the cookie queue.
+
+    The queue keeps at most target_cookies, the newest, however many
+    cookies an authenticated reply carries.
+    """
     if transport is None:
         transport = udp_transport(session.host, session.port, timeout_s)
     # queue after a successful query: (len - 1) spent + 1 + placeholders new
@@ -450,6 +464,7 @@ def nts_query(
     t_mono_rx = mono()
     t2, t3, new_cookies = parse_nts_response(session, request, reply)
     session.cookies.extend(new_cookies)
+    del session.cookies[: max(0, len(session.cookies) - target_cookies)]
     theta, delta = offset_delay(request.t1, t2, t3, t4)
     return NtsMeasurement(theta, delta, t_mono_rx, session.server_id)
 

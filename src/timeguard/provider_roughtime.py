@@ -17,7 +17,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from hashlib import sha512
 from typing import Callable, Optional
 
@@ -112,12 +112,15 @@ class RoughtimeServerKey:
         if len(self.public_key) != 32:
             raise ValueError(f"Ed25519 public key must be 32 bytes, got {len(self.public_key)}")
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         return sha512(self.public_key).hexdigest()[:16]
 
 
 # -- tag-value codec --------------------------------------------------------
+
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
 
 
 def encode_message(pairs: dict[int, bytes]) -> bytes:
@@ -144,35 +147,31 @@ def decode_message(data: bytes) -> dict[int, bytes]:
     """Inverse of encode_message; raises CodecError on any defect."""
     if len(data) < 4:
         raise CodecError("message shorter than its count field")
-    (count,) = struct.unpack_from("<I", data, 0)
-    header_len = 4 + max(count - 1, 0) * 4 + count * 4
-    if count > 0 and len(data) < header_len:
-        raise CodecError(f"message truncated: {len(data)} bytes for {count} pairs")
-    offsets = [0]
-    pos = 4
-    for _ in range(max(count - 1, 0)):
-        (off,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if off % 4 != 0 or off < offsets[-1]:
-            raise CodecError(f"offset {off} not ascending multiple of 4")
-        offsets.append(off)
-    tags = []
-    for _ in range(count):
-        (tag,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if tags and tag <= tags[-1]:
-            raise CodecError(f"tag {tag:#010x} not strictly ascending")
-        tags.append(tag)
-    values_len = len(data) - header_len
+    (count,) = _U32.unpack_from(data, 0)
     if count == 0:
-        if values_len != 0:
+        if len(data) != 4:
             raise CodecError("pairless message with trailing bytes")
         return {}
-    if offsets[-1] > values_len:
+    header_len = 8 * count
+    if len(data) < header_len:
+        raise CodecError(f"message truncated: {len(data)} bytes for {count} pairs")
+    words = struct.unpack_from(f"<{2 * count - 1}I", data, 4)
+    offsets, tags = words[: count - 1], words[count - 1 :]
+    prev = 0
+    for off in offsets:
+        if off % 4 != 0 or off < prev:
+            raise CodecError(f"offset {off} not ascending multiple of 4")
+        prev = off
+    prev = -1
+    for tag in tags:
+        if tag <= prev:
+            raise CodecError(f"tag {tag:#010x} not strictly ascending")
+        prev = tag
+    values_len = len(data) - header_len
+    if offsets and offsets[-1] > values_len:
         raise CodecError(f"last offset {offsets[-1]} beyond value region {values_len}")
-    bounds = offsets + [values_len]
-    body = data[header_len:]
-    return {tag: body[bounds[i] : bounds[i + 1]] for i, tag in enumerate(tags)}
+    bounds = (header_len, *[header_len + off for off in offsets], len(data))
+    return {tag: data[a:b] for tag, a, b in zip(tags, bounds, bounds[1:])}
 
 
 def frame_packet(message: bytes) -> bytes:
@@ -204,16 +203,30 @@ def make_nonce() -> bytes:
     return secrets.token_bytes(32)
 
 
-def build_request(nonce: bytes) -> bytes:
-    """Tag-value request padded up to the minimum request size."""
-    if len(nonce) != 32:
-        raise CodecError(f"nonce must be 32 bytes, got {len(nonce)}")
-    base = {TAG_VER: struct.pack("<I", VERSION), TAG_NONC: nonce, TAG_ZZZZ: b""}
+def _request_template() -> tuple[bytes, bytes]:
+    """The request's bytes before and after its nonce.
+
+    A request is VER, NONC and a ZZZZ pad that brings the framed packet
+    up to MIN_REQUEST_SIZE, so only the nonce differs between requests.
+    """
+    mark = b"\xff" * 32  # no other byte of the request is 0xff
+    base = {TAG_VER: _U32.pack(VERSION), TAG_NONC: mark, TAG_ZZZZ: b""}
     unpadded = len(frame_packet(encode_message(base)))
     pad = max(0, MIN_REQUEST_SIZE - unpadded)
     pad += (-pad) % 4
     base[TAG_ZZZZ] = b"\x00" * pad
-    return frame_packet(encode_message(base))
+    head, _, tail = frame_packet(encode_message(base)).partition(mark)
+    return head, tail
+
+
+_REQUEST_HEAD, _REQUEST_TAIL = _request_template()
+
+
+def build_request(nonce: bytes) -> bytes:
+    """Tag-value request padded up to the minimum request size."""
+    if len(nonce) != 32:
+        raise CodecError(f"nonce must be 32 bytes, got {len(nonce)}")
+    return _REQUEST_HEAD + nonce + _REQUEST_TAIL
 
 
 def decode_request(packet: bytes) -> dict[int, bytes]:
@@ -234,16 +247,17 @@ def merkle_node(left: bytes, right: bytes) -> bytes:
 
 
 def merkle_root_from_path(nonce: bytes, index: int, path: bytes) -> bytes:
-    """Recompute the root from a leaf nonce and its sibling path."""
+    """Recompute the root from a leaf nonce and its sibling path.
+
+    The hashes of merkle_leaf and merkle_node, written inline.
+    """
     if len(path) % HASH_TRUNC != 0:
         raise CodecError(f"PATH length {len(path)} not a multiple of {HASH_TRUNC}")
-    node = merkle_leaf(nonce)
+    node = sha512(LEAF_PREFIX + nonce).digest()[:HASH_TRUNC]
     for i in range(0, len(path), HASH_TRUNC):
         sibling = path[i : i + HASH_TRUNC]
-        if index & 1:
-            node = merkle_node(sibling, node)
-        else:
-            node = merkle_node(node, sibling)
+        pair = sibling + node if index & 1 else node + sibling
+        node = sha512(NODE_PREFIX + pair).digest()[:HASH_TRUNC]
         index >>= 1
     return node
 
@@ -271,9 +285,6 @@ def merkle_path(levels: list[list[bytes]], index: int) -> bytes:
 
 
 # -- verification -----------------------------------------------------------
-
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 
 
 @lru_cache(maxsize=16)

@@ -1,4 +1,4 @@
-"""Per-epoch construction counts on the engine's hot path, with no timing.
+"""Construction counts on the engine's and the provider clients' hot paths, with no timing.
 
 Scenario generation adds each epoch's time values as integer units and
 builds one Timestamp per epoch, plus the Roughtime midpoint at a poll;
@@ -7,14 +7,22 @@ comparison and never reaches the general PSD check.  Both are counted
 through the names the code calls them by, on a 2,000-epoch benign
 scenario, so a change that brings back the per-epoch objects or the
 general check fails here rather than as a slower benchmark.
+
+The provider clients are counted the same way over 50 rounds against
+the in-process test servers, leaving out the calls made inside the
+transport, which are the server's: the NTS client builds each key's
+AES-SIV schedule once and seals and opens once per query, and the
+Roughtime client sends a fixed request with no message encoding.
 """
 
 import sys
 
-from timeguard import ensemble, timebase
+from timeguard import ensemble, provider_nts, provider_roughtime, timebase
 from timeguard.attack_sim import ScenarioSpec, gen_scenario
 from timeguard.config import default_config
 from timeguard.pipeline import run_scenario
+from timeguard.provider_nts import NtsTestServer, nts_query
+from timeguard.provider_roughtime import RoughtimeTestServer, poll
 
 BENIGN = ScenarioSpec(name="benign2k", duration_epochs=2_000, seed=21)
 
@@ -32,6 +40,21 @@ def count_calls(monkeypatch, owner, name: str) -> list:
         if module_name.startswith("timeguard") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def client_side(transport, *counts: list):
+    """transport, and a function giving each count less its calls made inside it."""
+    inside = [0] * len(counts)
+
+    def send(request: bytes) -> bytes:
+        before = [len(c) for c in counts]
+        try:
+            return transport(request)
+        finally:
+            for i, c in enumerate(counts):
+                inside[i] += len(c) - before[i]
+
+    return send, lambda: [len(c) - n for c, n in zip(counts, inside)]
 
 
 def test_generation_builds_one_timestamp_per_epoch_and_never_calls_ts_add(monkeypatch):
@@ -58,3 +81,28 @@ def test_a_full_run_never_reaches_the_general_psd_check(monkeypatch):
     assert result.report.final_phase == "FINE_MONITORING"
     assert len(states) >= 2_000
     assert checks == []
+
+
+def test_nts_queries_build_each_key_schedule_once_and_seal_and_open_once_each(monkeypatch):
+    server = NtsTestServer()
+    session = server.mint_session()
+    schedules = count_calls(monkeypatch, provider_nts, "AESSIV")
+    seals = count_calls(monkeypatch, provider_nts, "siv_seal")
+    opens = count_calls(monkeypatch, provider_nts, "siv_open")
+    transport, client = client_side(server.transport, schedules, seals, opens)
+    for _ in range(50):
+        nts_query(session, transport=transport)
+    built, sealed, opened = client()
+    assert built <= 2  # session.c2s and session.s2c
+    assert sealed == opened == 50
+    assert session.cookie_count() == 8
+
+
+def test_roughtime_polls_encode_no_message_on_the_client(monkeypatch):
+    server = RoughtimeTestServer()
+    encodes = count_calls(monkeypatch, provider_roughtime, "encode_message")
+    transport, client = client_side(server.transport, encodes)
+    for _ in range(50):
+        poll(server.server_key, transport=transport)
+    assert client() == [0]
+    assert len(encodes) > 0  # the server's are counted, and left out

@@ -2,6 +2,8 @@
 
 import binascii
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from timeguard.provider_nts import (
     UnreachableError,
     build_ke_request,
     build_nts_request,
+    build_ntp_header,
     decode_authenticator,
     decode_ke_records,
+    encode_authenticator,
     encode_ef,
     encode_ke_record,
     iter_efs,
@@ -93,6 +97,30 @@ def test_siv_cookie_vector_decrypts():
         "71c51d88f6a6def90efc99906cd3c2cb"
     )
     assert len(siv_open(key, ct, [nonce])) == 64
+
+
+def test_siv_shared_key_schedules_seal_and_open_across_threads():
+    keys = [bytes([i]) * 32 for i in range(3)]
+    failures = []
+
+    def worker(n):
+        for j in range(200):
+            key, pt, ad = keys[(n + j) % 3], bytes([n, j % 256]) * 9, [b"ad", bytes([j % 256])]
+            if siv_open(key, siv_seal(key, pt, ad), ad) != pt:
+                failures.append((n, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def test_siv_tamper_rejected():
@@ -385,6 +413,25 @@ def test_response_trailing_ef_rejected():
 
     with pytest.raises(PacketError):
         nts_query(session, transport=appending)
+
+
+def test_a_reply_with_more_cookies_than_the_target_leaves_the_newest_target():
+    server = NtsTestServer()
+    session = server.mint_session()
+    t = Timestamp.from_unix_s(1_700_000_000)
+    cookies = [bytes([i]) * 100 for i in range(30)]
+
+    def flooding(request):
+        unique_id = next(body for kind, body, _s, _e in iter_efs(request) if kind == EF_UNIQUE_ID)
+        ad = build_ntp_header(mode=4, tx=t, recv=pack_ntp64(t), stratum=1)
+        ad += encode_ef(EF_UNIQUE_ID, unique_id)
+        plaintext = b"".join(encode_ef(EF_COOKIE, c) for c in cookies)
+        nonce = b"\x07" * 16
+        return ad + encode_authenticator(nonce, siv_seal(session.s2c, plaintext, [ad, nonce]))
+
+    m = nts_query(session, transport=flooding, clock_utc=lambda: t)
+    assert m.offset == SignedDuration(0) and m.delay == SignedDuration(0)
+    assert session.cookies == cookies[-8:]
 
 
 # -- sigma estimation -------------------------------------------------------

@@ -5,7 +5,7 @@ import socket
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeguard import provider_roughtime
@@ -21,6 +21,9 @@ from timeguard.provider_roughtime import (
     TAG_ROOT,
     TAG_SIG,
     TAG_SREP,
+    TAG_VER,
+    TAG_ZZZZ,
+    VERSION,
     CertSignatureError,
     CodecError,
     DelegationWindowError,
@@ -76,6 +79,17 @@ def test_request_rejects_bad_nonce_length():
         build_request(b"\x00" * 31)
 
 
+@given(st.binary(min_size=32, max_size=32))
+@settings(max_examples=100)
+def test_request_equals_the_generic_construction(nonce):
+    pairs = {TAG_VER: struct.pack("<I", VERSION), TAG_NONC: nonce, TAG_ZZZZ: b""}
+    pad = max(0, MIN_REQUEST_SIZE - len(frame_packet(encode_message(pairs))))
+    pairs[TAG_ZZZZ] = b"\x00" * (pad + (-pad) % 4)
+    req = build_request(nonce)
+    assert req == frame_packet(encode_message(pairs))
+    assert len(req) == MIN_REQUEST_SIZE
+
+
 # -- codec ------------------------------------------------------------------
 
 
@@ -107,6 +121,108 @@ def test_decode_rejects_bad_offset():
     raw = struct.pack("<I", 2) + struct.pack("<I", 6) + struct.pack("<II", 1, 2) + b"\x00" * 8
     with pytest.raises(CodecError):
         decode_message(raw)
+
+
+def reference_decode(data):
+    """decode_message as it read one word at a time: the differential oracle."""
+    if len(data) < 4:
+        raise CodecError("message shorter than its count field")
+    (count,) = struct.unpack_from("<I", data, 0)
+    header_len = 4 + max(count - 1, 0) * 4 + count * 4
+    if count > 0 and len(data) < header_len:
+        raise CodecError(f"message truncated: {len(data)} bytes for {count} pairs")
+    offsets = [0]
+    pos = 4
+    for _ in range(max(count - 1, 0)):
+        (off,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        if off % 4 != 0 or off < offsets[-1]:
+            raise CodecError(f"offset {off} not ascending multiple of 4")
+        offsets.append(off)
+    tags = []
+    for _ in range(count):
+        (tag,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        if tags and tag <= tags[-1]:
+            raise CodecError(f"tag {tag:#010x} not strictly ascending")
+        tags.append(tag)
+    values_len = len(data) - header_len
+    if count == 0:
+        if values_len != 0:
+            raise CodecError("pairless message with trailing bytes")
+        return {}
+    if offsets[-1] > values_len:
+        raise CodecError(f"last offset {offsets[-1]} beyond value region {values_len}")
+    bounds = offsets + [values_len]
+    body = data[header_len:]
+    return {tag: body[bounds[i] : bounds[i + 1]] for i, tag in enumerate(tags)}
+
+
+def outcome(decode, data):
+    try:
+        return decode(data)
+    except CodecError as e:
+        return f"CodecError: {e}"
+
+
+def assert_decoders_agree(data):
+    assert outcome(decode_message, data) == outcome(reference_decode, data)
+
+
+MESSAGES = st.dictionaries(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.binary(max_size=24).map(lambda b: b + b"\x00" * ((-len(b)) % 4)),
+    max_size=6,
+).map(encode_message)
+
+# words near the ones a header holds, so a mutation often stays decodable
+WORDS = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=64),
+    st.sampled_from([2**32 - 1, 2**31, 2**29]),
+)
+
+
+@given(MESSAGES)
+@settings(max_examples=150)
+def test_decode_agrees_with_the_reference_on_valid_messages_and_every_truncation(msg):
+    for end in range(len(msg) + 1):
+        assert_decoders_agree(msg[:end])
+
+
+# random words then a few random bytes, so short counts meet odd tails
+RANDOM = st.one_of(
+    st.binary(max_size=80),
+    st.builds(
+        lambda words, tail: struct.pack(f"<{len(words)}I", *words) + tail,
+        st.lists(WORDS, max_size=10),
+        st.binary(max_size=6),
+    ),
+)
+
+
+@given(RANDOM)
+@example(b"\x00" * 5)  # a pairless message with one trailing byte
+@example(struct.pack("<3I", 2, 4, 7))  # a header cut inside its tags
+@example(struct.pack("<4I", 2, 0, 7, 7))  # tied tags
+@settings(max_examples=400)
+def test_decode_agrees_with_the_reference_on_random_bytes(data):
+    assert_decoders_agree(data)
+
+
+@given(MESSAGES, st.data())
+@settings(max_examples=400)
+def test_decode_agrees_with_the_reference_on_one_mutated_header_word(msg, data):
+    (count,) = struct.unpack_from("<I", msg, 0)
+    header = struct.unpack_from(f"<{2 * count}I", msg, 0) if count else (0,)
+    i = data.draw(st.integers(min_value=0, max_value=len(header) - 1))
+    # another header word, or one off it, ties or inverts an ordering
+    near = st.sampled_from(header).flatmap(
+        lambda w: st.sampled_from([w, max(w - 1, 0), min(w + 1, 2**32 - 1)])
+    )
+    word = data.draw(st.one_of(WORDS, near))
+    mutated = msg[: 4 * i] + struct.pack("<I", word) + msg[4 * i + 4 :]
+    assert_decoders_agree(mutated)
 
 
 def test_unframe_rejects_bad_magic():
