@@ -264,8 +264,9 @@ class _LiveSession:
                 self.monitor.network(False, t, repeat=True)
             else:
                 self.monitor.network(True, t)
+                # at the feed instant that polled it: t_mono_rx is host time
                 apply = self.monitor.roughtime if which == "rt" else self.monitor.nts
-                apply(measurement, t)
+                apply(replace(measurement, t_mono_rx=t))
             self.next_poll_ns[which] = t.nanoseconds + cadence_ns
 
     def consume(self, line: str) -> None:
@@ -287,11 +288,9 @@ class _LiveSession:
                 if rec.fix_valid:
                     self._poll(rec.t_mono)
             elif kind == "rt":
-                rt = _scripted_rt(obj)
-                self.monitor.roughtime(rt, rt.t_mono_rx)
+                self.monitor.roughtime(_scripted_rt(obj))
             elif kind == "nts":
-                nts = _scripted_nts(obj)
-                self.monitor.nts(nts, nts.t_mono_rx)
+                self.monitor.nts(_scripted_nts(obj))
             elif kind == "network":
                 self.monitor.network(json_flag(obj, "up"),
                                      MonotonicInstant(json_int(obj, "t_mono_ns")))

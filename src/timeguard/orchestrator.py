@@ -6,18 +6,21 @@ monitoring against NTS, holdover on the local ensemble when the network
 drops, latched alarm on any H1 verdict, and a cold-start reset once a GNSS
 outage outlives the broadcast ephemeris.
 
+Trust follows from the phase: GNSS is the active time source except in
+ALARM and RESET_PENDING, where the local ensemble is.
+
 step() is a pure function of (state, event, config); replaying an event
 log reproduces the state trajectory exactly.  Producers enqueue immutable
 events; a single logical consumer applies them in monotonic order.
 
 Almost every event only moves the clock: a TICK with no outage open, or a
-verdict that repeats its test's last hypothesis where that cannot move the
-phase or the clean streak.  step() recognises these with a predicate and
-returns a copy with only last_t_mono moved, skipping the full rule; the
-result is the one the full rule gives, so step() stays pure.
+verdict that can move neither the phase nor the clean streak.  step()
+recognises these with a predicate and returns a copy with only
+last_t_mono moved, skipping the full rule; the result is the one the full
+rule gives, so step() stays pure.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -102,17 +105,12 @@ class OrchestratorConfig:
             raise PolicyError("poll cadences must be positive")
 
 
-@dataclass(frozen=True)
-class SourceSummary:
-    """Last hypothesis per test; None means not yet exercised."""
-
-    last_rt: Optional[Hypothesis] = None
-    last_nts: Optional[Hypothesis] = None
-    last_ll: Optional[Hypothesis] = None
-
-    @property
-    def any_h1(self) -> bool:
-        return Hypothesis.H1 in (self.last_rt, self.last_nts, self.last_ll)
+# GNSS, the most accurate source, outside an alarm or a reset; else the
+# ensemble, which sits inside the hardware boundary and so stays clean
+# whether or not the network is reachable.  Keyed by the phase's text: an
+# enum member hashes through a Python-level __hash__, a str does not
+_SOURCE = {phase._value_: "ensemble" if phase in (Phase.ALARM, Phase.RESET_PENDING) else "gnss"
+           for phase in Phase}
 
 
 @dataclass(frozen=True)
@@ -120,50 +118,32 @@ class OrchestratorState:
     phase: Phase = Phase.COLD_START
     connectivity: Connectivity = Connectivity.ONLINE
     outage_started: Optional[MonotonicInstant] = None
-    active_time_source: str = "gnss"
-    summary: SourceSummary = field(default_factory=SourceSummary)
     coarse_validated: bool = False
     clean_streak: int = 0
     last_t_mono: Optional[MonotonicInstant] = None
+
+    @property
+    def active_time_source(self) -> str:
+        return _SOURCE[self.phase._value_]
 
 
 def initial_state() -> OrchestratorState:
     return OrchestratorState()
 
 
-def _cleared(coarse_validated: bool) -> tuple[Phase, SourceSummary, int]:
-    phase = Phase.COARSE_VALIDATED if coarse_validated else Phase.COLD_START
-    return phase, SourceSummary(), 0
-
-
-# the SourceSummary field each verdict kind writes
-_SLOT = {
-    EventKind.RT_VERDICT: "last_rt",
-    EventKind.NTS_VERDICT: "last_nts",
-    EventKind.LL_VERDICT: "last_ll",
-}
+def _cleared(coarse_validated: bool) -> Phase:
+    return Phase.COARSE_VALIDATED if coarse_validated else Phase.COLD_START
 
 
 def _only_time_moves(state: OrchestratorState, event: Event) -> bool:
-    """True when the full rule would change nothing but last_t_mono and
-    request no action.
-
-    A verdict qualifies only when its summary slot already holds its
-    hypothesis, so the summary stays put.  The active source is kept as
-    it is: in every state step() reaches from initial_state() it already
-    follows from the phase and the summary, neither of which moves here.
-    """
+    """True when the full rule would only move last_t_mono, with no action."""
     kind = event.kind
     phase = state.phase
     if kind is EventKind.TICK:
         return state.outage_started is None or phase is Phase.RESET_PENDING
-    slot = _SLOT.get(kind)
-    if slot is None:
+    if kind not in _VERDICT_KINDS:
         return False
-    h = event.verdict.hypothesis
-    if getattr(state.summary, slot) is not h:
-        return False
-    if h is Hypothesis.H1:
+    if event.verdict.hypothesis is Hypothesis.H1:
         return phase is Phase.ALARM and state.clean_streak == 0
     if phase is Phase.COLD_START:
         return kind is EventKind.LL_VERDICT
@@ -197,7 +177,6 @@ def _apply(
     phase = state.phase
     connectivity = state.connectivity
     outage = state.outage_started
-    summary = state.summary
     coarse = state.coarse_validated
     streak = state.clean_streak
 
@@ -216,7 +195,6 @@ def _apply(
             actions.append(SCHEDULE_RT)
         elif phase is Phase.RESET_PENDING:
             phase = Phase.COLD_START
-            summary = SourceSummary()
             coarse = False
             streak = 0
             actions.append(SCHEDULE_RT)
@@ -225,7 +203,6 @@ def _apply(
             outage = event.t_mono
     elif kind in _VERDICT_KINDS:
         verdict = event.verdict
-        summary = replace(summary, **{_SLOT[kind]: verdict.hypothesis})
         if verdict.hypothesis is Hypothesis.H1:
             if phase is not Phase.ALARM:
                 actions.append(alert(f"h1:{verdict.test}:{verdict.source_id}"))
@@ -234,7 +211,7 @@ def _apply(
         elif phase is Phase.ALARM:
             streak += 1
             if streak >= config.auto_clear_k:
-                phase, summary, streak = _cleared(coarse)
+                phase, streak = _cleared(coarse), 0
                 actions.append(alert("auto_clear"))
         elif kind is not EventKind.LL_VERDICT and phase is Phase.COLD_START:
             # the first network H0; from NTS when Roughtime is unreachable,
@@ -256,24 +233,16 @@ def _apply(
             actions.append(SCHEDULE_NTS)
     elif kind is EventKind.CLEAR:
         if phase is Phase.ALARM:
-            phase, summary, streak = _cleared(coarse)
+            phase, streak = _cleared(coarse), 0
 
-    # GNSS, the most accurate source, while every test passes; else the
-    # ensemble, which sits inside the hardware boundary and so stays clean
-    # whether or not the network is reachable
-    suspect = phase in (Phase.ALARM, Phase.RESET_PENDING) or summary.any_h1
-    new_state = replace(
-        state,
+    return OrchestratorState(
         phase=phase,
         connectivity=connectivity,
         outage_started=outage,
-        active_time_source="ensemble" if suspect else "gnss",
-        summary=summary,
         coarse_validated=coarse,
         clean_streak=streak,
         last_t_mono=event.t_mono,
-    )
-    return new_state, actions
+    ), actions
 
 
 class TransitionRecord(NamedTuple):
@@ -297,7 +266,7 @@ def advance(
         # an enum member's text is its plain _value_ attribute; .value is a
         # property that costs a Python-level call
         on_record(event, TransitionRecord(event.t_mono, event.kind._value_, state.phase,
-                                          new_state.phase, new_state.active_time_source,
+                                          new_state.phase, _SOURCE[new_state.phase._value_],
                                           tuple(actions)))
     return new_state, actions
 

@@ -168,23 +168,23 @@ class Monitor:
         self._apply(Event(EventKind.TICK, t))
         return tracked
 
-    def roughtime(self, meas: RoughtimeMeasurement, t: MonotonicInstant) -> None:
-        """A Roughtime reply at t, tested against the last fix's GNSS time.
+    def roughtime(self, meas: RoughtimeMeasurement) -> None:
+        """A Roughtime reply at its t_mono_rx, tested against the last fix's GNSS time.
 
         OrderingError before the first fix: there is no GNSS time to test.
         """
         verdict = roughtime_test(self._reference(), meas, self.config.detector)
-        self._apply(Event(EventKind.RT_VERDICT, t, verdict))
+        self._apply(Event(EventKind.RT_VERDICT, meas.t_mono_rx, verdict))
 
-    def nts(self, meas: NtsMeasurement, t: MonotonicInstant) -> None:
-        """An NTS reply at t.  Its offset is the server's time minus the clock
+    def nts(self, meas: NtsMeasurement) -> None:
+        """An NTS reply at its t_mono_rx.  Its offset is the server's time minus the clock
         that stamped the query, so the test reads the offset alone.
 
         OrderingError before the first fix, as for Roughtime.
         """
         self._reference()  # refuses a reply that comes before any fix
         verdict = nts_test(meas, self.config.detector)
-        self._apply(Event(EventKind.NTS_VERDICT, t, verdict))
+        self._apply(Event(EventKind.NTS_VERDICT, meas.t_mono_rx, verdict))
 
     def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:
         """Connectivity at t, applied when it changes.  A failed poll repeats
@@ -375,9 +375,9 @@ def run_scenario(
         monitor.network(network_available(spec, e), t)
         xhat[e], innovations[e] = monitor.epoch(rec)
         if e in outputs.rt_responses:
-            monitor.roughtime(outputs.rt_responses[e], t)
+            monitor.roughtime(outputs.rt_responses[e])
         if e in outputs.nts_responses:
-            monitor.nts(outputs.nts_responses[e], t)
+            monitor.nts(outputs.nts_responses[e])
     monitor.finish()
 
     result = PipelineResult(

@@ -530,6 +530,12 @@ def test_live_polls_reachable_loopback_providers(tmp_path, capsys):
     transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
     assert transitions[-1]["to_phase"] == "FINE_MONITORING"
     assert "final phase FINE_MONITORING" in err
+    # each reply is applied at the feed instant that polled it, the first
+    # fix's: its verdict and its transition carry the same t_mono_ns
+    kinds = {"rt": "RtVerdict", "nts": "NtsVerdict"}
+    assert [(kinds[v["test"]], v["t_mono_ns"]) for v in verdicts] == [
+        (t["event"], t["t_mono_ns"]) for t in transitions if t["event"] in kinds.values()]
+    assert {v["t_mono_ns"] for v in verdicts} == {0}
 
 
 def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):

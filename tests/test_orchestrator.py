@@ -1,6 +1,8 @@
 """Tests for the validation state machine and trust policy."""
 
 import json
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from timeguard.orchestrator import (
     OrderingError,
     Phase,
     PolicyError,
-    SourceSummary,
     alert,
     initial_state,
     replay,
@@ -231,7 +232,6 @@ def test_fix_reacquired_after_a_long_outage_restarts_cold_without_a_tick():
     assert state.phase is Phase.COLD_START
     assert state.outage_started is None
     assert not state.coarse_validated
-    assert state.summary == SourceSummary()
     assert actions == [alert("gnss_outage_exceeds_ephemeris_validity"), SCHEDULE_RT]
     assert state.active_time_source == "gnss"
 
@@ -295,8 +295,6 @@ def test_safety_invariants_over_random_logs(choices):
             assert state.coarse_validated
         if state.phase in (Phase.ALARM, Phase.RESET_PENDING):
             assert state.active_time_source != "gnss"
-        if state.summary.any_h1:
-            assert state.phase is Phase.ALARM
 
 
 # a short validity and streak, so that long outages, RESET_PENDING and
@@ -307,8 +305,8 @@ ORACLE_CONFIG = OrchestratorConfig(ephemeris_validity_s=2.0, auto_clear_k=3)
 @given(st.lists(st.tuples(EVENT_POOL, st.integers(0, 2000)), max_size=60))
 @settings(max_examples=500)
 def test_fast_path_agrees_with_the_full_rule(log):
-    # states come only from replay: the fast path keeps active_time_source,
-    # which follows from phase and summary only in reachable states
+    # ORACLE_CONFIG's short validity and streak take the log through every
+    # phase and streak the predicate reads
     state, t_ms = initial_state(), 0
     for (kind, test, hyp), gap_ms in log:
         t_ms += gap_ms
@@ -316,6 +314,125 @@ def test_fast_path_agrees_with_the_full_rule(log):
         got = step(state, event, ORACLE_CONFIG)
         assert got == _apply(state, event, ORACLE_CONFIG)
         state = got[0]
+
+
+# -- differential test against a rule that stores the trust decision -------
+
+
+@dataclass(frozen=True)
+class ReferenceSummary:
+    """Last hypothesis per test; None means not yet exercised."""
+
+    last_rt: Optional[Hypothesis] = None
+    last_nts: Optional[Hypothesis] = None
+    last_ll: Optional[Hypothesis] = None
+
+    @property
+    def any_h1(self) -> bool:
+        return Hypothesis.H1 in (self.last_rt, self.last_nts, self.last_ll)
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    phase: Phase = Phase.COLD_START
+    connectivity: Connectivity = Connectivity.ONLINE
+    outage_started: Optional[MonotonicInstant] = None
+    active_time_source: str = "gnss"
+    summary: ReferenceSummary = field(default_factory=ReferenceSummary)
+    coarse_validated: bool = False
+    clean_streak: int = 0
+    last_t_mono: Optional[MonotonicInstant] = None
+
+
+REFERENCE_SLOT = {
+    EventKind.RT_VERDICT: "last_rt",
+    EventKind.NTS_VERDICT: "last_nts",
+    EventKind.LL_VERDICT: "last_ll",
+}
+
+
+def reference_apply(state, event, config):
+    """The full rule with each test's last hypothesis kept in a summary and
+    the active source stored, set from the phase or any H1 in the summary:
+    the differential oracle."""
+    actions = []
+    phase = state.phase
+    connectivity = state.connectivity
+    outage = state.outage_started
+    summary = state.summary
+    coarse = state.coarse_validated
+    streak = state.clean_streak
+
+    kind = event.kind
+    if kind is EventKind.TICK or kind is EventKind.FIX_ACQUIRED:
+        if (outage is not None and phase is not Phase.RESET_PENDING
+                and event.t_mono.elapsed_s(outage) > config.ephemeris_validity_s):
+            phase = Phase.RESET_PENDING
+            actions.append(alert("gnss_outage_exceeds_ephemeris_validity"))
+    if kind is EventKind.FIX_ACQUIRED:
+        outage = None
+        if phase is Phase.COLD_START:
+            actions.append(SCHEDULE_RT)
+        elif phase is Phase.RESET_PENDING:
+            phase, summary, coarse, streak = Phase.COLD_START, ReferenceSummary(), False, 0
+            actions.append(SCHEDULE_RT)
+    elif kind is EventKind.FIX_LOST:
+        if outage is None:
+            outage = event.t_mono
+    elif kind in REFERENCE_SLOT:
+        verdict = event.verdict
+        summary = replace(summary, **{REFERENCE_SLOT[kind]: verdict.hypothesis})
+        if verdict.hypothesis is Hypothesis.H1:
+            if phase is not Phase.ALARM:
+                actions.append(alert(f"h1:{verdict.test}:{verdict.source_id}"))
+            phase, streak = Phase.ALARM, 0
+        elif phase is Phase.ALARM:
+            streak += 1
+            if streak >= config.auto_clear_k:
+                phase = Phase.COARSE_VALIDATED if coarse else Phase.COLD_START
+                summary, streak = ReferenceSummary(), 0
+                actions.append(alert("auto_clear"))
+        elif kind is not EventKind.LL_VERDICT and phase is Phase.COLD_START:
+            phase, coarse = Phase.COARSE_VALIDATED, True
+            actions += [RESET_FILTER, SCHEDULE_NTS]
+        elif kind is EventKind.NTS_VERDICT and phase is Phase.COARSE_VALIDATED:
+            phase = Phase.FINE_MONITORING
+    elif kind is EventKind.NETWORK_DOWN:
+        connectivity = Connectivity.OFFLINE
+        if phase in (Phase.FINE_MONITORING, Phase.COARSE_VALIDATED):
+            phase = Phase.HOLDOVER
+    elif kind is EventKind.NETWORK_UP:
+        connectivity = Connectivity.ONLINE
+        if phase is Phase.HOLDOVER:
+            phase = Phase.COARSE_VALIDATED
+            actions.append(SCHEDULE_NTS)
+    elif kind is EventKind.CLEAR:
+        if phase is Phase.ALARM:
+            phase = Phase.COARSE_VALIDATED if coarse else Phase.COLD_START
+            summary, streak = ReferenceSummary(), 0
+
+    suspect = phase in (Phase.ALARM, Phase.RESET_PENDING) or summary.any_h1
+    return ReferenceState(phase, connectivity, outage, "ensemble" if suspect else "gnss",
+                          summary, coarse, streak, event.t_mono), actions
+
+
+def observable(state):
+    return (state.phase, state.connectivity, state.outage_started, state.coarse_validated,
+            state.clean_streak, state.last_t_mono, state.active_time_source)
+
+
+@given(st.lists(st.tuples(EVENT_POOL, st.integers(0, 2000)), max_size=60))
+@settings(max_examples=500)
+def test_step_matches_the_rule_that_stores_the_trust_decision(log):
+    # EVENT_POOL holds CLEAR, and ORACLE_CONFIG makes RESET_PENDING and
+    # auto-clear occur, so every way out of ALARM and RESET_PENDING is taken
+    state, reference, t_ms = initial_state(), ReferenceState(), 0
+    for (kind, test, hyp), gap_ms in log:
+        t_ms += gap_ms
+        event = ev(kind, t_ms / 1000, test, hyp) if test else ev(kind, t_ms / 1000)
+        state, actions = step(state, event, ORACLE_CONFIG)
+        reference, expected = reference_apply(reference, event, ORACLE_CONFIG)
+        assert (observable(state), actions) == (observable(reference), expected)
 
 
 # -- transition log ---------------------------------------------------------

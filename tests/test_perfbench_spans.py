@@ -1,8 +1,11 @@
-"""The benchmark's spans still name functions that exist.
+"""The benchmark's spans still name functions that exist, and its
+post-hooks still read what those functions return.
 
 perfbench times a layer by replacing a module-level name in timeguard;
 a renamed or deleted function is only reported as missing there, and its
-per-layer metrics read 0.  This guard fails instead.
+per-layer metrics read 0.  A post-hook that cannot read its layer's
+result is only counted as ``unreadable.<span>``, and the counter it
+feeds reads 0.  These guards fail instead.
 """
 
 import importlib
@@ -11,6 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from timeguard.detector import Hypothesis, LlConfig, LlDetectorState, Verdict, ll_step
+from timeguard.ensemble import kf_init, kf_update
+from timeguard.orchestrator import Event, EventKind, Phase, initial_state, step
+from timeguard.timebase import MonotonicInstant
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -33,3 +41,28 @@ NAMES = sorted(
 @pytest.mark.parametrize("module, attr", NAMES, ids=[f"{m}.{a}" for m, a in NAMES])
 def test_span_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_post_hooks_read_what_the_layers_return():
+    tracer = tracing.Tracer()
+    t = MonotonicInstant(0)
+    state = initial_state()
+    h1 = Verdict(test="nts", hypothesis=Hypothesis.H1, statistic=1.0, threshold=0.5,
+                 source_id="nts", t_mono=t)
+    for event in (Event(EventKind.TICK, t),  # a self-loop
+                  Event(EventKind.NTS_VERDICT, t, h1)):  # COLD_START to ALARM
+        result = step(state, event)
+        tracing._after_step(tracer, (state, event), result)
+        state = result[0]
+    assert state.phase is Phase.ALARM
+
+    ll = LlDetectorState(LlConfig(m=2, lambda_T=100.0, sigma0_sq=1e-16))
+    for bias_s in (1e-9, 1e-9):  # warm-up, then a verdict
+        tracing._after_verdict(tracer, (ll, bias_s, t), ll_step(ll, bias_s, t))
+
+    kf = kf_init()
+    for z in (0.0, 1.0):  # inside the gate, then far outside it
+        tracing._after_kf_update(tracer, (kf, z, 1e-18), kf_update(kf, z, 1e-18))
+
+    assert tracer.counters == {"step.self_loops": 1, "verdicts.ll.H0": 1,
+                               "kf_update.accepted": 1}

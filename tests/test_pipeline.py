@@ -277,7 +277,7 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     with pytest.raises(OrderingError):
         monitor.epoch(outputs.epochs[20])
     with pytest.raises(OrderingError):
-        monitor.roughtime(outputs.rt_responses[20], outputs.epochs[20].t_mono)
+        monitor.roughtime(outputs.rt_responses[20])
     assert monitor.state is state
     assert monitor.chain.kf is kf
     assert list(monitor.chain.ll_state.window) == window
@@ -293,12 +293,11 @@ def test_monitor_refuses_a_reply_before_the_first_fix_and_applies_nothing(which)
                       on_transition=lambda event, record: seen.append(record))
     monitor.epoch(replace(outputs.epochs[0], fix_valid=False))
     state, count = monitor.state, len(seen)
-    t = outputs.epochs[0].t_mono
     with pytest.raises(OrderingError, match="first GNSS fix"):
         if which == "rt":
-            monitor.roughtime(outputs.rt_responses[0], t)
+            monitor.roughtime(outputs.rt_responses[0])
         else:
-            monitor.nts(outputs.nts_responses[0], t)
+            monitor.nts(outputs.nts_responses[0])
     assert monitor.state is state
     assert len(seen) == count
     assert monitor.last_fix is None
