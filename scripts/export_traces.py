@@ -2,9 +2,11 @@
 """Export per-epoch pipeline traces for plotting.
 
 Writes traces.csv with the injected offset, the filter's bias estimate,
-and the innovation for every epoch of one scenario, plus the verdict
-stream and orchestrator transitions.  Any plotting tool can reproduce
-the detection-timeline figures from these files.
+and the innovation for every epoch of one scenario, plus every verdict
+in verdicts.csv and, in transitions.jsonl, the orchestrator transitions
+that change the phase or carry actions, as simulate writes them.  Any
+plotting tool can reproduce the detection-timeline figures from these
+files.
 """
 
 import argparse

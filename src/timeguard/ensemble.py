@@ -136,21 +136,27 @@ def kf_init(
     return ClockKfState(float(bias), float(drift), 1e-6**2, 0.0, 1e-9**2, spec.q_b, spec.q_d)
 
 
-def kf_predict(state: ClockKfState, tau: float) -> ClockKfState:
-    """Propagate the state tau seconds forward: x = F x, P = F P F^T + Q(tau)."""
+def _check_tau(tau: float) -> None:
     if not (math.isfinite(tau) and tau >= 0):
         raise FilterDomainError(f"tau must be finite and >= 0, got {tau}")
-    if tau == 0:
-        return state
+
+
+def _predicted(state: ClockKfState, tau: float) -> tuple[float, float, float, float, float]:
+    """(bias, drift, p00, p01, p11) tau seconds ahead: x = F x, P = F P F^T + Q(tau)."""
     q00, q01, q11 = _process_noise(state.q_b, state.q_d, tau)
     # F = [[1, tau], [0, 1]]; a and b are the first row of F P
     a = state.p00 + tau * state.p01
     b = state.p01 + tau * state.p11
-    return ClockKfState(
-        state.bias + tau * state.drift, state.drift,
-        a + b * tau + q00, b + q01, state.p11 + q11,
-        state.q_b, state.q_d,
-    )
+    return (state.bias + tau * state.drift, state.drift,
+            a + b * tau + q00, b + q01, state.p11 + q11)
+
+
+def kf_predict(state: ClockKfState, tau: float) -> ClockKfState:
+    """Propagate the state tau seconds forward: x = F x, P = F P F^T + Q(tau)."""
+    _check_tau(tau)
+    if tau == 0:
+        return state
+    return ClockKfState(*_predicted(state, tau), state.q_b, state.q_d)
 
 
 class KfUpdate(NamedTuple):
@@ -165,21 +171,36 @@ def kf_update(
     z: float,
     r_meas: float,
     gate_k: float = DEFAULT_GATE_K,
+    tau: float = 0.0,
 ) -> KfUpdate:
-    """Gated measurement update.
+    """Predict tau seconds forward, as kf_predict does, then a gated measurement update.
+
+    The prediction makes the same checks as kf_predict, in the same
+    order, and the same floats, but builds no state of its own: the one
+    state built is the updated one, or the predicted one when the gate
+    rejects.
 
     z is a measured bias (s) and r_meas its variance, each an int or a
     float (numpy.float64 is one); anything else, a non-finite value or a
     negative variance raises MeasurementError.  The update is applied
     only if the innovation z - bias lies within gate_k standard
     deviations of its predicted spread, sqrt(S) with S = p00 + r_meas;
-    otherwise the state is returned unchanged with accepted=False.
+    otherwise the predicted state is returned with accepted=False.
 
     With H = [1, 0] the gain is K = [p00, p01] / S, and the Joseph form
     P = (I - K H) P (I - K H)^T + K r K^T is written out entry by entry;
     it keeps P symmetric and PSD even when K is off its optimum by
     rounding.
     """
+    _check_tau(tau)
+    if tau == 0:
+        bias, drift, p00, p01, p11 = state.bias, state.drift, state.p00, state.p01, state.p11
+    else:
+        bias, drift, p00, p01, p11 = _predicted(state, tau)
+        # ClockKfState.__post_init__'s check, written out as it is there, on
+        # the predicted covariance that an accepted update never builds
+        if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
+            _check_psd(p00, p01, p11)
     try:
         ok = math.isfinite(gate_k) and gate_k >= 0
     except OverflowError:  # an int beyond the float range
@@ -196,10 +217,11 @@ def kf_update(
             f"need one finite bias and one finite variance >= 0, got {z!r} and {r_meas!r}"
         )
     z, r = float(z), float(r_meas)
-    p00, p01 = state.p00, state.p01
-    innovation = z - state.bias
+    innovation = z - bias
     S = p00 + r
     if not abs(innovation) <= gate_k * math.sqrt(max(S, 0.0)):
+        if tau != 0:
+            state = ClockKfState(bias, drift, p00, p01, p11, state.q_b, state.q_d)
         return KfUpdate(state, False, innovation, S)
     if S == 0.0:
         raise FilterDomainError("innovation variance is zero: no prior and no readout noise")
@@ -209,10 +231,10 @@ def kf_update(
     c = p01 - k1 * p00  # second row of (I - K H) P, first column
     return KfUpdate(
         ClockKfState(
-            state.bias + k0 * innovation, state.drift + k1 * innovation,
+            bias + k0 * innovation, drift + k1 * innovation,
             a * p00 * a + k0 * r * k0,
             c * a + k1 * r * k0,
-            state.p11 - k1 * p01 - c * k1 + k1 * r * k1,
+            p11 - k1 * p01 - c * k1 + k1 * r * k1,
             state.q_b, state.q_d,
         ),
         True, innovation, S,

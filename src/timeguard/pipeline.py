@@ -28,7 +28,7 @@ from .detector import (
     verdict_from_json,
     verdict_to_json,
 )
-from .ensemble import ClockKfState, kf_init, kf_predict, kf_update
+from .ensemble import ClockKfState, kf_init, kf_update
 from .orchestrator import (
     RESET_FILTER,
     Connectivity,
@@ -79,11 +79,9 @@ class FilterChain:
 
     def track(self, bias_s: float, t_mono: MonotonicInstant) -> tuple[float, float]:
         """Filter one observation; returns (filtered bias, innovation)."""
-        if self._last is not None:
-            self.kf = kf_predict(self.kf, t_mono.elapsed_s(self._last))
-        self._last = t_mono
-        update = kf_update(self.kf, bias_s, self._r, self.ensemble.gate_k)
-        self.kf = update.state
+        tau = 0.0 if self._last is None else t_mono.elapsed_s(self._last)
+        update = kf_update(self.kf, bias_s, self._r, self.ensemble.gate_k, tau)
+        self.kf, self._last = update.state, t_mono
         return self.kf.bias, update.innovation
 
 
@@ -438,5 +436,12 @@ def verdict_writer(fh: TextIO, fmt: str) -> Callable[[Verdict], None]:
 
 
 def transition_writer(fh: TextIO) -> Callable[[Event, TransitionRecord], None]:
-    """An on_transition that writes one transitions.jsonl line per record to fh."""
-    return lambda event, record: fh.write(transition_to_json(record) + "\n")
+    """An on_transition that writes a transitions.jsonl line to fh for each
+    record that changes the phase, and with it the active source, or that
+    carries actions.  A self-loop with no action is not encoded at all."""
+
+    def write(event: Event, record: TransitionRecord) -> None:
+        if record.from_phase is not record.to_phase or record.actions:
+            fh.write(transition_to_json(record) + "\n")
+
+    return write

@@ -15,10 +15,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_pipeline import kept
 
-from timeguard.attack_sim import gen_scenario, network_available
+from timeguard import cli
+from timeguard.attack_sim import builtin_scenarios, gen_scenario, network_available
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main
 from timeguard.config import default_config, load_config, load_scenario
+from timeguard.orchestrator import transition_to_json
+from timeguard.pipeline import run_scenario, transition_writer
 from timeguard.provider_nts import NtsTestServer, UnreachableError
 from timeguard.provider_roughtime import RoughtimeTestServer
 from timeguard.receiver_feed import epoch_to_json
@@ -209,6 +213,17 @@ def test_simulate_is_byte_reproducible(pin_cfg, tmp_path):
         dirs.append(out)
     for name in ("verdicts.jsonl", "transitions.jsonl", "report.json", "epochs.jsonl"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_simulate_writes_the_transitions_that_change_phase_or_act(name, pin_cfg, tmp_path):
+    # every event reaches on_transition; the file keeps the records that
+    # change the phase, and so the active source, or carry actions
+    main(["simulate", "--scenario", name, "--config", pin_cfg, "--out-dir", str(tmp_path)])
+    applied = []
+    run_scenario(name, load_config(pin_cfg), on_transition=lambda _, r: applied.append(r))
+    assert (tmp_path / "transitions.jsonl").read_text() == "".join(
+        transition_to_json(r) + "\n" for r in applied if kept(r))
 
 
 def test_simulate_csv_format(pin_cfg, tmp_path):
@@ -433,20 +448,36 @@ def test_live_hands_over_each_verdict_before_the_next_line(pin_cfg):
         proc.stdout.close()
 
 
-def test_live_scripted_h1_raises_alarm(pin_cfg, tmp_path):
+def test_live_scripted_h1_raises_alarm(pin_cfg, tmp_path, monkeypatch):
     feed = tmp_path / "feed.jsonl"
     lines = [epoch_line(0), rt_line(0), nts_line(0), epoch_line(1),
              rt_line(1, offset_s=-4.0), epoch_line(2)]
     feed.write_text("".join(line + "\n" for line in lines))
     out = tmp_path / "out"
-    proc = run_cli("live", "--feed", str(feed), "--config", pin_cfg,
-                   "--out-dir", str(out))
-    assert proc.returncode == EXIT_ATTACK
-    transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
+    # the run's full on_transition log, beside the file its writer keeps
+    applied = []
+
+    def logged_writer(fh):
+        write = transition_writer(fh)
+
+        def on_transition(event, record):
+            applied.append(record)
+            write(event, record)
+
+        return on_transition
+
+    monkeypatch.setattr(cli, "transition_writer", logged_writer)
+    rc = main(["live", "--feed", str(feed), "--config", pin_cfg, "--out-dir", str(out)])
+    assert rc == EXIT_ATTACK
+    written = (out / "transitions.jsonl").read_text()
+    transitions = [json.loads(l) for l in written.splitlines()]
     alarm = [t for t in transitions if t["to_phase"] == "ALARM"]
     assert alarm
     assert alarm[0]["active_source"] != "gnss"
-    assert transitions[-1]["event"] == "FixLost"
+    # Monitor.finish() closes the held fix with a FixLost, which the state
+    # machine applies; a self-loop with no action, it is not written
+    assert applied[-1].event == "FixLost"
+    assert written == "".join(transition_to_json(r) + "\n" for r in applied if kept(r))
 
 
 def test_live_unreachable_providers_enter_holdover(tmp_path):
@@ -540,7 +571,8 @@ def test_live_polls_reachable_loopback_providers(tmp_path, capsys):
 
 def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):
     # an outage longer than the ephemeris validity forces RESET_PENDING; a
-    # tick inside it changes nothing, and the reacquired fix starts cold
+    # tick inside it changes nothing, so the next record written is the
+    # reacquired fix, which starts cold
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(PINNED_CFG + "\n[orchestrator]\nephemeris_validity_s = 5\n")
     feed = tmp_path / "feed.jsonl"
@@ -555,9 +587,7 @@ def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):
                     if "alert:gnss_outage_exceeds_ephemeris_validity" in t["actions"]]
     assert (reset["event"], reset["t_mono_ns"]) == ("Tick", 7 * 10**9)
     assert (reset["to_phase"], reset["active_source"]) == ("RESET_PENDING", "ensemble")
-    held, restart = transitions[i + 1], transitions[i + 2]
-    assert (held["event"], held["from_phase"], held["to_phase"], held["actions"]) == (
-        "Tick", "RESET_PENDING", "RESET_PENDING", [])
+    restart = transitions[i + 1]
     assert (restart["event"], restart["from_phase"], restart["to_phase"]) == (
         "FixAcquired", "RESET_PENDING", "COLD_START")
     assert restart["actions"] == ["schedule_poll:roughtime"]

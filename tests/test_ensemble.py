@@ -381,6 +381,72 @@ def test_gate_monotone_in_k(z, k_small, extra):
         assert large.accepted
 
 
+# -- the fused predict-and-update step ----------------------------------------
+
+
+def outcome(step) -> tuple:
+    """step()'s KfUpdate with every float as its exact bits, or the exception
+    it raised, as type and message."""
+    try:
+        u = step()
+    except (FilterDomainError, MeasurementError) as e:
+        return type(e), str(e)
+    s = u.state
+    return (tuple(float.hex(v) for v in (s.bias, s.drift, s.p00, s.p01, s.p11, s.q_b, s.q_d)),
+            u.accepted, float.hex(u.innovation), float.hex(u.S))
+
+
+@st.composite
+def psd_states(draw) -> ClockKfState:
+    """A state with a PSD covariance at the filter's scales, a correlation
+    anywhere in [-1, 1] and process noise from none to white-FM heavy."""
+    p00 = draw(st.floats(0.0, 1.0)) * 10.0 ** draw(st.integers(-24, -6))
+    p11 = draw(st.floats(0.0, 1.0)) * 10.0 ** draw(st.integers(-30, -12))
+    p01 = draw(st.floats(-1.0, 1.0)) * math.sqrt(p00 * p11)
+    return ClockKfState(draw(st.floats(-1e-3, 1e-3)), draw(st.floats(-1e-6, 1e-6)),
+                        p00, p01, p11, draw(st.sampled_from([0.0, 1e-21, 1e-18])),
+                        draw(st.sampled_from([0.0, 1e-24, 1e-21])))
+
+
+@given(
+    psd_states(),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e-10)),
+    st.sampled_from([0.0, 1.0, 3.0, 1e6]),
+)
+@settings(max_examples=1000)
+def test_fused_update_equals_predict_then_update_bit_for_bit(s, tau, dz, r, gate_k):
+    # dz is the measurement's distance from the predicted bias, so the gate
+    # both accepts and rejects; r == 0 with a zero p00 reaches the S == 0 refusal
+    z = s.bias + tau * s.drift + dz
+    assert outcome(lambda: kf_update(s, z, r, gate_k, tau)) == outcome(
+        lambda: kf_update(kf_predict(s, tau), z, r, gate_k))
+
+
+@pytest.mark.parametrize("tau", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_fused_update_refuses_tau_as_predict_does(tau):
+    s = make_state()
+    with pytest.raises(FilterDomainError) as predicted:
+        kf_predict(s, tau)
+    with pytest.raises(FilterDomainError) as fused:
+        kf_update(s, 0.0, 1e-16, 3.0, tau)
+    assert str(fused.value) == str(predicted.value)
+
+
+def test_fused_update_refuses_a_prediction_that_is_not_psd():
+    # p11 = -1e-12 sits on the state's tolerance, but ten seconds ahead
+    # p00 = -1e-10 lies far outside it.  An exact measurement with no
+    # readout noise passes the gate, and its update would land back on a
+    # PSD covariance, so only the check of the prediction refuses this.
+    s = ClockKfState(0.0, 0.0, 0.0, 0.0, -1e-12, 0.0, 0.0)
+    with pytest.raises(FilterDomainError) as predicted:
+        kf_predict(s, 10.0)
+    with pytest.raises(FilterDomainError) as fused:
+        kf_update(s, 0.0, 0.0, 3.0, 10.0)
+    assert str(fused.value) == str(predicted.value)
+
+
 def test_variance_approaches_r_over_n():
     s = ClockKfState(0.0, 0.0, 1e6, 0.0, 1e-6, q_b=0.0, q_d=0.0)
     r, n = 1.0, 200

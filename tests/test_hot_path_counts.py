@@ -1,12 +1,15 @@
 """Construction counts on the engine's and the provider clients' hot paths, with no timing.
 
 Scenario generation adds each epoch's time values as integer units and
-builds one Timestamp per epoch, plus the Roughtime midpoint at a poll;
-the filter state accepts an ordinary covariance with one inline
-comparison and never reaches the general PSD check.  Both are counted
-through the names the code calls them by, on a 2,000-epoch benign
-scenario, so a change that brings back the per-epoch objects or the
-general check fails here rather than as a slower benchmark.
+builds one Timestamp per epoch, plus the Roughtime midpoint at a poll.
+The filter predicts inside kf_update, so a filtered epoch builds one
+filter state, and every state accepts an ordinary covariance with one
+inline comparison and never reaches the general PSD check.  These are
+counted through the names the code calls them by, on a 2,000-epoch
+benign scenario, so a change that brings back the per-epoch objects or
+the general check fails here rather than as a slower benchmark.
+simulate encodes a transition record only when transition_writer keeps
+it, so the self-loops of a quiet epoch cost no JSON.
 
 The provider clients are counted the same way over 50 rounds against
 the in-process test servers, leaving out the calls made inside the
@@ -16,15 +19,18 @@ Roughtime client sends a fixed request with no message encoding.
 """
 
 import sys
+from dataclasses import replace
 
-from timeguard import ensemble, provider_nts, provider_roughtime, timebase
+from timeguard import ensemble, orchestrator, provider_nts, provider_roughtime, timebase
 from timeguard.attack_sim import ScenarioSpec, gen_scenario
+from timeguard.cli import main
 from timeguard.config import default_config
-from timeguard.pipeline import run_scenario
+from timeguard.pipeline import resolve_ll, run_scenario
 from timeguard.provider_nts import NtsTestServer, nts_query
 from timeguard.provider_roughtime import RoughtimeTestServer, poll
 
 BENIGN = ScenarioSpec(name="benign2k", duration_epochs=2_000, seed=21)
+CONFIG = default_config()
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
@@ -75,12 +81,37 @@ def test_generation_builds_one_timestamp_per_epoch_and_never_calls_ts_add(monkey
 
 def test_a_full_run_never_reaches_the_general_psd_check(monkeypatch):
     checks = count_calls(monkeypatch, ensemble, "_check_psd")
-    states = count_calls(monkeypatch, ensemble, "kf_predict")
+    updates = count_calls(monkeypatch, ensemble, "kf_update")
     # the default config calibrates the ll first, which runs the filter too
-    _, result = run_scenario(BENIGN, default_config())
+    _, result = run_scenario(BENIGN, CONFIG)
     assert result.report.final_phase == "FINE_MONITORING"
-    assert len(states) >= 2_000
+    assert len(updates) >= 2_000
     assert checks == []
+
+
+def test_a_filtered_epoch_builds_one_filter_state(monkeypatch):
+    pinned = replace(CONFIG, detector=replace(CONFIG.detector, ll=resolve_ll(CONFIG)))
+    built = []
+    check = ensemble.ClockKfState.__post_init__
+
+    def counted(self):
+        built.append(None)
+        check(self)
+
+    monkeypatch.setattr(ensemble.ClockKfState, "__post_init__", counted)
+    resets = count_calls(monkeypatch, ensemble, "kf_init")
+    updates = count_calls(monkeypatch, ensemble, "kf_update")
+    run_scenario(BENIGN, pinned)
+    assert len(updates) == 2_000
+    assert len(built) <= len(updates) + len(resets)
+
+
+def test_simulate_encodes_only_the_transitions_it_writes(monkeypatch, tmp_path):
+    encoded = count_calls(monkeypatch, orchestrator, "transition_to_json")
+    main(["simulate", "--scenario", "step4s", "--out-dir", str(tmp_path)])
+    written = (tmp_path / "transitions.jsonl").read_text().splitlines()
+    assert written
+    assert len(encoded) == len(written)
 
 
 def test_nts_queries_build_each_key_schedule_once_and_seal_and_open_once_each(monkeypatch):
