@@ -266,7 +266,7 @@ def verdict_to_json(verdict: Verdict) -> str:
         f'{{"t_mono_ns":{int.__repr__(verdict.t_mono.nanoseconds)},"test":"{verdict.test}",'
         f'"statistic":{float.__repr__(verdict.statistic)},'
         f'"threshold":{float.__repr__(verdict.threshold)},'
-        f'"hypothesis":"{verdict.hypothesis.value}",'
+        f'"hypothesis":"{verdict.hypothesis._value_}",'
         f'"source_id":{json_string(verdict.source_id)}}}'
     )
 

@@ -42,7 +42,7 @@ from .orchestrator import (
     transition_to_json,
 )
 from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement
-from .timebase import MonotonicInstant, Timestamp, ts_diff
+from .timebase import MonotonicInstant, Timestamp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,10 +92,9 @@ def local_bias_s(rec: EpochRecord, utc0: Timestamp, mono0: MonotonicInstant) -> 
     advances with the monotonic counter.  Integer arithmetic first, so
     the float rounding applies only to the small residual.
     """
-    diff_units = ts_diff(rec.t_gnss, utc0).units
     # exact to the 2^-64 s unit: floor once on the full product
     elapsed_units = ((rec.t_mono.nanoseconds - mono0.nanoseconds) << 64) // 10**9
-    return (diff_units - elapsed_units) / 2.0**64
+    return (rec.t_gnss.units - utc0.units - elapsed_units) / 2.0**64
 
 
 # -- the per-epoch engine ----------------------------------------------------
@@ -109,7 +108,9 @@ class Monitor:
     its inputs, so a run written out as a feed replays to the same
     output.  Every input is applied to the state machine first, and only
     what it applied is handed on: `on_verdict(verdict)` and
-    `on_transition(event, record)`.
+    `on_transition(event, record)`.  An epoch applies its fix change and
+    its ll verdict, or a TICK when it has neither, so a quiet epoch
+    applies one event and every epoch moves the state machine's clock.
     """
 
     def __init__(
@@ -147,23 +148,33 @@ class Monitor:
             raise OrderingError(f"input at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
 
     def epoch(self, rec: EpochRecord) -> Optional[tuple[float, float]]:
-        """One receiver epoch: the fix change, the ll verdict, then a TICK at
-        its instant.  Returns (filtered bias, innovation) for a valid fix."""
+        """One receiver epoch: its fix change, then its ll verdict, each at
+        its instant; an epoch that applies neither applies a TICK instead.
+        Returns (filtered bias, innovation) for a valid fix.
+
+        After either event a TICK would only move the clock: a valid fix
+        has no outage open, and a FixLost opens its outage at this instant.
+        An invalid-fix epoch's TICK is what notices an outage past the
+        ephemeris validity."""
         t = rec.t_mono
         self._check_order(t)
         tracked = None
+        applied = False
         if rec.fix_valid != self.have_fix:
             self.have_fix = rec.fix_valid
             if self.anchor is None:  # the first change is an acquisition
                 self.anchor = (rec.t_gnss, t)
             self._apply(Event(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t))
+            applied = True
         if rec.fix_valid:
             self.last_fix = rec
             tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
             verdict = ll_step(self.chain.ll_state, tracked[1], t)
             if verdict is not None:
                 self._apply(Event(EventKind.LL_VERDICT, t, verdict))
-        self._apply(Event(EventKind.TICK, t))
+                applied = True
+        if not applied:
+            self._apply(Event(EventKind.TICK, t))
         return tracked
 
     def roughtime(self, meas: RoughtimeMeasurement) -> None:
@@ -368,9 +379,12 @@ def run_scenario(
 
     xhat = np.empty(len(outputs.epochs))
     innovations = np.empty(len(outputs.epochs))
+    online = True
     for e, rec in enumerate(outputs.epochs):
-        t = rec.t_mono
-        monitor.network(network_available(spec, e), t)
+        # the engine starts online and hears of each change, as a feed's network line
+        if network_available(spec, e) != online:
+            online = not online
+            monitor.network(online, rec.t_mono)
         xhat[e], innovations[e] = monitor.epoch(rec)
         if e in outputs.rt_responses:
             monitor.roughtime(outputs.rt_responses[e])

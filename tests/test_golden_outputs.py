@@ -6,10 +6,10 @@ what an operator reads fails here.  A deliberate change to an output
 format updates the pinned digest in the same change.
 
 `live` replaying step4s as a feed is held to simulate's digests: both
-commands drive the same engine, which applies each epoch's fix change,
-ll verdict and TICK itself and closes a fix still held at the end of
-input with a FixLost, so they write the same verdicts and the same
-transitions.
+commands drive the same engine, which applies each epoch's fix change
+and ll verdict, or a TICK for an epoch with neither, itself and closes a
+fix still held at the end of input with a FixLost, so they write the
+same verdicts and the same transitions.
 """
 
 import hashlib

@@ -8,8 +8,11 @@ inline comparison and never reaches the general PSD check.  These are
 counted through the names the code calls them by, on a 2,000-epoch
 benign scenario, so a change that brings back the per-epoch objects or
 the general check fails here rather than as a slower benchmark.
-simulate encodes a transition record only when transition_writer keeps
-it, so the self-loops of a quiet epoch cost no JSON.
+Each epoch applies one state-machine event, its fix change or ll
+verdict, or else a TICK, so a run steps the state machine once per
+epoch and reply plus the closing FixLost.  simulate encodes a
+transition record only when transition_writer keeps it, so the
+self-loops of a quiet epoch cost no JSON.
 
 The provider clients are counted the same way over 50 rounds against
 the in-process test servers, leaving out the calls made inside the
@@ -104,6 +107,16 @@ def test_a_filtered_epoch_builds_one_filter_state(monkeypatch):
     run_scenario(BENIGN, pinned)
     assert len(updates) == 2_000
     assert len(built) <= len(updates) + len(resets)
+
+
+def test_an_epoch_applies_one_event(monkeypatch):
+    # a fix change or an ll verdict stands in for the epoch's TICK
+    pinned = replace(CONFIG, detector=replace(CONFIG.detector, ll=resolve_ll(CONFIG)))
+    steps = count_calls(monkeypatch, orchestrator, "step")
+    outputs, _ = run_scenario(BENIGN, pinned)
+    replies = len(outputs.rt_responses) + len(outputs.nts_responses)
+    # and the closing FixLost
+    assert len(steps) == len(outputs.epochs) + replies + 1
 
 
 def test_simulate_encodes_only_the_transitions_it_writes(monkeypatch, tmp_path):

@@ -6,12 +6,28 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from timeguard.attack_sim import NetworkSpec, ScenarioSpec, builtin_scenarios, gen_scenario
+from timeguard.attack_sim import (
+    NetworkSpec,
+    ScenarioSpec,
+    builtin_scenarios,
+    gen_scenario,
+    network_available,
+)
 from timeguard.config import default_config
 from timeguard.detector import Hypothesis, LlConfig, Verdict, calibrate_ll, ll_step
 from timeguard.ensemble import OscillatorSpec
-from timeguard.orchestrator import OrderingError, Phase, replay, transition_to_json
+from timeguard.orchestrator import (
+    Event,
+    EventKind,
+    OrchestratorConfig,
+    OrderingError,
+    Phase,
+    replay,
+    transition_to_json,
+)
 from timeguard.pipeline import (
     VERDICT_CSV_HEADER,
     DetectorOutcome,
@@ -30,7 +46,7 @@ from timeguard.pipeline import (
     transition_writer,
     verdict_writer,
 )
-from timeguard.receiver_feed import EpochRecord
+from timeguard.receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
 
 DEFAULT = default_config()
@@ -251,13 +267,12 @@ def test_benign10k_fully_clean():
     assert result.report.final_phase == "FINE_MONITORING"
 
 
+OUTAGE = ScenarioSpec(name="outage", duration_epochs=400, seed=21,
+                      network=NetworkSpec(mode="down", down_from_epoch=100, down_to_epoch=200))
+
+
 def test_outage_drives_holdover_and_recovery():
-    spec = ScenarioSpec(
-        name="outage", duration_epochs=400,
-        network=NetworkSpec(mode="down", down_from_epoch=100, down_to_epoch=200),
-        seed=21,
-    )
-    result, _, transitions = run_logged(spec)
+    result, _, transitions = run_logged(OUTAGE)
     phases = [r.to_phase for r in transitions]
     assert Phase.HOLDOVER in phases
     down_at = phases.index(Phase.HOLDOVER)
@@ -304,8 +319,8 @@ def test_monitor_refuses_a_reply_before_the_first_fix_and_applies_nothing(which)
 
 
 def test_monitor_orders_epochs_against_the_last_tracked_one():
-    # every epoch moves the state machine's clock with its TICK, an epoch
-    # that changes nothing else included
+    # every epoch moves the state machine's clock: the first here with its
+    # FixAcquired, the second, in the ll warm-up, with its TICK
     utc0 = Timestamp.from_unix_s(1_689_120_000)
 
     def at(s):
@@ -412,3 +427,128 @@ def test_transition_writer_streams_one_line_per_record():
     assert fh.getvalue() == "".join(transition_to_json(r) + "\n" for r in transitions if kept(r))
     # every event still reaches on_transition: only the writer leaves records out
     assert 0 < fh.getvalue().count("\n") < len(transitions)
+
+
+# -- the TICK rule -------------------------------------------------------------
+
+
+class TickEveryEpoch(Monitor):
+    """The engine with a TICK closing every epoch, also one that applied a
+    fix change or an ll verdict: the reference the engine must match."""
+
+    def epoch(self, rec):
+        t = rec.t_mono
+        self._check_order(t)
+        tracked = None
+        if rec.fix_valid != self.have_fix:
+            self.have_fix = rec.fix_valid
+            if self.anchor is None:
+                self.anchor = (rec.t_gnss, t)
+            self._apply(Event(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t))
+        if rec.fix_valid:
+            self.last_fix = rec
+            tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
+            verdict = ll_step(self.chain.ll_state, tracked[1], t)
+            if verdict is not None:
+                self._apply(Event(EventKind.LL_VERDICT, t, verdict))
+        self._apply(Event(EventKind.TICK, t))
+        return tracked
+
+
+def assert_runs_match(config, inputs):
+    """Feed inputs, (method, *args) each, to a Monitor and a TickEveryEpoch,
+    and compare the two after every input: what the call returned or the
+    OrderingError it raised, the state, the verdicts and transitions.jsonl."""
+    runs = []
+    for engine in (Monitor, TickEveryEpoch):
+        verdicts, fh = [], io.StringIO()
+        runs.append((engine(config, on_verdict=verdicts.append,
+                            on_transition=transition_writer(fh)), verdicts, fh))
+    (got, got_verdicts, got_fh), (want, want_verdicts, want_fh) = runs
+    seen = 0  # verdicts already compared
+    for method, *args in inputs:
+        outcomes = []
+        for monitor, _, _ in runs:
+            try:
+                outcomes.append(getattr(monitor, method)(*args))
+            except OrderingError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert got.state == want.state
+        assert got_verdicts[seen:] == want_verdicts[seen:]
+        seen = len(got_verdicts)
+        assert got_fh.getvalue() == want_fh.getvalue()
+
+
+def scenario_inputs(outputs):
+    """A simulated run's inputs in the order run_scenario applies them."""
+    online = True
+    for e, rec in enumerate(outputs.epochs):
+        if network_available(outputs.spec, e) != online:
+            online = not online
+            yield "network", online, rec.t_mono
+        yield "epoch", rec
+        if e in outputs.rt_responses:
+            yield "roughtime", outputs.rt_responses[e]
+        if e in outputs.nts_responses:
+            yield "nts", outputs.nts_responses[e]
+    yield ("finish",)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()) + ["outage"])
+def test_a_tick_only_on_an_epoch_that_applied_nothing_else_changes_no_run(name):
+    spec = OUTAGE if name == "outage" else builtin_scenarios()[name]
+    assert_runs_match(CFG, scenario_inputs(gen_scenario(spec)))
+
+
+# a 5 s ephemeris validity, so that short feeds outlive it, and a 3-innovation
+# ll window, so that they reach ll verdicts
+SHORT = replace(CFG, orchestrator=OrchestratorConfig(ephemeris_validity_s=5.0, auto_clear_k=2),
+                detector=replace(CFG.detector, ll=replace(CFG.detector.ll, m=3)))
+UTC0 = Timestamp.from_unix_s(1_689_120_000)
+
+
+def gnss_time(s):
+    return ts_add(UTC0, SignedDuration.from_s(s))
+
+
+@st.composite
+def feeds(draw):
+    """Inputs at random steps, a gap past SHORT's ephemeris validity and a
+    step back before the last input among them: epochs that toggle the fix
+    and carry a GNSS offset, rt and nts replies that pass or fail, and
+    network changes and repeats; the end of input last."""
+    inputs, now, gnss = [], 10.0, 10.0
+    for _ in range(draw(st.integers(1, 60))):
+        t = now + draw(st.sampled_from((1.0, 1.0, 1.0, 0.0, 3.0, 7.0, -2.0)))
+        now = max(now, t)
+        kind = draw(st.sampled_from(("epoch", "epoch", "epoch", "rt", "nts", "network")))
+        if kind == "epoch":
+            offset = draw(st.sampled_from((0.0, 0.0, 1e-6, 1e-3)))
+            valid = draw(st.booleans())
+            gnss = t if valid else gnss  # the time an rt reply is tested against
+            inputs.append(("epoch", EpochRecord(t_mono=mono(t), t_gnss=gnss_time(t + offset),
+                                                fix_valid=valid)))
+        elif kind == "rt":
+            midpoint = gnss_time(gnss + draw(st.sampled_from((0.0, 5.0))))
+            inputs.append(("roughtime", RoughtimeMeasurement(
+                midpoint, SignedDuration.from_s(1.0), "rt-test", mono(t))))
+        elif kind == "nts":
+            offset = SignedDuration.from_s(draw(st.sampled_from((1e-5, 1e-2))))
+            inputs.append(("nts", NtsMeasurement(offset, SignedDuration.from_s(0.01), mono(t),
+                                                 "nts-test")))
+        else:
+            inputs.append(("network", draw(st.booleans()), mono(t), draw(st.booleans())))
+    return inputs + [("finish",)]
+
+
+def fix(s, valid=True):
+    return ("epoch", EpochRecord(t_mono=mono(s), t_gnss=gnss_time(s), fix_valid=valid))
+
+
+@given(feeds())
+# a fix lost, then an invalid epoch past the validity: its TICK starts the reset
+@example([fix(10.0), fix(11.0, False), fix(18.0, False), fix(19.0), ("finish",)])
+@settings(max_examples=300, deadline=None)
+def test_a_tick_only_on_an_epoch_that_applied_nothing_else_changes_no_feed(inputs):
+    assert_runs_match(SHORT, inputs)
