@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from timeguard.config import apply_env, config_sha256, load_config, load_scenario
+from timeguard.config import apply_env, load_config, load_scenario
 from timeguard.pipeline import run_scenario, transition_writer, verdict_writer
 
 
@@ -30,8 +30,7 @@ def main() -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "transitions.jsonl", "w") as fh:
-        outputs, result = run_scenario(spec, config, config_hash=config_sha256(config),
-                                       on_transition=transition_writer(fh))
+        outputs, result = run_scenario(spec, config, on_transition=transition_writer(fh))
     with open(out / "traces.csv", "w") as fh:
         fh.write("epoch,truth_offset_ns,xhat_bias_ns,innovation_ns\n")
         for e in range(len(outputs.epochs)):

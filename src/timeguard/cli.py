@@ -145,7 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # other files follow one after another
     out = _out_dir(args)
     with (open(out / "transitions.jsonl", "w") if out is not None else nullcontext()) as fh:
-        outputs, result = run_scenario(spec, config, config_sha256(config),
+        outputs, result = run_scenario(spec, config,
                                        transition_writer(fh) if fh is not None else None)
     report = result.report
     if out is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
-from .config import AppConfig, ConfigFileError, EnsembleConfig, load_scenario
+from .config import AppConfig, ConfigFileError, EnsembleConfig, config_sha256, load_scenario
 from .detector import (
     Hypothesis,
     LlConfig,
@@ -360,11 +360,11 @@ def build_report(outputs: SimOutputs, result: PipelineResult, config_hash: str) 
 def run_scenario(
     scenario: ScenarioSpec | str,
     config: AppConfig,
-    config_hash: str = "",
     on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
 ) -> tuple[SimOutputs, PipelineResult]:
     """Generate a scenario, bundled by name or given as a spec, and replay
-    it through the full detection stack; attaches the scored report.
+    it through the full detection stack; attaches the scored report, which
+    pins the config by its `config_sha256`.
 
     Each applied event goes to `on_transition` as it happens; the result
     keeps only the verdicts, which the report scores.  The Monitor, and
@@ -398,7 +398,7 @@ def run_scenario(
         xhat_bias_s=xhat,
         innovation_s=innovations,
     )
-    result.report = build_report(outputs, result, config_hash)
+    result.report = build_report(outputs, result, config_sha256(config))
     return outputs, result
 
 

@@ -21,7 +21,6 @@ import socket
 import ssl
 import struct
 import tempfile
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -475,7 +474,6 @@ def nts_query(
 @dataclass
 class NtsKeConfig:
     ca_file: Optional[str] = None
-    server_name: Optional[str] = None
     timeout_s: float = 5.0
 
 
@@ -491,9 +489,7 @@ def nts_ke_handshake(
         ctx.keylog_filename = os.path.join(tmp, "keylog")
         try:
             with socket.create_connection((host, port), timeout=config.timeout_s) as raw:
-                with ctx.wrap_socket(
-                    raw, server_hostname=config.server_name or host
-                ) as tls:
+                with ctx.wrap_socket(raw, server_hostname=host) as tls:
                     if tls.selected_alpn_protocol() != NTS_KE_ALPN:
                         raise HandshakeError("server did not select the NTS-KE ALPN")
                     tls.sendall(build_ke_request())
@@ -516,7 +512,7 @@ def nts_ke_handshake(
     )
 
 
-# -- test server ------------------------------------------------------------
+# -- test oracle ------------------------------------------------------------
 
 _COOKIE_AD = b"timeguard cookie v1"
 _COOKIE_NONCE_LEN = 8
@@ -524,29 +520,22 @@ _COOKIE_NONCE_LEN = 8
 
 @dataclass
 class NtsTestServer:
-    """Self-contained NTS-KE + NTP server for tests and benchmarks.
+    """In-process NTS oracle for tests and benchmarks; it opens no socket.
 
-    Cookies seal the per-session keys under a server master key, so the
-    NTP side is stateless.  A handshake hands out eight cookies, as RFC
-    8915 recommends.  Tamper knobs exercise each client-side error path.
-    clock supplies the server's idea of UTC.
+    `transport` answers an NTP request as a server would, and `mint_cookie`
+    makes the cookies a key-establishment handshake hands out.  Cookies seal
+    the per-session keys under a server master key, so the NTP side is
+    stateless.  Tamper knobs exercise each client-side error path.  clock
+    supplies the server's idea of UTC.  `tests/loopback.py` serves it over
+    UDP and TLS.
     """
 
     clock: Callable[[], Timestamp] = Timestamp.now_system
     offer_aead_id: int = AEAD_AES_SIV_CMAC_256
-    send_zero_cookies: bool = False
     flip_ct_bit: bool = False
     wrong_unique_id: bool = False
     drop_requests: bool = False
     master_key: bytes = field(default_factory=lambda: secrets.token_bytes(32))
-
-    def __post_init__(self) -> None:
-        self._ntp_sock: Optional[socket.socket] = None
-        self._ke_sock: Optional[socket.socket] = None
-        self._threads: list[threading.Thread] = []
-        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        self._running = False
-        self._lock = threading.Lock()
 
     # cookie sealing
 
@@ -571,15 +560,10 @@ class NtsTestServer:
             s2c=s2c,
             cookies=[self.mint_cookie(c2s, s2c) for _ in range(num_cookies)],
             host="127.0.0.1",
-            port=self.ntp_port,
             server_id="nts-test",
         )
 
     # NTP side
-
-    @property
-    def ntp_port(self) -> int:
-        return self._ntp_sock.getsockname()[1] if self._ntp_sock else 0
 
     def handle_ntp(self, data: bytes) -> bytes:
         version, mode, _o, _r, client_tx = parse_ntp_header(data)
@@ -624,157 +608,3 @@ class NtsTestServer:
         if self.drop_requests:
             raise socket.timeout("dropped")
         return self.handle_ntp(request)
-
-    # servers
-
-    def start_ntp(self) -> int:
-        self._ntp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._ntp_sock.bind(("127.0.0.1", 0))
-        self._ntp_sock.settimeout(0.1)
-        self._running = True
-
-        def serve() -> None:
-            while self._running:
-                try:
-                    data, addr = self._ntp_sock.recvfrom(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                if self.drop_requests:
-                    continue
-                try:
-                    self._ntp_sock.sendto(self.handle_ntp(data), addr)
-                except (NtsError, OSError):
-                    continue
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return self.ntp_port
-
-    def _make_certificate(self) -> tuple[str, str]:
-        import datetime
-        import ipaddress as ipaddress_mod
-
-        from cryptography import x509
-        from cryptography.hazmat.primitives import hashes, serialization
-        from cryptography.hazmat.primitives.asymmetric import ec
-        from cryptography.x509.oid import NameOID
-
-        key = ec.generate_private_key(ec.SECP256R1())
-        name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "timeguard-test")])
-        now = datetime.datetime.now(datetime.timezone.utc)
-        cert = (
-            x509.CertificateBuilder()
-            .subject_name(name)
-            .issuer_name(name)
-            .public_key(key.public_key())
-            .serial_number(x509.random_serial_number())
-            .not_valid_before(now - datetime.timedelta(days=1))
-            .not_valid_after(now + datetime.timedelta(days=1))
-            .add_extension(
-                x509.SubjectAlternativeName(
-                    [
-                        x509.DNSName("localhost"),
-                        x509.IPAddress(ipaddress_mod.IPv4Address("127.0.0.1")),
-                    ]
-                ),
-                critical=False,
-            )
-            .sign(key, hashes.SHA256())
-        )
-        self._tmpdir = tempfile.TemporaryDirectory(prefix="ntske-cert-")
-        cert_path = os.path.join(self._tmpdir.name, "cert.pem")
-        key_path = os.path.join(self._tmpdir.name, "key.pem")
-        with open(cert_path, "wb") as fh:
-            fh.write(cert.public_bytes(serialization.Encoding.PEM))
-        with open(key_path, "wb") as fh:
-            fh.write(
-                key.private_bytes(
-                    serialization.Encoding.PEM,
-                    serialization.PrivateFormat.PKCS8,
-                    serialization.NoEncryption(),
-                )
-            )
-        return cert_path, key_path
-
-    @property
-    def ca_file(self) -> str:
-        return self._cert_path
-
-    @property
-    def ke_port(self) -> int:
-        return self._ke_sock.getsockname()[1] if self._ke_sock else 0
-
-    def start_ke(self) -> int:
-        """TLS NTS-KE listener; also starts the NTP side if not running."""
-        if self._ntp_sock is None:
-            self.start_ntp()
-        self._cert_path, self._key_path = self._make_certificate()
-        self._ke_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._ke_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._ke_sock.bind(("127.0.0.1", 0))
-        self._ke_sock.listen(4)
-        self._ke_sock.settimeout(0.1)
-        self._running = True
-
-        def serve() -> None:
-            while self._running:
-                try:
-                    conn, _addr = self._ke_sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                with self._lock:
-                    try:
-                        self._handle_ke(conn)
-                    except (NtsError, ssl.SSLError, OSError):
-                        pass
-                    finally:
-                        conn.close()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return self.ke_port
-
-    def _handle_ke(self, conn: socket.socket) -> None:
-        fd, keylog = tempfile.mkstemp(prefix="ntske-srv-")
-        os.close(fd)
-        try:
-            ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            ctx.minimum_version = ssl.TLSVersion.TLSv1_3
-            ctx.load_cert_chain(self._cert_path, self._key_path)
-            ctx.set_alpn_protocols([NTS_KE_ALPN])
-            ctx.keylog_filename = keylog
-            conn.settimeout(5.0)
-            with ctx.wrap_socket(conn, server_side=True) as tls:
-                read_ke_records(tls)
-                secret = exporter_secret_from_keylog(keylog)
-                c2s, s2c = nts_export_keys(secret, hash_for_cipher(tls.cipher()[0]))
-                out = encode_ke_record(KE_NEXT_PROTO, struct.pack(">H", NTPV4_PROTOCOL_ID), True)
-                out += encode_ke_record(KE_AEAD, struct.pack(">H", self.offer_aead_id), True)
-                out += encode_ke_record(KE_PORT, struct.pack(">H", self.ntp_port), False)
-                if not self.send_zero_cookies:
-                    for _ in range(8):
-                        out += encode_ke_record(KE_COOKIE, self.mint_cookie(c2s, s2c), False)
-                out += encode_ke_record(KE_END, b"", True)
-                tls.sendall(out)
-        finally:
-            os.unlink(keylog)
-
-    def stop(self) -> None:
-        self._running = False
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._threads.clear()
-        for sock in (self._ntp_sock, self._ke_sock):
-            if sock is not None:
-                sock.close()
-        self._ntp_sock = None
-        self._ke_sock = None
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
-            self._tmpdir = None

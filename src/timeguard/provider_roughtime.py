@@ -15,7 +15,6 @@ from __future__ import annotations
 import secrets
 import socket
 import struct
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from hashlib import sha512
@@ -400,16 +399,18 @@ def poll(
     raise UnreachableError(f"no response from {server.host}:{server.port}") from last_timeout
 
 
-# -- test server ------------------------------------------------------------
+# -- test oracle ------------------------------------------------------------
 
 
 @dataclass
 class RoughtimeTestServer:
-    """In-process signing oracle, optionally served over UDP.
+    """In-process Roughtime signing oracle for tests and benchmarks; it opens
+    no socket.
 
-    now_unix_s supplies the reported midpoint; tamper flags exercise each
-    verification failure.  batch_nonces > 1 answers each request with a
-    multi-leaf Merkle tree so PATH is non-trivial.
+    `transport` answers a request as a server would.  now_unix_s supplies
+    the reported midpoint; tamper flags exercise each verification failure.
+    batch_nonces > 1 answers each request with a multi-leaf Merkle tree so
+    PATH is non-trivial.  `tests/loopback.py` serves it over UDP.
     """
 
     now_unix_s: Callable[[], int] = lambda: 1_689_120_000
@@ -423,14 +424,10 @@ class RoughtimeTestServer:
 
     def __post_init__(self) -> None:
         self._last_response: Optional[bytes] = None
-        self._sock: Optional[socket.socket] = None
-        self._thread: Optional[threading.Thread] = None
 
     @property
     def server_key(self) -> RoughtimeServerKey:
-        pub = self.root_key.public_key().public_bytes_raw()
-        port = self._sock.getsockname()[1] if self._sock else 0
-        return RoughtimeServerKey(pub, "127.0.0.1", port)
+        return RoughtimeServerKey(self.root_key.public_key().public_bytes_raw(), "127.0.0.1", 0)
 
     def make_cert(self, mint: int, maxt: int) -> bytes:
         dele = encode_message(
@@ -477,36 +474,3 @@ class RoughtimeTestServer:
         resp = self.respond(request)
         self._last_response = resp
         return resp
-
-    def start_udp(self) -> RoughtimeServerKey:
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.settimeout(0.1)
-        self._running = True
-
-        def serve() -> None:
-            while self._running:
-                try:
-                    data, addr = self._sock.recvfrom(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                if self.drop_requests:
-                    continue
-                try:
-                    self._sock.sendto(self.transport(data), addr)
-                except (RoughtimeError, OSError):
-                    continue
-
-        self._thread = threading.Thread(target=serve, daemon=True)
-        self._thread.start()
-        return self.server_key
-
-    def stop(self) -> None:
-        self._running = False
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from loopback import nts_ke, udp
 from test_pipeline import kept
 
 from timeguard import cli
@@ -511,30 +512,26 @@ def test_live_nts_poller_re_keys_once_its_cookies_run_out():
     """Each lost reply spends a cookie; once the eight from the handshake are
     gone, the next poll runs NTS-KE again instead of failing for good."""
     server = NtsTestServer()
-    port = server.start_ke()
-    try:
+    with nts_ke(server) as ke:
         base = default_config()
         poll = _nts_poller(replace(base, providers=replace(
-            base.providers, nts_ke_host="127.0.0.1", nts_ke_port=port,
-            nts_ca_file=server.ca_file, timeout_s=0.05)))
+            base.providers, nts_ke_host="127.0.0.1", nts_ke_port=ke.port,
+            nts_ca_file=ke.ca_file, timeout_s=0.05)))
         server.drop_requests = True
         for _ in range(9):
             with pytest.raises(UnreachableError):
                 poll()
         server.drop_requests = False
         assert poll().delay.units >= 0
-    finally:
-        server.stop()
 
 
 def test_live_polls_reachable_loopback_providers(tmp_path, capsys):
     # the Roughtime server's midpoint is START, the GNSS time of epoch 0; the
     # NTS server answers with host time, as the client stamps T1 and T4, and
     # loopback offsets run to about 130 us, so the threshold is set well above
-    rt_server, nts_server = RoughtimeTestServer(), NtsTestServer()
-    rt_key = rt_server.start_udp()
-    try:
-        nts_port = nts_server.start_ke()
+    rt_server = RoughtimeTestServer()
+    with udp(rt_server) as rt_port, nts_ke(NtsTestServer()) as ke:
+        rt_key = replace(rt_server.server_key, port=rt_port)
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
             PINNED_CFG
@@ -543,16 +540,13 @@ def test_live_polls_reachable_loopback_providers(tmp_path, capsys):
             + f"roughtime_host = {rt_key.host}\n"
             + f"roughtime_port = {rt_key.port}\n"
             + f"roughtime_pubkey_b64 = {base64.b64encode(rt_key.public_key).decode()}\n"
-            + f"nts_ke_host = 127.0.0.1\nnts_ke_port = {nts_port}\n"
-            + f"nts_ca_file = {nts_server.ca_file}\n"
+            + f"nts_ke_host = 127.0.0.1\nnts_ke_port = {ke.port}\n"
+            + f"nts_ca_file = {ke.ca_file}\n"
         )
         feed = tmp_path / "feed.jsonl"
         feed.write_text("".join(epoch_line(e) + "\n" for e in range(10)))
         out = tmp_path / "out"
         rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
-    finally:
-        rt_server.stop()
-        nts_server.stop()
     err = capsys.readouterr().err
     assert rc == EXIT_CLEAN, err
     verdicts = [json.loads(l) for l in (out / "verdicts.jsonl").read_text().splitlines()]

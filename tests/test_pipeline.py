@@ -16,7 +16,7 @@ from timeguard.attack_sim import (
     gen_scenario,
     network_available,
 )
-from timeguard.config import default_config
+from timeguard.config import config_sha256, default_config
 from timeguard.detector import Hypothesis, LlConfig, Verdict, calibrate_ll, ll_step
 from timeguard.ensemble import OscillatorSpec
 from timeguard.orchestrator import (
@@ -225,14 +225,14 @@ def test_recorded_events_replay_to_same_transitions():
 
 
 def test_step4s_report():
-    _, result = run_scenario("step4s", CFG, config_hash="cafe")
+    _, result = run_scenario("step4s", CFG)
     report = result.report
     assert report.scenario == "step4s"
     assert report.outcomes["rt"].detected
     assert report.outcomes["rt"].latency_epochs == 0
     assert report.false_alarms == 0
     assert report.final_phase == "ALARM"
-    assert report.config_sha256 == "cafe"
+    assert report.config_sha256 == config_sha256(CFG)
     assert report.any_h1
 
 

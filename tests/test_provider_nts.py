@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from loopback import nts_ke
 
 from timeguard.detector import CalibrationError, estimate_server_sigma
 from timeguard.provider_nts import (
@@ -462,57 +463,31 @@ def test_sigma_insufficient_history():
 
 
 def test_ke_handshake_and_udp_query():
-    server = NtsTestServer()
-    port = server.start_ke()
-    try:
-        session = nts_ke_handshake(
-            "127.0.0.1", port, NtsKeConfig(ca_file=server.ca_file, server_name="localhost")
-        )
+    with nts_ke(NtsTestServer()) as ke:
+        session = nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig(ca_file=ke.ca_file))
         assert session.cookie_count() == 8
         assert len(session.c2s) == len(session.s2c) == 32
         assert session.c2s != session.s2c
-        assert session.port == server.ntp_port
+        assert session.port == ke.ntp_port
         m = nts_query(session, timeout_s=2.0)
         assert abs(m.offset.to_s()) < 5.0  # same host clock both sides
         assert m.delay.units >= 0
         assert session.cookie_count() == 8
-    finally:
-        server.stop()
 
 
 def test_ke_handshake_aead_mismatch():
-    server = NtsTestServer(offer_aead_id=77)
-    port = server.start_ke()
-    try:
+    with nts_ke(NtsTestServer(offer_aead_id=77)) as ke:
         with pytest.raises(NegotiationError):
-            nts_ke_handshake(
-                "127.0.0.1",
-                port,
-                NtsKeConfig(ca_file=server.ca_file, server_name="localhost"),
-            )
-    finally:
-        server.stop()
+            nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig(ca_file=ke.ca_file))
 
 
 def test_ke_handshake_zero_cookies():
-    server = NtsTestServer(send_zero_cookies=True)
-    port = server.start_ke()
-    try:
+    with nts_ke(NtsTestServer(), send_zero_cookies=True) as ke:
         with pytest.raises(HandshakeError):
-            nts_ke_handshake(
-                "127.0.0.1",
-                port,
-                NtsKeConfig(ca_file=server.ca_file, server_name="localhost"),
-            )
-    finally:
-        server.stop()
+            nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig(ca_file=ke.ca_file))
 
 
 def test_ke_handshake_untrusted_cert():
-    server = NtsTestServer()
-    port = server.start_ke()
-    try:
+    with nts_ke(NtsTestServer()) as ke:
         with pytest.raises(HandshakeError):
-            nts_ke_handshake("127.0.0.1", port, NtsKeConfig(server_name="localhost"))
-    finally:
-        server.stop()
+            nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig())

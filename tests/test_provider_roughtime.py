@@ -3,10 +3,12 @@
 import hashlib
 import socket
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from loopback import udp
 
 from timeguard import provider_roughtime
 from timeguard.provider_roughtime import (
@@ -492,22 +494,16 @@ def test_poll_replayed_response_rejected():
 
 def test_poll_over_udp():
     server = RoughtimeTestServer()
-    key = server.start_udp()
-    try:
-        m = poll(key, timeout_s=2.0)
+    with udp(server) as port:
+        m = poll(replace(server.server_key, port=port), timeout_s=2.0)
         assert m.midpoint == Timestamp.from_unix_s(1_689_120_000)
-    finally:
-        server.stop()
 
 
 def test_poll_udp_unreachable():
     server = RoughtimeTestServer(drop_requests=True)
-    key = server.start_udp()
-    try:
+    with udp(server) as port:
         with pytest.raises(UnreachableError):
-            poll(key, timeout_s=0.05, retries=2)
-    finally:
-        server.stop()
+            poll(replace(server.server_key, port=port), timeout_s=0.05, retries=2)
 
 
 def test_nonce_uniqueness_bulk():

@@ -45,12 +45,6 @@ KEEP = {
     "event_to_json",
     "event_from_json",
     "replay",
-    # the socket side of the in-process test servers, kept for a test of
-    # the live path against loopback Roughtime and NTS servers
-    "NtsTestServer.start_ke",
-    "NtsTestServer.stop",
-    "RoughtimeTestServer.start_udp",
-    "RoughtimeTestServer.stop",
     # criterion 4 reads the matrix views
     "ClockKfState.x",
     "ClockKfState.P",
@@ -256,3 +250,29 @@ def _unset() -> set:
 def test_every_defaulted_setting_is_set_somewhere():
     unexplained = sorted(_unset() - KEEP)
     assert not unexplained, f"defaulted parameters and fields nothing sets: {unexplained}"
+
+
+# -- the package serves nothing ------------------------------------------------
+
+_SERVER_CALLS = {"bind", "listen", "accept"}
+
+
+def test_the_package_serves_no_sockets():
+    """The monitor and its clients only connect out: no module starts a
+    thread or listens on a socket.  The loopback servers that tests need
+    live in tests/loopback.py."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Import):
+                modules = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                modules = [n.module]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "threading" for m in modules):
+                found.append(f"{path.name}:{n.lineno} imports threading")
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and _callee(n) in _SERVER_CALLS):
+                found.append(f"{path.name}:{n.lineno} calls .{_callee(n)}")
+    assert not found, found
