@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .receiver_feed import NtsMeasurement, json_string
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_diff
@@ -50,10 +50,7 @@ DEFAULT_NTS_LAMBDA = SignedDuration.from_s(150e-6)  # 3 sigma at the 50 us serve
 SIGMA2_FLOOR = 1e-18
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one hypothesis test at one epoch."""
-
+class _VerdictFields(NamedTuple):
     test: str  # "rt" | "nts" | "ll"
     hypothesis: Hypothesis
     statistic: float
@@ -61,9 +58,21 @@ class Verdict:
     source_id: str
     t_mono: MonotonicInstant
 
-    def __post_init__(self) -> None:
-        if self.test not in ("rt", "nts", "ll"):
-            raise ConfigError(f"unknown test kind {self.test!r}")
+
+class Verdict(_VerdictFields):
+    """Outcome of one hypothesis test at one epoch.
+
+    An immutable tuple, since every tested epoch builds one; the
+    constructor checks the test kind before it builds the tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, test: str, hypothesis: Hypothesis, statistic: float, threshold: float,
+                source_id: str, t_mono: MonotonicInstant) -> "Verdict":
+        if test not in ("rt", "nts", "ll"):
+            raise ConfigError(f"unknown test kind {test!r}")
+        return tuple.__new__(cls, (test, hypothesis, statistic, threshold, source_id, t_mono))
 
 
 @dataclass(frozen=True)
@@ -165,13 +174,19 @@ def estimate_server_sigma(history: Sequence[NtsMeasurement]) -> float:
 # -- windowed smoothed log-likelihood ---------------------------------------
 
 
-def window_log_stat(window: Sequence[float], mu0: float, s2: float) -> float:
-    """ln p, p = (2 pi s2)^(-1/2) exp(-(mean - mu0)^2 / (2 s2)) for the window mean.
+def density_terms(s2: float) -> tuple[float, float]:
+    """(-0.5 ln(2 pi s2), 2 s2): the terms of ln p that depend only on the variance."""
+    return -0.5 * math.log(2.0 * math.pi * s2), 2.0 * s2
+
+
+def window_log_stat(window: Sequence[float], mu0: float, log_norm: float, two_s2: float) -> float:
+    """ln p, p = (2 pi s2)^(-1/2) exp(-(mean - mu0)^2 / (2 s2)) for the window mean,
+    with (log_norm, two_s2) = density_terms(s2).
 
     The log domain keeps ln p finite where p would underflow to 0 under attack.
     """
     mean = sum(window) / len(window)
-    return -0.5 * math.log(2.0 * math.pi * s2) - (mean - mu0) ** 2 / (2.0 * s2)
+    return log_norm - (mean - mu0) ** 2 / two_s2
 
 
 def ll_test(z: float, lambda_T: float, source_id: str, t_mono: MonotonicInstant) -> Verdict:
@@ -186,32 +201,38 @@ class LlDetectorState:
     """Single-owner history of the log-likelihood detector.
 
     Z is seeded at the stationary mean of ln p under the fitted null, so
-    a fresh start carries no transient in either direction.
+    a fresh start carries no transient in either direction.  The density
+    terms are fixed by the parameters, at sigma0_sq floored at
+    SIGMA2_FLOOR, and are computed once; a state without a fitted
+    sigma0_sq has none and cannot advance.
     """
 
     params: LlConfig
     z: Optional[float] = field(init=False, default=None)
     window: deque = field(init=False)
+    terms: Optional[tuple[float, float]] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.window = deque(maxlen=self.params.m)
+        if self.params.sigma0_sq is not None:
+            self.terms = density_terms(max(self.params.sigma0_sq, SIGMA2_FLOOR))
 
 
 def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
     """Push one bias estimate; returns updated Z, or None while warming.
 
     Z = alpha * Z_prev + (1 - alpha) * ln p, with ln p from window_log_stat
-    at the fitted mu0 and sigma0_sq, the latter floored at SIGMA2_FLOOR.
+    at the fitted mu0 and the state's density terms.
     """
     state.window.append(float(bias_s))
     if len(state.window) < state.params.m:
         return None
     p = state.params
-    s2 = max(p.sigma0_sq, SIGMA2_FLOOR)
-    log_p = window_log_stat(state.window, p.mu0, s2)
+    log_norm, two_s2 = state.terms
+    log_p = window_log_stat(state.window, p.mu0, log_norm, two_s2)
     if state.z is None:
-        # E[ln p] under the fitted null: coeff - E[(mean-mu0)^2]/(2 s2)
-        seed = -0.5 * math.log(2.0 * math.pi * s2) - 1.0 / (2.0 * p.m)
+        # E[ln p] under the fitted null: log_norm - E[(mean-mu0)^2]/(2 s2)
+        seed = log_norm - 1.0 / (2.0 * p.m)
         state.z = p.alpha * seed + (1.0 - p.alpha) * log_p
     else:
         state.z = p.alpha * state.z + (1.0 - p.alpha) * log_p

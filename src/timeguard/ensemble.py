@@ -86,10 +86,7 @@ def _check_psd(p00: float, p01: float, p11: float) -> None:
         raise FilterDomainError(f"covariance not PSD: min eigenvalue {lam}")
 
 
-@dataclass(frozen=True, slots=True)
-class ClockKfState:
-    """Filter state: x = [bias (s), drift (s/s)], P = [[p00, p01], [p01, p11]]."""
-
+class _ClockKfFields(NamedTuple):
     bias: float
     drift: float
     p00: float
@@ -98,16 +95,29 @@ class ClockKfState:
     q_b: float = DEFAULT_OSCILLATOR.q_b
     q_d: float = DEFAULT_OSCILLATOR.q_d
 
-    def __post_init__(self) -> None:
-        if not (self.q_b >= 0 and self.q_d >= 0):
+
+class ClockKfState(_ClockKfFields):
+    """Filter state: x = [bias (s), drift (s/s)], P = [[p00, p01], [p01, p11]].
+
+    An immutable tuple, since every filtered epoch builds one; the
+    constructor checks the process noise and the covariance before it
+    builds the tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bias: float, drift: float, p00: float, p01: float, p11: float,
+                q_b: float = DEFAULT_OSCILLATOR.q_b,
+                q_d: float = DEFAULT_OSCILLATOR.q_d) -> "ClockKfState":
+        if not (q_b >= 0 and q_d >= 0):
             raise FilterDomainError("process noise densities must be >= 0")
-        p00, p01, p11 = self.p00, self.p01, self.p11
         # min_eigenvalue written out, against the tightest tolerance
         # _check_psd applies: what passes here passes there.  A NaN or
         # infinite entry makes the eigenvalue NaN or -inf and falls through,
         # so _check_psd rejects it, or judges entries past 1 by their size.
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
             _check_psd(p00, p01, p11)
+        return tuple.__new__(cls, (bias, drift, p00, p01, p11, q_b, q_d))
 
     @property
     def x(self) -> np.ndarray:
@@ -197,7 +207,7 @@ def kf_update(
         bias, drift, p00, p01, p11 = state.bias, state.drift, state.p00, state.p01, state.p11
     else:
         bias, drift, p00, p01, p11 = _predicted(state, tau)
-        # ClockKfState.__post_init__'s check, written out as it is there, on
+        # ClockKfState's constructor check, written out as it is there, on
         # the predicted covariance that an accepted update never builds
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
             _check_psd(p00, p01, p11)

@@ -78,17 +78,26 @@ def alert(reason: str) -> str:
     return f"alert:{reason}"
 
 
-@dataclass(frozen=True)
-class Event:
-    """Immutable input to the state machine; verdict kinds carry payload."""
-
+class _EventFields(NamedTuple):
     kind: EventKind
     t_mono: MonotonicInstant
     verdict: Optional[Verdict] = None
 
-    def __post_init__(self) -> None:
-        if self.kind in _VERDICT_KINDS and self.verdict is None:
-            raise PolicyError(f"{self.kind.value} event requires a verdict payload")
+
+class Event(_EventFields):
+    """Immutable input to the state machine; verdict kinds carry payload.
+
+    A tuple, since every epoch builds at least one; the constructor checks
+    the payload before it builds the tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: EventKind, t_mono: MonotonicInstant,
+                verdict: Optional[Verdict] = None) -> "Event":
+        if kind in _VERDICT_KINDS and verdict is None:
+            raise PolicyError(f"{kind.value} event requires a verdict payload")
+        return tuple.__new__(cls, (kind, t_mono, verdict))
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,9 @@ _SOURCE = {phase._value_: "ensemble" if phase in (Phase.ALARM, Phase.RESET_PENDI
            for phase in Phase}
 
 
-@dataclass(frozen=True)
-class OrchestratorState:
+class OrchestratorState(NamedTuple):
+    """The state machine's state, an immutable tuple: step builds one per event."""
+
     phase: Phase = Phase.COLD_START
     connectivity: Connectivity = Connectivity.ONLINE
     outage_started: Optional[MonotonicInstant] = None
@@ -162,10 +172,8 @@ def step(
             f"event at {event.t_mono.nanoseconds} ns precedes {last.nanoseconds} ns"
         )
     if _only_time_moves(state, event):
-        # a field-for-field copy: dataclasses.replace would cost 5x as much
-        moved = object.__new__(OrchestratorState)
-        moved.__dict__.update(state.__dict__, last_t_mono=event.t_mono)
-        return moved, []
+        # only last_t_mono, the last field, moves
+        return tuple.__new__(OrchestratorState, (*state[:5], event.t_mono)), []
     return _apply(state, event, config or OrchestratorConfig())
 
 

@@ -430,10 +430,18 @@ def event_from_json(line: str) -> Event:
 VERDICT_CSV_HEADER = "t_mono_ns,test,statistic,threshold,hypothesis,source_id"
 
 
+def _csv_field(text: str) -> str:
+    """text as one RFC 4180 field: quoted, inner quotes doubled, only when it
+    holds a comma, a quote or a line break, so a feed's id cannot split a row."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _verdict_csv_row(v: Verdict) -> str:
     return (
         f"{v.t_mono.nanoseconds},{v.test},{v.statistic!r},{v.threshold!r},"
-        f"{v.hypothesis.value},{v.source_id}"
+        f"{v.hypothesis.value},{_csv_field(v.source_id)}"
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
@@ -36,9 +36,12 @@ class FeedError(Exception):
     """A feed record that cannot be turned into an epoch."""
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    """One receiver time-solution epoch, the object every detector tests."""
+class EpochRecord(NamedTuple):
+    """One receiver time-solution epoch, the object every detector tests.
+
+    An immutable tuple, since every epoch builds one; its fields need no
+    check.
+    """
 
     t_mono: MonotonicInstant
     t_gnss: Timestamp

@@ -108,7 +108,14 @@ def units_from_s(seconds: float | int) -> int:
     Floats are dyadic rationals, so values at 2^-64 granularity or
     coarser convert exactly; anything finer rounds half-even.  NaN
     raises ValueError and an infinity OverflowError.
+
+    A float under 1e280 in magnitude takes one product: scaling by 2^64
+    is exact there, subnormals included, and round() of a float is
+    half-even.  Ints, float subclasses and larger floats take the
+    exact ratio.
     """
+    if type(seconds) is float and -1e280 < seconds < 1e280:
+        return round(seconds * 2.0**64)
     num, den = seconds.as_integer_ratio()
     return _round_div(num * FRAC_UNIT, den)
 

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import base64
+import csv
 import io
 import json
 import os
@@ -620,6 +621,25 @@ def test_live_csv_format(pin_cfg, tmp_path):
     lines = (out / "verdicts.csv").read_text().splitlines()
     assert lines[0] == "t_mono_ns,test,statistic,threshold,hypothesis,source_id"
     assert len(lines) == 2
+
+
+def test_live_csv_quotes_a_feed_supplied_source_id(pin_cfg, tmp_path):
+    # a comma, a quote and a line break in the id neither split the row
+    # nor forge another: it reads back as the last field of one row
+    hostile = 'evil,H0\n"x"\r\ny'
+    rt = json.loads(rt_line(0))
+    rt["source_id"] = hostile
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(epoch_line(0) + "\n" + json.dumps(rt) + "\n")
+    out = tmp_path / "out"
+    rc = main(["live", "--feed", str(feed), "--config", pin_cfg,
+               "--out-dir", str(out), "--format", "csv"])
+    assert rc == EXIT_CLEAN
+    with open(out / "verdicts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6]
+    assert rows[1][1] == "rt"
+    assert rows[1][-1] == hostile
 
 
 def test_live_skips_garbage_lines(pin_cfg, tmp_path):

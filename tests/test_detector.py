@@ -19,6 +19,7 @@ from timeguard.detector import (
     Verdict,
     calibrate_ll,
     calibrate_ll_threshold,
+    density_terms,
     ll_advance,
     ll_step,
     ll_test,
@@ -174,7 +175,7 @@ def oracle_log_p(window, mu0, s2):
 
 def test_window_stat_gaussian_zero_exponent():
     # mean 0 at mu0 0: ln p is the density's constant
-    log_p = window_log_stat([-1.0, 0.0, 1.0], mu0=0.0, s2=1.0)
+    log_p = window_log_stat([-1.0, 0.0, 1.0], 0.0, *density_terms(1.0))
     assert log_p == pytest.approx(LOG_INV_SQRT_2PI, rel=1e-12)
 
 
@@ -184,7 +185,7 @@ def test_window_stat_matches_scalar_oracle():
     shifted = [x + 2e-6 for x in benign]
     for window in (benign, shifted):
         for mu0, s2 in ((0.0, 1e-16), (3e-9, 1e-18), (-1e-8, 4e-16)):
-            got = window_log_stat(window, mu0, s2)
+            got = window_log_stat(window, mu0, *density_terms(s2))
             assert got == pytest.approx(oracle_log_p(window, mu0, s2), rel=1e-9)
 
 
@@ -192,13 +193,14 @@ def test_window_shift_ratio_matches_oracle():
     rng = np.random.default_rng(22)
     benign = rng.normal(0.0, 10e-9, 30).tolist()
     shifted = [x + 2e-6 for x in benign]
-    got_ratio = window_log_stat(benign, 0.0, 1e-16) - window_log_stat(shifted, 0.0, 1e-16)
+    terms = density_terms(1e-16)
+    got_ratio = window_log_stat(benign, 0.0, *terms) - window_log_stat(shifted, 0.0, *terms)
     want_ratio = oracle_log_p(benign, 0.0, 1e-16) - oracle_log_p(shifted, 0.0, 1e-16)
     assert got_ratio == pytest.approx(want_ratio, rel=1e-9)
     # the density itself would underflow under attack; its log stays finite
-    assert LOG_MIN < window_log_stat(benign, 0.0, 1e-16) < LOG_MAX
-    assert window_log_stat(shifted, 0.0, 1e-16) < LOG_MIN
-    assert math.isfinite(window_log_stat(shifted, 0.0, 1e-16))
+    assert LOG_MIN < window_log_stat(benign, 0.0, *terms) < LOG_MAX
+    assert window_log_stat(shifted, 0.0, *terms) < LOG_MIN
+    assert math.isfinite(window_log_stat(shifted, 0.0, *terms))
 
 
 @given(
@@ -210,8 +212,8 @@ def test_window_shift_ratio_matches_oracle():
 )
 @settings(max_examples=200)
 def test_window_gaussian_shift_invariant(window, shift, mu0):
-    base = window_log_stat(window, mu0, 1e-6)
-    moved = window_log_stat([x + shift for x in window], mu0 + shift, 1e-6)
+    base = window_log_stat(window, mu0, *density_terms(1e-6))
+    moved = window_log_stat([x + shift for x in window], mu0 + shift, *density_terms(1e-6))
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-6)
 
 
@@ -246,7 +248,7 @@ def test_smooth_alpha_one_keeps_z():
 
 
 def test_smooth_alpha_zero_is_ln_p():
-    assert advance_once(123.0, WINDOW, 0.0) == window_log_stat(WINDOW, 0.0, 1.0)
+    assert advance_once(123.0, WINDOW, 0.0) == window_log_stat(WINDOW, 0.0, *density_terms(1.0))
 
 
 def test_smooth_example():
@@ -268,7 +270,7 @@ def test_smooth_contraction(z0, sample, alpha, n):
     state.z = z0
     for _ in range(n):
         z = ll_advance(state, sample)
-    log_p = window_log_stat([sample, sample], 0.0, 1.0)
+    log_p = window_log_stat([sample, sample], 0.0, *density_terms(1.0))
     bound = alpha**n * abs(z0 - log_p) + 1e-8 * (1.0 + abs(z0) + abs(log_p))
     assert abs(z - log_p) <= bound
 
@@ -290,7 +292,7 @@ def test_ll_test_neg_ll_default():
 @settings(max_examples=150)
 def test_smooth_consistent_with_log_domain(window, z_prev, alpha):
     via_state = advance_once(z_prev, window, alpha)
-    via_log = alpha * z_prev + (1.0 - alpha) * window_log_stat(window, 0.0, 1.0)
+    via_log = alpha * z_prev + (1.0 - alpha) * window_log_stat(window, 0.0, *density_terms(1.0))
     assert via_state == pytest.approx(via_log, rel=1e-9, abs=1e-12)
 
 

@@ -348,7 +348,7 @@ COVARIANCE_ENTRY = st.one_of(st.floats(), st.sampled_from(SPECIAL_ENTRIES),
                  near_psd_tolerance(0.99), near_psd_tolerance(1e6)))
 @settings(max_examples=1000)
 def test_state_check_rejects_what_check_psd_rejects(p):
-    # __post_init__ accepts the common case inline and defers the rest
+    # the constructor accepts the common case inline and defers the rest
     def rejected(check) -> bool:
         try:
             check(*p)

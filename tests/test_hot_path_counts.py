@@ -95,13 +95,13 @@ def test_a_full_run_never_reaches_the_general_psd_check(monkeypatch):
 def test_a_filtered_epoch_builds_one_filter_state(monkeypatch):
     pinned = replace(CONFIG, detector=replace(CONFIG.detector, ll=resolve_ll(CONFIG)))
     built = []
-    check = ensemble.ClockKfState.__post_init__
+    construct = ensemble.ClockKfState.__new__
 
-    def counted(self):
+    def counted(cls, *args, **kwargs):
         built.append(None)
-        check(self)
+        return construct(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ensemble.ClockKfState, "__post_init__", counted)
+    monkeypatch.setattr(ensemble.ClockKfState, "__new__", counted)
     resets = count_calls(monkeypatch, ensemble, "kf_init")
     updates = count_calls(monkeypatch, ensemble, "kf_update")
     run_scenario(BENIGN, pinned)

@@ -306,7 +306,9 @@ def test_monitor_refuses_a_reply_before_the_first_fix_and_applies_nothing(which)
     seen = []
     monitor = Monitor(CFG, on_verdict=seen.append,
                       on_transition=lambda event, record: seen.append(record))
-    monitor.epoch(replace(outputs.epochs[0], fix_valid=False))
+    first = outputs.epochs[0]
+    monitor.epoch(EpochRecord(first.t_mono, first.t_gnss, False, first.leap_applied,
+                              first.clock_bias_ns, first.source_id))
     state, count = monitor.state, len(seen)
     with pytest.raises(OrderingError, match="first GNSS fix"):
         if which == "rt":

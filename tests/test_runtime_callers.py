@@ -17,15 +17,23 @@ of another class; and dunder methods, which the interpreter calls, are
 not checked at all.
 
 A second check applies the same idea to settings: every defaulted
-parameter of a public function or method, and every defaulted ``init``
-field of a public dataclass, must be set somewhere outside its
-definition, tests included, since a test seam is a legitimate use.  A
-value counts as set by a keyword or a position at a call of that name,
-by an assignment ``obj.name = ...``, by a ``replace(...)`` keyword, or by
-a string constant naming it.  The dataclasses behind the INI and
-scenario-file keys are exempt: every one of their fields is a key a file
-can set.  The same blind spots apply, and a call through an alias, such
-as a bound method stored in a local, is not seen at all.
+parameter of a public function or method, every defaulted ``init``
+field of a public dataclass, and every defaulted field of a public
+NamedTuple, its own or a private fields base's that it subclasses, must
+be set somewhere outside its definition, tests included, since a test
+seam is a legitimate use.  A value counts as set by a keyword or a
+position at a call of that name, by a string constant naming it, and for
+a dataclass field by an assignment ``obj.name = ...`` or a
+``replace(...)`` keyword, for a NamedTuple field by a ``_replace(...)``
+keyword.  The dataclasses behind the INI and scenario-file keys are
+exempt: every one of their fields is a key a file can set.  The same
+blind spots apply, and a call through an alias, such as a bound method
+stored in a local, is not seen at all.
+
+A record whose constructor checks its fields is a public subclass of a
+private NamedTuple with a ``__new__`` that checks before it builds the
+tuple.  ``_make`` and ``_replace`` build the tuple without that
+``__new__``, so the package calls neither.
 """
 
 import ast
@@ -179,8 +187,23 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _namedtuple_body(node: ast.ClassDef, classes: dict):
+    """The class body that declares node's NamedTuple fields: node's own, or
+    that of the module-level class it subclasses; None if node is no NamedTuple."""
+    for base in node.bases:
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+        if name == "NamedTuple":
+            return node
+        if name in classes and classes[name] is not node:
+            found = _namedtuple_body(classes[name], classes)
+            if found is not None:
+                return found
+    return None
+
+
 def _init_fields(node: ast.ClassDef):
-    """(position, name, has default) of each init field of a dataclass body."""
+    """(position, name, has default) of each init field of a dataclass or
+    NamedTuple body."""
     position = 0
     for stmt in node.body:
         if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
@@ -218,6 +241,7 @@ def _defaulted_settings():
     exempt = _ini_dataclasses()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
         for node in _public(tree.body):
             if isinstance(node, ast.FunctionDef):
                 for name, how in _defaulted_params(node, method=False):
@@ -228,11 +252,16 @@ def _defaulted_settings():
                     for name, how in _defaulted_params(method, method=True):
                         yield path, tree, method, f"{node.name}.{method.name}({name})", how
             if _is_dataclass(node) and node.name not in exempt:
-                for pos, name, has_default in _init_fields(node):
-                    if has_default:
-                        how = [(node.name, name), (node.name, pos), ("replace", name),
-                               ("=", name), ("str", name)]
-                        yield path, tree, node, f"{node.name}.{name}", how
+                body, setters = node, ("replace", "=")
+            elif (body := _namedtuple_body(node, classes)) is not None:
+                setters = ("_replace",)
+            else:
+                continue
+            for pos, name, has_default in _init_fields(body):
+                if has_default:
+                    how = [(node.name, name), (node.name, pos), ("str", name),
+                           *((setter, name) for setter in setters)]
+                    yield path, tree, node, f"{node.name}.{name}", how
 
 
 def _unset() -> set:
@@ -275,4 +304,20 @@ def test_the_package_serves_no_sockets():
             if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                     and _callee(n) in _SERVER_CALLS):
                 found.append(f"{path.name}:{n.lineno} calls .{_callee(n)}")
+    assert not found, found
+
+
+# -- checked records are built through their check -----------------------------
+
+_UNCHECKED_BUILDERS = {"_make", "_replace"}
+
+
+def test_the_package_builds_no_record_around_its_check():
+    """_make and _replace go straight to tuple.__new__, past the __new__ of a
+    record that checks its fields, so no module calls either."""
+    found = [f"{path.name}:{n.lineno} calls .{_callee(n)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and _callee(n) in _UNCHECKED_BUILDERS]
     assert not found, found

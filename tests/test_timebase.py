@@ -14,6 +14,7 @@ from timeguard.timebase import (
     Timestamp,
     ts_add,
     ts_diff,
+    units_from_s,
 )
 
 # keep |seconds| well inside int64 so additions cannot overflow in properties
@@ -185,6 +186,65 @@ def test_from_s_rejects_nan_and_infinity(bad, error):
     for x in (bad, np.float64(bad)):
         with pytest.raises(error):
             SignedDuration.from_s(x)
+
+
+# -- units_from_s's float product against its exact ratio ---------------------
+
+
+def _ratio_units(x: float) -> int:
+    """The as_integer_ratio path: num * 2^64 / den, rounded half-even."""
+    num, den = x.as_integer_ratio()
+    return round(Fraction(num * FRAC_UNIT, den))
+
+
+def _check_float_path(x: float) -> None:
+    units = units_from_s(x)
+    assert type(units) is int
+    assert units == _ratio_units(x)
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=2.2250738585072009e-308)  # the largest subnormal
+@example(x=2.0**-65)
+@example(x=3 * 2.0**-66)
+@example(x=math.nextafter(1e280, 0.0))
+@example(x=-math.nextafter(1e280, 0.0))
+def test_units_from_s_float_product_matches_the_ratio(x):
+    _check_float_path(x)
+
+
+@given(k=st.integers(min_value=-(2**52), max_value=2**52 - 1))
+@example(k=0)
+@example(k=-1)
+@example(k=2**52 - 1)
+def test_units_from_s_ties_at_odd_multiples_of_half_a_unit_round_to_even(k):
+    x = (2 * k + 1) * 2.0**-65
+    assert Fraction(x) * FRAC_UNIT == Fraction(2 * k + 1, 2)
+    _check_float_path(x)
+    assert units_from_s(x) % 2 == 0
+
+
+@given(x=st.floats(min_value=1e280, allow_infinity=False), negative=st.booleans())
+@example(x=1e280, negative=False)
+@example(x=1e280, negative=True)
+@example(x=1e290, negative=False)
+@example(x=1e299, negative=True)
+@example(x=1.7976931348623157e308, negative=True)
+def test_units_from_s_past_1e280_takes_the_ratio(x, negative):
+    # x * 2^64 overflows a double from about 9.7e288; the ratio is exact
+    _check_float_path(-x if negative else x)
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)]
+)
+def test_units_from_s_rejects_nan_and_infinity(bad, error):
+    with pytest.raises(error):
+        units_from_s(bad)
 
 
 @given(ns=st.integers(min_value=-(2**62), max_value=2**62))
