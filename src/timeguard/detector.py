@@ -20,6 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .receiver_feed import NtsMeasurement, json_string
@@ -281,12 +282,20 @@ def calibrate_ll(params: LlConfig, benign_biases: Sequence[float], far: float = 
 # -- serialization ----------------------------------------------------------
 
 
+# A test gives each of its verdicts the same threshold, and spelling a float
+# costs about six cache lookups.  A zero is spelled each time: 0.0 and -0.0
+# are one key to a cache and two spellings to float.__repr__.  Typed, so
+# that an int threshold still raises as float.__repr__ does.
+_spelled = lru_cache(maxsize=64, typed=True)(float.__repr__)
+
+
 def verdict_to_json(verdict: Verdict) -> str:
     """One verdicts.jsonl line, encoded as receiver_feed.epoch_to_json is."""
+    threshold = verdict.threshold
     return (
         f'{{"t_mono_ns":{int.__repr__(verdict.t_mono.nanoseconds)},"test":"{verdict.test}",'
         f'"statistic":{float.__repr__(verdict.statistic)},'
-        f'"threshold":{float.__repr__(verdict.threshold)},'
+        f'"threshold":{_spelled(threshold) if threshold else float.__repr__(threshold)},'
         f'"hypothesis":"{verdict.hypothesis._value_}",'
         f'"source_id":{json_string(verdict.source_id)}}}'
     )

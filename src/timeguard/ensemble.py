@@ -151,14 +151,16 @@ def _check_tau(tau: float) -> None:
         raise FilterDomainError(f"tau must be finite and >= 0, got {tau}")
 
 
-def _predicted(state: ClockKfState, tau: float) -> tuple[float, float, float, float, float]:
-    """(bias, drift, p00, p01, p11) tau seconds ahead: x = F x, P = F P F^T + Q(tau)."""
-    q00, q01, q11 = _process_noise(state.q_b, state.q_d, tau)
+def _predicted(state: ClockKfState, tau: float) -> tuple[float, ...]:
+    """The state's fields tau seconds ahead: x = F x, P = F P F^T + Q(tau)."""
+    # one unpacking: a tuple field read by name costs several times as much
+    bias, drift, p00, p01, p11, q_b, q_d = state
+    q00, q01, q11 = _process_noise(q_b, q_d, tau)
     # F = [[1, tau], [0, 1]]; a and b are the first row of F P
-    a = state.p00 + tau * state.p01
-    b = state.p01 + tau * state.p11
-    return (state.bias + tau * state.drift, state.drift,
-            a + b * tau + q00, b + q01, state.p11 + q11)
+    a = p00 + tau * p01
+    b = p01 + tau * p11
+    return (bias + tau * drift, drift,
+            a + b * tau + q00, b + q01, p11 + q11, q_b, q_d)
 
 
 def kf_predict(state: ClockKfState, tau: float) -> ClockKfState:
@@ -166,7 +168,7 @@ def kf_predict(state: ClockKfState, tau: float) -> ClockKfState:
     _check_tau(tau)
     if tau == 0:
         return state
-    return ClockKfState(*_predicted(state, tau), state.q_b, state.q_d)
+    return ClockKfState(*_predicted(state, tau))
 
 
 class KfUpdate(NamedTuple):
@@ -204,9 +206,9 @@ def kf_update(
     """
     _check_tau(tau)
     if tau == 0:
-        bias, drift, p00, p01, p11 = state.bias, state.drift, state.p00, state.p01, state.p11
+        bias, drift, p00, p01, p11, q_b, q_d = state
     else:
-        bias, drift, p00, p01, p11 = _predicted(state, tau)
+        bias, drift, p00, p01, p11, q_b, q_d = _predicted(state, tau)
         # ClockKfState's constructor check, written out as it is there, on
         # the predicted covariance that an accepted update never builds
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
@@ -231,7 +233,7 @@ def kf_update(
     S = p00 + r
     if not abs(innovation) <= gate_k * math.sqrt(max(S, 0.0)):
         if tau != 0:
-            state = ClockKfState(bias, drift, p00, p01, p11, state.q_b, state.q_d)
+            state = ClockKfState(bias, drift, p00, p01, p11, q_b, q_d)
         return KfUpdate(state, False, innovation, S)
     if S == 0.0:
         raise FilterDomainError("innovation variance is zero: no prior and no readout noise")
@@ -245,7 +247,7 @@ def kf_update(
             a * p00 * a + k0 * r * k0,
             c * a + k1 * r * k0,
             p11 - k1 * p01 - c * k1 + k1 * r * k1,
-            state.q_b, state.q_d,
+            q_b, q_d,
         ),
         True, innovation, S,
     )

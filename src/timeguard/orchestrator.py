@@ -14,10 +14,12 @@ log reproduces the state trajectory exactly.  Producers enqueue immutable
 events; a single logical consumer applies them in monotonic order.
 
 Almost every event only moves the clock: a TICK with no outage open, or a
-verdict that can move neither the phase nor the clean streak.  step()
-recognises these with a predicate and returns a copy with only
-last_t_mono moved, skipping the full rule; the result is the one the full
-rule gives, so step() stays pure.
+verdict that can move neither the phase nor the clean streak.
+only_time_moves() recognises these from the state, the event's kind and
+its verdict, and clock_moved() gives the one state the full rule would
+give them, with only last_t_mono moved.  step() takes that path itself,
+so it stays pure; an engine that asks the predicate before it builds an
+event can apply such an event in place and never build it.
 """
 
 from dataclasses import dataclass
@@ -145,21 +147,29 @@ def _cleared(coarse_validated: bool) -> Phase:
     return Phase.COARSE_VALIDATED if coarse_validated else Phase.COLD_START
 
 
-def _only_time_moves(state: OrchestratorState, event: Event) -> bool:
-    """True when the full rule would only move last_t_mono, with no action."""
-    kind = event.kind
+def only_time_moves(state: OrchestratorState, kind: EventKind,
+                    verdict: Optional[Verdict] = None) -> bool:
+    """True when the full rule, applied to an event of this kind and verdict,
+    would only move last_t_mono, with no action.  A verdict kind without its
+    verdict is no such event: the Event constructor refuses it."""
     phase = state.phase
     if kind is EventKind.TICK:
         return state.outage_started is None or phase is Phase.RESET_PENDING
-    if kind not in _VERDICT_KINDS:
+    if verdict is None or kind not in _VERDICT_KINDS:
         return False
-    if event.verdict.hypothesis is Hypothesis.H1:
+    if verdict.hypothesis is Hypothesis.H1:
         return phase is Phase.ALARM and state.clean_streak == 0
     if phase is Phase.COLD_START:
         return kind is EventKind.LL_VERDICT
     if phase is Phase.COARSE_VALIDATED:
         return kind is not EventKind.NTS_VERDICT
     return phase is not Phase.ALARM
+
+
+def clock_moved(state: OrchestratorState, t_mono: MonotonicInstant) -> OrchestratorState:
+    """state with only last_t_mono, its last field, moved to t_mono: what the
+    full rule gives an event that only_time_moves accepts."""
+    return tuple.__new__(OrchestratorState, (*state[:5], t_mono))
 
 
 def step(
@@ -171,9 +181,8 @@ def step(
         raise OrderingError(
             f"event at {event.t_mono.nanoseconds} ns precedes {last.nanoseconds} ns"
         )
-    if _only_time_moves(state, event):
-        # only last_t_mono, the last field, moves
-        return tuple.__new__(OrchestratorState, (*state[:5], event.t_mono)), []
+    if only_time_moves(state, event.kind, event.verdict):
+        return clock_moved(state, event.t_mono), []
     return _apply(state, event, config or OrchestratorConfig())
 
 

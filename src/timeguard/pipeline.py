@@ -38,7 +38,9 @@ from .orchestrator import (
     OrderingError,
     TransitionRecord,
     advance,
+    clock_moved,
     initial_state,
+    only_time_moves,
     transition_to_json,
 )
 from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement
@@ -106,11 +108,17 @@ class Monitor:
     Owns the filter chain, the orchestrator state and the fix, anchor
     and connectivity bookkeeping.  It reads nothing but the config and
     its inputs, so a run written out as a feed replays to the same
-    output.  Every input is applied to the state machine first, and only
-    what it applied is handed on: `on_verdict(verdict)` and
-    `on_transition(event, record)`.  An epoch applies its fix change and
-    its ll verdict, or a TICK when it has neither, so a quiet epoch
-    applies one event and every epoch moves the state machine's clock.
+    output.  Each input method checks the order at entry, applies the
+    input to the state machine, and only then hands on what it applied:
+    `on_verdict(verdict)` for every verdict, and `on_transition(event,
+    record)` for every event that goes through the transition rule.  An
+    event that only moves the clock (orchestrator.only_time_moves: a
+    quiet TICK, an H0 in a settled phase, a repeated H1 in ALARM) is
+    applied in place, with no Event, step or record built, so
+    on_transition never sees it; its record would be a self-loop with no
+    action, and replaying the events on_transition saw still reproduces
+    its records.  An epoch applies its fix change and its ll verdict, or
+    a TICK when it has neither, so every epoch moves the clock.
     """
 
     def __init__(
@@ -128,13 +136,19 @@ class Monitor:
         self.anchor: Optional[tuple[Timestamp, MonotonicInstant]] = None
         self.last_fix: Optional[EpochRecord] = None
 
-    def _apply(self, event: Event) -> None:
-        self.state, actions = advance(self.state, event, self.config.orchestrator,
-                                      self.on_transition)
-        if RESET_FILTER in actions:
-            self.chain.reset()
-        if event.verdict is not None and self.on_verdict is not None:
-            self.on_verdict(event.verdict)
+    def _apply(self, kind: EventKind, t: MonotonicInstant,
+               verdict: Optional[Verdict] = None) -> None:
+        """Apply one event of this kind at t, already checked for order."""
+        state = self.state
+        if only_time_moves(state, kind, verdict):
+            self.state = clock_moved(state, t)
+        else:
+            self.state, actions = advance(state, Event(kind, t, verdict),
+                                          self.config.orchestrator, self.on_transition)
+            if RESET_FILTER in actions:
+                self.chain.reset()
+        if verdict is not None and self.on_verdict is not None:
+            self.on_verdict(verdict)
 
     def _reference(self) -> Timestamp:
         if self.last_fix is None:
@@ -164,17 +178,17 @@ class Monitor:
             self.have_fix = rec.fix_valid
             if self.anchor is None:  # the first change is an acquisition
                 self.anchor = (rec.t_gnss, t)
-            self._apply(Event(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t))
+            self._apply(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t)
             applied = True
         if rec.fix_valid:
             self.last_fix = rec
             tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
             verdict = ll_step(self.chain.ll_state, tracked[1], t)
             if verdict is not None:
-                self._apply(Event(EventKind.LL_VERDICT, t, verdict))
+                self._apply(EventKind.LL_VERDICT, t, verdict)
                 applied = True
         if not applied:
-            self._apply(Event(EventKind.TICK, t))
+            self._apply(EventKind.TICK, t)
         return tracked
 
     def roughtime(self, meas: RoughtimeMeasurement) -> None:
@@ -182,8 +196,10 @@ class Monitor:
 
         OrderingError before the first fix: there is no GNSS time to test.
         """
-        verdict = roughtime_test(self._reference(), meas, self.config.detector)
-        self._apply(Event(EventKind.RT_VERDICT, meas.t_mono_rx, verdict))
+        reference = self._reference()
+        self._check_order(meas.t_mono_rx)
+        verdict = roughtime_test(reference, meas, self.config.detector)
+        self._apply(EventKind.RT_VERDICT, meas.t_mono_rx, verdict)
 
     def nts(self, meas: NtsMeasurement) -> None:
         """An NTS reply at its t_mono_rx.  Its offset is the server's time minus the clock
@@ -192,20 +208,21 @@ class Monitor:
         OrderingError before the first fix, as for Roughtime.
         """
         self._reference()  # refuses a reply that comes before any fix
+        self._check_order(meas.t_mono_rx)
         verdict = nts_test(meas, self.config.detector)
-        self._apply(Event(EventKind.NTS_VERDICT, meas.t_mono_rx, verdict))
+        self._apply(EventKind.NTS_VERDICT, meas.t_mono_rx, verdict)
 
     def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:
         """Connectivity at t, applied when it changes.  A failed poll repeats
         NETWORK_DOWN: the machine may have reached FINE_MONITORING since."""
         self._check_order(t)
         if repeat or up != (self.state.connectivity is Connectivity.ONLINE):
-            self._apply(Event(EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN, t))
+            self._apply(EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN, t)
 
     def finish(self) -> None:
         """End of input: a fix still held counts as lost."""
         if self.have_fix:
-            self._apply(Event(EventKind.FIX_LOST, self.state.last_t_mono))
+            self._apply(EventKind.FIX_LOST, self.state.last_t_mono)
 
 
 # -- ll threshold calibration ------------------------------------------------
@@ -366,8 +383,10 @@ def run_scenario(
     it through the full detection stack; attaches the scored report, which
     pins the config by its `config_sha256`.
 
-    Each applied event goes to `on_transition` as it happens; the result
-    keeps only the verdicts, which the report scores.  The Monitor, and
+    Each event that goes through the transition rule goes to
+    `on_transition` as it happens (see Monitor: an event that only moves
+    the clock is not one); the result keeps only the verdicts, which the
+    report scores.  The Monitor, and
     with it any ll calibration, comes before generation, so a run that
     calibrates loads numpy in set-up, not in the replay.
     """
@@ -379,13 +398,17 @@ def run_scenario(
 
     xhat = np.empty(len(outputs.epochs))
     innovations = np.empty(len(outputs.epochs))
+    # written through memoryviews: a float stored through one costs half a
+    # numpy item assignment, and a list of the pairs would hold a tuple and
+    # two floats per epoch until the arrays are built
+    xhat_out, innovations_out = memoryview(xhat), memoryview(innovations)
     online = True
     for e, rec in enumerate(outputs.epochs):
         # the engine starts online and hears of each change, as a feed's network line
         if network_available(spec, e) != online:
             online = not online
             monitor.network(online, rec.t_mono)
-        xhat[e], innovations[e] = monitor.epoch(rec)
+        xhat_out[e], innovations_out[e] = monitor.epoch(rec)
         if e in outputs.rt_responses:
             monitor.roughtime(outputs.rt_responses[e])
         if e in outputs.nts_responses:

@@ -20,6 +20,7 @@ from timeguard.attack_sim import (
     NetworkSpec,
     ScenarioSpec,
     SpecValidationError,
+    _chol2,
     _stream,
     attack_offset,
     builtin_scenarios,
@@ -29,7 +30,7 @@ from timeguard.attack_sim import (
     write_epochs_jsonl,
     write_truth_csv,
 )
-from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec
+from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise_cov
 from timeguard.receiver_feed import EpochRecord, epoch_from_json
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
@@ -97,6 +98,36 @@ def test_oscillator_noiseless_integration():
     quiet = OscillatorSpec(q_b=0.0, q_d=0.0)
     bias = simulate_oscillator(quiet, 10, 1.0, seed=5, bias0=1.0, drift0=0.5)
     assert np.array_equal(bias, 1.0 + 0.5 * np.arange(10))
+
+
+def simulate_oscillator_loop(spec, n, period_s, seed, bias0=0.0, drift0=0.0):
+    """The recursion simulate_oscillator accumulates, one epoch at a time."""
+    chol = _chol2(process_noise_cov(spec.q_b, spec.q_d, period_s))
+    noise = _stream(seed, _STREAM_OSCILLATOR).standard_normal((n - 1, 2)) @ chol.T
+    bias = np.empty(n)
+    b, d = bias0, drift0
+    bias[0] = b
+    for k in range(1, n):
+        b += d * period_s + noise[k - 1, 0]
+        d += noise[k - 1, 1]
+        bias[k] = b
+    return bias
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1001, 2**40 + 3])
+@pytest.mark.parametrize("n, period_s, bias0, drift0", [
+    (1, 1.0, 0.0, 0.0),
+    (1, 1.0, 2.5e-3, -1e-9),
+    (2, 1.0, 0.0, 0.0),
+    (3_000, 1.0, 0.0, 0.0),
+    (3_000, 0.37, 1e-4, 3e-9),
+    (500, 0.37, -2.0, -5e-8),
+])
+def test_oscillator_accumulates_as_the_epoch_loop_does(seed, n, period_s, bias0, drift0):
+    got = simulate_oscillator(DEFAULT_OSCILLATOR, n, period_s, seed, bias0, drift0)
+    want = simulate_oscillator_loop(DEFAULT_OSCILLATOR, n, period_s, seed, bias0, drift0)
+    assert got.dtype == want.dtype and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_oscillator_deterministic_and_streams_distinct():
@@ -335,3 +366,14 @@ def test_output_files_roundtrip():
     assert "seed=13" in header
     parsed = [epoch_from_json(json.loads(line)) for line in epochs_fh.getvalue().splitlines()]
     assert parsed == out.epochs
+
+
+@pytest.mark.parametrize("n", [1, 1024, 1025, 2_500])
+def test_truth_csv_matches_formatting_each_numpy_value(n):
+    # write_truth_csv converts the offsets to floats a block at a time
+    attack = INCR if n > INCR.onset_epoch else AttackSpec()
+    out = gen_scenario(ScenarioSpec(name="blocks", duration_epochs=n, seed=14, attack=attack))
+    fh = io.StringIO()
+    write_truth_csv(fh, out)
+    body = "".join(f"{e},{offset * 1e9:.6f}\n" for e, offset in enumerate(out.truth_offset_s))
+    assert fh.getvalue().split("\n", 2)[2] == body

@@ -219,8 +219,9 @@ def test_simulate_is_byte_reproducible(pin_cfg, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
 def test_simulate_writes_the_transitions_that_change_phase_or_act(name, pin_cfg, tmp_path):
-    # every event reaches on_transition; the file keeps the records that
-    # change the phase, and so the active source, or carry actions
+    # every event that goes through the rule reaches on_transition; the file
+    # keeps the records that change the phase, and so the active source, or
+    # carry actions
     main(["simulate", "--scenario", name, "--config", pin_cfg, "--out-dir", str(tmp_path)])
     applied = []
     run_scenario(name, load_config(pin_cfg), on_transition=lambda _, r: applied.append(r))

@@ -8,11 +8,11 @@ inline comparison and never reaches the general PSD check.  These are
 counted through the names the code calls them by, on a 2,000-epoch
 benign scenario, so a change that brings back the per-epoch objects or
 the general check fails here rather than as a slower benchmark.
-Each epoch applies one state-machine event, its fix change or ll
-verdict, or else a TICK, so a run steps the state machine once per
-epoch and reply plus the closing FixLost.  simulate encodes a
-transition record only when transition_writer keeps it, so the
-self-loops of a quiet epoch cost no JSON.
+An event that only moves the state machine's clock is applied in place,
+so a benign run builds an Event, steps the state machine and builds a
+transition record only for the four events that change the phase or
+request an action.  simulate encodes a transition record only when
+transition_writer keeps it.
 
 The provider clients are counted the same way over 50 rounds against
 the in-process test servers, leaving out the calls made inside the
@@ -109,14 +109,33 @@ def test_a_filtered_epoch_builds_one_filter_state(monkeypatch):
     assert len(built) <= len(updates) + len(resets)
 
 
-def test_an_epoch_applies_one_event(monkeypatch):
-    # a fix change or an ll verdict stands in for the epoch's TICK
+def count_constructions(monkeypatch, cls) -> list:
+    """Count the tuples cls builds, through its __new__."""
+    built = []
+    construct = cls.__new__
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", counted)
+    return built
+
+
+def test_only_the_events_that_can_change_something_reach_the_rule(monkeypatch):
+    # FixAcquired, the first rt H0, the first nts H0 and the closing FixLost;
+    # every other event of the run only moves the clock, in place
     pinned = replace(CONFIG, detector=replace(CONFIG.detector, ll=resolve_ll(CONFIG)))
     steps = count_calls(monkeypatch, orchestrator, "step")
-    outputs, _ = run_scenario(BENIGN, pinned)
-    replies = len(outputs.rt_responses) + len(outputs.nts_responses)
-    # and the closing FixLost
-    assert len(steps) == len(outputs.epochs) + replies + 1
+    events = count_constructions(monkeypatch, orchestrator.Event)
+    records = count_constructions(monkeypatch, orchestrator.TransitionRecord)
+    kinds = []
+    outputs, result = run_scenario(BENIGN, pinned,
+                                   on_transition=lambda event, _: kinds.append(event.kind))
+    assert len(outputs.epochs) == 2_000 and len(result.verdicts) > 2_000
+    assert kinds == [orchestrator.EventKind.FIX_ACQUIRED, orchestrator.EventKind.RT_VERDICT,
+                     orchestrator.EventKind.NTS_VERDICT, orchestrator.EventKind.FIX_LOST]
+    assert len(steps) == len(events) == len(records) == 4
 
 
 def test_simulate_encodes_only_the_transitions_it_writes(monkeypatch, tmp_path):

@@ -17,17 +17,29 @@ from timeguard.attack_sim import (
     network_available,
 )
 from timeguard.config import config_sha256, default_config
-from timeguard.detector import Hypothesis, LlConfig, Verdict, calibrate_ll, ll_step
+from timeguard.detector import (
+    Hypothesis,
+    LlConfig,
+    Verdict,
+    calibrate_ll,
+    ll_step,
+    nts_test,
+    roughtime_test,
+)
 from timeguard.ensemble import OscillatorSpec
 from timeguard.orchestrator import (
+    RESET_FILTER,
     Event,
     EventKind,
     OrchestratorConfig,
     OrderingError,
     Phase,
+    advance,
+    only_time_moves,
     replay,
     transition_to_json,
 )
+from timeguard.orchestrator import _apply as full_rule
 from timeguard.pipeline import (
     VERDICT_CSV_HEADER,
     DetectorOutcome,
@@ -285,14 +297,32 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     seen = []
     monitor = Monitor(CFG, on_verdict=seen.append,
                       on_transition=lambda event, record: seen.append(record))
-    for rec in outputs.epochs[:40]:
+    for e, rec in enumerate(outputs.epochs[:40]):
         monitor.epoch(rec)
+        if e in outputs.rt_responses:
+            monitor.roughtime(outputs.rt_responses[e])
+        if e in outputs.nts_responses:
+            monitor.nts(outputs.nts_responses[e])
     state, kf, window = monitor.state, monitor.chain.kf, list(monitor.chain.ll_state.window)
     count = len(seen)
+    # an rt H0 and an nts H0 in FINE_MONITORING only move the clock, so only
+    # the engine's own check can refuse them: step never sees them
+    assert state.phase is Phase.FINE_MONITORING
+    last_gnss = outputs.epochs[39].t_gnss
+    rt_h0 = RoughtimeMeasurement(last_gnss, SignedDuration.from_s(1.0), "rt-sim",
+                                 outputs.epochs[20].t_mono)
+    nts_h0 = outputs.nts_responses[0]
+    assert only_time_moves(state, EventKind.RT_VERDICT,
+                           roughtime_test(last_gnss, rt_h0, CFG.detector))
+    assert only_time_moves(state, EventKind.NTS_VERDICT, nts_test(nts_h0, CFG.detector))
     with pytest.raises(OrderingError):
         monitor.epoch(outputs.epochs[20])
     with pytest.raises(OrderingError):
         monitor.roughtime(outputs.rt_responses[20])
+    with pytest.raises(OrderingError):
+        monitor.roughtime(rt_h0)
+    with pytest.raises(OrderingError):
+        monitor.nts(nts_h0)
     assert monitor.state is state
     assert monitor.chain.kf is kf
     assert list(monitor.chain.ll_state.window) == window
@@ -427,7 +457,7 @@ def test_transition_writer_streams_one_line_per_record():
     _, _, transitions = run_logged("step4s")
     run_scenario("step4s", CFG, on_transition=transition_writer(fh))
     assert fh.getvalue() == "".join(transition_to_json(r) + "\n" for r in transitions if kept(r))
-    # every event still reaches on_transition: only the writer leaves records out
+    # the rule's self-loops still reach on_transition: only the writer leaves them out
     assert 0 < fh.getvalue().count("\n") < len(transitions)
 
 
@@ -446,23 +476,40 @@ class TickEveryEpoch(Monitor):
             self.have_fix = rec.fix_valid
             if self.anchor is None:
                 self.anchor = (rec.t_gnss, t)
-            self._apply(Event(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t))
+            self._apply(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t)
         if rec.fix_valid:
             self.last_fix = rec
             tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
             verdict = ll_step(self.chain.ll_state, tracked[1], t)
             if verdict is not None:
-                self._apply(Event(EventKind.LL_VERDICT, t, verdict))
-        self._apply(Event(EventKind.TICK, t))
+                self._apply(EventKind.LL_VERDICT, t, verdict)
+        self._apply(EventKind.TICK, t)
         return tracked
 
 
-def assert_runs_match(config, inputs):
-    """Feed inputs, (method, *args) each, to a Monitor and a TickEveryEpoch,
+class RuleForEveryEvent(Monitor):
+    """The engine with every event built and sent through advance, also one
+    that only moves the clock: the reference the engine's in-place path must
+    match.  step's ordering check sees every event, and what step gives is
+    checked against the full rule, which no predicate shortcuts, so a
+    predicate that lets a rule event through as time-only fails here too."""
+
+    def _apply(self, kind, t, verdict=None):
+        event, before, config = Event(kind, t, verdict), self.state, self.config.orchestrator
+        self.state, actions = advance(before, event, config, self.on_transition)
+        assert (self.state, actions) == full_rule(before, event, config)
+        if RESET_FILTER in actions:
+            self.chain.reset()
+        if verdict is not None and self.on_verdict is not None:
+            self.on_verdict(verdict)
+
+
+def assert_runs_match(config, inputs, reference=TickEveryEpoch):
+    """Feed inputs, (method, *args) each, to a Monitor and a reference engine,
     and compare the two after every input: what the call returned or the
     OrderingError it raised, the state, the verdicts and transitions.jsonl."""
     runs = []
-    for engine in (Monitor, TickEveryEpoch):
+    for engine in (Monitor, reference):
         verdicts, fh = [], io.StringIO()
         runs.append((engine(config, on_verdict=verdicts.append,
                             on_transition=transition_writer(fh)), verdicts, fh))
@@ -554,3 +601,28 @@ def fix(s, valid=True):
 @settings(max_examples=300, deadline=None)
 def test_a_tick_only_on_an_epoch_that_applied_nothing_else_changes_no_feed(inputs):
     assert_runs_match(SHORT, inputs)
+
+
+# -- the in-place clock ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()) + ["outage"])
+def test_applying_time_only_events_in_place_changes_no_run(name):
+    spec = OUTAGE if name == "outage" else builtin_scenarios()[name]
+    assert_runs_match(CFG, scenario_inputs(gen_scenario(spec)), RuleForEveryEvent)
+
+
+@given(feeds())
+@example([fix(10.0), fix(11.0, False), fix(18.0, False), fix(19.0), ("finish",)])
+# an H1 latches ALARM, then H1 repeats with a streak of 0: time-only events
+# in ALARM, and an rt reply stamped before the last input
+@example([fix(10.0), ("nts", NtsMeasurement(SignedDuration.from_s(1e-2),
+                                            SignedDuration.from_s(0.01), mono(11.0), "n")),
+          ("nts", NtsMeasurement(SignedDuration.from_s(1e-2), SignedDuration.from_s(0.01),
+                                 mono(12.0), "n")),
+          ("roughtime", RoughtimeMeasurement(gnss_time(10.0), SignedDuration.from_s(1.0),
+                                             "r", mono(11.5))),
+          ("finish",)])
+@settings(max_examples=300, deadline=None)
+def test_applying_time_only_events_in_place_changes_no_feed(inputs):
+    assert_runs_match(SHORT, inputs, RuleForEveryEvent)

@@ -9,6 +9,8 @@ references below are that dict, key for key.
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from timeguard.detector import Hypothesis, Verdict, verdict_to_json
 from timeguard.orchestrator import (
@@ -132,3 +134,24 @@ def test_encoder_matches_json_dumps(encode, reference, record):
     line = encode(record)
     assert line == reference(record)
     assert line.isascii()
+
+
+# any double, doubles near the top of the range, and both zeros often
+THRESHOLDS = st.one_of(st.floats(), st.floats(min_value=1e307), st.floats(max_value=-1e307),
+                       st.sampled_from((0.0, -0.0)))
+
+
+@given(st.lists(THRESHOLDS, min_size=1, max_size=12))
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0, -0.0])
+@example([5e-324, -5e-324, 2.225073858507201e-308, 5e-324])
+@example([1.7976931348623157e308, -1e308, 1e308, 1.7976931348623157e308])
+def test_verdict_to_json_spells_each_threshold_as_float_repr(thresholds):
+    # verdict_to_json spells a nonzero threshold through a cache, so each
+    # threshold is encoded twice, the second time from the cache, between
+    # the others; the cache lives across examples
+    for threshold in thresholds + thresholds:
+        line = verdict_to_json(Verdict("ll", Hypothesis.H0, 1.5, threshold, "s", T_MONO[0]))
+        assert f'"threshold":{float.__repr__(threshold)},' in line
+        assert line == verdict_to_json(Verdict("ll", Hypothesis.H0, 1.5, threshold, "s",
+                                               T_MONO[0]))
