@@ -15,7 +15,6 @@ All tests are pure functions of their inputs; only LlDetectorState
 carries mutable history and it is single-owner by construction.
 """
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -298,16 +297,4 @@ def verdict_to_json(verdict: Verdict) -> str:
         f'"threshold":{_spelled(threshold) if threshold else float.__repr__(threshold)},'
         f'"hypothesis":"{verdict.hypothesis._value_}",'
         f'"source_id":{json_string(verdict.source_id)}}}'
-    )
-
-
-def verdict_from_json(line: str) -> Verdict:
-    obj = json.loads(line)
-    return Verdict(
-        test=obj["test"],
-        hypothesis=Hypothesis(obj["hypothesis"]),
-        statistic=float(obj["statistic"]),
-        threshold=float(obj["threshold"]),
-        source_id=obj["source_id"],
-        t_mono=MonotonicInstant(int(obj["t_mono_ns"])),
     )

@@ -9,16 +9,15 @@ outage outlives the broadcast ephemeris.
 Trust follows from the phase: GNSS is the active time source except in
 ALARM and RESET_PENDING, where the local ensemble is.
 
-step() is a pure function of (state, event, config); replaying an event
-log reproduces the state trajectory exactly.  Producers enqueue immutable
-events; a single logical consumer applies them in monotonic order.
+step() is the transition rule: a pure function of (state, event, config)
+that refuses an event stamped before the last one it applied, so
+replaying an event log reproduces the state trajectory exactly.
 
 Almost every event only moves the clock: a TICK with no outage open, or a
 verdict that can move neither the phase nor the clean streak.
 only_time_moves() recognises these from the state, the event's kind and
-its verdict, and clock_moved() gives the one state the full rule would
-give them, with only last_t_mono moved.  step() takes that path itself,
-so it stays pure; an engine that asks the predicate before it builds an
+its verdict, and clock_moved() gives what step() gives them, with only
+last_t_mono moved.  An engine that asks the predicate before it builds an
 event can apply such an event in place and never build it.
 """
 
@@ -50,11 +49,6 @@ class Phase(Enum):
     HOLDOVER = "HOLDOVER"
     ALARM = "ALARM"
     RESET_PENDING = "RESET_PENDING"
-
-
-class Connectivity(Enum):
-    ONLINE = "online"
-    OFFLINE = "offline"
 
 
 class EventKind(Enum):
@@ -89,8 +83,8 @@ class _EventFields(NamedTuple):
 class Event(_EventFields):
     """Immutable input to the state machine; verdict kinds carry payload.
 
-    A tuple, since every epoch builds at least one; the constructor checks
-    the payload before it builds the tuple.
+    A tuple, built only for an event that reaches step(); the constructor
+    checks the payload before it builds the tuple.
     """
 
     __slots__ = ()
@@ -128,7 +122,6 @@ class OrchestratorState(NamedTuple):
     """The state machine's state, an immutable tuple: step builds one per event."""
 
     phase: Phase = Phase.COLD_START
-    connectivity: Connectivity = Connectivity.ONLINE
     outage_started: Optional[MonotonicInstant] = None
     coarse_validated: bool = False
     clean_streak: int = 0
@@ -149,9 +142,9 @@ def _cleared(coarse_validated: bool) -> Phase:
 
 def only_time_moves(state: OrchestratorState, kind: EventKind,
                     verdict: Optional[Verdict] = None) -> bool:
-    """True when the full rule, applied to an event of this kind and verdict,
-    would only move last_t_mono, with no action.  A verdict kind without its
-    verdict is no such event: the Event constructor refuses it."""
+    """True when what step() gives an event of this kind and verdict moves
+    only last_t_mono, with no action.  A verdict kind without its verdict is
+    no such event: the Event constructor refuses it."""
     phase = state.phase
     if kind is EventKind.TICK:
         return state.outage_started is None or phase is Phase.RESET_PENDING
@@ -167,9 +160,9 @@ def only_time_moves(state: OrchestratorState, kind: EventKind,
 
 
 def clock_moved(state: OrchestratorState, t_mono: MonotonicInstant) -> OrchestratorState:
-    """state with only last_t_mono, its last field, moved to t_mono: what the
-    full rule gives an event that only_time_moves accepts."""
-    return tuple.__new__(OrchestratorState, (*state[:5], t_mono))
+    """state with only last_t_mono, its last field, moved to t_mono: what
+    step() gives an event that only_time_moves accepts."""
+    return tuple.__new__(OrchestratorState, (*state[:4], t_mono))
 
 
 def step(
@@ -181,18 +174,9 @@ def step(
         raise OrderingError(
             f"event at {event.t_mono.nanoseconds} ns precedes {last.nanoseconds} ns"
         )
-    if only_time_moves(state, event.kind, event.verdict):
-        return clock_moved(state, event.t_mono), []
-    return _apply(state, event, config or OrchestratorConfig())
-
-
-def _apply(
-    state: OrchestratorState, event: Event, config: OrchestratorConfig
-) -> tuple[OrchestratorState, list[str]]:
-    """The full transition rule, for any event in order."""
+    config = config or OrchestratorConfig()
     actions: list[str] = []
     phase = state.phase
-    connectivity = state.connectivity
     outage = state.outage_started
     coarse = state.coarse_validated
     streak = state.clean_streak
@@ -239,11 +223,9 @@ def _apply(
         elif kind is EventKind.NTS_VERDICT and phase is Phase.COARSE_VALIDATED:
             phase = Phase.FINE_MONITORING
     elif kind is EventKind.NETWORK_DOWN:
-        connectivity = Connectivity.OFFLINE
         if phase in (Phase.FINE_MONITORING, Phase.COARSE_VALIDATED):
             phase = Phase.HOLDOVER
     elif kind is EventKind.NETWORK_UP:
-        connectivity = Connectivity.ONLINE
         if phase is Phase.HOLDOVER:
             # re-validate via NTS before resuming fine monitoring
             phase = Phase.COARSE_VALIDATED
@@ -254,7 +236,6 @@ def _apply(
 
     return OrchestratorState(
         phase=phase,
-        connectivity=connectivity,
         outage_started=outage,
         coarse_validated=coarse,
         clean_streak=streak,

@@ -25,13 +25,11 @@ from .detector import (
     ll_step,
     nts_test,
     roughtime_test,
-    verdict_from_json,
     verdict_to_json,
 )
 from .ensemble import ClockKfState, kf_init, kf_update
 from .orchestrator import (
     RESET_FILTER,
-    Connectivity,
     Event,
     EventKind,
     OrchestratorState,
@@ -133,6 +131,7 @@ class Monitor:
         self.on_verdict = on_verdict
         self.on_transition = on_transition
         self.have_fix = False
+        self.online = True
         self.anchor: Optional[tuple[Timestamp, MonotonicInstant]] = None
         self.last_fix: Optional[EpochRecord] = None
 
@@ -213,11 +212,14 @@ class Monitor:
         self._apply(EventKind.NTS_VERDICT, meas.t_mono_rx, verdict)
 
     def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:
-        """Connectivity at t, applied when it changes.  A failed poll repeats
-        NETWORK_DOWN: the machine may have reached FINE_MONITORING since."""
+        """Connectivity at t, applied when it differs from self.online, the
+        last one applied: the state machine keeps none.  A failed poll
+        repeats NETWORK_DOWN: the machine may have reached FINE_MONITORING
+        since."""
         self._check_order(t)
-        if repeat or up != (self.state.connectivity is Connectivity.ONLINE):
+        if repeat or up != self.online:
             self._apply(EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN, t)
+            self.online = up
 
     def finish(self) -> None:
         """End of input: a fix still held counts as lost."""
@@ -423,28 +425,6 @@ def run_scenario(
     )
     result.report = build_report(outputs, result, config_sha256(config))
     return outputs, result
-
-
-# -- event log serialization -------------------------------------------------
-
-
-def event_to_json(event: Event) -> str:
-    head = f'{{"t_mono_ns":{int.__repr__(event.t_mono.nanoseconds)},"kind":"{event.kind.value}"'
-    if event.verdict is None:
-        return head + "}"
-    return f'{head},"verdict":{verdict_to_json(event.verdict)}}}'
-
-
-def event_from_json(line: str) -> Event:
-    obj = json.loads(line)
-    verdict = None
-    if "verdict" in obj:
-        verdict = verdict_from_json(json.dumps(obj["verdict"]))
-    return Event(
-        kind=EventKind(obj["kind"]),
-        t_mono=MonotonicInstant(int(obj["t_mono_ns"])),
-        verdict=verdict,
-    )
 
 
 # -- trace writers: the one writer of each format, for simulate and live -----

@@ -46,6 +46,9 @@ KE_COOKIE = 5
 KE_SERVER = 6
 KE_PORT = 7
 KE_CRITICAL = 0x8000
+# the most NTS-KE response bytes read before End of Message; an honest
+# reply with 8 cookies comes to a few KiB
+KE_MAX_RESPONSE = 64 * 1024
 
 EF_UNIQUE_ID = 0x0104
 EF_COOKIE = 0x0204
@@ -211,21 +214,36 @@ def build_ke_request() -> bytes:
 
 
 def read_ke_records(sock) -> list[KeRecord]:
-    """Read records from a stream through End of Message; bytes after it are ignored."""
-    buf = b""
+    """Read records from a stream through End of Message; bytes after it are
+    ignored.  HandshakeError once KE_MAX_RESPONSE bytes came with no End of
+    Message."""
+    records: list[KeRecord] = []
+    buf = b""  # the bytes after the last whole record
+    received = 0
     while True:
         chunk = sock.recv(4096)
         if not chunk:
             raise HandshakeError("connection closed before End of Message")
+        received += len(chunk)
+        if received > KE_MAX_RESPONSE:
+            raise HandshakeError(f"no End of Message in {KE_MAX_RESPONSE} bytes")
         buf += chunk
-        records = []
+        used = 0
         try:
             for rec in decode_ke_records(buf):
                 records.append(rec)
                 if rec.rec_type == KE_END:
                     return records
+                used += 4 + len(rec.body)
         except HandshakeError:
             pass  # buf ends inside a record: read on
+        buf = buf[used:]
+
+
+def _uint16(body: bytes, name: str) -> int:
+    if len(body) != 2:
+        raise HandshakeError(f"{name} record body of {len(body)} bytes, not 2")
+    return int.from_bytes(body, "big")
 
 
 def _uint16_list(body: bytes) -> list[int]:
@@ -247,8 +265,7 @@ def parse_ke_response(
         if rec.rec_type == KE_END:
             break
         if rec.rec_type == KE_ERROR:
-            (code,) = struct.unpack(">H", rec.body)
-            raise HandshakeError(f"server reported error code {code}")
+            raise HandshakeError(f"server reported error code {_uint16(rec.body, 'Error')}")
         if rec.rec_type == KE_WARNING:
             continue
         if rec.rec_type == KE_NEXT_PROTO:
@@ -258,9 +275,12 @@ def parse_ke_response(
         elif rec.rec_type == KE_COOKIE:
             cookies.append(rec.body)
         elif rec.rec_type == KE_SERVER:
-            host = rec.body.decode("ascii")
+            try:
+                host = rec.body.decode("ascii")
+            except UnicodeDecodeError:
+                raise HandshakeError("Server record is not ASCII") from None
         elif rec.rec_type == KE_PORT:
-            (port,) = struct.unpack(">H", rec.body)
+            port = _uint16(rec.body, "Port")
         elif rec.critical:
             raise HandshakeError(f"unknown critical record type {rec.rec_type}")
     if next_proto != [NTPV4_PROTOCOL_ID]:

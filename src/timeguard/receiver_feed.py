@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
@@ -47,7 +47,6 @@ class EpochRecord(NamedTuple):
     t_gnss: Timestamp
     fix_valid: bool
     leap_applied: bool = True
-    clock_bias_ns: Optional[int] = None
     source_id: str = "gnss"
 
 
@@ -92,13 +91,11 @@ class NtsMeasurement:
 def epoch_to_json(rec: EpochRecord) -> str:
     """One epochs.jsonl line: the bytes of json.dumps(..., separators=(",", ":"))."""
     t = rec.t_gnss
-    bias = rec.clock_bias_ns
     return (
         f'{{"t_mono_ns":{int.__repr__(rec.t_mono.nanoseconds)},'
         f'"t_gnss":{{"sec":{int.__repr__(t.seconds)},"frac":"{int.__repr__(t.fraction)}"}},'
         f'"fix_valid":{"true" if rec.fix_valid else "false"},'
         f'"leap_applied":{"true" if rec.leap_applied else "false"},'
-        f'"clock_bias_ns":{"null" if bias is None else int.__repr__(bias)},'
         f'"source_id":{json_string(rec.source_id)}}}'
     )
 
@@ -147,7 +144,10 @@ def json_text(obj: dict, key: str, default: str) -> str:
 
 
 def epoch_from_json(obj: dict) -> EpochRecord:
-    """The EpochRecord of one decoded feed line; FeedError if it is malformed."""
+    """The EpochRecord of one decoded feed line; FeedError if it is malformed.
+
+    A key it does not read is ignored, such as the clock_bias_ns that
+    older feeds carry."""
     try:
         gnss = obj["t_gnss"]
         return EpochRecord(
@@ -155,8 +155,6 @@ def epoch_from_json(obj: dict) -> EpochRecord:
             t_gnss=Timestamp.from_parts(json_int(gnss, "sec"), json_int(gnss, "frac", text=True)),
             fix_valid=json_flag(obj, "fix_valid"),
             leap_applied=json_flag(obj, "leap_applied"),
-            clock_bias_ns=(None if obj.get("clock_bias_ns") is None
-                           else json_int(obj, "clock_bias_ns")),
             source_id=json_text(obj, "source_id", "gnss"),
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -80,7 +80,6 @@ def epoch_line(e, fix=True, offset_s=0.0):
             "t_gnss": {"sec": t_gnss.seconds, "frac": str(t_gnss.fraction)},
             "fix_valid": fix,
             "leap_applied": True,
-            "clock_bias_ns": None,
             "source_id": "gnss",
         }
     )

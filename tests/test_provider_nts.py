@@ -20,6 +20,7 @@ from timeguard.provider_nts import (
     EF_UNIQUE_ID,
     AuthenticationError,
     CookieError,
+    KE_MAX_RESPONSE,
     HandshakeError,
     KeRecord,
     NegotiationError,
@@ -212,6 +213,17 @@ def test_parse_ke_response_unknown_critical():
         parse_ke_response(make_response(extra=[KeRecord(0x70, True, b"")]))
 
 
+@pytest.mark.parametrize("record", [
+    *(KeRecord(2, True, body) for body in (b"", b"\x01", b"\x00\x01\x02")),  # Error
+    *(KeRecord(7, False, body) for body in (b"", b"\x23", b"\x23\x00\x00")),  # Port
+    KeRecord(6, False, b"ntp.example\xff"),  # Server, not ASCII
+    KeRecord(6, False, "z\u00fcrich.example".encode()),
+])
+def test_parse_ke_response_refuses_a_malformed_record_body(record):
+    with pytest.raises(HandshakeError):
+        parse_ke_response(make_response(extra=[record]))
+
+
 def test_build_ke_request_parses_back():
     recs = list(decode_ke_records(build_ke_request()))
     assert [r.rec_type for r in recs] == [1, 4, 0]
@@ -257,6 +269,42 @@ def test_read_ke_records_close_inside_a_record_is_refused(cut):
         read_ke_records(FakeStream(RESPONSE[:cut]))
     with pytest.raises(HandshakeError):
         read_ke_records(FakeStream(RESPONSE[:cut], step=1))
+
+
+class EndlessStream:
+    """A socket whose recv hands out `record` over and over, `step` bytes at a
+    time, and never an End of Message."""
+
+    def __init__(self, record, step=4096):
+        self.record, self.step, self.sent = record, step, 0
+
+    def recv(self, bufsize):
+        n = min(self.step, bufsize)
+        start = self.sent % len(self.record)
+        chunk = (self.record * (2 + n // len(self.record)))[start : start + n]
+        self.sent += n
+        return chunk
+
+
+@pytest.mark.parametrize("record, step", [
+    (encode_ke_record(3, b"\x00\x00", False), 4096),  # warnings
+    (encode_ke_record(5, b"c" * 100, False), 7),  # cookies, a few bytes at a time
+    (encode_ke_record(5, b"c" * 65_535, False), 4096),  # one record past the cap
+])
+def test_read_ke_records_refuses_a_response_with_no_end_past_the_cap(record, step):
+    stream = EndlessStream(record, step)
+    with pytest.raises(HandshakeError, match="End of Message"):
+        read_ke_records(stream)
+    assert KE_MAX_RESPONSE < stream.sent <= KE_MAX_RESPONSE + step
+
+
+def test_read_ke_records_takes_an_honest_reply_well_inside_the_cap():
+    # 8 cookies of 1 KiB, several times what a server sends
+    records = make_response(cookies=0, extra=[KeRecord(5, False, bytes([i]) * 1024)
+                                              for i in range(8)])
+    response = b"".join(encode_ke_record(r.rec_type, r.body, r.critical) for r in records)
+    assert 4 * len(response) < KE_MAX_RESPONSE
+    assert read_ke_records(FakeStream(response, step=3)) == records
 
 
 def test_read_ke_records_close_before_end_of_message_is_refused():

@@ -19,10 +19,17 @@ def test_json_round_trip_exact():
         t_gnss=Timestamp.from_parts(1689182889, (1 << 63) + 12345),
         fix_valid=True,
         leap_applied=False,
-        clock_bias_ns=-42,
         source_id="sim",
     )
     assert epoch_from_json(json.loads(epoch_to_json(rec))) == rec
+
+
+@pytest.mark.parametrize("bias", [None, -42, "not read"])
+def test_an_older_line_with_clock_bias_ns_still_parses(bias):
+    rec = EpochRecord(MonotonicInstant(5), Timestamp.from_parts(1689182889, 7), True)
+    obj = json.loads(epoch_to_json(rec))
+    assert "clock_bias_ns" not in obj
+    assert epoch_from_json({**obj, "clock_bias_ns": bias}) == rec
 
 
 def test_json_fraction_is_string():

@@ -1,7 +1,8 @@
 """The per-epoch records keep their contracts as tuples.
 
-EpochRecord, ClockKfState, Verdict, Event and OrchestratorState are
-NamedTuples, because every epoch builds one of each.  The three that
+EpochRecord, ClockKfState, Verdict and OrchestratorState are
+NamedTuples, because every epoch builds one of each; so is Event, built
+for each event that goes through the transition rule.  The three that
 check their fields do so in a __new__ that runs before the tuple is
 built, with the exception and text the frozen dataclasses raised; every
 record refuses assignment to a field, and two records built from equal
@@ -16,7 +17,6 @@ import pytest
 from timeguard.detector import ConfigError, Hypothesis, Verdict
 from timeguard.ensemble import ClockKfState, FilterDomainError, kf_init
 from timeguard.orchestrator import (
-    Connectivity,
     Event,
     EventKind,
     OrchestratorState,
@@ -38,12 +38,12 @@ def verdict(**changes):
 # each builds one record from fresh but equal field values
 BUILDERS = {
     "EpochRecord": lambda: EpochRecord(MonotonicInstant(7), Timestamp(2**70 + 1), True,
-                                       False, -12, "gnss-sim"),
+                                       False, "gnss-sim"),
     "ClockKfState": lambda: ClockKfState(1e-7, 2e-10, 1e-12, 0.0, 1e-18, 1e-21, 1e-24),
     "Verdict": verdict,
     "Event": lambda: Event(EventKind.NTS_VERDICT, T, verdict(test="nts")),
-    "OrchestratorState": lambda: OrchestratorState(Phase.HOLDOVER, Connectivity.OFFLINE,
-                                                   MonotonicInstant(3), True, 2, T),
+    "OrchestratorState": lambda: OrchestratorState(Phase.HOLDOVER, MonotonicInstant(3), True,
+                                                   2, T),
 }
 
 
@@ -77,8 +77,8 @@ def test_a_record_round_trips_through_pickle(build):
 
 def test_defaults_fill_the_unset_fields():
     rec = EpochRecord(MonotonicInstant(0), Timestamp(0), fix_valid=True)
-    assert (rec.leap_applied, rec.clock_bias_ns, rec.source_id) == (True, None, "gnss")
-    assert OrchestratorState() == (Phase.COLD_START, Connectivity.ONLINE, None, False, 0, None)
+    assert (rec.leap_applied, rec.source_id) == (True, "gnss")
+    assert OrchestratorState() == (Phase.COLD_START, None, False, 0, None)
     assert OrchestratorState().active_time_source == "gnss"
     assert Event(EventKind.TICK, T).verdict is None
     state = kf_init()

@@ -48,10 +48,7 @@ CALLER_FILES = sorted(
 
 # Public names that stay without a runtime caller, each for a reason.
 KEEP = {
-    # the event log: its JSON pair, for an events.jsonl replay artifact, and
-    # replay(), which acceptance criterion 7 runs a recorded log through
-    "event_to_json",
-    "event_from_json",
+    # replay(), which acceptance criterion 7 runs a recorded event log through
     "replay",
     # criterion 4 reads the matrix views
     "ClockKfState.x",

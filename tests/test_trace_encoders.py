@@ -1,7 +1,7 @@
 """The hand-written line encoders against json.dumps.
 
-epoch_to_json, verdict_to_json, transition_to_json and event_to_json
-build their lines with f-strings.  Each must write the bytes that
+epoch_to_json, verdict_to_json and transition_to_json build their
+lines with f-strings.  Each must write the bytes that
 json.dumps(dict, separators=(",", ":")) writes for the same record; the
 references below are that dict, key for key.
 """
@@ -16,14 +16,12 @@ from timeguard.detector import Hypothesis, Verdict, verdict_to_json
 from timeguard.orchestrator import (
     RESET_FILTER,
     SCHEDULE_NTS,
-    Event,
     EventKind,
     Phase,
     TransitionRecord,
     alert,
     transition_to_json,
 )
-from timeguard.pipeline import event_to_json
 from timeguard.receiver_feed import EpochRecord, epoch_to_json
 from timeguard.timebase import MonotonicInstant, Timestamp
 
@@ -38,7 +36,6 @@ def epoch_ref(rec: EpochRecord) -> str:
         "t_gnss": {"sec": rec.t_gnss.seconds, "frac": str(rec.t_gnss.fraction)},
         "fix_valid": rec.fix_valid,
         "leap_applied": rec.leap_applied,
-        "clock_bias_ns": rec.clock_bias_ns,
         "source_id": rec.source_id,
     })
 
@@ -65,13 +62,6 @@ def transition_ref(r: TransitionRecord) -> str:
     })
 
 
-def event_ref(e: Event) -> str:
-    obj: dict = {"t_mono_ns": e.t_mono.nanoseconds, "kind": e.kind.value}
-    if e.verdict is not None:
-        obj["verdict"] = json.loads(verdict_ref(e.verdict))
-    return dumps(obj)
-
-
 # feed lines accept any JSON string as a source id
 IDS = ["gnss", 'say "hi"', "back\\slash", "bell\x07tab\t", "line\u2028sep", "Z\u00fcrich", ""]
 T_MONO = [MonotonicInstant(0), MonotonicInstant(1_500_000_000), MonotonicInstant(2**64 - 1)]
@@ -87,8 +77,8 @@ EPOCHS = (
     [EpochRecord(t, T_GNSS[0], True) for t in T_MONO]
     + [EpochRecord(T_MONO[1], ts, True) for ts in T_GNSS]
     + [EpochRecord(T_MONO[1], T_GNSS[0], False, leap_applied=False)]
-    + [EpochRecord(T_MONO[1], T_GNSS[0], True, clock_bias_ns=b) for b in (None, 0, -987_654)]
-    + [EpochRecord(T_MONO[1], T_GNSS[1], False, clock_bias_ns=-1, source_id=s) for s in IDS]
+    + [EpochRecord(T_MONO[1], T_GNSS[0], True, source_id=s) for s in ("rx-0", "0", "rx 2")]
+    + [EpochRecord(T_MONO[1], T_GNSS[1], False, source_id=s) for s in IDS]
 )
 
 VERDICTS = (
@@ -114,15 +104,10 @@ TRANSITIONS = [
     for actions in ACTIONS[3:]
 ]
 
-EVENTS = [Event(EventKind.TICK, t) for t in T_MONO] + [
-    Event(EventKind.NTS_VERDICT, v.t_mono, v) for v in VERDICTS
-]
-
 CASES = (
     [(epoch_to_json, epoch_ref, r) for r in EPOCHS]
     + [(verdict_to_json, verdict_ref, v) for v in VERDICTS]
     + [(transition_to_json, transition_ref, r) for r in TRANSITIONS]
-    + [(event_to_json, event_ref, e) for e in EVENTS]
 )
 
 
