@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TextIO
 
-from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise_cov
+from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise
 from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement, epoch_to_json
 from .timebase import FRAC_UNIT, MonotonicInstant, SignedDuration, Timestamp, units_from_s
 
@@ -129,11 +129,10 @@ def attack_offset(attack: AttackSpec, epoch: int) -> float:
     raise SpecValidationError(f"attack.kind {attack.kind!r} unknown")
 
 
-def _chol2(q: np.ndarray) -> np.ndarray:
-    """Lower-triangular square root of a 2x2 PSD matrix, zeros allowed."""
+def _chol2(a: float, b: float, c: float) -> np.ndarray:
+    """Lower-triangular square root of the PSD matrix [[a, b], [b, c]], zeros allowed."""
     import numpy as np
 
-    a, b, c = q[0, 0], q[0, 1], q[1, 1]
     if a <= 0.0:
         return np.array([[0.0, 0.0], [0.0, math.sqrt(max(c, 0.0))]])
     l00 = math.sqrt(a)
@@ -161,7 +160,7 @@ def simulate_oscillator(
     if n < 1:
         raise SpecValidationError("need at least one epoch")
     rng = seed if isinstance(seed, np.random.Generator) else _stream(seed, _STREAM_OSCILLATOR)
-    chol = _chol2(process_noise_cov(spec.q_b, spec.q_d, period_s))
+    chol = _chol2(*process_noise(spec.q_b, spec.q_d, period_s))
     noise = rng.standard_normal((n - 1, 2)) @ chol.T
     drift = np.add.accumulate(np.concatenate(([drift0], noise[:, 1])))
     return np.add.accumulate(np.concatenate(([bias0], drift[:-1] * period_s + noise[:, 0])))

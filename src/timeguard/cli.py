@@ -79,11 +79,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="timeguard", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--config", metavar="FILE", default=None,
-                       help="INI config overlaying the defaults")
-        p.add_argument("--out-dir", metavar="DIR", default=None,
-                       help="directory for trace files and reports")
+    flags = {"--config": ("FILE", "INI config overlaying the defaults"),
+             "--out-dir": ("DIR", "directory for trace files and reports")}
+
+    def common(p: _Parser, *names: str) -> None:
+        """Add the flags named, all of them if none: only those the command reads."""
+        for name in names or flags:
+            p.add_argument(name, metavar=flags[name][0], default=None, help=flags[name][1])
 
     p = sub.add_parser("simulate", help="replay a generated scenario end to end")
     common(p)
@@ -109,12 +111,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("bench-crypto", help="time signing, verification, and AEAD")
-    common(p)
+    common(p, "--out-dir")
     p.add_argument("--iterations", type=int, default=200, metavar="N")
     p.set_defaults(fn=cmd_bench_crypto)
 
     p = sub.add_parser("config", help="inspect the effective configuration")
-    common(p)
+    common(p, "--config")
     p.add_argument("action", choices=("dump",))
     p.set_defaults(fn=cmd_config)
     return parser

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, get_args, get_type_hints
 
 from .attack_sim import AttackSpec, NetworkSpec, ScenarioSpec, builtin_scenarios
 from .detector import DetectorConfig
-from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec
+from .ensemble import OscillatorSpec
 from .orchestrator import OrchestratorConfig
 from .timebase import SignedDuration
 
@@ -30,21 +30,17 @@ class ConfigFileError(Exception):
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    """Oscillator model, the 1-sigma bias readout noise (s) and the filter gate."""
+class EnsembleConfig(OscillatorSpec):
+    """The oscillator model, q_b and q_d checked as OscillatorSpec checks them,
+    plus the 1-sigma bias readout noise (s) and the filter gate."""
 
-    q_b: float = DEFAULT_OSCILLATOR.q_b
-    q_d: float = DEFAULT_OSCILLATOR.q_d
     sigma_meas_s: float = 10e-9
     gate_k: float = 3.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.gate_k <= 0:
             raise ConfigFileError("ensemble.gate_k must be positive")
-
-    @property
-    def oscillator(self) -> OscillatorSpec:
-        return OscillatorSpec(q_b=self.q_b, q_d=self.q_d)
 
 
 @dataclass(frozen=True)
@@ -73,6 +69,10 @@ class ProviderConfig:
     nts_ke_port: int = 4460
     nts_ca_file: str = ""
     timeout_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (0 < self.roughtime_port < 65536 and 0 < self.nts_ke_port < 65536):
+            raise ConfigFileError("providers: a port must lie in 1-65535")
 
 
 @dataclass(frozen=True)
@@ -229,12 +229,23 @@ def load_config(path: Optional[str] = None) -> AppConfig:
 
 
 def apply_env(config: AppConfig, env: Mapping[str, str]) -> AppConfig:
-    """Provider address overrides, `host:port` or bare `host`."""
+    """Provider address overrides: `host:port`, `[host]:port` for an IPv6
+    address, or a bare host, IPv6 addresses included, at the default port."""
 
     def split(addr: str, default_port: int) -> tuple[str, int]:
-        host, sep, port = addr.rpartition(":")
-        if not sep:
-            return addr, default_port
+        if addr.startswith("["):
+            host, sep, rest = addr[1:].partition("]")
+            if not sep or rest[:1] not in ("", ":"):
+                raise ConfigFileError(f"bad address {addr!r}")
+            port = rest[1:] if rest else None
+        elif addr.count(":") == 1:
+            host, _, port = addr.partition(":")
+        else:  # a name, an IPv4 address or a bare IPv6 address
+            host, port = addr, None
+        if addr and not host:  # an empty value leaves the provider unset, as the default does
+            raise ConfigFileError(f"no host in address {addr!r}")
+        if port is None:
+            return host, default_port
         try:
             return host, int(port)
         except ValueError:

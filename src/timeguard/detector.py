@@ -203,19 +203,20 @@ class LlDetectorState:
     Z is seeded at the stationary mean of ln p under the fitted null, so
     a fresh start carries no transient in either direction.  The density
     terms are fixed by the parameters, at sigma0_sq floored at
-    SIGMA2_FLOOR, and are computed once; a state without a fitted
-    sigma0_sq has none and cannot advance.
+    SIGMA2_FLOOR, and are computed once; ConfigError for parameters
+    without a fitted sigma0_sq, which have no density to advance.
     """
 
     params: LlConfig
     z: Optional[float] = field(init=False, default=None)
     window: deque = field(init=False)
-    terms: Optional[tuple[float, float]] = field(init=False, default=None)
+    terms: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.params.sigma0_sq is None:
+            raise ConfigError("the ll window needs a fitted sigma0_sq")
         self.window = deque(maxlen=self.params.m)
-        if self.params.sigma0_sq is not None:
-            self.terms = density_terms(max(self.params.sigma0_sq, SIGMA2_FLOOR))
+        self.terms = density_terms(max(self.params.sigma0_sq, SIGMA2_FLOOR))
 
 
 def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:

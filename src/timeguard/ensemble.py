@@ -17,25 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-if TYPE_CHECKING:
-    import numpy as np
-
-DEFAULT_GATE_K = 3.0
 # relative tolerance for the symmetric-PSD state invariant
 PSD_RTOL = 1e-12
 
 
-class EnsembleError(Exception):
-    """Base class for filter failures."""
-
-
-class FilterDomainError(EnsembleError):
+class FilterDomainError(Exception):
     """Invalid filter input (negative tau, bad noise densities)."""
 
 
-class MeasurementError(EnsembleError):
+class MeasurementError(Exception):
     """A measurement that is not one finite number, or a negative variance."""
 
 
@@ -60,17 +52,9 @@ class OscillatorSpec:
 DEFAULT_OSCILLATOR = OscillatorSpec()
 
 
-def _process_noise(q_b: float, q_d: float, tau: float) -> tuple[float, float, float]:
+def process_noise(q_b: float, q_d: float, tau: float) -> tuple[float, float, float]:
     """(q00, q01, q11): exact discretization of white-FM + RW-FM over tau."""
     return q_b * tau + q_d * tau**3 / 3.0, q_d * tau**2 / 2.0, q_d * tau
-
-
-def process_noise_cov(q_b: float, q_d: float, tau: float) -> np.ndarray:
-    """Exact discretization of the continuous white-FM + RW-FM model over tau."""
-    import numpy as np
-
-    q00, q01, q11 = _process_noise(q_b, q_d, tau)
-    return np.array([[q00, q01], [q01, q11]])
 
 
 def min_eigenvalue(p00: float, p01: float, p11: float) -> float:
@@ -92,58 +76,33 @@ class _ClockKfFields(NamedTuple):
     p00: float
     p01: float
     p11: float
-    q_b: float = DEFAULT_OSCILLATOR.q_b
-    q_d: float = DEFAULT_OSCILLATOR.q_d
 
 
 class ClockKfState(_ClockKfFields):
-    """Filter state: x = [bias (s), drift (s/s)], P = [[p00, p01], [p01, p11]].
+    """Filter estimate: x = [bias (s), drift (s/s)], P = [[p00, p01], [p01, p11]].
 
     An immutable tuple, since every filtered epoch builds one; the
-    constructor checks the process noise and the covariance before it
-    builds the tuple.
+    constructor checks the covariance before it builds the tuple.  The
+    oscillator model, checked once when built, is kf_predict's argument.
     """
 
     __slots__ = ()
 
-    def __new__(cls, bias: float, drift: float, p00: float, p01: float, p11: float,
-                q_b: float = DEFAULT_OSCILLATOR.q_b,
-                q_d: float = DEFAULT_OSCILLATOR.q_d) -> "ClockKfState":
-        if not (q_b >= 0 and q_d >= 0):
-            raise FilterDomainError("process noise densities must be >= 0")
+    def __new__(cls, bias: float, drift: float, p00: float, p01: float,
+                p11: float) -> ClockKfState:
         # min_eigenvalue written out, against the tightest tolerance
         # _check_psd applies: what passes here passes there.  A NaN or
         # infinite entry makes the eigenvalue NaN or -inf and falls through,
         # so _check_psd rejects it, or judges entries past 1 by their size.
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
             _check_psd(p00, p01, p11)
-        return tuple.__new__(cls, (bias, drift, p00, p01, p11, q_b, q_d))
-
-    @property
-    def x(self) -> np.ndarray:
-        """[bias, drift], read-only."""
-        import numpy as np
-
-        x = np.array([self.bias, self.drift])
-        x.setflags(write=False)
-        return x
-
-    @property
-    def P(self) -> np.ndarray:
-        """The 2x2 covariance, read-only."""
-        import numpy as np
-
-        P = np.array([[self.p00, self.p01], [self.p01, self.p11]])
-        P.setflags(write=False)
-        return P
+        return tuple.__new__(cls, (bias, drift, p00, p01, p11))
 
 
-def kf_init(
-    spec: OscillatorSpec = DEFAULT_OSCILLATOR, bias: float = 0.0, drift: float = 0.0
-) -> ClockKfState:
+def kf_init(bias: float = 0.0, drift: float = 0.0) -> ClockKfState:
     """Fresh state with a diagonal prior of 1 us in bias and 1 ns/s in drift;
     used after coarse validation."""
-    return ClockKfState(float(bias), float(drift), 1e-6**2, 0.0, 1e-9**2, spec.q_b, spec.q_d)
+    return ClockKfState(float(bias), float(drift), 1e-6**2, 0.0, 1e-9**2)
 
 
 def _check_tau(tau: float) -> None:
@@ -151,24 +110,23 @@ def _check_tau(tau: float) -> None:
         raise FilterDomainError(f"tau must be finite and >= 0, got {tau}")
 
 
-def _predicted(state: ClockKfState, tau: float) -> tuple[float, ...]:
+def _predicted(state: ClockKfState, osc: OscillatorSpec, tau: float) -> tuple[float, ...]:
     """The state's fields tau seconds ahead: x = F x, P = F P F^T + Q(tau)."""
     # one unpacking: a tuple field read by name costs several times as much
-    bias, drift, p00, p01, p11, q_b, q_d = state
-    q00, q01, q11 = _process_noise(q_b, q_d, tau)
+    bias, drift, p00, p01, p11 = state
+    q00, q01, q11 = process_noise(osc.q_b, osc.q_d, tau)
     # F = [[1, tau], [0, 1]]; a and b are the first row of F P
     a = p00 + tau * p01
     b = p01 + tau * p11
-    return (bias + tau * drift, drift,
-            a + b * tau + q00, b + q01, p11 + q11, q_b, q_d)
+    return bias + tau * drift, drift, a + b * tau + q00, b + q01, p11 + q11
 
 
-def kf_predict(state: ClockKfState, tau: float) -> ClockKfState:
-    """Propagate the state tau seconds forward: x = F x, P = F P F^T + Q(tau)."""
+def kf_predict(state: ClockKfState, osc: OscillatorSpec, tau: float) -> ClockKfState:
+    """Propagate the state tau seconds forward under osc: x = F x, P = F P F^T + Q(tau)."""
     _check_tau(tau)
     if tau == 0:
         return state
-    return ClockKfState(*_predicted(state, tau))
+    return ClockKfState(*_predicted(state, osc, tau))
 
 
 class KfUpdate(NamedTuple):
@@ -180,12 +138,13 @@ class KfUpdate(NamedTuple):
 
 def kf_update(
     state: ClockKfState,
+    osc: OscillatorSpec,
     z: float,
     r_meas: float,
-    gate_k: float = DEFAULT_GATE_K,
+    gate_k: float = 3.0,
     tau: float = 0.0,
 ) -> KfUpdate:
-    """Predict tau seconds forward, as kf_predict does, then a gated measurement update.
+    """Predict tau seconds forward under osc, as kf_predict does, then a gated update.
 
     The prediction makes the same checks as kf_predict, in the same
     order, and the same floats, but builds no state of its own: the one
@@ -206,9 +165,9 @@ def kf_update(
     """
     _check_tau(tau)
     if tau == 0:
-        bias, drift, p00, p01, p11, q_b, q_d = state
+        bias, drift, p00, p01, p11 = state
     else:
-        bias, drift, p00, p01, p11, q_b, q_d = _predicted(state, tau)
+        bias, drift, p00, p01, p11 = _predicted(state, osc, tau)
         # ClockKfState's constructor check, written out as it is there, on
         # the predicted covariance that an accepted update never builds
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
@@ -233,7 +192,7 @@ def kf_update(
     S = p00 + r
     if not abs(innovation) <= gate_k * math.sqrt(max(S, 0.0)):
         if tau != 0:
-            state = ClockKfState(bias, drift, p00, p01, p11, q_b, q_d)
+            state = ClockKfState(bias, drift, p00, p01, p11)
         return KfUpdate(state, False, innovation, S)
     if S == 0.0:
         raise FilterDomainError("innovation variance is zero: no prior and no readout noise")
@@ -247,7 +206,6 @@ def kf_update(
             a * p00 * a + k0 * r * k0,
             c * a + k1 * r * k0,
             p11 - k1 * p01 - c * k1 + k1 * r * k1,
-            q_b, q_d,
         ),
         True, innovation, S,
     )

@@ -50,21 +50,20 @@ if TYPE_CHECKING:
 
 @dataclass
 class FilterChain:
-    """Kalman tracker feeding the ll detector its innovations.
+    """Kalman tracker of the GNSS-minus-local-clock bias.
 
     The chain consumes one bias observation per epoch (GNSS time minus
     the local clock's projection, seconds), tracks it with a gated
-    two-state filter, and hands the innovation, observation minus
-    one-step prediction, to the log-likelihood detector.  Benign
-    innovations are white at the readout-noise scale, so the detector's
-    null is stationary; a spoof the gate rejects leaves a sustained
-    innovation shift for as long as the discrepancy lasts.
+    two-state filter under the ensemble's oscillator model, and returns
+    the innovation, observation minus one-step prediction, that the
+    log-likelihood detector reads.  Benign innovations are white at the
+    readout-noise scale, so the detector's null is stationary; a spoof
+    the gate rejects leaves a sustained innovation shift for as long as
+    the discrepancy lasts.
     """
 
     ensemble: EnsembleConfig
-    ll_params: LlConfig
     kf: ClockKfState = field(init=False)
-    ll_state: LlDetectorState = field(init=False)
     _last: Optional[MonotonicInstant] = field(init=False, default=None)
     _r: float = field(init=False)  # the readout variance, s^2
 
@@ -73,14 +72,13 @@ class FilterChain:
         self.reset()
 
     def reset(self) -> None:
-        self.kf = kf_init(self.ensemble.oscillator)
-        self.ll_state = LlDetectorState(params=self.ll_params)
+        self.kf = kf_init()
         self._last = None
 
     def track(self, bias_s: float, t_mono: MonotonicInstant) -> tuple[float, float]:
         """Filter one observation; returns (filtered bias, innovation)."""
         tau = 0.0 if self._last is None else t_mono.elapsed_s(self._last)
-        update = kf_update(self.kf, bias_s, self._r, self.ensemble.gate_k, tau)
+        update = kf_update(self.kf, self.ensemble, bias_s, self._r, self.ensemble.gate_k, tau)
         self.kf, self._last = update.state, t_mono
         return self.kf.bias, update.innovation
 
@@ -103,20 +101,20 @@ def local_bias_s(rec: EpochRecord, utc0: Timestamp, mono0: MonotonicInstant) -> 
 class Monitor:
     """The per-epoch engine that simulate and live share.
 
-    Owns the filter chain, the orchestrator state and the fix, anchor
-    and connectivity bookkeeping.  It reads nothing but the config and
-    its inputs, so a run written out as a feed replays to the same
-    output.  Each input method checks the order at entry, applies the
-    input to the state machine, and only then hands on what it applied:
-    `on_verdict(verdict)` for every verdict, and `on_transition(event,
-    record)` for every event that goes through the transition rule.  An
-    event that only moves the clock (orchestrator.only_time_moves: a
-    quiet TICK, an H0 in a settled phase, a repeated H1 in ALARM) is
-    applied in place, with no Event, step or record built, so
-    on_transition never sees it; its record would be a self-loop with no
-    action, and replaying the events on_transition saw still reproduces
-    its records.  An epoch applies its fix change and its ll verdict, or
-    a TICK when it has neither, so every epoch moves the clock.
+    Owns the filter chain, the ll window over its innovations, the
+    orchestrator state and the fix, anchor and connectivity bookkeeping.  It
+    reads nothing but the config and its inputs, so a run written out as a
+    feed replays to the same output.  Each input method checks the order at
+    entry, applies the input to the state machine, and only then hands on
+    what it applied: `on_verdict(verdict)` for every verdict, and
+    `on_transition(event, record)` for every event that goes through the
+    transition rule.  An event that only moves the clock
+    (orchestrator.only_time_moves: a quiet TICK, an H0 in a settled phase, a
+    repeated H1 in ALARM) is applied in place, with no Event, step or record
+    built, so on_transition never sees it; its record would be a self-loop
+    with no action, and replaying the events on_transition saw still
+    reproduces its records.  An epoch applies its fix change and its ll
+    verdict, or a TICK when it has neither, so every epoch moves the clock.
     """
 
     def __init__(
@@ -126,7 +124,8 @@ class Monitor:
         on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
     ) -> None:
         self.config = config
-        self.chain = FilterChain(ensemble=config.ensemble, ll_params=resolve_ll(config))
+        self.chain = FilterChain(config.ensemble)
+        self.ll = LlDetectorState(resolve_ll(config))
         self.state = initial_state()
         self.on_verdict = on_verdict
         self.on_transition = on_transition
@@ -142,12 +141,17 @@ class Monitor:
         if only_time_moves(state, kind, verdict):
             self.state = clock_moved(state, t)
         else:
-            self.state, actions = advance(state, Event(kind, t, verdict),
-                                          self.config.orchestrator, self.on_transition)
-            if RESET_FILTER in actions:
-                self.chain.reset()
+            self._advance(Event(kind, t, verdict))
         if verdict is not None and self.on_verdict is not None:
             self.on_verdict(verdict)
+
+    def _advance(self, event: Event) -> None:
+        """Send event through the rule; RESET_FILTER restarts tracker and ll window together."""
+        self.state, actions = advance(self.state, event, self.config.orchestrator,
+                                      self.on_transition)
+        if RESET_FILTER in actions:
+            self.chain.reset()
+            self.ll = LlDetectorState(self.ll.params)
 
     def _reference(self) -> Timestamp:
         if self.last_fix is None:
@@ -182,7 +186,7 @@ class Monitor:
         if rec.fix_valid:
             self.last_fix = rec
             tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
-            verdict = ll_step(self.chain.ll_state, tracked[1], t)
+            verdict = ll_step(self.ll, tracked[1], t)
             if verdict is not None:
                 self._apply(EventKind.LL_VERDICT, t, verdict)
                 applied = True
@@ -234,7 +238,7 @@ def training_residuals(outputs: SimOutputs, config: AppConfig) -> np.ndarray:
     """Filter innovations from a generated benign run, for threshold fitting."""
     import numpy as np
 
-    chain = FilterChain(ensemble=config.ensemble, ll_params=config.detector.ll)
+    chain = FilterChain(config.ensemble)
     utc0, mono0 = outputs.epochs[0].t_gnss, outputs.epochs[0].t_mono
     residuals = np.empty(len(outputs.epochs))
     for e, rec in enumerate(outputs.epochs):

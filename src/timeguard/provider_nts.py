@@ -300,8 +300,12 @@ def pack_ntp64(ts: Timestamp) -> int:
     return (sec << 32) | (ts.fraction >> 32)
 
 
-def unpack_ntp64(word: int, era: int = 0) -> Timestamp:
-    sec = (word >> 32) - NTP_UNIX_DELTA + era * (1 << 32)
+def unpack_ntp64(word: int, near: Timestamp) -> Timestamp:
+    """The instant an NTP timestamp names in the era that puts it within
+    2^31 s of `near` (RFC 5905 section 6): its seconds field wraps every
+    2^32 s, first on 2036-02-07."""
+    sec = (word >> 32) - NTP_UNIX_DELTA
+    sec += ((near.seconds - sec + (1 << 31)) >> 32) << 32
     return Timestamp.from_parts(sec, (word & 0xFFFFFFFF) << 32)
 
 
@@ -417,7 +421,7 @@ def build_nts_request(session: NtsSession, t1: Timestamp, num_placeholders: int 
 def parse_nts_response(
     session: NtsSession, request: NtsRequest, data: bytes
 ) -> tuple[Timestamp, Timestamp, list[bytes]]:
-    """Authenticate a reply; returns (T2, T3, new cookies)."""
+    """Authenticate a reply; returns (T2, T3, new cookies), read in T1's NTP era."""
     version, mode, _origin, recv64, tx64 = parse_ntp_header(data)
     if version != 4 or mode != 4:
         raise PacketError(f"unexpected version/mode {version}/{mode}")
@@ -440,7 +444,7 @@ def parse_nts_response(
     new_cookies = [
         ef_body for ef_type, ef_body, _s, _e in iter_efs(plaintext, 0) if ef_type == EF_COOKIE
     ]
-    return unpack_ntp64(recv64), unpack_ntp64(tx64), new_cookies
+    return unpack_ntp64(recv64, request.t1), unpack_ntp64(tx64, request.t1), new_cookies
 
 
 Transport = Callable[[bytes], bytes]
@@ -448,9 +452,10 @@ Transport = Callable[[bytes], bytes]
 
 def udp_transport(host: str, port: int, timeout_s: float) -> Transport:
     def send(request: bytes) -> bytes:
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        family, _, _, _, address = socket.getaddrinfo(host, port, type=socket.SOCK_DGRAM)[0]
+        with socket.socket(family, socket.SOCK_DGRAM) as sock:
             sock.settimeout(timeout_s)
-            sock.sendto(request, (host, port))
+            sock.sendto(request, address)
             data, _ = sock.recvfrom(65536)
             return data
 

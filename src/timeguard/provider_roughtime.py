@@ -368,9 +368,10 @@ Transport = Callable[[bytes], bytes]
 
 def udp_transport(host: str, port: int, timeout_s: float) -> Transport:
     def send(request: bytes) -> bytes:
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        family, _, _, _, address = socket.getaddrinfo(host, port, type=socket.SOCK_DGRAM)[0]
+        with socket.socket(family, socket.SOCK_DGRAM) as sock:
             sock.settimeout(timeout_s)
-            sock.sendto(request, (host, port))
+            sock.sendto(request, address)
             data, _ = sock.recvfrom(65536)
             return data
 

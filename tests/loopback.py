@@ -3,8 +3,8 @@
 `NtsTestServer` and `RoughtimeTestServer` answer requests as in-process
 oracles.  The tests that run the clients' own sockets, the NTS-KE TLS
 handshake and `live` against real providers, serve those oracles here:
-`udp` answers datagrams through a server's `transport`, so its tamper
-knobs apply, including ones flipped mid-test, and `nts_ke` adds an NTS-KE
+`udp` answers datagrams through a server's `transport`, on IPv4 or IPv6
+loopback, so its tamper knobs apply, including ones flipped mid-test, and `nts_ke` adds an NTS-KE
 listener with a self-signed certificate for 127.0.0.1.  Each is a context
 manager that closes its sockets and joins its thread on exit.
 """
@@ -45,6 +45,16 @@ from timeguard.provider_roughtime import RoughtimeError
 LOCALHOST = "127.0.0.1"
 
 
+def ipv6_loopback() -> bool:
+    """Whether this host can bind a UDP socket to ::1."""
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_DGRAM) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
 @contextmanager
 def _serving(sock: socket.socket, handle) -> Iterator[None]:
     """Run handle() on a thread until the block exits; sock's 0.1 s timeout
@@ -72,11 +82,12 @@ def _serving(sock: socket.socket, handle) -> Iterator[None]:
 
 
 @contextmanager
-def udp(server) -> Iterator[int]:
-    """Answer datagrams on a loopback port with server.transport; yields the
-    port.  A request the transport drops or refuses gets no reply."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind((LOCALHOST, 0))
+def udp(server, host: str = LOCALHOST) -> Iterator[int]:
+    """Answer datagrams on a loopback port of host, 127.0.0.1 or ::1, with
+    server.transport; yields the port.  A request the transport drops or
+    refuses gets no reply."""
+    sock = socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind((host, 0))
 
     def handle() -> None:
         data, addr = sock.recvfrom(65536)

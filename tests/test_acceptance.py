@@ -25,7 +25,7 @@ from timeguard.attack_sim import (
 from timeguard.bench import OPERATIONS, PAYLOAD_SIZES, run_bench
 from timeguard.config import default_config
 from timeguard.detector import Hypothesis, Verdict, calibrate_ll
-from timeguard.ensemble import kf_init, kf_predict, kf_update, process_noise_cov
+from timeguard.ensemble import kf_init, kf_predict, kf_update, process_noise
 from timeguard.orchestrator import (
     Event,
     EventKind,
@@ -167,12 +167,14 @@ def test_criterion_4_kalman_filter_consistency():
     sigma_meas = DEFAULT.ensemble.sigma_meas_s
     tau, steps, runs = 1.0, 200, 100
     r = sigma_meas**2
-    chol = np.linalg.cholesky(process_noise_cov(spec.q_b, spec.q_d, tau))
+    q00, q01, q11 = process_noise(spec.q_b, spec.q_d, tau)
+    chol = np.linalg.cholesky(np.array([[q00, q01], [q01, q11]]))
     nees = np.empty((runs, steps))
     for run in range(runs):
         rng = np.random.default_rng(900 + run)
-        f0 = kf_init(spec)
-        x0 = np.linalg.cholesky(f0.P) @ rng.standard_normal(2)
+        f0 = kf_init()
+        p0 = np.array([[f0.p00, f0.p01], [f0.p01, f0.p11]])
+        x0 = np.linalg.cholesky(p0) @ rng.standard_normal(2)
         bias = simulate_oscillator(
             spec, steps + 1, tau, seed=np.random.default_rng(2000 + run),
             bias0=x0[0], drift0=x0[1],
@@ -187,13 +189,13 @@ def test_criterion_4_kalman_filter_consistency():
             d += noise[k - 1, 1]
             assert b == bias[k]
             drift[k] = d
-        s = kf_init(spec)
+        s = kf_init()
         for k in range(1, steps + 1):
-            s = kf_predict(s, tau)
+            s = kf_predict(s, spec, tau)
             z = bias[k] + sigma_meas * rng.standard_normal()
-            s = kf_update(s, z, r, gate_k=1e6).state
-            e = np.array([bias[k], drift[k]]) - s.x
-            nees[run, k - 1] = float(e @ np.linalg.solve(s.P, e))
+            s = kf_update(s, spec, z, r, gate_k=1e6).state
+            e = np.array([bias[k] - s.bias, drift[k] - s.drift])
+            nees[run, k - 1] = float(e @ np.linalg.solve([[s.p00, s.p01], [s.p01, s.p11]], e))
     lo = stats.chi2.ppf(0.025, 2 * runs) / runs
     hi = stats.chi2.ppf(0.975, 2 * runs) / runs
     grand = float(nees.mean())
@@ -201,36 +203,34 @@ def test_criterion_4_kalman_filter_consistency():
     per_step = nees.mean(axis=0)
     assert np.mean((per_step >= lo) & (per_step <= hi)) >= 0.90
 
-    s = kf_init(spec, bias=1e-7, drift=1e-10)
-    assert kf_predict(s, 0.0) is s  # identity, exact
+    s = kf_init(bias=1e-7, drift=1e-10)
+    assert kf_predict(s, spec, 0.0) is s  # identity, exact
 
-    converged = kf_init(spec)
+    converged = kf_init()
     for _ in range(100):
-        converged = kf_predict(converged, tau)
-        converged = kf_update(converged, 0.0, r, gate_k=3.0).state
-    sigma = math.sqrt(converged.P[0, 0] + 2 * tau * converged.P[0, 1]
-                      + tau**2 * converged.P[1, 1]
-                      + process_noise_cov(spec.q_b, spec.q_d, tau)[0, 0] + r)
-    probe = kf_predict(converged, tau)
-    update = kf_update(probe, probe.bias + 4.0 * sigma, r, gate_k=3.0)
+        converged = kf_predict(converged, spec, tau)
+        converged = kf_update(converged, spec, 0.0, r, gate_k=3.0).state
+    sigma = math.sqrt(converged.p00 + 2 * tau * converged.p01 + tau**2 * converged.p11
+                      + q00 + r)
+    probe = kf_predict(converged, spec, tau)
+    update = kf_update(probe, spec, probe.bias + 4.0 * sigma, r, gate_k=3.0)
     assert not update.accepted
-    assert np.array_equal(update.state.x, probe.x)  # rejected: state untouched
+    assert update.state == probe  # rejected: state untouched
 
     # scalar oracle for one predict+update cycle, 1e-12 relative
-    s = kf_init(spec, bias=3e-8, drift=1e-11)
+    s = kf_init(bias=3e-8, drift=1e-11)
     zs = [5e-8, -2e-8, 1e-8]
     for z in zs:
-        s = kf_predict(s, tau)
-        s = kf_update(s, z, r, gate_k=1e6).state
+        s = kf_predict(s, spec, tau)
+        s = kf_update(s, spec, z, r, gate_k=1e6).state
     b, d = 3e-8, 1e-11
     p00, p01, p11 = 1e-12, 0.0, 1e-18
-    q = process_noise_cov(spec.q_b, spec.q_d, tau)
     for z in zs:
         b += d * tau
         p00, p01, p11 = (
-            p00 + 2 * tau * p01 + tau * tau * p11 + q[0, 0],
-            p01 + tau * p11 + q[0, 1],
-            p11 + q[1, 1],
+            p00 + 2 * tau * p01 + tau * tau * p11 + q00,
+            p01 + tau * p11 + q01,
+            p11 + q11,
         )
         sv = p00 + r
         k0, k1 = p00 / sv, p01 / sv
@@ -239,7 +239,7 @@ def test_criterion_4_kalman_filter_consistency():
         p00, p01, p11 = (1 - k0) * p00, (1 - k0) * p01, p11 - k1 * p01
     assert s.bias == pytest.approx(b, rel=1e-12)
     assert s.drift == pytest.approx(d, rel=1e-12)
-    assert s.P[0, 0] == pytest.approx(p00, rel=1e-12)
+    assert s.p00 == pytest.approx(p00, rel=1e-12)
 
 
 def test_criterion_5_roughtime_chain_and_exhaustive_bit_flips():

@@ -30,7 +30,7 @@ from timeguard.attack_sim import (
     write_epochs_jsonl,
     write_truth_csv,
 )
-from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise_cov
+from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise
 from timeguard.receiver_feed import EpochRecord, epoch_from_json
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
@@ -102,7 +102,7 @@ def test_oscillator_noiseless_integration():
 
 def simulate_oscillator_loop(spec, n, period_s, seed, bias0=0.0, drift0=0.0):
     """The recursion simulate_oscillator accumulates, one epoch at a time."""
-    chol = _chol2(process_noise_cov(spec.q_b, spec.q_d, period_s))
+    chol = _chol2(*process_noise(spec.q_b, spec.q_d, period_s))
     noise = _stream(seed, _STREAM_OSCILLATOR).standard_normal((n - 1, 2)) @ chol.T
     bias = np.empty(n)
     b, d = bias0, drift0

@@ -128,6 +128,17 @@ def test_usage_errors_exit_1():
     assert run_cli("bench-crypto", "--iterations", "nope").returncode == EXIT_ERROR
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench-crypto", "--iterations", "5", "--config", "tg.ini"],  # reads no config
+    ["config", "dump", "--out-dir", "out"],  # writes no file
+])
+def test_a_flag_the_subcommand_never_reads_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(argv)
+    assert stopped.value.code == EXIT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bench_zero_iterations_is_usage_error():
     proc = run_cli("bench-crypto", "--iterations", "0")
     assert proc.returncode == EXIT_ERROR
@@ -267,6 +278,15 @@ def test_config_dump_round_trips(tmp_path, capsys):
     path = tmp_path / "dumped.ini"
     path.write_text(text)
     assert load_config(str(path)) == default_config()
+
+
+def test_a_negative_noise_density_is_refused_at_load(tmp_path, capsys):
+    path = tmp_path / "negative.ini"
+    path.write_text("[ensemble]\nq_b = -1e-21\n")
+    assert main(["config", "dump", "--config", str(path)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err and "q_b must be finite and >= 0" in err
 
 
 def test_env_override_reaches_dump(monkeypatch, capsys):

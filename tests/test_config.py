@@ -22,6 +22,7 @@ from timeguard.config import (
     load_config,
     load_scenario,
 )
+from timeguard.ensemble import FilterDomainError, OscillatorSpec
 
 
 def write(tmp_path, text, name="tg.ini"):
@@ -219,14 +220,44 @@ def test_env_bad_port_rejected():
         apply_env(default_config(), {ENV_ROUGHTIME_ADDR: "rt.example:x"})
 
 
+@pytest.mark.parametrize("addr, host, port", [
+    ("2001:db8::1", "2001:db8::1", 4460),
+    ("::1", "::1", 4460),
+    ("[2001:db8::1]:4461", "2001:db8::1", 4461),
+    ("[::1]", "::1", 4460),
+    ("nts.example:4461", "nts.example", 4461),
+    ("192.0.2.7", "192.0.2.7", 4460),
+])
+def test_env_reads_ipv6_addresses(addr, host, port):
+    providers = apply_env(default_config(), {ENV_NTS_ADDR: addr}).providers
+    assert (providers.nts_ke_host, providers.nts_ke_port) == (host, port)
+
+
+@pytest.mark.parametrize("addr", ["[::1", "[::1]4460", "[::1]:", "[::1]:x", "rt.example:0",
+                                  "rt.example:65536", "[::1]:-1", ":2002", "[]:2002", "[]"])
+def test_env_bad_address_rejected(addr):
+    with pytest.raises(ConfigFileError):
+        apply_env(default_config(), {ENV_ROUGHTIME_ADDR: addr})
+
+
+@pytest.mark.parametrize("key", ["roughtime_port", "nts_ke_port"])
+@pytest.mark.parametrize("port", ["0", "65536", "-1"])
+def test_ini_port_outside_range_rejected(tmp_path, key, port):
+    with pytest.raises(ConfigFileError, match="1-65535"):
+        load_config(write(tmp_path, f"[providers]\n{key} = {port}\n"))
+
+
 def test_env_absent_is_noop():
     assert apply_env(default_config(), {}) == default_config()
 
 
 def test_ensemble_oscillator_property():
+    # [ensemble] is the filter's oscillator model, checked as one
     ens = EnsembleConfig(q_b=1e-20, q_d=2e-24, sigma_meas_s=5e-9)
-    osc = ens.oscillator
-    assert (osc.q_b, osc.q_d, ens.sigma_meas_s) == (1e-20, 2e-24, 5e-9)
+    assert isinstance(ens, OscillatorSpec)
+    assert (ens.q_b, ens.q_d, ens.sigma_meas_s) == (1e-20, 2e-24, 5e-9)
+    with pytest.raises(FilterDomainError):
+        EnsembleConfig(q_d=-1e-24)
 
 
 def test_ensemble_gate_validation():

@@ -217,7 +217,7 @@ def test_window_gaussian_shift_invariant(window, shift, mu0):
 
 
 def test_window_warmup_signals():
-    state = LlDetectorState(params=LlConfig(m=5))
+    state = LlDetectorState(params=LlConfig(m=5, sigma0_sq=1.0))
     assert [ll_advance(state, x) for x in (1.0, 2.0, 3.0, 4.0)] == [None] * 4
 
 
@@ -308,10 +308,16 @@ def test_ll_step_warmup_then_verdicts():
 
 
 def test_ll_step_requires_threshold():
-    state = LlDetectorState(params=LlConfig(m=2))
+    state = LlDetectorState(params=LlConfig(m=2, sigma0_sq=1.0))
     ll_advance(state, 0.0)
     with pytest.raises(ConfigError):
         ll_step(state, 1e-9, MONO0)
+
+
+def test_ll_state_requires_a_fitted_variance():
+    # without sigma0_sq there is no density: refused here, not at the m-th sample
+    with pytest.raises(ConfigError, match="sigma0_sq"):
+        LlDetectorState(LlConfig(m=2))
 
 
 def test_ll_window_bounded():

@@ -16,16 +16,32 @@ from timeguard.ensemble import (
     MeasurementError,
     OscillatorSpec,
     _check_psd,
-    kf_init,
     kf_predict,
     kf_update,
     min_eigenvalue,
-    process_noise_cov,
+    process_noise,
 )
 
+OSC = OscillatorSpec()  # q_b = 1e-21, q_d = 1e-24
 
-def make_state(b=0.0, d=0.0, p=(1e-12, 1e-18), q_b=1e-21, q_d=1e-24):
-    return ClockKfState(b, d, p[0], 0.0, p[1], q_b, q_d)
+
+def make_state(b=0.0, d=0.0, p=(1e-12, 1e-18)):
+    return ClockKfState(b, d, p[0], 0.0, p[1])
+
+
+def vec(s):
+    """The state's [bias, drift]."""
+    return np.array([s.bias, s.drift])
+
+
+def cov(s):
+    """The state's 2x2 covariance."""
+    return np.array([[s.p00, s.p01], [s.p01, s.p11]])
+
+
+def process_noise_matrix(q_b, q_d, tau):
+    q00, q01, q11 = process_noise(q_b, q_d, tau)
+    return np.array([[q00, q01], [q01, q11]])
 
 
 # -- matrix oracle: the textbook filter in numpy 2x2 algebra ------------------
@@ -35,7 +51,7 @@ H = np.array([[1.0, 0.0]])
 
 def oracle_predict(x, P, q_b, q_d, tau):
     F = np.array([[1.0, tau], [0.0, 1.0]])
-    P = F @ P @ F.T + process_noise_cov(q_b, q_d, tau)
+    P = F @ P @ F.T + process_noise_matrix(q_b, q_d, tau)
     return F @ x, 0.5 * (P + P.T)
 
 
@@ -57,20 +73,19 @@ def oracle_update(x, P, z, r, gate_k):
 
 def test_predict_zero_tau_identity():
     s = make_state(1e-9, 2e-12)
-    s2 = kf_predict(s, 0.0)
-    assert np.array_equal(s2.x, s.x) and np.array_equal(s2.P, s.P)
+    assert kf_predict(s, OSC, 0.0) is s
 
 
 def test_predict_integrates_drift():
     s = make_state(0.0, 1e-9)
-    s2 = kf_predict(s, 10.0)
+    s2 = kf_predict(s, OSC, 10.0)
     assert s2.bias == pytest.approx(1e-8, rel=1e-15)
     assert s2.drift == 1e-9
 
 
 def test_predict_rejects_negative_tau():
     with pytest.raises(FilterDomainError):
-        kf_predict(make_state(), -1.0)
+        kf_predict(make_state(), OSC, -1.0)
 
 
 def test_process_noise_matches_quadrature():
@@ -82,7 +97,7 @@ def test_process_noise_matches_quadrature():
         W = np.diag([q_b, q_d])
         return (phi @ W @ phi.T)[i, j]
 
-    Q = process_noise_cov(q_b, q_d, tau)
+    Q = process_noise_matrix(q_b, q_d, tau)
     for i in range(2):
         for j in range(2):
             val, _ = integrate.quad(integrand, 0, tau, args=(i, j), epsrel=1e-13)
@@ -94,41 +109,41 @@ def test_process_noise_matches_quadrature():
 
 def test_update_at_prediction_accepts():
     s = make_state(5e-9, 0.0)
-    res = kf_update(s, 5e-9, 1e-16)
+    res = kf_update(s, OSC, 5e-9, 1e-16)
     assert res.accepted
     assert res.innovation == 0.0
-    assert res.state.P[0, 0] < s.P[0, 0]
+    assert res.state.p00 < s.p00
 
 
 def test_update_outside_gate_rejects():
     s = make_state(0.0, 0.0)
-    S = s.P[0, 0] + 1e-16
-    res = kf_update(s, 10.0 * math.sqrt(S), 1e-16, gate_k=3.0)
+    S = s.p00 + 1e-16
+    res = kf_update(s, OSC, 10.0 * math.sqrt(S), 1e-16, gate_k=3.0)
     assert not res.accepted
-    assert np.array_equal(res.state.x, s.x) and np.array_equal(res.state.P, s.P)
+    assert res.state is s
 
 
 def test_update_rejects_nonfinite():
     with pytest.raises(MeasurementError):
-        kf_update(make_state(), float("nan"), 1e-16)
+        kf_update(make_state(), OSC, float("nan"), 1e-16)
     with pytest.raises(MeasurementError):
-        kf_update(make_state(), 0.0, float("inf"))
+        kf_update(make_state(), OSC, 0.0, float("inf"))
 
 
 def test_update_with_no_variance_at_all_is_refused():
     # p00 = 0 and r = 0 leave the gain undefined; the gate lets only z == bias through
     s = ClockKfState(1e-9, 0.0, 0.0, 0.0, 1e-18)
-    assert not kf_update(s, 2e-9, 0.0).accepted
+    assert not kf_update(s, OSC, 2e-9, 0.0).accepted
     with pytest.raises(FilterDomainError):
-        kf_update(s, 1e-9, 0.0)
+        kf_update(s, OSC, 1e-9, 0.0)
 
 
 def test_update_takes_one_bias_only():
     # the filter observes the bias; a (bias, drift) pair is refused, not guessed at
     with pytest.raises(MeasurementError):
-        kf_update(make_state(), np.array([1e-9, 1e-10]), 1e-16)
+        kf_update(make_state(), OSC, np.array([1e-9, 1e-10]), 1e-16)
     with pytest.raises(MeasurementError):
-        kf_update(make_state(), 1e-9, np.array([1e-16, 1e-18]))
+        kf_update(make_state(), OSC, 1e-9, np.array([1e-16, 1e-18]))
 
 
 def _bits(update):
@@ -146,12 +161,12 @@ def _bits(update):
 @settings(max_examples=200)
 def test_update_int_float_and_float64_agree_bit_for_bit(z_int, r_int, z, r):
     s = make_state(b=0.5, p=(1e6, 1e-6))
-    as_int = _bits(kf_update(s, z_int, r_int, gate_k=1e6))
-    assert _bits(kf_update(s, float(z_int), float(r_int), gate_k=1e6)) == as_int
-    assert _bits(kf_update(s, np.float64(z_int), np.float64(r_int), gate_k=1e6)) == as_int
-    as_float = _bits(kf_update(s, z, r, gate_k=1e6))
-    assert _bits(kf_update(s, np.float64(z), np.float64(r), gate_k=1e6)) == as_float
-    state = kf_update(s, np.float64(z), np.float64(r), gate_k=1e6).state
+    as_int = _bits(kf_update(s, OSC, z_int, r_int, gate_k=1e6))
+    assert _bits(kf_update(s, OSC, float(z_int), float(r_int), gate_k=1e6)) == as_int
+    assert _bits(kf_update(s, OSC, np.float64(z_int), np.float64(r_int), gate_k=1e6)) == as_int
+    as_float = _bits(kf_update(s, OSC, z, r, gate_k=1e6))
+    assert _bits(kf_update(s, OSC, np.float64(z), np.float64(r), gate_k=1e6)) == as_float
+    state = kf_update(s, OSC, np.float64(z), np.float64(r), gate_k=1e6).state
     assert all(type(v) is float for v in (state.bias, state.drift, state.p00, state.p01, state.p11))
 
 
@@ -168,11 +183,11 @@ def test_update_refuses_all_but_one_finite_number(z, r):
     ]
     for bad_z, bad_r in bad:
         with pytest.raises(MeasurementError):
-            kf_update(s, bad_z, bad_r)
+            kf_update(s, OSC, bad_z, bad_r)
     for bad_k in (math.nan, math.inf, -1.0, 10**400):
         with pytest.raises(MeasurementError):
-            kf_update(s, z, r, gate_k=bad_k)
-    kf_update(s, z, r)
+            kf_update(s, OSC, z, r, gate_k=bad_k)
+    kf_update(s, OSC, z, r)
 
 
 def test_reference_filter_agreement():
@@ -181,10 +196,11 @@ def test_reference_filter_agreement():
     rng = np.random.default_rng(42)
     zs = 1e-9 * rng.standard_normal(100)
 
-    s = ClockKfState(0.0, 0.0, 1e-12, 0.0, 1e-18, q_b, q_d)
+    osc = OscillatorSpec(q_b, q_d)
+    s = ClockKfState(0.0, 0.0, 1e-12, 0.0, 1e-18)
     for z in zs:
-        s = kf_predict(s, 1.0)
-        s = kf_update(s, z, r, gate_k=1e6).state
+        s = kf_predict(s, osc, 1.0)
+        s = kf_update(s, osc, z, r, gate_k=1e6).state
 
     b, d = 0.0, 0.0
     p00, p01, p11 = 1e-12, 0.0, 1e-18
@@ -203,8 +219,8 @@ def test_reference_filter_agreement():
         p00, p01, p11 = (1 - k0) * p00, (1 - k0) * p01, p11 - k1 * p01
     assert s.bias == pytest.approx(b, rel=1e-12)
     assert s.drift == pytest.approx(d, rel=1e-12)
-    assert s.P[0, 0] == pytest.approx(p00, rel=1e-12)
-    assert s.P[0, 1] == pytest.approx(p01, rel=1e-12)
+    assert s.p00 == pytest.approx(p00, rel=1e-12)
+    assert s.p01 == pytest.approx(p01, rel=1e-12)
 
 
 def test_nees_within_chi_square_band():
@@ -213,17 +229,18 @@ def test_nees_within_chi_square_band():
     rng = np.random.default_rng(7)
     P0 = np.diag([1e-16, 1e-22])
     x_true = np.linalg.cholesky(P0) @ rng.standard_normal(2)
-    s = ClockKfState(0.0, 0.0, 1e-16, 0.0, 1e-22, q_b, q_d)
+    osc = OscillatorSpec(q_b, q_d)
+    s = ClockKfState(0.0, 0.0, 1e-16, 0.0, 1e-22)
     F = np.array([[1.0, tau], [0.0, 1.0]])
-    Lq = np.linalg.cholesky(process_noise_cov(q_b, q_d, tau))
+    Lq = np.linalg.cholesky(process_noise_matrix(q_b, q_d, tau))
     nees = []
     for _ in range(n):
         x_true = F @ x_true + Lq @ rng.standard_normal(2)
-        s = kf_predict(s, tau)
+        s = kf_predict(s, osc, tau)
         z = x_true[0] + math.sqrt(r) * rng.standard_normal()
-        s = kf_update(s, z, r, gate_k=1e6).state
-        e = x_true - s.x
-        nees.append(float(e @ np.linalg.solve(s.P, e)))
+        s = kf_update(s, osc, z, r, gate_k=1e6).state
+        e = x_true - vec(s)
+        nees.append(float(e @ np.linalg.solve(cov(s), e)))
     mean_nees = float(np.mean(nees))
     lo = stats.chi2.ppf(0.025, 2 * n) / n
     hi = stats.chi2.ppf(0.975, 2 * n) / n
@@ -248,11 +265,12 @@ OPS = st.lists(
 @given(OPS)
 @settings(max_examples=100, deadline=None)
 def test_psd_preserved_by_random_sequences(ops):
-    s = make_state(p=(1e-12, 1e-16), q_b=1e-21, q_d=1e-23)
+    osc = OscillatorSpec(q_b=1e-21, q_d=1e-23)
+    s = make_state(p=(1e-12, 1e-16))
     for tau, z, r in ops:
-        s = kf_predict(s, tau)
-        s = kf_update(s, z, r).state
-    P = s.P
+        s = kf_predict(s, osc, tau)
+        s = kf_update(s, osc, z, r).state
+    P = cov(s)
     assert abs(P[0, 1] - P[1, 0]) <= 1e-12 * max(1.0, float(np.max(np.abs(P))))
     assert np.min(np.linalg.eigvalsh(P)) >= -1e-12 * max(1.0, float(np.max(np.abs(P))))
 
@@ -268,18 +286,19 @@ def test_closed_form_matches_matrix_oracle(ops):
     # Joseph's p01 cancels to p01 r / S, so both forms round at the scale of the
     # entries they combine: that scale, not the result's, bounds the agreement.
     q_b, q_d = 1e-21, 1e-23
-    s = make_state(p=(1e-12, 1e-16), q_b=q_b, q_d=q_d)
+    osc = OscillatorSpec(q_b, q_d)
+    s = make_state(p=(1e-12, 1e-16))
     for tau, z, r in ops:
-        x, P = oracle_predict(s.x, s.P, q_b, q_d, tau)
-        s = kf_predict(s, tau)
+        x, P = oracle_predict(vec(s), cov(s), q_b, q_d, tau)
+        s = kf_predict(s, osc, tau)
         assert s.bias == pytest.approx(x[0], rel=1e-12, abs=0.0)
         assert s.drift == x[1]
-        np.testing.assert_allclose(s.P, P, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cov(s), P, rtol=1e-12, atol=0.0)
 
-        x_prior, p_prior = s.x, s.P
+        x_prior, p_prior = vec(s), cov(s)
         p_scale = float(np.max(np.abs(p_prior)))
         x, P, accepted = oracle_update(x_prior, p_prior, z, r, 3.0)
-        update = kf_update(s, z, r, gate_k=3.0)
+        update = kf_update(s, osc, z, r, gate_k=3.0)
         s = update.state
         assert update.accepted == accepted
         assert update.innovation == z - x_prior[0]
@@ -289,7 +308,7 @@ def test_closed_form_matches_matrix_oracle(ops):
         assert close(s.drift, x[1], abs(x_prior[1]) + step[1])
         for i in range(2):
             for j in range(2):
-                assert close(s.P[i, j], P[i, j], p_scale)
+                assert close(cov(s)[i, j], P[i, j], p_scale)
 
 
 @given(
@@ -359,14 +378,6 @@ def test_state_check_rejects_what_check_psd_rejects(p):
     assert rejected(lambda *p: ClockKfState(0.0, 0.0, *p)) == rejected(_check_psd)
 
 
-def test_state_arrays_round_trip():
-    # the scalar state read back through its matrix views
-    s = ClockKfState(1e-9, 2e-12, 4e-16, 1e-19, 9e-22)
-    x, P = np.array([1e-9, 2e-12]), np.array([[4e-16, 1e-19], [1e-19, 9e-22]])
-    assert np.array_equal(s.x, x) and np.array_equal(s.P, P)
-    assert not s.x.flags.writeable and not s.P.flags.writeable
-
-
 @given(
     st.floats(min_value=-1e-6, max_value=1e-6),
     st.floats(min_value=0.1, max_value=5.0),
@@ -375,8 +386,8 @@ def test_state_arrays_round_trip():
 @settings(max_examples=100)
 def test_gate_monotone_in_k(z, k_small, extra):
     s = make_state(p=(1e-14, 1e-18))
-    small = kf_update(s, z, 1e-16, gate_k=k_small)
-    large = kf_update(s, z, 1e-16, gate_k=k_small + extra)
+    small = kf_update(s, OSC, z, 1e-16, gate_k=k_small)
+    large = kf_update(s, OSC, z, 1e-16, gate_k=k_small + extra)
     if small.accepted:
         assert large.accepted
 
@@ -392,45 +403,50 @@ def outcome(step) -> tuple:
     except (FilterDomainError, MeasurementError) as e:
         return type(e), str(e)
     s = u.state
-    return (tuple(float.hex(v) for v in (s.bias, s.drift, s.p00, s.p01, s.p11, s.q_b, s.q_d)),
+    return (tuple(float.hex(v) for v in s),
             u.accepted, float.hex(u.innovation), float.hex(u.S))
 
 
 @st.composite
 def psd_states(draw) -> ClockKfState:
-    """A state with a PSD covariance at the filter's scales, a correlation
-    anywhere in [-1, 1] and process noise from none to white-FM heavy."""
+    """A state with a PSD covariance at the filter's scales and a correlation
+    anywhere in [-1, 1]."""
     p00 = draw(st.floats(0.0, 1.0)) * 10.0 ** draw(st.integers(-24, -6))
     p11 = draw(st.floats(0.0, 1.0)) * 10.0 ** draw(st.integers(-30, -12))
     p01 = draw(st.floats(-1.0, 1.0)) * math.sqrt(p00 * p11)
     return ClockKfState(draw(st.floats(-1e-3, 1e-3)), draw(st.floats(-1e-6, 1e-6)),
-                        p00, p01, p11, draw(st.sampled_from([0.0, 1e-21, 1e-18])),
-                        draw(st.sampled_from([0.0, 1e-24, 1e-21])))
+                        p00, p01, p11)
+
+
+# process noise from none to white-FM heavy
+OSCILLATORS = st.builds(OscillatorSpec, st.sampled_from([0.0, 1e-21, 1e-18]),
+                        st.sampled_from([0.0, 1e-24, 1e-21]))
 
 
 @given(
     psd_states(),
+    OSCILLATORS,
     st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
     st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5)),
     st.one_of(st.just(0.0), st.floats(0.0, 1e-10)),
     st.sampled_from([0.0, 1.0, 3.0, 1e6]),
 )
 @settings(max_examples=1000)
-def test_fused_update_equals_predict_then_update_bit_for_bit(s, tau, dz, r, gate_k):
+def test_fused_update_equals_predict_then_update_bit_for_bit(s, osc, tau, dz, r, gate_k):
     # dz is the measurement's distance from the predicted bias, so the gate
     # both accepts and rejects; r == 0 with a zero p00 reaches the S == 0 refusal
     z = s.bias + tau * s.drift + dz
-    assert outcome(lambda: kf_update(s, z, r, gate_k, tau)) == outcome(
-        lambda: kf_update(kf_predict(s, tau), z, r, gate_k))
+    assert outcome(lambda: kf_update(s, osc, z, r, gate_k, tau)) == outcome(
+        lambda: kf_update(kf_predict(s, osc, tau), osc, z, r, gate_k))
 
 
 @pytest.mark.parametrize("tau", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
 def test_fused_update_refuses_tau_as_predict_does(tau):
     s = make_state()
     with pytest.raises(FilterDomainError) as predicted:
-        kf_predict(s, tau)
+        kf_predict(s, OSC, tau)
     with pytest.raises(FilterDomainError) as fused:
-        kf_update(s, 0.0, 1e-16, 3.0, tau)
+        kf_update(s, OSC, 0.0, 1e-16, 3.0, tau)
     assert str(fused.value) == str(predicted.value)
 
 
@@ -439,23 +455,23 @@ def test_fused_update_refuses_a_prediction_that_is_not_psd():
     # p00 = -1e-10 lies far outside it.  An exact measurement with no
     # readout noise passes the gate, and its update would land back on a
     # PSD covariance, so only the check of the prediction refuses this.
-    s = ClockKfState(0.0, 0.0, 0.0, 0.0, -1e-12, 0.0, 0.0)
+    s, quiet = ClockKfState(0.0, 0.0, 0.0, 0.0, -1e-12), OscillatorSpec(0.0, 0.0)
     with pytest.raises(FilterDomainError) as predicted:
-        kf_predict(s, 10.0)
+        kf_predict(s, quiet, 10.0)
     with pytest.raises(FilterDomainError) as fused:
-        kf_update(s, 0.0, 0.0, 3.0, 10.0)
+        kf_update(s, quiet, 0.0, 0.0, 3.0, 10.0)
     assert str(fused.value) == str(predicted.value)
 
 
 def test_variance_approaches_r_over_n():
-    s = ClockKfState(0.0, 0.0, 1e6, 0.0, 1e-6, q_b=0.0, q_d=0.0)
+    s, quiet = ClockKfState(0.0, 0.0, 1e6, 0.0, 1e-6), OscillatorSpec(q_b=0.0, q_d=0.0)
     r, n = 1.0, 200
-    last = s.P[0, 0]
+    last = s.p00
     for _ in range(n):
-        s = kf_update(s, 0.0, r, gate_k=1e6).state
-        assert s.P[0, 0] <= last * (1 + 1e-12)
-        last = s.P[0, 0]
-    assert s.P[0, 0] == pytest.approx(r / n, rel=1e-5)
+        s = kf_update(s, quiet, 0.0, r, gate_k=1e6).state
+        assert s.p00 <= last * (1 + 1e-12)
+        last = s.p00
+    assert s.p00 == pytest.approx(r / n, rel=1e-5)
 
 
 # -- Allan deviation --------------------------------------------------------
@@ -508,8 +524,3 @@ def test_state_rejects_negative_eigenvalue():
 def test_spec_rejects_negative_noise():
     with pytest.raises(FilterDomainError):
         OscillatorSpec(q_b=-1e-21)
-
-
-def test_kf_init_uses_spec():
-    s = kf_init(OscillatorSpec(q_b=5e-21, q_d=2e-24))
-    assert s.q_b == 5e-21 and s.q_d == 2e-24

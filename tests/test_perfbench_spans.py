@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from timeguard.detector import Hypothesis, LlConfig, LlDetectorState, Verdict, ll_step
-from timeguard.ensemble import kf_init, kf_update
+from timeguard.ensemble import DEFAULT_OSCILLATOR, kf_init, kf_update
 from timeguard.orchestrator import Event, EventKind, Phase, initial_state, step
 from timeguard.timebase import MonotonicInstant
 
@@ -62,7 +62,8 @@ def test_post_hooks_read_what_the_layers_return():
 
     kf = kf_init()
     for z in (0.0, 1.0):  # inside the gate, then far outside it
-        tracing._after_kf_update(tracer, (kf, z, 1e-18), kf_update(kf, z, 1e-18))
+        tracing._after_kf_update(tracer, (kf, DEFAULT_OSCILLATOR, z, 1e-18),
+                                 kf_update(kf, DEFAULT_OSCILLATOR, z, 1e-18))
 
     assert tracer.counters == {"step.self_loops": 1, "verdicts.ll.H0": 1,
                                "kf_update.accepted": 1}

@@ -20,21 +20,20 @@ from timeguard.config import config_sha256, default_config
 from timeguard.detector import (
     Hypothesis,
     LlConfig,
+    LlDetectorState,
     Verdict,
     calibrate_ll,
     ll_step,
     nts_test,
     roughtime_test,
 )
-from timeguard.ensemble import OscillatorSpec
+from timeguard.ensemble import OscillatorSpec, kf_init
 from timeguard.orchestrator import (
-    RESET_FILTER,
     Event,
     EventKind,
     OrchestratorConfig,
     OrderingError,
     Phase,
-    advance,
     only_time_moves,
     replay,
     transition_to_json,
@@ -114,9 +113,8 @@ def test_local_bias_subtracts_oscillator():
 # -- filter chain ------------------------------------------------------------
 
 
-def chain(ll_lambda=0.0, sigma0_sq=1e-16):
-    params = LlConfig(lambda_T=ll_lambda, sigma0_sq=sigma0_sq)
-    return FilterChain(ensemble=CFG.ensemble, ll_params=params)
+def chain():
+    return FilterChain(CFG.ensemble)
 
 
 def test_first_innovation_is_the_measurement():
@@ -146,19 +144,19 @@ def test_gate_freezes_filter_on_step():
     assert innovation == pytest.approx(1.0, abs=1e-5)
 
 
-def ll_epoch(c, bias_s, t):
+def ll_epoch(c, ll, bias_s, t):
     """One epoch through the filter and the ll window: the ll verdict, if warmed."""
     _, innovation = c.track(bias_s, t)
-    return ll_step(c.ll_state, innovation, t)
+    return ll_step(ll, innovation, t)
 
 
 def test_ll_fires_on_sustained_offset():
     # converge first: a fresh filter would swallow the step into its
     # initial bias estimate instead of rejecting it at the gate
-    c = chain()
+    c, ll = chain(), LlDetectorState(LlConfig(lambda_T=0.0, sigma0_sq=1e-16))
     for i in range(300):
-        ll_epoch(c, 0.0, mono(float(i)))
-    verdicts = [ll_epoch(c, 1e-6, mono(float(300 + i))) for i in range(60)]
+        ll_epoch(c, ll, 0.0, mono(float(i)))
+    verdicts = [ll_epoch(c, ll, 1e-6, mono(float(300 + i))) for i in range(60)]
     hits = [i for i, v in enumerate(verdicts) if v is not None
             and v.hypothesis is Hypothesis.H1]
     assert hits
@@ -167,13 +165,23 @@ def test_ll_fires_on_sustained_offset():
 
 
 def test_reset_clears_history():
-    c = chain()
-    for i in range(50):
-        ll_epoch(c, 1e-6, mono(float(i)))
-    c.reset()
-    assert c.kf.bias == 0.0
-    assert c.ll_state.z is None
-    assert ll_epoch(c, 0.0, mono(51.0)) is None
+    # the first network H0 resets the filter: the tracker and the ll window together
+    outputs = gen_scenario(builtin_scenarios()["step4s"])
+    monitor = Monitor(CFG)
+    for rec in outputs.epochs[:50]:
+        monitor.epoch(rec)
+    assert monitor.state.phase is Phase.COLD_START
+    assert monitor.chain.kf != kf_init() and monitor.ll.z is not None
+    last = outputs.epochs[49]
+    monitor.roughtime(RoughtimeMeasurement(last.t_gnss, SignedDuration.from_s(1.0), "rt-sim",
+                                           last.t_mono))
+    assert monitor.state.phase is Phase.COARSE_VALIDATED
+    assert monitor.chain.kf == kf_init()
+    assert monitor.ll.z is None and not monitor.ll.window
+    assert monitor.ll.params is CFG.detector.ll
+    _, innovation = monitor.epoch(outputs.epochs[50])
+    assert innovation == local_bias_s(outputs.epochs[50], outputs.epochs[0].t_gnss,
+                                      outputs.epochs[0].t_mono)
 
 
 # -- calibration -------------------------------------------------------------
@@ -300,7 +308,7 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
             monitor.roughtime(outputs.rt_responses[e])
         if e in outputs.nts_responses:
             monitor.nts(outputs.nts_responses[e])
-    state, kf, window = monitor.state, monitor.chain.kf, list(monitor.chain.ll_state.window)
+    state, kf, window = monitor.state, monitor.chain.kf, list(monitor.ll.window)
     count = len(seen)
     # an rt H0 and an nts H0 in FINE_MONITORING only move the clock, so only
     # the engine's own check can refuse them: step never sees them
@@ -322,7 +330,7 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
         monitor.nts(nts_h0)
     assert monitor.state is state
     assert monitor.chain.kf is kf
-    assert list(monitor.chain.ll_state.window) == window
+    assert list(monitor.ll.window) == window
     assert len(seen) == count
 
 
@@ -361,13 +369,13 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
     monitor.epoch(at(20.0))
     assert monitor.state.last_t_mono == mono(20.0)
     state, kf, last_fix = monitor.state, monitor.chain.kf, monitor.last_fix
-    window = list(monitor.chain.ll_state.window)
+    window = list(monitor.ll.window)
     with pytest.raises(OrderingError):
         monitor.epoch(at(15.0))
     assert monitor.last_fix is last_fix and last_fix.t_mono == mono(20.0)
     assert monitor.state is state
     assert monitor.chain.kf is kf
-    assert list(monitor.chain.ll_state.window) == window
+    assert list(monitor.ll.window) == window
 
 
 def test_verdict_cadence():
@@ -459,22 +467,15 @@ class TickEveryEpoch(Monitor):
     """The engine with a TICK closing every epoch, also one that applied a
     fix change or an ll verdict: the reference the engine must match."""
 
+    def _apply(self, kind, t, verdict=None):
+        super()._apply(kind, t, verdict)
+        self.ticked = kind is EventKind.TICK
+
     def epoch(self, rec):
-        t = rec.t_mono
-        self._check_order(t)
-        tracked = None
-        if rec.fix_valid != self.have_fix:
-            self.have_fix = rec.fix_valid
-            if self.anchor is None:
-                self.anchor = (rec.t_gnss, t)
-            self._apply(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t)
-        if rec.fix_valid:
-            self.last_fix = rec
-            tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
-            verdict = ll_step(self.chain.ll_state, tracked[1], t)
-            if verdict is not None:
-                self._apply(EventKind.LL_VERDICT, t, verdict)
-        self._apply(EventKind.TICK, t)
+        self.ticked = False
+        tracked = super().epoch(rec)
+        if not self.ticked:
+            self._apply(EventKind.TICK, rec.t_mono)
         return tracked
 
 
@@ -486,10 +487,7 @@ class RuleForEveryEvent(Monitor):
     through as time-only fails here."""
 
     def _apply(self, kind, t, verdict=None):
-        self.state, actions = advance(self.state, Event(kind, t, verdict),
-                                      self.config.orchestrator, self.on_transition)
-        if RESET_FILTER in actions:
-            self.chain.reset()
+        self._advance(Event(kind, t, verdict))
         if verdict is not None and self.on_verdict is not None:
             self.on_verdict(verdict)
 

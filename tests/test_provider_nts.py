@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from loopback import nts_ke
+from loopback import ipv6_loopback, nts_ke, udp
 
 from timeguard.detector import CalibrationError, estimate_server_sigma
 from timeguard.provider_nts import (
@@ -321,14 +321,35 @@ def test_read_ke_records_close_before_end_of_message_is_refused():
 
 def test_ntp64_roundtrip_exact():
     t = Timestamp.from_parts(1_689_120_000, 1 << 63)
-    assert unpack_ntp64(pack_ntp64(t)) == t
+    assert unpack_ntp64(pack_ntp64(t), t) == t
 
 
 def test_ntp64_era_pivot():
-    # era 0 runs out in 2036; era=1 maps the wrapped value back
+    # era 0 runs out in 2036; the instant a word is read near picks its era,
+    # the one within 2^31 s of that instant
     t = Timestamp.from_unix_s(2_300_000_000)  # beyond the era-0 range
     word = pack_ntp64(t)
-    assert unpack_ntp64(word, era=1) == t
+    for near in (t, Timestamp.from_unix_s(t.seconds - 2**31),
+                 Timestamp.from_unix_s(t.seconds + 2**31 - 1)):
+        assert unpack_ntp64(word, near) == t
+    era0 = unpack_ntp64(word, Timestamp.from_unix_s(t.seconds - 2**31 - 1))
+    assert era0 == Timestamp.from_unix_s(t.seconds - 2**32)
+
+
+ROLLOVER_UNIX_S = 2**32 - 2_208_988_800  # 2036-02-07 06:28:16 UTC, NTP era 1 begins
+
+
+@pytest.mark.parametrize("t1_unix_s, server_unix_s", [
+    (2_150_000_000, 2_150_000_000),  # both clocks in era 1
+    (ROLLOVER_UNIX_S - 1, ROLLOVER_UNIX_S + 1),  # T1 in era 0, T2 and T3 in era 1
+])
+def test_query_reads_the_reply_in_the_era_of_t1(t1_unix_s, server_unix_s):
+    server = NtsTestServer(clock=lambda: Timestamp.from_unix_s(server_unix_s))
+    session = server.mint_session()
+    m = nts_query(session, transport=server.transport,
+                  clock_utc=lambda: Timestamp.from_unix_s(t1_unix_s))
+    assert m.offset == SignedDuration.from_s(server_unix_s - t1_unix_s)
+    assert m.delay == SignedDuration(0)
 
 
 def test_offset_delay_symmetric_identity():
@@ -521,6 +542,17 @@ def test_ke_handshake_and_udp_query():
         assert abs(m.offset.to_s()) < 5.0  # same host clock both sides
         assert m.delay.units >= 0
         assert session.cookie_count() == 8
+
+
+@pytest.mark.skipif(not ipv6_loopback(), reason="this host has no IPv6 loopback")
+def test_query_over_udp_on_ipv6_loopback():
+    server = NtsTestServer()
+    session = server.mint_session()
+    with udp(server, "::1") as port:
+        session.host, session.port = "::1", port
+        m = nts_query(session, timeout_s=2.0)
+    assert abs(m.offset.to_s()) < 5.0  # same host clock both sides
+    assert session.cookie_count() == 8
 
 
 def test_ke_handshake_aead_mismatch():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from loopback import udp
+from loopback import ipv6_loopback, udp
 
 from timeguard import provider_roughtime
 from timeguard.provider_roughtime import (
@@ -496,6 +496,14 @@ def test_poll_over_udp():
     server = RoughtimeTestServer()
     with udp(server) as port:
         m = poll(replace(server.server_key, port=port), timeout_s=2.0)
+        assert m.midpoint == Timestamp.from_unix_s(1_689_120_000)
+
+
+@pytest.mark.skipif(not ipv6_loopback(), reason="this host has no IPv6 loopback")
+def test_poll_over_udp_on_ipv6_loopback():
+    server = RoughtimeTestServer()
+    with udp(server, "::1") as port:
+        m = poll(replace(server.server_key, host="::1", port=port), timeout_s=2.0)
         assert m.midpoint == Timestamp.from_unix_s(1_689_120_000)
 
 

@@ -39,7 +39,7 @@ def verdict(**changes):
 BUILDERS = {
     "EpochRecord": lambda: EpochRecord(MonotonicInstant(7), Timestamp(2**70 + 1), True,
                                        False, "gnss-sim"),
-    "ClockKfState": lambda: ClockKfState(1e-7, 2e-10, 1e-12, 0.0, 1e-18, 1e-21, 1e-24),
+    "ClockKfState": lambda: ClockKfState(1e-7, 2e-10, 1e-12, 0.0, 1e-18),
     "Verdict": verdict,
     "Event": lambda: Event(EventKind.NTS_VERDICT, T, verdict(test="nts")),
     "OrchestratorState": lambda: OrchestratorState(Phase.HOLDOVER, MonotonicInstant(3), True,
@@ -81,17 +81,17 @@ def test_defaults_fill_the_unset_fields():
     assert OrchestratorState() == (Phase.COLD_START, None, False, 0, None)
     assert OrchestratorState().active_time_source == "gnss"
     assert Event(EventKind.TICK, T).verdict is None
-    state = kf_init()
-    assert ClockKfState(*state[:5]) == state
+    assert kf_init(1e-7) == ClockKfState(1e-7, 0.0, 1e-12, 0.0, 1e-18)
+
+
+def test_the_filter_state_is_the_estimate_alone():
+    # the oscillator model is an argument of kf_predict and kf_update
+    assert ClockKfState._fields == ("bias", "drift", "p00", "p01", "p11")
 
 
 # -- each failing check: its exception and text, as the dataclasses raised ----
 
 CHECKS = [
-    (lambda: ClockKfState(0.0, 0.0, 1.0, 0.0, 1.0, -1e-21, 1e-24),
-     FilterDomainError, "process noise densities must be >= 0"),
-    (lambda: ClockKfState(0.0, 0.0, 1.0, 0.0, 1.0, 1e-21, float("nan")),
-     FilterDomainError, "process noise densities must be >= 0"),
     (lambda: ClockKfState(0.0, 0.0, 1.0, 2.0, 1.0),
      FilterDomainError, "covariance not PSD: min eigenvalue -1.0"),
     (lambda: ClockKfState(0.0, 0.0, float("inf"), 0.0, 1.0),

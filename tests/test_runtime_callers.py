@@ -50,9 +50,6 @@ CALLER_FILES = sorted(
 KEEP = {
     # replay(), which acceptance criterion 7 runs a recorded event log through
     "replay",
-    # criterion 4 reads the matrix views
-    "ClockKfState.x",
-    "ClockKfState.P",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -283,6 +280,19 @@ def test_every_defaulted_setting_is_set_somewhere():
 _SERVER_CALLS = {"bind", "listen", "accept"}
 
 
+def _imported(n: ast.AST) -> list:
+    """The top-level packages node imports: by an import statement, or by a
+    call of __import__ or import_module on a string; [] for any other node."""
+    if isinstance(n, ast.Import):
+        return [a.name.split(".")[0] for a in n.names]
+    if isinstance(n, ast.ImportFrom) and n.level == 0:
+        return [n.module.split(".")[0]]
+    if (isinstance(n, ast.Call) and _callee(n) in ("__import__", "import_module") and n.args
+            and isinstance(n.args[0], ast.Constant) and isinstance(n.args[0].value, str)):
+        return [n.args[0].value.split(".")[0]]
+    return []
+
+
 def test_the_package_serves_no_sockets():
     """The monitor and its clients only connect out: no module starts a
     thread or listens on a socket.  The loopback servers that tests need
@@ -290,17 +300,21 @@ def test_the_package_serves_no_sockets():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(n, ast.Import):
-                modules = [a.name for a in n.names]
-            elif isinstance(n, ast.ImportFrom) and n.level == 0:
-                modules = [n.module]
-            else:
-                modules = []
-            if any(m.split(".")[0] == "threading" for m in modules):
+            if "threading" in _imported(n):
                 found.append(f"{path.name}:{n.lineno} imports threading")
             if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                     and _callee(n) in _SERVER_CALLS):
                 found.append(f"{path.name}:{n.lineno} calls .{_callee(n)}")
+    assert not found, found
+
+
+def test_the_filter_imports_no_numpy():
+    """ensemble is scalar arithmetic on five floats: it imports numpy
+    nowhere, not inside a function nor for type checking."""
+    path = PACKAGE / "ensemble.py"
+    found = [f"{path.name}:{n.lineno} imports numpy"
+             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "numpy" in _imported(n)]
     assert not found, found
 
 
