@@ -6,10 +6,10 @@ real network providers (`live`), fitting detection thresholds
 (`calibrate`), timing the crypto hot paths (`bench-crypto`), and
 printing the effective configuration (`config dump`).
 
-The provider clients and the crypto benchmark, which load cryptography
-and ssl, are imported only by the commands that run them, so `live` with
-scripted replies and a fitted [ll] section starts without them, and
-without numpy, which only scenario generation and calibration load.
+The provider clients, their UDP exchange and the crypto benchmark, which
+load cryptography, ssl and socket, are imported only by the commands that
+run them: `live` with scripted replies and a fitted [ll] section starts
+without them, and without numpy, which only scenarios and calibration load.
 
 Exit codes are a stable contract: 0 means the run completed with no
 attack indication, 2 means at least one detector raised H1, and 1 means
@@ -178,6 +178,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- live monitoring ---------------------------------------------------------
 
 
+def udp_transport(host: str, port: int, timeout_s: float) -> Callable[[bytes], bytes]:
+    """The provider clients' one UDP exchange: a request to host:port (IPv4,
+    IPv6 or a name) and its reply, or TimeoutError after timeout_s."""
+    import socket
+
+    def send(request: bytes) -> bytes:
+        family, _, _, _, address = socket.getaddrinfo(host, port, type=socket.SOCK_DGRAM)[0]
+        with socket.socket(family, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(timeout_s)
+            sock.sendto(request, address)
+            return sock.recvfrom(65536)[0]
+
+    return send
+
+
 def _rt_poller(config: AppConfig):
     prov = config.providers
     if not prov.roughtime_host:
@@ -189,14 +204,15 @@ def _rt_poller(config: AppConfig):
         host=prov.roughtime_host,
         port=prov.roughtime_port,
     )
-    return lambda: poll(key, timeout_s=prov.timeout_s)
+    transport = udp_transport(key.host, key.port, prov.timeout_s)
+    return lambda: poll(key, transport)
 
 
 def _nts_poller(config: AppConfig):
     prov = config.providers
     if not prov.nts_ke_host:
         return None
-    from .provider_nts import NtsKeConfig, nts_ke_handshake, nts_query
+    from .provider_nts import nts_ke_handshake, nts_query
 
     session = None
 
@@ -204,9 +220,9 @@ def _nts_poller(config: AppConfig):
         # each query spends a cookie, a lost reply too: re-key once they run out
         nonlocal session
         if session is None or not session.cookies:
-            ke = NtsKeConfig(ca_file=prov.nts_ca_file or None, timeout_s=prov.timeout_s)
-            session = nts_ke_handshake(prov.nts_ke_host, prov.nts_ke_port, ke)
-        return nts_query(session, timeout_s=prov.timeout_s)
+            session = nts_ke_handshake(prov.nts_ke_host, prov.nts_ke_port,
+                                       prov.nts_ca_file or None, prov.timeout_s)
+        return nts_query(session, udp_transport(session.host, session.port, prov.timeout_s))
 
     return query
 
@@ -351,13 +367,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     nts_poller = _nts_poller(config)
     if nts_poller is not None:
         history = [nts_poller() for _ in range(30)]
-        sigma = estimate_server_sigma(history)
         sigma_source = f"nts server {config.providers.nts_ke_host}"
     else:
         responses = outputs.nts_responses
         history = [responses[k] for k in sorted(responses)]
-        sigma = estimate_server_sigma(history)
         sigma_source = f"simulated provider in scenario {spec.name!r}"
+    sigma = estimate_server_sigma(history)
 
     snippet = "\n".join(
         [

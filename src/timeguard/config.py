@@ -41,6 +41,8 @@ class EnsembleConfig(OscillatorSpec):
         super().__post_init__()
         if self.gate_k <= 0:
             raise ConfigFileError("ensemble.gate_k must be positive")
+        if self.sigma_meas_s < 0:
+            raise ConfigFileError("ensemble.sigma_meas_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if not (0 < self.roughtime_port < 65536 and 0 < self.nts_ke_port < 65536):
             raise ConfigFileError("providers: a port must lie in 1-65535")
+        if self.timeout_s <= 0:
+            raise ConfigFileError("providers.timeout_s must be positive")
 
 
 @dataclass(frozen=True)

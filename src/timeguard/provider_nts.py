@@ -32,7 +32,6 @@ from .receiver_feed import NtsMeasurement
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
 
 NTS_KE_ALPN = "ntske/1"
-DEFAULT_KE_PORT = 4460
 DEFAULT_NTP_PORT = 123
 NTPV4_PROTOCOL_ID = 0
 AEAD_AES_SIV_CMAC_256 = 15
@@ -447,42 +446,25 @@ def parse_nts_response(
     return unpack_ntp64(recv64, request.t1), unpack_ntp64(tx64, request.t1), new_cookies
 
 
-Transport = Callable[[bytes], bytes]
-
-
-def udp_transport(host: str, port: int, timeout_s: float) -> Transport:
-    def send(request: bytes) -> bytes:
-        family, _, _, _, address = socket.getaddrinfo(host, port, type=socket.SOCK_DGRAM)[0]
-        with socket.socket(family, socket.SOCK_DGRAM) as sock:
-            sock.settimeout(timeout_s)
-            sock.sendto(request, address)
-            data, _ = sock.recvfrom(65536)
-            return data
-
-    return send
-
-
 def nts_query(
     session: NtsSession,
-    transport: Optional[Transport] = None,
+    transport: Callable[[bytes], bytes],
     clock_utc: Callable[[], Timestamp] = Timestamp.now_system,
     mono: Callable[[], MonotonicInstant] = MonotonicInstant.now,
     target_cookies: int = 8,
-    timeout_s: float = 1.0,
 ) -> NtsMeasurement:
     """One authenticated time transfer; restocks the cookie queue.
 
-    The queue keeps at most target_cookies, the newest, however many
-    cookies an authenticated reply carries.
+    transport sends to session.host:session.port and raises TimeoutError
+    when no reply comes.  The queue keeps at most target_cookies, the
+    newest, however many cookies an authenticated reply carries.
     """
-    if transport is None:
-        transport = udp_transport(session.host, session.port, timeout_s)
     # queue after a successful query: (len - 1) spent + 1 + placeholders new
     placeholders = max(0, target_cookies - len(session.cookies))
     request = build_nts_request(session, clock_utc(), num_placeholders=placeholders)
     try:
         reply = transport(request.data)
-    except (socket.timeout, TimeoutError) as e:
+    except TimeoutError as e:
         raise UnreachableError(f"no reply from {session.host}:{session.port}") from e
     t4 = clock_utc()
     t_mono_rx = mono()
@@ -496,24 +478,18 @@ def nts_query(
 # -- NTS-KE client ----------------------------------------------------------
 
 
-@dataclass
-class NtsKeConfig:
-    ca_file: Optional[str] = None
-    timeout_s: float = 5.0
-
-
 def nts_ke_handshake(
-    host: str, port: int = DEFAULT_KE_PORT, config: Optional[NtsKeConfig] = None
+    host: str, port: int, ca_file: Optional[str], timeout_s: float
 ) -> NtsSession:
-    """TLS 1.3 key establishment; returns a ready session."""
-    config = config or NtsKeConfig()
-    ctx = ssl.create_default_context(cafile=config.ca_file)
+    """TLS 1.3 key establishment, trusting ca_file or, if None, the system
+    store; returns a ready session."""
+    ctx = ssl.create_default_context(cafile=ca_file)
     ctx.minimum_version = ssl.TLSVersion.TLSv1_3
     ctx.set_alpn_protocols([NTS_KE_ALPN])
     with tempfile.TemporaryDirectory(prefix="ntske-") as tmp:
         ctx.keylog_filename = os.path.join(tmp, "keylog")
         try:
-            with socket.create_connection((host, port), timeout=config.timeout_s) as raw:
+            with socket.create_connection((host, port), timeout=timeout_s) as raw:
                 with ctx.wrap_socket(raw, server_hostname=host) as tls:
                     if tls.selected_alpn_protocol() != NTS_KE_ALPN:
                         raise HandshakeError("server did not select the NTS-KE ALPN")
@@ -522,7 +498,7 @@ def nts_ke_handshake(
                     cipher_name = tls.cipher()[0]
         except ssl.SSLError as e:
             raise HandshakeError(f"TLS failure: {e}") from e
-        except (ConnectionError, socket.timeout, TimeoutError, OSError) as e:
+        except OSError as e:
             raise UnreachableError(f"cannot reach {host}:{port}: {e}") from e
         secret = exporter_secret_from_keylog(ctx.keylog_filename)
     cookies, ntp_host, ntp_port = parse_ke_response(records)
@@ -631,5 +607,5 @@ class NtsTestServer:
     def transport(self, request: bytes) -> bytes:
         """In-process transport honoring the drop knob."""
         if self.drop_requests:
-            raise socket.timeout("dropped")
+            raise TimeoutError("dropped")
         return self.handle_ntp(request)

@@ -13,7 +13,6 @@ poll.  The wire constants are those of IETF draft 07.
 from __future__ import annotations
 
 import secrets
-import socket
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -361,39 +360,21 @@ def verify_response(
     )
 
 
-# -- transport --------------------------------------------------------------
-
-Transport = Callable[[bytes], bytes]
-
-
-def udp_transport(host: str, port: int, timeout_s: float) -> Transport:
-    def send(request: bytes) -> bytes:
-        family, _, _, _, address = socket.getaddrinfo(host, port, type=socket.SOCK_DGRAM)[0]
-        with socket.socket(family, socket.SOCK_DGRAM) as sock:
-            sock.settimeout(timeout_s)
-            sock.sendto(request, address)
-            data, _ = sock.recvfrom(65536)
-            return data
-
-    return send
+# -- poll -------------------------------------------------------------------
 
 
 def poll(
-    server: RoughtimeServerKey,
-    transport: Optional[Transport] = None,
-    timeout_s: float = 1.0,
-    retries: int = 3,
+    server: RoughtimeServerKey, transport: Callable[[bytes], bytes], retries: int = 3
 ) -> RoughtimeMeasurement:
-    """One verified measurement; fresh nonce per attempt."""
-    if transport is None:
-        transport = udp_transport(server.host, server.port, timeout_s)
+    """One verified measurement; fresh nonce per attempt, and a new attempt,
+    up to `retries`, each time transport raises TimeoutError."""
     last_timeout: Optional[Exception] = None
     for _ in range(max(1, retries)):
         nonce = make_nonce()
         request = build_request(nonce)
         try:
             resp = transport(request)
-        except (socket.timeout, TimeoutError) as e:
+        except TimeoutError as e:
             last_timeout = e
             continue
         return verify_response(resp, nonce, server, MonotonicInstant.now())
@@ -469,7 +450,7 @@ class RoughtimeTestServer:
     def transport(self, request: bytes) -> bytes:
         """In-process transport honoring the drop/replay knobs."""
         if self.drop_requests:
-            raise socket.timeout("dropped")
+            raise TimeoutError("dropped")
         if self.replay_last and self._last_response is not None:
             return self._last_response
         resp = self.respond(request)

@@ -4,9 +4,10 @@
 oracles.  The tests that run the clients' own sockets, the NTS-KE TLS
 handshake and `live` against real providers, serve those oracles here:
 `udp` answers datagrams through a server's `transport`, on IPv4 or IPv6
-loopback, so its tamper knobs apply, including ones flipped mid-test, and `nts_ke` adds an NTS-KE
-listener with a self-signed certificate for 127.0.0.1.  Each is a context
-manager that closes its sockets and joins its thread on exit.
+loopback, so its tamper knobs apply, including ones flipped mid-test, and
+`nts_ke` adds an NTS-KE listener on either loopback with a self-signed
+certificate for 127.0.0.1 and ::1.  Each is a context manager that closes
+its sockets and joins its thread on exit.
 """
 
 import datetime
@@ -43,6 +44,10 @@ from timeguard.provider_nts import (
 from timeguard.provider_roughtime import RoughtimeError
 
 LOCALHOST = "127.0.0.1"
+
+
+def _family(host: str) -> socket.AddressFamily:
+    return socket.AF_INET6 if ":" in host else socket.AF_INET
 
 
 def ipv6_loopback() -> bool:
@@ -86,7 +91,7 @@ def udp(server, host: str = LOCALHOST) -> Iterator[int]:
     """Answer datagrams on a loopback port of host, 127.0.0.1 or ::1, with
     server.transport; yields the port.  A request the transport drops or
     refuses gets no reply."""
-    sock = socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET, socket.SOCK_DGRAM)
+    sock = socket.socket(_family(host), socket.SOCK_DGRAM)
     sock.bind((host, 0))
 
     def handle() -> None:
@@ -101,7 +106,7 @@ def udp(server, host: str = LOCALHOST) -> Iterator[int]:
 
 
 def _certificate(directory: str) -> tuple[str, str]:
-    """A self-signed certificate for 127.0.0.1 and its key, as PEM files."""
+    """A self-signed certificate for 127.0.0.1 and ::1 and its key, as PEM files."""
     key = ec.generate_private_key(ec.SECP256R1())
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "timeguard-test")])
     now = datetime.datetime.now(datetime.timezone.utc)
@@ -114,7 +119,8 @@ def _certificate(directory: str) -> tuple[str, str]:
         .not_valid_before(now - datetime.timedelta(days=1))
         .not_valid_after(now + datetime.timedelta(days=1))
         .add_extension(
-            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.IPv4Address(LOCALHOST))]),
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.IPv4Address(LOCALHOST)),
+                                         x509.IPAddress(ipaddress.IPv6Address("::1"))]),
             critical=False,
         )
         .sign(key, hashes.SHA256())
@@ -137,15 +143,16 @@ class NtsKe(NamedTuple):
 
 
 @contextmanager
-def nts_ke(server, send_zero_cookies: bool = False) -> Iterator[NtsKe]:
-    """An NTS-KE TLS listener for server, with its NTP side on `udp`.
+def nts_ke(server, host: str = LOCALHOST, send_zero_cookies: bool = False) -> Iterator[NtsKe]:
+    """An NTS-KE TLS listener for server on a loopback port of host, 127.0.0.1
+    or ::1, with its NTP side on `udp` at the same host.
 
     Each handshake exports fresh keys from its own key log and hands out
     eight cookies minted by server, or none with send_zero_cookies.
     """
-    with tempfile.TemporaryDirectory(prefix="ntske-") as tmp, udp(server) as ntp_port:
+    with tempfile.TemporaryDirectory(prefix="ntske-") as tmp, udp(server, host) as ntp_port:
         cert_path, key_path = _certificate(tmp)
-        listener = socket.create_server((LOCALHOST, 0), backlog=4)
+        listener = socket.create_server((host, 0), family=_family(host), backlog=4)
 
         def answer(conn: socket.socket) -> None:
             fd, keylog = tempfile.mkstemp(dir=tmp, prefix="keylog-")

@@ -161,7 +161,7 @@ REPORT_LOADED = """\
 import sys
 from timeguard.cli import main
 rc = main(sys.argv[1:])
-heavy = ("numpy", "cryptography", "ssl")
+heavy = ("numpy", "cryptography", "ssl", "socket")
 print("loaded:", *[m for m in heavy if m in sys.modules], file=sys.stderr)
 sys.exit(rc)
 """

@@ -247,6 +247,13 @@ def test_ini_port_outside_range_rejected(tmp_path, key, port):
         load_config(write(tmp_path, f"[providers]\n{key} = {port}\n"))
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "0.0"])
+def test_ini_non_positive_timeout_rejected(tmp_path, timeout):
+    # a UDP exchange under a timeout of 0 or less fails on every poll
+    with pytest.raises(ConfigFileError, match="timeout_s"):
+        load_config(write(tmp_path, f"[providers]\ntimeout_s = {timeout}\n"))
+
+
 def test_env_absent_is_noop():
     assert apply_env(default_config(), {}) == default_config()
 
@@ -263,6 +270,13 @@ def test_ensemble_oscillator_property():
 def test_ensemble_gate_validation():
     with pytest.raises(ConfigFileError):
         EnsembleConfig(gate_k=0.0)
+
+
+def test_ensemble_sigma_meas_validation(tmp_path):
+    # zero stays allowed: the filter floors the readout noise to 1 ps
+    assert load_config(write(tmp_path, "[ensemble]\nsigma_meas_s = 0\n")).ensemble.sigma_meas_s == 0
+    with pytest.raises(ConfigFileError, match="sigma_meas_s"):
+        load_config(write(tmp_path, "[ensemble]\nsigma_meas_s = -5\n"))
 
 
 def test_calibration_far_validation():

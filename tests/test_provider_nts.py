@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from loopback import ipv6_loopback, nts_ke, udp
 
+from timeguard.cli import udp_transport
 from timeguard.detector import CalibrationError, estimate_server_sigma
 from timeguard.provider_nts import (
     AEAD_AES_SIV_CMAC_256,
@@ -24,7 +25,6 @@ from timeguard.provider_nts import (
     HandshakeError,
     KeRecord,
     NegotiationError,
-    NtsKeConfig,
     NtsMeasurement,
     NtsSession,
     NtsTestServer,
@@ -533,12 +533,12 @@ def test_sigma_insufficient_history():
 
 def test_ke_handshake_and_udp_query():
     with nts_ke(NtsTestServer()) as ke:
-        session = nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig(ca_file=ke.ca_file))
+        session = nts_ke_handshake("127.0.0.1", ke.port, ke.ca_file, 5.0)
         assert session.cookie_count() == 8
         assert len(session.c2s) == len(session.s2c) == 32
         assert session.c2s != session.s2c
         assert session.port == ke.ntp_port
-        m = nts_query(session, timeout_s=2.0)
+        m = nts_query(session, udp_transport(session.host, session.port, 2.0))
         assert abs(m.offset.to_s()) < 5.0  # same host clock both sides
         assert m.delay.units >= 0
         assert session.cookie_count() == 8
@@ -550,7 +550,18 @@ def test_query_over_udp_on_ipv6_loopback():
     session = server.mint_session()
     with udp(server, "::1") as port:
         session.host, session.port = "::1", port
-        m = nts_query(session, timeout_s=2.0)
+        m = nts_query(session, udp_transport(session.host, session.port, 2.0))
+    assert abs(m.offset.to_s()) < 5.0  # same host clock both sides
+    assert session.cookie_count() == 8
+
+
+@pytest.mark.skipif(not ipv6_loopback(), reason="this host has no IPv6 loopback")
+def test_ke_handshake_and_udp_query_on_ipv6_loopback():
+    with nts_ke(NtsTestServer(), "::1") as ke:
+        session = nts_ke_handshake("::1", ke.port, ke.ca_file, 5.0)
+        assert session.cookie_count() == 8
+        assert (session.host, session.port) == ("::1", ke.ntp_port)
+        m = nts_query(session, udp_transport(session.host, session.port, 2.0))
     assert abs(m.offset.to_s()) < 5.0  # same host clock both sides
     assert session.cookie_count() == 8
 
@@ -558,16 +569,16 @@ def test_query_over_udp_on_ipv6_loopback():
 def test_ke_handshake_aead_mismatch():
     with nts_ke(NtsTestServer(offer_aead_id=77)) as ke:
         with pytest.raises(NegotiationError):
-            nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig(ca_file=ke.ca_file))
+            nts_ke_handshake("127.0.0.1", ke.port, ke.ca_file, 5.0)
 
 
 def test_ke_handshake_zero_cookies():
     with nts_ke(NtsTestServer(), send_zero_cookies=True) as ke:
         with pytest.raises(HandshakeError):
-            nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig(ca_file=ke.ca_file))
+            nts_ke_handshake("127.0.0.1", ke.port, ke.ca_file, 5.0)
 
 
 def test_ke_handshake_untrusted_cert():
     with nts_ke(NtsTestServer()) as ke:
         with pytest.raises(HandshakeError):
-            nts_ke_handshake("127.0.0.1", ke.port, NtsKeConfig())
+            nts_ke_handshake("127.0.0.1", ke.port, None, 5.0)

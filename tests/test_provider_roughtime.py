@@ -3,7 +3,6 @@
 import hashlib
 import socket
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from loopback import ipv6_loopback, udp
 
 from timeguard import provider_roughtime
+from timeguard.cli import udp_transport
 from timeguard.provider_roughtime import (
     DELEGATION_CONTEXT,
     MIN_REQUEST_SIZE,
@@ -495,7 +495,7 @@ def test_poll_replayed_response_rejected():
 def test_poll_over_udp():
     server = RoughtimeTestServer()
     with udp(server) as port:
-        m = poll(replace(server.server_key, port=port), timeout_s=2.0)
+        m = poll(server.server_key, udp_transport("127.0.0.1", port, 2.0))
         assert m.midpoint == Timestamp.from_unix_s(1_689_120_000)
 
 
@@ -503,7 +503,7 @@ def test_poll_over_udp():
 def test_poll_over_udp_on_ipv6_loopback():
     server = RoughtimeTestServer()
     with udp(server, "::1") as port:
-        m = poll(replace(server.server_key, host="::1", port=port), timeout_s=2.0)
+        m = poll(server.server_key, udp_transport("::1", port, 2.0))
         assert m.midpoint == Timestamp.from_unix_s(1_689_120_000)
 
 
@@ -511,7 +511,7 @@ def test_poll_udp_unreachable():
     server = RoughtimeTestServer(drop_requests=True)
     with udp(server) as port:
         with pytest.raises(UnreachableError):
-            poll(replace(server.server_key, port=port), timeout_s=0.05, retries=2)
+            poll(server.server_key, udp_transport("127.0.0.1", port, 0.05), retries=2)
 
 
 def test_nonce_uniqueness_bulk():

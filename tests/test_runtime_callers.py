@@ -118,6 +118,18 @@ def test_keep_set_lists_only_names_that_need_it():
     assert not called, f"kept names that now have a caller: {sorted(called)}"
 
 
+def test_no_function_name_is_defined_in_two_modules():
+    """One job, one definition: a top-level function whose name a second
+    module also defines at top level is a copy that has to be kept in step."""
+    where = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                where.setdefault(node.name, []).append(path.name)
+    twice = {name: paths for name, paths in where.items() if len(paths) > 1}
+    assert not twice, twice
+
+
 # -- defaulted parameters and fields ------------------------------------------
 
 SETTER_FILES = sorted([*CALLER_FILES, *(ROOT / "tests").glob("*.py")])
