@@ -43,6 +43,8 @@ class EnsembleConfig(OscillatorSpec):
             raise ConfigFileError("ensemble.gate_k must be positive")
         if self.sigma_meas_s < 0:
             raise ConfigFileError("ensemble.sigma_meas_s must be >= 0")
+        if not math.isfinite(self.sigma_meas_s * self.sigma_meas_s):  # the readout variance
+            raise ConfigFileError("ensemble.sigma_meas_s is too large: its square overflows")
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class ProviderConfig:
             raise ConfigFileError("providers: a port must lie in 1-65535")
         if self.timeout_s <= 0:
             raise ConfigFileError("providers.timeout_s must be positive")
+        if self.timeout_s * 1e9 >= 2.0**63:  # a socket timeout is held in int64 nanoseconds
+            raise ConfigFileError("providers.timeout_s must be below 2^63 ns (9.2e9 s)")
 
 
 @dataclass(frozen=True)

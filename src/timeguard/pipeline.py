@@ -11,8 +11,8 @@ and configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, TextIO
+from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
 from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
 from .config import AppConfig, ConfigFileError, EnsembleConfig, config_sha256, load_scenario
@@ -319,17 +319,7 @@ class RunReport:
 
 
 def report_to_json(report: RunReport) -> str:
-    obj = {
-        "scenario": report.scenario,
-        "outcomes": {
-            test: {"detected": o.detected, "latency_epochs": o.latency_epochs}
-            for test, o in report.outcomes.items()
-        },
-        "false_alarms": report.false_alarms,
-        "final_phase": report.final_phase,
-        "config_sha256": report.config_sha256,
-    }
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return json.dumps(asdict(report), separators=(",", ":"), sort_keys=True)
 
 
 # -- scenario replay ---------------------------------------------------------
@@ -339,17 +329,16 @@ def report_to_json(report: RunReport) -> str:
 class PipelineResult:
     verdicts: list
     state: OrchestratorState
-    xhat_bias_s: np.ndarray
-    innovation_s: np.ndarray = None
-    report: Optional[RunReport] = None
+    report: RunReport
 
 
 def _epoch_of(v: Verdict, period_s: float) -> int:
     return round(v.t_mono.nanoseconds / (period_s * 1e9))
 
 
-def build_report(outputs: SimOutputs, result: PipelineResult, config_hash: str) -> RunReport:
-    """Score verdicts against exact ground truth.
+def build_report(outputs: SimOutputs, verdicts: list, state: OrchestratorState,
+                 config_hash: str) -> RunReport:
+    """Score a run's verdicts against exact ground truth.
 
     An H1 at an epoch whose injected offset is zero counts as a false
     alarm; the first H1 at a nonzero offset is the detection, with
@@ -362,7 +351,7 @@ def build_report(outputs: SimOutputs, result: PipelineResult, config_hash: str) 
     for test in ("rt", "nts", "ll"):
         hits = sorted(
             _epoch_of(v, spec.epoch_period_s)
-            for v in result.verdicts
+            for v in verdicts
             if v.test == test and v.hypothesis is Hypothesis.H1
         )
         false_alarms += sum(1 for e in hits if truth[min(e, len(truth) - 1)] == 0.0)
@@ -375,9 +364,28 @@ def build_report(outputs: SimOutputs, result: PipelineResult, config_hash: str) 
         scenario=spec.name,
         outcomes=outcomes,
         false_alarms=false_alarms,
-        final_phase=result.state.phase.value,
+        final_phase=state.phase.value,
         config_sha256=config_hash,
     )
+
+
+def scenario_inputs(outputs: SimOutputs) -> Iterator[tuple[str, tuple]]:
+    """A generated run's inputs in the order a feed carries them, each as a
+    Monitor method name and its arguments: a `network` input before an epoch
+    where the simulated network changes (the engine starts online), then the
+    epoch, its Roughtime reply, its NTS reply, and `finish` last."""
+    spec, rt, nts = outputs.spec, outputs.rt_responses, outputs.nts_responses
+    online = True
+    for e, rec in enumerate(outputs.epochs):
+        if network_available(spec, e) != online:
+            online = not online
+            yield "network", (online, rec.t_mono)
+        yield "epoch", (rec,)
+        if e in rt:
+            yield "roughtime", (rt[e],)
+        if e in nts:
+            yield "nts", (nts[e],)
+    yield "finish", ()
 
 
 def run_scenario(
@@ -385,50 +393,24 @@ def run_scenario(
     config: AppConfig,
     on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
 ) -> tuple[SimOutputs, PipelineResult]:
-    """Generate a scenario, bundled by name or given as a spec, and replay
-    it through the full detection stack; attaches the scored report, which
-    pins the config by its `config_sha256`.
+    """Generate a scenario, bundled by name or given as a spec, and apply its
+    scenario_inputs to a Monitor; the result holds the verdicts, the final
+    state and the scored report, which pins the config by its `config_sha256`.
 
     Each event that goes through the transition rule goes to
     `on_transition` as it happens (see Monitor: an event that only moves
-    the clock is not one); the result keeps only the verdicts, which the
-    report scores.  The Monitor, and
-    with it any ll calibration, comes before generation, so a run that
-    calibrates loads numpy in set-up, not in the replay.
+    the clock is not one).  The Monitor, and with it any ll calibration,
+    comes before generation, so a run that calibrates loads numpy in
+    set-up, not in the replay.
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else builtin_scenarios()[scenario]
     verdicts: list[Verdict] = []
     monitor = Monitor(config, on_verdict=verdicts.append, on_transition=on_transition)
     outputs = gen_scenario(spec)
-    import numpy as np
-
-    xhat = np.empty(len(outputs.epochs))
-    innovations = np.empty(len(outputs.epochs))
-    # written through memoryviews: a float stored through one costs half a
-    # numpy item assignment, and a list of the pairs would hold a tuple and
-    # two floats per epoch until the arrays are built
-    xhat_out, innovations_out = memoryview(xhat), memoryview(innovations)
-    online = True
-    for e, rec in enumerate(outputs.epochs):
-        # the engine starts online and hears of each change, as a feed's network line
-        if network_available(spec, e) != online:
-            online = not online
-            monitor.network(online, rec.t_mono)
-        xhat_out[e], innovations_out[e] = monitor.epoch(rec)
-        if e in outputs.rt_responses:
-            monitor.roughtime(outputs.rt_responses[e])
-        if e in outputs.nts_responses:
-            monitor.nts(outputs.nts_responses[e])
-    monitor.finish()
-
-    result = PipelineResult(
-        verdicts=verdicts,
-        state=monitor.state,
-        xhat_bias_s=xhat,
-        innovation_s=innovations,
-    )
-    result.report = build_report(outputs, result, config_sha256(config))
-    return outputs, result
+    for name, args in scenario_inputs(outputs):
+        getattr(monitor, name)(*args)
+    report = build_report(outputs, verdicts, monitor.state, config_sha256(config))
+    return outputs, PipelineResult(verdicts=verdicts, state=monitor.state, report=report)
 
 
 # -- trace writers: the one writer of each format, for simulate and live -----

@@ -20,11 +20,11 @@ from loopback import nts_ke, udp
 from test_pipeline import kept
 
 from timeguard import cli
-from timeguard.attack_sim import builtin_scenarios, gen_scenario, network_available
+from timeguard.attack_sim import builtin_scenarios, gen_scenario
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main
 from timeguard.config import default_config, load_config, load_scenario
 from timeguard.orchestrator import transition_to_json
-from timeguard.pipeline import run_scenario, transition_writer
+from timeguard.pipeline import run_scenario, scenario_inputs, transition_writer
 from timeguard.provider_nts import NtsTestServer, UnreachableError
 from timeguard.provider_roughtime import RoughtimeTestServer
 from timeguard.receiver_feed import epoch_to_json
@@ -887,33 +887,26 @@ def test_live_refuses_every_corrupted_field(clean_live, tmp_path):
 # -- simulate and live agree -------------------------------------------------
 
 
-def scenario_feed(outputs):
-    """A simulated run as a live feed: each epoch, then its scripted replies.
+# the feed line of each of a generated run's inputs but `finish`, the feed's end
+FEED_LINES = {
+    "network": lambda up, t: json.dumps({"type": "network", "t_mono_ns": t.nanoseconds, "up": up}),
+    "epoch": epoch_to_json,
+    "roughtime": lambda rt: json.dumps({
+        "type": "rt", "t_mono_ns": rt.t_mono_rx.nanoseconds,
+        "midpoint_unix_ns": rt.midpoint.to_ns(), "radius_s": rt.radius.to_s(),
+        "source_id": rt.server_id,
+    }),
+    "nts": lambda nts: json.dumps({
+        "type": "nts", "t_mono_ns": nts.t_mono_rx.nanoseconds, "offset_s": nts.offset.to_s(),
+        "delay_s": nts.delay.to_s(), "source_id": nts.server_id,
+    }),
+}
 
-    Where the simulated network goes down or comes back, a `network` line
-    comes before the epoch, as simulate applies it.
-    """
-    lines = []
-    up = True
-    for e, rec in enumerate(outputs.epochs):
-        t = rec.t_mono.nanoseconds
-        if network_available(outputs.spec, e) != up:
-            up = not up
-            lines.append(json.dumps({"type": "network", "t_mono_ns": t, "up": up}))
-        lines.append(epoch_to_json(rec))
-        rt = outputs.rt_responses.get(e)
-        if rt is not None:
-            lines.append(json.dumps({
-                "type": "rt", "t_mono_ns": t, "midpoint_unix_ns": rt.midpoint.to_ns(),
-                "radius_s": rt.radius.to_s(), "source_id": rt.server_id,
-            }))
-        nts = outputs.nts_responses.get(e)
-        if nts is not None:
-            lines.append(json.dumps({
-                "type": "nts", "t_mono_ns": t, "offset_s": nts.offset.to_s(),
-                "delay_s": nts.delay.to_s(), "source_id": nts.server_id,
-            }))
-    return "".join(line + "\n" for line in lines)
+
+def scenario_feed(outputs):
+    """A simulated run as a live feed: each of its scenario_inputs as its line."""
+    return "".join(FEED_LINES[name](*args) + "\n"
+                   for name, args in scenario_inputs(outputs) if name != "finish")
 
 
 # a network outage; simulate reads a scenario that is not bundled from a file

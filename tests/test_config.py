@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from timeguard.config import (
     CalibrationConfig,
     ConfigFileError,
     EnsembleConfig,
+    ProviderConfig,
     apply_env,
     config_sha256,
     config_to_mapping,
@@ -254,6 +256,16 @@ def test_ini_non_positive_timeout_rejected(tmp_path, timeout):
         load_config(write(tmp_path, f"[providers]\ntimeout_s = {timeout}\n"))
 
 
+def test_ini_timeout_past_the_socket_range_rejected(tmp_path):
+    # a socket refuses a timeout of 2^63 ns or more, and every poll would fail
+    limit = 2**63 / 1e9
+    below = math.nextafter(limit, 0.0)
+    assert ProviderConfig(timeout_s=below).timeout_s == below
+    for timeout in (limit, 9.3e9, 1e10):
+        with pytest.raises(ConfigFileError, match="timeout_s"):
+            load_config(write(tmp_path, f"[providers]\ntimeout_s = {timeout!r}\n"))
+
+
 def test_env_absent_is_noop():
     assert apply_env(default_config(), {}) == default_config()
 
@@ -277,6 +289,10 @@ def test_ensemble_sigma_meas_validation(tmp_path):
     assert load_config(write(tmp_path, "[ensemble]\nsigma_meas_s = 0\n")).ensemble.sigma_meas_s == 0
     with pytest.raises(ConfigFileError, match="sigma_meas_s"):
         load_config(write(tmp_path, "[ensemble]\nsigma_meas_s = -5\n"))
+    # the filter's readout variance is its square, which must be finite
+    assert EnsembleConfig(sigma_meas_s=1e150).sigma_meas_s == 1e150
+    with pytest.raises(ConfigFileError, match="sigma_meas_s"):
+        load_config(write(tmp_path, "[ensemble]\nsigma_meas_s = 1e200\n"))
 
 
 def test_calibration_far_validation():

@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 from test_cli import scenario_feed
+from test_scripts import run_script
 
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
 from timeguard.cli import main
@@ -47,6 +48,9 @@ SIMULATE_SHA256 = {
 
 CALIBRATE_STDOUT_SHA256 = "86a40289459768a5a8f9cffda40facf6fd632589399f8fd5550ae5738734960c"
 
+# scripts/export_traces.py --scenario step4s
+TRACES_CSV_SHA256 = "085410a07d6bb3538ab27e37a1d8e6288d6892b36dc099a4abe0c9acf02c5e21"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -62,6 +66,12 @@ def test_simulate_trace_files(name, tmp_path):
 def test_calibrate_stdout(capsys):
     main(["calibrate"])
     assert sha256(capsys.readouterr().out.encode()) == CALIBRATE_STDOUT_SHA256
+
+
+def test_export_traces_step4s(tmp_path):
+    done = run_script("export_traces.py", "--scenario", "step4s", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert sha256((tmp_path / "traces.csv").read_bytes()) == TRACES_CSV_SHA256
 
 
 def test_live_step4s_feed(tmp_path):

@@ -14,7 +14,6 @@ from timeguard.attack_sim import (
     ScenarioSpec,
     builtin_scenarios,
     gen_scenario,
-    network_available,
 )
 from timeguard.config import config_sha256, default_config
 from timeguard.detector import (
@@ -43,13 +42,13 @@ from timeguard.pipeline import (
     DetectorOutcome,
     FilterChain,
     Monitor,
-    PipelineResult,
     RunReport,
     build_report,
     local_bias_s,
     report_to_json,
     resolve_ll,
     run_scenario,
+    scenario_inputs,
     training_residuals,
     transition_writer,
     verdict_writer,
@@ -217,12 +216,15 @@ def test_zero_noise_run_is_silent():
         name="silent", duration_epochs=80, benign_jitter_sigma_s=0.0,
         oscillator=QUIET, seed=3,
     )
-    _, result = run_scenario(spec, CFG)
-    assert np.array_equal(result.xhat_bias_s, np.zeros(80))
-    assert np.array_equal(result.innovation_s, np.zeros(80))
-    assert all(v.hypothesis is Hypothesis.H0 for v in result.verdicts)
-    assert result.state.phase is Phase.FINE_MONITORING
-    assert result.state.active_time_source == "gnss"
+    verdicts = []
+    monitor = Monitor(CFG, on_verdict=verdicts.append)
+    returns = [(name, getattr(monitor, name)(*args))
+               for name, args in scenario_inputs(gen_scenario(spec))]
+    # every epoch's (filtered bias, innovation)
+    assert [tracked for name, tracked in returns if name == "epoch"] == [(0.0, 0.0)] * 80
+    assert all(v.hypothesis is Hypothesis.H0 for v in verdicts)
+    assert monitor.state.phase is Phase.FINE_MONITORING
+    assert monitor.state.active_time_source == "gnss"
 
 
 def test_run_is_deterministic():
@@ -230,8 +232,6 @@ def test_run_is_deterministic():
     b, _, b_transitions = run_logged("step4s")
     assert a.verdicts == b.verdicts
     assert a_transitions == b_transitions
-    assert np.array_equal(a.xhat_bias_s, b.xhat_bias_s)
-    assert np.array_equal(a.innovation_s, b.innovation_s)
 
 
 def test_recorded_events_replay_to_same_transitions():
@@ -302,12 +302,10 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     seen = []
     monitor = Monitor(CFG, on_verdict=seen.append,
                       on_transition=lambda event, record: seen.append(record))
-    for e, rec in enumerate(outputs.epochs[:40]):
-        monitor.epoch(rec)
-        if e in outputs.rt_responses:
-            monitor.roughtime(outputs.rt_responses[e])
-        if e in outputs.nts_responses:
-            monitor.nts(outputs.nts_responses[e])
+    for name, args in scenario_inputs(outputs):
+        if name == "epoch" and args[0] is outputs.epochs[40]:
+            break  # the first 40 epochs and their replies applied
+        getattr(monitor, name)(*args)
     state, kf, window = monitor.state, monitor.chain.kf, list(monitor.ll.window)
     count = len(seen)
     # an rt H0 and an nts H0 in FINE_MONITORING only move the clock, so only
@@ -422,8 +420,7 @@ def test_build_report_counts_false_alarms():
                 source_id="nts-sim", t_mono=mono(4.0)),
     ]
     idle_state, _ = replay([], CFG.orchestrator)
-    result = PipelineResult(verdicts=verdicts, state=idle_state, xhat_bias_s=np.zeros(20))
-    report = build_report(outputs, result, "aa")
+    report = build_report(outputs, verdicts, idle_state, "aa")
     assert report.false_alarms == 1
     assert not report.outcomes["rt"].detected
     assert report.any_h1
@@ -493,7 +490,7 @@ class RuleForEveryEvent(Monitor):
 
 
 def assert_runs_match(config, inputs, reference=TickEveryEpoch):
-    """Feed inputs, (method, *args) each, to a Monitor and a reference engine,
+    """Feed inputs, (method, args) each, to a Monitor and a reference engine,
     and compare the two after every input: what the call returned or the
     OrderingError it raised, the state, the verdicts and transitions.jsonl."""
     runs = []
@@ -503,7 +500,7 @@ def assert_runs_match(config, inputs, reference=TickEveryEpoch):
                             on_transition=transition_writer(fh)), verdicts, fh))
     (got, got_verdicts, got_fh), (want, want_verdicts, want_fh) = runs
     seen = 0  # verdicts already compared
-    for method, *args in inputs:
+    for method, args in inputs:
         outcomes = []
         for monitor, _, _ in runs:
             try:
@@ -515,21 +512,6 @@ def assert_runs_match(config, inputs, reference=TickEveryEpoch):
         assert got_verdicts[seen:] == want_verdicts[seen:]
         seen = len(got_verdicts)
         assert got_fh.getvalue() == want_fh.getvalue()
-
-
-def scenario_inputs(outputs):
-    """A simulated run's inputs in the order run_scenario applies them."""
-    online = True
-    for e, rec in enumerate(outputs.epochs):
-        if network_available(outputs.spec, e) != online:
-            online = not online
-            yield "network", online, rec.t_mono
-        yield "epoch", rec
-        if e in outputs.rt_responses:
-            yield "roughtime", outputs.rt_responses[e]
-        if e in outputs.nts_responses:
-            yield "nts", outputs.nts_responses[e]
-    yield ("finish",)
 
 
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()) + ["outage"])
@@ -564,28 +546,28 @@ def feeds(draw):
             offset = draw(st.sampled_from((0.0, 0.0, 1e-6, 1e-3)))
             valid = draw(st.booleans())
             gnss = t if valid else gnss  # the time an rt reply is tested against
-            inputs.append(("epoch", EpochRecord(t_mono=mono(t), t_gnss=gnss_time(t + offset),
-                                                fix_valid=valid)))
+            inputs.append(("epoch", (EpochRecord(t_mono=mono(t), t_gnss=gnss_time(t + offset),
+                                                 fix_valid=valid),)))
         elif kind == "rt":
             midpoint = gnss_time(gnss + draw(st.sampled_from((0.0, 5.0))))
-            inputs.append(("roughtime", RoughtimeMeasurement(
-                midpoint, SignedDuration.from_s(1.0), "rt-test", mono(t))))
+            inputs.append(("roughtime", (RoughtimeMeasurement(
+                midpoint, SignedDuration.from_s(1.0), "rt-test", mono(t)),)))
         elif kind == "nts":
             offset = SignedDuration.from_s(draw(st.sampled_from((1e-5, 1e-2))))
-            inputs.append(("nts", NtsMeasurement(offset, SignedDuration.from_s(0.01), mono(t),
-                                                 "nts-test")))
+            inputs.append(("nts", (NtsMeasurement(offset, SignedDuration.from_s(0.01), mono(t),
+                                                  "nts-test"),)))
         else:
-            inputs.append(("network", draw(st.booleans()), mono(t), draw(st.booleans())))
-    return inputs + [("finish",)]
+            inputs.append(("network", (draw(st.booleans()), mono(t), draw(st.booleans()))))
+    return inputs + [("finish", ())]
 
 
 def fix(s, valid=True):
-    return ("epoch", EpochRecord(t_mono=mono(s), t_gnss=gnss_time(s), fix_valid=valid))
+    return ("epoch", (EpochRecord(t_mono=mono(s), t_gnss=gnss_time(s), fix_valid=valid),))
 
 
 @given(feeds())
 # a fix lost, then an invalid epoch past the validity: its TICK starts the reset
-@example([fix(10.0), fix(11.0, False), fix(18.0, False), fix(19.0), ("finish",)])
+@example([fix(10.0), fix(11.0, False), fix(18.0, False), fix(19.0), ("finish", ())])
 @settings(max_examples=300, deadline=None)
 def test_a_tick_only_on_an_epoch_that_applied_nothing_else_changes_no_feed(inputs):
     assert_runs_match(SHORT, inputs)
@@ -601,16 +583,16 @@ def test_applying_time_only_events_in_place_changes_no_run(name):
 
 
 @given(feeds())
-@example([fix(10.0), fix(11.0, False), fix(18.0, False), fix(19.0), ("finish",)])
+@example([fix(10.0), fix(11.0, False), fix(18.0, False), fix(19.0), ("finish", ())])
 # an H1 latches ALARM, then H1 repeats with a streak of 0: time-only events
 # in ALARM, and an rt reply stamped before the last input
-@example([fix(10.0), ("nts", NtsMeasurement(SignedDuration.from_s(1e-2),
-                                            SignedDuration.from_s(0.01), mono(11.0), "n")),
-          ("nts", NtsMeasurement(SignedDuration.from_s(1e-2), SignedDuration.from_s(0.01),
-                                 mono(12.0), "n")),
-          ("roughtime", RoughtimeMeasurement(gnss_time(10.0), SignedDuration.from_s(1.0),
-                                             "r", mono(11.5))),
-          ("finish",)])
+@example([fix(10.0), ("nts", (NtsMeasurement(SignedDuration.from_s(1e-2),
+                                             SignedDuration.from_s(0.01), mono(11.0), "n"),)),
+          ("nts", (NtsMeasurement(SignedDuration.from_s(1e-2), SignedDuration.from_s(0.01),
+                                  mono(12.0), "n"),)),
+          ("roughtime", (RoughtimeMeasurement(gnss_time(10.0), SignedDuration.from_s(1.0),
+                                              "r", mono(11.5)),)),
+          ("finish", ())])
 @settings(max_examples=300, deadline=None)
 def test_applying_time_only_events_in_place_changes_no_feed(inputs):
     assert_runs_match(SHORT, inputs, RuleForEveryEvent)
@@ -622,7 +604,7 @@ def test_applying_time_only_events_in_place_changes_no_feed(inputs):
 def test_monitor_applies_a_network_line_only_on_a_change_or_a_repeat():
     seen = []
     monitor = Monitor(CFG, on_transition=lambda event, record: seen.append(event))
-    monitor.epoch(fix(10.0)[1])
+    monitor.epoch(*fix(10.0)[1])
     # the engine starts online: a repeated up reaches neither the state nor on_transition
     state, count = monitor.state, len(seen)
     monitor.network(True, mono(10.5))

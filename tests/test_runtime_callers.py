@@ -42,9 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "timeguard"
-CALLER_FILES = sorted(
-    [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-)
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+CALLER_FILES = sorted([*PACKAGE.glob("*.py"), *SCRIPTS, *(ROOT / "perfbench").glob("*.py")])
 
 # Public names that stay without a runtime caller, each for a reason.
 KEEP = {
@@ -118,16 +117,32 @@ def test_keep_set_lists_only_names_that_need_it():
     assert not called, f"kept names that now have a caller: {sorted(called)}"
 
 
+def _functions(path: Path) -> list:
+    """(line, name) of each top-level function the module at path defines."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
 def test_no_function_name_is_defined_in_two_modules():
     """One job, one definition: a top-level function whose name a second
     module also defines at top level is a copy that has to be kept in step."""
     where = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, ast.FunctionDef):
-                where.setdefault(node.name, []).append(path.name)
+        for _, name in _functions(path):
+            where.setdefault(name, []).append(path.name)
     twice = {name: paths for name, paths in where.items() if len(paths) > 1}
     assert not twice, twice
+
+
+def test_no_test_or_script_redefines_a_package_function():
+    """A test helper or a script that defines a function the package has is
+    a second copy of its job; a script's `main` is its entry point."""
+    package = {name for path in PACKAGE.glob("*.py") for _, name in _functions(path)}
+    copies = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path in sorted([*(ROOT / "tests").glob("*.py"), *SCRIPTS])
+              for line, name in _functions(path)
+              if name in package and not (path.parent.name == "scripts" and name == "main")]
+    assert not copies, copies
 
 
 # -- defaulted parameters and fields ------------------------------------------
