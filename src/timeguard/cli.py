@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import base64
 import io
-import json
 import os
 import sys
 from contextlib import ExitStack, nullcontext
@@ -50,16 +49,8 @@ from .pipeline import (
     transition_writer,
     verdict_writer,
 )
-from .receiver_feed import (
-    NtsMeasurement,
-    RoughtimeMeasurement,
-    epoch_from_json,
-    json_flag,
-    json_float,
-    json_int,
-    json_text,
-)
-from .timebase import MonotonicInstant, SignedDuration, Timestamp
+from .receiver_feed import FeedError, NtsMeasurement, feed_input
+from .timebase import MonotonicInstant
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -227,27 +218,10 @@ def _nts_poller(config: AppConfig):
     return query
 
 
-def _scripted_rt(obj: dict) -> RoughtimeMeasurement:
-    return RoughtimeMeasurement(
-        midpoint=Timestamp.from_ns(json_int(obj, "midpoint_unix_ns")),
-        radius=SignedDuration.from_s(json_float(obj, "radius_s")),
-        server_id=json_text(obj, "source_id", "rt-feed"),
-        t_mono_rx=MonotonicInstant(json_int(obj, "t_mono_ns")),
-    )
-
-
-def _scripted_nts(obj: dict) -> NtsMeasurement:
-    return NtsMeasurement(
-        offset=SignedDuration.from_s(json_float(obj, "offset_s")),
-        delay=SignedDuration.from_s(json_float(obj, "delay_s")),
-        t_mono_rx=MonotonicInstant(json_int(obj, "t_mono_ns")),
-        server_id=json_text(obj, "source_id", "nts-feed"),
-    )
-
-
 class _LiveSession:
-    """Feed line parsing and provider polling, with the verdict count and
-    exit status; each applied verdict and transition goes on to its writer."""
+    """Each feed line's input applied to the Monitor, and provider polling,
+    with the verdict count and exit status; each applied verdict and
+    transition goes on to its writer."""
 
     def __init__(self, config: AppConfig, write_verdict: Callable[[Verdict], None],
                  on_transition: Optional[Callable[[Event, TransitionRecord], None]]) -> None:
@@ -292,29 +266,12 @@ class _LiveSession:
         if not line:
             return
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            obj = None
-        if not isinstance(obj, dict):
-            print("timeguard: unparseable feed line, skipped", file=sys.stderr)
-            return
-        kind = obj.get("type")
-        try:
-            if kind is None:
-                rec = epoch_from_json(obj)
-                self.monitor.epoch(rec)
-                if rec.fix_valid:
-                    self._poll(rec.t_mono)
-            elif kind == "rt":
-                self.monitor.roughtime(_scripted_rt(obj))
-            elif kind == "nts":
-                self.monitor.nts(_scripted_nts(obj))
-            elif kind == "network":
-                self.monitor.network(json_flag(obj, "up"),
-                                     MonotonicInstant(json_int(obj, "t_mono_ns")))
-            else:
-                print(f"timeguard: unknown feed line type {kind!r}, skipped",
-                      file=sys.stderr)
+            name, args = feed_input(line)
+            getattr(self.monitor, name)(*args)
+            if name == "epoch" and args[0].fix_valid:
+                self._poll(args[0].t_mono)
+        except FeedError as e:
+            print(f"timeguard: {e}", file=sys.stderr)
         except Exception as e:
             print(f"timeguard: feed line rejected: {e}", file=sys.stderr)
 

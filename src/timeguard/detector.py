@@ -26,15 +26,11 @@ from .receiver_feed import NtsMeasurement, json_string
 from .timebase import MonotonicInstant, SignedDuration, Timestamp, ts_diff
 
 
-class DetectorError(Exception):
-    """Base for detector failures."""
-
-
-class ConfigError(DetectorError):
+class ConfigError(Exception):
     """Threshold missing or parameters out of range."""
 
 
-class CalibrationError(DetectorError):
+class CalibrationError(Exception):
     """Not enough history to estimate the server noise."""
 
 

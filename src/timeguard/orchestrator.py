@@ -30,15 +30,11 @@ from .receiver_feed import json_string
 from .timebase import MonotonicInstant
 
 
-class OrchestratorError(Exception):
-    """Base for supervision failures."""
-
-
-class OrderingError(OrchestratorError):
+class OrderingError(Exception):
     """Event timestamped before one already processed."""
 
 
-class PolicyError(OrchestratorError):
+class PolicyError(Exception):
     """Trust policy or configuration out of range."""
 
 

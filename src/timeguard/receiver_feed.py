@@ -1,13 +1,14 @@
-"""The monitor's input records: receiver epochs and Roughtime and NTS replies.
+"""The monitor's inputs and the whole feed format that carries them.
 
 An EpochRecord is the object every detector tests: the receiver's UTC
 solution at full 2^-64 s resolution, stamped with the local monotonic
-instant it arrived at.  simulate writes one JSON object per epoch and
-live reads the same record back, one feed line at a time.  A
-RoughtimeMeasurement or NtsMeasurement is a reply from a network time
-provider, whether a client verified it, the simulator scripted it or a
-feed line carried it.  This module imports no crypto, so the engine
-can take these records without loading the provider clients.
+instant it arrived at.  A RoughtimeMeasurement or NtsMeasurement is a
+reply from a network time provider, whether a client verified it, the
+simulator scripted it or a feed line carried it.  simulate writes one
+JSON object per epoch; live reads a feed of such lines, with `rt`,
+`nts` and `network` lines among them, and feed_input turns each line
+into the Monitor input it carries.  This module imports no crypto, so
+the engine can take these records without loading the provider clients.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ json_string = json.encoder.encode_basestring_ascii
 
 
 class FeedError(Exception):
-    """A feed record that cannot be turned into an epoch."""
+    """A feed line or record that carries no input the monitor can apply."""
 
 
 class EpochRecord(NamedTuple):
@@ -100,7 +101,7 @@ def epoch_to_json(rec: EpochRecord) -> str:
     )
 
 
-def json_flag(obj: dict, key: str) -> bool:
+def _json_flag(obj: dict, key: str) -> bool:
     """obj[key] if it is a JSON boolean; TypeError for "false", 0 or null."""
     value = obj[key]
     if not isinstance(value, bool):
@@ -108,7 +109,7 @@ def json_flag(obj: dict, key: str) -> bool:
     return value
 
 
-def json_int(obj: dict, key: str, *, text: bool = False) -> int:
+def _json_int(obj: dict, key: str, *, text: bool = False) -> int:
     """obj[key] if it is a JSON integer, or with text=True a string of ASCII
     decimal digits.
 
@@ -127,7 +128,7 @@ def json_int(obj: dict, key: str, *, text: bool = False) -> int:
     return value
 
 
-def json_float(obj: dict, key: str) -> float:
+def _json_float(obj: dict, key: str) -> float:
     """obj[key] as a float if it is a JSON number; TypeError for a string or a boolean."""
     value = obj[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -135,7 +136,7 @@ def json_float(obj: dict, key: str) -> float:
     return float(value)
 
 
-def json_text(obj: dict, key: str, default: str) -> str:
+def _json_text(obj: dict, key: str, default: str) -> str:
     """obj[key] if it is a JSON string, default if key is absent; TypeError otherwise."""
     value = obj.get(key, default)
     if not isinstance(value, str):
@@ -151,11 +152,55 @@ def epoch_from_json(obj: dict) -> EpochRecord:
     try:
         gnss = obj["t_gnss"]
         return EpochRecord(
-            t_mono=MonotonicInstant(json_int(obj, "t_mono_ns")),
-            t_gnss=Timestamp.from_parts(json_int(gnss, "sec"), json_int(gnss, "frac", text=True)),
-            fix_valid=json_flag(obj, "fix_valid"),
-            leap_applied=json_flag(obj, "leap_applied"),
-            source_id=json_text(obj, "source_id", "gnss"),
+            t_mono=MonotonicInstant(_json_int(obj, "t_mono_ns")),
+            t_gnss=Timestamp.from_parts(_json_int(gnss, "sec"),
+                                        _json_int(gnss, "frac", text=True)),
+            fix_valid=_json_flag(obj, "fix_valid"),
+            leap_applied=_json_flag(obj, "leap_applied"),
+            source_id=_json_text(obj, "source_id", "gnss"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FeedError(f"malformed epoch record: {e}") from None
+
+
+def feed_input(line: str) -> tuple[str, tuple]:
+    """The Monitor input one feed line carries, as the method name and
+    arguments pipeline.scenario_inputs yields for it: an epoch line has no
+    `type`, the others are `rt`, `nts` or `network` lines.
+
+    FeedError for a line that carries no input, with the message live
+    prints for it: a line that is not a JSON object (the parser refuses a
+    line nested past the recursion limit with RecursionError, and an
+    integer of more than 4,300 digits with ValueError), an unknown type,
+    or a field that is missing or out of range.
+    """
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        obj = None
+    if not isinstance(obj, dict):
+        raise FeedError("unparseable feed line, skipped")
+    kind = obj.get("type")
+    try:
+        if kind is None:
+            return "epoch", (epoch_from_json(obj),)
+        if kind == "rt":
+            return "roughtime", (RoughtimeMeasurement(
+                midpoint=Timestamp.from_ns(_json_int(obj, "midpoint_unix_ns")),
+                radius=SignedDuration.from_s(_json_float(obj, "radius_s")),
+                server_id=_json_text(obj, "source_id", "rt-feed"),
+                t_mono_rx=MonotonicInstant(_json_int(obj, "t_mono_ns")),
+            ),)
+        if kind == "nts":
+            return "nts", (NtsMeasurement(
+                offset=SignedDuration.from_s(_json_float(obj, "offset_s")),
+                delay=SignedDuration.from_s(_json_float(obj, "delay_s")),
+                t_mono_rx=MonotonicInstant(_json_int(obj, "t_mono_ns")),
+                server_id=_json_text(obj, "source_id", "nts-feed"),
+            ),)
+        if kind == "network":
+            return "network", (_json_flag(obj, "up"),
+                               MonotonicInstant(_json_int(obj, "t_mono_ns")))
+    except (FeedError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FeedError(f"feed line rejected: {e}") from None
+    raise FeedError(f"unknown feed line type {kind!r}, skipped")

@@ -11,7 +11,6 @@ import sys
 import time
 from contextlib import redirect_stderr
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +26,7 @@ from timeguard.orchestrator import transition_to_json
 from timeguard.pipeline import run_scenario, scenario_inputs, transition_writer
 from timeguard.provider_nts import NtsTestServer, UnreachableError
 from timeguard.provider_roughtime import RoughtimeTestServer
-from timeguard.receiver_feed import epoch_to_json
+from timeguard.receiver_feed import epoch_to_json, feed_input
 from timeguard.timebase import SignedDuration, Timestamp, ts_add
 
 PY = sys.executable
@@ -773,6 +772,9 @@ BAD_INSTANTS = BAD_INTEGERS + [-1, 2**64]
 BAD_FLAGS = ["false", "true", 0, 1, None, "x", [], MISSING]
 # an absent source_id takes the default; any value but a JSON string is bad
 BAD_TEXTS = [None, 0, 1.5, True, [], ["x"], {}, {"a": 1}]
+# lines the JSON parser itself refuses with other errors than a syntax error:
+# nested past the recursion limit, and an integer of more than 4,300 digits
+HOSTILE_JSON = ["[" * 100000, '{"t_mono_ns": ' + "1" * 5000 + "}"]
 # every field of every line kind, with values that must get the line refused
 CORRUPTIONS = [
     (epoch_line(6), ("t_mono_ns",), BAD_INSTANTS),
@@ -817,7 +819,7 @@ def corrupt(line, path, value):
 @st.composite
 def bad_lines(draw, pos):
     """A line that live must refuse when inserted before CLEAN_FEED[pos]."""
-    kinds = ["field", "truncated", "not an object", "unknown type", "stale rt"]
+    kinds = ["field", "truncated", "not an object", "hostile JSON", "unknown type", "stale rt"]
     if pos > 0:
         kinds.append("stale network")
     kind = draw(st.sampled_from(kinds))
@@ -830,6 +832,8 @@ def bad_lines(draw, pos):
     if kind == "not an object":
         scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
         return json.dumps(draw(scalar | st.lists(scalar, max_size=3)))
+    if kind == "hostile JSON":
+        return draw(st.sampled_from(HOSTILE_JSON))
     if kind == "unknown type":
         name = draw(st.text(max_size=6).filter(lambda k: k not in ("rt", "nts", "network")))
         return json.dumps({"type": name, "t_mono_ns": 6 * 10**9})
@@ -863,6 +867,8 @@ def clean_live(tmp_path_factory):
     st.integers(0, len(CLEAN_FEED)).flatmap(lambda pos: st.tuples(st.just(pos), bad_lines(pos))),
     min_size=1, max_size=4))
 @example(inserts=[(1, STALE_NETWORK_LINE)])
+@example(inserts=[(0, HOSTILE_JSON[0])])
+@example(inserts=[(3, HOSTILE_JSON[1])])
 @settings(max_examples=30, deadline=None)
 def test_live_refuses_hostile_lines_and_applies_nothing(inserts, clean_live, tmp_path_factory):
     lines = list(CLEAN_FEED)
@@ -923,15 +929,34 @@ down_to_epoch = 200
 """
 
 
+def scenario_path(name, tmp_path):
+    """A bundled scenario's name, or for "outage" the path of OUTAGE_INI written out."""
+    if name != "outage":
+        return name
+    path = tmp_path / "outage.ini"
+    path.write_text(OUTAGE_INI)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["step4s", "incr2us", "pull2us", "outage"])
+def test_each_input_of_a_generated_run_reads_back_from_its_feed_line(name, tmp_path):
+    # equality compares every field, the ones no verdict reads too: an NTS
+    # reply's delay, a Roughtime radius and each source id
+    inputs = [(method, args) for method, args in
+              scenario_inputs(gen_scenario(load_scenario(scenario_path(name, tmp_path))))
+              if method != "finish"]
+    assert {method for method, _ in inputs} == (
+        {"epoch", "roughtime", "nts"} | ({"network"} if name == "outage" else set()))
+    for method, args in inputs:
+        assert feed_input(FEED_LINES[method](*args)) == (method, args)
+
+
 @pytest.mark.parametrize("name", ["step4s", "incr2us", "pull2us", "outage"])
 def test_live_replay_of_a_simulated_run_matches_simulate(name, pin_cfg, tmp_path):
     # the feed lines carry everything simulate hands the engine, oscillator
     # wander and network changes included, so both commands must write the
     # same verdicts and the same state-machine history
-    scenario = name
-    if name == "outage":
-        scenario = str(tmp_path / "outage.ini")
-        Path(scenario).write_text(OUTAGE_INI)
+    scenario = scenario_path(name, tmp_path)
     sim, live = tmp_path / "sim", tmp_path / "live"
     rc = main(["simulate", "--scenario", scenario, "--config", pin_cfg, "--out-dir", str(sim)])
     feed = tmp_path / "feed.jsonl"

@@ -359,3 +359,26 @@ def test_the_package_builds_no_record_around_its_check():
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
              and _callee(n) in _UNCHECKED_BUILDERS]
     assert not found, found
+
+
+# -- the feed has one reader ---------------------------------------------------
+
+_JSON_READERS = {"load", "loads"}
+
+
+def test_only_the_feed_module_reads_json():
+    """receiver_feed.feed_input is the one decoder of a feed line, so no
+    other module calls json.load or json.loads, nor imports either."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "receiver_feed.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and isinstance(n.func.value, ast.Name) and n.func.value.id == "json"
+                    and n.func.attr in _JSON_READERS):
+                found.append(f"{path.name}:{n.lineno} calls json.{n.func.attr}")
+            if (isinstance(n, ast.ImportFrom) and n.module == "json"
+                    and _JSON_READERS & {a.name for a in n.names}):
+                found.append(f"{path.name}:{n.lineno} imports a json reader")
+    assert not found, found
