@@ -7,9 +7,12 @@ real network providers (`live`), fitting detection thresholds
 printing the effective configuration (`config dump`).
 
 The provider clients, their UDP exchange and the crypto benchmark, which
-load cryptography, ssl and socket, are imported only by the commands that
-run them: `live` with scripted replies and a fitted [ll] section starts
-without them, and without numpy, which only scenarios and calibration load.
+load cryptography and socket, are imported only by the commands that run
+them, and ssl only by an NTS-KE handshake.  OpenSSL's libcrypto comes with
+numpy, with the config hash (`simulate`, `calibrate`, `config dump`) and
+with the provider clients.  So `live` with scripted replies and a fitted
+[ll] section starts without any of them, maps no OpenSSL library, and
+loads no numpy, which only scenarios and calibration load.
 
 Exit codes are a stable contract: 0 means the run completed with no
 attack indication, 2 means at least one detector raised H1, and 1 means

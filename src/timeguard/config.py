@@ -4,13 +4,13 @@ Precedence: built-in defaults, then an INI file, then environment
 variables for provider addresses.  `dump_config` renders the effective
 configuration in the same INI dialect `load_config` reads, and
 `config_sha256` hashes that text so every report pins the exact
-parameters it ran under.
+parameters it ran under.  It alone imports hashlib, and with it OpenSSL's
+libcrypto, so a command that never hashes its config does not load it.
 """
 
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Optional, get_args, get_type_hints
@@ -206,6 +206,8 @@ def dump_config(config: AppConfig) -> str:
 
 
 def config_sha256(config: AppConfig) -> str:
+    import hashlib  # OpenSSL's libcrypto: loaded only by the commands that hash
+
     return hashlib.sha256(dump_config(config).encode()).hexdigest()
 
 

@@ -8,7 +8,8 @@ extension fields; replies are accepted only when the AEAD tag verifies
 and the unique identifier matches.  The runtime's TLS API does not expose
 keying-material export directly, so the exporter secret is taken from the
 stack's key log and the RFC 8446 exporter derivation is applied here; the
-derivation is pinned by test vectors.
+derivation is pinned by test vectors.  nts_ke_handshake alone imports
+ssl and socket, so a process that only sends queries loads no TLS stack.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ import hashlib
 import hmac
 import os
 import secrets
-import socket
-import ssl
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -483,6 +481,10 @@ def nts_ke_handshake(
 ) -> NtsSession:
     """TLS 1.3 key establishment, trusting ca_file or, if None, the system
     store; returns a ready session."""
+    import socket  # the TLS stack: loaded only by a handshake
+    import ssl
+    import tempfile
+
     ctx = ssl.create_default_context(cafile=ca_file)
     ctx.minimum_version = ssl.TLSVersion.TLSv1_3
     ctx.set_alpn_protocols([NTS_KE_ALPN])

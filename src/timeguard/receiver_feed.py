@@ -101,11 +101,22 @@ def epoch_to_json(rec: EpochRecord) -> str:
     )
 
 
+# the most characters of a refused value that a FeedError quotes, so that
+# a hostile line's stderr message stays short however long the line is
+_SHOWN_MAX = 64
+
+
+def _shown(value: object) -> str:
+    """repr(value), cut to _SHOWN_MAX characters and ended with ... if cut."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
+
+
 def _json_flag(obj: dict, key: str) -> bool:
     """obj[key] if it is a JSON boolean; TypeError for "false", 0 or null."""
     value = obj[key]
     if not isinstance(value, bool):
-        raise TypeError(f"{key} must be true or false, got {value!r}")
+        raise TypeError(f"{key} must be true or false, got {_shown(value)}")
     return value
 
 
@@ -121,10 +132,10 @@ def _json_int(obj: dict, key: str, *, text: bool = False) -> int:
     value = obj[key]
     if text and isinstance(value, str):
         if not (value.isascii() and value.isdigit()):
-            raise ValueError(f"{key} must be decimal digits, got {value!r}")
+            raise ValueError(f"{key} must be decimal digits, got {_shown(value)}")
         return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
+        raise TypeError(f"{key} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -132,7 +143,7 @@ def _json_float(obj: dict, key: str) -> float:
     """obj[key] as a float if it is a JSON number; TypeError for a string or a boolean."""
     value = obj[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"{key} must be a number, got {value!r}")
+        raise TypeError(f"{key} must be a number, got {_shown(value)}")
     return float(value)
 
 
@@ -140,7 +151,7 @@ def _json_text(obj: dict, key: str, default: str) -> str:
     """obj[key] if it is a JSON string, default if key is absent; TypeError otherwise."""
     value = obj.get(key, default)
     if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
+        raise TypeError(f"{key} must be a string, got {_shown(value)}")
     return value
 
 
@@ -203,4 +214,4 @@ def feed_input(line: str) -> tuple[str, tuple]:
                                MonotonicInstant(_json_int(obj, "t_mono_ns")))
     except (FeedError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise FeedError(f"feed line rejected: {e}") from None
-    raise FeedError(f"unknown feed line type {kind!r}, skipped")
+    raise FeedError(f"unknown feed line type {_shown(kind)}, skipped")

@@ -155,23 +155,46 @@ def test_bad_scenario_name_exits_1(capsys):
 
 # -- what each command imports ------------------------------------------------
 
-# runs the CLI, then lists on stderr which of the heavy modules it loaded
-REPORT_LOADED = """\
+# The code between these two parts runs in a fresh interpreter; the second
+# lists on stderr the heavy modules it loaded that the interpreter had not,
+# and on Linux the OpenSSL libraries it mapped
+FOOTPRINT_BEFORE = """\
 import sys
-from timeguard.cli import main
-rc = main(sys.argv[1:])
-heavy = ("numpy", "cryptography", "ssl", "socket")
-print("loaded:", *[m for m in heavy if m in sys.modules], file=sys.stderr)
-sys.exit(rc)
+def openssl_mapped():
+    if sys.platform != "linux":
+        return None
+    with open("/proc/self/maps") as maps:
+        text = maps.read()
+    return {lib for lib in ("libcrypto", "libssl") if lib in text}
+modules_before, mapped_before = set(sys.modules), openssl_mapped()
 """
+FOOTPRINT_AFTER = """\
+heavy = ("numpy", "cryptography", "ssl", "socket", "_hashlib", "_ssl")
+print("loaded:", *[m for m in heavy if m in sys.modules and m not in modules_before],
+      file=sys.stderr)
+if mapped_before is not None:
+    print("mapped:", *sorted(openssl_mapped() - mapped_before), file=sys.stderr)
+"""
+REPORT_LOADED = (FOOTPRINT_BEFORE + "from timeguard.cli import main\nrc = main(sys.argv[1:])\n"
+                 + FOOTPRINT_AFTER + "sys.exit(rc)\n")
+
+
+def footprint(script, *argv):
+    """(process, heavy modules loaded, OpenSSL libraries mapped or None off Linux)."""
+    proc = subprocess.run([PY, "-c", script, *argv], capture_output=True, text=True,
+                          timeout=120)
+    report = {}
+    for line in proc.stderr.splitlines():
+        head, *names = line.split() or [""]
+        if head in ("loaded:", "mapped:"):
+            assert head not in report, proc.stderr
+            report[head] = names
+    assert "loaded:" in report, proc.stderr
+    return proc, report["loaded:"], report.get("mapped:")
 
 
 def loaded_modules(*argv):
-    proc = subprocess.run([PY, "-c", REPORT_LOADED, *argv], capture_output=True, text=True,
-                          timeout=120)
-    report = [line for line in proc.stderr.splitlines() if line.startswith("loaded:")]
-    assert len(report) == 1, proc.stderr
-    return proc, report[0].split()[1:]
+    return footprint(REPORT_LOADED, *argv)
 
 
 def test_live_with_a_fitted_config_loads_no_numpy_or_crypto(pin_cfg, tmp_path):
@@ -179,25 +202,52 @@ def test_live_with_a_fitted_config_loads_no_numpy_or_crypto(pin_cfg, tmp_path):
     lines = [epoch_line(0), rt_line(0), nts_line(0), epoch_line(1),
              rt_line(1, offset_s=-4.0), epoch_line(2)]
     feed.write_text("".join(line + "\n" for line in lines))
-    proc, loaded = loaded_modules("live", "--feed", str(feed), "--config", pin_cfg)
+    proc, loaded, mapped = loaded_modules("live", "--feed", str(feed), "--config", pin_cfg)
     assert proc.returncode == EXIT_ATTACK
     assert [json.loads(line)["test"] for line in proc.stdout.splitlines()] == ["rt", "nts", "rt"]
     assert loaded == []
+    assert mapped in ([], None)
 
 
 def test_simulate_loads_no_crypto(tmp_path):
-    # the default config calibrates the ll threshold first, which loads numpy
-    proc, loaded = loaded_modules("simulate", "--scenario", "step4s",
-                                  "--out-dir", str(tmp_path / "out"))
+    # the default config calibrates the ll threshold first, which loads numpy;
+    # numpy.random and the report's config hash load OpenSSL's _hashlib
+    proc, loaded, _ = loaded_modules("simulate", "--scenario", "step4s",
+                                     "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == EXIT_ATTACK
-    assert loaded == ["numpy"]
+    assert loaded == ["numpy", "_hashlib"]
 
 
 def test_calibrate_loads_no_crypto():
     # no NTS server configured: the noise estimate comes from the simulator
-    proc, loaded = loaded_modules("calibrate")
+    proc, loaded, _ = loaded_modules("calibrate")
     assert proc.returncode == 0, proc.stderr
-    assert loaded == ["numpy"]
+    assert loaded == ["numpy", "_hashlib"]
+
+
+def test_config_dump_loads_only_the_hash():
+    proc, loaded, _ = loaded_modules("config", "dump")
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == ["_hashlib"]
+
+
+POLL_IN_PROCESS = """\
+from timeguard.provider_nts import NtsTestServer, nts_query
+from timeguard.provider_roughtime import RoughtimeTestServer, poll
+rt = RoughtimeTestServer()
+poll(rt.server_key, transport=rt.transport)
+nts = NtsTestServer()
+session = nts.mint_session()
+nts_query(session, transport=nts.transport, target_cookies=session.cookie_count())
+"""
+
+
+def test_in_process_polls_load_no_tls_stack():
+    # only an NTS-KE handshake opens TLS; the clients' crypto maps libcrypto
+    proc, loaded, mapped = footprint(FOOTPRINT_BEFORE + POLL_IN_PROCESS + FOOTPRINT_AFTER)
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == ["cryptography", "_hashlib"]
+    assert mapped in (["libcrypto"], None)
 
 
 # -- simulate ----------------------------------------------------------------
@@ -669,6 +719,22 @@ def test_live_skips_garbage_lines(pin_cfg, tmp_path):
     assert proc.returncode == EXIT_CLEAN
     assert "unparseable" in proc.stderr
     assert "unknown feed line type" in proc.stderr
+
+
+def test_live_quotes_a_refused_value_only_in_part(pin_cfg, tmp_path):
+    # stderr must not grow with a hostile line: 100 kB values echo a bounded repr
+    big = "x" * 100_000
+    lines = [epoch_line(0), json.dumps({"type": big}),
+             json.dumps({"type": "nts", "t_mono_ns": big, "offset_s": 0.0, "delay_s": 0.01}),
+             rt_line(0)]
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(line + "\n" for line in lines))
+    proc = run_cli("live", "--feed", str(feed), "--config", pin_cfg)
+    assert proc.returncode == EXIT_CLEAN
+    err = proc.stderr.splitlines()
+    assert any(line.startswith("timeguard: unknown feed line type 'xxx") for line in err)
+    assert any("t_mono_ns must be an integer, got 'xxx" in line for line in err)
+    assert max(map(len, err)) < 200, max(map(len, err))
 
 
 def test_live_unreadable_feed_exits_1(pin_cfg, tmp_path, capsys):
