@@ -199,8 +199,6 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
     start_units = int(spec.start_unix_s) * FRAC_UNIT
 
     jitter = _stream(spec.seed, _STREAM_JITTER).normal(0.0, spec.benign_jitter_sigma_s, n)
-    if spec.benign_jitter_sigma_s == 0.0:
-        jitter = np.zeros(n)
     # plain floats: rounding a numpy scalar costs ten times as much
     osc_bias = simulate_oscillator(
         spec.oscillator, n, period, _stream(spec.seed, _STREAM_OSCILLATOR)

@@ -4,11 +4,11 @@ An EpochRecord is the object every detector tests: the receiver's UTC
 solution at full 2^-64 s resolution, stamped with the local monotonic
 instant it arrived at.  A RoughtimeMeasurement or NtsMeasurement is a
 reply from a network time provider, whether a client verified it, the
-simulator scripted it or a feed line carried it.  simulate writes one
-JSON object per epoch; live reads a feed of such lines, with `rt`,
-`nts` and `network` lines among them, and feed_input turns each line
-into the Monitor input it carries.  This module imports no crypto, so
-the engine can take these records without loading the provider clients.
+simulator scripted it or a feed line carried it.  A feed is one JSON
+object per line: an epoch, or an `rt`, `nts` or `network` line.
+feed_line writes the line of a Monitor input and feed_input reads it
+back.  This module imports no crypto, so the engine can take these
+records without loading the provider clients.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .timebase import MonotonicInstant, SignedDuration, Timestamp
+from .timebase import MonotonicInstant, SignedDuration, Timestamp, shown
 
 
-# The line encoders of the trace formats (epoch_to_json here,
-# detector.verdict_to_json, orchestrator.transition_to_json) each write
-# their line with one f-string, byte for byte what
+# The line encoders of the trace formats (epoch_to_json and feed_line
+# here, detector.verdict_to_json, orchestrator.transition_to_json) each
+# write a line with one f-string, byte for byte what
 # json.dumps(..., separators=(",", ":")) writes under its default
 # ensure_ascii.  Free strings go through the C escaper json.dumps uses,
 # enum values and test names are ASCII words written as they are, ints go
 # through int.__repr__ and floats through float.__repr__.  Every float is
-# finite: statistics come from bounded 128-bit time differences, and
+# finite: statistics and durations come from bounded 128-bit time units, and
 # thresholds from the config, which refuses NaN and infinities.  So there
 # is no NaN or Infinity to spell.
 json_string = json.encoder.encode_basestring_ascii
@@ -101,22 +101,37 @@ def epoch_to_json(rec: EpochRecord) -> str:
     )
 
 
-# the most characters of a refused value that a FeedError quotes, so that
-# a hostile line's stderr message stays short however long the line is
-_SHOWN_MAX = 64
+def feed_line(name: str, args: tuple) -> str:
+    """The feed line of one Monitor input, the method name and arguments
+    pipeline.scenario_inputs yields (any but `finish`, the feed's end), so
+    that feed_input(feed_line(name, args)) == (name, args).
 
-
-def _shown(value: object) -> str:
-    """repr(value), cut to _SHOWN_MAX characters and ended with ... if cut."""
-    text = repr(value)
-    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
+    The one limit: a Roughtime midpoint travels in whole nanoseconds, the
+    nearest.  Durations travel as float seconds, exact for each duration
+    SignedDuration.from_s builds."""
+    if name == "epoch":
+        return epoch_to_json(*args)
+    if name == "network":
+        up, t_mono = args
+        return (f'{{"type":"network","t_mono_ns":{int.__repr__(t_mono.nanoseconds)},'
+                f'"up":{"true" if up else "false"}}}')
+    (meas,) = args
+    if name == "roughtime":
+        return (f'{{"type":"rt","t_mono_ns":{int.__repr__(meas.t_mono_rx.nanoseconds)},'
+                f'"midpoint_unix_ns":{int.__repr__(meas.midpoint.to_ns())},'
+                f'"radius_s":{float.__repr__(meas.radius.to_s())},'
+                f'"source_id":{json_string(meas.server_id)}}}')
+    return (f'{{"type":"nts","t_mono_ns":{int.__repr__(meas.t_mono_rx.nanoseconds)},'
+            f'"offset_s":{float.__repr__(meas.offset.to_s())},'
+            f'"delay_s":{float.__repr__(meas.delay.to_s())},'
+            f'"source_id":{json_string(meas.server_id)}}}')
 
 
 def _json_flag(obj: dict, key: str) -> bool:
     """obj[key] if it is a JSON boolean; TypeError for "false", 0 or null."""
     value = obj[key]
     if not isinstance(value, bool):
-        raise TypeError(f"{key} must be true or false, got {_shown(value)}")
+        raise TypeError(f"{key} must be true or false, got {shown(value)}")
     return value
 
 
@@ -132,10 +147,10 @@ def _json_int(obj: dict, key: str, *, text: bool = False) -> int:
     value = obj[key]
     if text and isinstance(value, str):
         if not (value.isascii() and value.isdigit()):
-            raise ValueError(f"{key} must be decimal digits, got {_shown(value)}")
+            raise ValueError(f"{key} must be decimal digits, got {shown(value)}")
         return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{key} must be an integer, got {_shown(value)}")
+        raise TypeError(f"{key} must be an integer, got {shown(value)}")
     return value
 
 
@@ -143,7 +158,7 @@ def _json_float(obj: dict, key: str) -> float:
     """obj[key] as a float if it is a JSON number; TypeError for a string or a boolean."""
     value = obj[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"{key} must be a number, got {_shown(value)}")
+        raise TypeError(f"{key} must be a number, got {shown(value)}")
     return float(value)
 
 
@@ -151,7 +166,7 @@ def _json_text(obj: dict, key: str, default: str) -> str:
     """obj[key] if it is a JSON string, default if key is absent; TypeError otherwise."""
     value = obj.get(key, default)
     if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {_shown(value)}")
+        raise TypeError(f"{key} must be a string, got {shown(value)}")
     return value
 
 
@@ -214,4 +229,4 @@ def feed_input(line: str) -> tuple[str, tuple]:
                                MonotonicInstant(_json_int(obj, "t_mono_ns")))
     except (FeedError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise FeedError(f"feed line rejected: {e}") from None
-    raise FeedError(f"unknown feed line type {_shown(kind)}, skipped")
+    raise FeedError(f"unknown feed line type {shown(kind)}, skipped")

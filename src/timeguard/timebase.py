@@ -21,6 +21,22 @@ FRAC_UNIT = 1 << FRAC_BITS  # units per second
 _UNITS_MIN = -(1 << 127)
 _UNITS_MAX = (1 << 127) - 1
 NS_PER_S = 10**9
+# the most characters of a refused value that an error message quotes, so
+# that a hostile input's message stays short however long the value is
+_SHOWN_MAX = 64
+
+
+def shown(value: object) -> str:
+    """repr(value), cut to _SHOWN_MAX characters and ended with ... if cut.
+
+    A long int is spelled from its leading digits alone, so that one past the
+    interpreter's 4,300-digit limit on int-to-string conversion is quoted too."""
+    # 0.3 < log10(2): the cut leaves more than _SHOWN_MAX digits
+    cut = value.bit_length() * 3 // 10 - _SHOWN_MAX - 1 if type(value) is int else 0
+    if cut > 0:
+        value = abs(value) // 10**cut * (-1 if value < 0 else 1)
+    text = repr(value)
+    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
 
 
 class TimeRangeError(ValueError):
@@ -29,7 +45,7 @@ class TimeRangeError(ValueError):
 
 def _check_units(units: int, what: str) -> None:
     if not (_UNITS_MIN <= units <= _UNITS_MAX):
-        raise TimeRangeError(f"{what} out of 128-bit range: {units}")
+        raise TimeRangeError(f"{what} out of 128-bit range: {shown(units)}")
 
 
 @dataclass(frozen=True, order=True)
@@ -49,9 +65,6 @@ class SignedDuration:
         """Lossy float view, for statistics and reporting."""
         return self.units / FRAC_UNIT
 
-    def __sub__(self, other: "SignedDuration") -> "SignedDuration":
-        return SignedDuration(self.units - other.units)
-
 
 @dataclass(frozen=True, order=True)
 class Timestamp:
@@ -70,7 +83,7 @@ class Timestamp:
     def from_parts(cls, seconds: int, fraction: int) -> "Timestamp":
         """The instant seconds + fraction * 2^-64 s, with 0 <= fraction < 2^64."""
         if not (0 <= fraction < FRAC_UNIT):
-            raise TimeRangeError(f"fraction out of range: {fraction}")
+            raise TimeRangeError(f"fraction out of range: {shown(fraction)}")
         return cls(seconds * FRAC_UNIT + fraction)
 
     @classmethod
@@ -142,7 +155,7 @@ class MonotonicInstant:
 
     def __post_init__(self) -> None:
         if not (0 <= self.nanoseconds < 1 << 64):
-            raise TimeRangeError(f"monotonic ns out of uint64: {self.nanoseconds}")
+            raise TimeRangeError(f"monotonic ns out of uint64: {shown(self.nanoseconds)}")
 
     @classmethod
     def now(cls) -> "MonotonicInstant":

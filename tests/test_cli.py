@@ -26,8 +26,14 @@ from timeguard.orchestrator import transition_to_json
 from timeguard.pipeline import run_scenario, scenario_inputs, transition_writer
 from timeguard.provider_nts import NtsTestServer, UnreachableError
 from timeguard.provider_roughtime import RoughtimeTestServer
-from timeguard.receiver_feed import epoch_to_json, feed_input
-from timeguard.timebase import SignedDuration, Timestamp, ts_add
+from timeguard.receiver_feed import (
+    EpochRecord,
+    NtsMeasurement,
+    RoughtimeMeasurement,
+    feed_input,
+    feed_line,
+)
+from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
 
 PY = sys.executable
 START = 1_689_120_000
@@ -71,39 +77,29 @@ def run_cli(*argv):
 # -- feed line builders ------------------------------------------------------
 
 
+def write_feed(tmp_path, lines):
+    """The path of a feed file that holds lines, one to a line."""
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(line + "\n" for line in lines))
+    return str(feed)
+
+
+# each line at e s on the monotonic clock, with the default source ids
 def epoch_line(e, fix=True, offset_s=0.0):
     t_gnss = ts_add(Timestamp.from_unix_s(START + e), SignedDuration.from_s(offset_s))
-    return json.dumps(
-        {
-            "t_mono_ns": e * 10**9,
-            "t_gnss": {"sec": t_gnss.seconds, "frac": str(t_gnss.fraction)},
-            "fix_valid": fix,
-            "leap_applied": True,
-            "source_id": "gnss",
-        }
-    )
+    return feed_line("epoch", (EpochRecord(MonotonicInstant(e * 10**9), t_gnss, fix),))
 
 
-def rt_line(e, offset_s=0.0, radius_s=1.0):
-    return json.dumps(
-        {
-            "type": "rt",
-            "t_mono_ns": e * 10**9,
-            "midpoint_unix_ns": int((START + e + offset_s) * 10**9),
-            "radius_s": radius_s,
-        }
-    )
+def rt_line(e, offset_s=0.0, radius_s=1.0, source_id="rt-feed"):
+    midpoint = Timestamp.from_ns(int((START + e + offset_s) * 10**9))
+    return feed_line("roughtime", (RoughtimeMeasurement(
+        midpoint, SignedDuration.from_s(radius_s), source_id, MonotonicInstant(e * 10**9)),))
 
 
 def nts_line(e, offset_s=0.0):
-    return json.dumps(
-        {
-            "type": "nts",
-            "t_mono_ns": e * 10**9,
-            "offset_s": offset_s,
-            "delay_s": 0.01,
-        }
-    )
+    return feed_line("nts", (NtsMeasurement(SignedDuration.from_s(offset_s),
+                                            SignedDuration.from_s(0.01),
+                                            MonotonicInstant(e * 10**9), "nts-feed"),))
 
 
 # -- exit codes --------------------------------------------------------------
@@ -198,11 +194,9 @@ def loaded_modules(*argv):
 
 
 def test_live_with_a_fitted_config_loads_no_numpy_or_crypto(pin_cfg, tmp_path):
-    feed = tmp_path / "feed.jsonl"
-    lines = [epoch_line(0), rt_line(0), nts_line(0), epoch_line(1),
-             rt_line(1, offset_s=-4.0), epoch_line(2)]
-    feed.write_text("".join(line + "\n" for line in lines))
-    proc, loaded, mapped = loaded_modules("live", "--feed", str(feed), "--config", pin_cfg)
+    feed = write_feed(tmp_path, [epoch_line(0), rt_line(0), nts_line(0), epoch_line(1),
+                                 rt_line(1, offset_s=-4.0), epoch_line(2)])
+    proc, loaded, mapped = loaded_modules("live", "--feed", feed, "--config", pin_cfg)
     assert proc.returncode == EXIT_ATTACK
     assert [json.loads(line)["test"] for line in proc.stdout.splitlines()] == ["rt", "nts", "rt"]
     assert loaded == []
@@ -520,10 +514,8 @@ def test_live_hands_over_each_verdict_before_the_next_line(pin_cfg):
 
 
 def test_live_scripted_h1_raises_alarm(pin_cfg, tmp_path, monkeypatch):
-    feed = tmp_path / "feed.jsonl"
-    lines = [epoch_line(0), rt_line(0), nts_line(0), epoch_line(1),
-             rt_line(1, offset_s=-4.0), epoch_line(2)]
-    feed.write_text("".join(line + "\n" for line in lines))
+    feed = write_feed(tmp_path, [epoch_line(0), rt_line(0), nts_line(0), epoch_line(1),
+                                 rt_line(1, offset_s=-4.0), epoch_line(2)])
     out = tmp_path / "out"
     # the run's full on_transition log, beside the file its writer keeps
     applied = []
@@ -538,7 +530,7 @@ def test_live_scripted_h1_raises_alarm(pin_cfg, tmp_path, monkeypatch):
         return on_transition
 
     monkeypatch.setattr(cli, "transition_writer", logged_writer)
-    rc = main(["live", "--feed", str(feed), "--config", pin_cfg, "--out-dir", str(out)])
+    rc = main(["live", "--feed", feed, "--config", pin_cfg, "--out-dir", str(out)])
     assert rc == EXIT_ATTACK
     written = (out / "transitions.jsonl").read_text()
     transitions = [json.loads(l) for l in written.splitlines()]
@@ -563,12 +555,9 @@ def test_live_unreachable_providers_enter_holdover(tmp_path):
         + "nts_ke_port = 9\n"
         + "timeout_s = 0.05\n"
     )
-    feed = tmp_path / "feed.jsonl"
-    lines = [epoch_line(0), rt_line(0), nts_line(0), epoch_line(31)]
-    feed.write_text("".join(line + "\n" for line in lines))
+    feed = write_feed(tmp_path, [epoch_line(0), rt_line(0), nts_line(0), epoch_line(31)])
     out = tmp_path / "out"
-    proc = run_cli("live", "--feed", str(feed), "--config", str(cfg),
-                   "--out-dir", str(out))
+    proc = run_cli("live", "--feed", feed, "--config", str(cfg), "--out-dir", str(out))
     assert proc.returncode == EXIT_CLEAN
     assert "poll failed" in proc.stderr
     transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
@@ -613,10 +602,9 @@ def test_live_polls_reachable_loopback_providers(tmp_path, capsys):
             + f"nts_ke_host = 127.0.0.1\nnts_ke_port = {ke.port}\n"
             + f"nts_ca_file = {ke.ca_file}\n"
         )
-        feed = tmp_path / "feed.jsonl"
-        feed.write_text("".join(epoch_line(e) + "\n" for e in range(10)))
+        feed = write_feed(tmp_path, [epoch_line(e) for e in range(10)])
         out = tmp_path / "out"
-        rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+        rc = main(["live", "--feed", feed, "--config", str(cfg), "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert rc == EXIT_CLEAN, err
     verdicts = [json.loads(l) for l in (out / "verdicts.jsonl").read_text().splitlines()]
@@ -639,12 +627,10 @@ def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):
     # reacquired fix, which starts cold
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(PINNED_CFG + "\n[orchestrator]\nephemeris_validity_s = 5\n")
-    feed = tmp_path / "feed.jsonl"
-    lines = [epoch_line(0), rt_line(0), *(epoch_line(e, fix=False) for e in range(1, 9)),
-             epoch_line(9)]
-    feed.write_text("".join(line + "\n" for line in lines))
+    feed = write_feed(tmp_path, [epoch_line(0), rt_line(0),
+                                 *(epoch_line(e, fix=False) for e in range(1, 9)), epoch_line(9)])
     out = tmp_path / "out"
-    rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+    rc = main(["live", "--feed", feed, "--config", str(cfg), "--out-dir", str(out)])
     assert rc == EXIT_CLEAN
     transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
     [(i, reset)] = [(i, t) for i, t in enumerate(transitions)
@@ -664,11 +650,10 @@ def test_live_fix_reacquired_after_a_long_gap_starts_cold(tmp_path, capsys):
     # ephemeris; the reacquired fix classifies it and starts cold all the same
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(PINNED_CFG + "\n[orchestrator]\nephemeris_validity_s = 5\n")
-    feed = tmp_path / "feed.jsonl"
-    lines = [epoch_line(0), rt_line(0), epoch_line(1, fix=False), epoch_line(100)]
-    feed.write_text("".join(line + "\n" for line in lines))
+    feed = write_feed(tmp_path, [epoch_line(0), rt_line(0), epoch_line(1, fix=False),
+                                 epoch_line(100)])
     out = tmp_path / "out"
-    rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+    rc = main(["live", "--feed", feed, "--config", str(cfg), "--out-dir", str(out)])
     assert rc == EXIT_CLEAN
     transitions = [json.loads(l) for l in (out / "transitions.jsonl").read_text().splitlines()]
     [restart] = [t for t in transitions
@@ -681,10 +666,9 @@ def test_live_fix_reacquired_after_a_long_gap_starts_cold(tmp_path, capsys):
 
 
 def test_live_csv_format(pin_cfg, tmp_path):
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text(epoch_line(0) + "\n" + rt_line(0) + "\n")
+    feed = write_feed(tmp_path, [epoch_line(0), rt_line(0)])
     out = tmp_path / "out"
-    proc = run_cli("live", "--feed", str(feed), "--config", pin_cfg,
+    proc = run_cli("live", "--feed", feed, "--config", pin_cfg,
                    "--out-dir", str(out), "--format", "csv")
     assert proc.returncode == EXIT_CLEAN
     lines = (out / "verdicts.csv").read_text().splitlines()
@@ -696,12 +680,9 @@ def test_live_csv_quotes_a_feed_supplied_source_id(pin_cfg, tmp_path):
     # a comma, a quote and a line break in the id neither split the row
     # nor forge another: it reads back as the last field of one row
     hostile = 'evil,H0\n"x"\r\ny'
-    rt = json.loads(rt_line(0))
-    rt["source_id"] = hostile
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text(epoch_line(0) + "\n" + json.dumps(rt) + "\n")
+    feed = write_feed(tmp_path, [epoch_line(0), rt_line(0, source_id=hostile)])
     out = tmp_path / "out"
-    rc = main(["live", "--feed", str(feed), "--config", pin_cfg,
+    rc = main(["live", "--feed", feed, "--config", pin_cfg,
                "--out-dir", str(out), "--format", "csv"])
     assert rc == EXIT_CLEAN
     with open(out / "verdicts.csv", newline="") as fh:
@@ -712,28 +693,29 @@ def test_live_csv_quotes_a_feed_supplied_source_id(pin_cfg, tmp_path):
 
 
 def test_live_skips_garbage_lines(pin_cfg, tmp_path):
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text("not json\n" + epoch_line(0) + "\n"
-                    + json.dumps({"type": "wat"}) + "\n" + rt_line(0) + "\n")
-    proc = run_cli("live", "--feed", str(feed), "--config", pin_cfg)
+    feed = write_feed(tmp_path, ["not json", epoch_line(0), json.dumps({"type": "wat"}),
+                                 rt_line(0)])
+    proc = run_cli("live", "--feed", feed, "--config", pin_cfg)
     assert proc.returncode == EXIT_CLEAN
     assert "unparseable" in proc.stderr
     assert "unknown feed line type" in proc.stderr
 
 
 def test_live_quotes_a_refused_value_only_in_part(pin_cfg, tmp_path):
-    # stderr must not grow with a hostile line: 100 kB values echo a bounded repr
-    big = "x" * 100_000
-    lines = [epoch_line(0), json.dumps({"type": big}),
-             json.dumps({"type": "nts", "t_mono_ns": big, "offset_s": 0.0, "delay_s": 0.01}),
-             rt_line(0)]
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text("".join(line + "\n" for line in lines))
-    proc = run_cli("live", "--feed", str(feed), "--config", pin_cfg)
+    # stderr must not grow with a hostile line: 100 kB values echo a bounded repr,
+    # and integers out of range, of up to the parser's 4,300 digits, their first digits
+    big, nines = "x" * 100_000, int("9" * 4300)
+    lines = [epoch_line(0), json.dumps({"type": big}), corrupt(nts_line(0), ("t_mono_ns",), big),
+             corrupt(nts_line(0), ("t_mono_ns",), nines),
+             corrupt(epoch_line(1), ("t_gnss", "sec"), nines), rt_line(0)]
+    proc = run_cli("live", "--feed", write_feed(tmp_path, lines), "--config", pin_cfg)
     assert proc.returncode == EXIT_CLEAN
     err = proc.stderr.splitlines()
     assert any(line.startswith("timeguard: unknown feed line type 'xxx") for line in err)
     assert any("t_mono_ns must be an integer, got 'xxx" in line for line in err)
+    assert any(line.endswith("monotonic ns out of uint64: " + "9" * 64 + "...") for line in err)
+    assert any(line.endswith("timestamp out of 128-bit range: 18446744073709551615"
+                             + "9" * 44 + "...") for line in err)
     assert max(map(len, err)) < 200, max(map(len, err))
 
 
@@ -746,11 +728,10 @@ def test_live_unreadable_feed_exits_1(pin_cfg, tmp_path, capsys):
 def test_live_writes_no_verdict_the_state_machine_rejects(pin_cfg, tmp_path, capsys):
     # the rt line is stamped before the last epoch: the state machine
     # refuses it, so neither its H1 verdict nor exit code 2 may surface
-    feed = tmp_path / "feed.jsonl"
-    lines = [epoch_line(0), epoch_line(1), epoch_line(2), rt_line(1, offset_s=-4.0)]
-    feed.write_text("".join(line + "\n" for line in lines))
+    feed = write_feed(tmp_path, [epoch_line(0), epoch_line(1), epoch_line(2),
+                                 rt_line(1, offset_s=-4.0)])
     out = tmp_path / "out"
-    rc = main(["live", "--feed", str(feed), "--config", pin_cfg, "--out-dir", str(out)])
+    rc = main(["live", "--feed", feed, "--config", pin_cfg, "--out-dir", str(out)])
     assert rc == EXIT_CLEAN
     assert (out / "verdicts.jsonl").read_text() == ""
     err = capsys.readouterr().err
@@ -759,8 +740,7 @@ def test_live_writes_no_verdict_the_state_machine_rejects(pin_cfg, tmp_path, cap
 
 
 def test_live_parses_an_epoch_line_once(pin_cfg, tmp_path, monkeypatch):
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text(epoch_line(0) + "\n")
+    feed = write_feed(tmp_path, [epoch_line(0)])
     decoded = []
     real_loads = json.loads
 
@@ -769,7 +749,7 @@ def test_live_parses_an_epoch_line_once(pin_cfg, tmp_path, monkeypatch):
         return real_loads(text, *args, **kwargs)
 
     monkeypatch.setattr(json, "loads", loads)
-    assert main(["live", "--feed", str(feed), "--config", pin_cfg]) == EXIT_CLEAN
+    assert main(["live", "--feed", feed, "--config", pin_cfg]) == EXIT_CLEAN
     assert decoded == [epoch_line(0)]
 
 
@@ -825,9 +805,9 @@ def test_live_skips_a_line_that_is_not_utf8(pin_cfg, tmp_path, capsys):
 # starts at 5 s, so an rt line at 0 s is stale wherever it is inserted
 CLEAN_FEED = [epoch_line(5), rt_line(5), nts_line(5), epoch_line(6),
               rt_line(6, offset_s=-4.0), epoch_line(7)]
-NETWORK_LINE = json.dumps({"type": "network", "t_mono_ns": 6 * 10**9, "up": True})
+NETWORK_LINE = feed_line("network", (True, MonotonicInstant(6 * 10**9)))
 # stale once an epoch is applied; its up matches the connectivity, so it changes nothing
-STALE_NETWORK_LINE = json.dumps({"type": "network", "t_mono_ns": 0, "up": True})
+STALE_NETWORK_LINE = feed_line("network", (True, MonotonicInstant(0)))
 MISSING = object()
 AS_TEXT = object()  # the field's own value written as a JSON string
 PLUS_HALF = object()  # the field's own value plus 0.5, which int() would truncate back
@@ -849,7 +829,7 @@ CORRUPTIONS = [
     # frac is written as a string, so only a number or a string that is no integer is bad
     (epoch_line(6), ("t_gnss", "frac"),
      [v for v in BAD_INTEGERS if v is not AS_TEXT and v is not PLUS_HALF]
-     + [0.5, "0.5", str(2**64), "-1"]),
+     + [0.5, "0.5", str(2**64), 2**64, "-1"]),
     (epoch_line(6), ("fix_valid",), BAD_FLAGS),
     (epoch_line(6), ("leap_applied",), BAD_FLAGS),
     (epoch_line(6), ("source_id",), BAD_TEXTS),
@@ -910,12 +890,12 @@ def bad_lines(draw, pos):
 
 def live_outputs(tmp, lines):
     """Exit code, verdicts.jsonl, transitions.jsonl and stderr of live over lines."""
-    cfg, feed, out = tmp / "pin.ini", tmp / "feed.jsonl", tmp / "out"
+    cfg, out = tmp / "pin.ini", tmp / "out"
     cfg.write_text(PINNED_CFG)
-    feed.write_text("".join(line + "\n" for line in lines))
     err = io.StringIO()
     with redirect_stderr(err):
-        rc = main(["live", "--feed", str(feed), "--config", str(cfg), "--out-dir", str(out)])
+        rc = main(["live", "--feed", write_feed(tmp, lines), "--config", str(cfg),
+                   "--out-dir", str(out)])
     return (rc, (out / "verdicts.jsonl").read_text(), (out / "transitions.jsonl").read_text(),
             err.getvalue())
 
@@ -956,29 +936,12 @@ def test_live_refuses_every_corrupted_field(clean_live, tmp_path):
     assert len(refusals(err)) == len(bad), err
 
 
+def test_a_line_without_source_id_reads_as_one_with_the_default_id():
+    for line in (epoch_line(0), rt_line(0), nts_line(0)):
+        assert feed_input(corrupt(line, ("source_id",), MISSING)) == feed_input(line)
+
+
 # -- simulate and live agree -------------------------------------------------
-
-
-# the feed line of each of a generated run's inputs but `finish`, the feed's end
-FEED_LINES = {
-    "network": lambda up, t: json.dumps({"type": "network", "t_mono_ns": t.nanoseconds, "up": up}),
-    "epoch": epoch_to_json,
-    "roughtime": lambda rt: json.dumps({
-        "type": "rt", "t_mono_ns": rt.t_mono_rx.nanoseconds,
-        "midpoint_unix_ns": rt.midpoint.to_ns(), "radius_s": rt.radius.to_s(),
-        "source_id": rt.server_id,
-    }),
-    "nts": lambda nts: json.dumps({
-        "type": "nts", "t_mono_ns": nts.t_mono_rx.nanoseconds, "offset_s": nts.offset.to_s(),
-        "delay_s": nts.delay.to_s(), "source_id": nts.server_id,
-    }),
-}
-
-
-def scenario_feed(outputs):
-    """A simulated run as a live feed: each of its scenario_inputs as its line."""
-    return "".join(FEED_LINES[name](*args) + "\n"
-                   for name, args in scenario_inputs(outputs) if name != "finish")
 
 
 # a network outage; simulate reads a scenario that is not bundled from a file
@@ -1014,7 +977,7 @@ def test_each_input_of_a_generated_run_reads_back_from_its_feed_line(name, tmp_p
     assert {method for method, _ in inputs} == (
         {"epoch", "roughtime", "nts"} | ({"network"} if name == "outage" else set()))
     for method, args in inputs:
-        assert feed_input(FEED_LINES[method](*args)) == (method, args)
+        assert feed_input(feed_line(method, args)) == (method, args)
 
 
 @pytest.mark.parametrize("name", ["step4s", "incr2us", "pull2us", "outage"])
@@ -1025,10 +988,10 @@ def test_live_replay_of_a_simulated_run_matches_simulate(name, pin_cfg, tmp_path
     scenario = scenario_path(name, tmp_path)
     sim, live = tmp_path / "sim", tmp_path / "live"
     rc = main(["simulate", "--scenario", scenario, "--config", pin_cfg, "--out-dir", str(sim)])
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text(scenario_feed(gen_scenario(load_scenario(scenario))))
-    assert main(["live", "--feed", str(feed), "--config", pin_cfg,
-                 "--out-dir", str(live)]) == rc
+    feed = write_feed(tmp_path, [feed_line(method, args) for method, args in
+                                 scenario_inputs(gen_scenario(load_scenario(scenario)))
+                                 if method != "finish"])
+    assert main(["live", "--feed", feed, "--config", pin_cfg, "--out-dir", str(live)]) == rc
     for trace in ("verdicts.jsonl", "transitions.jsonl"):
         simulated = (sim / trace).read_bytes()
         assert simulated

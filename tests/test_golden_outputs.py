@@ -5,20 +5,18 @@ refactor of the writers or of the engine that changes a single byte of
 what an operator reads fails here.  A deliberate change to an output
 format updates the pinned digest in the same change.
 
-`live` replaying step4s as a feed is held to simulate's digests: both
-commands drive the same engine, which applies each epoch's fix change
-and ll verdict, or a TICK for an epoch with neither, itself and closes a
-fix still held at the end of input with a FixLost, so they write the
-same verdicts and the same transitions.
+`live` replaying the step4s feed that scripts/export_traces.py writes is
+held to simulate's digests: both commands drive the same engine, which
+applies each epoch's fix change and ll verdict, or a TICK for an epoch
+with neither, itself and closes a fix still held at the end of input
+with a FixLost, so they write the same verdicts and the same transitions.
 """
 
 import hashlib
 
 import pytest
-from test_cli import scenario_feed
 from test_scripts import run_script
 
-from timeguard.attack_sim import builtin_scenarios, gen_scenario
 from timeguard.cli import main
 
 SIMULATE_SHA256 = {
@@ -49,7 +47,10 @@ SIMULATE_SHA256 = {
 CALIBRATE_STDOUT_SHA256 = "86a40289459768a5a8f9cffda40facf6fd632589399f8fd5550ae5738734960c"
 
 # scripts/export_traces.py --scenario step4s
-TRACES_CSV_SHA256 = "085410a07d6bb3538ab27e37a1d8e6288d6892b36dc099a4abe0c9acf02c5e21"
+EXPORT_SHA256 = {
+    "traces.csv": "085410a07d6bb3538ab27e37a1d8e6288d6892b36dc099a4abe0c9acf02c5e21",
+    "feed.jsonl": "060b5ff349ff66beb8f860ef4ab69687bcba3a0851a334903014bdcc42d710ef",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -68,18 +69,21 @@ def test_calibrate_stdout(capsys):
     assert sha256(capsys.readouterr().out.encode()) == CALIBRATE_STDOUT_SHA256
 
 
-def test_export_traces_step4s(tmp_path):
-    done = run_script("export_traces.py", "--scenario", "step4s", "--out-dir", str(tmp_path))
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    out = tmp_path_factory.mktemp("export")
+    done = run_script("export_traces.py", "--scenario", "step4s", "--out-dir", str(out))
     assert done.returncode == 0, done.stderr
-    assert sha256((tmp_path / "traces.csv").read_bytes()) == TRACES_CSV_SHA256
+    return out
 
 
-def test_live_step4s_feed(tmp_path):
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text(scenario_feed(gen_scenario(builtin_scenarios()["step4s"])))
-    out = tmp_path / "out"
-    main(["live", "--feed", str(feed), "--out-dir", str(out)])
+def test_export_traces_step4s(exported):
+    assert {f: sha256((exported / f).read_bytes()) for f in EXPORT_SHA256} == EXPORT_SHA256
+
+
+def test_live_step4s_feed(exported, tmp_path):
+    main(["live", "--feed", str(exported / "feed.jsonl"), "--out-dir", str(tmp_path)])
     # live writes the same verdicts and transitions as simulate
     traces = ("verdicts.jsonl", "transitions.jsonl")
-    got = {f: sha256((out / f).read_bytes()) for f in traces}
+    got = {f: sha256((tmp_path / f).read_bytes()) for f in traces}
     assert got == {f: SIMULATE_SHA256["step4s"][f] for f in traces}

@@ -1,5 +1,6 @@
 """Tests for the validation state machine and trust policy."""
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -265,22 +266,22 @@ def test_replay_is_deterministic():
     assert run(events) == run(events)
 
 
-EVENT_POOL = st.sampled_from(
-    [
-        (EventKind.FIX_ACQUIRED, None, None),
-        (EventKind.FIX_LOST, None, None),
-        (EventKind.RT_VERDICT, "rt", Hypothesis.H0),
-        (EventKind.RT_VERDICT, "rt", Hypothesis.H1),
-        (EventKind.NTS_VERDICT, "nts", Hypothesis.H0),
-        (EventKind.NTS_VERDICT, "nts", Hypothesis.H1),
-        (EventKind.LL_VERDICT, "ll", Hypothesis.H0),
-        (EventKind.LL_VERDICT, "ll", Hypothesis.H1),
-        (EventKind.NETWORK_UP, None, None),
-        (EventKind.NETWORK_DOWN, None, None),
-        (EventKind.TICK, None, None),
-        (EventKind.CLEAR, None, None),
-    ]
-)
+# every kind, with both hypotheses for the verdict kinds
+EVERY_EVENT = [
+    (EventKind.FIX_ACQUIRED, None, None),
+    (EventKind.FIX_LOST, None, None),
+    (EventKind.RT_VERDICT, "rt", Hypothesis.H0),
+    (EventKind.RT_VERDICT, "rt", Hypothesis.H1),
+    (EventKind.NTS_VERDICT, "nts", Hypothesis.H0),
+    (EventKind.NTS_VERDICT, "nts", Hypothesis.H1),
+    (EventKind.LL_VERDICT, "ll", Hypothesis.H0),
+    (EventKind.LL_VERDICT, "ll", Hypothesis.H1),
+    (EventKind.NETWORK_UP, None, None),
+    (EventKind.NETWORK_DOWN, None, None),
+    (EventKind.TICK, None, None),
+    (EventKind.CLEAR, None, None),
+]
+EVENT_POOL = st.sampled_from(EVERY_EVENT)
 
 
 @given(st.lists(EVENT_POOL, max_size=60))
@@ -446,3 +447,41 @@ def test_transition_jsonl_roundtrip():
          "to_phase": "COARSE_VALIDATED", "active_source": "gnss",
          "actions": ["reset_filter:ensemble", "schedule_poll:nts"]},
     ]
+
+
+# -- every reachable state ---------------------------------------------------
+
+# the same instant, a step inside a 2 s ephemeris validity, and one past it
+STEPS_NS = (0, 10**9, 3 * 10**9)
+
+
+def state_key(state):
+    """Phase, outage age, coarse_validated and clean_streak.  Every age past
+    the 2 s validity acts alike, so ages are capped at 3 s and keys are finite."""
+    age = None if state.outage_started is None else min(
+        state.last_t_mono.nanoseconds - state.outage_started.nanoseconds, 3 * 10**9)
+    return state.phase, age, state.coarse_validated, state.clean_streak
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_every_reachable_state_keeps_the_fast_path_and_the_trust_rules(k):
+    assert {kind for kind, _, _ in EVERY_EVENT} == set(EventKind)
+    config = OrchestratorConfig(ephemeris_validity_s=2.0, auto_clear_k=k)
+    seen, todo = set(), [initial_state()]
+    while todo:
+        state = todo.pop()
+        last_ns = state.last_t_mono.nanoseconds if state.last_t_mono else 0
+        for (kind, test, hyp), dt in itertools.product(EVERY_EVENT, STEPS_NS):
+            t = MonotonicInstant(last_ns + dt)
+            event = Event(kind, t, verdict(test, hyp, t) if test else None)
+            new, actions = step(state, event, config)
+            if only_time_moves(state, kind, event.verdict):
+                assert (new, actions) == (clock_moved(state, t), []), (state, event)
+            if new.phase in (Phase.ALARM, Phase.RESET_PENDING):
+                assert new.active_time_source != "gnss"
+            if new.phase is Phase.FINE_MONITORING and state.phase is not Phase.FINE_MONITORING:
+                assert (kind, hyp) == (EventKind.NTS_VERDICT, Hypothesis.H0), (state, event)
+            if state_key(new) not in seen:
+                seen.add(state_key(new))
+                todo.append(new)
+    assert {phase for phase, *_ in seen} == set(Phase)

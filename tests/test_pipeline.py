@@ -365,7 +365,9 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
     monitor = Monitor(CFG)
     monitor.epoch(at(10.0))
     monitor.epoch(at(20.0))
-    assert monitor.state.last_t_mono == mono(20.0)
+    again = at(20.0)  # an epoch at the last instant is in order
+    monitor.epoch(again)
+    assert monitor.last_fix is again and monitor.state.last_t_mono == mono(20.0)
     state, kf, last_fix = monitor.state, monitor.chain.kf, monitor.last_fix
     window = list(monitor.ll.window)
     with pytest.raises(OrderingError):

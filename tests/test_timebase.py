@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from timeguard.timebase import (
@@ -121,15 +121,6 @@ def test_monotonic_now_non_decreasing():
         cur = MonotonicInstant.now()
         assert cur >= prev
         prev = cur
-
-
-@settings(max_examples=30)
-@given(
-    d1=st.integers(min_value=-(2**80), max_value=2**80),
-    d2=st.integers(min_value=-(2**80), max_value=2**80),
-)
-def test_duration_arithmetic(d1, d2):
-    assert (SignedDuration(d1) - SignedDuration(d2)).units == d1 - d2
 
 
 # -- the integer rounding against the rational oracle -------------------------

@@ -1,7 +1,7 @@
 """The hand-written line encoders against json.dumps.
 
-epoch_to_json, verdict_to_json and transition_to_json build their
-lines with f-strings.  Each must write the bytes that
+epoch_to_json, feed_line, verdict_to_json and transition_to_json build
+their lines with f-strings.  Each must write the bytes that
 json.dumps(dict, separators=(",", ":")) writes for the same record; the
 references below are that dict, key for key.
 """
@@ -22,8 +22,14 @@ from timeguard.orchestrator import (
     alert,
     transition_to_json,
 )
-from timeguard.receiver_feed import EpochRecord, epoch_to_json
-from timeguard.timebase import MonotonicInstant, Timestamp
+from timeguard.receiver_feed import (
+    EpochRecord,
+    NtsMeasurement,
+    RoughtimeMeasurement,
+    epoch_to_json,
+    feed_line,
+)
+from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp
 
 
 def dumps(obj: dict) -> str:
@@ -38,6 +44,19 @@ def epoch_ref(rec: EpochRecord) -> str:
         "leap_applied": rec.leap_applied,
         "source_id": rec.source_id,
     })
+
+
+# the reference line of each Monitor input a feed carries
+FEED_REFS = {
+    "epoch": epoch_ref,
+    "network": lambda up, t: dumps({"type": "network", "t_mono_ns": t.nanoseconds, "up": up}),
+    "roughtime": lambda rt: dumps({"type": "rt", "t_mono_ns": rt.t_mono_rx.nanoseconds,
+                                   "midpoint_unix_ns": rt.midpoint.to_ns(),
+                                   "radius_s": rt.radius.to_s(), "source_id": rt.server_id}),
+    "nts": lambda nts: dumps({"type": "nts", "t_mono_ns": nts.t_mono_rx.nanoseconds,
+                              "offset_s": nts.offset.to_s(), "delay_s": nts.delay.to_s(),
+                              "source_id": nts.server_id}),
+}
 
 
 def verdict_ref(v: Verdict) -> str:
@@ -87,6 +106,22 @@ VERDICTS = (
     + [Verdict("rt", Hypothesis.H0, 0.25, 10.0, s, t) for s in IDS for t in (T_MONO[0], T_MONO[2])]
 )
 
+# both ends of the 128-bit range, one unit, and durations a float spells
+DURATIONS = [SignedDuration(u) for u in (0, 1, -1, 2**127 - 1, -(2**127))] + [
+    SignedDuration.from_s(x) for x in (-12.330742521827073, 1.5e-4, 0.01)]
+RADII = [d for d in DURATIONS if d.units >= 0]
+
+FEED_INPUTS = (
+    [("epoch", (r,)) for r in EPOCHS]
+    + [("network", (up, t)) for up in (True, False) for t in T_MONO]
+    + [("roughtime", (RoughtimeMeasurement(ts, r, "rt", T_MONO[1]),))
+       for ts in T_GNSS for r in RADII]
+    + [("roughtime", (RoughtimeMeasurement(T_GNSS[0], RADII[-1], s, t),))
+       for s in IDS for t in T_MONO]
+    + [("nts", (NtsMeasurement(d, r, T_MONO[1], "nts"),)) for d in DURATIONS for r in RADII]
+    + [("nts", (NtsMeasurement(DURATIONS[-1], RADII[-1], t, s),)) for s in IDS for t in T_MONO]
+)
+
 ACTIONS = [(), (SCHEDULE_NTS,), (RESET_FILTER, SCHEDULE_NTS)] + [
     (alert(f"h1:nts:{s}"), SCHEDULE_NTS) for s in IDS
 ]
@@ -118,6 +153,14 @@ CASES = (
 def test_encoder_matches_json_dumps(encode, reference, record):
     line = encode(record)
     assert line == reference(record)
+    assert line.isascii()
+
+
+@pytest.mark.parametrize("name, args", FEED_INPUTS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(FEED_INPUTS)])
+def test_feed_line_matches_json_dumps(name, args):
+    line = feed_line(name, args)
+    assert line == FEED_REFS[name](*args)
     assert line.isascii()
 
 
