@@ -1,9 +1,14 @@
 """Tests for the receiver feed's JSONL epoch record."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from timeguard.config import default_config
+from timeguard.detector import LlConfig
+from timeguard.orchestrator import OrderingError
+from timeguard.pipeline import Monitor
 from timeguard.receiver_feed import EpochRecord, FeedError, epoch_from_json, epoch_to_json
 from timeguard.timebase import MonotonicInstant, Timestamp
 
@@ -41,3 +46,40 @@ def test_json_malformed_raises_feed_error():
         with pytest.raises(FeedError, match="malformed epoch record"):
             epoch_from_json({"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": frac},
                              "fix_valid": True, "leap_applied": True})
+
+
+# -- a feed stream as live applies it ----------------------------------------
+
+
+def feed_epochs(*t_mono_s):
+    """Epoch records one second of GNSS time apart, read back from their feed lines."""
+    return [
+        epoch_from_json(json.loads(epoch_to_json(
+            EpochRecord(MonotonicInstant(t * 10**9), Timestamp.from_unix_s(1_689_120_000 + i), True)
+        )))
+        for i, t in enumerate(t_mono_s)
+    ]
+
+
+def feed_monitor():
+    config = default_config()
+    return Monitor(replace(config, detector=replace(config.detector, ll=LlConfig(lambda_T=100.0, sigma0_sq=1e-16))))
+
+
+def test_stream_monotonicity_enforced():
+    monitor = feed_monitor()
+    first, second, regressed = feed_epochs(10, 20, 15)
+    monitor.epoch(first)
+    monitor.epoch(second)
+    with pytest.raises(OrderingError):
+        monitor.epoch(regressed)
+    assert monitor.last_fix == second
+    assert monitor.state.last_t_mono == second.t_mono
+
+
+def test_stream_equal_t_mono_allowed():
+    monitor = feed_monitor()
+    first, second = feed_epochs(10, 10)
+    monitor.epoch(first)
+    monitor.epoch(second)
+    assert monitor.last_fix == second

@@ -22,6 +22,13 @@ def run_script(name, *args):
                           capture_output=True, text=True, timeout=300, env=env)
 
 
+def test_export_traces_runs(tmp_path):
+    done = run_script("export_traces.py", "--scenario", "step4s", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "traces.csv").read_text().count("\n") == 201
+    assert (tmp_path / "feed.jsonl").is_file()
+
+
 def test_benign_far_sweep_runs():
     done = run_script("benign_far_sweep.py", "--seeds", "1")
     assert done.returncode == 0, done.stderr
