@@ -753,24 +753,18 @@ def test_live_parses_an_epoch_line_once(pin_cfg, tmp_path, monkeypatch):
     assert decoded == [epoch_line(0)]
 
 
-def test_live_rejects_a_malformed_epoch_line_and_continues(pin_cfg, tmp_path, capsys):
+def test_live_rejects_a_malformed_epoch_line_and_continues(tmp_path):
     good = [epoch_line(0), rt_line(0), epoch_line(1), rt_line(1, offset_s=-4.0), epoch_line(2)]
-    runs = {}
-    for name, lines in (("good", good),
-                        ("bad", good[:2] + ['{"t_mono_ns": 500000000}', "[1, 2]"] + good[2:])):
-        feed = tmp_path / f"{name}.jsonl"
-        feed.write_text("".join(line + "\n" for line in lines))
-        out = tmp_path / name
-        rc = main(["live", "--feed", str(feed), "--config", pin_cfg, "--out-dir", str(out)])
-        runs[name] = (rc, capsys.readouterr().err, (out / "verdicts.jsonl").read_text(),
-                      (out / "transitions.jsonl").read_text())
-    rc, err, verdicts, transitions = runs["bad"]
+    bad = good[:2] + ['{"t_mono_ns": 500000000}', "[1, 2]"] + good[2:]
+    (tmp_path / "good").mkdir()
+    (tmp_path / "bad").mkdir()
+    rc, verdicts, transitions, err = live_outputs(tmp_path / "bad", bad)
     assert "feed line rejected: malformed epoch record" in err
     assert "unparseable feed line" in err
     assert "record 0" not in err
     # the bad lines applied nothing: the run goes on to the alarm exactly as without them
     assert rc == EXIT_ATTACK
-    assert (rc, verdicts, transitions) == runs["good"][:1] + runs["good"][2:]
+    assert (rc, verdicts, transitions) == live_outputs(tmp_path / "good", good)[:3]
 
 
 def test_live_skips_a_line_that_is_not_utf8(pin_cfg, tmp_path, capsys):

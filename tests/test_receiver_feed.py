@@ -38,14 +38,46 @@ def test_json_fraction_is_string():
     assert obj["t_gnss"]["frac"] == str(2**64 - 1)
 
 
+MALFORMED = [
+    {"nope": 1},
+    {"t_mono_ns": 5},
+    {"t_mono_ns": -1, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": 3, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": "x", "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    # integers must be JSON integers: 1e400 decodes to inf, which int() cannot
+    # convert, and int() would truncate 0.5 s of GNSS time or read a string
+    {"t_mono_ns": 1e400, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 1689120000.5, "frac": "0"}, "fix_valid": True,
+     "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": 0.5}, "fix_valid": True, "leap_applied": True},
+    {"t_mono_ns": "5000000000", "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True,
+     "leap_applied": True},
+    # flags must be JSON booleans: bool("false") would be True
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": "false", "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": 1},
+    # nor is a boolean a number: int(True) would be 1
+    {"t_mono_ns": True, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True},
+    # the fraction must lie in [0, 2^64): out of range it would carry into sec
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "18446744073709551616"}, "fix_valid": True,
+     "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": 18446744073709551616}, "fix_valid": True,
+     "leap_applied": True},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "-1"}, "fix_valid": True, "leap_applied": True},
+    # the string form is ASCII digits only: int() also reads these as 1000, 7, 5 and 3
+    *({"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": frac}, "fix_valid": True,
+       "leap_applied": True} for frac in ("1_000", " 7 ", "+5", "\u0663")),
+    # a source_id, when present, must be a JSON string: str() would write "None"
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True,
+     "source_id": None},
+    {"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": "0"}, "fix_valid": True, "leap_applied": True,
+     "source_id": {"a": 1}},
+]
+
+
 def test_json_malformed_raises_feed_error():
-    # the string form of frac is ASCII digits only: int() would read these as
-    # 1000, 7, 5 and 3.  test_cli.py's CORRUPTIONS refuses every other bad
-    # value of every field, end to end
-    for frac in ("1_000", " 7 ", "+5", "\u0663"):
+    for obj in MALFORMED:
         with pytest.raises(FeedError, match="malformed epoch record"):
-            epoch_from_json({"t_mono_ns": 0, "t_gnss": {"sec": 0, "frac": frac},
-                             "fix_valid": True, "leap_applied": True})
+            epoch_from_json(obj)
 
 
 # -- a feed stream as live applies it ----------------------------------------
