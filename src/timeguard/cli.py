@@ -270,8 +270,7 @@ class _LiveSession:
             return
         try:
             name, args = feed_input(line)
-            getattr(self.monitor, name)(*args)
-            if name == "epoch" and args[0].fix_valid:
+            if getattr(self.monitor, name)(*args) is not None:  # an epoch with a fix
                 self._poll(args[0].t_mono)
         except FeedError as e:
             print(f"timeguard: {e}", file=sys.stderr)

@@ -9,16 +9,16 @@ outage outlives the broadcast ephemeris.
 Trust follows from the phase: GNSS is the active time source except in
 ALARM and RESET_PENDING, where the local ensemble is.
 
-step() is the transition rule: a pure function of (state, event, config)
-that refuses an event stamped before the last one it applied, so
-replaying an event log reproduces the state trajectory exactly.
+step() is the transition rule: a pure function of (state, event, config).
+The state holds the trust decision alone and no clock; the engine that
+drives the rule keeps the instant of the last event it applied and
+refuses one stamped before it, as replay() does for an event log.
 
-Almost every event only moves the clock: a TICK with no outage open, or a
+Almost every event changes nothing: a TICK with no outage open, or a
 verdict that can move neither the phase nor the clean streak.
 only_time_moves() recognises these from the state, the event's kind and
-its verdict, and clock_moved() gives what step() gives them, with only
-last_t_mono moved.  An engine that asks the predicate before it builds an
-event can apply such an event in place and never build it.
+its verdict: step() gives such an event back its state and no action, so
+an engine that asks the predicate first can skip the event unbuilt.
 """
 
 from dataclasses import dataclass
@@ -121,7 +121,6 @@ class OrchestratorState(NamedTuple):
     outage_started: Optional[MonotonicInstant] = None
     coarse_validated: bool = False
     clean_streak: int = 0
-    last_t_mono: Optional[MonotonicInstant] = None
 
     @property
     def active_time_source(self) -> str:
@@ -138,8 +137,8 @@ def _cleared(coarse_validated: bool) -> Phase:
 
 def only_time_moves(state: OrchestratorState, kind: EventKind,
                     verdict: Optional[Verdict] = None) -> bool:
-    """True when what step() gives an event of this kind and verdict moves
-    only last_t_mono, with no action.  A verdict kind without its verdict is
+    """True when step() gives an event of this kind and verdict back the
+    state it was given and no action.  A verdict kind without its verdict is
     no such event: the Event constructor refuses it."""
     phase = state.phase
     if kind is EventKind.TICK:
@@ -155,21 +154,10 @@ def only_time_moves(state: OrchestratorState, kind: EventKind,
     return phase is not Phase.ALARM
 
 
-def clock_moved(state: OrchestratorState, t_mono: MonotonicInstant) -> OrchestratorState:
-    """state with only last_t_mono, its last field, moved to t_mono: what
-    step() gives an event that only_time_moves accepts."""
-    return tuple.__new__(OrchestratorState, (*state[:4], t_mono))
-
-
 def step(
     state: OrchestratorState, event: Event, config: Optional[OrchestratorConfig] = None
 ) -> tuple[OrchestratorState, list[str]]:
     """Apply one event; returns the new state and side-effect requests."""
-    last = state.last_t_mono
-    if last is not None and event.t_mono.nanoseconds < last.nanoseconds:
-        raise OrderingError(
-            f"event at {event.t_mono.nanoseconds} ns precedes {last.nanoseconds} ns"
-        )
     config = config or OrchestratorConfig()
     actions: list[str] = []
     phase = state.phase
@@ -230,13 +218,7 @@ def step(
         if phase is Phase.ALARM:
             phase, streak = _cleared(coarse), 0
 
-    return OrchestratorState(
-        phase=phase,
-        outage_started=outage,
-        coarse_validated=coarse,
-        clean_streak=streak,
-        last_t_mono=event.t_mono,
-    ), actions
+    return OrchestratorState(phase, outage, coarse, streak), actions
 
 
 class TransitionRecord(NamedTuple):
@@ -244,7 +226,6 @@ class TransitionRecord(NamedTuple):
     event: str
     from_phase: Phase
     to_phase: Phase
-    active_source: str
     actions: tuple
 
 
@@ -260,8 +241,7 @@ def advance(
         # an enum member's text is its plain _value_ attribute; .value is a
         # property that costs a Python-level call
         on_record(event, TransitionRecord(event.t_mono, event.kind._value_, state.phase,
-                                          new_state.phase, _SOURCE[new_state.phase._value_],
-                                          tuple(actions)))
+                                          new_state.phase, tuple(actions)))
     return new_state, actions
 
 
@@ -269,10 +249,15 @@ def replay(
     events: Sequence[Event], config: Optional[OrchestratorConfig] = None
 ) -> tuple[OrchestratorState, list[TransitionRecord]]:
     """Run an event log from initial_state() through advance(), collecting
-    the transition trail."""
+    the transition trail; OrderingError for an event stamped before the
+    one before it."""
     state = initial_state()
     records: list[TransitionRecord] = []
+    last_ns = 0
     for event in events:
+        if event.t_mono.nanoseconds < last_ns:
+            raise OrderingError(f"event at {event.t_mono.nanoseconds} ns precedes {last_ns} ns")
+        last_ns = event.t_mono.nanoseconds
         state, _ = advance(state, event, config, lambda _, record: records.append(record))
     return state, records
 
@@ -284,5 +269,5 @@ def transition_to_json(record: TransitionRecord) -> str:
         f'{{"t_mono_ns":{int.__repr__(record.t_mono.nanoseconds)},'
         f'"event":{json_string(record.event)},'
         f'"from_phase":"{record.from_phase._value_}","to_phase":"{record.to_phase._value_}",'
-        f'"active_source":{json_string(record.active_source)},"actions":[{actions}]}}'
+        f'"active_source":"{_SOURCE[record.to_phase._value_]}","actions":[{actions}]}}'
     )

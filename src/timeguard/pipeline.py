@@ -36,7 +36,6 @@ from .orchestrator import (
     OrderingError,
     TransitionRecord,
     advance,
-    clock_moved,
     initial_state,
     only_time_moves,
     transition_to_json,
@@ -102,19 +101,18 @@ class Monitor:
     """The per-epoch engine that simulate and live share.
 
     Owns the filter chain, the ll window over its innovations, the
-    orchestrator state and the fix, anchor and connectivity bookkeeping.  It
-    reads nothing but the config and its inputs, so a run written out as a
-    feed replays to the same output.  Each input method checks the order at
-    entry, applies the input to the state machine, and only then hands on
-    what it applied: `on_verdict(verdict)` for every verdict, and
-    `on_transition(event, record)` for every event that goes through the
-    transition rule.  An event that only moves the clock
-    (orchestrator.only_time_moves: a quiet TICK, an H0 in a settled phase, a
-    repeated H1 in ALARM) is applied in place, with no Event, step or record
-    built, so on_transition never sees it; its record would be a self-loop
-    with no action, and replaying the events on_transition saw still
-    reproduces its records.  An epoch applies its fix change and its ll
-    verdict, or a TICK when it has neither, so every epoch moves the clock.
+    orchestrator state, the instant of the last event applied (t_last) and
+    the fix, anchor and connectivity bookkeeping.  It reads nothing but the
+    config and its inputs, so a run written out as a feed replays to the
+    same output.  Each input method checks the order against t_last,
+    applies the input, and only then hands on what it applied:
+    `on_verdict(verdict)` for every verdict, and `on_transition(event,
+    record)` for every event that goes through the transition rule.  An
+    event that changes nothing (orchestrator.only_time_moves: a quiet TICK,
+    an H0 in a settled phase, a repeated H1 in ALARM) only moves t_last, with
+    no Event, step, state or record built; its record would be a self-loop
+    with no action, so replaying the events on_transition saw still
+    reproduces its records.  Every epoch moves t_last.
     """
 
     def __init__(
@@ -127,6 +125,7 @@ class Monitor:
         self.chain = FilterChain(config.ensemble)
         self.ll = LlDetectorState(resolve_ll(config))
         self.state = initial_state()
+        self.t_last: Optional[MonotonicInstant] = None
         self.on_verdict = on_verdict
         self.on_transition = on_transition
         self.have_fix = False
@@ -137,11 +136,9 @@ class Monitor:
     def _apply(self, kind: EventKind, t: MonotonicInstant,
                verdict: Optional[Verdict] = None) -> None:
         """Apply one event of this kind at t, already checked for order."""
-        state = self.state
-        if only_time_moves(state, kind, verdict):
-            self.state = clock_moved(state, t)
-        else:
+        if not only_time_moves(self.state, kind, verdict):
             self._advance(Event(kind, t, verdict))
+        self.t_last = t
         if verdict is not None and self.on_verdict is not None:
             self.on_verdict(verdict)
 
@@ -160,30 +157,33 @@ class Monitor:
 
     def _check_order(self, t: MonotonicInstant) -> None:
         """Refuse an input stamped before the last one applied."""
-        last = self.state.last_t_mono
+        last = self.t_last
         if last is not None and t.nanoseconds < last.nanoseconds:
             raise OrderingError(f"input at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
 
     def epoch(self, rec: EpochRecord) -> Optional[tuple[float, float]]:
         """One receiver epoch: its fix change, then its ll verdict, each at
         its instant; an epoch that applies neither applies a TICK instead.
-        Returns (filtered bias, innovation) for a valid fix.
+        Returns (filtered bias, innovation) for a fix, and None otherwise.
+        A fix is valid and has leap_applied: GPS-scale time, before the UTC
+        parameters are decoded, is never anchored, tracked or tested against.
 
-        After either event a TICK would only move the clock: a valid fix
-        has no outage open, and a FixLost opens its outage at this instant.
-        An invalid-fix epoch's TICK is what notices an outage past the
+        After either event a TICK would change nothing: a fix has no outage
+        open, and a FixLost opens its outage at this instant.  An epoch
+        without a fix applies the TICK that notices an outage past the
         ephemeris validity."""
         t = rec.t_mono
         self._check_order(t)
         tracked = None
         applied = False
-        if rec.fix_valid != self.have_fix:
-            self.have_fix = rec.fix_valid
+        fix = rec.fix_valid and rec.leap_applied
+        if fix != self.have_fix:
+            self.have_fix = fix
             if self.anchor is None:  # the first change is an acquisition
                 self.anchor = (rec.t_gnss, t)
-            self._apply(EventKind.FIX_ACQUIRED if rec.fix_valid else EventKind.FIX_LOST, t)
+            self._apply(EventKind.FIX_ACQUIRED if fix else EventKind.FIX_LOST, t)
             applied = True
-        if rec.fix_valid:
+        if fix:
             self.last_fix = rec
             tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
             verdict = ll_step(self.ll, tracked[1], t)
@@ -228,7 +228,7 @@ class Monitor:
     def finish(self) -> None:
         """End of input: a fix still held counts as lost."""
         if self.have_fix:
-            self._apply(EventKind.FIX_LOST, self.state.last_t_mono)
+            self._apply(EventKind.FIX_LOST, self.t_last)
 
 
 # -- ll threshold calibration ------------------------------------------------
@@ -398,8 +398,8 @@ def run_scenario(
     state and the scored report, which pins the config by its `config_sha256`.
 
     Each event that goes through the transition rule goes to
-    `on_transition` as it happens (see Monitor: an event that only moves
-    the clock is not one).  The Monitor, and with it any ll calibration,
+    `on_transition` as it happens (see Monitor: an event that changes
+    nothing is not one).  The Monitor, and with it any ll calibration,
     comes before generation, so a run that calibrates loads numpy in
     set-up, not in the replay.
     """

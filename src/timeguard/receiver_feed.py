@@ -106,9 +106,9 @@ def feed_line(name: str, args: tuple) -> str:
     pipeline.scenario_inputs yields (any but `finish`, the feed's end), so
     that feed_input(feed_line(name, args)) == (name, args).
 
-    The one limit: a Roughtime midpoint travels in whole nanoseconds, the
+    The limits: a Roughtime midpoint travels in whole nanoseconds, the
     nearest.  Durations travel as float seconds, exact for each duration
-    SignedDuration.from_s builds."""
+    SignedDuration.from_s builds, and refused (ValueError) from 2^63 s up."""
     if name == "epoch":
         return epoch_to_json(*args)
     if name == "network":
@@ -119,12 +119,19 @@ def feed_line(name: str, args: tuple) -> str:
     if name == "roughtime":
         return (f'{{"type":"rt","t_mono_ns":{int.__repr__(meas.t_mono_rx.nanoseconds)},'
                 f'"midpoint_unix_ns":{int.__repr__(meas.midpoint.to_ns())},'
-                f'"radius_s":{float.__repr__(meas.radius.to_s())},'
+                f'"radius_s":{_seconds("radius", meas.radius)},'
                 f'"source_id":{json_string(meas.server_id)}}}')
     return (f'{{"type":"nts","t_mono_ns":{int.__repr__(meas.t_mono_rx.nanoseconds)},'
-            f'"offset_s":{float.__repr__(meas.offset.to_s())},'
-            f'"delay_s":{float.__repr__(meas.delay.to_s())},'
+            f'"offset_s":{_seconds("offset", meas.offset)},'
+            f'"delay_s":{_seconds("delay", meas.delay)},'
             f'"source_id":{json_string(meas.server_id)}}}')
+
+
+def _seconds(what: str, d: SignedDuration) -> str:
+    """d in float seconds; ValueError from 2^63 s up, which reads back past the range."""
+    if d.to_s() >= 2.0**63:
+        raise ValueError(f"{what} {d.to_s()!r} s reaches 2^63 s, past the duration range")
+    return float.__repr__(d.to_s())
 
 
 def _json_flag(obj: dict, key: str) -> bool:
@@ -136,19 +143,23 @@ def _json_flag(obj: dict, key: str) -> bool:
 
 
 def _json_int(obj: dict, key: str, *, text: bool = False) -> int:
-    """obj[key] if it is a JSON integer, or with text=True a string of ASCII
-    decimal digits.
+    """obj[key] if it is a JSON integer, or with text=True a 64-bit field's
+    string of ASCII decimal digits.
 
     TypeError for a boolean, which int() reads as 1 or 0, and for a float
     such as 1.5 or 1e400, which int() truncates or cannot convert.
     ValueError for a string with a sign, a space, an underscore or a
-    non-ASCII digit, each of which int() would accept.
+    non-ASCII digit, each of which int() would accept, and for one whose
+    value needs more than 20 digits, past 2^64, before int() converts it.
     """
     value = obj[key]
     if text and isinstance(value, str):
         if not (value.isascii() and value.isdigit()):
             raise ValueError(f"{key} must be decimal digits, got {shown(value)}")
-        return int(value)
+        digits = value.lstrip("0")
+        if len(digits) > 20:
+            raise ValueError(f"{key} out of 64-bit range: {shown(value)}")
+        return int(digits or "0")
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{key} must be an integer, got {shown(value)}")
     return value

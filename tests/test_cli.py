@@ -794,6 +794,70 @@ def test_live_skips_a_line_that_is_not_utf8(pin_cfg, tmp_path, capsys):
     assert piped["good"].stdout.decode() == runs["good"][2]
 
 
+# -- a fix without UTC ---------------------------------------------------------
+
+
+def gps_line(e):
+    """An epoch as a receiver reports it before it has decoded the UTC
+    parameters: a valid solution on the GPS scale, UTC + 18 s, with
+    leap_applied false."""
+    return feed_line("epoch", (EpochRecord(MonotonicInstant(e * 10**9),
+                                           Timestamp.from_unix_s(START + e + 18), True,
+                                           leap_applied=False),))
+
+
+def live_run(cfg, tmp_path, lines):
+    """live over lines: its exit code, its verdict lines and its stderr."""
+    out = tmp_path / "out"
+    rc = main(["live", "--feed", write_feed(tmp_path, lines), "--config", cfg,
+               "--out-dir", str(out)])
+    verdicts = [json.loads(l) for l in (out / "verdicts.jsonl").read_text().splitlines()]
+    return rc, verdicts
+
+
+def test_live_takes_no_fix_from_an_epoch_without_utc(pin_cfg, tmp_path, capsys):
+    # an honest rt line would read 18 s against the GPS-scale epochs
+    gps = [gps_line(e) for e in range(5)]
+    assert live_run(pin_cfg, tmp_path, [*gps, rt_line(5)]) == (EXIT_CLEAN, [])
+    err = capsys.readouterr().err
+    assert "feed line rejected: measurement before the first GNSS fix" in err
+    assert "final phase COLD_START" in err
+    # once leap_applied turns true, a clean rt and nts line validate GNSS
+    rc, verdicts = live_run(pin_cfg, tmp_path, [*gps, rt_line(5), epoch_line(6), rt_line(6),
+                                                nts_line(7), epoch_line(8)])
+    assert rc == EXIT_CLEAN
+    assert [(v["test"], v["hypothesis"]) for v in verdicts] == [("rt", "H0"), ("nts", "H0")]
+    assert "final phase FINE_MONITORING" in capsys.readouterr().err
+
+
+def test_live_catches_a_leap_count_step_while_utc_stays_applied(pin_cfg, tmp_path):
+    # a spoofed leap count moves UTC by whole seconds with leap_applied still
+    # true: that is a fix, and an honest rt line tests it
+    rc, verdicts = live_run(pin_cfg, tmp_path, [epoch_line(0), rt_line(0),
+                                                epoch_line(1, offset_s=18.0), rt_line(1)])
+    assert rc == EXIT_ATTACK
+    assert [(v["test"], v["hypothesis"], v["statistic"]) for v in verdicts] == [
+        ("rt", "H0", 0.0), ("rt", "H1", 18.0)]
+
+
+def test_live_polls_only_after_an_epoch_with_a_fix(pin_cfg, tmp_path, monkeypatch):
+    # the poll follows the engine's fix, so GPS-scale epochs poll nothing
+    polled = []
+
+    def poll():
+        polled.append(None)
+        return RoughtimeMeasurement(Timestamp.from_unix_s(START + 5), SignedDuration.from_s(1.0),
+                                    "rt-poll", MonotonicInstant(0))
+
+    monkeypatch.setattr(cli, "_rt_poller", lambda config: poll)
+    rc, verdicts = live_run(pin_cfg, tmp_path, [*(gps_line(e) for e in range(5)),
+                                                epoch_line(5), epoch_line(6)])
+    assert rc == EXIT_CLEAN
+    assert len(polled) == 1
+    assert [(v["test"], v["hypothesis"], v["t_mono_ns"]) for v in verdicts] == [
+        ("rt", "H0", 5 * 10**9)]
+
+
 # -- hostile feed lines ------------------------------------------------------
 
 # starts at 5 s, so an rt line at 0 s is stale wherever it is inserted

@@ -8,10 +8,10 @@ inline comparison and never reaches the general PSD check.  These are
 counted through the names the code calls them by, on a 2,000-epoch
 benign scenario, so a change that brings back the per-epoch objects or
 the general check fails here rather than as a slower benchmark.
-An event that only moves the state machine's clock is applied in place,
-so a benign run builds an Event, steps the state machine and builds a
-transition record only for the four events that change the phase or
-request an action, and it asks whether an event only moves the clock
+An event that changes nothing only moves the engine's clock, so a benign
+run builds an Event, steps the state machine, builds a transition record
+and rebinds the engine's state only for the four events that change the
+phase or request an action, and it asks whether an event changes nothing
 once per event.  simulate encodes a transition record only when
 transition_writer keeps it.
 
@@ -125,7 +125,7 @@ def count_constructions(monkeypatch, cls) -> list:
 
 def test_only_the_events_that_can_change_something_reach_the_rule(monkeypatch):
     # FixAcquired, the first rt H0, the first nts H0 and the closing FixLost;
-    # every other event of the run only moves the clock, in place
+    # every other event of the run changes nothing and is skipped
     pinned = replace(CONFIG, detector=replace(CONFIG.detector, ll=resolve_ll(CONFIG)))
     steps = count_calls(monkeypatch, orchestrator, "step")
     events = count_constructions(monkeypatch, orchestrator.Event)
@@ -137,6 +137,24 @@ def test_only_the_events_that_can_change_something_reach_the_rule(monkeypatch):
     assert kinds == [orchestrator.EventKind.FIX_ACQUIRED, orchestrator.EventKind.RT_VERDICT,
                      orchestrator.EventKind.NTS_VERDICT, orchestrator.EventKind.FIX_LOST]
     assert len(steps) == len(events) == len(records) == 4
+
+
+def test_the_engine_rebinds_its_state_only_when_it_steps(monkeypatch):
+    # a skipped event leaves Monitor.state the same object: the state holds no clock
+    pinned = replace(CONFIG, detector=replace(CONFIG.detector, ll=resolve_ll(CONFIG)))
+    steps = count_calls(monkeypatch, orchestrator, "step")
+    bound = []
+    setattr_ = pipeline.Monitor.__setattr__
+
+    def counted(self, name, value):
+        if name == "state":
+            bound.append(value)
+        setattr_(self, name, value)
+
+    monkeypatch.setattr(pipeline.Monitor, "__setattr__", counted)
+    run_scenario(BENIGN, pinned)
+    assert bound[0] == orchestrator.initial_state()  # Monitor.__init__ binds it
+    assert len(bound) - 1 == len(steps) == 4
 
 
 def test_the_engine_asks_the_predicate_once_per_event(monkeypatch):

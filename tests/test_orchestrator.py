@@ -21,7 +21,6 @@ from timeguard.orchestrator import (
     Phase,
     PolicyError,
     alert,
-    clock_moved,
     initial_state,
     only_time_moves,
     replay,
@@ -247,10 +246,10 @@ def test_policy_validation():
 
 
 def test_out_of_order_event_rejected():
-    state, _ = step(initial_state(), ev(EventKind.FIX_ACQUIRED, 5))
-    with pytest.raises(OrderingError):
-        step(state, ev(EventKind.TICK, 4))
-    state, _ = step(state, ev(EventKind.TICK, 5))  # equal instants allowed
+    with pytest.raises(OrderingError, match="event at 4000000000 ns precedes 5000000000 ns"):
+        replay([ev(EventKind.FIX_ACQUIRED, 5), ev(EventKind.TICK, 4)])
+    # equal instants allowed
+    state, _ = replay([ev(EventKind.FIX_ACQUIRED, 5), ev(EventKind.TICK, 5)])
     assert state.phase is Phase.COLD_START
 
 
@@ -313,7 +312,7 @@ def test_fast_path_agrees_with_the_full_rule(log):
         event = ev(kind, t_ms / 1000, test, hyp) if test else ev(kind, t_ms / 1000)
         got = step(state, event, ORACLE_CONFIG)
         if only_time_moves(state, kind, event.verdict):
-            assert got == (clock_moved(state, event.t_mono), [])
+            assert got == (state, [])
         state = got[0]
 
 
@@ -341,7 +340,6 @@ class ReferenceState:
     summary: ReferenceSummary = field(default_factory=ReferenceSummary)
     coarse_validated: bool = False
     clean_streak: int = 0
-    last_t_mono: Optional[MonotonicInstant] = None
 
 
 REFERENCE_SLOT = {
@@ -410,12 +408,12 @@ def reference_apply(state, event, config):
 
     suspect = phase in (Phase.ALARM, Phase.RESET_PENDING) or summary.any_h1
     return ReferenceState(phase, outage, "ensemble" if suspect else "gnss",
-                          summary, coarse, streak, event.t_mono), actions
+                          summary, coarse, streak), actions
 
 
 def observable(state):
     return (state.phase, state.outage_started, state.coarse_validated,
-            state.clean_streak, state.last_t_mono, state.active_time_source)
+            state.clean_streak, state.active_time_source)
 
 
 @given(st.lists(st.tuples(EVENT_POOL, st.integers(0, 2000)), max_size=60))
@@ -455,11 +453,12 @@ def test_transition_jsonl_roundtrip():
 STEPS_NS = (0, 10**9, 3 * 10**9)
 
 
-def state_key(state):
-    """Phase, outage age, coarse_validated and clean_streak.  Every age past
-    the 2 s validity acts alike, so ages are capped at 3 s and keys are finite."""
+def state_key(state, t):
+    """Phase, outage age at the instant t, coarse_validated and clean_streak.
+    Every age past the 2 s validity acts alike, so ages are capped at 3 s and
+    keys are finite."""
     age = None if state.outage_started is None else min(
-        state.last_t_mono.nanoseconds - state.outage_started.nanoseconds, 3 * 10**9)
+        t.nanoseconds - state.outage_started.nanoseconds, 3 * 10**9)
     return state.phase, age, state.coarse_validated, state.clean_streak
 
 
@@ -467,21 +466,21 @@ def state_key(state):
 def test_every_reachable_state_keeps_the_fast_path_and_the_trust_rules(k):
     assert {kind for kind, _, _ in EVERY_EVENT} == set(EventKind)
     config = OrchestratorConfig(ephemeris_validity_s=2.0, auto_clear_k=k)
-    seen, todo = set(), [initial_state()]
+    # each state with the instant of the event that reached it
+    seen, todo = set(), [(initial_state(), MonotonicInstant(0))]
     while todo:
-        state = todo.pop()
-        last_ns = state.last_t_mono.nanoseconds if state.last_t_mono else 0
+        state, last = todo.pop()
         for (kind, test, hyp), dt in itertools.product(EVERY_EVENT, STEPS_NS):
-            t = MonotonicInstant(last_ns + dt)
+            t = MonotonicInstant(last.nanoseconds + dt)
             event = Event(kind, t, verdict(test, hyp, t) if test else None)
             new, actions = step(state, event, config)
             if only_time_moves(state, kind, event.verdict):
-                assert (new, actions) == (clock_moved(state, t), []), (state, event)
+                assert (new, actions) == (state, []), (state, event)
             if new.phase in (Phase.ALARM, Phase.RESET_PENDING):
                 assert new.active_time_source != "gnss"
             if new.phase is Phase.FINE_MONITORING and state.phase is not Phase.FINE_MONITORING:
                 assert (kind, hyp) == (EventKind.NTS_VERDICT, Hypothesis.H0), (state, event)
-            if state_key(new) not in seen:
-                seen.add(state_key(new))
-                todo.append(new)
+            if state_key(new, t) not in seen:
+                seen.add(state_key(new, t))
+                todo.append((new, t))
     assert {phase for phase, *_ in seen} == set(Phase)

@@ -261,7 +261,7 @@ def test_step4s_alarm_is_latched_and_gnss_distrusted():
             alarm_seen = True
         if alarm_seen:
             assert record.to_phase is Phase.ALARM
-            assert record.active_source != "gnss"
+            assert json.loads(transition_to_json(record))["active_source"] != "gnss"
     assert alarm_seen
     assert result.state.active_time_source == "ensemble"
 
@@ -308,8 +308,8 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
         getattr(monitor, name)(*args)
     state, kf, window = monitor.state, monitor.chain.kf, list(monitor.ll.window)
     count = len(seen)
-    # an rt H0 and an nts H0 in FINE_MONITORING only move the clock, so only
-    # the engine's own check can refuse them: step never sees them
+    # an rt H0 and an nts H0 in FINE_MONITORING change nothing, so step never
+    # sees them: only the engine's own check can refuse them
     assert state.phase is Phase.FINE_MONITORING
     last_gnss = outputs.epochs[39].t_gnss
     rt_h0 = RoughtimeMeasurement(last_gnss, SignedDuration.from_s(1.0), "rt-sim",
@@ -354,7 +354,7 @@ def test_monitor_refuses_a_reply_before_the_first_fix_and_applies_nothing(which)
 
 
 def test_monitor_orders_epochs_against_the_last_tracked_one():
-    # every epoch moves the state machine's clock: the first here with its
+    # every epoch moves the engine's clock: the first here with its
     # FixAcquired, the second, in the ll warm-up, with its TICK
     utc0 = Timestamp.from_unix_s(1_689_120_000)
 
@@ -367,7 +367,7 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
     monitor.epoch(at(20.0))
     again = at(20.0)  # an epoch at the last instant is in order
     monitor.epoch(again)
-    assert monitor.last_fix is again and monitor.state.last_t_mono == mono(20.0)
+    assert monitor.last_fix is again and monitor.t_last == mono(20.0)
     state, kf, last_fix = monitor.state, monitor.chain.kf, monitor.last_fix
     window = list(monitor.ll.window)
     with pytest.raises(OrderingError):
@@ -376,6 +376,36 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
     assert monitor.state is state
     assert monitor.chain.kf is kf
     assert list(monitor.ll.window) == window
+
+
+def run_refusing(inputs):
+    """Apply inputs to a Monitor as live does, refusing a line out of order:
+    the verdicts, transitions.jsonl and the refusals."""
+    verdicts, fh, refused = [], io.StringIO(), []
+    monitor = Monitor(CFG, on_verdict=verdicts.append, on_transition=transition_writer(fh))
+    for name, args in inputs:
+        try:
+            getattr(monitor, name)(*args)
+        except OrderingError as exc:
+            refused.append(str(exc))
+    return verdicts, fh.getvalue(), refused
+
+
+def test_a_leading_span_without_utc_changes_nothing_of_the_run_after_it():
+    # a receiver reports the GPS scale, UTC + 18 s, until it has decoded the
+    # UTC parameters: those epochs are no fix, so the replies among them come
+    # before the first fix, and the run starts at the first epoch with UTC
+    outputs = gen_scenario(builtin_scenarios()["step4s"])
+    inputs = list(scenario_inputs(outputs))
+    cut = inputs.index(("epoch", (outputs.epochs[30],)))
+    gps = SignedDuration.from_s(18.0)
+    lead = [(name, (EpochRecord(args[0].t_mono, ts_add(args[0].t_gnss, gps), True, False),))
+            if name == "epoch" else (name, args) for name, args in inputs[:cut]]
+    assert [name for name, _ in lead].count("roughtime") == 3
+    verdicts, transitions, refused = run_refusing(lead + inputs[cut:])
+    assert (verdicts, transitions, []) == run_refusing(inputs[cut:])
+    assert verdicts and transitions
+    assert refused == ["measurement before the first GNSS fix"] * (len(lead) - 30)
 
 
 def test_verdict_cadence():
@@ -480,13 +510,13 @@ class TickEveryEpoch(Monitor):
 
 class RuleForEveryEvent(Monitor):
     """The engine with every event built and sent through advance, also one
-    that only moves the clock: the reference the engine's in-place path must
-    match.  step is the full rule, which no predicate shortcuts, and its
-    ordering check sees every event, so a predicate that lets a rule event
-    through as time-only fails here."""
+    that changes nothing: the reference the engine's skip must match.  step
+    is the full rule, which no predicate shortcuts, so a predicate that lets
+    a rule event through as changing nothing fails here."""
 
     def _apply(self, kind, t, verdict=None):
         self._advance(Event(kind, t, verdict))
+        self.t_last = t
         if verdict is not None and self.on_verdict is not None:
             self.on_verdict(verdict)
 
@@ -494,7 +524,8 @@ class RuleForEveryEvent(Monitor):
 def assert_runs_match(config, inputs, reference=TickEveryEpoch):
     """Feed inputs, (method, args) each, to a Monitor and a reference engine,
     and compare the two after every input: what the call returned or the
-    OrderingError it raised, the state, the verdicts and transitions.jsonl."""
+    OrderingError it raised, the state and the engine's clock, the verdicts
+    and transitions.jsonl."""
     runs = []
     for engine in (Monitor, reference):
         verdicts, fh = [], io.StringIO()
@@ -510,7 +541,7 @@ def assert_runs_match(config, inputs, reference=TickEveryEpoch):
             except OrderingError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
-        assert got.state == want.state
+        assert (got.state, got.t_last) == (want.state, want.t_last)
         assert got_verdicts[seen:] == want_verdicts[seen:]
         seen = len(got_verdicts)
         assert got_fh.getvalue() == want_fh.getvalue()
@@ -575,7 +606,7 @@ def test_a_tick_only_on_an_epoch_that_applied_nothing_else_changes_no_feed(input
     assert_runs_match(SHORT, inputs)
 
 
-# -- the in-place clock ------------------------------------------------------
+# -- the skipped events ------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()) + ["outage"])
@@ -617,7 +648,7 @@ def test_monitor_applies_a_network_line_only_on_a_change_or_a_repeat():
     # offline while COLD_START: the phase stays, but the clock moves
     monitor.network(False, mono(11.0))
     assert monitor.state.phase is Phase.COLD_START
-    assert monitor.state.last_t_mono == mono(11.0)
+    assert monitor.t_last == mono(11.0)
     assert seen[-1].kind is EventKind.NETWORK_DOWN
     # scripted replies still reach FINE_MONITORING while offline
     monitor.roughtime(RoughtimeMeasurement(gnss_time(10.0), SignedDuration.from_s(1.0),
@@ -632,12 +663,12 @@ def test_monitor_applies_a_network_line_only_on_a_change_or_a_repeat():
     # a repeated down, as a failed poll sends it, is applied and enters HOLDOVER
     monitor.network(False, mono(15.0), repeat=True)
     assert monitor.state.phase is Phase.HOLDOVER
-    assert monitor.state.last_t_mono == mono(15.0)
+    assert monitor.t_last == mono(15.0)
     assert [event.kind for event in seen[count:]] == [EventKind.NETWORK_DOWN]
     # a repeated down in HOLDOVER is applied too: it moves the clock
     monitor.network(False, mono(16.0), repeat=True)
     assert monitor.state.phase is Phase.HOLDOVER
-    assert monitor.state.last_t_mono == mono(16.0)
+    assert monitor.t_last == mono(16.0)
     # back online, the machine re-validates through NTS
     monitor.network(True, mono(17.0))
     assert monitor.state.phase is Phase.COARSE_VALIDATED

@@ -1,8 +1,8 @@
 """The per-epoch records keep their contracts as tuples.
 
-EpochRecord, ClockKfState, Verdict and OrchestratorState are
-NamedTuples, because every epoch builds one of each; so is Event, built
-for each event that goes through the transition rule.  The three that
+EpochRecord, ClockKfState and Verdict are NamedTuples, because every
+epoch builds one of each; so are Event and OrchestratorState, built for
+each event that goes through the transition rule.  The three that
 check their fields do so in a __new__ that runs before the tuple is
 built, with the exception and text the frozen dataclasses raised; every
 record refuses assignment to a field, and two records built from equal
@@ -43,7 +43,7 @@ BUILDERS = {
     "Verdict": verdict,
     "Event": lambda: Event(EventKind.NTS_VERDICT, T, verdict(test="nts")),
     "OrchestratorState": lambda: OrchestratorState(Phase.HOLDOVER, MonotonicInstant(3), True,
-                                                   2, T),
+                                                   2),
 }
 
 
@@ -78,7 +78,7 @@ def test_a_record_round_trips_through_pickle(build):
 def test_defaults_fill_the_unset_fields():
     rec = EpochRecord(MonotonicInstant(0), Timestamp(0), fix_valid=True)
     assert (rec.leap_applied, rec.source_id) == (True, "gnss")
-    assert OrchestratorState() == (Phase.COLD_START, None, False, 0, None)
+    assert OrchestratorState() == (Phase.COLD_START, None, False, 0)
     assert OrchestratorState().active_time_source == "gnss"
     assert Event(EventKind.TICK, T).verdict is None
     assert kf_init(1e-7) == ClockKfState(1e-7, 0.0, 1e-12, 0.0, 1e-18)

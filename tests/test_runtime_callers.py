@@ -33,7 +33,8 @@ stored in a local, is not seen at all.
 A record whose constructor checks its fields is a public subclass of a
 private NamedTuple with a ``__new__`` that checks before it builds the
 tuple.  ``_make`` and ``_replace`` build the tuple without that
-``__new__``, so the package calls neither.
+``__new__``, so the package calls neither, and ``tuple.__new__`` appears
+only inside a class's own ``__new__``, building that class.
 """
 
 import ast
@@ -350,14 +351,45 @@ def test_the_filter_imports_no_numpy():
 _UNCHECKED_BUILDERS = {"_make", "_replace"}
 
 
+def _own_tuple_news(tree: ast.AST) -> set:
+    """The tuple.__new__(cls, ...) calls inside a class's own __new__ whose
+    first parameter is that cls."""
+    own = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if (isinstance(method, ast.FunctionDef) and method.name == "__new__"
+                    and method.args.args):
+                first = method.args.args[0].arg
+                own.update(id(n) for n in ast.walk(method)
+                           if isinstance(n, ast.Call) and n.args
+                           and isinstance(n.args[0], ast.Name) and n.args[0].id == first)
+    return own
+
+
+def _is_tuple_new(n: ast.AST) -> bool:
+    return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__new__" and isinstance(n.func.value, ast.Name)
+            and n.func.value.id == "tuple")
+
+
 def test_the_package_builds_no_record_around_its_check():
     """_make and _replace go straight to tuple.__new__, past the __new__ of a
-    record that checks its fields, so no module calls either."""
-    found = [f"{path.name}:{n.lineno} calls .{_callee(n)}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-             and _callee(n) in _UNCHECKED_BUILDERS]
+    record that checks its fields, so no module calls either; and a
+    tuple.__new__ outside a record's own __new__ builds that record, or
+    another, without its check."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = _own_tuple_news(tree)
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and _callee(n) in _UNCHECKED_BUILDERS):
+                found.append(f"{path.name}:{n.lineno} calls .{_callee(n)}")
+            if _is_tuple_new(n) and id(n) not in own:
+                found.append(f"{path.name}:{n.lineno} calls tuple.__new__ outside its "
+                             f"record's own __new__")
     assert not found, found
 
 
