@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, TextIO
 
 from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise
 from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement, epoch_to_json
-from .timebase import FRAC_UNIT, MonotonicInstant, SignedDuration, Timestamp, units_from_s
+from .timebase import (FRAC_UNIT, MonotonicInstant, SignedDuration, Timestamp, shown,
+                       units_from_s)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,6 +108,10 @@ class ScenarioSpec:
             problems.append("rt_radius_s must be positive")
         if self.rt_poll_epochs < 1 or self.nts_poll_epochs < 1:
             problems.append("poll cadences must be >= 1 epoch")
+        # Philox keys an int64 seed exactly; numpy casts one past it through
+        # a float, so that two seeds could draw one stream
+        if not -(1 << 63) <= self.seed < 1 << 63:
+            problems.append(f"seed must lie in [-2^63, 2^63), got {shown(self.seed)}")
         if problems:
             raise SpecValidationError("; ".join(problems))
 

@@ -41,7 +41,7 @@ from .config import (
     load_config,
     load_scenario,
 )
-from .detector import Hypothesis, Verdict, estimate_server_sigma
+from .detector import CalibrationError, Hypothesis, Verdict, estimate_server_sigma
 from .orchestrator import Event, TransitionRecord
 from .pipeline import (
     Monitor,
@@ -53,7 +53,7 @@ from .pipeline import (
     verdict_writer,
 )
 from .receiver_feed import FeedError, NtsMeasurement, feed_input
-from .timebase import MonotonicInstant
+from .timebase import MonotonicInstant, units_from_s
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -332,6 +332,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         history = [responses[k] for k in sorted(responses)]
         sigma_source = f"simulated provider in scenario {spec.name!r}"
     sigma = estimate_server_sigma(history)
+    nts_lambda = config.detector.nts_sigma_k * sigma
+    if units_from_s(nts_lambda) <= 0:  # the config loader refuses it
+        raise CalibrationError(f"nts_lambda_s {nts_lambda!r} s is not a positive duration: "
+                               f"the NTS offsets have zero spread (sigma {sigma!r} s)")
 
     snippet = "\n".join(
         [
@@ -345,7 +349,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "",
             f"# sigma {sigma!r} s from {sigma_source}",
             "[detector]",
-            f"nts_lambda_s = {config.detector.nts_sigma_k * sigma!r}",
+            f"nts_lambda_s = {nts_lambda!r}",
         ]
     )
     print(snippet)

@@ -51,6 +51,8 @@ class EpochRecord(NamedTuple):
     source_id: str = "gnss"
 
 
+# The reply records keep their fields in slots, as the time types do, and
+# for the reason timebase gives above SignedDuration.
 @dataclass(frozen=True)
 class RoughtimeMeasurement:
     """Coarse time from a Roughtime server: true time lies in midpoint +/- radius.
@@ -60,6 +62,7 @@ class RoughtimeMeasurement:
     from their own inputs.
     """
 
+    __slots__ = ("midpoint", "radius", "server_id", "t_mono_rx")
     midpoint: Timestamp
     radius: SignedDuration
     server_id: str
@@ -68,6 +71,9 @@ class RoughtimeMeasurement:
     def __post_init__(self) -> None:
         if self.radius.units < 0:
             raise ValueError("radius must be non-negative")
+
+    def __reduce__(self):
+        return RoughtimeMeasurement, (self.midpoint, self.radius, self.server_id, self.t_mono_rx)
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,7 @@ class NtsMeasurement:
     from their own inputs.
     """
 
+    __slots__ = ("offset", "delay", "t_mono_rx", "server_id")
     offset: SignedDuration
     delay: SignedDuration
     t_mono_rx: MonotonicInstant
@@ -87,6 +94,9 @@ class NtsMeasurement:
     def __post_init__(self) -> None:
         if self.delay.units < 0:
             raise ValueError("round-trip delay must be non-negative")
+
+    def __reduce__(self):
+        return NtsMeasurement, (self.offset, self.delay, self.t_mono_rx, self.server_id)
 
 
 def epoch_to_json(rec: EpochRecord) -> str:

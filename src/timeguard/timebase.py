@@ -48,14 +48,26 @@ def _check_units(units: int, what: str) -> None:
         raise TimeRangeError(f"{what} out of 128-bit range: {shown(units)}")
 
 
+# The time types, and the reply records built on them, are frozen
+# dataclasses that keep their fields in slots, with no instance dict: a run
+# builds two time values per epoch.  The slots are named in the class body,
+# not made by dataclass(slots=True): that builds a second class, which the
+# frozen __setattr__ does not know, so assigning an attribute that is not a
+# field raises TypeError instead of FrozenInstanceError.  Pickle restores
+# slots through __setattr__, which refuses, so each type reduces to a call
+# of its constructor, which checks the fields again.
 @dataclass(frozen=True, order=True)
 class SignedDuration:
     """Signed time interval, a 128-bit count of 2^-64 s units."""
 
+    __slots__ = ("units",)
     units: int
 
     def __post_init__(self) -> None:
         _check_units(self.units, "duration")
+
+    def __reduce__(self):
+        return SignedDuration, (self.units,)
 
     @classmethod
     def from_s(cls, seconds: float | int) -> "SignedDuration":
@@ -74,10 +86,14 @@ class Timestamp:
     fraction always non-negative: -0.25 s is (-1, 0.75 * 2^64).
     """
 
+    __slots__ = ("units",)
     units: int
 
     def __post_init__(self) -> None:
         _check_units(self.units, "timestamp")
+
+    def __reduce__(self):
+        return Timestamp, (self.units,)
 
     @classmethod
     def from_parts(cls, seconds: int, fraction: int) -> "Timestamp":
@@ -151,11 +167,15 @@ class MonotonicInstant:
     """Nanoseconds on the local monotonic clock; anchors measurements when
     no UTC scale is trusted.  Only differences are meaningful."""
 
+    __slots__ = ("nanoseconds",)
     nanoseconds: int
 
     def __post_init__(self) -> None:
         if not (0 <= self.nanoseconds < 1 << 64):
             raise TimeRangeError(f"monotonic ns out of uint64: {shown(self.nanoseconds)}")
+
+    def __reduce__(self):
+        return MonotonicInstant, (self.nanoseconds,)
 
     @classmethod
     def now(cls) -> "MonotonicInstant":

@@ -1,8 +1,11 @@
 """Tests for scenario generation and attack profiles."""
 
+import dataclasses
 import io
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +340,40 @@ def test_spec_validation_messages():
         )
     with pytest.raises(SpecValidationError, match="poll"):
         ScenarioSpec(name="bad", duration_epochs=10, rt_poll_epochs=0)
+
+
+@pytest.mark.parametrize("seed, accepted", [
+    (-(2**63) - 1, False), (-(2**63), True), (2**63 - 1, True), (2**63, False), (2**64 - 1, False),
+])
+def test_the_seed_lies_in_the_range_philox_keys_exactly(seed, accepted):
+    # past int64, numpy keys Philox through a float: 2^64 - 1 drew seed 0's
+    # stream, and 2^63 + 1 the stream of 2^63 + 2
+    if not accepted:
+        with pytest.raises(SpecValidationError,
+                           match=re.escape(f"seed must lie in [-2^63, 2^63), got {seed}")):
+            ScenarioSpec(name="far", duration_epochs=5, seed=seed)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a seed it casts
+        run = gen_scenario(ScenarioSpec(name="far", duration_epochs=5, seed=seed))
+    # -1 - seed is the other end of the range
+    other = gen_scenario(ScenarioSpec(name="far", duration_epochs=5, seed=-1 - seed))
+    assert run.epochs != other.epochs
+
+
+def test_a_generated_run_holds_no_instance_dict():
+    # a run builds two time values per epoch, and each reply holds more
+    out = gen_scenario(builtin_scenarios()["step4s"])
+    held = [value for rec in out.epochs for value in (rec.t_mono, rec.t_gnss)]
+    for reply in [*out.rt_responses.values(), *out.nts_responses.values()]:
+        held.append(reply)
+        held.extend(getattr(reply, f.name) for f in dataclasses.fields(reply)
+                    if f.name != "server_id")
+    assert out.rt_responses and out.nts_responses
+    assert {type(v).__name__ for v in held} == {
+        "MonotonicInstant", "Timestamp", "SignedDuration", "RoughtimeMeasurement",
+        "NtsMeasurement"}
+    assert [v for v in held if hasattr(v, "__dict__")] == []
 
 
 def test_builtin_scenarios_pinned():

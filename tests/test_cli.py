@@ -303,6 +303,24 @@ def test_seed_override_changes_noise_not_verdict_schema(pin_cfg, benign_ini, tmp
     assert traces[0] != traces[2]
 
 
+def test_a_seed_past_int64_is_refused(pin_cfg, tmp_path, capsys):
+    # Philox would key it through a float: it drew seed 0's run
+    seed = "18446744073709551615"
+    refusal = f"seed must lie in [-2^63, 2^63), got {seed}"
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", "step4s", "--config", pin_cfg,
+               "--seed-override", seed, "--out-dir", str(out)])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"timeguard: error: {refusal}" in captured.err
+    assert not out.exists()
+    spec_path = tmp_path / "far.ini"
+    spec_path.write_text(BENIGN_INI.replace("seed = 11", f"seed = {seed}"))
+    assert main(["simulate", "--scenario", str(spec_path), "--config", pin_cfg]) == EXIT_ERROR
+    assert f"config error: invalid scenario: {refusal}" in capsys.readouterr().err
+
+
 def test_simulate_summary_on_stdout(pin_cfg, capsys):
     main(["simulate", "--scenario", "step4s", "--config", pin_cfg])
     out = capsys.readouterr().out
@@ -379,6 +397,22 @@ def test_calibrate_emits_loadable_overlay(tmp_path, capsys):
     assert overlay.detector.ll.lambda_T is not None
     assert overlay.detector.ll.sigma0_sq > 0
     assert overlay.detector.nts_lambda.to_s() > 0
+
+
+def test_calibrate_refuses_offsets_with_zero_spread(tmp_path, capsys):
+    # 3 sigma of offsets that never move is an nts_lambda_s of 0, which the
+    # config loader refuses: calibrate prints and writes nothing
+    spec_path = tmp_path / "flat.ini"
+    spec_path.write_text("[scenario]\nname = flat\nduration_epochs = 2000\n"
+                         "benign_jitter_sigma_s = 0\n\n[network]\nnts_sigma_s = 0\n")
+    out = tmp_path / "out"
+    rc = main(["calibrate", "--scenario", str(spec_path), "--out-dir", str(out)])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("timeguard: error: nts_lambda_s 0.0 s is not a positive duration: "
+            "the NTS offsets have zero spread (sigma 0.0 s)") in captured.err
+    assert not (out / "calibration.ini").exists()
 
 
 def test_calibration_scenario_takes_an_ini_path(tmp_path, capsys):
