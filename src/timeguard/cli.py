@@ -53,7 +53,7 @@ from .pipeline import (
     verdict_writer,
 )
 from .receiver_feed import FeedError, NtsMeasurement, feed_input
-from .timebase import MonotonicInstant, units_from_s
+from .timebase import MonotonicInstant, SignedDuration, TimeRangeError
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -333,7 +333,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         sigma_source = f"simulated provider in scenario {spec.name!r}"
     sigma = estimate_server_sigma(history)
     nts_lambda = config.detector.nts_sigma_k * sigma
-    if units_from_s(nts_lambda) <= 0:  # the config loader refuses it
+    # the config loader refuses an nts_lambda_s that is not a positive duration
+    try:
+        nts_lambda_units = SignedDuration.from_s(nts_lambda).units
+    except (OverflowError, TimeRangeError):  # an infinite product, or one past 2^63 s
+        raise CalibrationError(f"nts_lambda_s {nts_lambda!r} s is past the duration range: "
+                               f"nts_sigma_k {config.detector.nts_sigma_k!r} times "
+                               f"sigma {sigma!r} s") from None
+    if nts_lambda_units <= 0:
         raise CalibrationError(f"nts_lambda_s {nts_lambda!r} s is not a positive duration: "
                                f"the NTS offsets have zero spread (sigma {sigma!r} s)")
 

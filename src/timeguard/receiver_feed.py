@@ -7,13 +7,16 @@ reply from a network time provider, whether a client verified it, the
 simulator scripted it or a feed line carried it.  A feed is one JSON
 object per line: an epoch, or an `rt`, `nts` or `network` line.
 feed_line writes the line of a Monitor input and feed_input reads it
-back.  This module imports no crypto, so the engine can take these
-records without loading the provider clients.
+back: an epoch line spelled in epoch_to_json's key order through one
+compiled pattern, and any other line through json.loads, to the same
+input or the same refusal.  This module imports no crypto, so the engine
+can take these records without loading the provider clients.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,6 +112,25 @@ def epoch_to_json(rec: EpochRecord) -> str:
         f'"leap_applied":{"true" if rec.leap_applied else "false"},'
         f'"source_id":{json_string(rec.source_id)}}}'
     )
+
+
+# The JSON text of an epoch line whose keys come in epoch_to_json's order,
+# with JSON whitespace between tokens: so feed_line's compact spelling and
+# json.dumps's default one.  Integers follow the JSON grammar, at most 20
+# digits for t_mono_ns and 19 for sec; frac is 1 to 20 ASCII digits, and
+# source_id holds only letters, digits and _.:-, which JSON does not
+# escape.  feed_input reads such a line from the groups, whose values are
+# then exactly what json.loads would give; any other spelling of the same
+# record goes through json.loads.
+_JSON_WS = r"[ \t\n\r]*"
+_EPOCH_LINE = re.compile(_JSON_WS + _JSON_WS.join((
+    r"\{", r'"t_mono_ns"', ":", r"(-?(?:0|[1-9][0-9]{0,19}))", ",",
+    r'"t_gnss"', ":", r"\{", r'"sec"', ":", r"(-?(?:0|[1-9][0-9]{0,18}))", ",",
+    r'"frac"', ":", r'"([0-9]{1,20})"', r"\}", ",",
+    r'"fix_valid"', ":", "(true|false)", ",",
+    r'"leap_applied"', ":", "(true|false)", ",",
+    r'"source_id"', ":", r'"([A-Za-z0-9_.:-]*)"', r"\}",
+)) + _JSON_WS).fullmatch
 
 
 def feed_line(name: str, args: tuple) -> str:
@@ -220,7 +242,25 @@ def feed_input(line: str) -> tuple[str, tuple]:
     line nested past the recursion limit with RecursionError, and an
     integer of more than 4,300 digits with ValueError), an unknown type,
     or a field that is missing or out of range.
+
+    An epoch line spelled as epoch_to_json writes it is read without
+    json.loads, through the constructors epoch_from_json calls in its
+    order, so its result or refusal is the one _json_feed_input gives.
     """
+    epoch = _EPOCH_LINE(line)
+    if epoch is None:
+        return _json_feed_input(line)
+    t_mono_ns, sec, frac, fix_valid, leap_applied, source_id = epoch.groups()
+    try:
+        return "epoch", (EpochRecord(MonotonicInstant(int(t_mono_ns)),
+                                     Timestamp.from_parts(int(sec), int(frac)),
+                                     fix_valid == "true", leap_applied == "true", source_id),)
+    except ValueError as e:  # a range check of the time types
+        raise FeedError(f"feed line rejected: malformed epoch record: {e}") from None
+
+
+def _json_feed_input(line: str) -> tuple[str, tuple]:
+    """feed_input of any spelling of a feed line, through json.loads."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError):

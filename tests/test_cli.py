@@ -21,7 +21,7 @@ from test_pipeline import kept
 from timeguard import cli
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main
-from timeguard.config import default_config, load_config, load_scenario
+from timeguard.config import ConfigFileError, default_config, load_config, load_scenario
 from timeguard.orchestrator import transition_to_json
 from timeguard.pipeline import run_scenario, scenario_inputs, transition_writer
 from timeguard.provider_nts import NtsTestServer, UnreachableError
@@ -415,6 +415,40 @@ def test_calibrate_refuses_offsets_with_zero_spread(tmp_path, capsys):
     assert not (out / "calibration.ini").exists()
 
 
+def test_calibrate_refuses_an_nts_lambda_past_the_duration_range(tmp_path, capsys):
+    # nts_sigma_k times sigma past 2^63 s, or overflowing to infinity, is an
+    # nts_lambda_s the config loader refuses too: calibrate prints and writes
+    # nothing; just under 2^63 s both take it
+    spec_path = tmp_path / "spec.ini"
+
+    def calibrate(k, nts_sigma_s=50e-6):
+        spec_path.write_text("[scenario]\nname = loud\nduration_epochs = 2000\n\n"
+                             f"[network]\nnts_sigma_s = {nts_sigma_s!r}\n")
+        cfg = tmp_path / "k.ini"
+        cfg.write_text(f"[detector]\nnts_sigma_k = {k!r}\n")
+        out = tmp_path / f"out-{k!r}"
+        rc = main(["calibrate", "--scenario", str(spec_path), "--config", str(cfg),
+                   "--out-dir", str(out)])
+        return rc, capsys.readouterr(), out / "calibration.ini"
+
+    rc, captured, written = calibrate(3.0)
+    assert rc == EXIT_CLEAN
+    sigma = float(captured.out.split("# sigma ")[1].split()[0])
+    for k, nts_sigma_s in ((1e40, 50e-6), (1.001 * 2.0**63 / sigma, 50e-6), (1e308, 100.0)):
+        rc, captured, written = calibrate(k, nts_sigma_s)
+        assert rc == EXIT_ERROR
+        assert captured.out == ""
+        assert f" s is past the duration range: nts_sigma_k {k!r} times sigma " in captured.err
+        assert not written.exists()
+        value = captured.err.split("nts_lambda_s ")[1].split()[0]
+        (tmp_path / "lambda.ini").write_text(f"[detector]\nnts_lambda_s = {value}\n")
+        with pytest.raises(ConfigFileError):
+            load_config(str(tmp_path / "lambda.ini"))
+    rc, captured, written = calibrate(0.999 * 2.0**63 / sigma)
+    assert rc == EXIT_CLEAN
+    assert load_config(str(written)).detector.nts_lambda.to_s() < 2.0**63
+
+
 def test_calibration_scenario_takes_an_ini_path(tmp_path, capsys):
     spec_path = tmp_path / "cal.ini"
     spec_path.write_text(CAL_INI)
@@ -774,7 +808,10 @@ def test_live_writes_no_verdict_the_state_machine_rejects(pin_cfg, tmp_path, cap
 
 
 def test_live_parses_an_epoch_line_once(pin_cfg, tmp_path, monkeypatch):
-    feed = write_feed(tmp_path, [epoch_line(0)])
+    # an epoch line spelled as feed_line writes it is read without json.loads;
+    # one spelled otherwise, here with an older feed's clock_bias_ns, is decoded once
+    older = epoch_line(1)[:-1] + ',"clock_bias_ns":-42}'
+    feed = write_feed(tmp_path, [epoch_line(0), older])
     decoded = []
     real_loads = json.loads
 
@@ -784,7 +821,7 @@ def test_live_parses_an_epoch_line_once(pin_cfg, tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "loads", loads)
     assert main(["live", "--feed", feed, "--config", pin_cfg]) == EXIT_CLEAN
-    assert decoded == [epoch_line(0)]
+    assert decoded == [older]
 
 
 def test_live_rejects_a_malformed_epoch_line_and_continues(tmp_path):

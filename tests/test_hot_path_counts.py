@@ -13,7 +13,8 @@ run builds an Event, steps the state machine, builds a transition record
 and rebinds the engine's state only for the four events that change the
 phase or request an action, and it asks whether an event changes nothing
 once per event.  simulate encodes a transition record only when
-transition_writer keeps it.
+transition_writer keeps it.  live decodes through json.loads only the feed
+lines that are not epochs spelled as feed_line writes them.
 
 The provider clients are counted the same way over 50 rounds against
 the in-process test servers, leaving out the calls made inside the
@@ -22,16 +23,20 @@ AES-SIV schedule once and seals and opens once per query, and the
 Roughtime client sends a fixed request with no message encoding.
 """
 
+import json
 import sys
 from dataclasses import replace
 
+from test_cli import PINNED_CFG
+
 from timeguard import ensemble, orchestrator, pipeline, provider_nts, provider_roughtime, timebase
-from timeguard.attack_sim import ScenarioSpec, gen_scenario
-from timeguard.cli import main
+from timeguard.attack_sim import ScenarioSpec, builtin_scenarios, gen_scenario
+from timeguard.cli import EXIT_ATTACK, main
 from timeguard.config import default_config
-from timeguard.pipeline import resolve_ll, run_scenario
+from timeguard.pipeline import resolve_ll, run_scenario, scenario_inputs
 from timeguard.provider_nts import NtsTestServer, nts_query
 from timeguard.provider_roughtime import RoughtimeTestServer, poll
+from timeguard.receiver_feed import feed_line
 
 BENIGN = ScenarioSpec(name="benign2k", duration_epochs=2_000, seed=21)
 CONFIG = default_config()
@@ -179,6 +184,35 @@ def test_simulate_encodes_only_the_transitions_it_writes(monkeypatch, tmp_path):
     written = (tmp_path / "transitions.jsonl").read_text().splitlines()
     assert written
     assert len(encoded) == len(written)
+
+
+def test_live_decodes_only_the_lines_that_are_not_epochs_through_json(monkeypatch, tmp_path):
+    # an epoch line as feed_line writes it takes the compiled pattern, and
+    # every rt, nts and network line is decoded by json.loads exactly once;
+    # the outage puts network lines into incr2us's feed
+    incr2us = builtin_scenarios()["incr2us"]
+    spec = replace(incr2us, network=replace(incr2us.network, mode="down", down_from_epoch=100,
+                                            down_to_epoch=200))
+    lines = [(method, feed_line(method, args)) for method, args in scenario_inputs(gen_scenario(spec))
+             if method != "finish"]
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(line + "\n" for _, line in lines))
+    config = tmp_path / "pin.ini"
+    config.write_text(PINNED_CFG)
+    decoded = []
+    loads = json.loads
+
+    def counted(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert main(["live", "--feed", str(feed), "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_ATTACK
+    kinds = [method for method, _ in lines]
+    assert kinds.count("epoch") == 2_700
+    assert {"roughtime", "nts", "network"} <= set(kinds)
+    assert decoded == [line for method, line in lines if method != "epoch"]
 
 
 def test_nts_queries_build_each_key_schedule_once_and_seal_and_open_once_each(monkeypatch):
