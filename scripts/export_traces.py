@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from timeguard.attack_sim import gen_scenario
+from timeguard.attack_sim import attack_offset, gen_scenario
 from timeguard.config import apply_env, load_config, load_scenario
 from timeguard.pipeline import Monitor, scenario_inputs
 from timeguard.receiver_feed import feed_line
@@ -32,7 +32,8 @@ def main() -> int:
     args = ap.parse_args()
 
     monitor = Monitor(apply_env(load_config(args.config), os.environ))
-    outputs = gen_scenario(load_scenario(args.scenario))
+    spec = load_scenario(args.scenario)
+    outputs = gen_scenario(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "traces.csv", "w") as fh, open(out / "feed.jsonl", "w") as feed:
@@ -44,7 +45,7 @@ def main() -> int:
                 feed.write(feed_line(name, inputs) + "\n")
             if name == "epoch":
                 xhat, innovation = tracked
-                fh.write(f"{e},{outputs.truth_offset_s[e] * 1e9:.6f},"
+                fh.write(f"{e},{attack_offset(spec.attack, e) * 1e9:.6f},"
                          f"{xhat * 1e9:.6f},{innovation * 1e9:.6f}\n")
                 e += 1
     return 0

@@ -179,11 +179,10 @@ def _stream(seed: int, component: int) -> np.random.Generator:
 
 @dataclass
 class SimOutputs:
-    """Everything one scenario produces; ground truth is exact."""
+    """Everything one scenario produces; ground truth is attack_offset's."""
 
     spec: ScenarioSpec
     epochs: list
-    truth_offset_s: np.ndarray
     rt_responses: dict
     nts_responses: dict
 
@@ -252,7 +251,6 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
     return SimOutputs(
         spec=spec,
         epochs=epochs,
-        truth_offset_s=truth,
         rt_responses=rt_responses,
         nts_responses=nts_responses,
     )
@@ -267,15 +265,12 @@ def write_epochs_jsonl(fh: TextIO, outputs: SimOutputs) -> None:
 
 
 def write_truth_csv(fh: TextIO, outputs: SimOutputs) -> None:
+    """truth.csv: each epoch's injected offset in ns, from attack_offset."""
     spec = outputs.spec
     fh.write(f"# prng={PRNG_ID} seed={spec.seed} scenario={spec.name}\n")
     fh.write("epoch,injected_offset_ns\n")
-    # plain floats, a block at a time: formatting a numpy scalar costs half
-    # as much again, and a list of every epoch's would raise peak memory
-    truth = outputs.truth_offset_s
-    for start in range(0, len(truth), 1024):
-        for e, offset in enumerate(truth[start:start + 1024].tolist(), start):
-            fh.write(f"{e},{offset * 1e9:.6f}\n")
+    for e in range(spec.duration_epochs):
+        fh.write(f"{e},{attack_offset(spec.attack, e) * 1e9:.6f}\n")
 
 
 # -- bundled scenarios ------------------------------------------------------

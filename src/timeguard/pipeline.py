@@ -14,7 +14,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
-from .attack_sim import ScenarioSpec, SimOutputs, builtin_scenarios, gen_scenario, network_available
+from .attack_sim import (ScenarioSpec, SimOutputs, attack_offset, builtin_scenarios, gen_scenario,
+                         network_available)
 from .config import AppConfig, ConfigFileError, EnsembleConfig, config_sha256, load_scenario
 from .detector import (
     Hypothesis,
@@ -101,10 +102,11 @@ class Monitor:
     """The per-epoch engine that simulate and live share.
 
     Owns the filter chain, the ll window over its innovations, the
-    orchestrator state, the instant of the last event applied (t_last) and
-    the fix, anchor and connectivity bookkeeping.  It reads nothing but the
-    config and its inputs, so a run written out as a feed replays to the
-    same output.  Each input method checks the order against t_last,
+    orchestrator state, the instant of the last event applied (t_last), the
+    last fix, the local clock's anchor and the connectivity, but no fix flag:
+    a fix is held while there is a last fix and the state has no outage open.
+    It reads nothing but the config and its inputs, so a run written out as
+    a feed replays to the same output.  Each input method checks the order against t_last,
     applies the input, and only then hands on what it applied:
     `on_verdict(verdict)` for every verdict, and `on_transition(event,
     record)` for every event that goes through the transition rule.  An
@@ -128,7 +130,6 @@ class Monitor:
         self.t_last: Optional[MonotonicInstant] = None
         self.on_verdict = on_verdict
         self.on_transition = on_transition
-        self.have_fix = False
         self.online = True
         self.anchor: Optional[tuple[Timestamp, MonotonicInstant]] = None
         self.last_fix: Optional[EpochRecord] = None
@@ -143,12 +144,14 @@ class Monitor:
             self.on_verdict(verdict)
 
     def _advance(self, event: Event) -> None:
-        """Send event through the rule; RESET_FILTER restarts tracker and ll window together."""
+        """Send event through the rule; RESET_FILTER restarts tracker and ll
+        window together, on the local clock re-anchored at the last fix."""
         self.state, actions = advance(self.state, event, self.config.orchestrator,
                                       self.on_transition)
         if RESET_FILTER in actions:
             self.chain.reset()
             self.ll = LlDetectorState(self.ll.params)
+            self.anchor = (self.last_fix.t_gnss, self.last_fix.t_mono)
 
     def _reference(self) -> Timestamp:
         if self.last_fix is None:
@@ -177,8 +180,7 @@ class Monitor:
         tracked = None
         applied = False
         fix = rec.fix_valid and rec.leap_applied
-        if fix != self.have_fix:
-            self.have_fix = fix
+        if fix != (self.last_fix is not None and self.state.outage_started is None):
             if self.anchor is None:  # the first change is an acquisition
                 self.anchor = (rec.t_gnss, t)
             self._apply(EventKind.FIX_ACQUIRED if fix else EventKind.FIX_LOST, t)
@@ -227,7 +229,7 @@ class Monitor:
 
     def finish(self) -> None:
         """End of input: a fix still held counts as lost."""
-        if self.have_fix:
+        if self.last_fix is not None and self.state.outage_started is None:
             self._apply(EventKind.FIX_LOST, self.t_last)
 
 
@@ -345,7 +347,6 @@ def build_report(outputs: SimOutputs, verdicts: list, state: OrchestratorState,
     latency measured from attack onset.
     """
     spec = outputs.spec
-    truth = outputs.truth_offset_s
     outcomes = {}
     false_alarms = 0
     for test in ("rt", "nts", "ll"):
@@ -354,8 +355,8 @@ def build_report(outputs: SimOutputs, verdicts: list, state: OrchestratorState,
             for v in verdicts
             if v.test == test and v.hypothesis is Hypothesis.H1
         )
-        false_alarms += sum(1 for e in hits if truth[min(e, len(truth) - 1)] == 0.0)
-        real = [e for e in hits if truth[min(e, len(truth) - 1)] != 0.0]
+        real = [e for e in hits if attack_offset(spec.attack, e) != 0.0]
+        false_alarms += len(hits) - len(real)
         if real:
             outcomes[test] = DetectorOutcome(True, real[0] - spec.attack.onset_epoch)
         else:

@@ -85,11 +85,9 @@ def test_criterion_1_step_attack_caught_at_first_rt_poll():
     """4 s step: RT H1 on the first poll after onset; zero benign RT alarms."""
     with budget(10.0):
         spec = builtin_scenarios()["step4s"]
-        outputs, result = run_scenario(spec, CFG)
+        _, result = run_scenario(spec, CFG)
         polls = range(0, spec.duration_epochs, spec.rt_poll_epochs)
-        first_attacked_poll = next(
-            e for e in polls if outputs.truth_offset_s[e] != 0.0
-        )
+        first_attacked_poll = next(e for e in polls if attack_offset(spec.attack, e) != 0.0)
         assert first_attacked_poll - spec.attack.onset_epoch < spec.rt_poll_epochs
         hits = h1_epochs(result, "rt")
         assert hits, "step attack produced no RT alarm"
@@ -111,11 +109,11 @@ def test_criterion_2_incremental_attack_caught_by_nts():
         # noise-free crossing lies within the advertised 76-period budget
         assert crossing <= spec.attack.onset_epoch + 76 * spec.nts_poll_epochs
 
-        outputs, result = run_scenario(spec, CFG)
+        _, result = run_scenario(spec, CFG)
         hits = h1_epochs(result, "nts")
         assert hits, "incremental attack produced no NTS alarm"
         assert hits[0] <= crossing + spec.nts_poll_epochs  # +- 1 poll interval
-        assert outputs.truth_offset_s[hits[0]] != 0.0  # fired during the attack
+        assert attack_offset(spec.attack, hits[0]) != 0.0  # fired during the attack
         assert result.report.outcomes["nts"].detected
 
 

@@ -1,6 +1,7 @@
 """Tests for scenario generation and attack profiles."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -159,7 +160,7 @@ def test_zero_noise_benign_equals_truth():
     start = Timestamp.from_unix_s(spec.start_unix_s)
     for e, rec in enumerate(out.epochs):
         assert rec.t_gnss == ts_add(start, SignedDuration.from_s(float(e)))
-    assert np.array_equal(out.truth_offset_s, np.zeros(50))
+    assert [attack_offset(spec.attack, e) for e in range(50)] == [0.0] * 50
 
 
 def test_local_clock_runs_on_the_simulated_oscillator():
@@ -179,9 +180,9 @@ def test_local_clock_runs_on_the_simulated_oscillator():
 
 
 def test_ground_truth_equals_injected_profile():
-    out = gen_scenario(builtin_scenarios()["step4s"])
-    want = np.array([0.0] * 100 + [4.0] * 100)
-    assert np.array_equal(out.truth_offset_s, want)
+    spec = builtin_scenarios()["step4s"]
+    truth = [attack_offset(spec.attack, e) for e in range(spec.duration_epochs)]
+    assert truth == [0.0] * 100 + [4.0] * 100
 
 
 def test_generation_deterministic_byte_identical():
@@ -267,7 +268,7 @@ def test_residual_noise_is_gaussian():
     residuals = np.array(
         [
             ts_diff(rec.t_gnss, ts_add(start, SignedDuration.from_s(float(e)))).to_s()
-            - out.truth_offset_s[e]
+            - attack_offset(out.spec.attack, e)
             for e, rec in enumerate(out.epochs)
         ]
     )
@@ -288,7 +289,8 @@ def test_provider_scripts_at_poll_epochs():
 def test_nts_offset_tracks_negative_attack():
     out = gen_scenario(builtin_scenarios()["benign10k"])
     centered = np.array(
-        [out.nts_responses[e].offset.to_s() + out.truth_offset_s[e] for e in out.nts_responses]
+        [out.nts_responses[e].offset.to_s() + attack_offset(out.spec.attack, e)
+         for e in out.nts_responses]
     )
     assert stats.normaltest(centered).pvalue > 0.05
     assert centered.std() == pytest.approx(50e-6, rel=0.15)
@@ -405,12 +407,22 @@ def test_output_files_roundtrip():
     assert parsed == out.epochs
 
 
+# sha256 of truth.csv as written from a stored numpy truth array, 1024 epochs
+# to a block: the writer that calls attack_offset per epoch writes the same bytes
+TRUTH_CSV_SHA256 = {
+    1: "57fb39311c65dc141f4da8bebd0f3e0b7bb9572dc69ab7567df2b93a2e6ed758",
+    1024: "21f87e3b1fd6a23812a94455ad0d1c0baf99045623ccd980ff24f32b87d816bf",
+    1025: "7bd61a48f9c33b09257d024d766e1b1f3017af0f26c715eb6581ff5b7daf09d6",
+    2_500: "41d1a6e686d9bf832d9921e4b7374f25a214b4abf250faf539ecc7de5482b97a",
+}
+
+
 @pytest.mark.parametrize("n", [1, 1024, 1025, 2_500])
 def test_truth_csv_matches_formatting_each_numpy_value(n):
-    # write_truth_csv converts the offsets to floats a block at a time
     attack = INCR if n > INCR.onset_epoch else AttackSpec()
     out = gen_scenario(ScenarioSpec(name="blocks", duration_epochs=n, seed=14, attack=attack))
     fh = io.StringIO()
     write_truth_csv(fh, out)
-    body = "".join(f"{e},{offset * 1e9:.6f}\n" for e, offset in enumerate(out.truth_offset_s))
+    body = "".join(f"{e},{attack_offset(attack, e) * 1e9:.6f}\n" for e in range(n))
     assert fh.getvalue().split("\n", 2)[2] == body
+    assert hashlib.sha256(fh.getvalue().encode()).hexdigest() == TRUTH_CSV_SHA256[n]

@@ -11,6 +11,7 @@ import sys
 import time
 from contextlib import redirect_stderr
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,17 @@ from timeguard.receiver_feed import (
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
 
 PY = sys.executable
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 START = 1_689_120_000
+
+
+def checkout_env():
+    """This process's environment with the checkout's src first on
+    PYTHONPATH, so a child python runs the package under test, installed
+    or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 # threshold pinned so runs skip the calibration pass
 PINNED_CFG = """\
@@ -70,7 +81,8 @@ def benign_ini(tmp_path):
 
 def run_cli(*argv):
     return subprocess.run(
-        [PY, "-m", "timeguard", *argv], capture_output=True, text=True, timeout=120
+        [PY, "-m", "timeguard", *argv], capture_output=True, text=True, timeout=120,
+        env=checkout_env(),
     )
 
 
@@ -178,7 +190,7 @@ REPORT_LOADED = (FOOTPRINT_BEFORE + "from timeguard.cli import main\nrc = main(s
 def footprint(script, *argv):
     """(process, heavy modules loaded, OpenSSL libraries mapped or None off Linux)."""
     proc = subprocess.run([PY, "-c", script, *argv], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, env=checkout_env())
     report = {}
     for line in proc.stderr.splitlines():
         head, *names = line.split() or [""]
@@ -521,7 +533,7 @@ def test_live_streams_verdicts_from_named_pipe(pin_cfg, tmp_path):
     os.mkfifo(fifo)
     proc = subprocess.Popen(
         [PY, "-m", "timeguard", "live", "--feed", str(fifo), "--config", pin_cfg],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=checkout_env(),
     )
     with open(fifo, "w") as fh:
         fh.write(epoch_line(0) + "\n")
@@ -557,7 +569,7 @@ def test_live_hands_over_each_verdict_before_the_next_line(pin_cfg):
     # a closed loop over pipes: the next feed line is written only after the
     # verdict for the last one has been read back, so a verdict left in an
     # output buffer stalls the loop; PYTHONUNBUFFERED would hide such a buffer
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in checkout_env().items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [PY, "-m", "timeguard", "live", "--feed", "-", "--config", pin_cfg],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, bufsize=0,
@@ -856,7 +868,7 @@ def test_live_skips_a_line_that_is_not_utf8(pin_cfg, tmp_path, capsys):
     # the same through standard input
     piped = {
         name: subprocess.run([PY, "-m", "timeguard", "live", "--feed", "-", "--config", pin_cfg],
-                             input=data, capture_output=True, timeout=120)
+                             input=data, capture_output=True, timeout=120, env=checkout_env())
         for name, data in (("good", good_bytes), ("bad", bad_bytes))
     }
     assert b"unparseable feed line, skipped" in piped["bad"].stderr

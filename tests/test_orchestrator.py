@@ -3,6 +3,7 @@
 import itertools
 import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -484,3 +485,53 @@ def test_every_reachable_state_keeps_the_fast_path_and_the_trust_rules(k):
                 seen.add(state_key(new, t))
                 todo.append((new, t))
     assert {phase for phase, *_ in seen} == set(Phase)
+
+
+# -- the README's phase x event table ----------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TABLE_BEGIN = "<!-- phase x event table, printed by `python3 tests/test_orchestrator.py` -->\n"
+TABLE_END = "<!-- end of the phase x event table -->\n"
+
+
+def reachable_edges(config):
+    """(state, EVERY_EVENT entry, new state) for each entry at each step of
+    STEPS_NS, from every state reachable from initial_state() under config."""
+    seen, todo = set(), [(initial_state(), MonotonicInstant(0))]
+    while todo:
+        state, last = todo.pop()
+        for entry, dt in itertools.product(EVERY_EVENT, STEPS_NS):
+            kind, test, hyp = entry
+            t = MonotonicInstant(last.nanoseconds + dt)
+            new, _ = step(state, Event(kind, t, verdict(test, hyp, t) if test else None), config)
+            yield state, entry, new
+            if state_key(new, t) not in seen:
+                seen.add(state_key(new, t))
+                todo.append((new, t))
+
+
+def phase_event_table():
+    """A Markdown table of the phases step leads to from each phase (a
+    column) on each event (a row), the verdict kinds split by hypothesis,
+    over every reachable state at the default auto_clear_k."""
+    leads = {(entry, phase): set() for entry in EVERY_EVENT for phase in Phase}
+    for state, entry, new in reachable_edges(OrchestratorConfig(ephemeris_validity_s=2.0)):
+        leads[entry, state.phase].add(new.phase)
+    rows = ["| event | " + " | ".join(phase.value for phase in Phase) + " |",
+            "|---" * (len(Phase) + 1) + "|"]
+    for entry in EVERY_EVENT:
+        kind, _, hyp = entry
+        cells = [", ".join(p.value for p in Phase if p in leads[entry, phase]) for phase in Phase]
+        rows.append(f"| {kind.value}{f' {hyp.value}' if hyp else ''} | " + " | ".join(cells) + " |")
+    return "".join(row + "\n" for row in rows)
+
+
+def test_the_readme_table_is_the_enumerated_rule():
+    readme = README.read_text()
+    assert readme.count(TABLE_BEGIN) == readme.count(TABLE_END) == 1
+    block = readme.split(TABLE_BEGIN, 1)[1].split(TABLE_END, 1)[0]
+    assert block == phase_event_table()
+
+
+if __name__ == "__main__":
+    print(TABLE_BEGIN + phase_event_table() + TABLE_END, end="")

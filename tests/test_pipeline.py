@@ -178,9 +178,23 @@ def test_reset_clears_history():
     assert monitor.chain.kf == kf_init()
     assert monitor.ll.z is None and not monitor.ll.window
     assert monitor.ll.params is CFG.detector.ll
+    # the tracker restarts against the local clock re-anchored at the last fix
     _, innovation = monitor.epoch(outputs.epochs[50])
-    assert innovation == local_bias_s(outputs.epochs[50], outputs.epochs[0].t_gnss,
-                                      outputs.epochs[0].t_mono)
+    assert innovation == local_bias_s(outputs.epochs[50], last.t_gnss, last.t_mono)
+
+
+@pytest.mark.parametrize("seed", [13, 18])
+def test_a_reset_hours_after_the_first_fix_tracks_from_the_last_one(seed):
+    # the network is down for the first 12 h, so the first Roughtime H0 and
+    # its filter reset come 43,200 epochs after the first fix; a filter
+    # restarted at bias 0 against the first fix's anchor would see all the
+    # oscillator offset built up since, and the ll test would alarm on it
+    spec = ScenarioSpec(name="late-reset", duration_epochs=44_400, seed=seed,
+                        network=NetworkSpec(mode="down", down_from_epoch=0,
+                                            down_to_epoch=43_200))
+    _, result = run_scenario(spec, CFG)
+    assert [v for v in result.verdicts if v.test == "ll" and v.hypothesis is Hypothesis.H1] == []
+    assert result.state.phase is Phase.FINE_MONITORING
 
 
 # -- calibration -------------------------------------------------------------
