@@ -32,8 +32,7 @@ def main() -> int:
     args = ap.parse_args()
 
     monitor = Monitor(apply_env(load_config(args.config), os.environ))
-    spec = load_scenario(args.scenario)
-    outputs = gen_scenario(spec)
+    outputs = gen_scenario(load_scenario(args.scenario))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "traces.csv", "w") as fh, open(out / "feed.jsonl", "w") as feed:
@@ -45,7 +44,7 @@ def main() -> int:
                 feed.write(feed_line(name, inputs) + "\n")
             if name == "epoch":
                 xhat, innovation = tracked
-                fh.write(f"{e},{attack_offset(spec.attack, e) * 1e9:.6f},"
+                fh.write(f"{e},{attack_offset(outputs.spec.attack, e) * 1e9:.6f},"
                          f"{xhat * 1e9:.6f},{innovation * 1e9:.6f}\n")
                 e += 1
     return 0

@@ -11,13 +11,13 @@ import sys
 import time
 from contextlib import redirect_stderr
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loopback import nts_ke, udp
 from test_pipeline import kept
+from test_scripts import checkout_env
 
 from timeguard import cli
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
@@ -37,17 +37,7 @@ from timeguard.receiver_feed import (
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
 
 PY = sys.executable
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 START = 1_689_120_000
-
-
-def checkout_env():
-    """This process's environment with the checkout's src first on
-    PYTHONPATH, so a child python runs the package under test, installed
-    or not."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return env
 
 # threshold pinned so runs skip the calibration pass
 PINNED_CFG = """\
