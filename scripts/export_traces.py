@@ -20,7 +20,7 @@ from pathlib import Path
 
 from timeguard.attack_sim import attack_offset, gen_scenario
 from timeguard.config import apply_env, load_config, load_scenario
-from timeguard.pipeline import Monitor, scenario_inputs
+from timeguard.pipeline import Monitor, resolve_ll, scenario_inputs
 from timeguard.receiver_feed import feed_line
 
 
@@ -31,7 +31,8 @@ def main() -> int:
     ap.add_argument("--out-dir", required=True)
     args = ap.parse_args()
 
-    monitor = Monitor(apply_env(load_config(args.config), os.environ))
+    config = apply_env(load_config(args.config), os.environ)
+    monitor = Monitor(config, resolve_ll(config))
     outputs = gen_scenario(load_scenario(args.scenario))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -264,9 +264,8 @@ def write_epochs_jsonl(fh: TextIO, outputs: SimOutputs) -> None:
         fh.write(epoch_to_json(epoch) + "\n")
 
 
-def write_truth_csv(fh: TextIO, outputs: SimOutputs) -> None:
+def write_truth_csv(fh: TextIO, spec: ScenarioSpec) -> None:
     """truth.csv: each epoch's injected offset in ns, from attack_offset."""
-    spec = outputs.spec
     fh.write(f"# prng={PRNG_ID} seed={spec.seed} scenario={spec.name}\n")
     fh.write("epoch,injected_offset_ns\n")
     for e in range(spec.duration_epochs):

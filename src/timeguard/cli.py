@@ -48,6 +48,7 @@ from .pipeline import (
     calibration_spec,
     fit_ll,
     report_to_json,
+    resolve_ll,
     run_scenario,
     transition_writer,
     verdict_writer,
@@ -148,7 +149,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(out / "epochs.jsonl", "w") as fh:
             write_epochs_jsonl(fh, outputs)
         with open(out / "truth.csv", "w") as fh:
-            write_truth_csv(fh, outputs)
+            write_truth_csv(fh, spec)
         with open(out / f"verdicts.{args.format}", "w") as fh:
             write_verdict = verdict_writer(fh, args.format)
             for verdict in result.verdicts:
@@ -239,7 +240,8 @@ class _LiveSession:
         self.next_poll_ns: dict = {}
         self.h1_seen = False
         self.verdict_count = 0
-        self.monitor = Monitor(config, on_verdict=self.emit, on_transition=on_transition)
+        self.monitor = Monitor(config, resolve_ll(config), on_verdict=self.emit,
+                               on_transition=on_transition)
 
     def emit(self, verdict: Verdict) -> None:
         self.verdict_count += 1

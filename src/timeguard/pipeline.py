@@ -3,21 +3,23 @@
 Joins the pieces in fixed per-epoch order: receiver epoch in, Kalman
 tracking of the GNSS-vs-local-clock bias, the log-likelihood detector
 on the filter innovations, remote-provider verdicts, then the
-orchestrator.  The same engine replays simulator output and drives the
-live monitor; everything it emits is deterministic for a given scenario
-and configuration.
+orchestrator.  The same engine replays simulator output, drives the live
+monitor and tracks the benign run the ll threshold is fitted on;
+everything it emits is deterministic for a given scenario and
+configuration.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
 from .attack_sim import (ScenarioSpec, SimOutputs, attack_offset, builtin_scenarios, gen_scenario,
                          network_available)
-from .config import AppConfig, ConfigFileError, EnsembleConfig, config_sha256, load_scenario
+from .config import AppConfig, ConfigFileError, config_sha256, load_scenario
 from .detector import (
+    ConfigError,
     Hypothesis,
     LlConfig,
     LlDetectorState,
@@ -28,7 +30,7 @@ from .detector import (
     roughtime_test,
     verdict_to_json,
 )
-from .ensemble import ClockKfState, kf_init, kf_update
+from .ensemble import kf_init, kf_update
 from .orchestrator import (
     RESET_FILTER,
     Event,
@@ -48,41 +50,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class FilterChain:
-    """Kalman tracker of the GNSS-minus-local-clock bias.
-
-    The chain consumes one bias observation per epoch (GNSS time minus
-    the local clock's projection, seconds), tracks it with a gated
-    two-state filter under the ensemble's oscillator model, and returns
-    the innovation, observation minus one-step prediction, that the
-    log-likelihood detector reads.  Benign innovations are white at the
-    readout-noise scale, so the detector's null is stationary; a spoof
-    the gate rejects leaves a sustained innovation shift for as long as
-    the discrepancy lasts.
-    """
-
-    ensemble: EnsembleConfig
-    kf: ClockKfState = field(init=False)
-    _last: Optional[MonotonicInstant] = field(init=False, default=None)
-    _r: float = field(init=False)  # the readout variance, s^2
-
-    def __post_init__(self) -> None:
-        self._r = max(self.ensemble.sigma_meas_s, 1e-12) ** 2
-        self.reset()
-
-    def reset(self) -> None:
-        self.kf = kf_init()
-        self._last = None
-
-    def track(self, bias_s: float, t_mono: MonotonicInstant) -> tuple[float, float]:
-        """Filter one observation; returns (filtered bias, innovation)."""
-        tau = 0.0 if self._last is None else t_mono.elapsed_s(self._last)
-        update = kf_update(self.kf, self.ensemble, bias_s, self._r, self.ensemble.gate_k, tau)
-        self.kf, self._last = update.state, t_mono
-        return self.kf.bias, update.innovation
-
-
 def local_bias_s(rec: EpochRecord, utc0: Timestamp, mono0: MonotonicInstant) -> float:
     """Observed GNSS-minus-local-clock offset for one epoch.
 
@@ -99,15 +66,21 @@ def local_bias_s(rec: EpochRecord, utc0: Timestamp, mono0: MonotonicInstant) -> 
 
 
 class Monitor:
-    """The per-epoch engine that simulate and live share.
+    """The per-epoch engine that simulate, live and calibrate share.
 
-    Owns the filter chain, the ll window over its innovations, the
-    orchestrator state, the instant of the last event applied (t_last), the
-    last fix, the local clock's anchor and the connectivity, but no fix flag:
-    a fix is held while there is a last fix and the state has no outage open.
-    It reads nothing but the config and its inputs, so a run written out as
-    a feed replays to the same output.  Each input method checks the order against t_last,
-    applies the input, and only then hands on what it applied:
+    Tracks each fix's bias, GNSS time minus the local clock's projection,
+    with the gated two-state filter under the ensemble's oscillator model:
+    its estimate kf, the instant of the last fix it tracked (tracked_at) and
+    the readout variance r_meas.  The innovations, white at the readout-noise
+    scale when benign, go to the ll window of the fitted ll it is given
+    (ConfigError for one with no lambda_T); with ll None it tracks with no
+    test, as calibration does.  Also owns the orchestrator state, the
+    instant of the last event applied (t_last), the last fix, the local
+    clock's anchor and the connectivity, but no fix flag: a fix is held
+    while there is a last fix and the state has no outage open.  It reads
+    nothing but the config, its ll and its inputs, so a run written out as
+    a feed replays to the same output.  Each input method checks the order
+    against t_last, applies the input, and only then hands on what it applied:
     `on_verdict(verdict)` for every verdict, and `on_transition(event,
     record)` for every event that goes through the transition rule.  An
     event that changes nothing (orchestrator.only_time_moves: a quiet TICK,
@@ -120,12 +93,18 @@ class Monitor:
     def __init__(
         self,
         config: AppConfig,
+        ll: Optional[LlConfig],
         on_verdict: Optional[Callable[[Verdict], None]] = None,
         on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
     ) -> None:
+        if ll is not None and ll.lambda_T is None:
+            raise ConfigError("the ll test has no lambda_t: pin the [ll] lines "
+                              "`timeguard calibrate` prints, or pass resolve_ll's fit")
         self.config = config
-        self.chain = FilterChain(config.ensemble)
-        self.ll = LlDetectorState(resolve_ll(config))
+        self.kf = kf_init()
+        self.tracked_at: Optional[MonotonicInstant] = None
+        self.r_meas = max(config.ensemble.sigma_meas_s, 1e-12) ** 2
+        self.ll = None if ll is None else LlDetectorState(ll)
         self.state = initial_state()
         self.t_last: Optional[MonotonicInstant] = None
         self.on_verdict = on_verdict
@@ -149,8 +128,9 @@ class Monitor:
         self.state, actions = advance(self.state, event, self.config.orchestrator,
                                       self.on_transition)
         if RESET_FILTER in actions:
-            self.chain.reset()
-            self.ll = LlDetectorState(self.ll.params)
+            self.kf, self.tracked_at = kf_init(), None
+            if self.ll is not None:
+                self.ll = LlDetectorState(self.ll.params)
             self.anchor = (self.last_fix.t_gnss, self.last_fix.t_mono)
 
     def _reference(self) -> Timestamp:
@@ -165,8 +145,9 @@ class Monitor:
             raise OrderingError(f"input at {t.nanoseconds} ns precedes {last.nanoseconds} ns")
 
     def epoch(self, rec: EpochRecord) -> Optional[tuple[float, float]]:
-        """One receiver epoch: its fix change, then its ll verdict, each at
-        its instant; an epoch that applies neither applies a TICK instead.
+        """One receiver epoch: its fix change, then its ll verdict if there is
+        an ll test, each at its instant; an epoch that applies neither
+        applies a TICK instead.
         Returns (filtered bias, innovation) for a fix, and None otherwise.
         A fix is valid and has leap_applied: GPS-scale time, before the UTC
         parameters are decoded, is never anchored, tracked or tested against.
@@ -187,11 +168,17 @@ class Monitor:
             applied = True
         if fix:
             self.last_fix = rec
-            tracked = self.chain.track(local_bias_s(rec, *self.anchor), t)
-            verdict = ll_step(self.ll, tracked[1], t)
-            if verdict is not None:
-                self._apply(EventKind.LL_VERDICT, t, verdict)
-                applied = True
+            ensemble = self.config.ensemble
+            tau = 0.0 if self.tracked_at is None else t.elapsed_s(self.tracked_at)
+            update = kf_update(self.kf, ensemble, local_bias_s(rec, *self.anchor), self.r_meas,
+                               ensemble.gate_k, tau)
+            self.kf, self.tracked_at = update.state, t
+            tracked = update.state.bias, update.innovation
+            if self.ll is not None:
+                verdict = ll_step(self.ll, update.innovation, t)
+                if verdict is not None:
+                    self._apply(EventKind.LL_VERDICT, t, verdict)
+                    applied = True
         if not applied:
             self._apply(EventKind.TICK, t)
         return tracked
@@ -237,15 +224,13 @@ class Monitor:
 
 
 def training_residuals(outputs: SimOutputs, config: AppConfig) -> np.ndarray:
-    """Filter innovations from a generated benign run, for threshold fitting."""
+    """The innovation of each epoch of a generated benign run, in order, as
+    a Monitor with no ll test tracks it, for threshold fitting.  Only the
+    epochs are applied, so no network check resets the filter."""
     import numpy as np
 
-    chain = FilterChain(config.ensemble)
-    utc0, mono0 = outputs.epochs[0].t_gnss, outputs.epochs[0].t_mono
-    residuals = np.empty(len(outputs.epochs))
-    for e, rec in enumerate(outputs.epochs):
-        _, residuals[e] = chain.track(local_bias_s(rec, utc0, mono0), rec.t_mono)
-    return residuals
+    epoch = Monitor(config, None).epoch
+    return np.array([epoch(rec)[1] for rec in outputs.epochs])
 
 
 def calibration_spec(name_or_path: str) -> ScenarioSpec:
@@ -276,8 +261,9 @@ def fit_ll(outputs: SimOutputs, config: AppConfig) -> tuple[LlConfig, LlConfig]:
 
 
 def resolve_ll(config: AppConfig) -> LlConfig:
-    """The ll parameters to run with; calibrates lambda_T if unset, on the
-    configured calibration scenario, a bundled name or a scenario INI path.
+    """The ll parameters to run with, which a command resolves once and hands
+    to its Monitor; calibrates lambda_T if unset, on the configured
+    calibration scenario, a bundled name or a scenario INI path.
 
     ConfigFileError for a pinned mu0 or sigma0_sq without lambda_T: the
     fit would replace them without a word.
@@ -338,15 +324,15 @@ def _epoch_of(v: Verdict, period_s: float) -> int:
     return round(v.t_mono.nanoseconds / (period_s * 1e9))
 
 
-def build_report(outputs: SimOutputs, verdicts: list, state: OrchestratorState,
+def build_report(spec: ScenarioSpec, verdicts: list, state: OrchestratorState,
                  config_hash: str) -> RunReport:
-    """Score a run's verdicts against exact ground truth.
+    """Score a run's verdicts against exact ground truth, the spec's
+    attack_offset.
 
     An H1 at an epoch whose injected offset is zero counts as a false
     alarm; the first H1 at a nonzero offset is the detection, with
     latency measured from attack onset.
     """
-    spec = outputs.spec
     outcomes = {}
     false_alarms = 0
     for test in ("rt", "nts", "ll"):
@@ -400,17 +386,18 @@ def run_scenario(
 
     Each event that goes through the transition rule goes to
     `on_transition` as it happens (see Monitor: an event that changes
-    nothing is not one).  The Monitor, and with it any ll calibration,
-    comes before generation, so a run that calibrates loads numpy in
-    set-up, not in the replay.
+    nothing is not one).  The ll, calibrated by resolve_ll if the config
+    leaves it blank, is resolved before generation, so a run that
+    calibrates loads numpy in set-up, not in the replay.
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else builtin_scenarios()[scenario]
     verdicts: list[Verdict] = []
-    monitor = Monitor(config, on_verdict=verdicts.append, on_transition=on_transition)
+    monitor = Monitor(config, resolve_ll(config), on_verdict=verdicts.append,
+                      on_transition=on_transition)
     outputs = gen_scenario(spec)
     for name, args in scenario_inputs(outputs):
         getattr(monitor, name)(*args)
-    report = build_report(outputs, verdicts, monitor.state, config_sha256(config))
+    report = build_report(spec, verdicts, monitor.state, config_sha256(config))
     return outputs, PipelineResult(verdicts=verdicts, state=monitor.state, report=report)
 
 

@@ -192,7 +192,7 @@ def test_generation_deterministic_byte_identical():
         out = gen_scenario(spec)
         epochs, truth = io.StringIO(), io.StringIO()
         write_epochs_jsonl(epochs, out)
-        write_truth_csv(truth, out)
+        write_truth_csv(truth, spec)
         blobs.append((epochs.getvalue(), truth.getvalue()))
     assert blobs[0] == blobs[1]
 
@@ -399,7 +399,7 @@ def test_output_files_roundtrip():
     out = gen_scenario(ScenarioSpec(name="tiny", duration_epochs=7, seed=13))
     epochs_fh, truth_fh = io.StringIO(), io.StringIO()
     write_epochs_jsonl(epochs_fh, out)
-    write_truth_csv(truth_fh, out)
+    write_truth_csv(truth_fh, out.spec)
     header = truth_fh.getvalue().splitlines()[0]
     assert PRNG_ID in header
     assert "seed=13" in header
@@ -420,9 +420,8 @@ TRUTH_CSV_SHA256 = {
 @pytest.mark.parametrize("n", [1, 1024, 1025, 2_500])
 def test_truth_csv_matches_formatting_each_numpy_value(n):
     attack = INCR if n > INCR.onset_epoch else AttackSpec()
-    out = gen_scenario(ScenarioSpec(name="blocks", duration_epochs=n, seed=14, attack=attack))
     fh = io.StringIO()
-    write_truth_csv(fh, out)
+    write_truth_csv(fh, ScenarioSpec(name="blocks", duration_epochs=n, seed=14, attack=attack))
     body = "".join(f"{e},{attack_offset(attack, e) * 1e9:.6f}\n" for e in range(n))
     assert fh.getvalue().split("\n", 2)[2] == body
     assert hashlib.sha256(fh.getvalue().encode()).hexdigest() == TRUTH_CSV_SHA256[n]

@@ -16,6 +16,10 @@ once per event.  simulate encodes a transition record only when
 transition_writer keeps it.  live decodes through json.loads only the feed
 lines that are not epochs spelled as feed_line writes them.
 
+Set-up is counted too: simulate and live each resolve the ll exactly once,
+which is where the benchmark splits set-up off from the run, and building
+a Monitor neither calibrates nor generates a run.
+
 The provider clients are counted the same way over 50 rounds against
 the in-process test servers, leaving out the calls made inside the
 transport, which are the server's: the NTS client builds each key's
@@ -27,12 +31,15 @@ import json
 import sys
 from dataclasses import replace
 
+import pytest
 from test_cli import PINNED_CFG
 
-from timeguard import ensemble, orchestrator, pipeline, provider_nts, provider_roughtime, timebase
+from timeguard import (attack_sim, ensemble, orchestrator, pipeline, provider_nts,
+                       provider_roughtime, timebase)
 from timeguard.attack_sim import ScenarioSpec, builtin_scenarios, gen_scenario
 from timeguard.cli import EXIT_ATTACK, main
 from timeguard.config import default_config
+from timeguard.detector import ConfigError, LlConfig
 from timeguard.pipeline import resolve_ll, run_scenario, scenario_inputs
 from timeguard.provider_nts import NtsTestServer, nts_query
 from timeguard.provider_roughtime import RoughtimeTestServer, poll
@@ -213,6 +220,33 @@ def test_live_decodes_only_the_lines_that_are_not_epochs_through_json(monkeypatc
     assert kinds.count("epoch") == 2_700
     assert {"roughtime", "nts", "network"} <= set(kinds)
     assert decoded == [line for method, line in lines if method != "epoch"]
+
+
+def test_simulate_and_live_each_resolve_the_ll_once(monkeypatch, tmp_path):
+    # simulate on the default config calibrates inside its one call; live
+    # on a pinned config gets the pinned ll back from its one call
+    resolved = count_calls(monkeypatch, pipeline, "resolve_ll")
+    assert main(["simulate", "--scenario", "step4s"]) == EXIT_ATTACK
+    assert len(resolved) == 1
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(feed_line(method, args) + "\n" for method, args
+                            in scenario_inputs(gen_scenario(builtin_scenarios()["step4s"]))
+                            if method != "finish"))
+    config = tmp_path / "pin.ini"
+    config.write_text(PINNED_CFG)
+    assert main(["live", "--feed", str(feed), "--config", str(config)]) == EXIT_ATTACK
+    assert len(resolved) == 2
+
+
+def test_building_a_monitor_resolves_no_ll_and_generates_no_run(monkeypatch):
+    resolved = count_calls(monkeypatch, pipeline, "resolve_ll")
+    generated = count_calls(monkeypatch, attack_sim, "gen_scenario")
+    pipeline.Monitor(CONFIG, None)
+    pipeline.Monitor(CONFIG, LlConfig(lambda_T=-12.0, sigma0_sq=1e-16))
+    # the default config's blank ll is refused, not calibrated
+    with pytest.raises(ConfigError):
+        pipeline.Monitor(CONFIG, CONFIG.detector.ll)
+    assert resolved == generated == []
 
 
 def test_nts_queries_build_each_key_schedule_once_and_seal_and_open_once_each(monkeypatch):

@@ -463,28 +463,38 @@ def state_key(state, t):
     return state.phase, age, state.coarse_validated, state.clean_streak
 
 
+def reachable_edges(config):
+    """(state, EVERY_EVENT entry, event, new state, actions) for each entry
+    at each step of STEPS_NS, from every state reachable from initial_state()
+    under config; the event carries the entry's verdict and its instant."""
+    seen, todo = set(), [(initial_state(), MonotonicInstant(0))]
+    while todo:
+        state, last = todo.pop()
+        for entry, dt in itertools.product(EVERY_EVENT, STEPS_NS):
+            kind, test, hyp = entry
+            t = MonotonicInstant(last.nanoseconds + dt)
+            event = Event(kind, t, verdict(test, hyp, t) if test else None)
+            new, actions = step(state, event, config)
+            yield state, entry, event, new, actions
+            if state_key(new, t) not in seen:
+                seen.add(state_key(new, t))
+                todo.append((new, t))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 10])
 def test_every_reachable_state_keeps_the_fast_path_and_the_trust_rules(k):
     assert {kind for kind, _, _ in EVERY_EVENT} == set(EventKind)
     config = OrchestratorConfig(ephemeris_validity_s=2.0, auto_clear_k=k)
-    # each state with the instant of the event that reached it
-    seen, todo = set(), [(initial_state(), MonotonicInstant(0))]
-    while todo:
-        state, last = todo.pop()
-        for (kind, test, hyp), dt in itertools.product(EVERY_EVENT, STEPS_NS):
-            t = MonotonicInstant(last.nanoseconds + dt)
-            event = Event(kind, t, verdict(test, hyp, t) if test else None)
-            new, actions = step(state, event, config)
-            if only_time_moves(state, kind, event.verdict):
-                assert (new, actions) == (state, []), (state, event)
-            if new.phase in (Phase.ALARM, Phase.RESET_PENDING):
-                assert new.active_time_source != "gnss"
-            if new.phase is Phase.FINE_MONITORING and state.phase is not Phase.FINE_MONITORING:
-                assert (kind, hyp) == (EventKind.NTS_VERDICT, Hypothesis.H0), (state, event)
-            if state_key(new, t) not in seen:
-                seen.add(state_key(new, t))
-                todo.append((new, t))
-    assert {phase for phase, *_ in seen} == set(Phase)
+    reached = set()
+    for state, (kind, _, hyp), event, new, actions in reachable_edges(config):
+        if only_time_moves(state, kind, event.verdict):
+            assert (new, actions) == (state, []), (state, event)
+        if new.phase in (Phase.ALARM, Phase.RESET_PENDING):
+            assert new.active_time_source != "gnss"
+        if new.phase is Phase.FINE_MONITORING and state.phase is not Phase.FINE_MONITORING:
+            assert (kind, hyp) == (EventKind.NTS_VERDICT, Hypothesis.H0), (state, event)
+        reached.add(new.phase)
+    assert reached == set(Phase)
 
 
 # -- the README's phase x event table ----------------------------------------
@@ -494,28 +504,12 @@ TABLE_BEGIN = "<!-- phase x event table, printed by `python3 tests/test_orchestr
 TABLE_END = "<!-- end of the phase x event table -->\n"
 
 
-def reachable_edges(config):
-    """(state, EVERY_EVENT entry, new state) for each entry at each step of
-    STEPS_NS, from every state reachable from initial_state() under config."""
-    seen, todo = set(), [(initial_state(), MonotonicInstant(0))]
-    while todo:
-        state, last = todo.pop()
-        for entry, dt in itertools.product(EVERY_EVENT, STEPS_NS):
-            kind, test, hyp = entry
-            t = MonotonicInstant(last.nanoseconds + dt)
-            new, _ = step(state, Event(kind, t, verdict(test, hyp, t) if test else None), config)
-            yield state, entry, new
-            if state_key(new, t) not in seen:
-                seen.add(state_key(new, t))
-                todo.append((new, t))
-
-
 def phase_event_table():
     """A Markdown table of the phases step leads to from each phase (a
     column) on each event (a row), the verdict kinds split by hypothesis,
     over every reachable state at the default auto_clear_k."""
     leads = {(entry, phase): set() for entry in EVERY_EVENT for phase in Phase}
-    for state, entry, new in reachable_edges(OrchestratorConfig(ephemeris_validity_s=2.0)):
+    for state, entry, _, new, _ in reachable_edges(OrchestratorConfig(ephemeris_validity_s=2.0)):
         leads[entry, state.phase].add(new.phase)
     rows = ["| event | " + " | ".join(phase.value for phase in Phase) + " |",
             "|---" * (len(Phase) + 1) + "|"]

@@ -17,6 +17,7 @@ from timeguard.attack_sim import (
 )
 from timeguard.config import config_sha256, default_config
 from timeguard.detector import (
+    ConfigError,
     Hypothesis,
     LlConfig,
     LlDetectorState,
@@ -26,7 +27,7 @@ from timeguard.detector import (
     nts_test,
     roughtime_test,
 )
-from timeguard.ensemble import OscillatorSpec, kf_init
+from timeguard.ensemble import OscillatorSpec, kf_init, kf_update
 from timeguard.orchestrator import (
     Event,
     EventKind,
@@ -40,7 +41,6 @@ from timeguard.orchestrator import (
 from timeguard.pipeline import (
     VERDICT_CSV_HEADER,
     DetectorOutcome,
-    FilterChain,
     Monitor,
     RunReport,
     build_report,
@@ -109,24 +109,36 @@ def test_local_bias_subtracts_oscillator():
     assert local_bias_s(rec, utc0, mono(0.0)) == pytest.approx(-3e-8)
 
 
-# -- filter chain ------------------------------------------------------------
+# -- the clock filter --------------------------------------------------------
+
+# the Monitor's readout variance, at which it tracks each fix's bias
+R_MEAS = Monitor(CFG, None).r_meas
 
 
-def chain():
-    return FilterChain(CFG.ensemble)
+def track(observations):
+    """Filter (bias, instant) pairs from a fresh state through kf_update, as
+    the Monitor tracks its fixes: the last state and every innovation."""
+    kf, last, innovations = kf_init(), None, []
+    for bias, t in observations:
+        tau = 0.0 if last is None else t.elapsed_s(last)
+        update = kf_update(kf, CFG.ensemble, bias, R_MEAS, CFG.ensemble.gate_k, tau)
+        kf, last = update.state, t
+        innovations.append(update.innovation)
+    return kf, innovations
+
+
+def each_second(biases):
+    return [(bias, mono(float(i))) for i, bias in enumerate(biases)]
 
 
 def test_first_innovation_is_the_measurement():
-    c = chain()
-    _, innovation = c.track(5e-9, mono(0.0))
+    _, (innovation,) = track([(5e-9, mono(0.0))])
     assert innovation == 5e-9
 
 
 def test_benign_innovations_stay_white():
     rng = np.random.default_rng(5)
-    c = chain()
-    innovations = [c.track(b, mono(float(i)))[1] for i, b in
-                   enumerate(rng.normal(0.0, 10e-9, 2000))]
+    _, innovations = track(each_second(rng.normal(0.0, 10e-9, 2000)))
     tail = np.array(innovations[100:])
     assert abs(tail.mean()) < 2e-9
     assert tail.std() == pytest.approx(10e-9, rel=0.25)
@@ -134,28 +146,18 @@ def test_benign_innovations_stay_white():
 
 def test_gate_freezes_filter_on_step():
     rng = np.random.default_rng(6)
-    c = chain()
-    for i, b in enumerate(rng.normal(0.0, 10e-9, 200)):
-        c.track(b, mono(float(i)))
-    for i in range(200, 240):
-        _, innovation = c.track(1.0, mono(float(i)))
-    assert abs(c.kf.bias) < 1e-6
-    assert innovation == pytest.approx(1.0, abs=1e-5)
-
-
-def ll_epoch(c, ll, bias_s, t):
-    """One epoch through the filter and the ll window: the ll verdict, if warmed."""
-    _, innovation = c.track(bias_s, t)
-    return ll_step(ll, innovation, t)
+    kf, innovations = track(each_second([*rng.normal(0.0, 10e-9, 200), *[1.0] * 40]))
+    assert abs(kf.bias) < 1e-6
+    assert innovations[-1] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_ll_fires_on_sustained_offset():
     # converge first: a fresh filter would swallow the step into its
     # initial bias estimate instead of rejecting it at the gate
-    c, ll = chain(), LlDetectorState(LlConfig(lambda_T=0.0, sigma0_sq=1e-16))
-    for i in range(300):
-        ll_epoch(c, ll, 0.0, mono(float(i)))
-    verdicts = [ll_epoch(c, ll, 1e-6, mono(float(300 + i))) for i in range(60)]
+    _, innovations = track(each_second([0.0] * 300 + [1e-6] * 60))
+    ll = LlDetectorState(LlConfig(lambda_T=0.0, sigma0_sq=1e-16))
+    verdicts = [ll_step(ll, innovation, mono(float(i))) for i, innovation in enumerate(innovations)]
+    verdicts = verdicts[300:]
     hits = [i for i, v in enumerate(verdicts) if v is not None
             and v.hypothesis is Hypothesis.H1]
     assert hits
@@ -163,19 +165,26 @@ def test_ll_fires_on_sustained_offset():
     assert hits == list(range(hits[0], 60))
 
 
+@pytest.mark.parametrize("ll", [DEFAULT.detector.ll, LlConfig(sigma0_sq=1e-16)])
+def test_a_monitor_refuses_an_ll_without_a_threshold(ll):
+    # a partly fitted ll would otherwise fail only in ll_step, on the first warmed epoch
+    with pytest.raises(ConfigError, match="timeguard calibrate"):
+        Monitor(CFG, ll)
+
+
 def test_reset_clears_history():
     # the first network H0 resets the filter: the tracker and the ll window together
     outputs = gen_scenario(builtin_scenarios()["step4s"])
-    monitor = Monitor(CFG)
+    monitor = Monitor(CFG, CFG.detector.ll)
     for rec in outputs.epochs[:50]:
         monitor.epoch(rec)
     assert monitor.state.phase is Phase.COLD_START
-    assert monitor.chain.kf != kf_init() and monitor.ll.z is not None
+    assert monitor.kf != kf_init() and monitor.ll.z is not None
     last = outputs.epochs[49]
     monitor.roughtime(RoughtimeMeasurement(last.t_gnss, SignedDuration.from_s(1.0), "rt-sim",
                                            last.t_mono))
     assert monitor.state.phase is Phase.COARSE_VALIDATED
-    assert monitor.chain.kf == kf_init()
+    assert monitor.kf == kf_init() and monitor.tracked_at is None
     assert monitor.ll.z is None and not monitor.ll.window
     assert monitor.ll.params is CFG.detector.ll
     # the tracker restarts against the local clock re-anchored at the last fix
@@ -207,6 +216,16 @@ def test_training_residuals_match_readout_noise():
     assert residuals.std() == pytest.approx(10e-9, rel=0.3)
 
 
+def test_training_residuals_track_every_epoch_against_the_first_ones_clock():
+    # with no network input the engine never resets the filter, so its
+    # innovations are those of one filter run over every epoch's bias
+    outputs = gen_scenario(ScenarioSpec(name="cal2k", duration_epochs=2_000, seed=31))
+    first = outputs.epochs[0]
+    _, innovations = track([(local_bias_s(rec, first.t_gnss, first.t_mono), rec.t_mono)
+                            for rec in outputs.epochs])
+    assert training_residuals(outputs, CFG).tolist() == innovations
+
+
 def test_resolve_ll_passthrough_when_pinned():
     pinned = replace(CFG, detector=replace(CFG.detector, ll=LlConfig(lambda_T=4.5, sigma0_sq=1e-16)))
     assert resolve_ll(pinned) is pinned.detector.ll
@@ -231,7 +250,7 @@ def test_zero_noise_run_is_silent():
         oscillator=QUIET, seed=3,
     )
     verdicts = []
-    monitor = Monitor(CFG, on_verdict=verdicts.append)
+    monitor = Monitor(CFG, CFG.detector.ll, on_verdict=verdicts.append)
     returns = [(name, getattr(monitor, name)(*args))
                for name, args in scenario_inputs(gen_scenario(spec))]
     # every epoch's (filtered bias, innovation)
@@ -314,13 +333,13 @@ def test_outage_drives_holdover_and_recovery():
 def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     outputs = gen_scenario(builtin_scenarios()["step4s"])
     seen = []
-    monitor = Monitor(CFG, on_verdict=seen.append,
+    monitor = Monitor(CFG, CFG.detector.ll, on_verdict=seen.append,
                       on_transition=lambda event, record: seen.append(record))
     for name, args in scenario_inputs(outputs):
         if name == "epoch" and args[0] is outputs.epochs[40]:
             break  # the first 40 epochs and their replies applied
         getattr(monitor, name)(*args)
-    state, kf, window = monitor.state, monitor.chain.kf, list(monitor.ll.window)
+    state, kf, window = monitor.state, monitor.kf, list(monitor.ll.window)
     count = len(seen)
     # an rt H0 and an nts H0 in FINE_MONITORING change nothing, so step never
     # sees them: only the engine's own check can refuse them
@@ -341,7 +360,7 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     with pytest.raises(OrderingError):
         monitor.nts(nts_h0)
     assert monitor.state is state
-    assert monitor.chain.kf is kf
+    assert monitor.kf is kf
     assert list(monitor.ll.window) == window
     assert len(seen) == count
 
@@ -351,7 +370,7 @@ def test_monitor_refuses_a_reply_before_the_first_fix_and_applies_nothing(which)
     # an invalid epoch moves the clock but brings no GNSS time to test against
     outputs = gen_scenario(builtin_scenarios()["step4s"])
     seen = []
-    monitor = Monitor(CFG, on_verdict=seen.append,
+    monitor = Monitor(CFG, CFG.detector.ll, on_verdict=seen.append,
                       on_transition=lambda event, record: seen.append(record))
     first = outputs.epochs[0]
     monitor.epoch(EpochRecord(first.t_mono, first.t_gnss, False, first.leap_applied,
@@ -376,19 +395,19 @@ def test_monitor_orders_epochs_against_the_last_tracked_one():
         return EpochRecord(t_mono=mono(s), t_gnss=ts_add(utc0, SignedDuration.from_s(s)),
                            fix_valid=True)
 
-    monitor = Monitor(CFG)
+    monitor = Monitor(CFG, CFG.detector.ll)
     monitor.epoch(at(10.0))
     monitor.epoch(at(20.0))
     again = at(20.0)  # an epoch at the last instant is in order
     monitor.epoch(again)
     assert monitor.last_fix is again and monitor.t_last == mono(20.0)
-    state, kf, last_fix = monitor.state, monitor.chain.kf, monitor.last_fix
+    state, kf, last_fix = monitor.state, monitor.kf, monitor.last_fix
     window = list(monitor.ll.window)
     with pytest.raises(OrderingError):
         monitor.epoch(at(15.0))
     assert monitor.last_fix is last_fix and last_fix.t_mono == mono(20.0)
     assert monitor.state is state
-    assert monitor.chain.kf is kf
+    assert monitor.kf is kf
     assert list(monitor.ll.window) == window
 
 
@@ -396,7 +415,8 @@ def run_refusing(inputs):
     """Apply inputs to a Monitor as live does, refusing a line out of order:
     the verdicts, transitions.jsonl and the refusals."""
     verdicts, fh, refused = [], io.StringIO(), []
-    monitor = Monitor(CFG, on_verdict=verdicts.append, on_transition=transition_writer(fh))
+    monitor = Monitor(CFG, CFG.detector.ll, on_verdict=verdicts.append,
+                      on_transition=transition_writer(fh))
     for name, args in inputs:
         try:
             getattr(monitor, name)(*args)
@@ -458,7 +478,7 @@ def test_report_json_round_trip():
 
 
 def test_build_report_counts_false_alarms():
-    outputs = gen_scenario(ScenarioSpec(name="quiet", duration_epochs=20, seed=5))
+    spec = ScenarioSpec(name="quiet", duration_epochs=20, seed=5)
     verdicts = [
         Verdict(test="rt", hypothesis=Hypothesis.H1, statistic=2.0, threshold=1.0,
                 source_id="rt-sim", t_mono=mono(3.0)),
@@ -466,7 +486,7 @@ def test_build_report_counts_false_alarms():
                 source_id="nts-sim", t_mono=mono(4.0)),
     ]
     idle_state, _ = replay([], CFG.orchestrator)
-    report = build_report(outputs, verdicts, idle_state, "aa")
+    report = build_report(spec, verdicts, idle_state, "aa")
     assert report.false_alarms == 1
     assert not report.outcomes["rt"].detected
     assert report.any_h1
@@ -543,7 +563,7 @@ def assert_runs_match(config, inputs, reference=TickEveryEpoch):
     runs = []
     for engine in (Monitor, reference):
         verdicts, fh = [], io.StringIO()
-        runs.append((engine(config, on_verdict=verdicts.append,
+        runs.append((engine(config, config.detector.ll, on_verdict=verdicts.append,
                             on_transition=transition_writer(fh)), verdicts, fh))
     (got, got_verdicts, got_fh), (want, want_verdicts, want_fh) = runs
     seen = 0  # verdicts already compared
@@ -650,7 +670,8 @@ def test_applying_time_only_events_in_place_changes_no_feed(inputs):
 
 def test_monitor_applies_a_network_line_only_on_a_change_or_a_repeat():
     seen = []
-    monitor = Monitor(CFG, on_transition=lambda event, record: seen.append(event))
+    monitor = Monitor(CFG, CFG.detector.ll,
+                      on_transition=lambda event, record: seen.append(event))
     monitor.epoch(*fix(10.0)[1])
     # the engine starts online: a repeated up reaches neither the state nor on_transition
     state, count = monitor.state, len(seen)

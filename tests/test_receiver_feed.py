@@ -336,8 +336,7 @@ def feed_epochs(*t_mono_s):
 
 
 def feed_monitor():
-    config = default_config()
-    return Monitor(replace(config, detector=replace(config.detector, ll=LlConfig(lambda_T=100.0, sigma0_sq=1e-16))))
+    return Monitor(default_config(), LlConfig(lambda_T=100.0, sigma0_sq=1e-16))
 
 
 def test_stream_monotonicity_enforced():

@@ -414,3 +414,27 @@ def test_only_the_feed_module_reads_json():
                     and _JSON_READERS & {a.name for a in n.names}):
                 found.append(f"{path.name}:{n.lineno} imports a json reader")
     assert not found, found
+
+
+# -- one engine tracks the clock -----------------------------------------------
+
+_TRACKING = {"kf_update", "local_bias_s"}
+
+
+def test_only_the_monitor_tracks_the_clock():
+    """pipeline.Monitor is the one per-epoch engine, which simulate, live
+    and calibrate share: nothing else in the package names kf_update or
+    local_bias_s, the two steps of tracking the clock, so no second loop
+    tracks it, not even through an alias."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name == "pipeline.py" and isinstance(top, ast.ClassDef)
+                    and top.name == "Monitor"):
+                continue
+            for n in ast.walk(top):
+                name = (n.id if isinstance(n, ast.Name)
+                        else n.attr if isinstance(n, ast.Attribute) else None)
+                if name in _TRACKING:
+                    found.append(f"{path.name}:{n.lineno} names {name}")
+    assert not found, found
