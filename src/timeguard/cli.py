@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import argparse
 import base64
+import codecs
 import io
 import os
 import sys
 from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Optional
 
 from .attack_sim import gen_scenario, write_epochs_jsonl, write_truth_csv
 from .config import (
@@ -207,29 +208,40 @@ def _nts_poller(config: AppConfig):
     prov = config.providers
     if not prov.nts_ke_host:
         return None
-    from .provider_nts import nts_ke_handshake, nts_query
+    from .provider_nts import AuthenticationError, nts_ke_handshake, nts_query
 
     session = None
 
     def query() -> NtsMeasurement:
-        # each query spends a cookie, a lost reply too: re-key once they run out
+        # each query spends a cookie, a lost reply too: re-key once they run
+        # out, or after a reply without a valid authenticator, such as a NAK
+        # (RFC 8915 section 5.7): the server takes no more of them
         nonlocal session
         if session is None or not session.cookies:
             session = nts_ke_handshake(prov.nts_ke_host, prov.nts_ke_port,
                                        prov.nts_ca_file or None, prov.timeout_s)
-        return nts_query(session, udp_transport(session.host, session.port, prov.timeout_s))
+        try:
+            return nts_query(session, udp_transport(session.host, session.port, prov.timeout_s))
+        except AuthenticationError:
+            session = None
+            raise
 
     return query
+
+
+FEED_CHUNK = 8192  # the most bytes live reads from its feed at once
 
 
 class _LiveSession:
     """Each feed line's input applied to the Monitor, and provider polling,
     with the verdict count and exit status; each applied verdict and
-    transition goes on to its writer."""
+    transition goes on to its writer, whose files are the outputs."""
 
     def __init__(self, config: AppConfig, write_verdict: Callable[[Verdict], None],
-                 on_transition: Optional[Callable[[Event, TransitionRecord], None]]) -> None:
+                 on_transition: Optional[Callable[[Event, TransitionRecord], None]],
+                 outputs: tuple) -> None:
         self.write_verdict = write_verdict
+        self.outputs = outputs
         orc = config.orchestrator
         self.pollers = [
             (which, poller, int(cadence_s * 1e9))
@@ -249,11 +261,16 @@ class _LiveSession:
             self.h1_seen = True
         self.write_verdict(verdict)
 
+    def flush(self) -> None:
+        for fh in self.outputs:
+            fh.flush()
+
     def _poll(self, t: MonotonicInstant) -> None:
         """Poll each configured provider that is due at t."""
         for which, poller, cadence_ns in self.pollers:
             if t.nanoseconds < self.next_poll_ns.get(which, t.nanoseconds):
                 continue
+            self.flush()  # no verdict waits on the network
             try:
                 measurement = poller()
             except Exception as e:
@@ -272,39 +289,57 @@ class _LiveSession:
             return
         try:
             name, args = feed_input(line)
-            if getattr(self.monitor, name)(*args) is not None:  # an epoch with a fix
+            # an epoch with a fix returns its tracking, and is where polls fall due
+            if getattr(self.monitor, name)(*args) is not None and self.pollers:
                 self._poll(args[0].t_mono)
         except FeedError as e:
             print(f"timeguard: {e}", file=sys.stderr)
         except Exception as e:
             print(f"timeguard: feed line rejected: {e}", file=sys.stderr)
 
+    def follow(self, feed: BinaryIO) -> None:
+        """Consume each line of a binary feed, one read1 of up to FEED_CHUNK
+        bytes at a time, and flush the outputs before each read."""
+        # No verdict waits on the input, and a run flushes once per read, not
+        # once per line.  UTF-8 whatever the locale: a byte that is not UTF-8
+        # spoils its line only, which is then skipped as unparseable.
+        # "\r\n" and "\r" end a line as "\n" does; the last needs no end.
+        decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8")("replace"), translate=True)
+        consume, read, rest = self.consume, feed.read1, ""
+        while True:
+            self.flush()
+            chunk = read(FEED_CHUNK)
+            lines = decoder.decode(chunk, final=not chunk).split("\n")
+            lines[0] = rest + lines[0]
+            rest = lines.pop()
+            for line in lines:
+                consume(line)
+            if not chunk:
+                break
+        consume(rest)
+
 
 def cmd_live(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     out = _out_dir(args)
-    # a byte that is not UTF-8 spoils its line only, which is then skipped as unparseable
-    if args.feed == "-" and isinstance(sys.stdin, io.TextIOWrapper):
-        sys.stdin.reconfigure(errors="replace")
     with ExitStack() as files:
-        # line-buffered, so that each verdict and transition reaches its reader
-        # as soon as it is written
+        # block-buffered: the session flushes the outputs before live waits
+        # on its input or on a provider
         if out is None:
             on_transition = None
-            verdict_out = sys.stdout
-            if isinstance(sys.stdout, io.TextIOWrapper):
-                sys.stdout.reconfigure(line_buffering=True)
+            outputs = (sys.stdout,)
         else:
-            on_transition = transition_writer(files.enter_context(
-                open(out / "transitions.jsonl", "w", buffering=1)))
-            verdict_out = files.enter_context(
-                open(out / f"verdicts.{args.format}", "w", buffering=1))
-        session = _LiveSession(config, verdict_writer(verdict_out, args.format), on_transition)
-        with (nullcontext(sys.stdin) if args.feed == "-"
-              else open(args.feed, errors="replace")) as feed:
-            for line in feed:
-                session.consume(line)
+            transitions = files.enter_context(open(out / "transitions.jsonl", "w"))
+            on_transition = transition_writer(transitions)
+            outputs = (files.enter_context(open(out / f"verdicts.{args.format}", "w")),
+                       transitions)
+        session = _LiveSession(config, verdict_writer(outputs[0], args.format), on_transition,
+                               outputs)
+        session.follow(sys.stdin.buffer if args.feed == "-"
+                       else files.enter_context(open(args.feed, "rb")))
         session.monitor.finish()
+        session.flush()
 
     print(
         f"live: {session.verdict_count} verdicts, final phase {session.monitor.state.phase.value},"

@@ -185,13 +185,6 @@ def window_log_stat(window: Sequence[float], mu0: float, log_norm: float, two_s2
     return log_norm - (mean - mu0) ** 2 / two_s2
 
 
-def ll_test(z: float, lambda_T: float, source_id: str, t_mono: MonotonicInstant) -> Verdict:
-    """Threshold the smoothed statistic: the statistic is -Z, H1 iff -Z >= lambda_T."""
-    hypothesis = Hypothesis.H0 if -z < lambda_T else Hypothesis.H1
-    return Verdict(test="ll", hypothesis=hypothesis, statistic=-z, threshold=lambda_T,
-                   source_id=source_id, t_mono=t_mono)
-
-
 @dataclass
 class LlDetectorState:
     """Single-owner history of the log-likelihood detector.
@@ -221,29 +214,31 @@ def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
     Z = alpha * Z_prev + (1 - alpha) * ln p, with ln p from window_log_stat
     at the fitted mu0 and the state's density terms.
     """
-    state.window.append(float(bias_s))
-    if len(state.window) < state.params.m:
+    window, p = state.window, state.params
+    window.append(float(bias_s))
+    if len(window) < p.m:
         return None
-    p = state.params
     log_norm, two_s2 = state.terms
-    log_p = window_log_stat(state.window, p.mu0, log_norm, two_s2)
-    if state.z is None:
+    log_p = window_log_stat(window, p.mu0, log_norm, two_s2)
+    z = state.z
+    if z is None:
         # E[ln p] under the fitted null: log_norm - E[(mean-mu0)^2]/(2 s2)
-        seed = log_norm - 1.0 / (2.0 * p.m)
-        state.z = p.alpha * seed + (1.0 - p.alpha) * log_p
-    else:
-        state.z = p.alpha * state.z + (1.0 - p.alpha) * log_p
-    return state.z
+        z = log_norm - 1.0 / (2.0 * p.m)
+    state.z = z = p.alpha * z + (1.0 - p.alpha) * log_p
+    return z
 
 
 def ll_step(state: LlDetectorState, bias_s: float, t_mono: MonotonicInstant) -> Optional[Verdict]:
-    """One detector epoch; None during warm-up."""
-    if state.params.lambda_T is None:
+    """One detector epoch; None during warm-up, else its verdict: the
+    statistic is -Z, H1 iff -Z >= lambda_T."""
+    lambda_T = state.params.lambda_T
+    if lambda_T is None:
         raise ConfigError("ll lambda_T not calibrated")
     z = ll_advance(state, bias_s)
     if z is None:
         return None
-    return ll_test(z, state.params.lambda_T, "ensemble", t_mono)
+    return Verdict("ll", Hypothesis.H0 if -z < lambda_T else Hypothesis.H1, -z, lambda_T,
+                   "ensemble", t_mono)
 
 
 def calibrate_ll_threshold(z_values: Sequence[float], far: float = 1e-3) -> float:

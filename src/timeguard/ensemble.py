@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 # relative tolerance for the symmetric-PSD state invariant
 PSD_RTOL = 1e-12
+_INF = math.inf  # for the one-comparison checks of a plain float
 
 
 class FilterDomainError(Exception):
@@ -129,6 +130,25 @@ def kf_predict(state: ClockKfState, osc: OscillatorSpec, tau: float) -> ClockKfS
     return ClockKfState(*_predicted(state, osc, tau))
 
 
+# kf_update's checks of its gate, its bias and its variance, in that order
+def _check_inputs(gate_k, z, r_meas) -> None:
+    try:
+        ok = math.isfinite(gate_k) and gate_k >= 0
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise MeasurementError(f"gate_k must be finite and >= 0, got {gate_k}")
+    try:
+        ok = (isinstance(z, (int, float)) and math.isfinite(z)
+              and isinstance(r_meas, (int, float)) and math.isfinite(r_meas) and r_meas >= 0)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise MeasurementError(
+            f"need one finite bias and one finite variance >= 0, got {z!r} and {r_meas!r}"
+        )
+
+
 class KfUpdate(NamedTuple):
     state: ClockKfState
     accepted: bool
@@ -163,7 +183,8 @@ def kf_update(
     it keeps P symmetric and PSD even when K is off its optimum by
     rounding.
     """
-    _check_tau(tau)
+    if not (type(tau) is float and 0.0 <= tau < _INF):  # one comparison for a plain float
+        _check_tau(tau)
     if tau == 0:
         bias, drift, p00, p01, p11 = state
     else:
@@ -172,21 +193,10 @@ def kf_update(
         # the predicted covariance that an accepted update never builds
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
             _check_psd(p00, p01, p11)
-    try:
-        ok = math.isfinite(gate_k) and gate_k >= 0
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise MeasurementError(f"gate_k must be finite and >= 0, got {gate_k}")
-    try:
-        ok = (isinstance(z, (int, float)) and math.isfinite(z)
-              and isinstance(r_meas, (int, float)) and math.isfinite(r_meas) and r_meas >= 0)
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise MeasurementError(
-            f"need one finite bias and one finite variance >= 0, got {z!r} and {r_meas!r}"
-        )
+    # the checks of _check_inputs, as one comparison each for plain floats
+    if not (type(gate_k) is float and 0.0 <= gate_k < _INF and type(r_meas) is float
+            and 0.0 <= r_meas < _INF and type(z) is float and -_INF < z < _INF):
+        _check_inputs(gate_k, z, r_meas)
     z, r = float(z), float(r_meas)
     innovation = z - bias
     S = p00 + r

@@ -138,12 +138,13 @@ def _cleared(coarse_validated: bool) -> Phase:
 def only_time_moves(state: OrchestratorState, kind: EventKind,
                     verdict: Optional[Verdict] = None) -> bool:
     """True when step() gives an event of this kind and verdict back the
-    state it was given and no action.  A verdict kind without its verdict is
-    no such event: the Event constructor refuses it."""
+    state it was given and no action.  A verdict kind comes with its
+    verdict, since the Event constructor refuses one without it, so the
+    verdict is read for a verdict kind and not checked for None."""
     phase = state.phase
     if kind is EventKind.TICK:
         return state.outage_started is None or phase is Phase.RESET_PENDING
-    if verdict is None or kind not in _VERDICT_KINDS:
+    if kind not in _VERDICT_KINDS:
         return False
     if verdict.hypothesis is Hypothesis.H1:
         return phase is Phase.ALARM and state.clean_streak == 0

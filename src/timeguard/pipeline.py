@@ -44,7 +44,7 @@ from .orchestrator import (
     transition_to_json,
 )
 from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement
-from .timebase import MonotonicInstant, Timestamp
+from .timebase import NS_PER_S, MonotonicInstant, Timestamp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,6 +101,8 @@ class Monitor:
             raise ConfigError("the ll test has no lambda_t: pin the [ll] lines "
                               "`timeguard calibrate` prints, or pass resolve_ll's fit")
         self.config = config
+        # read once, not per epoch
+        self.ensemble, self.gate_k = config.ensemble, config.ensemble.gate_k
         self.kf = kf_init()
         self.tracked_at: Optional[MonotonicInstant] = None
         self.r_meas = max(config.ensemble.sigma_meas_s, 1e-12) ** 2
@@ -157,7 +159,10 @@ class Monitor:
         without a fix applies the TICK that notices an outage past the
         ephemeris validity."""
         t = rec.t_mono
-        self._check_order(t)
+        ns = t.nanoseconds
+        last = self.t_last  # _check_order, written out
+        if last is not None and ns < last.nanoseconds:
+            raise OrderingError(f"input at {ns} ns precedes {last.nanoseconds} ns")
         tracked = None
         applied = False
         fix = rec.fix_valid and rec.leap_applied
@@ -168,14 +173,15 @@ class Monitor:
             applied = True
         if fix:
             self.last_fix = rec
-            ensemble = self.config.ensemble
-            tau = 0.0 if self.tracked_at is None else t.elapsed_s(self.tracked_at)
-            update = kf_update(self.kf, ensemble, local_bias_s(rec, *self.anchor), self.r_meas,
-                               ensemble.gate_k, tau)
-            self.kf, self.tracked_at = update.state, t
-            tracked = update.state.bias, update.innovation
+            tracked_at = self.tracked_at  # and t.elapsed_s(tracked_at), written out
+            tau = 0.0 if tracked_at is None else (ns - tracked_at.nanoseconds) / NS_PER_S
+            kf, _, innovation, _ = kf_update(self.kf, self.ensemble,
+                                             local_bias_s(rec, *self.anchor), self.r_meas,
+                                             self.gate_k, tau)
+            self.kf, self.tracked_at = kf, t
+            tracked = kf.bias, innovation
             if self.ll is not None:
-                verdict = ll_step(self.ll, update.innovation, t)
+                verdict = ll_step(self.ll, innovation, t)
                 if verdict is not None:
                     self._apply(EventKind.LL_VERDICT, t, verdict)
                     applied = True
@@ -425,8 +431,9 @@ def _verdict_csv_row(v: Verdict) -> str:
 def verdict_writer(fh: TextIO, fmt: str) -> Callable[[Verdict], None]:
     """An on_verdict that writes one jsonl or csv line per verdict to fh.
 
-    For csv it writes the header first.  It never flushes: a reader that
-    needs each line at once gets a line-buffered fh.
+    For csv it writes the header first.  It never flushes: its caller
+    flushes fh when a reader must see the lines, as live does before it
+    waits on its input or on a provider.
     """
     if fmt == "csv":
         fh.write(VERDICT_CSV_HEADER + "\n")

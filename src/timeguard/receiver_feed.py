@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .timebase import MonotonicInstant, SignedDuration, Timestamp, shown
+from .timebase import FRAC_UNIT, MonotonicInstant, SignedDuration, Timestamp, shown
 
 
 # The line encoders of the trace formats (epoch_to_json and feed_line
@@ -244,16 +244,21 @@ def feed_input(line: str) -> tuple[str, tuple]:
     or a field that is missing or out of range.
 
     An epoch line spelled as epoch_to_json writes it is read without
-    json.loads, through the constructors epoch_from_json calls in its
-    order, so its result or refusal is the one _json_feed_input gives.
+    json.loads, through the checks of the constructors epoch_from_json
+    calls, in its order, so its result or refusal is the one
+    _json_feed_input gives.
     """
     epoch = _EPOCH_LINE(line)
     if epoch is None:
         return _json_feed_input(line)
     t_mono_ns, sec, frac, fix_valid, leap_applied, source_id = epoch.groups()
     try:
-        return "epoch", (EpochRecord(MonotonicInstant(int(t_mono_ns)),
-                                     Timestamp.from_parts(int(sec), int(frac)),
+        t_mono = MonotonicInstant(int(t_mono_ns))
+        # Timestamp.from_parts written out; the pattern admits no negative fraction
+        fraction = int(frac)
+        if fraction >= FRAC_UNIT:
+            Timestamp.from_parts(0, fraction)  # raises its TimeRangeError
+        return "epoch", (EpochRecord(t_mono, Timestamp(int(sec) * FRAC_UNIT + fraction),
                                      fix_valid == "true", leap_applied == "true", source_id),)
     except ValueError as e:  # a range check of the time types
         raise FeedError(f"feed line rejected: malformed epoch record: {e}") from None

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import select
+import struct
 import subprocess
 import sys
 import time
@@ -19,13 +20,20 @@ from loopback import nts_ke, udp
 from test_pipeline import kept
 from test_scripts import checkout_env
 
-from timeguard import cli
+from timeguard import cli, provider_nts
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
 from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main
 from timeguard.config import ConfigFileError, default_config, load_config, load_scenario
 from timeguard.orchestrator import transition_to_json
 from timeguard.pipeline import run_scenario, scenario_inputs, transition_writer
-from timeguard.provider_nts import NtsTestServer, UnreachableError
+from timeguard.provider_nts import (
+    EF_UNIQUE_ID,
+    AuthenticationError,
+    NtsTestServer,
+    UnreachableError,
+    encode_ef,
+    iter_efs,
+)
 from timeguard.provider_roughtime import RoughtimeTestServer
 from timeguard.receiver_feed import (
     EpochRecord,
@@ -652,6 +660,45 @@ def test_live_nts_poller_re_keys_once_its_cookies_run_out():
                 poll()
         server.drop_requests = False
         assert poll().delay.units >= 0
+
+
+def nak(request: bytes) -> bytes:
+    """The NTS NAK that answers request (RFC 8915 section 5.7): a stratum 0
+    header with the kiss code NTSN and the request's unique identifier, and
+    no authenticator."""
+    (unique_id,) = [body for ef_type, body, _, _ in iter_efs(request) if ef_type == EF_UNIQUE_ID]
+    header = struct.pack(">BBBb3I4Q", (4 << 3) | 4, 0, 0, 0, 0, 0,
+                         int.from_bytes(b"NTSN", "big"), 0, 0, 0, 0)
+    return header + encode_ef(EF_UNIQUE_ID, unique_id)
+
+
+def test_live_nts_poller_re_keys_after_a_nak(monkeypatch):
+    """A NAK says the server takes no more of the session's cookies: the poll
+    fails, and the next one runs NTS-KE again, with cookies to spare."""
+    server = NtsTestServer()
+    handshakes = []
+    answer_nak = True
+
+    def handshake(host, port, ca_file, timeout_s):
+        handshakes.append(None)
+        return server.mint_session()
+
+    def transport(host, port, timeout_s):
+        return lambda request: nak(request) if answer_nak else server.transport(request)
+
+    monkeypatch.setattr(provider_nts, "nts_ke_handshake", handshake)
+    monkeypatch.setattr(cli, "udp_transport", transport)
+    base = default_config()
+    poll = _nts_poller(replace(base, providers=replace(base.providers,
+                                                       nts_ke_host="nts.example")))
+    for _ in range(2):
+        with pytest.raises(AuthenticationError, match="lacks an authenticator"):
+            poll()
+    assert len(handshakes) == 2
+    answer_nak = False
+    assert poll().delay.units >= 0
+    assert poll().delay.units >= 0
+    assert len(handshakes) == 3
 
 
 def test_live_polls_reachable_loopback_providers(tmp_path, capsys):

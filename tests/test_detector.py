@@ -22,7 +22,6 @@ from timeguard.detector import (
     density_terms,
     ll_advance,
     ll_step,
-    ll_test,
     nts_test,
     roughtime_test,
     verdict_to_json,
@@ -274,11 +273,18 @@ def test_smooth_contraction(z0, sample, alpha, n):
     assert abs(z - log_p) <= bound
 
 
-def test_ll_test_neg_ll_default():
-    v = ll_test(-5.0, 3.0, "ensemble", MONO0)
-    assert v.statistic == 5.0
-    assert v.hypothesis is Hypothesis.H1
-    assert ll_test(-1.0, 3.0, "ensemble", MONO0).hypothesis is Hypothesis.H0
+def test_ll_step_thresholds_the_negated_statistic():
+    # alpha = 1 holds Z where it is set: the verdict is -Z against lambda_T
+    def verdict(z):
+        state = LlDetectorState(LlConfig(alpha=1.0, m=2, lambda_T=3.0, sigma0_sq=1.0))
+        state.window.append(0.0)
+        state.z = z
+        return ll_step(state, 0.0, MONO0)
+
+    v = verdict(-5.0)
+    assert v == Verdict("ll", Hypothesis.H1, 5.0, 3.0, "ensemble", MONO0)
+    assert verdict(-1.0).hypothesis is Hypothesis.H0
+    assert verdict(-3.0).hypothesis is Hypothesis.H1  # -Z >= lambda_T, inclusive
 
 
 @given(

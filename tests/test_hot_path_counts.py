@@ -14,7 +14,9 @@ and rebinds the engine's state only for the four events that change the
 phase or request an action, and it asks whether an event changes nothing
 once per event.  simulate encodes a transition record only when
 transition_writer keeps it.  live decodes through json.loads only the feed
-lines that are not epochs spelled as feed_line writes them.
+lines that are not epochs spelled as feed_line writes them, and hands its
+verdicts to the OS once per read of its feed, not once per verdict, but
+always before it waits on its feed or on a provider.
 
 Set-up is counted too: simulate and live each resolve the ll exactly once,
 which is where the benchmark splits set-up off from the run, and building
@@ -27,14 +29,17 @@ AES-SIV schedule once and seals and opens once per query, and the
 Roughtime client sends a fixed request with no message encoding.
 """
 
+import io
 import json
+import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from test_cli import PINNED_CFG
+from test_cli import PINNED_CFG, epoch_line, nts_line, rt_line
 
-from timeguard import (attack_sim, ensemble, orchestrator, pipeline, provider_nts,
+from timeguard import (attack_sim, cli, ensemble, orchestrator, pipeline, provider_nts,
                        provider_roughtime, timebase)
 from timeguard.attack_sim import ScenarioSpec, builtin_scenarios, gen_scenario
 from timeguard.cli import EXIT_ATTACK, main
@@ -220,6 +225,91 @@ def test_live_decodes_only_the_lines_that_are_not_epochs_through_json(monkeypatc
     assert kinds.count("epoch") == 2_700
     assert {"roughtime", "nts", "network"} <= set(kinds)
     assert decoded == [line for method, line in lines if method != "epoch"]
+
+
+def log_live_files(monkeypatch) -> list:
+    """One log of (file name, call) for every file cli opens, each built as
+    open builds it (a buffering of 1 is line-buffered text) over a raw file
+    that logs its system calls, "read" and "write", and for text a layer
+    that logs each "text" written to it and each "flush"."""
+    log: list = []
+
+    class Raw(io.FileIO):
+        def readinto(self, buffer) -> int:
+            log.append((Path(self.name).name, "read"))
+            return super().readinto(buffer)
+
+        def write(self, data) -> int:
+            log.append((Path(self.name).name, "write"))
+            return super().write(data)
+
+    class Text(io.TextIOWrapper):
+        def write(self, text: str) -> int:
+            log.append((Path(self.name).name, "text"))
+            return super().write(text)
+
+        def flush(self) -> None:
+            log.append((Path(self.name).name, "flush"))
+            super().flush()
+
+    def logged_open(file, mode="r", buffering=-1, **kwargs):
+        raw = Raw(file, mode.replace("b", ""))
+        buffered = io.BufferedWriter(raw) if "w" in mode else io.BufferedReader(raw)
+        if "b" in mode:
+            return buffered
+        return Text(buffered, line_buffering=buffering == 1, **kwargs)
+
+    monkeypatch.setattr(cli, "open", logged_open, raising=False)
+    return log
+
+
+def test_live_writes_its_verdicts_once_per_read_of_its_feed(monkeypatch, tmp_path):
+    # incr2us, the benchmark's feed: about 50 verdicts come of each read,
+    # and every one is flushed before the next read
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(feed_line(method, args) + "\n" for method, args
+                            in scenario_inputs(gen_scenario(builtin_scenarios()["incr2us"]))
+                            if method != "finish"))
+    config = tmp_path / "pin.ini"
+    config.write_text(PINNED_CFG)
+    log = log_live_files(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["live", "--feed", str(feed), "--config", str(config),
+                 "--out-dir", str(out)]) == EXIT_ATTACK
+    reads = log.count(("feed.jsonl", "read"))
+    assert reads == math.ceil(feed.stat().st_size / cli.FEED_CHUNK) + 1  # the last finds the end
+    assert len((out / "verdicts.jsonl").read_text().splitlines()) > 40 * reads
+    for name in ("verdicts.jsonl", "transitions.jsonl"):
+        unflushed = False
+        for entry in log:
+            if entry[0] == name and entry[1] in ("text", "flush"):
+                unflushed = entry[1] == "text"
+            assert not (unflushed and entry == ("feed.jsonl", "read")), f"{name} unflushed"
+    # a read's verdicts, a little more than the bytes read, may fill the
+    # 8 KiB write buffer once before the flush that follows the read
+    assert 0 < log.count(("verdicts.jsonl", "write")) <= 2 * reads
+    assert 0 < log.count(("transitions.jsonl", "write")) <= reads
+
+
+def test_live_flushes_its_verdicts_before_each_poll(monkeypatch, tmp_path):
+    # one read takes the whole feed: the poll at 10 s comes mid-chunk, after
+    # the rt and nts verdicts of 0 s were written, and must find them on disk
+    out = tmp_path / "out"
+    on_disk = []
+
+    def poll():
+        on_disk.append(len((out / "verdicts.jsonl").read_text().splitlines()))
+        raise TimeoutError("no reply")
+
+    monkeypatch.setattr(cli, "_rt_poller", lambda config: poll)
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(line + "\n" for line in [
+        epoch_line(0), rt_line(0), nts_line(0), *(epoch_line(e) for e in range(1, 12))]))
+    assert feed.stat().st_size < cli.FEED_CHUNK
+    config = tmp_path / "pin.ini"
+    config.write_text(PINNED_CFG)
+    main(["live", "--feed", str(feed), "--config", str(config), "--out-dir", str(out)])
+    assert on_disk == [0, 2]
 
 
 def test_simulate_and_live_each_resolve_the_ll_once(monkeypatch, tmp_path):

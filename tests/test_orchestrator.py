@@ -2,7 +2,7 @@
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -241,6 +241,24 @@ def test_policy_validation():
         OrchestratorConfig(auto_clear_k=0)
     with pytest.raises(PolicyError):
         Event(EventKind.RT_VERDICT, mono(0))
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"ephemeris_validity_s": 0.0}, "validity must be positive"),
+    ({"rt_poll_s": 0.0}, "poll cadences must be positive"),
+    ({"nts_poll_s": 0.0}, "poll cadences must be positive"),
+])
+def test_the_config_refuses_a_zero_validity_and_each_zero_cadence_alone(setting, message):
+    with pytest.raises(PolicyError, match=message):
+        OrchestratorConfig(**setting)
+
+
+def test_the_config_is_frozen():
+    config = OrchestratorConfig()
+    for name, value in asdict(config).items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+    assert config == OrchestratorConfig()
 
 
 # -- ordering and determinism -----------------------------------------------
