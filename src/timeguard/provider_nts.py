@@ -15,7 +15,6 @@ ssl and socket, so a process that only sends queries loads no TLS stack.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 import secrets
 import struct
@@ -120,23 +119,17 @@ def siv_open(key: bytes, ciphertext: bytes, components: Sequence[bytes]) -> byte
 # -- TLS 1.3 exporter -------------------------------------------------------
 
 
-def hkdf_expand(prk: bytes, info: bytes, length: int, hash_name: str) -> bytes:
-    out = b""
-    block = b""
-    counter = 1
-    while len(out) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hash_name).digest()
-        out += block
-        counter += 1
-    return out[:length]
-
-
 def hkdf_expand_label(
     secret: bytes, label: bytes, context: bytes, length: int, hash_name: str
 ) -> bytes:
+    """RFC 8446 HKDF-Expand-Label; hash_name is "sha256" or "sha384"."""
+    # the exporter alone derives keys, so a query-only process skips this import
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
+
     full = b"tls13 " + label
     info = struct.pack(">H", length) + bytes([len(full)]) + full + bytes([len(context)]) + context
-    return hkdf_expand(secret, info, length, hash_name)
+    return HKDFExpand(getattr(hashes, hash_name.upper())(), length, info).derive(secret)
 
 
 def tls13_exporter(
@@ -525,19 +518,16 @@ _COOKIE_NONCE_LEN = 8
 class NtsTestServer:
     """In-process NTS oracle for tests and benchmarks; it opens no socket.
 
-    `transport` answers an NTP request as a server would, and `mint_cookie`
-    makes the cookies a key-establishment handshake hands out.  Cookies seal
-    the per-session keys under a server master key, so the NTP side is
-    stateless.  Tamper knobs exercise each client-side error path.  clock
-    supplies the server's idea of UTC.  `tests/loopback.py` serves it over
-    UDP and TLS.
+    `transport` answers an NTP request as an honest server would, and
+    `mint_cookie` makes the cookies a key-establishment handshake hands out.
+    Cookies seal the per-session keys under a server master key, so the NTP
+    side keeps no state between requests.  clock supplies the server's idea
+    of UTC.  `tests/loopback.py` serves it over UDP and TLS, and its wire
+    drops, replays and corrupts the replies on the way to the client.
     """
 
     clock: Callable[[], Timestamp] = Timestamp.now_system
     offer_aead_id: int = AEAD_AES_SIV_CMAC_256
-    flip_ct_bit: bool = False
-    wrong_unique_id: bool = False
-    drop_requests: bool = False
     master_key: bytes = field(default_factory=lambda: secrets.token_bytes(32))
 
     # cookie sealing
@@ -568,7 +558,8 @@ class NtsTestServer:
 
     # NTP side
 
-    def handle_ntp(self, data: bytes) -> bytes:
+    def transport(self, data: bytes) -> bytes:
+        """The authenticated reply to one NTP request."""
         version, mode, _o, _r, client_tx = parse_ntp_header(data)
         if version != 4 or mode != 3:
             raise PacketError(f"unexpected version/mode {version}/{mode}")
@@ -594,20 +585,8 @@ class NtsTestServer:
         t2 = self.clock()
         new_cookies = [self.mint_cookie(c2s, s2c) for _ in range(1 + placeholders)]
         plaintext = b"".join(encode_ef(EF_COOKIE, c) for c in new_cookies)
-        echo = bytearray(unique_id)
-        if self.wrong_unique_id:
-            echo[0] ^= 0xFF
         t3 = self.clock()
         header = build_ntp_header(mode=4, tx=t3, origin=client_tx, recv=pack_ntp64(t2), stratum=1)
-        ad = header + encode_ef(EF_UNIQUE_ID, bytes(echo))
+        ad = header + encode_ef(EF_UNIQUE_ID, unique_id)
         nonce2 = secrets.token_bytes(16)
-        ct2 = bytearray(siv_seal(s2c, plaintext, [ad, nonce2]))
-        if self.flip_ct_bit:
-            ct2[0] ^= 0x01
-        return ad + encode_authenticator(nonce2, bytes(ct2))
-
-    def transport(self, request: bytes) -> bytes:
-        """In-process transport honoring the drop knob."""
-        if self.drop_requests:
-            raise TimeoutError("dropped")
-        return self.handle_ntp(request)
+        return ad + encode_authenticator(nonce2, siv_seal(s2c, plaintext, [ad, nonce2]))

@@ -389,23 +389,19 @@ class RoughtimeTestServer:
     """In-process Roughtime signing oracle for tests and benchmarks; it opens
     no socket.
 
-    `transport` answers a request as a server would.  now_unix_s supplies
-    the reported midpoint; tamper flags exercise each verification failure.
+    `transport` answers a request as an honest server would and keeps no
+    state between requests.  now_unix_s supplies the reported midpoint.
     batch_nonces > 1 answers each request with a multi-leaf Merkle tree so
-    PATH is non-trivial.  `tests/loopback.py` serves it over UDP.
+    PATH is non-trivial.  `tests/loopback.py` serves it over UDP, and its
+    wire drops, replays and corrupts the responses on the way to the client.
     """
 
     now_unix_s: Callable[[], int] = lambda: 1_689_120_000
     radius_s: int = 1
     window_s: int = 86400
     batch_nonces: int = 1
-    drop_requests: bool = False
-    replay_last: bool = False
     root_key: Ed25519PrivateKey = field(default_factory=Ed25519PrivateKey.generate)
     delegated_key: Ed25519PrivateKey = field(default_factory=Ed25519PrivateKey.generate)
-
-    def __post_init__(self) -> None:
-        self._last_response: Optional[bytes] = None
 
     @property
     def server_key(self) -> RoughtimeServerKey:
@@ -422,7 +418,7 @@ class RoughtimeTestServer:
         sig = self.root_key.sign(DELEGATION_CONTEXT + dele)
         return encode_message({TAG_SIG: sig, TAG_DELE: dele})
 
-    def respond(self, request: bytes) -> bytes:
+    def transport(self, request: bytes) -> bytes:
         """Signed response for one request, per the server's current clock."""
         nonce = require_tag(decode_request(request), TAG_NONC, 32)
         nonces = [nonce] + [make_nonce() for _ in range(self.batch_nonces - 1)]
@@ -446,13 +442,3 @@ class RoughtimeTestServer:
             }
         )
         return frame_packet(response)
-
-    def transport(self, request: bytes) -> bytes:
-        """In-process transport honoring the drop/replay knobs."""
-        if self.drop_requests:
-            raise TimeoutError("dropped")
-        if self.replay_last and self._last_response is not None:
-            return self._last_response
-        resp = self.respond(request)
-        self._last_response = resp
-        return resp

@@ -1,13 +1,16 @@
-"""Loopback sockets for the in-process test servers.
+"""The network between the clients and the in-process test servers.
 
-`NtsTestServer` and `RoughtimeTestServer` answer requests as in-process
-oracles.  The tests that run the clients' own sockets, the NTS-KE TLS
-handshake and `live` against real providers, serve those oracles here:
-`udp` answers datagrams through a server's `transport`, on IPv4 or IPv6
-loopback, so its tamper knobs apply, including ones flipped mid-test, and
-`nts_ke` adds an NTS-KE listener on either loopback with a self-signed
-certificate for 127.0.0.1 and ::1.  Each is a context manager that closes
-its sockets and joins its thread on exit.
+`NtsTestServer` and `RoughtimeTestServer` answer every request as honest
+in-process oracles.  `Wire` stands between a server and its clients and
+does what an on-path attacker can: drop every request, answer with the
+previous reply, or flip a bit of a reply's last byte.  The tests that run
+the clients' own sockets, the NTS-KE TLS handshake and `live` against real
+providers, serve a server or its wire here: `udp` answers datagrams
+through its `transport`, on IPv4 or IPv6 loopback, so a wire's faults
+apply there too, including ones switched mid-test, and `nts_ke` adds an
+NTS-KE listener on either loopback with a self-signed certificate for
+127.0.0.1 and ::1.  Each is a context manager that closes its sockets and
+joins its thread on exit.
 """
 
 import datetime
@@ -19,7 +22,7 @@ import struct
 import tempfile
 import threading
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
@@ -48,6 +51,36 @@ LOCALHOST = "127.0.0.1"
 
 def _family(host: str) -> socket.AddressFamily:
     return socket.AF_INET6 if ":" in host else socket.AF_INET
+
+
+class Wire:
+    """A server as its clients reach it through an attacker on the path.
+
+    With drop set, every request is lost and the client's transport times
+    out; with replay, the answer is the reply to the previous request; with
+    flip, the reply comes with the low bit of its last byte flipped.  Each
+    is read per request, so a test can switch it mid-test.  Every other
+    attribute is the server's.
+    """
+
+    def __init__(self, server, drop: bool = False, replay: bool = False,
+                 flip: bool = False) -> None:
+        self.server = server
+        self.drop, self.replay, self.flip = drop, replay, flip
+        self.last: Optional[bytes] = None
+
+    def __getattr__(self, name: str):
+        return getattr(self.server, name)
+
+    def transport(self, request: bytes) -> bytes:
+        if self.drop:
+            raise TimeoutError("dropped")
+        if self.replay and self.last is not None:
+            return self.last
+        self.last = reply = self.server.transport(request)
+        if self.flip:
+            reply = reply[:-1] + bytes([reply[-1] ^ 0x01])
+        return reply
 
 
 def ipv6_loopback() -> bool:
@@ -89,8 +122,8 @@ def _serving(sock: socket.socket, handle) -> Iterator[None]:
 @contextmanager
 def udp(server, host: str = LOCALHOST) -> Iterator[int]:
     """Answer datagrams on a loopback port of host, 127.0.0.1 or ::1, with
-    server.transport; yields the port.  A request the transport drops or
-    refuses gets no reply."""
+    server.transport, a server's or a `Wire`'s; yields the port.  A request
+    the transport drops or refuses gets no reply."""
     sock = socket.socket(_family(host), socket.SOCK_DGRAM)
     sock.bind((host, 0))
 
@@ -144,8 +177,9 @@ class NtsKe(NamedTuple):
 
 @contextmanager
 def nts_ke(server, host: str = LOCALHOST, send_zero_cookies: bool = False) -> Iterator[NtsKe]:
-    """An NTS-KE TLS listener for server on a loopback port of host, 127.0.0.1
-    or ::1, with its NTP side on `udp` at the same host.
+    """An NTS-KE TLS listener for server, an `NtsTestServer` or a `Wire`
+    around one, on a loopback port of host, 127.0.0.1 or ::1, with its NTP
+    side on `udp` at the same host.
 
     Each handshake exports fresh keys from its own key log and hands out
     eight cookies minted by server, or none with send_zero_cookies.

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from loopback import Wire
 from scipy import stats
 
 from timeguard.attack_sim import (
@@ -247,7 +248,7 @@ def test_criterion_5_roughtime_chain_and_exhaustive_bit_flips():
     with budget(60.0):
         server = RoughtimeTestServer(now_unix_s=lambda: 1_689_120_000, radius_s=1)
         nonce = make_nonce()
-        response = server.respond(build_request(nonce))
+        response = server.transport(build_request(nonce))
         measurement = verify_response(
             response, nonce, server.server_key, MonotonicInstant(0)
         )
@@ -300,7 +301,7 @@ def test_criterion_6_nts_round_trip_tamper_cookies_and_offset_math():
     assert m.offset.to_s() == 1.1875  # dyadic, exact
     assert m.delay.to_s() == 0.125
 
-    tampered = NtsTestServer(flip_ct_bit=True)
+    tampered = Wire(NtsTestServer(), flip=True)
     with pytest.raises(AuthenticationError):
         nts_query(tampered.mint_session(), transport=tampered.transport)
 
@@ -312,7 +313,7 @@ def test_criterion_6_nts_round_trip_tamper_cookies_and_offset_math():
         for ef_type, body, _start, _end in iter_efs(request):
             if ef_type == EF_COOKIE:
                 seen.append(bytes(body))
-        return server.handle_ntp(request)
+        return server.transport(request)
 
     for _ in range(1000):
         nts_query(session, transport=recording)

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from loopback import nts_ke, udp
+from loopback import Wire, nts_ke, udp
 from test_pipeline import kept
 from test_scripts import checkout_env
 
@@ -648,17 +648,17 @@ def test_live_unreachable_providers_enter_holdover(tmp_path):
 def test_live_nts_poller_re_keys_once_its_cookies_run_out():
     """Each lost reply spends a cookie; once the eight from the handshake are
     gone, the next poll runs NTS-KE again instead of failing for good."""
-    server = NtsTestServer()
-    with nts_ke(server) as ke:
+    wire = Wire(NtsTestServer())
+    with nts_ke(wire) as ke:
         base = default_config()
         poll = _nts_poller(replace(base, providers=replace(
             base.providers, nts_ke_host="127.0.0.1", nts_ke_port=ke.port,
             nts_ca_file=ke.ca_file, timeout_s=0.05)))
-        server.drop_requests = True
+        wire.drop = True
         for _ in range(9):
             with pytest.raises(UnreachableError):
                 poll()
-        server.drop_requests = False
+        wire.drop = False
         assert poll().delay.units >= 0
 
 

@@ -1,11 +1,13 @@
-"""The benchmark's spans still name functions that exist, and its
-post-hooks still read what those functions return.
+"""The benchmark's spans still name functions that exist, its post-hooks
+still read what those functions return, and its provider round still runs.
 
 perfbench times a layer by replacing a module-level name in timeguard;
 a renamed or deleted function is only reported as missing there, and its
 per-layer metrics read 0.  A post-hook that cannot read its layer's
 result is only counted as ``unreadable.<span>``, and the counter it
-feeds reads 0.  These guards fail instead.
+feeds reads 0.  A provider round that no longer runs against the test
+servers fails only the benchmark's provider-polls workload.  These guards
+fail instead.
 """
 
 import importlib
@@ -20,18 +22,18 @@ from timeguard.ensemble import DEFAULT_OSCILLATOR, kf_init, kf_update
 from timeguard.orchestrator import Event, EventKind, Phase, initial_state, step
 from timeguard.timebase import MonotonicInstant
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 NAMES = sorted(
     {(module, attr) for module, attr, *_ in tracing.LAYER_SPANS + tracing.PROVIDER_SPANS}
     | set(tracing.STAMP_NAMES)
@@ -67,3 +69,10 @@ def test_post_hooks_read_what_the_layers_return():
 
     assert tracer.counters == {"step.self_loops": 1, "verdicts.ll.H0": 1,
                                "kf_update.accepted": 1}
+
+
+def test_the_provider_round_runs_against_the_test_servers():
+    # poll_round checks each reply against what the servers were built to say
+    polls = load_perfbench("polls")
+    rt_ns, nts_ns = polls.poll_round(polls.build_providers(7))
+    assert rt_ns > 0 and nts_ns > 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from loopback import ipv6_loopback, nts_ke, udp
+from loopback import Wire, ipv6_loopback, nts_ke, udp
 
 from timeguard.cli import udp_transport
 from timeguard.detector import CalibrationError, estimate_server_sigma
@@ -25,6 +25,7 @@ from timeguard.provider_nts import (
     HandshakeError,
     KeRecord,
     NegotiationError,
+    NtsError,
     NtsMeasurement,
     NtsSession,
     NtsTestServer,
@@ -439,7 +440,7 @@ def test_cookie_single_use_and_restock():
         for ef_type, body, _s, _e in iter_efs(request):
             if ef_type == EF_COOKIE:
                 seen.append(bytes(body))
-        return server.handle_ntp(request)
+        return server.transport(request)
 
     for _ in range(5):
         nts_query(session, transport=recording, clock_utc=Timestamp.now_system)
@@ -449,24 +450,57 @@ def test_cookie_single_use_and_restock():
 
 
 def test_query_flipped_ciphertext_rejected():
-    server = NtsTestServer(flip_ct_bit=True)
-    session = server.mint_session()
+    wire = Wire(NtsTestServer(), flip=True)
+    session = wire.mint_session()
     with pytest.raises(AuthenticationError):
-        nts_query(session, transport=server.transport)
+        nts_query(session, transport=wire.transport)
 
 
 def test_query_wrong_unique_id_rejected():
-    server = NtsTestServer(wrong_unique_id=True)
-    session = server.mint_session()
+    # a genuine authenticated reply, to the previous query: its unique
+    # identifier is that query's
+    wire = Wire(NtsTestServer())
+    session = wire.mint_session()
+    nts_query(session, transport=wire.transport)
+    wire.replay = True
     with pytest.raises(ReplayError):
-        nts_query(session, transport=server.transport)
+        nts_query(session, transport=wire.transport)
 
 
 def test_query_timeout_unreachable():
-    server = NtsTestServer(drop_requests=True)
-    session = server.mint_session()
+    wire = Wire(NtsTestServer(), drop=True)
+    session = wire.mint_session()
     with pytest.raises(UnreachableError):
-        nts_query(session, transport=server.transport)
+        nts_query(session, transport=wire.transport)
+
+
+def test_every_prefix_and_every_flipped_byte_of_a_reply_is_refused():
+    """A reply cut short anywhere, or with one bit of any of its bytes
+    flipped, is refused with an NtsError: no measurement, and no cookie
+    joins the queue."""
+    server = NtsTestServer()
+    size = len(server.transport(build_nts_request(server.mint_session(1),
+                                                  Timestamp.from_unix_s(0)).data))
+    cuts = [lambda reply, n=n: reply[:n] for n in range(size)]
+    flips = [lambda reply, i=i: reply[:i] + bytes([reply[i] ^ 1 << i % 8]) + reply[i + 1:]
+             for i in range(size)]
+
+    def through(damage):
+        def transport(request):
+            reply = server.transport(request)
+            assert len(reply) == size
+            return damage(reply)
+
+        return transport
+
+    session = server.mint_session(num_cookies=1)
+    nts_query(session, through(lambda reply: reply), target_cookies=1)
+    assert session.cookie_count() == 1  # the spent cookie, replaced
+    for damage in cuts + flips:
+        session = server.mint_session(num_cookies=1)
+        with pytest.raises(NtsError):
+            nts_query(session, through(damage), target_cookies=1)
+        assert session.cookie_count() == 0
 
 
 def test_measurement_rejects_negative_delay():
@@ -479,7 +513,7 @@ def test_response_trailing_ef_rejected():
     session = server.mint_session()
 
     def appending(request):
-        return server.handle_ntp(request) + encode_ef(EF_UNIQUE_ID, b"\x00" * 32)
+        return server.transport(request) + encode_ef(EF_UNIQUE_ID, b"\x00" * 32)
 
     with pytest.raises(PacketError):
         nts_query(session, transport=appending)

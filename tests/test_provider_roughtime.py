@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from loopback import ipv6_loopback, udp
+from loopback import Wire, ipv6_loopback, udp
 
 from timeguard import provider_roughtime
 from timeguard.cli import udp_transport
@@ -242,7 +242,7 @@ def test_unframe_rejects_length_mismatch():
 
 def run_exchange(server, nonce=None):
     nonce = nonce if nonce is not None else make_nonce()
-    resp = server.respond(build_request(nonce))
+    resp = server.transport(build_request(nonce))
     return nonce, resp
 
 
@@ -477,7 +477,7 @@ def test_poll_fresh_nonce_per_attempt():
         seen.append(decode_request(request)[TAG_NONC])
         if len(seen) < 3:
             raise socket.timeout("dropped")
-        return server.respond(request)
+        return server.transport(request)
 
     m = poll(server.server_key, transport=flaky, retries=3)
     assert m.radius == SignedDuration.from_s(1)
@@ -485,11 +485,11 @@ def test_poll_fresh_nonce_per_attempt():
 
 
 def test_poll_replayed_response_rejected():
-    server = RoughtimeTestServer()
-    poll(server.server_key, transport=server.transport)
-    server.replay_last = True
+    wire = Wire(RoughtimeTestServer())
+    poll(wire.server_key, transport=wire.transport)
+    wire.replay = True
     with pytest.raises(MerkleError):
-        poll(server.server_key, transport=server.transport)
+        poll(wire.server_key, transport=wire.transport)
 
 
 def test_poll_over_udp():
@@ -508,8 +508,8 @@ def test_poll_over_udp_on_ipv6_loopback():
 
 
 def test_poll_udp_unreachable():
-    server = RoughtimeTestServer(drop_requests=True)
-    with udp(server) as port:
+    server = RoughtimeTestServer()
+    with udp(Wire(server, drop=True)) as port:
         with pytest.raises(UnreachableError):
             poll(server.server_key, udp_transport("127.0.0.1", port, 0.05), retries=2)
 
