@@ -42,7 +42,7 @@ from .config import (
     load_config,
     load_scenario,
 )
-from .detector import CalibrationError, Hypothesis, Verdict, estimate_server_sigma
+from .detector import H1, CalibrationError, Verdict, estimate_server_sigma
 from .orchestrator import Event, TransitionRecord
 from .pipeline import (
     Monitor,
@@ -257,7 +257,7 @@ class _LiveSession:
 
     def emit(self, verdict: Verdict) -> None:
         self.verdict_count += 1
-        if verdict.hypothesis is Hypothesis.H1:
+        if verdict.hypothesis is H1:
             self.h1_seen = True
         self.write_verdict(verdict)
 

@@ -39,6 +39,10 @@ class Hypothesis(Enum):
     H1 = "H1"
 
 
+# bound once, as orchestrator binds its enums' members
+H0, H1 = Hypothesis
+
+
 DEFAULT_RT_RADIUS_MAX = SignedDuration.from_s(10)
 DEFAULT_NTS_LAMBDA = SignedDuration.from_s(150e-6)  # 3 sigma at the 50 us server class
 # (1 ns)^2, below the benign noise floor: a noiseless calibration run fits
@@ -129,7 +133,7 @@ def roughtime_test(t_gnss: Timestamp, meas, config: DetectorConfig) -> Verdict:
     """
     diff = ts_diff(t_gnss, meas.midpoint)
     radius_units = min(meas.radius.units, config.rt_radius_max.units)
-    hypothesis = Hypothesis.H0 if abs(diff.units) < radius_units else Hypothesis.H1
+    hypothesis = H0 if abs(diff.units) < radius_units else H1
     return Verdict(
         test="rt",
         hypothesis=hypothesis,
@@ -147,7 +151,7 @@ def nts_test(meas, config: DetectorConfig) -> Verdict:
     query's T1 and T4; GNSS time enters the test only through that clock.
     """
     lambda_T = config.nts_lambda
-    hypothesis = Hypothesis.H0 if abs(meas.offset.units) < lambda_T.units else Hypothesis.H1
+    hypothesis = H0 if abs(meas.offset.units) < lambda_T.units else H1
     return Verdict(
         test="nts",
         hypothesis=hypothesis,
@@ -237,7 +241,7 @@ def ll_step(state: LlDetectorState, bias_s: float, t_mono: MonotonicInstant) -> 
     z = ll_advance(state, bias_s)
     if z is None:
         return None
-    return Verdict("ll", Hypothesis.H0 if -z < lambda_T else Hypothesis.H1, -z, lambda_T,
+    return Verdict("ll", H0 if -z < lambda_T else H1, -z, lambda_T,
                    "ensemble", t_mono)
 
 

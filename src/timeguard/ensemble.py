@@ -193,13 +193,14 @@ def kf_update(
         # the predicted covariance that an accepted update never builds
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
             _check_psd(p00, p01, p11)
-    # the checks of _check_inputs, as one comparison each for plain floats
+    # the checks of _check_inputs, as one comparison each for plain floats,
+    # which need no conversion
     if not (type(gate_k) is float and 0.0 <= gate_k < _INF and type(r_meas) is float
             and 0.0 <= r_meas < _INF and type(z) is float and -_INF < z < _INF):
         _check_inputs(gate_k, z, r_meas)
-    z, r = float(z), float(r_meas)
+        z, r_meas = float(z), float(r_meas)
     innovation = z - bias
-    S = p00 + r
+    S = p00 + r_meas
     if not abs(innovation) <= gate_k * math.sqrt(max(S, 0.0)):
         if tau != 0:
             state = ClockKfState(bias, drift, p00, p01, p11)
@@ -213,9 +214,9 @@ def kf_update(
     return KfUpdate(
         ClockKfState(
             bias + k0 * innovation, drift + k1 * innovation,
-            a * p00 * a + k0 * r * k0,
-            c * a + k1 * r * k0,
-            p11 - k1 * p01 - c * k1 + k1 * r * k1,
+            a * p00 * a + k0 * r_meas * k0,
+            c * a + k1 * r_meas * k0,
+            p11 - k1 * p01 - c * k1 + k1 * r_meas * k1,
         ),
         True, innovation, S,
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .detector import Hypothesis, Verdict
+from .detector import H1, Verdict
 from .receiver_feed import json_string
 from .timebase import MonotonicInstant
 
@@ -47,6 +47,11 @@ class Phase(Enum):
     RESET_PENDING = "RESET_PENDING"
 
 
+# Each member bound once as a module constant, which the per-event code
+# reads: inside a function, Phase.ALARM goes through EnumType.__getattr__
+COLD_START, COARSE_VALIDATED, FINE_MONITORING, HOLDOVER, ALARM, RESET_PENDING = Phase
+
+
 class EventKind(Enum):
     FIX_ACQUIRED = "FixAcquired"
     FIX_LOST = "FixLost"
@@ -59,7 +64,10 @@ class EventKind(Enum):
     CLEAR = "Clear"
 
 
-_VERDICT_KINDS = (EventKind.RT_VERDICT, EventKind.NTS_VERDICT, EventKind.LL_VERDICT)
+(FIX_ACQUIRED, FIX_LOST, RT_VERDICT, NTS_VERDICT, LL_VERDICT, NETWORK_UP, NETWORK_DOWN, TICK,
+ CLEAR) = EventKind
+
+_VERDICT_KINDS = (RT_VERDICT, NTS_VERDICT, LL_VERDICT)
 
 SCHEDULE_RT = "schedule_poll:roughtime"
 SCHEDULE_NTS = "schedule_poll:nts"
@@ -110,14 +118,14 @@ class OrchestratorConfig:
 # ensemble, which sits inside the hardware boundary and so stays clean
 # whether or not the network is reachable.  Keyed by the phase's text: an
 # enum member hashes through a Python-level __hash__, a str does not
-_SOURCE = {phase._value_: "ensemble" if phase in (Phase.ALARM, Phase.RESET_PENDING) else "gnss"
+_SOURCE = {phase._value_: "ensemble" if phase in (ALARM, RESET_PENDING) else "gnss"
            for phase in Phase}
 
 
 class OrchestratorState(NamedTuple):
     """The state machine's state, an immutable tuple: step builds one per event."""
 
-    phase: Phase = Phase.COLD_START
+    phase: Phase = COLD_START
     outage_started: Optional[MonotonicInstant] = None
     coarse_validated: bool = False
     clean_streak: int = 0
@@ -132,7 +140,7 @@ def initial_state() -> OrchestratorState:
 
 
 def _cleared(coarse_validated: bool) -> Phase:
-    return Phase.COARSE_VALIDATED if coarse_validated else Phase.COLD_START
+    return COARSE_VALIDATED if coarse_validated else COLD_START
 
 
 def only_time_moves(state: OrchestratorState, kind: EventKind,
@@ -142,17 +150,17 @@ def only_time_moves(state: OrchestratorState, kind: EventKind,
     verdict, since the Event constructor refuses one without it, so the
     verdict is read for a verdict kind and not checked for None."""
     phase = state.phase
-    if kind is EventKind.TICK:
-        return state.outage_started is None or phase is Phase.RESET_PENDING
+    if kind is TICK:
+        return state.outage_started is None or phase is RESET_PENDING
     if kind not in _VERDICT_KINDS:
         return False
-    if verdict.hypothesis is Hypothesis.H1:
-        return phase is Phase.ALARM and state.clean_streak == 0
-    if phase is Phase.COLD_START:
-        return kind is EventKind.LL_VERDICT
-    if phase is Phase.COARSE_VALIDATED:
-        return kind is not EventKind.NTS_VERDICT
-    return phase is not Phase.ALARM
+    if verdict.hypothesis is H1:
+        return phase is ALARM and state.clean_streak == 0
+    if phase is COLD_START:
+        return kind is LL_VERDICT
+    if phase is COARSE_VALIDATED:
+        return kind is not NTS_VERDICT
+    return phase is not ALARM
 
 
 def step(
@@ -167,56 +175,56 @@ def step(
     streak = state.clean_streak
 
     kind = event.kind
-    if kind is EventKind.TICK or kind is EventKind.FIX_ACQUIRED:
+    if kind is TICK or kind is FIX_ACQUIRED:
         # an outage is short while it fits inside the ephemeris validity,
         # inclusive; a fix reacquired after a long one forces a cold start
         # even when no TICK arrived during the outage to see it expire
-        if (outage is not None and phase is not Phase.RESET_PENDING
+        if (outage is not None and phase is not RESET_PENDING
                 and event.t_mono.elapsed_s(outage) > config.ephemeris_validity_s):
-            phase = Phase.RESET_PENDING
+            phase = RESET_PENDING
             actions.append(alert("gnss_outage_exceeds_ephemeris_validity"))
-    if kind is EventKind.FIX_ACQUIRED:
+    if kind is FIX_ACQUIRED:
         outage = None
-        if phase is Phase.COLD_START:
+        if phase is COLD_START:
             actions.append(SCHEDULE_RT)
-        elif phase is Phase.RESET_PENDING:
-            phase = Phase.COLD_START
+        elif phase is RESET_PENDING:
+            phase = COLD_START
             coarse = False
             streak = 0
             actions.append(SCHEDULE_RT)
-    elif kind is EventKind.FIX_LOST:
+    elif kind is FIX_LOST:
         if outage is None:
             outage = event.t_mono
     elif kind in _VERDICT_KINDS:
         verdict = event.verdict
-        if verdict.hypothesis is Hypothesis.H1:
-            if phase is not Phase.ALARM:
+        if verdict.hypothesis is H1:
+            if phase is not ALARM:
                 actions.append(alert(f"h1:{verdict.test}:{verdict.source_id}"))
-            phase = Phase.ALARM
+            phase = ALARM
             streak = 0
-        elif phase is Phase.ALARM:
+        elif phase is ALARM:
             streak += 1
             if streak >= config.auto_clear_k:
                 phase, streak = _cleared(coarse), 0
                 actions.append(alert("auto_clear"))
-        elif kind is not EventKind.LL_VERDICT and phase is Phase.COLD_START:
+        elif kind is not LL_VERDICT and phase is COLD_START:
             # the first network H0; from NTS when Roughtime is unreachable,
             # since the tighter NTS bound covers coarse too
-            phase = Phase.COARSE_VALIDATED
+            phase = COARSE_VALIDATED
             coarse = True
             actions += [RESET_FILTER, SCHEDULE_NTS]
-        elif kind is EventKind.NTS_VERDICT and phase is Phase.COARSE_VALIDATED:
-            phase = Phase.FINE_MONITORING
-    elif kind is EventKind.NETWORK_DOWN:
-        if phase in (Phase.FINE_MONITORING, Phase.COARSE_VALIDATED):
-            phase = Phase.HOLDOVER
-    elif kind is EventKind.NETWORK_UP:
-        if phase is Phase.HOLDOVER:
+        elif kind is NTS_VERDICT and phase is COARSE_VALIDATED:
+            phase = FINE_MONITORING
+    elif kind is NETWORK_DOWN:
+        if phase in (FINE_MONITORING, COARSE_VALIDATED):
+            phase = HOLDOVER
+    elif kind is NETWORK_UP:
+        if phase is HOLDOVER:
             # re-validate via NTS before resuming fine monitoring
-            phase = Phase.COARSE_VALIDATED
+            phase = COARSE_VALIDATED
             actions.append(SCHEDULE_NTS)
-    elif kind is EventKind.CLEAR:
-        if phase is Phase.ALARM:
+    elif kind is CLEAR:
+        if phase is ALARM:
             phase, streak = _cleared(coarse), 0
 
     return OrchestratorState(phase, outage, coarse, streak), actions

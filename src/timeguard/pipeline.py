@@ -19,8 +19,8 @@ from .attack_sim import (ScenarioSpec, SimOutputs, attack_offset, builtin_scenar
                          network_available)
 from .config import AppConfig, ConfigFileError, config_sha256, load_scenario
 from .detector import (
+    H1,
     ConfigError,
-    Hypothesis,
     LlConfig,
     LlDetectorState,
     Verdict,
@@ -32,7 +32,15 @@ from .detector import (
 )
 from .ensemble import kf_init, kf_update
 from .orchestrator import (
+    FIX_ACQUIRED,
+    FIX_LOST,
+    LL_VERDICT,
+    NETWORK_DOWN,
+    NETWORK_UP,
+    NTS_VERDICT,
     RESET_FILTER,
+    RT_VERDICT,
+    TICK,
     Event,
     EventKind,
     OrchestratorState,
@@ -169,7 +177,7 @@ class Monitor:
         if fix != (self.last_fix is not None and self.state.outage_started is None):
             if self.anchor is None:  # the first change is an acquisition
                 self.anchor = (rec.t_gnss, t)
-            self._apply(EventKind.FIX_ACQUIRED if fix else EventKind.FIX_LOST, t)
+            self._apply(FIX_ACQUIRED if fix else FIX_LOST, t)
             applied = True
         if fix:
             self.last_fix = rec
@@ -183,10 +191,10 @@ class Monitor:
             if self.ll is not None:
                 verdict = ll_step(self.ll, innovation, t)
                 if verdict is not None:
-                    self._apply(EventKind.LL_VERDICT, t, verdict)
+                    self._apply(LL_VERDICT, t, verdict)
                     applied = True
         if not applied:
-            self._apply(EventKind.TICK, t)
+            self._apply(TICK, t)
         return tracked
 
     def roughtime(self, meas: RoughtimeMeasurement) -> None:
@@ -197,7 +205,7 @@ class Monitor:
         reference = self._reference()
         self._check_order(meas.t_mono_rx)
         verdict = roughtime_test(reference, meas, self.config.detector)
-        self._apply(EventKind.RT_VERDICT, meas.t_mono_rx, verdict)
+        self._apply(RT_VERDICT, meas.t_mono_rx, verdict)
 
     def nts(self, meas: NtsMeasurement) -> None:
         """An NTS reply at its t_mono_rx.  Its offset is the server's time minus the clock
@@ -208,7 +216,7 @@ class Monitor:
         self._reference()  # refuses a reply that comes before any fix
         self._check_order(meas.t_mono_rx)
         verdict = nts_test(meas, self.config.detector)
-        self._apply(EventKind.NTS_VERDICT, meas.t_mono_rx, verdict)
+        self._apply(NTS_VERDICT, meas.t_mono_rx, verdict)
 
     def network(self, up: bool, t: MonotonicInstant, repeat: bool = False) -> None:
         """Connectivity at t, applied when it differs from self.online, the
@@ -217,13 +225,13 @@ class Monitor:
         since."""
         self._check_order(t)
         if repeat or up != self.online:
-            self._apply(EventKind.NETWORK_UP if up else EventKind.NETWORK_DOWN, t)
+            self._apply(NETWORK_UP if up else NETWORK_DOWN, t)
             self.online = up
 
     def finish(self) -> None:
         """End of input: a fix still held counts as lost."""
         if self.last_fix is not None and self.state.outage_started is None:
-            self._apply(EventKind.FIX_LOST, self.t_last)
+            self._apply(FIX_LOST, self.t_last)
 
 
 # -- ll threshold calibration ------------------------------------------------
@@ -345,7 +353,7 @@ def build_report(spec: ScenarioSpec, verdicts: list, state: OrchestratorState,
         hits = sorted(
             _epoch_of(v, spec.epoch_period_s)
             for v in verdicts
-            if v.test == test and v.hypothesis is Hypothesis.H1
+            if v.test == test and v.hypothesis is H1
         )
         real = [e for e in hits if attack_offset(spec.attack, e) != 0.0]
         false_alarms += len(hits) - len(real)

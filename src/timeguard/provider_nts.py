@@ -72,6 +72,12 @@ class PacketError(NtsError):
     """Malformed NTP packet or extension field."""
 
 
+class UnsynchronizedError(PacketError):
+    """An authenticated reply whose server says its clock is unsynchronized:
+    leap indicator 3, stratum 16 or higher, or stratum 0, a kiss-o'-death
+    (RFC 5905 section 7.3)."""
+
+
 class AuthenticationError(NtsError):
     """AEAD verification failed; packet discarded."""
 
@@ -309,13 +315,14 @@ def build_ntp_header(
     return _HEADER.pack((4 << 3) | mode, stratum, 0, 0, 0, 0, 0, 0, origin, recv, pack_ntp64(tx))
 
 
-def parse_ntp_header(data: bytes) -> tuple[int, int, int, int, int]:
-    """Returns (version, mode, origin64, recv64, tx64)."""
+def parse_ntp_header(data: bytes) -> tuple[int, int, int, int, int, int, int]:
+    """Returns (leap, version, mode, stratum, origin64, recv64, tx64)."""
     if len(data) < NTP_HEADER_LEN:
         raise PacketError(f"packet of {len(data)} bytes shorter than NTP header")
     fields = _HEADER.unpack_from(data, 0)
     li_vn_mode = fields[0]
-    return (li_vn_mode >> 3) & 0x7, li_vn_mode & 0x7, fields[8], fields[9], fields[10]
+    return (li_vn_mode >> 6, (li_vn_mode >> 3) & 0x7, li_vn_mode & 0x7, fields[1],
+            fields[8], fields[9], fields[10])
 
 
 def _pad4(data: bytes) -> bytes:
@@ -411,8 +418,13 @@ def build_nts_request(session: NtsSession, t1: Timestamp, num_placeholders: int 
 def parse_nts_response(
     session: NtsSession, request: NtsRequest, data: bytes
 ) -> tuple[Timestamp, Timestamp, list[bytes]]:
-    """Authenticate a reply; returns (T2, T3, new cookies), read in T1's NTP era."""
-    version, mode, _origin, recv64, tx64 = parse_ntp_header(data)
+    """Authenticate a reply; returns (T2, T3, new cookies), read in T1's NTP era.
+
+    UnsynchronizedError for an authenticated reply from a server that says
+    its clock is unsynchronized; its time vouches for nothing.  The check
+    follows authentication, so that a NAK, which has no authenticator,
+    still raises AuthenticationError."""
+    leap, version, mode, stratum, _origin, recv64, tx64 = parse_ntp_header(data)
     if version != 4 or mode != 4:
         raise PacketError(f"unexpected version/mode {version}/{mode}")
     unique_id: Optional[bytes] = None
@@ -431,6 +443,9 @@ def parse_nts_response(
     start, _end, body = auth_span
     nonce, ct = decode_authenticator(body)
     plaintext = siv_open(session.s2c, ct, [data[:start], nonce])
+    if leap == 3 or not 0 < stratum < 16:
+        raise UnsynchronizedError(f"server clock unsynchronized: leap indicator {leap}, "
+                                  f"stratum {stratum}")
     new_cookies = [
         ef_body for ef_type, ef_body, _s, _e in iter_efs(plaintext, 0) if ef_type == EF_COOKIE
     ]
@@ -560,7 +575,7 @@ class NtsTestServer:
 
     def transport(self, data: bytes) -> bytes:
         """The authenticated reply to one NTP request."""
-        version, mode, _o, _r, client_tx = parse_ntp_header(data)
+        _leap, version, mode, _stratum, _o, _r, client_tx = parse_ntp_header(data)
         if version != 4 or mode != 3:
             raise PacketError(f"unexpected version/mode {version}/{mode}")
         unique_id: Optional[bytes] = None

@@ -7,7 +7,7 @@ reply from a network time provider, whether a client verified it, the
 simulator scripted it or a feed line carried it.  A feed is one JSON
 object per line: an epoch, or an `rt`, `nts` or `network` line.
 feed_line writes the line of a Monitor input and feed_input reads it
-back: an epoch line spelled in epoch_to_json's key order through one
+back: an epoch line spelled in epoch_to_json's key order through a
 compiled pattern, and any other line through json.loads, to the same
 input or the same refusal.  This module imports no crypto, so the engine
 can take these records without loading the provider clients.
@@ -121,16 +121,21 @@ def epoch_to_json(rec: EpochRecord) -> str:
 # source_id holds only letters, digits and _.:-, which JSON does not
 # escape.  feed_input reads such a line from the groups, whose values are
 # then exactly what json.loads would give; any other spelling of the same
-# record goes through json.loads.
-_JSON_WS = r"[ \t\n\r]*"
-_EPOCH_LINE = re.compile(_JSON_WS + _JSON_WS.join((
+# record goes through json.loads.  The canonical spelling, feed_line's,
+# with no whitespace at all, has a pattern of its own that is tried first:
+# the optional whitespace before each token costs the general pattern
+# about as much again as the tokens themselves.
+_EPOCH_TOKENS = (
     r"\{", r'"t_mono_ns"', ":", r"(-?(?:0|[1-9][0-9]{0,19}))", ",",
     r'"t_gnss"', ":", r"\{", r'"sec"', ":", r"(-?(?:0|[1-9][0-9]{0,18}))", ",",
     r'"frac"', ":", r'"([0-9]{1,20})"', r"\}", ",",
     r'"fix_valid"', ":", "(true|false)", ",",
     r'"leap_applied"', ":", "(true|false)", ",",
     r'"source_id"', ":", r'"([A-Za-z0-9_.:-]*)"', r"\}",
-)) + _JSON_WS).fullmatch
+)
+_JSON_WS = r"[ \t\n\r]*"
+_CANONICAL_EPOCH_LINE = re.compile("".join(_EPOCH_TOKENS)).fullmatch
+_EPOCH_LINE = re.compile(_JSON_WS + _JSON_WS.join(_EPOCH_TOKENS) + _JSON_WS).fullmatch
 
 
 def feed_line(name: str, args: tuple) -> str:
@@ -248,7 +253,7 @@ def feed_input(line: str) -> tuple[str, tuple]:
     calls, in its order, so its result or refusal is the one
     _json_feed_input gives.
     """
-    epoch = _EPOCH_LINE(line)
+    epoch = _CANONICAL_EPOCH_LINE(line) or _EPOCH_LINE(line)
     if epoch is None:
         return _json_feed_input(line)
     t_mono_ns, sec, frac, fix_valid, leap_applied, source_id = epoch.groups()

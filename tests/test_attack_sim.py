@@ -36,7 +36,8 @@ from timeguard.attack_sim import (
 )
 from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise
 from timeguard.receiver_feed import EpochRecord, epoch_from_json
-from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
+from timeguard.timebase import (MonotonicInstant, SignedDuration, Timestamp, TimeRangeError,
+                                ts_add, ts_diff)
 
 STEP = AttackSpec(kind="step", offset_s=4.0, onset_epoch=100)
 INCR = AttackSpec(kind="incremental", offset_s=2e-6, onset_epoch=100, every_k=30)
@@ -260,6 +261,34 @@ def test_generation_matches_the_ts_add_reference(spec):
     assert out.epochs == epochs
     assert {e: m.midpoint for e, m in out.rt_responses.items()} == midpoints
     assert {e: m.offset for e, m in out.nts_responses.items()} == nts_offsets
+
+
+# A GNSS offset that units_from_s converts through its exact ratio (1e280 s
+# and up, an infinity, NaN) is refused at its epoch: its instant lies past the
+# 128-bit range, or it has no units at all.  The messages are the ones each
+# refusal gave while generation converted one offset at a time.
+REFUSED_OFFSETS = [
+    (1e279, TimeRangeError, "timestamp out of 128-bit range: "
+     "1844674407370955268541848570655737318080917919027456260302874442..."),
+    (1e300, TimeRangeError, "timestamp out of 128-bit range: "
+     "1844674407370955258454187507923294411296321052498303225103124211..."),
+    (1.7e308, TimeRangeError, "timestamp out of 128-bit range: "
+     "3135946492530623661882734472093417113853440874477804667436034970..."),
+    (math.inf, OverflowError, "cannot convert Infinity to integer ratio"),
+    (math.nan, ValueError, "cannot convert NaN to integer ratio"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("offset_s, error, message", REFUSED_OFFSETS,
+                         ids=[repr(o) for o, _, _ in REFUSED_OFFSETS])
+def test_generation_refuses_an_offset_past_the_timestamp_range(offset_s, error, message):
+    spec = ScenarioSpec(name="refused", duration_epochs=40, seed=3,
+                        attack=AttackSpec(kind="step", offset_s=offset_s, onset_epoch=12))
+    with pytest.raises(error) as refused:
+        gen_scenario(spec)
+    assert type(refused.value) is error
+    assert str(refused.value) == message
 
 
 def test_residual_noise_is_gaussian():

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loopback import Wire, nts_ke, udp
 from test_pipeline import kept
+from test_provider_nts import sealed_reply
 from test_scripts import checkout_env
 
 from timeguard import cli, provider_nts
@@ -42,7 +43,7 @@ from timeguard.receiver_feed import (
     feed_input,
     feed_line,
 )
-from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
+from timeguard.timebase import FRAC_UNIT, MonotonicInstant, SignedDuration, Timestamp, ts_add
 
 PY = sys.executable
 START = 1_689_120_000
@@ -699,6 +700,41 @@ def test_live_nts_poller_re_keys_after_a_nak(monkeypatch):
     assert poll().delay.units >= 0
     assert poll().delay.units >= 0
     assert len(handshakes) == 3
+
+
+def test_live_takes_no_verdict_from_an_unsynchronized_nts_server(tmp_path, capsys, monkeypatch):
+    """A server an hour ahead that says its clock is unsynchronized (leap
+    indicator 3, stratum 16) vouches for nothing: its authenticated replies
+    give no NTS verdict, so they cannot put an honest GNSS in ALARM, and each
+    failed poll names the reason."""
+    server = NtsTestServer()
+    sessions = []
+
+    def handshake(host, port, ca_file, timeout_s):
+        sessions.append(server.mint_session())
+        return sessions[-1]
+
+    def transport(host, port, timeout_s):
+        ahead = Timestamp(Timestamp.now_system().units + 3600 * FRAC_UNIT)
+        return lambda request: sealed_reply(sessions[-1].s2c, request, ahead, leap=3, stratum=16)
+
+    monkeypatch.setattr(provider_nts, "nts_ke_handshake", handshake)
+    monkeypatch.setattr(cli, "udp_transport", transport)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(PINNED_CFG + "\n[providers]\nnts_ke_host = nts.example\n")
+    feed = write_feed(tmp_path, [epoch_line(e) for e in range(100)])
+    out = tmp_path / "out"
+    rc = main(["live", "--feed", feed, "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CLEAN, err
+    verdicts = [json.loads(l) for l in (out / "verdicts.jsonl").read_text().splitlines()]
+    assert verdicts and {v["test"] for v in verdicts} == {"ll"}
+    transitions = (out / "transitions.jsonl").read_text()
+    assert "ALARM" not in transitions and "final phase COLD_START" in err
+    reason = ("timeguard: nts poll failed: server clock unsynchronized: "
+              "leap indicator 3, stratum 16\n")
+    assert err.count(reason) == 4  # the polls at 0, 30, 60 and 90 s
+    assert len(sessions) == 1
 
 
 def test_live_polls_reachable_loopback_providers(tmp_path, capsys):

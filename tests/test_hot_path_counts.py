@@ -14,9 +14,10 @@ and rebinds the engine's state only for the four events that change the
 phase or request an action, and it asks whether an event changes nothing
 once per event.  simulate encodes a transition record only when
 transition_writer keeps it.  live decodes through json.loads only the feed
-lines that are not epochs spelled as feed_line writes them, and hands its
-verdicts to the OS once per read of its feed, not once per verdict, but
-always before it waits on its feed or on a provider.
+lines that are not epochs in epoch_to_json's key order, reads the epochs
+that feed_line spells, with no whitespace, without trying the pattern that
+allows it, and hands its verdicts to the OS once per read of its feed, not
+once per verdict, but always before it waits on its feed or on a provider.
 
 Set-up is counted too: simulate and live each resolve the ll exactly once,
 which is where the benchmark splits set-up off from the run, and building
@@ -40,7 +41,7 @@ import pytest
 from test_cli import PINNED_CFG, epoch_line, nts_line, rt_line
 
 from timeguard import (attack_sim, cli, ensemble, orchestrator, pipeline, provider_nts,
-                       provider_roughtime, timebase)
+                       provider_roughtime, receiver_feed, timebase)
 from timeguard.attack_sim import ScenarioSpec, builtin_scenarios, gen_scenario
 from timeguard.cli import EXIT_ATTACK, main
 from timeguard.config import default_config
@@ -198,33 +199,67 @@ def test_simulate_encodes_only_the_transitions_it_writes(monkeypatch, tmp_path):
     assert len(encoded) == len(written)
 
 
-def test_live_decodes_only_the_lines_that_are_not_epochs_through_json(monkeypatch, tmp_path):
-    # an epoch line as feed_line writes it takes the compiled pattern, and
-    # every rt, nts and network line is decoded by json.loads exactly once;
-    # the outage puts network lines into incr2us's feed
+def outage_feed_lines() -> list:
+    """(method, feed_line) of each input of incr2us with an outage, which
+    puts network lines into its feed."""
     incr2us = builtin_scenarios()["incr2us"]
     spec = replace(incr2us, network=replace(incr2us.network, mode="down", down_from_epoch=100,
                                             down_to_epoch=200))
-    lines = [(method, feed_line(method, args)) for method, args in scenario_inputs(gen_scenario(spec))
-             if method != "finish"]
+    return [(method, feed_line(method, args))
+            for method, args in scenario_inputs(gen_scenario(spec)) if method != "finish"]
+
+
+def live_decoding(monkeypatch, tmp_path, lines: list) -> tuple[list, list]:
+    """The texts json.loads and receiver_feed._EPOCH_LINE are given while live
+    replays a feed of lines with a pinned ll, which alarms."""
     feed = tmp_path / "feed.jsonl"
-    feed.write_text("".join(line + "\n" for _, line in lines))
+    feed.write_text("".join(line + "\n" for line in lines))
     config = tmp_path / "pin.ini"
     config.write_text(PINNED_CFG)
-    decoded = []
-    loads = json.loads
+    decoded, matched = [], []
+    loads, epoch_line = json.loads, receiver_feed._EPOCH_LINE
 
-    def counted(text, *args, **kwargs):
+    def counted_loads(text, *args, **kwargs):
         decoded.append(text)
         return loads(text, *args, **kwargs)
 
-    monkeypatch.setattr(json, "loads", counted)
+    def counted_match(text):
+        matched.append(text)
+        return epoch_line(text)
+
+    monkeypatch.setattr(json, "loads", counted_loads)
+    monkeypatch.setattr(receiver_feed, "_EPOCH_LINE", counted_match)
     assert main(["live", "--feed", str(feed), "--config", str(config),
                  "--out-dir", str(tmp_path / "out")]) == EXIT_ATTACK
+    return decoded, matched
+
+
+def test_live_decodes_only_the_lines_that_are_not_epochs_through_json(monkeypatch, tmp_path):
+    # an epoch line as feed_line writes it takes the compiled pattern, and
+    # every rt, nts and network line is decoded by json.loads exactly once
+    lines = outage_feed_lines()
+    decoded, _ = live_decoding(monkeypatch, tmp_path, [line for _, line in lines])
     kinds = [method for method, _ in lines]
     assert kinds.count("epoch") == 2_700
     assert {"roughtime", "nts", "network"} <= set(kinds)
     assert decoded == [line for method, line in lines if method != "epoch"]
+
+
+def test_live_reads_canonical_epoch_lines_with_the_pattern_that_allows_no_whitespace(
+        monkeypatch, tmp_path):
+    # feed_line's epoch lines never reach the pattern that allows whitespace,
+    # which only the other lines try before json.loads; the same feed spelled
+    # by json.dumps, with a space after each colon and comma, reaches it with
+    # every line and still decodes no epoch line through json.loads
+    lines = outage_feed_lines()
+    others = [line for method, line in lines if method != "epoch"]
+    decoded, matched = live_decoding(monkeypatch, tmp_path, [line for _, line in lines])
+    assert matched == others == decoded
+    spelled = [json.dumps(json.loads(line)) for _, line in lines]
+    assert all(" " in line for line in spelled)
+    decoded, matched = live_decoding(monkeypatch, tmp_path, spelled)
+    assert matched == spelled
+    assert decoded == [line for (method, _), line in zip(lines, spelled) if method != "epoch"]
 
 
 def log_live_files(monkeypatch) -> list:

@@ -32,6 +32,7 @@ from timeguard.provider_nts import (
     PacketError,
     ReplayError,
     UnreachableError,
+    UnsynchronizedError,
     build_ke_request,
     build_nts_request,
     build_ntp_header,
@@ -53,7 +54,7 @@ from timeguard.provider_nts import (
     tls13_exporter,
     unpack_ntp64,
 )
-from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp
+from timeguard.timebase import FRAC_UNIT, MonotonicInstant, SignedDuration, Timestamp
 
 
 def unhex(s):
@@ -519,23 +520,62 @@ def test_response_trailing_ef_rejected():
         nts_query(session, transport=appending)
 
 
+def sealed_reply(s2c: bytes, request: bytes, t: Timestamp, plaintext: bytes = b"",
+                 leap: int = 0, stratum: int = 1) -> bytes:
+    """An authenticated reply to request, sealed under s2c around plaintext,
+    with T2 = T3 = t and the leap indicator and stratum given."""
+    unique_id = next(body for kind, body, _s, _e in iter_efs(request) if kind == EF_UNIQUE_ID)
+    header = build_ntp_header(mode=4, tx=t, recv=pack_ntp64(t), stratum=stratum)
+    ad = bytes([leap << 6 | header[0]]) + header[1:] + encode_ef(EF_UNIQUE_ID, unique_id)
+    nonce = b"\x07" * 16
+    return ad + encode_authenticator(nonce, siv_seal(s2c, plaintext, [ad, nonce]))
+
+
 def test_a_reply_with_more_cookies_than_the_target_leaves_the_newest_target():
     server = NtsTestServer()
     session = server.mint_session()
     t = Timestamp.from_unix_s(1_700_000_000)
     cookies = [bytes([i]) * 100 for i in range(30)]
+    plaintext = b"".join(encode_ef(EF_COOKIE, c) for c in cookies)
 
-    def flooding(request):
-        unique_id = next(body for kind, body, _s, _e in iter_efs(request) if kind == EF_UNIQUE_ID)
-        ad = build_ntp_header(mode=4, tx=t, recv=pack_ntp64(t), stratum=1)
-        ad += encode_ef(EF_UNIQUE_ID, unique_id)
-        plaintext = b"".join(encode_ef(EF_COOKIE, c) for c in cookies)
-        nonce = b"\x07" * 16
-        return ad + encode_authenticator(nonce, siv_seal(session.s2c, plaintext, [ad, nonce]))
-
-    m = nts_query(session, transport=flooding, clock_utc=lambda: t)
+    m = nts_query(session, transport=lambda request: sealed_reply(session.s2c, request, t,
+                                                                  plaintext),
+                  clock_utc=lambda: t)
     assert m.offset == SignedDuration(0) and m.delay == SignedDuration(0)
     assert session.cookies == cookies[-8:]
+
+
+@pytest.mark.parametrize("leap, stratum, synchronized", [
+    (0, 1, True), (1, 2, True), (2, 15, True),
+    (3, 16, False), (3, 1, False), (0, 16, False), (2, 255, False), (0, 0, False),
+])
+def test_a_reply_from_an_unsynchronized_server_is_refused(leap, stratum, synchronized):
+    # a server an hour ahead: its reply, authenticated, vouches for its time
+    # only while its header says it is synchronized (RFC 5905 section 7.3)
+    session = NtsTestServer().mint_session()
+    t = Timestamp.from_unix_s(1_700_000_000)
+    ahead = Timestamp(t.units + 3600 * FRAC_UNIT)
+    cookie = encode_ef(EF_COOKIE, b"\x05" * 100)
+
+    def query():
+        return nts_query(session, lambda request: sealed_reply(session.s2c, request, ahead, cookie,
+                                                               leap, stratum),
+                         clock_utc=lambda: t)
+
+    if synchronized:
+        assert query().offset == SignedDuration(3600 * FRAC_UNIT)
+        assert len(session.cookies) == 8
+        return
+    with pytest.raises(UnsynchronizedError,
+                       match=f"unsynchronized: leap indicator {leap}, stratum {stratum}$"):
+        query()
+    assert len(session.cookies) == 7  # the query spent one and took none
+    # authentication comes first: the same header sealed under another key
+    # is refused as unauthenticated
+    session.s2c, s2c = session.c2s, session.s2c
+    with pytest.raises(AuthenticationError):
+        nts_query(session, lambda request: sealed_reply(s2c, request, ahead, cookie, leap, stratum),
+                  clock_utc=lambda: t)
 
 
 # -- sigma estimation -------------------------------------------------------

@@ -438,3 +438,31 @@ def test_only_the_monitor_tracks_the_clock():
                 if name in _TRACKING:
                     found.append(f"{path.name}:{n.lineno} names {name}")
     assert not found, found
+
+
+# -- the per-epoch code reads each enum member once bound ----------------------
+
+
+def test_no_function_reads_an_enum_member_through_its_class():
+    """On Python 3.11 EnumType defines __getattr__, so Phase.ALARM read inside
+    a function takes the slow attribute path, several times the cost of a
+    module global.  Each module binds its enums' members as module
+    constants once, and no function body reads a member of Phase, EventKind
+    or Hypothesis through its class."""
+    from timeguard.detector import Hypothesis
+    from timeguard.orchestrator import EventKind, Phase
+
+    members = {cls.__name__: set(cls.__members__) for cls in (Phase, EventKind, Hypothesis)}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for n in ast.walk(fn):
+                if not isinstance(n, ast.Attribute):
+                    continue
+                owner = (n.value.id if isinstance(n.value, ast.Name)
+                         else n.value.attr if isinstance(n.value, ast.Attribute) else None)
+                if n.attr in members.get(owner, ()):
+                    found.add(f"{path.name}:{n.lineno} reads {owner}.{n.attr}")
+    assert not found, sorted(found)
