@@ -234,10 +234,9 @@ def ll_advance(state: LlDetectorState, bias_s: float) -> Optional[float]:
 
 def ll_step(state: LlDetectorState, bias_s: float, t_mono: MonotonicInstant) -> Optional[Verdict]:
     """One detector epoch; None during warm-up, else its verdict: the
-    statistic is -Z, H1 iff -Z >= lambda_T."""
+    statistic is -Z, H1 iff -Z >= lambda_T.  The params have a lambda_T:
+    Monitor refuses an ll without one when it is built."""
     lambda_T = state.params.lambda_T
-    if lambda_T is None:
-        raise ConfigError("ll lambda_T not calibrated")
     z = ll_advance(state, bias_s)
     if z is None:
         return None

@@ -40,7 +40,6 @@ def make_tag(name: bytes) -> int:
 
 TAG_SIG = make_tag(b"SIG\x00")
 TAG_VER = make_tag(b"VER\x00")
-TAG_SRV = make_tag(b"SRV\x00")
 TAG_NONC = make_tag(b"NONC")
 TAG_DELE = make_tag(b"DELE")
 TAG_PATH = make_tag(b"PATH")

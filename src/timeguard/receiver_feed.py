@@ -7,7 +7,7 @@ reply from a network time provider, whether a client verified it, the
 simulator scripted it or a feed line carried it.  A feed is one JSON
 object per line: an epoch, or an `rt`, `nts` or `network` line.
 feed_line writes the line of a Monitor input and feed_input reads it
-back: an epoch line spelled in epoch_to_json's key order through a
+back: an epoch line spelled as epoch_to_json writes it through one
 compiled pattern, and any other line through json.loads, to the same
 input or the same refusal.  This module imports no crypto, so the engine
 can take these records without loading the provider clients.
@@ -114,28 +114,19 @@ def epoch_to_json(rec: EpochRecord) -> str:
     )
 
 
-# The JSON text of an epoch line whose keys come in epoch_to_json's order,
-# with JSON whitespace between tokens: so feed_line's compact spelling and
-# json.dumps's default one.  Integers follow the JSON grammar, at most 20
-# digits for t_mono_ns and 19 for sec; frac is 1 to 20 ASCII digits, and
+# The JSON text of an epoch line as epoch_to_json spells it: its keys in
+# that order and no whitespace.  Integers follow the JSON grammar, at most
+# 20 digits for t_mono_ns and 19 for sec; frac is 1 to 20 ASCII digits, and
 # source_id holds only letters, digits and _.:-, which JSON does not
 # escape.  feed_input reads such a line from the groups, whose values are
 # then exactly what json.loads would give; any other spelling of the same
-# record goes through json.loads.  The canonical spelling, feed_line's,
-# with no whitespace at all, has a pattern of its own that is tried first:
-# the optional whitespace before each token costs the general pattern
-# about as much again as the tokens themselves.
-_EPOCH_TOKENS = (
-    r"\{", r'"t_mono_ns"', ":", r"(-?(?:0|[1-9][0-9]{0,19}))", ",",
-    r'"t_gnss"', ":", r"\{", r'"sec"', ":", r"(-?(?:0|[1-9][0-9]{0,18}))", ",",
-    r'"frac"', ":", r'"([0-9]{1,20})"', r"\}", ",",
-    r'"fix_valid"', ":", "(true|false)", ",",
-    r'"leap_applied"', ":", "(true|false)", ",",
-    r'"source_id"', ":", r'"([A-Za-z0-9_.:-]*)"', r"\}",
-)
-_JSON_WS = r"[ \t\n\r]*"
-_CANONICAL_EPOCH_LINE = re.compile("".join(_EPOCH_TOKENS)).fullmatch
-_EPOCH_LINE = re.compile(_JSON_WS + _JSON_WS.join(_EPOCH_TOKENS) + _JSON_WS).fullmatch
+# record, json.dumps's default one included, goes through json.loads.
+_EPOCH_LINE = re.compile(
+    r'\{"t_mono_ns":(-?(?:0|[1-9][0-9]{0,19})),'
+    r'"t_gnss":\{"sec":(-?(?:0|[1-9][0-9]{0,18})),"frac":"([0-9]{1,20})"\},'
+    r'"fix_valid":(true|false),"leap_applied":(true|false),'
+    r'"source_id":"([A-Za-z0-9_.:-]*)"\}'
+).fullmatch
 
 
 def feed_line(name: str, args: tuple) -> str:
@@ -248,12 +239,13 @@ def feed_input(line: str) -> tuple[str, tuple]:
     integer of more than 4,300 digits with ValueError), an unknown type,
     or a field that is missing or out of range.
 
-    An epoch line spelled as epoch_to_json writes it is read without
-    json.loads, through the checks of the constructors epoch_from_json
-    calls, in its order, so its result or refusal is the one
-    _json_feed_input gives.
+    An epoch line spelled as epoch_to_json writes it matches _EPOCH_LINE
+    and is read without json.loads, through the checks of the
+    constructors epoch_from_json calls, in its order, so its result or
+    refusal is the one _json_feed_input gives.  Every other line, an
+    epoch line with whitespace included, goes through _json_feed_input.
     """
-    epoch = _CANONICAL_EPOCH_LINE(line) or _EPOCH_LINE(line)
+    epoch = _EPOCH_LINE(line)
     if epoch is None:
         return _json_feed_input(line)
     t_mono_ns, sec, frac, fix_valid, leap_applied, source_id = epoch.groups()

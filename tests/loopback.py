@@ -7,7 +7,8 @@ previous reply, or flip a bit of a reply's last byte.  The tests that run
 the clients' own sockets, the NTS-KE TLS handshake and `live` against real
 providers, serve a server or its wire here: `udp` answers datagrams
 through its `transport`, on IPv4 or IPv6 loopback, so a wire's faults
-apply there too, including ones switched mid-test, and `nts_ke` adds an
+apply there too, including ones switched mid-test, and can have another
+socket send the client a stray datagram first; `nts_ke` adds an
 NTS-KE listener on either loopback with a self-signed certificate for
 127.0.0.1 and ::1.  Each is a context manager that closes its sockets and
 joins its thread on exit.
@@ -120,21 +121,27 @@ def _serving(sock: socket.socket, handle) -> Iterator[None]:
 
 
 @contextmanager
-def udp(server, host: str = LOCALHOST) -> Iterator[int]:
+def udp(server, host: str = LOCALHOST, stray: Optional[bytes] = None) -> Iterator[int]:
     """Answer datagrams on a loopback port of host, 127.0.0.1 or ::1, with
     server.transport, a server's or a `Wire`'s; yields the port.  A request
-    the transport drops or refuses gets no reply."""
+    the transport drops or refuses gets no reply.  With stray set, a second
+    socket, as any host on the path can, sends it to the client just before
+    each reply."""
     sock = socket.socket(_family(host), socket.SOCK_DGRAM)
     sock.bind((host, 0))
+    other = socket.socket(_family(host), socket.SOCK_DGRAM)
 
     def handle() -> None:
         data, addr = sock.recvfrom(65536)
         try:
-            sock.sendto(server.transport(data), addr)
+            reply = server.transport(data)
+            if stray is not None:
+                other.sendto(stray, addr)
+            sock.sendto(reply, addr)
         except (NtsError, RoughtimeError, OSError):
             pass
 
-    with _serving(sock, handle):
+    with other, _serving(sock, handle):
         yield sock.getsockname()[1]
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import select
+import socket
 import struct
 import subprocess
 import sys
@@ -16,14 +17,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from loopback import Wire, nts_ke, udp
+from loopback import LOCALHOST, Wire, nts_ke, udp
 from test_pipeline import kept
 from test_provider_nts import sealed_reply
 from test_scripts import checkout_env
 
-from timeguard import cli, provider_nts
+from timeguard import cli, provider_nts, provider_roughtime
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
-from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main
+from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main, udp_transport
 from timeguard.config import ConfigFileError, default_config, load_config, load_scenario
 from timeguard.orchestrator import transition_to_json
 from timeguard.pipeline import run_scenario, scenario_inputs, transition_writer
@@ -34,8 +35,9 @@ from timeguard.provider_nts import (
     UnreachableError,
     encode_ef,
     iter_efs,
+    nts_query,
 )
-from timeguard.provider_roughtime import RoughtimeTestServer
+from timeguard.provider_roughtime import RoughtimeTestServer, poll
 from timeguard.receiver_feed import (
     EpochRecord,
     NtsMeasurement,
@@ -772,6 +774,43 @@ def test_live_polls_reachable_loopback_providers(tmp_path, capsys):
     assert [(kinds[v["test"]], v["t_mono_ns"]) for v in verdicts] == [
         (t["event"], t["t_mono_ns"]) for t in transitions if t["event"] in kinds.values()]
     assert {v["t_mono_ns"] for v in verdicts} == {0}
+
+
+@pytest.mark.parametrize("client", ["roughtime", "nts"])
+def test_the_udp_exchange_reads_only_the_servers_datagrams(client):
+    # a datagram from another address reaches the client's port just before
+    # the reply; taken as the reply, it would fail the poll and put live in
+    # HOLDOVER
+    server = RoughtimeTestServer() if client == "roughtime" else NtsTestServer()
+    with udp(server, stray=b"junk from another address") as port:
+        transport = udp_transport(LOCALHOST, port, 2.0)
+        if client == "roughtime":
+            assert poll(server.server_key, transport).midpoint == Timestamp.from_unix_s(START)
+        else:
+            assert nts_query(server.mint_session(), transport).delay.units >= 0
+
+
+def test_a_closed_port_is_a_reply_that_never_comes():
+    # a connected socket learns of a closed port as ConnectionRefusedError;
+    # as a TimeoutError, Roughtime still makes its three attempts, and each
+    # client gives up with its UnreachableError
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind((LOCALHOST, 0))
+        port = sock.getsockname()[1]
+    exchange = udp_transport(LOCALHOST, port, 2.0)
+    with pytest.raises(TimeoutError):
+        exchange(b"request")
+    attempts = []
+
+    def counted(request: bytes) -> bytes:
+        attempts.append(request)
+        return exchange(request)
+
+    with pytest.raises(provider_roughtime.UnreachableError):
+        poll(RoughtimeTestServer().server_key, counted)
+    assert len(attempts) == 3
+    with pytest.raises(UnreachableError):
+        nts_query(NtsTestServer().mint_session(), exchange)
 
 
 def test_live_long_outage_resets_to_cold_start(tmp_path, capsys):

@@ -313,13 +313,6 @@ def test_ll_step_warmup_then_verdicts():
     assert state.z is not None
 
 
-def test_ll_step_requires_threshold():
-    state = LlDetectorState(params=LlConfig(m=2, sigma0_sq=1.0))
-    ll_advance(state, 0.0)
-    with pytest.raises(ConfigError):
-        ll_step(state, 1e-9, MONO0)
-
-
 def test_ll_state_requires_a_fitted_variance():
     # without sigma0_sq there is no density: refused here, not at the m-th sample
     with pytest.raises(ConfigError, match="sigma0_sq"):
@@ -341,6 +334,17 @@ def test_calibrate_threshold_quantile():
         calibrate_ll_threshold(zs[:500], far=1e-3)
     with pytest.raises(ConfigError):
         calibrate_ll_threshold(zs, far=1.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1, LlConfig().m - 1])
+def test_calibration_refuses_a_run_shorter_than_the_window(n):
+    # refused by name before any moment is taken: numpy warns on the moments
+    # of fewer than 2 samples, and a run too short to fill one window would
+    # fail later for want of statistics
+    m = LlConfig().m
+    with pytest.raises(ConfigError, match=f"m={m} "):
+        calibrate_ll(LlConfig(), np.zeros(n))
 
 
 def test_calibrated_benign_false_alarm_rate():

@@ -14,10 +14,11 @@ and rebinds the engine's state only for the four events that change the
 phase or request an action, and it asks whether an event changes nothing
 once per event.  simulate encodes a transition record only when
 transition_writer keeps it.  live decodes through json.loads only the feed
-lines that are not epochs in epoch_to_json's key order, reads the epochs
-that feed_line spells, with no whitespace, without trying the pattern that
-allows it, and hands its verdicts to the OS once per read of its feed, not
-once per verdict, but always before it waits on its feed or on a provider.
+lines that are not epochs as epoch_to_json spells them, which one compiled
+pattern reads; an epoch that json.dumps spells, with whitespace, goes
+through json.loads to the same input.  live hands its verdicts to the OS
+once per read of its feed, not once per verdict, but always before it
+waits on its feed or on a provider.
 
 Set-up is counted too: simulate and live each resolve the ll exactly once,
 which is where the benchmark splits set-up off from the run, and building
@@ -247,19 +248,24 @@ def test_live_decodes_only_the_lines_that_are_not_epochs_through_json(monkeypatc
 
 def test_live_reads_canonical_epoch_lines_with_the_pattern_that_allows_no_whitespace(
         monkeypatch, tmp_path):
-    # feed_line's epoch lines never reach the pattern that allows whitespace,
-    # which only the other lines try before json.loads; the same feed spelled
-    # by json.dumps, with a space after each colon and comma, reaches it with
-    # every line and still decodes no epoch line through json.loads
+    # every line tries the one pattern, which takes feed_line's epoch lines;
+    # the same feed spelled by json.dumps, with a space after each colon and
+    # comma, decodes every line through json.loads, to the same inputs: live
+    # writes the same verdicts and transitions from it
     lines = outage_feed_lines()
-    others = [line for method, line in lines if method != "epoch"]
-    decoded, matched = live_decoding(monkeypatch, tmp_path, [line for _, line in lines])
-    assert matched == others == decoded
-    spelled = [json.dumps(json.loads(line)) for _, line in lines]
+    compact = [line for _, line in lines]
+    spelled = [json.dumps(json.loads(line)) for line in compact]
     assert all(" " in line for line in spelled)
-    decoded, matched = live_decoding(monkeypatch, tmp_path, spelled)
-    assert matched == spelled
-    assert decoded == [line for (method, _), line in zip(lines, spelled) if method != "epoch"]
+    others = [line for method, line in lines if method != "epoch"]
+    written = []
+    for feed, through_json in ((compact, others), (spelled, spelled)):
+        run = tmp_path / str(len(written))
+        run.mkdir()
+        decoded, matched = live_decoding(monkeypatch, run, feed)
+        assert matched == feed and decoded == through_json
+        written.append([(run / "out" / name).read_bytes()
+                        for name in ("verdicts.jsonl", "transitions.jsonl")])
+    assert written[0] == written[1]
 
 
 def log_live_files(monkeypatch) -> list:

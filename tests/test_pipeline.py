@@ -192,6 +192,22 @@ def test_reset_clears_history():
     assert innovation == local_bias_s(outputs.epochs[50], last.t_gnss, last.t_mono)
 
 
+def test_a_reset_without_an_ll_resets_the_filter_alone():
+    # calibration's engine has no ll test; the first network H0 still
+    # restarts its tracker, with no ll window to restart
+    outputs = gen_scenario(builtin_scenarios()["step4s"])
+    monitor = Monitor(CFG, None)
+    for rec in outputs.epochs[:50]:
+        monitor.epoch(rec)
+    assert monitor.kf != kf_init() and monitor.ll is None
+    last = outputs.epochs[49]
+    monitor.roughtime(RoughtimeMeasurement(last.t_gnss, SignedDuration.from_s(1.0), "rt-sim",
+                                           last.t_mono))
+    assert monitor.state.phase is Phase.COARSE_VALIDATED
+    assert monitor.kf == kf_init() and monitor.tracked_at is None
+    assert monitor.ll is None
+
+
 @pytest.mark.parametrize("seed", [13, 18])
 def test_a_reset_hours_after_the_first_fix_tracks_from_the_last_one(seed):
     # the network is down for the first 12 h, so the first Roughtime H0 and

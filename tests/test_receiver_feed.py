@@ -169,9 +169,11 @@ JSON_WS = ["", " ", "\t", "\n", "\r\n", " \t\n\r"]
 def test_the_pattern_takes_the_lines_epoch_to_json_writes(rec, gaps):
     line = epoch_to_json(rec)
     assert spell(epoch_fields(rec), cycle([""])) == line
-    # json.dumps's default spelling has a space after each colon and comma
+    # json.dumps's default spelling has a space after each colon and comma;
+    # the pattern takes no whitespace, so that spelling reads through json.loads
     for spelled in (line, json.dumps(json.loads(line)), spell(epoch_fields(rec), cycle(gaps))):
-        assert (_EPOCH_LINE(spelled) is not None) == takes_source_id(rec.source_id)
+        taken = spelled == line and takes_source_id(rec.source_id)
+        assert (_EPOCH_LINE(spelled) is not None) == taken
         assert feed_input(spelled) == _json_feed_input(spelled) == ("epoch", (rec,))
 
 
@@ -224,7 +226,8 @@ def digits(n: int) -> int:
 def epoch_lines(draw):
     """(line, whether the pattern takes it): an epoch line whose integers may
     lie past their range, perhaps with a leading zero, one other value, its
-    keys, its whitespace or its tail changed."""
+    keys, its whitespace or its tail changed.  The pattern takes no
+    whitespace at all."""
     t_mono_ns, sec, frac = draw(T_MONO_NS), draw(SEC), draw(FRAC)
     source_id = draw(st.sampled_from(["gnss", "", "rx-1.a:b_C"]) | st.text(max_size=6))
     fields = [("t_mono_ns", str(t_mono_ns)), ("t_gnss", [("sec", str(sec)), ("frac", f'"{frac}"')]),
@@ -251,7 +254,8 @@ def epoch_lines(draw):
         gaps.insert(draw(st.integers(0, len(gaps))), draw(st.sampled_from(NOT_JSON_WS)))
     elif change == "tail":
         tail = draw(st.sampled_from(TAILS))
-    return spell(fields, cycle(gaps)) + tail, change in (None, "value") and all(taken.values())
+    return (spell(fields, cycle(gaps)) + tail,
+            change in (None, "value") and all(taken.values()) and not "".join(gaps))
 
 
 def canonical(**values) -> str:
@@ -271,6 +275,15 @@ def test_an_epoch_line_reads_as_the_json_path_reads_it(case):
     line, taken = case
     assert (_EPOCH_LINE(line) is not None) == taken
     assert decoded(feed_input, line) == decoded(_json_feed_input, line)
+    # the same object as json.dumps spells it, with a space after each colon
+    # and comma, is refused by the pattern and reads through json.loads alike
+    try:
+        spelled = json.dumps(json.loads(line))
+    except ValueError:
+        return
+    assert _EPOCH_LINE(spelled) is None
+    assert decoded(feed_input, spelled) == decoded(_json_feed_input, spelled) == decoded(
+        feed_input, line)
 
 
 @pytest.mark.parametrize("name", ["step4s", "outage"])

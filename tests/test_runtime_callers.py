@@ -3,18 +3,19 @@
 A function, class or method that only its own tests reach is dead weight:
 it has to be read, kept in step and tested, and nothing the monitor does
 depends on it.  This test parses ``src/timeguard/*.py`` and requires each
-public top-level ``def`` and ``class``, and each public method or property
-of those classes, to be named somewhere in the package, in ``scripts/`` or
-in ``perfbench/`` outside its own definition.  A function or class counts
-as named when it appears as an identifier, an attribute, an imported name,
-or a string constant that is exactly that name or a dotted path ending in
-it (the benchmark looks its spans up by string).  A method or property
-counts only when it is accessed as an attribute (``obj.name``) or named in
-such a string: a local variable or an import of the same name is not a
-call.  Two blind spots remain.  The receiver's type is unknown to the
-syntax tree, so a method shares its callers with every same-named method
-of another class; and dunder methods, which the interpreter calls, are
-not checked at all.
+public top-level ``def`` and ``class``, each public name a module-level
+assignment binds, tuple unpacking included, and each public method or
+property of those classes, to be named somewhere in the package, in
+``scripts/`` or in ``perfbench/`` outside its own definition.  A function,
+class or module constant counts as named when it appears as an
+identifier, an attribute, an imported name, or a string constant that is
+exactly that name or a dotted path ending in it (the benchmark looks its
+spans up by string).  A method or property counts only when it is
+accessed as an attribute (``obj.name``) or named in such a string: a local
+variable or an import of the same name is not a call.  Two blind spots
+remain.  The receiver's type is unknown to the syntax tree, so a method
+shares its callers with every same-named method of another class; and
+dunder methods, which the interpreter calls, are not checked at all.
 
 A second check applies the same idea to settings: every defaulted
 parameter of a public function or method, every defaulted ``init``
@@ -82,25 +83,43 @@ def _public(nodes):
             if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")]
 
 
+def _assigned(node: ast.AST) -> list:
+    """The names a module-level statement assigns, tuple unpacking included."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+
+
 def _public_definitions():
-    """(path, tree, node, qualified name) of each public def, class and method."""
+    """(path, tree, node, name, qualified name) of each public def, class,
+    method and module-level assigned name; node is the statement that
+    defines it."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            for name in _assigned(node):
+                if not name.startswith("_"):
+                    yield path, tree, node, name, name
         for node in _public(tree.body):
-            yield path, tree, node, node.name
+            yield path, tree, node, node.name, node.name
             if isinstance(node, ast.ClassDef):
                 for method in _public(node.body):
-                    yield path, tree, method, f"{node.name}.{method.name}"
+                    yield path, tree, method, method.name, f"{node.name}.{method.name}"
 
 
 def _uncalled() -> set:
     used = {path: _names(ast.parse(path.read_text(), filename=str(path))) for path in CALLER_FILES}
     missing = set()
-    for path, tree, node, qualname in _public_definitions():
-        kind = 0 if qualname == node.name else 1  # a method needs obj.name or a string
-        if any(node.name in names[kind] for p, names in used.items() if p != path):
+    for path, tree, node, name, qualname in _public_definitions():
+        kind = 0 if qualname == name else 1  # a method needs obj.name or a string
+        if any(name in names[kind] for p, names in used.items() if p != path):
             continue
-        if node.name not in _names(tree, skip=node)[kind]:
+        if name not in _names(tree, skip=node)[kind]:
             missing.add(qualname)
     return missing
 
