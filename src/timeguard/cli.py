@@ -239,6 +239,24 @@ def _nts_poller(config: AppConfig):
 
 
 FEED_CHUNK = 8192  # the most bytes live reads from its feed at once
+# The longest feed line live reads, in characters.  feed_line writes a few
+# hundred; a longer line is refused unread, so no line stalls the monitor or
+# holds more memory than this.
+FEED_LINE_LIMIT = 1 << 20
+
+
+def _hold(held: list, held_len: int, piece: str) -> int:
+    """The held line's length once piece joins it.  Its pieces are kept up
+    to FEED_LINE_LIMIT characters; the line is refused, once, as it passes
+    the limit, and from then on nothing is kept."""
+    total = held_len + len(piece)
+    if total <= FEED_LINE_LIMIT:
+        held.append(piece)
+    elif held_len <= FEED_LINE_LIMIT:
+        held.clear()
+        print(f"timeguard: feed line longer than {FEED_LINE_LIMIT} characters, skipped",
+              file=sys.stderr)
+    return total
 
 
 class _LiveSession:
@@ -308,25 +326,33 @@ class _LiveSession:
 
     def follow(self, feed: BinaryIO) -> None:
         """Consume each line of a binary feed, one read1 of up to FEED_CHUNK
-        bytes at a time, and flush the outputs before each read."""
+        bytes at a time, and flush the outputs before each read.  A line
+        longer than FEED_LINE_LIMIT is refused once and dropped up to its end."""
         # No verdict waits on the input, and a run flushes once per read, not
         # once per line.  UTF-8 whatever the locale: a byte that is not UTF-8
         # spoils its line only, which is then skipped as unparseable.
         # "\r\n" and "\r" end a line as "\n" does; the last needs no end.
         decoder = io.IncrementalNewlineDecoder(
             codecs.getincrementaldecoder("utf-8")("replace"), translate=True)
-        consume, read, rest = self.consume, feed.read1, ""
+        consume, read = self.consume, feed.read1
+        # the pieces of the line that no read has ended yet, and its length
+        held, held_len = [], 0
         while True:
             self.flush()
             chunk = read(FEED_CHUNK)
             lines = decoder.decode(chunk, final=not chunk).split("\n")
-            lines[0] = rest + lines[0]
             rest = lines.pop()
+            if held_len and lines:
+                _hold(held, held_len, lines[0])
+                lines[0] = "".join(held)  # "" for a line refused as too long
+                held, held_len = [], 0
             for line in lines:
                 consume(line)
+            if rest:
+                held_len = _hold(held, held_len, rest)
             if not chunk:
                 break
-        consume(rest)
+        consume("".join(held))
 
 
 def cmd_live(args: argparse.Namespace) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from typing import Mapping, Optional, get_args, get_type_hints
 
 from .attack_sim import AttackSpec, NetworkSpec, ScenarioSpec, builtin_scenarios
@@ -107,13 +108,15 @@ def _value_type(hint):
     return hint
 
 
+@cache
 def _schema(cls) -> tuple[dict[str, tuple[str, object]], dict[str, type]]:
     """The INI keys of cls as key -> (field, hint), and its nested configs.
 
     A nested dataclass field is a section of its own, named after the
     field.  SignedDuration is a dataclass too, but a scalar: it is written
     in seconds under the field name plus "_s".  Keys are lower case, as
-    configparser reads them.
+    configparser reads them.  Built once per class, since get_type_hints
+    compiles each string annotation: callers only read the dicts.
     """
     keys, nested = {}, {}
     hints = get_type_hints(cls)

@@ -7,16 +7,16 @@ packets carrying Unique Identifier, NTS Cookie, and NTS Authenticator
 extension fields; replies are accepted only when the AEAD tag verifies
 and the unique identifier matches.  The runtime's TLS API does not expose
 keying-material export directly, so the exporter secret is taken from the
-stack's key log and the RFC 8446 exporter derivation is applied here; the
-derivation is pinned by test vectors.  nts_ke_handshake alone imports
-ssl and socket, so a process that only sends queries loads no TLS stack.
+stack's key log and the RFC 8446 exporter derivation is applied here,
+hashing with cryptography; the derivation is pinned by test vectors.
+nts_ke_handshake alone imports ssl and socket, so a process that only
+sends queries loads no TLS stack, and with random bytes from os.urandom
+and no hashlib it maps cryptography's OpenSSL alone.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import secrets
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -142,11 +142,14 @@ def tls13_exporter(
     exporter_secret: bytes, label: bytes, context: bytes, length: int, hash_name: str
 ) -> bytes:
     """RFC 8446 exporter: Derive-Secret(secret, label, "") then expand."""
-    hash_len = hashlib.new(hash_name).digest_size
-    empty_hash = hashlib.new(hash_name, b"").digest()
-    derived = hkdf_expand_label(exporter_secret, label, empty_hash, hash_len, hash_name)
-    context_hash = hashlib.new(hash_name, context).digest()
-    return hkdf_expand_label(derived, b"exporter", context_hash, length, hash_name)
+    from cryptography.hazmat.primitives import hashes
+
+    algorithm = getattr(hashes, hash_name.upper())()
+    empty_hash, context_hash = hashes.Hash(algorithm), hashes.Hash(algorithm)
+    context_hash.update(context)
+    derived = hkdf_expand_label(exporter_secret, label, empty_hash.finalize(),
+                                algorithm.digest_size, hash_name)
+    return hkdf_expand_label(derived, b"exporter", context_hash.finalize(), length, hash_name)
 
 
 def nts_export_keys(exporter_secret: bytes, hash_name: str) -> tuple[bytes, bytes]:
@@ -405,8 +408,8 @@ def build_nts_request(session: NtsSession, t1: Timestamp, num_placeholders: int 
     if not session.cookies:
         raise CookieError("cookie queue empty; re-key via NTS-KE")
     cookie = session.cookies.pop(0)
-    unique_id = secrets.token_bytes(32)
-    nonce = secrets.token_bytes(16)
+    unique_id = os.urandom(32)
+    nonce = os.urandom(16)
     header = build_ntp_header(mode=3, tx=t1)
     efs = encode_ef(EF_UNIQUE_ID, unique_id) + encode_ef(EF_COOKIE, cookie)
     efs += encode_ef(EF_COOKIE_PLACEHOLDER, b"\x00" * len(cookie)) * num_placeholders
@@ -543,12 +546,12 @@ class NtsTestServer:
 
     clock: Callable[[], Timestamp] = Timestamp.now_system
     offer_aead_id: int = AEAD_AES_SIV_CMAC_256
-    master_key: bytes = field(default_factory=lambda: secrets.token_bytes(32))
+    master_key: bytes = field(default_factory=lambda: os.urandom(32))
 
     # cookie sealing
 
     def mint_cookie(self, c2s: bytes, s2c: bytes) -> bytes:
-        nonce = secrets.token_bytes(_COOKIE_NONCE_LEN)
+        nonce = os.urandom(_COOKIE_NONCE_LEN)
         payload = struct.pack(">HH", self.offer_aead_id, 0) + c2s + s2c
         return nonce + siv_seal(self.master_key, payload, [_COOKIE_AD, nonce])
 
@@ -562,7 +565,7 @@ class NtsTestServer:
 
     def mint_session(self, num_cookies: int = 8) -> NtsSession:
         """Pre-shared-key mode: a valid session without any TLS handshake."""
-        c2s, s2c = secrets.token_bytes(32), secrets.token_bytes(32)
+        c2s, s2c = os.urandom(32), os.urandom(32)
         return NtsSession(
             c2s=c2s,
             s2c=s2c,
@@ -603,5 +606,5 @@ class NtsTestServer:
         t3 = self.clock()
         header = build_ntp_header(mode=4, tx=t3, origin=client_tx, recv=pack_ntp64(t2), stratum=1)
         ad = header + encode_ef(EF_UNIQUE_ID, unique_id)
-        nonce2 = secrets.token_bytes(16)
+        nonce2 = os.urandom(16)
         return ad + encode_authenticator(nonce2, siv_seal(s2c, plaintext, [ad, nonce2]))

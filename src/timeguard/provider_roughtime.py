@@ -4,19 +4,21 @@ Implements the tag-value wire codec, request building, and the full
 response verification chain: delegation certificate signature, signed
 response signature, Merkle inclusion of the request nonce, and the
 delegation validity window.  The client returns a measurement only
-after all four checks pass.  A delegation certificate is verified once per
-long-term key and reused while later responses repeat its bytes; the
-response signature, Merkle path and validity window are checked on every
-poll.  The wire constants are those of IETF draft 07.
+after all four checks pass.  A delegation certificate is verified, and
+its delegated key loaded, once per long-term key and reused while later
+responses repeat its bytes; the response signature, Merkle path and
+validity window are checked on every poll.  The wire constants are those
+of IETF draft 07.  Every hash comes from cryptography and every nonce
+from os.urandom, so a polling process maps cryptography's OpenSSL alone
+and not the interpreter's libcrypto, which hashlib and secrets would load.
 """
 
 from __future__ import annotations
 
-import secrets
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from hashlib import sha512
 from typing import Callable, Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -24,6 +26,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.hashes import SHA512, Hash
 
 from .receiver_feed import RoughtimeMeasurement
 from .timebase import MonotonicInstant, SignedDuration, Timestamp
@@ -93,8 +96,15 @@ DELEGATION_CONTEXT = b"RoughTime v1 delegation signature--\x00"
 RESPONSE_CONTEXT = b"RoughTime v1 response signature\x00"
 
 
+# An empty SHA-512 context, never updated: each hash starts from a copy,
+# which costs less than building a context.
+_SHA512 = Hash(SHA512())
+
+
 def _digest(data: bytes) -> bytes:
-    return sha512(data).digest()[:HASH_TRUNC]
+    h = _SHA512.copy()
+    h.update(data)
+    return h.finalize()[:HASH_TRUNC]
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,7 @@ class RoughtimeServerKey:
 
     @cached_property
     def fingerprint(self) -> str:
-        return sha512(self.public_key).hexdigest()[:16]
+        return _digest(self.public_key)[:8].hex()
 
 
 # -- tag-value codec --------------------------------------------------------
@@ -197,7 +207,7 @@ def require_tag(msg: dict[int, bytes], tag: int, size: Optional[int] = None) -> 
 
 
 def make_nonce() -> bytes:
-    return secrets.token_bytes(32)
+    return os.urandom(32)
 
 
 def _request_template() -> tuple[bytes, bytes]:
@@ -250,11 +260,14 @@ def merkle_root_from_path(nonce: bytes, index: int, path: bytes) -> bytes:
     """
     if len(path) % HASH_TRUNC != 0:
         raise CodecError(f"PATH length {len(path)} not a multiple of {HASH_TRUNC}")
-    node = sha512(LEAF_PREFIX + nonce).digest()[:HASH_TRUNC]
+    h = _SHA512.copy()
+    h.update(LEAF_PREFIX + nonce)
+    node = h.finalize()[:HASH_TRUNC]
     for i in range(0, len(path), HASH_TRUNC):
         sibling = path[i : i + HASH_TRUNC]
-        pair = sibling + node if index & 1 else node + sibling
-        node = sha512(NODE_PREFIX + pair).digest()[:HASH_TRUNC]
+        h = _SHA512.copy()
+        h.update(NODE_PREFIX + sibling + node if index & 1 else NODE_PREFIX + node + sibling)
+        node = h.finalize()[:HASH_TRUNC]
         index >>= 1
     return node
 
@@ -285,13 +298,16 @@ def merkle_path(levels: list[list[bytes]], index: int) -> bytes:
 
 
 @lru_cache(maxsize=16)
-def _verify_certificate(public_key: bytes, cert_raw: bytes) -> tuple[bytes, int, int]:
-    """(PUBK, MINT, MAXT) of a delegation certificate signed by public_key.
+def _verify_certificate(
+    public_key: bytes, cert_raw: bytes
+) -> tuple[Ed25519PublicKey, int, int]:
+    """(delegated key, MINT, MAXT) of a delegation certificate signed by
+    public_key; the delegated key is PUBK, loaded.
 
-    A server keeps one certificate for hours, so its verdict is cached on
-    the exact (key, certificate bytes).  Ed25519 verification is
-    a deterministic function of those inputs, so a hit returns what a
-    fresh verify would.  Failures raise and are not cached.
+    A server keeps one certificate for hours, so its verdict and its loaded
+    key are cached on the exact (key, certificate bytes).  Ed25519
+    verification is a deterministic function of those inputs, so a hit
+    returns what a fresh verify would.  Failures raise and are not cached.
     """
     cert = decode_message(cert_raw)
     cert_sig = require_tag(cert, TAG_SIG, 64)
@@ -307,7 +323,7 @@ def _verify_certificate(public_key: bytes, cert_raw: bytes) -> tuple[bytes, int,
         )
     except InvalidSignature:
         raise CertSignatureError("delegation certificate signature invalid") from None
-    return pubk, mint, maxt
+    return Ed25519PublicKey.from_public_bytes(pubk), mint, maxt
 
 
 def verify_response(
@@ -333,10 +349,10 @@ def verify_response(
     cert_raw = require_tag(msg, TAG_CERT)
     index = _U32.unpack(require_tag(msg, TAG_INDX, 4))[0]
 
-    pubk, mint, maxt = _verify_certificate(key.public_key, cert_raw)
+    delegated, mint, maxt = _verify_certificate(key.public_key, cert_raw)
 
     try:
-        Ed25519PublicKey.from_public_bytes(pubk).verify(sig, RESPONSE_CONTEXT + srep_raw)
+        delegated.verify(sig, RESPONSE_CONTEXT + srep_raw)
     except InvalidSignature:
         raise ResponseSignatureError("signed response signature invalid") from None
 

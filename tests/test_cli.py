@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr
 from dataclasses import replace
 
@@ -24,7 +25,15 @@ from test_scripts import checkout_env
 
 from timeguard import cli, provider_nts, provider_roughtime
 from timeguard.attack_sim import builtin_scenarios, gen_scenario
-from timeguard.cli import EXIT_ATTACK, EXIT_CLEAN, EXIT_ERROR, _nts_poller, main, udp_transport
+from timeguard.cli import (
+    EXIT_ATTACK,
+    EXIT_CLEAN,
+    EXIT_ERROR,
+    FEED_LINE_LIMIT,
+    _nts_poller,
+    main,
+    udp_transport,
+)
 from timeguard.config import ConfigFileError, default_config, load_config, load_scenario
 from timeguard.orchestrator import transition_to_json
 from timeguard.pipeline import run_scenario, scenario_inputs, transition_writer
@@ -249,12 +258,46 @@ nts_query(session, transport=nts.transport, target_cookies=session.cookie_count(
 """
 
 
+# the standard library's crypto modules: hashlib loads _hashlib, and with it
+# the interpreter's libcrypto; secrets imports hmac, which imports hashlib
+STDLIB_CRYPTO_AFTER = """\
+print("stdlib crypto:", *[m for m in ("hashlib", "secrets", "hmac")
+                          if m in sys.modules and m not in modules_before], file=sys.stderr)
+"""
+
+
 def test_in_process_polls_load_no_tls_stack():
-    # only an NTS-KE handshake opens TLS; the clients' crypto maps libcrypto
-    proc, loaded, mapped = footprint(FOOTPRINT_BEFORE + POLL_IN_PROCESS + FOOTPRINT_AFTER)
+    # only an NTS-KE handshake opens TLS or maps the interpreter's libcrypto:
+    # the clients hash with cryptography, whose OpenSSL is its own, and draw
+    # random bytes from os.urandom
+    proc, loaded, mapped = footprint(FOOTPRINT_BEFORE + POLL_IN_PROCESS + FOOTPRINT_AFTER
+                                     + STDLIB_CRYPTO_AFTER)
     assert proc.returncode == 0, proc.stderr
-    assert loaded == ["cryptography", "_hashlib"]
-    assert mapped in (["libcrypto"], None)
+    assert loaded == ["cryptography"]
+    assert mapped in ([], None)
+    assert "stdlib crypto:\n" in proc.stderr, proc.stderr
+
+
+def test_live_polling_roughtime_maps_no_openssl_library(tmp_path):
+    # with no NTS server configured, live's polls load cryptography and the
+    # UDP socket, and neither _hashlib nor either OpenSSL library
+    rt_server = RoughtimeTestServer()
+    with udp(rt_server) as rt_port:
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            PINNED_CFG
+            + "\n[providers]\n"
+            + f"roughtime_host = {LOCALHOST}\nroughtime_port = {rt_port}\n"
+            + "roughtime_pubkey_b64 = "
+            + base64.b64encode(rt_server.server_key.public_key).decode() + "\n"
+        )
+        feed = write_feed(tmp_path, [epoch_line(e) for e in range(3)])
+        proc, loaded, mapped = loaded_modules("live", "--feed", feed, "--config", str(cfg))
+    assert proc.returncode == EXIT_CLEAN, proc.stderr
+    assert [json.loads(line)["test"] for line in proc.stdout.splitlines()] == ["rt"]
+    assert "poll failed" not in proc.stderr
+    assert loaded == ["cryptography", "socket"]
+    assert mapped in ([], None)
 
 
 # -- simulate ----------------------------------------------------------------
@@ -1143,12 +1186,16 @@ def bad_lines(draw, pos):
 
 def live_outputs(tmp, lines):
     """Exit code, verdicts.jsonl, transitions.jsonl and stderr of live over lines."""
+    return live_feed_outputs(tmp, write_feed(tmp, lines))
+
+
+def live_feed_outputs(tmp, feed):
+    """live_outputs over the feed file feed."""
     cfg, out = tmp / "pin.ini", tmp / "out"
     cfg.write_text(PINNED_CFG)
     err = io.StringIO()
     with redirect_stderr(err):
-        rc = main(["live", "--feed", write_feed(tmp, lines), "--config", str(cfg),
-                   "--out-dir", str(out)])
+        rc = main(["live", "--feed", feed, "--config", str(cfg), "--out-dir", str(out)])
     return (rc, (out / "verdicts.jsonl").read_text(), (out / "transitions.jsonl").read_text(),
             err.getvalue())
 
@@ -1187,6 +1234,43 @@ def test_live_refuses_every_corrupted_field(clean_live, tmp_path):
     rc, verdicts, transitions, err = live_outputs(tmp_path, lines)
     assert (rc, verdicts, transitions) == clean_live[:3]
     assert len(refusals(err)) == len(bad), err
+
+
+LONG_LINE_REFUSAL = f"timeguard: feed line longer than {FEED_LINE_LIMIT} characters, skipped"
+
+
+def test_live_drops_a_16_mib_line_in_memory_bounded_by_the_limit(clean_live, tmp_path):
+    # one line of 16 MiB, with no line end for 2,048 reads, between epoch
+    # lines: live holds at most the limit of it, refuses it once, and applies
+    # the lines around it as it does without it
+    feed = tmp_path / "feed.jsonl"
+    with open(feed, "w") as fh:
+        fh.writelines(line + "\n" for line in CLEAN_FEED[:3])
+        for _ in range(16):
+            fh.write('{"type": "rt", "source_id": "' + "x" * (1 << 20))
+        fh.write('"}\n')
+        fh.writelines(line + "\n" for line in CLEAN_FEED[3:])
+    tracemalloc.start()
+    try:
+        rc, verdicts, transitions, err = live_feed_outputs(tmp_path, str(feed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, verdicts, transitions) == clean_live[:3]
+    assert refusals(err) == [LONG_LINE_REFUSAL], err
+    assert peak < 4 * FEED_LINE_LIMIT, peak
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_a_line_is_refused_for_its_length_only_past_the_limit(end, tmp_path):
+    # at the limit a line is read, here refused as JSON; one character more
+    # and it is refused unread, whether a line end or the feed's end ends it
+    lines = [epoch_line(0), "x" * FEED_LINE_LIMIT, epoch_line(1), "x" * (FEED_LINE_LIMIT + 1)]
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("\n".join(lines) + end)
+    rc, _, _, err = live_feed_outputs(tmp_path, str(feed))
+    assert rc == EXIT_CLEAN
+    assert refusals(err) == ["timeguard: unparseable feed line, skipped", LONG_LINE_REFUSAL], err
 
 
 def test_a_line_without_source_id_reads_as_one_with_the_default_id():

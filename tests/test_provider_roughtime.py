@@ -41,7 +41,11 @@ from timeguard.provider_roughtime import (
     encode_message,
     frame_packet,
     make_nonce,
+    merkle_build,
     merkle_leaf,
+    merkle_node,
+    merkle_path,
+    merkle_root_from_path,
     poll,
     unframe_packet,
     verify_response,
@@ -266,6 +270,35 @@ def test_single_leaf_root_is_leaf_hash():
     assert root == expect == merkle_leaf(nonce)
 
 
+def sha512_32(data):
+    return hashlib.sha512(data).digest()[:32]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 64])
+def test_the_merkle_hashes_are_truncated_sha512(batch):
+    # known answers from hashlib: the client hashes with cryptography
+    nonces = [bytes([i]) * 32 for i in range(batch)]
+    level = [sha512_32(b"\x00" + n) for n in nonces]
+    while len(level) & (len(level) - 1):
+        level.append(bytes(32))
+    levels = [level]
+    while len(level) > 1:
+        level = [sha512_32(b"\x01" + level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    assert [merkle_leaf(n) for n in nonces] == levels[0][:batch]
+    assert merkle_build(levels[0][:batch]) == levels
+    for a, b in zip(levels[0], levels[0][1:]):
+        assert merkle_node(a, b) == sha512_32(b"\x01" + a + b)
+    for i, nonce in enumerate(nonces):
+        assert merkle_root_from_path(nonce, i, merkle_path(levels, i)) == levels[-1][0]
+
+
+def test_the_fingerprint_is_the_key_hash_head():
+    key = RoughtimeServerKey(bytes(range(32)))
+    assert key.fingerprint == hashlib.sha512(bytes(range(32))).hexdigest()[:16]
+    assert key.fingerprint == "3d94eea49c580aef"
+
+
 def test_verify_wrong_longterm_key():
     server = RoughtimeTestServer()
     other = RoughtimeTestServer()
@@ -364,7 +397,8 @@ def warm_exchange(server):
 
 
 def count_key_loads(monkeypatch):
-    """Each public key verify_response loads, i.e. each Ed25519 verify it runs."""
+    """Each public key verify_response loads: the long-term key of each
+    certificate it verifies, then that certificate's delegated key."""
     loads = []
     real = provider_roughtime.Ed25519PublicKey.from_public_bytes
 
@@ -417,8 +451,8 @@ def test_cached_window_still_refuses_a_later_midpoint_outside_it(monkeypatch):
         with pytest.raises(DelegationWindowError):
             verify_response(rebuild(server, resp, midp=midp), nonce, server.server_key,
                             MonotonicInstant(0))
-    # the window came from the cache: only the delegated key was loaded
-    assert loads == [server.delegated_key.public_key().public_bytes_raw()] * 2
+    # the window and the delegated key came from the cache: no key was loaded
+    assert loads == []
     m = verify_response(rebuild(server, resp, midp=1_689_120_000 + 100), nonce,
                         server.server_key, MonotonicInstant(0))
     assert m.midpoint == Timestamp.from_unix_s(1_689_120_000 + 100)
@@ -432,7 +466,8 @@ def test_polls_repeating_a_certificate_verify_it_once(monkeypatch):
         poll(server.server_key, transport=server.transport)
     root = server.server_key.public_key
     delegated = server.delegated_key.public_key().public_bytes_raw()
-    assert loads == [root] + [delegated] * n
+    # the delegated key is loaded with its certificate, once
+    assert loads == [root, delegated]
 
 
 def test_measurement_rejects_negative_radius():

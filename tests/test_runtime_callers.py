@@ -365,6 +365,22 @@ def test_the_filter_imports_no_numpy():
     assert not found, found
 
 
+_STDLIB_CRYPTO = {"hashlib", "_hashlib", "secrets", "hmac"}
+
+
+def test_the_provider_clients_import_no_stdlib_crypto():
+    """The provider clients hash with cryptography and draw random bytes
+    from os.urandom.  hashlib, and secrets through hmac, would map the
+    interpreter's libcrypto beside the OpenSSL linked into cryptography, so
+    neither client imports them anywhere, not inside a function either."""
+    found = []
+    for path in (PACKAGE / "provider_roughtime.py", PACKAGE / "provider_nts.py"):
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            found += [f"{path.name}:{n.lineno} imports {name}"
+                      for name in _imported(n) if name in _STDLIB_CRYPTO]
+    assert not found, found
+
+
 # -- checked records are built through their check -----------------------------
 
 _UNCHECKED_BUILDERS = {"_make", "_replace"}
