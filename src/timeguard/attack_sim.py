@@ -33,6 +33,11 @@ ATTACK_KINDS = ("none", "step", "incremental", "smooth_pull", "meacon_delay")
 NETWORK_MODES = ("always_on", "down", "provider_compromise")
 
 
+# the longest run (s) and the largest attack offset (s) a spec may ask for
+MAX_RUN_S = 4e9
+MAX_OFFSET_S = 1e9
+
+
 class SpecValidationError(ValueError):
     """Scenario parameters out of range; message lists the fields."""
 
@@ -84,8 +89,19 @@ class ScenarioSpec:
             problems.append("duration_epochs must be >= 1")
         if self.epoch_period_s <= 0:
             problems.append("epoch_period_s must be positive")
-        if self.benign_jitter_sigma_s < 0:
-            problems.append("benign_jitter_sigma_s must be non-negative")
+        # these keep every clock term in int64 ns and every offset finite; NaN fails each
+        span_s = self.duration_epochs * self.epoch_period_s
+        if not span_s <= MAX_RUN_S:
+            problems.append("duration_epochs * epoch_period_s must be <= 4e9 s, "
+                            f"got {shown(span_s)}")
+        reach_s = abs(self.attack.offset_s)
+        if self.attack.kind == "incremental":
+            reach_s *= self.duration_epochs
+        if not reach_s <= MAX_OFFSET_S:
+            problems.append(f"attack.offset_s must keep the offset within 1e9 s, "
+                            f"got {shown(self.attack.offset_s)}")
+        if not 0 <= self.benign_jitter_sigma_s < 1:
+            problems.append("benign_jitter_sigma_s must lie in [0, 1) s")
         if self.attack.kind not in ATTACK_KINDS:
             problems.append(f"attack.kind {self.attack.kind!r} unknown")
         if self.attack.kind != "none" and not 0 <= self.attack.onset_epoch < self.duration_epochs:
@@ -214,59 +230,29 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
     gnss_offset += jitter
     del jitter
     # The local monotonic clock runs on the simulated oscillator: each epoch
-    # reads round(elapsed_s * 1e9) + round(bias_s * 1e9) ns.  np.rint rounds
-    # both terms for the whole run, half-even as round() does the same
-    # doubles; a product past the float range is not finite.
-    with np.errstate(over="ignore"):
-        elapsed_ns = np.arange(n, dtype=np.float64)
-        elapsed_ns *= period
-        elapsed_ns *= 1e9
-        np.rint(elapsed_ns, out=elapsed_ns)
-        bias_ns = osc_bias
-        bias_ns *= 1e9
-        np.rint(bias_ns, out=bias_ns)
+    # reads round(e * period * 1e9) + round(bias_s * 1e9) ns, np.rint rounding
+    # half-even as round() does.  The spec bounds the first term by 4e18 ns and
+    # the oscillator, set only in code, is bounded here: the int64 sum cannot wrap.
+    if not np.abs(osc_bias).max() <= MAX_RUN_S:
+        raise SpecValidationError("oscillator drives the simulated clock bias past 4e9 s")
+    mono_ns = np.rint(np.arange(n, dtype=np.float64) * period * 1e9).astype(np.int64)
+    mono_ns += np.rint(osc_bias * 1e9).astype(np.int64)
     del osc_bias
-    # The loop builds the epochs before the first one with a value that is
-    # not finite, which its conversions then refuse, after the loop.
-    finite = np.isfinite(elapsed_ns)
-    finite &= np.isfinite(bias_ns)
-    finite &= np.isfinite(gnss_offset)
-    stop = n if finite.all() else int(finite.argmin())
-    del finite
-    refused = [float(a[stop]) for a in (elapsed_ns, bias_ns, gnss_offset)] if stop < n else None
-    elapsed_ns, bias_ns, gnss_offset = elapsed_ns[:stop], bias_ns[:stop], gnss_offset[:stop]
-    # The terms add exactly in int64 while each is below 2^62 ns (146 years).
     # The loop converts each sum to an int as it reaches it, so the ints the
     # epochs keep are allocated among the epochs' other objects: a list of
     # them all, made before the loop, raised simulate's peak RSS by 0.3 MiB.
-    if max(elapsed_ns.max(initial=0.0), bias_ns.max(initial=0.0),
-           -bias_ns.min(initial=0.0)) < 2.0**62:
-        mono_ns = elapsed_ns.astype(np.int64)
-        del elapsed_ns
-        mono_ns += bias_ns.astype(np.int64)
-        mono_ns = map(int, mono_ns)
-    else:
-        mono_ns = [int(a) + int(b) for a, b in zip(elapsed_ns.tolist(), bias_ns.tolist())]
-        del elapsed_ns
-    del bias_ns
+    mono_ns = map(int, mono_ns)
     nts_poll = spec.nts_poll_epochs
     nts_offsets = gnss_offset[::nts_poll].tolist()
-    # Each offset in units as units_from_s converts it: the product, rounded
-    # half-even, below 1e280 s, and the exact ratio from there, whose instant
-    # lies past the 128-bit range.  Offsets under 0.5 s, a benign run's, go
-    # to ints through int64 with no list of floats between.
-    fast = np.abs(gnss_offset) < 1e280
-    units = np.where(fast, gnss_offset, 0.0)
-    units *= 2.0**64
-    np.rint(units, out=units)
-    if np.abs(units).max(initial=0.0) < 2.0**63:
+    # Each offset in units as units_from_s converts it, the product rounded
+    # half-even.  A benign run's go to ints through int64; a 4 s step's pass
+    # 2^63 units, so they go through a list of floats.
+    units = np.rint(gnss_offset * 2.0**64)
+    del gnss_offset
+    if np.abs(units).max() < 2.0**63:
         offset_units = units.astype(np.int64).tolist()
     else:
         offset_units = list(map(int, units.tolist()))
-    del units
-    for e in np.flatnonzero(~fast).tolist():
-        offset_units[e] = units_from_s(float(gnss_offset[e]))
-    del fast, gnss_offset
     rt_radius = SignedDuration.from_s(spec.rt_radius_s)
     epochs = []
     rt_responses = {}
@@ -300,17 +286,7 @@ def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
                 t_mono_rx=t_mono,
                 server_id="nts-sim",
             )
-    if refused is not None:  # round() refuses a clock term, units_from_s an offset
-        elapsed, bias, offset = refused
-        units_from_s(stop * period)
-        MonotonicInstant(round(elapsed) + round(bias))
-        units_from_s(offset)
-    return SimOutputs(
-        spec=spec,
-        epochs=epochs,
-        rt_responses=rt_responses,
-        nts_responses=nts_responses,
-    )
+    return SimOutputs(spec, epochs, rt_responses, nts_responses)
 
 
 # -- output files -----------------------------------------------------------

@@ -40,8 +40,8 @@ class EnsembleConfig(OscillatorSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.gate_k <= 0:
-            raise ConfigFileError("ensemble.gate_k must be positive")
+        if not (math.isfinite(self.gate_k) and self.gate_k > 0):  # kf_update relies on it
+            raise ConfigFileError("ensemble.gate_k must be finite and positive")
         if self.sigma_meas_s < 0:
             raise ConfigFileError("ensemble.sigma_meas_s must be >= 0")
         if not math.isfinite(self.sigma_meas_s * self.sigma_meas_s):  # the readout variance

@@ -21,15 +21,10 @@ from typing import NamedTuple
 
 # relative tolerance for the symmetric-PSD state invariant
 PSD_RTOL = 1e-12
-_INF = math.inf  # for the one-comparison checks of a plain float
 
 
 class FilterDomainError(Exception):
     """Invalid filter input (negative tau, bad noise densities)."""
-
-
-class MeasurementError(Exception):
-    """A measurement that is not one finite number, or a negative variance."""
 
 
 @dataclass(frozen=True)
@@ -106,11 +101,6 @@ def kf_init(bias: float = 0.0, drift: float = 0.0) -> ClockKfState:
     return ClockKfState(float(bias), float(drift), 1e-6**2, 0.0, 1e-9**2)
 
 
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau >= 0):
-        raise FilterDomainError(f"tau must be finite and >= 0, got {tau}")
-
-
 def _predicted(state: ClockKfState, osc: OscillatorSpec, tau: float) -> tuple[float, ...]:
     """The state's fields tau seconds ahead: x = F x, P = F P F^T + Q(tau)."""
     # one unpacking: a tuple field read by name costs several times as much
@@ -124,29 +114,11 @@ def _predicted(state: ClockKfState, osc: OscillatorSpec, tau: float) -> tuple[fl
 
 def kf_predict(state: ClockKfState, osc: OscillatorSpec, tau: float) -> ClockKfState:
     """Propagate the state tau seconds forward under osc: x = F x, P = F P F^T + Q(tau)."""
-    _check_tau(tau)
+    if not (math.isfinite(tau) and tau >= 0):
+        raise FilterDomainError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0:
         return state
     return ClockKfState(*_predicted(state, osc, tau))
-
-
-# kf_update's checks of its gate, its bias and its variance, in that order
-def _check_inputs(gate_k, z, r_meas) -> None:
-    try:
-        ok = math.isfinite(gate_k) and gate_k >= 0
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise MeasurementError(f"gate_k must be finite and >= 0, got {gate_k}")
-    try:
-        ok = (isinstance(z, (int, float)) and math.isfinite(z)
-              and isinstance(r_meas, (int, float)) and math.isfinite(r_meas) and r_meas >= 0)
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise MeasurementError(
-            f"need one finite bias and one finite variance >= 0, got {z!r} and {r_meas!r}"
-        )
 
 
 class KfUpdate(NamedTuple):
@@ -166,25 +138,24 @@ def kf_update(
 ) -> KfUpdate:
     """Predict tau seconds forward under osc, as kf_predict does, then a gated update.
 
-    The prediction makes the same checks as kf_predict, in the same
-    order, and the same floats, but builds no state of its own: the one
-    state built is the updated one, or the predicted one when the gate
-    rejects.
+    The prediction makes kf_predict's covariance check and the same
+    floats, but builds no state of its own: the one state built is the
+    updated one, or the predicted one when the gate rejects.
 
-    z is a measured bias (s) and r_meas its variance, each an int or a
-    float (numpy.float64 is one); anything else, a non-finite value or a
-    negative variance raises MeasurementError.  The update is applied
-    only if the innovation z - bias lies within gate_k standard
-    deviations of its predicted spread, sqrt(S) with S = p00 + r_meas;
-    otherwise the predicted state is returned with accepted=False.
+    z is a measured bias (s) and r_meas its variance.  All four numbers
+    are finite floats, with r_meas > 0, gate_k > 0 and tau >= 0, as
+    pipeline.Monitor, the one caller, passes them: EnsembleConfig refuses
+    a bad gate or readout noise when built, and tau comes from ordered
+    nanoseconds.  None is checked here.  The update is applied only if
+    the innovation z - bias lies within gate_k standard deviations of its
+    predicted spread, sqrt(S) with S = p00 + r_meas; otherwise the
+    predicted state is returned with accepted=False.
 
     With H = [1, 0] the gain is K = [p00, p01] / S, and the Joseph form
     P = (I - K H) P (I - K H)^T + K r K^T is written out entry by entry;
     it keeps P symmetric and PSD even when K is off its optimum by
     rounding.
     """
-    if not (type(tau) is float and 0.0 <= tau < _INF):  # one comparison for a plain float
-        _check_tau(tau)
     if tau == 0:
         bias, drift, p00, p01, p11 = state
     else:
@@ -193,12 +164,6 @@ def kf_update(
         # the predicted covariance that an accepted update never builds
         if not 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) >= -PSD_RTOL:
             _check_psd(p00, p01, p11)
-    # the checks of _check_inputs, as one comparison each for plain floats,
-    # which need no conversion
-    if not (type(gate_k) is float and 0.0 <= gate_k < _INF and type(r_meas) is float
-            and 0.0 <= r_meas < _INF and type(z) is float and -_INF < z < _INF):
-        _check_inputs(gate_k, z, r_meas)
-        z, r_meas = float(z), float(r_meas)
     innovation = z - bias
     S = p00 + r_meas
     if not abs(innovation) <= gate_k * math.sqrt(max(S, 0.0)):

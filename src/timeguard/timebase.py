@@ -21,6 +21,7 @@ FRAC_UNIT = 1 << FRAC_BITS  # units per second
 _UNITS_MIN = -(1 << 127)
 _UNITS_MAX = (1 << 127) - 1
 NS_PER_S = 10**9
+_RAW = getattr(time, "CLOCK_MONOTONIC_RAW", None)  # Linux's unslewed clock
 # the most characters of a refused value that an error message quotes, so
 # that a hostile input's message stays short however long the value is
 _SHOWN_MAX = 64
@@ -179,7 +180,9 @@ class MonotonicInstant:
 
     @classmethod
     def now(cls) -> "MonotonicInstant":
-        return cls(time.monotonic_ns())
+        """The host's CLOCK_MONOTONIC_RAW where time has it, else time.monotonic_ns():
+        clock discipline slews CLOCK_MONOTONIC, and may be steered from GNSS."""
+        return cls(time.monotonic_ns() if _RAW is None else time.clock_gettime_ns(_RAW))
 
     def elapsed_s(self, earlier: "MonotonicInstant") -> float:
         return (self.nanoseconds - earlier.nanoseconds) / NS_PER_S

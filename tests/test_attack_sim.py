@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -19,6 +19,9 @@ from timeguard.attack_sim import (
     _STREAM_JITTER,
     _STREAM_NETWORK,
     _STREAM_OSCILLATOR,
+    ATTACK_KINDS,
+    MAX_OFFSET_S,
+    MAX_RUN_S,
     PRNG_ID,
     AttackSpec,
     NetworkSpec,
@@ -36,8 +39,7 @@ from timeguard.attack_sim import (
 )
 from timeguard.ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise
 from timeguard.receiver_feed import EpochRecord, epoch_from_json
-from timeguard.timebase import (MonotonicInstant, SignedDuration, Timestamp, TimeRangeError,
-                                ts_add, ts_diff)
+from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add, ts_diff
 
 STEP = AttackSpec(kind="step", offset_s=4.0, onset_epoch=100)
 INCR = AttackSpec(kind="incremental", offset_s=2e-6, onset_epoch=100, every_k=30)
@@ -253,8 +255,7 @@ ORACLE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[s.name for s in ORACLE_SPECS])
-def test_generation_matches_the_ts_add_reference(spec):
+def assert_generates_as_reference(spec):
     # generation adds integer units; the reference rounds through ts_add
     epochs, midpoints, nts_offsets = reference_outputs(spec)
     out = gen_scenario(spec)
@@ -263,32 +264,113 @@ def test_generation_matches_the_ts_add_reference(spec):
     assert {e: m.offset for e, m in out.nts_responses.items()} == nts_offsets
 
 
-# A GNSS offset that units_from_s converts through its exact ratio (1e280 s
-# and up, an infinity, NaN) is refused at its epoch: its instant lies past the
-# 128-bit range, or it has no units at all.  The messages are the ones each
-# refusal gave while generation converted one offset at a time.
-REFUSED_OFFSETS = [
-    (1e279, TimeRangeError, "timestamp out of 128-bit range: "
-     "1844674407370955268541848570655737318080917919027456260302874442..."),
-    (1e300, TimeRangeError, "timestamp out of 128-bit range: "
-     "1844674407370955258454187507923294411296321052498303225103124211..."),
-    (1.7e308, TimeRangeError, "timestamp out of 128-bit range: "
-     "3135946492530623661882734472093417113853440874477804667436034970..."),
-    (math.inf, OverflowError, "cannot convert Infinity to integer ratio"),
-    (math.nan, ValueError, "cannot convert NaN to integer ratio"),
-]
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[s.name for s in ORACLE_SPECS])
+def test_generation_matches_the_ts_add_reference(spec):
+    assert_generates_as_reference(spec)
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("offset_s, error, message", REFUSED_OFFSETS,
-                         ids=[repr(o) for o, _, _ in REFUSED_OFFSETS])
-def test_generation_refuses_an_offset_past_the_timestamp_range(offset_s, error, message):
-    spec = ScenarioSpec(name="refused", duration_epochs=40, seed=3,
-                        attack=AttackSpec(kind="step", offset_s=offset_s, onset_epoch=12))
-    with pytest.raises(error) as refused:
+def largest_within(bound: float, factor: int) -> float:
+    """The largest float x with x * factor <= bound, as the spec multiplies."""
+    x = bound / factor
+    while x * factor > bound:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+NETWORKS = [NetworkSpec(), NetworkSpec(mode="provider_compromise", provider_bias_s=3e-4),
+            NetworkSpec(mode="down", down_from_epoch=2, down_to_epoch=9)]
+
+
+@st.composite
+def spec_fields(draw) -> dict:
+    """ScenarioSpec keywords inside every bound, short runs at their edges
+    included: offsets at 1e9 s, periods that take the run to 4e9 s, jitter
+    just under 1 s, and 4 s steps."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(ATTACK_KINDS))
+    reach = largest_within(MAX_OFFSET_S, n if kind == "incremental" else 1)
+    longest = largest_within(MAX_RUN_S, n)
+    return dict(
+        name="drawn", duration_epochs=n,
+        epoch_period_s=draw(st.one_of(st.sampled_from([0.1, 1.0, longest]),
+                                      st.floats(1e-3, 10.0), st.floats(0.5 * longest, longest))),
+        benign_jitter_sigma_s=draw(st.one_of(
+            st.sampled_from([0.0, 10e-9, math.nextafter(1.0, 0.0)]),
+            st.floats(0.0, 1.0, exclude_max=True))),
+        attack=AttackSpec(
+            kind=kind, onset_epoch=draw(st.integers(0, n - 1)),
+            offset_s=draw(st.one_of(st.sampled_from([4.0, -4.0, reach, -reach]),
+                                    st.floats(-reach, reach), st.floats(-1e-5, 1e-5))),
+            every_k=draw(st.integers(1, 5)), span_epochs=draw(st.integers(1, 40))),
+        network=draw(st.sampled_from(NETWORKS)),
+        rt_poll_epochs=draw(st.integers(1, 7)), nts_poll_epochs=draw(st.integers(1, 7)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@given(spec_fields())
+@settings(max_examples=150, deadline=None)
+def test_every_accepted_spec_generates_as_the_reference_does(fields):
+    assert_generates_as_reference(ScenarioSpec(**fields))
+
+
+@st.composite
+def one_field_past_its_bound(draw) -> tuple:
+    """(ScenarioSpec keywords with exactly one bound broken, the field it names)."""
+    fields = draw(spec_fields())
+    n, attack = fields["duration_epochs"], fields["attack"]
+    field = draw(st.sampled_from(["run", "attack.offset_s", "benign_jitter_sigma_s"]))
+    if field == "run":
+        fields["epoch_period_s"] = draw(st.one_of(
+            st.just(math.nextafter(largest_within(MAX_RUN_S, n), math.inf)),
+            st.floats(MAX_RUN_S / n * 1.01, 1e300), st.sampled_from([math.inf, math.nan])))
+        return fields, "duration_epochs * epoch_period_s"
+    if field == "attack.offset_s":
+        reach = largest_within(MAX_OFFSET_S, n if attack.kind == "incremental" else 1)
+        offset = draw(st.one_of(
+            st.just(math.nextafter(reach, math.inf)),
+            st.floats(reach, 2 * reach, exclude_min=True), st.floats(reach * 1.01, 1e300),
+            st.sampled_from([math.inf, math.nan])))
+        offset *= draw(st.sampled_from([1.0, -1.0]))
+        fields["attack"] = dataclasses.replace(attack, offset_s=offset)
+        return fields, field
+    fields[field] = draw(st.one_of(st.floats(1.0, 1e300), st.sampled_from([math.inf, math.nan])))
+    return fields, field
+
+
+@given(one_field_past_its_bound())
+# ten epochs of 1.01e8 s pass 1e9 s: the incremental bound counts every epoch
+@example((dict(name="drawn", duration_epochs=10,
+               attack=AttackSpec(kind="incremental", offset_s=1.01e8)), "attack.offset_s"))
+@settings(max_examples=300)
+def test_every_spec_past_a_bound_is_refused_naming_its_field(case):
+    fields, field = case
+    with pytest.raises(SpecValidationError) as refused:
+        ScenarioSpec(**fields)
+    # one refusal, and it names the field
+    assert str(refused.value).startswith(field + " must") and "; " not in str(refused.value)
+
+
+def test_an_oscillator_past_the_clock_range_is_refused_before_any_epoch_is_built():
+    # set only in code, so bounded where generation draws it: 1e10 s per
+    # root second takes the clock bias past 4e9 s in the first steps
+    spec = ScenarioSpec(name="wild", duration_epochs=100, seed=3,
+                        oscillator=OscillatorSpec(q_b=1e20))
+    with pytest.raises(SpecValidationError, match="^oscillator "):
         gen_scenario(spec)
-    assert type(refused.value) is error
-    assert str(refused.value) == message
+
+
+# An offset past 1e9 s, an infinity or NaN is refused when the spec is built,
+# before any epoch's instant could leave the 128-bit range.
+REFUSED_OFFSETS = [1e279, 1e300, 1.7e308, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("offset_s", REFUSED_OFFSETS, ids=repr)
+def test_generation_refuses_an_offset_past_the_timestamp_range(offset_s):
+    message = f"attack.offset_s must keep the offset within 1e9 s, got {offset_s!r}"
+    with pytest.raises(SpecValidationError, match=f"^{re.escape(message)}$"):
+        ScenarioSpec(name="refused", duration_epochs=40, seed=3,
+                     attack=AttackSpec(kind="step", offset_s=offset_s, onset_epoch=12))
 
 
 def test_residual_noise_is_gaussian():

@@ -284,6 +284,14 @@ def test_ensemble_gate_validation():
         EnsembleConfig(gate_k=0.0)
 
 
+@pytest.mark.parametrize("gate_k", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_ensemble_gate_built_in_code_must_be_finite_and_positive(gate_k):
+    # kf_update trusts the gate it is given, so a NaN or infinite one, which
+    # an INI file cannot carry, is refused when the config is built
+    with pytest.raises(ConfigFileError, match="ensemble.gate_k must be finite and positive"):
+        EnsembleConfig(gate_k=gate_k)
+
+
 def test_ensemble_sigma_meas_validation(tmp_path):
     # zero stays allowed: the filter floors the readout noise to 1 ps
     assert load_config(write(tmp_path, "[ensemble]\nsigma_meas_s = 0\n")).ensemble.sigma_meas_s == 0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from timeguard import pipeline
 from timeguard.attack_sim import (
     NetworkSpec,
     ScenarioSpec,
     builtin_scenarios,
     gen_scenario,
 )
-from timeguard.config import config_sha256, default_config
+from timeguard.cli import main
+from timeguard.config import config_sha256, default_config, dump_config
 from timeguard.detector import (
     ConfigError,
     Hypothesis,
@@ -53,7 +56,8 @@ from timeguard.pipeline import (
     transition_writer,
     verdict_writer,
 )
-from timeguard.receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement
+from timeguard.receiver_feed import (EpochRecord, NtsMeasurement, RoughtimeMeasurement,
+                                     feed_input, feed_line)
 from timeguard.timebase import MonotonicInstant, SignedDuration, Timestamp, ts_add
 
 DEFAULT = default_config()
@@ -220,6 +224,51 @@ def test_a_reset_hours_after_the_first_fix_tracks_from_the_last_one(seed):
     _, result = run_scenario(spec, CFG)
     assert [v for v in result.verdicts if v.test == "ll" and v.hypothesis is Hypothesis.H1] == []
     assert result.state.phase is Phase.FINE_MONITORING
+
+
+# -- what kf_update trusts its one caller for ---------------------------------
+
+
+@pytest.fixture()
+def filter_inputs(monkeypatch):
+    """Every (z, r_meas, gate_k, tau) the Monitor hands kf_update during the test."""
+    calls = []
+
+    def recorded(state, osc, z, r_meas, gate_k, tau):
+        calls.append((z, r_meas, gate_k, tau))
+        return kf_update(state, osc, z, r_meas, gate_k, tau)
+
+    monkeypatch.setattr(pipeline, "kf_update", recorded)
+    return calls
+
+
+def assert_trusted(calls):
+    # kf_update checks none of these itself
+    assert calls
+    for inputs in calls:
+        assert all(type(v) is float and math.isfinite(v) for v in inputs), inputs
+        z, r_meas, gate_k, tau = inputs
+        assert r_meas > 0 and gate_k > 0 and tau >= 0, inputs
+
+
+@pytest.mark.parametrize("name", ["step4s", "incr2us"])
+def test_a_simulated_run_hands_kf_update_what_it_trusts(name, filter_inputs):
+    run_scenario(name, CFG)
+    assert_trusted(filter_inputs)
+
+
+def test_a_live_replay_hands_kf_update_what_it_trusts(filter_inputs, tmp_path):
+    spec = ScenarioSpec(name="outage", duration_epochs=400, seed=21,
+                        network=NetworkSpec(mode="down", down_from_epoch=100, down_to_epoch=200))
+    lines = [feed_line(method, args) for method, args in scenario_inputs(gen_scenario(spec))
+             if method != "finish"]
+    assert {feed_input(line)[0] for line in lines} == {"epoch", "roughtime", "nts", "network"}
+    feed, config = tmp_path / "feed.jsonl", tmp_path / "pinned.ini"
+    feed.write_text("".join(line + "\n" for line in lines))
+    config.write_text(dump_config(CFG))
+    main(["live", "--feed", str(feed), "--config", str(config), "--out-dir", str(tmp_path)])
+    assert len(filter_inputs) == spec.duration_epochs
+    assert_trusted(filter_inputs)
 
 
 # -- calibration -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,20 @@ def test_monotonic_elapsed():
     b = MonotonicInstant(3_500)
     assert b.elapsed_s(a) == 2.5e-6
     assert a < b
+
+
+def test_monotonic_now_reads_the_raw_clock_where_there_is_one(monkeypatch):
+    # CLOCK_MONOTONIC is slewed by the host's clock discipline, which a
+    # deployment may steer from the very receiver under test
+    read = []
+    monkeypatch.setattr(time, "clock_gettime_ns", lambda clock: read.append(clock) or 7)
+    monkeypatch.setattr(time, "monotonic_ns", lambda: 11)
+    if hasattr(time, "CLOCK_MONOTONIC_RAW"):
+        assert MonotonicInstant.now() == MonotonicInstant(7)
+        assert read == [time.CLOCK_MONOTONIC_RAW]
+    else:
+        assert MonotonicInstant.now() == MonotonicInstant(11)
+        assert read == []
 
 
 def test_monotonic_now_non_decreasing():
