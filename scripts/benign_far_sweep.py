@@ -9,7 +9,9 @@ to it: the ll window overlaps m epochs, so crossings come in runs.  The
 count over the statistics thinned to one per window length, which do not
 overlap, is held to its own bound; the margin-padded operational
 threshold should see no crossings at all.  Exits 1 when a thinned count
-exceeds its bound or an operational alarm fires.
+exceeds its bound or an operational alarm fires.  Each run's verdicts are
+counted as they arrive and none is kept, so a run of any length sweeps in
+flat memory.
 """
 
 import argparse
@@ -19,15 +21,38 @@ from dataclasses import replace
 
 from scipy.stats import binom
 
-from timeguard.attack_sim import builtin_scenarios, gen_scenario
+from timeguard.attack_sim import builtin_scenarios, stream_scenario
 from timeguard.config import apply_env, load_config
 from timeguard.detector import Hypothesis
-from timeguard.pipeline import calibration_spec, fit_ll, run_scenario
+from timeguard.pipeline import Monitor, calibration_spec, fit_ll, scenario_inputs
 
 
-def over(stats: list, threshold: float, far: float) -> tuple[int, int]:
-    """Crossings of threshold among stats, and their binomial 95% upper bound."""
-    return sum(s >= threshold for s in stats), int(binom.ppf(0.95, len(stats), far))
+class LlTally:
+    """An on_verdict that counts a run's ll statistics as they arrive: all of
+    them and every m-th (thinned), those of each at or over the threshold,
+    the operational alarms, and the largest."""
+
+    def __init__(self, threshold: float, m: int) -> None:
+        self.threshold, self.m = threshold, m
+        self.count = self.exceed = self.thinned = self.exceed_thinned = self.alarms = 0
+        self.worst = float("-inf")
+
+    def __call__(self, verdict) -> None:
+        if verdict.test != "ll":
+            return
+        over = verdict.statistic >= self.threshold
+        if self.count % self.m == 0:
+            self.thinned += 1
+            self.exceed_thinned += over
+        self.count += 1
+        self.exceed += over
+        self.alarms += verdict.hypothesis is Hypothesis.H1
+        self.worst = max(self.worst, verdict.statistic)
+
+
+def bound(n: int, far: float) -> int:
+    """The binomial 95% upper bound on crossings among n statistics."""
+    return int(binom.ppf(0.95, n, far))
 
 
 def main() -> int:
@@ -39,8 +64,8 @@ def main() -> int:
     config = apply_env(load_config(args.config), os.environ)
     far = config.calibration.far
     m = config.detector.ll.m
-    fitted, operational = fit_ll(
-        gen_scenario(calibration_spec(config.calibration.scenario)), config)
+    cal = calibration_spec(config.calibration.scenario)
+    fitted, operational = fit_ll((rec for rec, _, _ in stream_scenario(cal)), config)
     print(f"fitted quantile {fitted.lambda_T!r}, operational {operational.lambda_T!r}")
     pinned = replace(config, detector=replace(config.detector, ll=operational))
 
@@ -49,21 +74,19 @@ def main() -> int:
     failed = False
     for seed in args.seeds:
         spec = replace(base, name=f"benign10k-s{seed}", seed=seed)
-        _, result = run_scenario(spec, pinned)
-        stats = [v.statistic for v in result.verdicts if v.test == "ll"]
-        exceed, bound = over(stats, fitted.lambda_T, far)
-        thinned = stats[::m]
-        exceed_thinned, bound_thinned = over(thinned, fitted.lambda_T, far)
-        alarms = sum(
-            v.test == "ll" and v.hypothesis is Hypothesis.H1 for v in result.verdicts
-        )
-        worst = max(worst, max(stats))
-        ok = exceed_thinned <= bound_thinned and alarms == 0
+        tally = LlTally(fitted.lambda_T, m)
+        monitor = Monitor(pinned, operational, on_verdict=tally)
+        for name, inputs in scenario_inputs(spec):
+            getattr(monitor, name)(*inputs)
+        bound_thinned = bound(tally.thinned, far)
+        worst = max(worst, tally.worst)
+        ok = tally.exceed_thinned <= bound_thinned and tally.alarms == 0
         failed = failed or not ok
         print(
-            f"seed {seed:>5}: {exceed:>3} of {len(stats)} over quantile"
-            f" (95% bound {bound}), thinned by {m}: {exceed_thinned} of {len(thinned)}"
-            f" (95% bound {bound_thinned}), {alarms} operational alarms"
+            f"seed {seed:>5}: {tally.exceed:>3} of {tally.count} over quantile"
+            f" (95% bound {bound(tally.count, far)}), thinned by {m}:"
+            f" {tally.exceed_thinned} of {tally.thinned}"
+            f" (95% bound {bound_thinned}), {tally.alarms} operational alarms"
             f"  {'ok' if ok else 'VIOLATION'}"
         )
     print(f"worst benign statistic {worst!r}")

@@ -6,14 +6,16 @@ incremental, smooth pull, meaconing delay) with exact ground truth.
 Every stream derives from a counter-based PRNG keyed by the scenario
 seed plus a per-component index, so identical specs yield byte-identical
 outputs; the algorithm identifier travels in the output headers.  The
-specs import no numpy; generation loads it.
+specs import no numpy; generation loads it.  A run streams out a block of
+epochs at a time (stream_scenario), so it is generated in flat memory
+whatever its length; gen_scenario collects it whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
 from .ensemble import DEFAULT_OSCILLATOR, OscillatorSpec, process_noise
 from .receiver_feed import EpochRecord, NtsMeasurement, RoughtimeMeasurement, epoch_to_json
@@ -90,13 +92,17 @@ class ScenarioSpec:
         if self.epoch_period_s <= 0:
             problems.append("epoch_period_s must be positive")
         # these keep every clock term in int64 ns and every offset finite; NaN fails each
-        span_s = self.duration_epochs * self.epoch_period_s
+        try:
+            n = float(self.duration_epochs)
+        except OverflowError:  # past the float range, and so past the run bound
+            n = math.inf
+        span_s = n * self.epoch_period_s
         if not span_s <= MAX_RUN_S:
             problems.append("duration_epochs * epoch_period_s must be <= 4e9 s, "
                             f"got {shown(span_s)}")
         reach_s = abs(self.attack.offset_s)
-        if self.attack.kind == "incremental":
-            reach_s *= self.duration_epochs
+        if self.attack.kind == "incremental" and reach_s:  # no 0 * inf: no offset, no reach
+            reach_s *= n
         if not reach_s <= MAX_OFFSET_S:
             problems.append(f"attack.offset_s must keep the offset within 1e9 s, "
                             f"got {shown(self.attack.offset_s)}")
@@ -150,15 +156,14 @@ def attack_offset(attack: AttackSpec, epoch: int) -> float:
     raise SpecValidationError(f"attack.kind {attack.kind!r} unknown")
 
 
-def _chol2(a: float, b: float, c: float) -> np.ndarray:
-    """Lower-triangular square root of the PSD matrix [[a, b], [b, c]], zeros allowed."""
-    import numpy as np
-
+def _chol2(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The terms (l00, l10, l11) of the lower-triangular square root of the
+    PSD matrix [[a, b], [b, c]], zeros allowed."""
     if a <= 0.0:
-        return np.array([[0.0, 0.0], [0.0, math.sqrt(max(c, 0.0))]])
+        return 0.0, 0.0, math.sqrt(max(c, 0.0))
     l00 = math.sqrt(a)
     l10 = b / l00
-    return np.array([[l00, 0.0], [l10, math.sqrt(max(c - l10 * l10, 0.0))]])
+    return l00, l10, math.sqrt(max(c - l10 * l10, 0.0))
 
 
 def simulate_oscillator(
@@ -168,23 +173,31 @@ def simulate_oscillator(
     seed,
     bias0: float = 0.0,
     drift0: float = 0.0,
-) -> np.ndarray:
-    """Free-running clock bias series (s) from the two-state noise model.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Free-running clock bias (s) and drift (s/s) series from the two-state
+    noise model, starting at bias0 and drift0.
 
     Uses the same discrete Q(tau) as the tracking filter, so simulated
     truth and filter assumptions agree exactly.  Each series is one
     np.add.accumulate, which adds one term at a time in order, as the
-    recursion b += d * period + w_b, d += w_d does.
+    recursion b += d * period + w_b, d += w_d does; so a series continued
+    from another's last bias and drift, on the same generator, is that
+    series drawn further.  The noise (w_b, w_d) is the normal pair (z0, z1)
+    times the Cholesky factor, written out per element: a matrix product
+    goes to the machine's BLAS kernel, whose fused multiply-adds would
+    decide the last bit.
     """
     import numpy as np
 
     if n < 1:
         raise SpecValidationError("need at least one epoch")
     rng = seed if isinstance(seed, np.random.Generator) else _stream(seed, _STREAM_OSCILLATOR)
-    chol = _chol2(*process_noise(spec.q_b, spec.q_d, period_s))
-    noise = rng.standard_normal((n - 1, 2)) @ chol.T
-    drift = np.add.accumulate(np.concatenate(([drift0], noise[:, 1])))
-    return np.add.accumulate(np.concatenate(([bias0], drift[:-1] * period_s + noise[:, 0])))
+    l00, l10, l11 = _chol2(*process_noise(spec.q_b, spec.q_d, period_s))
+    z = rng.standard_normal((n - 1, 2))
+    z0, z1 = z[:, 0], z[:, 1]
+    drift = np.add.accumulate(np.concatenate(([drift0], z0 * l10 + z1 * l11)))
+    bias = np.add.accumulate(np.concatenate(([bias0], drift[:-1] * period_s + z0 * l00)))
+    return bias, drift
 
 
 def _stream(seed: int, component: int) -> np.random.Generator:
@@ -195,7 +208,8 @@ def _stream(seed: int, component: int) -> np.random.Generator:
 
 @dataclass
 class SimOutputs:
-    """Everything one scenario produces; ground truth is attack_offset's."""
+    """A whole generated run, held: its spec, its epochs in order, and the
+    Roughtime and NTS replies by epoch index.  Ground truth is attack_offset's."""
 
     spec: ScenarioSpec
     epochs: list
@@ -210,82 +224,103 @@ def network_available(spec: ScenarioSpec, epoch: int) -> bool:
     return True
 
 
-def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
-    """Expand a spec into epoch records and scripted provider responses."""
+# Epochs generated at a time.  A run holds one block's arrays, whatever its
+# length, and reads the same at any block size.
+BLOCK_EPOCHS = 4096
+
+
+def stream_scenario(
+    spec: ScenarioSpec,
+) -> Iterator[tuple[EpochRecord, Optional[RoughtimeMeasurement], Optional[NtsMeasurement]]]:
+    """A spec's run as it is generated: each epoch's record, in order, with its
+    Roughtime and NTS replies, or None where there is no reply.
+
+    Generates BLOCK_EPOCHS epochs at a time.  Each stream draws a block's
+    numbers in the order one draw for the whole run would: the jitter, the
+    oscillator's noise rows continued from the last block's bias and drift,
+    and the network's per poll.  The oscillator, set only in code, is checked
+    per block before the block's first epoch is yielded, so one that drives
+    the clock bias past 4e9 s fails mid-run, with SpecValidationError after
+    the epochs of the blocks before.
+    """
     import numpy as np
 
     n = spec.duration_epochs
     period = spec.epoch_period_s
     start_units = int(spec.start_unix_s) * FRAC_UNIT
-
-    jitter = _stream(spec.seed, _STREAM_JITTER).normal(0.0, spec.benign_jitter_sigma_s, n)
-    osc_bias = simulate_oscillator(
-        spec.oscillator, n, period, _stream(spec.seed, _STREAM_OSCILLATOR)
-    )
+    jitter_rng = _stream(spec.seed, _STREAM_JITTER)
+    osc_rng = _stream(spec.seed, _STREAM_OSCILLATOR)
     net_rng = _stream(spec.seed, _STREAM_NETWORK)
-
-    # the GNSS solution's offset from true time, each sum the same double
-    # that truth[e] + jitter[e] gives
-    gnss_offset = np.array([attack_offset(spec.attack, e) for e in range(n)])
-    gnss_offset += jitter
-    del jitter
-    # The local monotonic clock runs on the simulated oscillator: each epoch
-    # reads round(e * period * 1e9) + round(bias_s * 1e9) ns, np.rint rounding
-    # half-even as round() does.  The spec bounds the first term by 4e18 ns and
-    # the oscillator, set only in code, is bounded here: the int64 sum cannot wrap.
-    if not np.abs(osc_bias).max() <= MAX_RUN_S:
-        raise SpecValidationError("oscillator drives the simulated clock bias past 4e9 s")
-    mono_ns = np.rint(np.arange(n, dtype=np.float64) * period * 1e9).astype(np.int64)
-    mono_ns += np.rint(osc_bias * 1e9).astype(np.int64)
-    del osc_bias
-    # The loop converts each sum to an int as it reaches it, so the ints the
-    # epochs keep are allocated among the epochs' other objects: a list of
-    # them all, made before the loop, raised simulate's peak RSS by 0.3 MiB.
-    mono_ns = map(int, mono_ns)
-    nts_poll = spec.nts_poll_epochs
-    nts_offsets = gnss_offset[::nts_poll].tolist()
-    # Each offset in units as units_from_s converts it, the product rounded
-    # half-even.  A benign run's go to ints through int64; a 4 s step's pass
-    # 2^63 units, so they go through a list of floats.
-    units = np.rint(gnss_offset * 2.0**64)
-    del gnss_offset
-    if np.abs(units).max() < 2.0**63:
-        offset_units = units.astype(np.int64).tolist()
-    else:
-        offset_units = list(map(int, units.tolist()))
+    net, rt_poll, nts_poll = spec.network, spec.rt_poll_epochs, spec.nts_poll_epochs
     rt_radius = SignedDuration.from_s(spec.rt_radius_s)
+    bias0 = drift0 = 0.0
+    for first in range(0, n, BLOCK_EPOCHS):
+        k = min(BLOCK_EPOCHS, n - first)
+        jitter = jitter_rng.normal(0.0, spec.benign_jitter_sigma_s, k)
+        # a later block's series starts one epoch early, at the last one's
+        # bias and drift
+        carried = first > 0
+        osc_bias, osc_drift = simulate_oscillator(spec.oscillator, k + carried, period,
+                                                  osc_rng, bias0, drift0)
+        bias0, drift0 = osc_bias[-1], osc_drift[-1]
+        osc_bias = osc_bias[carried:]
+        # The local monotonic clock runs on the simulated oscillator: each epoch
+        # reads round(e * period * 1e9) + round(bias_s * 1e9) ns, np.rint
+        # rounding half-even as round() does.  The spec bounds the first term by
+        # 4e18 ns and the oscillator is bounded here: the int64 sum cannot wrap.
+        if not np.abs(osc_bias).max() <= MAX_RUN_S:
+            raise SpecValidationError("oscillator drives the simulated clock bias past 4e9 s")
+        mono_ns = np.rint(np.arange(first, first + k, dtype=np.float64) * period * 1e9
+                          ).astype(np.int64)
+        mono_ns += np.rint(osc_bias * 1e9).astype(np.int64)
+        # the GNSS solution's offset from true time, each sum the same double
+        # that truth[e] + jitter[e] gives
+        gnss_offset = np.array([attack_offset(spec.attack, e) for e in range(first, first + k)])
+        gnss_offset += jitter
+        # Each offset in units as units_from_s converts it, the product rounded
+        # half-even.  A benign run's go to ints through int64; a 4 s step's pass
+        # 2^63 units, so they go through a list of floats.
+        units = np.rint(gnss_offset * 2.0**64)
+        if np.abs(units).max() < 2.0**63:
+            offset_units = units.astype(np.int64).tolist()
+        else:
+            offset_units = list(map(int, units.tolist()))
+        for e, ns, offset in zip(range(first, first + k), mono_ns.tolist(), offset_units):
+            # true and GNSS instants as integer units: one Timestamp per epoch,
+            # plus the Roughtime midpoint at a poll
+            true_units = start_units + units_from_s(e * period)
+            t_mono = MonotonicInstant(ns)
+            rec = EpochRecord(t_mono=t_mono, t_gnss=Timestamp(true_units + offset),
+                              fix_valid=True, source_id="gnss-sim")
+            online = network_available(spec, e)
+            rt = nts = None
+            if e % rt_poll == 0 and online:
+                rt = RoughtimeMeasurement(midpoint=Timestamp(true_units), radius=rt_radius,
+                                          server_id="rt-sim", t_mono_rx=t_mono)
+            if e % nts_poll == 0 and online:
+                # offset of true time vs the (possibly attacked) local scale
+                theta = -float(gnss_offset[e - first]) + net_rng.normal(0.0, net.nts_sigma_s)
+                if net.mode == "provider_compromise":
+                    theta += net.provider_bias_s
+                delay = net_rng.uniform(net.rtt_min_s, net.rtt_max_s)
+                nts = NtsMeasurement(offset=SignedDuration.from_s(theta),
+                                     delay=SignedDuration.from_s(delay),
+                                     t_mono_rx=t_mono, server_id="nts-sim")
+            yield rec, rt, nts
+
+
+def gen_scenario(spec: ScenarioSpec) -> SimOutputs:
+    """A spec's epoch records and scripted provider responses, the whole
+    stream_scenario run collected."""
     epochs = []
     rt_responses = {}
     nts_responses = {}
-    for e, (ns, units) in enumerate(zip(mono_ns, offset_units)):
-        # true and GNSS instants as integer units: one Timestamp per epoch,
-        # plus the Roughtime midpoint at a poll
-        true_units = start_units + units_from_s(e * period)
-        t_mono = MonotonicInstant(ns)
-        t_gnss = Timestamp(true_units + units)
-        epochs.append(
-            EpochRecord(t_mono=t_mono, t_gnss=t_gnss, fix_valid=True, source_id="gnss-sim")
-        )
-        online = network_available(spec, e)
-        if e % spec.rt_poll_epochs == 0 and online:
-            rt_responses[e] = RoughtimeMeasurement(
-                midpoint=Timestamp(true_units),
-                radius=rt_radius,
-                server_id="rt-sim",
-                t_mono_rx=t_mono,
-            )
-        if e % nts_poll == 0 and online:
-            # offset of true time vs the (possibly attacked) local scale
-            theta = -nts_offsets[e // nts_poll] + net_rng.normal(0.0, spec.network.nts_sigma_s)
-            if spec.network.mode == "provider_compromise":
-                theta += spec.network.provider_bias_s
-            delay = net_rng.uniform(spec.network.rtt_min_s, spec.network.rtt_max_s)
-            nts_responses[e] = NtsMeasurement(
-                offset=SignedDuration.from_s(theta),
-                delay=SignedDuration.from_s(delay),
-                t_mono_rx=t_mono,
-                server_id="nts-sim",
-            )
+    for e, (rec, rt, nts) in enumerate(stream_scenario(spec)):
+        epochs.append(rec)
+        if rt is not None:
+            rt_responses[e] = rt
+        if nts is not None:
+            nts_responses[e] = nts
     return SimOutputs(spec, epochs, rt_responses, nts_responses)
 
 

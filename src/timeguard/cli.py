@@ -32,7 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Optional
 
-from .attack_sim import gen_scenario, write_epochs_jsonl, write_truth_csv
+from .attack_sim import stream_scenario, write_epochs_jsonl, write_truth_csv
 from .config import (
     AppConfig,
     ConfigFileError,
@@ -391,17 +391,22 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     name = args.scenario if args.scenario is not None else config.calibration.scenario
     spec = calibration_spec(name)
-    outputs = gen_scenario(spec)
+    simulated = []  # the run's NTS replies, in order; its epochs are fitted as they pass
 
-    fitted, operational = fit_ll(outputs, config)
+    def epochs():
+        for rec, _, nts in stream_scenario(spec):
+            if nts is not None:
+                simulated.append(nts)
+            yield rec
+
+    fitted, operational = fit_ll(epochs(), config)
 
     nts_poller = _nts_poller(config)
     if nts_poller is not None:
         history = [nts_poller() for _ in range(30)]
         sigma_source = f"nts server {config.providers.nts_ke_host}"
     else:
-        responses = outputs.nts_responses
-        history = [responses[k] for k in sorted(responses)]
+        history = simulated
         sigma_source = f"simulated provider in scenario {spec.name!r}"
     sigma = estimate_server_sigma(history)
     nts_lambda = config.detector.nts_sigma_k * sigma

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
-from .attack_sim import (ScenarioSpec, SimOutputs, attack_offset, builtin_scenarios, gen_scenario,
-                         network_available)
+from .attack_sim import (ScenarioSpec, SimOutputs, attack_offset, builtin_scenarios,
+                         network_available, stream_scenario)
 from .config import AppConfig, ConfigFileError, config_sha256, load_scenario
 from .detector import (
     H1,
@@ -237,14 +237,16 @@ class Monitor:
 # -- ll threshold calibration ------------------------------------------------
 
 
-def training_residuals(outputs: SimOutputs, config: AppConfig) -> np.ndarray:
-    """The innovation of each epoch of a generated benign run, in order, as
+def training_residuals(epochs: Iterable[EpochRecord], config: AppConfig) -> np.ndarray:
+    """The innovation of each of a generated benign run's epochs, in order, as
     a Monitor with no ll test tracks it, for threshold fitting.  Only the
-    epochs are applied, so no network check resets the filter."""
+    epochs are applied, so no network check resets the filter.  Each epoch
+    is dropped once tracked: a stream is fitted in flat memory, bar the
+    8 bytes of its innovation."""
     import numpy as np
 
     epoch = Monitor(config, None).epoch
-    return np.array([epoch(rec)[1] for rec in outputs.epochs])
+    return np.fromiter((epoch(rec)[1] for rec in epochs), dtype=np.float64)
 
 
 def calibration_spec(name_or_path: str) -> ScenarioSpec:
@@ -260,16 +262,16 @@ def calibration_spec(name_or_path: str) -> ScenarioSpec:
     return spec
 
 
-def fit_ll(outputs: SimOutputs, config: AppConfig) -> tuple[LlConfig, LlConfig]:
-    """Fit the ll parameters on a generated benign scenario, one that
-    calibration_spec accepted.
+def fit_ll(epochs: Iterable[EpochRecord], config: AppConfig) -> tuple[LlConfig, LlConfig]:
+    """Fit the ll parameters on the epochs of a generated benign scenario, one
+    that calibration_spec accepted.
 
     Returns the fit, whose threshold is the benign quantile at the
     configured false-alarm rate, and the operational parameters, whose
     threshold adds the safety margin so that routine operation stays
     quiet while the quantile itself remains available for analysis.
     """
-    residuals = training_residuals(outputs, config)
+    residuals = training_residuals(epochs, config)
     fitted = calibrate_ll(config.detector.ll, residuals, far=config.calibration.far)
     return fitted, replace(fitted, lambda_T=fitted.lambda_T + config.calibration.margin)
 
@@ -289,7 +291,8 @@ def resolve_ll(config: AppConfig) -> LlConfig:
         raise ConfigFileError("[ll] mu0 or sigma0_sq is pinned but lambda_t is blank, and "
                               "calibration would replace them; pin all three as "
                               "`timeguard calibrate` prints them, or leave all three blank")
-    return fit_ll(gen_scenario(calibration_spec(config.calibration.scenario)), config)[1]
+    spec = calibration_spec(config.calibration.scenario)
+    return fit_ll((rec for rec, _, _ in stream_scenario(spec)), config)[1]
 
 
 # -- reports -----------------------------------------------------------------
@@ -370,22 +373,22 @@ def build_report(spec: ScenarioSpec, verdicts: list, state: OrchestratorState,
     )
 
 
-def scenario_inputs(outputs: SimOutputs) -> Iterator[tuple[str, tuple]]:
-    """A generated run's inputs in the order a feed carries them, each as a
-    Monitor method name and its arguments: a `network` input before an epoch
-    where the simulated network changes (the engine starts online), then the
-    epoch, its Roughtime reply, its NTS reply, and `finish` last."""
-    spec, rt, nts = outputs.spec, outputs.rt_responses, outputs.nts_responses
+def scenario_inputs(spec: ScenarioSpec) -> Iterator[tuple[str, tuple]]:
+    """A spec's run, as stream_scenario generates it, in the order a feed
+    carries its inputs, each as a Monitor method name and its arguments: a
+    `network` input before an epoch where the simulated network changes (the
+    engine starts online), then the epoch, its Roughtime reply, its NTS
+    reply, and `finish` last.  It holds no more than a block of the run."""
     online = True
-    for e, rec in enumerate(outputs.epochs):
+    for e, (rec, rt, nts) in enumerate(stream_scenario(spec)):
         if network_available(spec, e) != online:
             online = not online
             yield "network", (online, rec.t_mono)
         yield "epoch", (rec,)
-        if e in rt:
-            yield "roughtime", (rt[e],)
-        if e in nts:
-            yield "nts", (nts[e],)
+        if rt is not None:
+            yield "roughtime", (rt,)
+        if nts is not None:
+            yield "nts", (nts,)
     yield "finish", ()
 
 
@@ -395,8 +398,11 @@ def run_scenario(
     on_transition: Optional[Callable[[Event, TransitionRecord], None]] = None,
 ) -> tuple[SimOutputs, PipelineResult]:
     """Generate a scenario, bundled by name or given as a spec, and apply its
-    scenario_inputs to a Monitor; the result holds the verdicts, the final
+    scenario_inputs to a Monitor as they are generated; the result holds the
+    run (its SimOutputs, kept as the inputs pass), the verdicts, the final
     state and the scored report, which pins the config by its `config_sha256`.
+    A caller that needs neither the run nor the verdicts drives a Monitor
+    over scenario_inputs itself, in flat memory.
 
     Each event that goes through the transition rule goes to
     `on_transition` as it happens (see Monitor: an event that changes
@@ -408,9 +414,17 @@ def run_scenario(
     verdicts: list[Verdict] = []
     monitor = Monitor(config, resolve_ll(config), on_verdict=verdicts.append,
                       on_transition=on_transition)
-    outputs = gen_scenario(spec)
-    for name, args in scenario_inputs(outputs):
+    epochs: list[EpochRecord] = []
+    rt_responses, nts_responses = {}, {}  # each reply under the epoch it follows
+    for name, args in scenario_inputs(spec):
         getattr(monitor, name)(*args)
+        if name == "epoch":
+            epochs.append(args[0])
+        elif name == "roughtime":
+            rt_responses[len(epochs) - 1] = args[0]
+        elif name == "nts":
+            nts_responses[len(epochs) - 1] = args[0]
+    outputs = SimOutputs(spec, epochs, rt_responses, nts_responses)
     report = build_report(spec, verdicts, monitor.state, config_sha256(config))
     return outputs, PipelineResult(verdicts=verdicts, state=monitor.state, report=report)
 

@@ -124,7 +124,7 @@ def test_criterion_3_smooth_pull_caught_with_calibrated_far():
     with budget(60.0):
         far = CFG.calibration.far
         residuals = training_residuals(
-            gen_scenario(builtin_scenarios()[CFG.calibration.scenario]), CFG
+            gen_scenario(builtin_scenarios()[CFG.calibration.scenario]).epochs, CFG
         )
         fitted = calibrate_ll(CFG.detector.ll, residuals, far=far)
         operational = replace(
@@ -174,20 +174,17 @@ def test_criterion_4_kalman_filter_consistency():
         f0 = kf_init()
         p0 = np.array([[f0.p00, f0.p01], [f0.p01, f0.p11]])
         x0 = np.linalg.cholesky(p0) @ rng.standard_normal(2)
-        bias = simulate_oscillator(
+        bias, drift = simulate_oscillator(
             spec, steps + 1, tau, seed=np.random.default_rng(2000 + run),
             bias0=x0[0], drift0=x0[1],
         )
-        # replay the generator's draws to recover the drift component
-        noise = np.random.default_rng(2000 + run).standard_normal((steps, 2)) @ chol.T
+        # replay the generator's draws: the same noise, per element
+        z = np.random.default_rng(2000 + run).standard_normal((steps, 2))
         b, d = x0[0], x0[1]
-        drift = np.empty(steps + 1)
-        drift[0] = d
         for k in range(1, steps + 1):
-            b += d * tau + noise[k - 1, 0]
-            d += noise[k - 1, 1]
-            assert b == bias[k]
-            drift[k] = d
+            b += d * tau + z[k - 1, 0] * chol[0, 0]
+            d += z[k - 1, 0] * chol[1, 0] + z[k - 1, 1] * chol[1, 1]
+            assert b == bias[k] and d == drift[k]
         s = kf_init()
         for k in range(1, steps + 1):
             s = kf_predict(s, spec, tau)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from adev import allan_deviation, analytic_adev
+from timeguard import attack_sim
 from timeguard.attack_sim import (
     _STREAM_JITTER,
     _STREAM_NETWORK,
@@ -34,6 +35,7 @@ from timeguard.attack_sim import (
     gen_scenario,
     network_available,
     simulate_oscillator,
+    stream_scenario,
     write_epochs_jsonl,
     write_truth_csv,
 )
@@ -103,22 +105,26 @@ def test_meacon_delay_negative_offset():
 
 def test_oscillator_noiseless_integration():
     quiet = OscillatorSpec(q_b=0.0, q_d=0.0)
-    bias = simulate_oscillator(quiet, 10, 1.0, seed=5, bias0=1.0, drift0=0.5)
+    bias, drift = simulate_oscillator(quiet, 10, 1.0, seed=5, bias0=1.0, drift0=0.5)
     assert np.array_equal(bias, 1.0 + 0.5 * np.arange(10))
+    assert np.array_equal(drift, np.full(10, 0.5))
 
 
 def simulate_oscillator_loop(spec, n, period_s, seed, bias0=0.0, drift0=0.0):
-    """The recursion simulate_oscillator accumulates, one epoch at a time."""
-    chol = _chol2(*process_noise(spec.q_b, spec.q_d, period_s))
-    noise = _stream(seed, _STREAM_OSCILLATOR).standard_normal((n - 1, 2)) @ chol.T
-    bias = np.empty(n)
+    """The recursion simulate_oscillator accumulates, one epoch at a time, on
+    the noise of the same per-element formula: (z0, z1) times the Cholesky
+    factor, with no matrix product."""
+    l00, l10, l11 = _chol2(*process_noise(spec.q_b, spec.q_d, period_s))
+    z = _stream(seed, _STREAM_OSCILLATOR).standard_normal((n - 1, 2))
+    bias, drift = np.empty(n), np.empty(n)
     b, d = bias0, drift0
-    bias[0] = b
+    bias[0], drift[0] = b, d
     for k in range(1, n):
-        b += d * period_s + noise[k - 1, 0]
-        d += noise[k - 1, 1]
-        bias[k] = b
-    return bias
+        z0, z1 = z[k - 1]
+        b += d * period_s + z0 * l00
+        d += z0 * l10 + z1 * l11
+        bias[k], drift[k] = b, d
+    return bias, drift
 
 
 @pytest.mark.parametrize("seed", [1, 7, 1001, 2**40 + 3])
@@ -133,20 +139,21 @@ def simulate_oscillator_loop(spec, n, period_s, seed, bias0=0.0, drift0=0.0):
 def test_oscillator_accumulates_as_the_epoch_loop_does(seed, n, period_s, bias0, drift0):
     got = simulate_oscillator(DEFAULT_OSCILLATOR, n, period_s, seed, bias0, drift0)
     want = simulate_oscillator_loop(DEFAULT_OSCILLATOR, n, period_s, seed, bias0, drift0)
-    assert got.dtype == want.dtype and got.shape == (n,)
-    assert got.tobytes() == want.tobytes()
+    for series, expected in zip(got, want):  # bias, then drift
+        assert series.dtype == expected.dtype and series.shape == (n,)
+        assert series.tobytes() == expected.tobytes()
 
 
 def test_oscillator_deterministic_and_streams_distinct():
-    a = simulate_oscillator(DEFAULT_OSCILLATOR, 500, 1.0, seed=42)
-    b = simulate_oscillator(DEFAULT_OSCILLATOR, 500, 1.0, seed=42)
-    c = simulate_oscillator(DEFAULT_OSCILLATOR, 500, 1.0, seed=43)
+    a, _ = simulate_oscillator(DEFAULT_OSCILLATOR, 500, 1.0, seed=42)
+    b, _ = simulate_oscillator(DEFAULT_OSCILLATOR, 500, 1.0, seed=42)
+    c, _ = simulate_oscillator(DEFAULT_OSCILLATOR, 500, 1.0, seed=43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_oscillator_adev_matches_analytic():
-    bias = simulate_oscillator(DEFAULT_OSCILLATOR, 20_000, 1.0, seed=7)
+    bias, _ = simulate_oscillator(DEFAULT_OSCILLATOR, 20_000, 1.0, seed=7)
     taus = [1.0, 4.0, 16.0]
     measured = allan_deviation(bias, 1.0, taus)
     for tau, got in zip(taus, measured):
@@ -169,8 +176,8 @@ def test_zero_noise_benign_equals_truth():
 def test_local_clock_runs_on_the_simulated_oscillator():
     spec = builtin_scenarios()["incr2us"]
     out = gen_scenario(spec)
-    wander = simulate_oscillator(spec.oscillator, spec.duration_epochs, spec.epoch_period_s,
-                                 seed=spec.seed)
+    wander, _ = simulate_oscillator(spec.oscillator, spec.duration_epochs, spec.epoch_period_s,
+                                    seed=spec.seed)
     t_mono = [rec.t_mono.nanoseconds for rec in out.epochs]
     ahead = [t - round(e * spec.epoch_period_s * 1e9) for e, t in enumerate(t_mono)]
     assert ahead == [round(w * 1e9) for w in wander]
@@ -209,7 +216,7 @@ def reference_outputs(spec: ScenarioSpec) -> tuple[list, dict, dict]:
     if spec.benign_jitter_sigma_s == 0.0:
         jitter = np.zeros(n)
     osc_bias = simulate_oscillator(spec.oscillator, n, period,
-                                   _stream(spec.seed, _STREAM_OSCILLATOR)).tolist()
+                                   _stream(spec.seed, _STREAM_OSCILLATOR))[0].tolist()
     net_rng = _stream(spec.seed, _STREAM_NETWORK)
     truth = np.array([attack_offset(spec.attack, e) for e in range(n)])
     epochs, midpoints, nts_offsets = [], {}, {}
@@ -267,6 +274,51 @@ def assert_generates_as_reference(spec):
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[s.name for s in ORACLE_SPECS])
 def test_generation_matches_the_ts_add_reference(spec):
     assert_generates_as_reference(spec)
+
+
+@st.composite
+def block_specs(draw) -> ScenarioSpec:
+    """Specs inside every bound whose runs cross many edges of a small block:
+    short runs, periods of 0.1-1 s, 4 s steps, and down windows that open
+    and close anywhere in the run or past its end."""
+    n = draw(st.integers(1, 40))
+    down_from = draw(st.integers(0, n))
+    network = draw(st.sampled_from([
+        NetworkSpec(), NetworkSpec(mode="provider_compromise", provider_bias_s=3e-4),
+        NetworkSpec(mode="down", down_from_epoch=down_from,
+                    down_to_epoch=draw(st.integers(down_from, n + 3)))]))
+    return ScenarioSpec(
+        name="blocks", duration_epochs=n,
+        epoch_period_s=draw(st.one_of(st.sampled_from([0.1, 0.3, 1.0]), st.floats(0.1, 1.0))),
+        benign_jitter_sigma_s=draw(st.sampled_from([0.0, 10e-9])),
+        attack=AttackSpec(
+            kind=draw(st.sampled_from(ATTACK_KINDS)), onset_epoch=draw(st.integers(0, n - 1)),
+            offset_s=draw(st.one_of(st.sampled_from([4.0, -4.0]), st.floats(-1e-5, 1e-5))),
+            every_k=draw(st.integers(1, 5)), span_epochs=draw(st.integers(1, 40))),
+        network=network, rt_poll_epochs=draw(st.integers(1, 7)),
+        nts_poll_epochs=draw(st.integers(1, 7)), seed=draw(st.integers(0, 2**32)))
+
+
+@given(block_specs())
+# past one edge of a 4,096-epoch block, inside a down window
+@example(ScenarioSpec(name="blocks", duration_epochs=4_100, seed=8,
+                      network=NetworkSpec(mode="down", down_from_epoch=4_090,
+                                          down_to_epoch=4_099)))
+@settings(max_examples=60, deadline=None)
+def test_a_run_streams_the_same_at_every_block_size(spec):
+    # each stream draws a block at a time, carrying the oscillator's bias and
+    # drift over, so the run cannot depend on where the blocks end
+    assert_generates_as_reference(spec)
+    whole = gen_scenario(spec)
+    for block in (1, 7, 4096):
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(attack_sim, "BLOCK_EPOCHS", block)
+            streamed = list(stream_scenario(spec))
+            assert gen_scenario(spec) == whole
+        assert [rec for rec, _, _ in streamed] == whole.epochs
+        for replies, got in ((whole.rt_responses, [rt for _, rt, _ in streamed]),
+                             (whole.nts_responses, [nts for _, _, nts in streamed])):
+            assert {e: r for e, r in enumerate(got) if r is not None} == replies
 
 
 def largest_within(bound: float, factor: int) -> float:

@@ -24,7 +24,7 @@ from test_provider_nts import sealed_reply
 from test_scripts import checkout_env
 
 from timeguard import cli, provider_nts, provider_roughtime
-from timeguard.attack_sim import builtin_scenarios, gen_scenario
+from timeguard.attack_sim import builtin_scenarios
 from timeguard.cli import (
     EXIT_ATTACK,
     EXIT_CLEAN,
@@ -377,6 +377,20 @@ def test_a_seed_past_int64_is_refused(pin_cfg, tmp_path, capsys):
     assert f"config error: invalid scenario: {refusal}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("attack", ["", "\n[attack]\nkind = incremental\noffset_s = 0\n"],
+                         ids=["benign", "incremental-0"])
+def test_a_run_past_the_float_range_is_refused_naming_the_run_bound(attack, pin_cfg, tmp_path,
+                                                                    capsys):
+    # 401 digits: the duration itself does not convert to a float
+    spec_path = tmp_path / "long.ini"
+    spec_path.write_text(BENIGN_INI.replace("240", "9" * 401) + attack)
+    assert main(["simulate", "--scenario", str(spec_path), "--config", pin_cfg]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("timeguard: config error: invalid scenario: duration_epochs * "
+                            "epoch_period_s must be <= 4e9 s, got inf\n")
+
+
 def test_simulate_summary_on_stdout(pin_cfg, capsys):
     main(["simulate", "--scenario", "step4s", "--config", pin_cfg])
     out = capsys.readouterr().out
@@ -537,7 +551,7 @@ def test_attack_calibration_scenario_is_refused_before_generation(monkeypatch, c
         raise AssertionError(f"generated {spec.name}")
 
     for module in ("timeguard.attack_sim", "timeguard.cli", "timeguard.pipeline"):
-        monkeypatch.setattr(f"{module}.gen_scenario", generate)
+        monkeypatch.setattr(f"{module}.stream_scenario", generate)
     assert main(["calibrate", "--scenario", "incr2us"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1309,7 +1323,7 @@ def test_each_input_of_a_generated_run_reads_back_from_its_feed_line(name, tmp_p
     # equality compares every field, the ones no verdict reads too: an NTS
     # reply's delay, a Roughtime radius and each source id
     inputs = [(method, args) for method, args in
-              scenario_inputs(gen_scenario(load_scenario(scenario_path(name, tmp_path))))
+              scenario_inputs(load_scenario(scenario_path(name, tmp_path)))
               if method != "finish"]
     assert {method for method, _ in inputs} == (
         {"epoch", "roughtime", "nts"} | ({"network"} if name == "outage" else set()))
@@ -1326,7 +1340,7 @@ def test_live_replay_of_a_simulated_run_matches_simulate(name, pin_cfg, tmp_path
     sim, live = tmp_path / "sim", tmp_path / "live"
     rc = main(["simulate", "--scenario", scenario, "--config", pin_cfg, "--out-dir", str(sim)])
     feed = write_feed(tmp_path, [feed_line(method, args) for method, args in
-                                 scenario_inputs(gen_scenario(load_scenario(scenario)))
+                                 scenario_inputs(load_scenario(scenario))
                                  if method != "finish"])
     assert main(["live", "--feed", feed, "--config", pin_cfg, "--out-dir", str(live)]) == rc
     for trace in ("verdicts.jsonl", "transitions.jsonl"):

@@ -207,7 +207,7 @@ def outage_feed_lines() -> list:
     spec = replace(incr2us, network=replace(incr2us.network, mode="down", down_from_epoch=100,
                                             down_to_epoch=200))
     return [(method, feed_line(method, args))
-            for method, args in scenario_inputs(gen_scenario(spec)) if method != "finish"]
+            for method, args in scenario_inputs(spec) if method != "finish"]
 
 
 def live_decoding(monkeypatch, tmp_path, lines: list) -> tuple[list, list]:
@@ -309,7 +309,7 @@ def test_live_writes_its_verdicts_once_per_read_of_its_feed(monkeypatch, tmp_pat
     # and every one is flushed before the next read
     feed = tmp_path / "feed.jsonl"
     feed.write_text("".join(feed_line(method, args) + "\n" for method, args
-                            in scenario_inputs(gen_scenario(builtin_scenarios()["incr2us"]))
+                            in scenario_inputs(builtin_scenarios()["incr2us"])
                             if method != "finish"))
     config = tmp_path / "pin.ini"
     config.write_text(PINNED_CFG)
@@ -361,7 +361,7 @@ def test_simulate_and_live_each_resolve_the_ll_once(monkeypatch, tmp_path):
     assert len(resolved) == 1
     feed = tmp_path / "feed.jsonl"
     feed.write_text("".join(feed_line(method, args) + "\n" for method, args
-                            in scenario_inputs(gen_scenario(builtin_scenarios()["step4s"]))
+                            in scenario_inputs(builtin_scenarios()["step4s"])
                             if method != "finish"))
     config = tmp_path / "pin.ini"
     config.write_text(PINNED_CFG)
@@ -371,7 +371,7 @@ def test_simulate_and_live_each_resolve_the_ll_once(monkeypatch, tmp_path):
 
 def test_building_a_monitor_resolves_no_ll_and_generates_no_run(monkeypatch):
     resolved = count_calls(monkeypatch, pipeline, "resolve_ll")
-    generated = count_calls(monkeypatch, attack_sim, "gen_scenario")
+    generated = count_calls(monkeypatch, attack_sim, "stream_scenario")
     pipeline.Monitor(CONFIG, None)
     pipeline.Monitor(CONFIG, LlConfig(lambda_T=-12.0, sigma0_sq=1e-16))
     # the default config's blank ll is refused, not calibrated

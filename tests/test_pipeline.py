@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -212,6 +213,25 @@ def test_a_reset_without_an_ll_resets_the_filter_alone():
     assert monitor.ll is None
 
 
+def streamed_peak_bytes(n: int) -> int:
+    """tracemalloc's peak while a benign run of n epochs streams through a Monitor."""
+    monitor = Monitor(CFG, CFG.detector.ll)
+    tracemalloc.start()
+    try:
+        for name, args in scenario_inputs(ScenarioSpec(name="flat", duration_epochs=n, seed=5)):
+            getattr(monitor, name)(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_streamed_run_holds_flat_memory():
+    # generation holds one block at a time and the engine a bounded ll
+    # window, so ten times the epochs may not double the peak (a run held
+    # whole grows by about 490 bytes an epoch)
+    assert streamed_peak_bytes(100_000) <= 2 * streamed_peak_bytes(10_000)
+
+
 @pytest.mark.parametrize("seed", [13, 18])
 def test_a_reset_hours_after_the_first_fix_tracks_from_the_last_one(seed):
     # the network is down for the first 12 h, so the first Roughtime H0 and
@@ -260,7 +280,7 @@ def test_a_simulated_run_hands_kf_update_what_it_trusts(name, filter_inputs):
 def test_a_live_replay_hands_kf_update_what_it_trusts(filter_inputs, tmp_path):
     spec = ScenarioSpec(name="outage", duration_epochs=400, seed=21,
                         network=NetworkSpec(mode="down", down_from_epoch=100, down_to_epoch=200))
-    lines = [feed_line(method, args) for method, args in scenario_inputs(gen_scenario(spec))
+    lines = [feed_line(method, args) for method, args in scenario_inputs(spec)
              if method != "finish"]
     assert {feed_input(line)[0] for line in lines} == {"epoch", "roughtime", "nts", "network"}
     feed, config = tmp_path / "feed.jsonl", tmp_path / "pinned.ini"
@@ -275,7 +295,7 @@ def test_a_live_replay_hands_kf_update_what_it_trusts(filter_inputs, tmp_path):
 
 
 def test_training_residuals_match_readout_noise():
-    residuals = training_residuals(gen_scenario(builtin_scenarios()["benign_cal"]), CFG)
+    residuals = training_residuals(gen_scenario(builtin_scenarios()["benign_cal"]).epochs, CFG)
     assert len(residuals) == 10_000
     assert abs(residuals.mean()) < 2e-9
     assert residuals.std() == pytest.approx(10e-9, rel=0.3)
@@ -288,7 +308,7 @@ def test_training_residuals_track_every_epoch_against_the_first_ones_clock():
     first = outputs.epochs[0]
     _, innovations = track([(local_bias_s(rec, first.t_gnss, first.t_mono), rec.t_mono)
                             for rec in outputs.epochs])
-    assert training_residuals(outputs, CFG).tolist() == innovations
+    assert training_residuals(outputs.epochs, CFG).tolist() == innovations
 
 
 def test_resolve_ll_passthrough_when_pinned():
@@ -298,7 +318,7 @@ def test_resolve_ll_passthrough_when_pinned():
 
 def test_resolve_ll_is_quantile_plus_margin():
     residuals = training_residuals(
-        gen_scenario(builtin_scenarios()[DEFAULT.calibration.scenario]), DEFAULT)
+        gen_scenario(builtin_scenarios()[DEFAULT.calibration.scenario]).epochs, DEFAULT)
     fitted = calibrate_ll(DEFAULT.detector.ll, residuals, far=DEFAULT.calibration.far)
     resolved = CFG.detector.ll
     assert resolved.lambda_T == fitted.lambda_T + DEFAULT.calibration.margin
@@ -317,7 +337,7 @@ def test_zero_noise_run_is_silent():
     verdicts = []
     monitor = Monitor(CFG, CFG.detector.ll, on_verdict=verdicts.append)
     returns = [(name, getattr(monitor, name)(*args))
-               for name, args in scenario_inputs(gen_scenario(spec))]
+               for name, args in scenario_inputs(spec)]
     # every epoch's (filtered bias, innovation)
     assert [tracked for name, tracked in returns if name == "epoch"] == [(0.0, 0.0)] * 80
     assert all(v.hypothesis is Hypothesis.H0 for v in verdicts)
@@ -400,8 +420,8 @@ def test_monitor_refuses_out_of_order_input_and_applies_nothing():
     seen = []
     monitor = Monitor(CFG, CFG.detector.ll, on_verdict=seen.append,
                       on_transition=lambda event, record: seen.append(record))
-    for name, args in scenario_inputs(outputs):
-        if name == "epoch" and args[0] is outputs.epochs[40]:
+    for name, args in scenario_inputs(outputs.spec):
+        if name == "epoch" and args[0] == outputs.epochs[40]:
             break  # the first 40 epochs and their replies applied
         getattr(monitor, name)(*args)
     state, kf, window = monitor.state, monitor.kf, list(monitor.ll.window)
@@ -495,7 +515,7 @@ def test_a_leading_span_without_utc_changes_nothing_of_the_run_after_it():
     # UTC parameters: those epochs are no fix, so the replies among them come
     # before the first fix, and the run starts at the first epoch with UTC
     outputs = gen_scenario(builtin_scenarios()["step4s"])
-    inputs = list(scenario_inputs(outputs))
+    inputs = list(scenario_inputs(outputs.spec))
     cut = inputs.index(("epoch", (outputs.epochs[30],)))
     gps = SignedDuration.from_s(18.0)
     lead = [(name, (EpochRecord(args[0].t_mono, ts_add(args[0].t_gnss, gps), True, False),))
@@ -649,7 +669,7 @@ def assert_runs_match(config, inputs, reference=TickEveryEpoch):
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()) + ["outage"])
 def test_a_tick_only_on_an_epoch_that_applied_nothing_else_changes_no_run(name):
     spec = OUTAGE if name == "outage" else builtin_scenarios()[name]
-    assert_runs_match(CFG, scenario_inputs(gen_scenario(spec)))
+    assert_runs_match(CFG, scenario_inputs(spec))
 
 
 # a 5 s ephemeris validity, so that short feeds outlive it, and a 3-innovation
@@ -711,7 +731,7 @@ def test_a_tick_only_on_an_epoch_that_applied_nothing_else_changes_no_feed(input
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()) + ["outage"])
 def test_applying_time_only_events_in_place_changes_no_run(name):
     spec = OUTAGE if name == "outage" else builtin_scenarios()[name]
-    assert_runs_match(CFG, scenario_inputs(gen_scenario(spec)), RuleForEveryEvent)
+    assert_runs_match(CFG, scenario_inputs(spec), RuleForEveryEvent)
 
 
 @given(feeds())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timeguard.attack_sim import builtin_scenarios, gen_scenario
+from timeguard.attack_sim import builtin_scenarios
 from timeguard.config import default_config
 from timeguard.detector import LlConfig
 from timeguard.orchestrator import OrderingError
@@ -293,7 +293,7 @@ def test_every_epoch_line_of_a_generated_run_takes_the_pattern(name):
         spec = replace(spec, network=replace(spec.network, mode="down", down_from_epoch=100,
                                              down_to_epoch=200))
     kinds = set()
-    for method, args in scenario_inputs(gen_scenario(spec)):
+    for method, args in scenario_inputs(spec):
         if method != "finish":
             kinds.add(method)
             assert (_EPOCH_LINE(feed_line(method, args)) is not None) == (method == "epoch")

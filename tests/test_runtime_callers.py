@@ -365,6 +365,31 @@ def test_the_filter_imports_no_numpy():
     assert not found, found
 
 
+_BLAS_NAMES = {"dot", "matmul", "einsum", "linalg"}
+
+
+def test_the_package_calls_no_blas():
+    """numpy hands a matrix product to the machine's BLAS kernel, whose fused
+    multiply-adds decide the last bit of the result, so a generated run
+    would read differently from one machine to the next.  No module uses
+    `@`, np.dot, np.matmul, np.einsum or np.linalg, by attribute or by
+    import."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+                found.append(f"{path.name}:{n.lineno} takes a matrix product with @")
+            elif isinstance(n, ast.Attribute) and n.attr in _BLAS_NAMES:
+                found.append(f"{path.name}:{n.lineno} reads .{n.attr}")
+            elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in n.names]
+                if isinstance(n, ast.ImportFrom):
+                    names.append(n.module or "")
+                found += [f"{path.name}:{n.lineno} imports {name}" for name in names
+                          if set(name.split(".")) & _BLAS_NAMES]
+    assert not found, found
+
+
 _STDLIB_CRYPTO = {"hashlib", "_hashlib", "secrets", "hmac"}
 
 
